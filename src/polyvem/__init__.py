@@ -6,23 +6,23 @@ per element until a higher-degree gradient projection alone yields a coercive
 bilinear form.  Both are driven by the study harness and CLI in this package.
 """
 
-from .assembly import (SolveReport, SolverError, SparseSystem, apply_dirichlet,
-                       apply_dirichlet_homogeneous, assemble, build_dof_map,
-                       solve, stab_consistency_ratio)
+from .assembly import (SolveReport, SparseSystem, apply_dirichlet, assemble,
+                       build_dof_map, solve, stab_consistency_ratio)
 from .basis import (QuadRule, dim_poly, edge_rules, eval_monomial_grads,
                     eval_monomials, monomial_exponents, monomial_gram,
-                    polygon_quadrature, scaled_monomial_eval,
-                    scaled_monomial_grad, scaled_monomial_laplacian)
+                    polygon_quadrature)
 from .cases import TestCase, manufactured_residual, testcase
+from .errors import (CellDegeneracyError, MeshError, NumericalDegeneracyError,
+                     PolyvemError, QuadratureError, SolverError,
+                     StabilizationFreeRankError)
 from .local import (DiffusionTensor, DofLayout, LocalStiffness, Method,
-                    ProjectionPack, StabilizationFreeRankError,
-                    build_pi0_grad, build_pi_nabla, build_projection_pack,
-                    dof_count, local_load, local_stiffness, min_ell,
-                    recover_moments)
-from .mesh import (CellGeometry, MeshError, MeshFamilySpec, MeshFormatError,
-                   PolyMesh, cell_geometry, generate_cartesian,
-                   generate_family, generate_voronoi, load_mesh, read_mesh,
-                   save_mesh, validate_mesh, write_mesh)
+                    ProjectionPack, build_pi0_grad, build_pi_nabla,
+                    build_projection_pack, dof_count, local_load,
+                    local_stiffness, min_ell, recover_moments)
+from .mesh import (FAMILIES, CellGeometry, MeshFormatError, PolyMesh,
+                   cell_geometry, generate_cartesian, generate_mesh,
+                   generate_voronoi, load_mesh, read_mesh, save_mesh,
+                   validate_mesh, write_mesh)
 from .study import (StudyConfig, StudyResult, StudyRow, convergence_rate,
                     energy_error, interpolate_dofs, run_study, solve_case)
 

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg, splu
 
 from .basis import dim_poly, eval_monomials, polygon_quadrature
+from .errors import PolyvemError, SolverError
 from .local import (DiffusionTensor, Method, build_projection_pack,
                     local_load, local_stiffness)
 from .mesh import NonConformingMeshError, PolyMesh
@@ -26,10 +27,6 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_RTOL = 1e-10
 CG_RTOL = 1e-12
-
-
-class SolverError(Exception):
-    pass
 
 
 @dataclass
@@ -102,7 +99,7 @@ class SparseSystem:
     dof_map: GlobalDofMap
     k: int
     method: Method
-    packs: Optional[list] = None         # per-cell ProjectionPack when collected
+    pi_stars: list                       # per cell, energy projector coefficients
 
 
 def _congruent_to(geom, ref_geom, tol=1e-9):
@@ -114,67 +111,64 @@ def _congruent_to(geom, ref_geom, tol=1e-9):
 
 
 def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
-             f=None, *, y_wavelength=None, collect_packs: bool = False) -> SparseSystem:
+             f=None, *, y_wavelength=None) -> SparseSystem:
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
     With `f` omitted only the matrices are built (enough for norm studies).
     On meshes whose cells are congruent translates (the cartesian family) the
     element matrices are built once and reused; the reuse is verified per cell
-    against the reference geometry, never assumed.
+    against the reference geometry, never assumed.  A `PolyvemError` raised
+    while building a cell leaves with that cell's index set on it.
     """
     dm = build_dof_map(mesh, k)
     max_y = y_wavelength / 2.0 if y_wavelength else None
 
     rows, cols, vals_pi, vals_s = [], [], [], []
     b = np.zeros(dm.n_total)
-    packs = [] if collect_packs else None
+    pi_stars = []
 
-    cache = None
-    if mesh.congruent_cells and K.constant:
-        ref_geom = mesh.cell_geom(0)
-        ref_pack = build_projection_pack(ref_geom, k, method, cell_id=0)
-        ref_stiff = local_stiffness(ref_geom, k, method, K, pack=ref_pack, cell_id=0)
-        ref_quad = None
-        if f is not None:
-            ref_quad = polygon_quadrature(ref_geom, 2 * k + 6, max_y_extent=max_y)
-            rel_pts = ref_quad.points - ref_geom.centroid
-            Vw = eval_monomials(ref_geom, ref_quad.points, k - 1).T * ref_quad.weights
+    ci = 0
+    try:
+        cache = None
+        if mesh.congruent_cells and K.constant:
+            ref_geom = mesh.cell_geom(0)
+            ref_pack = build_projection_pack(ref_geom, k, method)
+            ref_stiff = local_stiffness(ref_geom, k, method, K, pack=ref_pack)
+            rel_pts = Vw = None
+            if f is not None:
+                ref_quad = polygon_quadrature(ref_geom, 2 * k + 6, max_y_extent=max_y)
+                rel_pts = ref_quad.points - ref_geom.centroid
+                Vw = eval_monomials(ref_geom, ref_quad.points, k - 1).T * ref_quad.weights
             cache = (ref_geom, ref_pack, ref_stiff, rel_pts, Vw)
-        else:
-            cache = (ref_geom, ref_pack, ref_stiff, None, None)
 
-    for ci in range(mesh.n_cells):
-        geom = mesh.cell_geom(ci)
-        if cache is not None and _congruent_to(geom, cache[0]):
-            _, pack, stiff, rel_pts, Vw = cache
-            if f is not None:
-                pts = rel_pts + geom.centroid
-                fm = Vw @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-                load = pack.pi0_val.T @ fm
+        for ci in range(mesh.n_cells):
+            geom = mesh.cell_geom(ci)
+            if cache is not None and _congruent_to(geom, cache[0]):
+                _, pack, stiff, rel_pts, Vw = cache
+                if f is not None:
+                    pts = rel_pts + geom.centroid
+                    fm = Vw @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+                    load = pack.pi0_val.T @ fm
+                else:
+                    load = None
             else:
+                pack = build_projection_pack(geom, k, method)
+                stiff = local_stiffness(geom, k, method, K, pack=pack)
                 load = None
-        else:
-            try:
-                pack = build_projection_pack(geom, k, method, cell_id=ci)
-                stiff = local_stiffness(geom, k, method, K, pack=pack, cell_id=ci)
-            except Exception as exc:
-                if f"cell {ci}" in str(exc):
-                    raise
-                raise type(exc)(f"cell {ci}: {exc}") from exc
-            load = None
-            if f is not None:
-                load = local_load(geom, k, pack.ell, f, pack.pi0_val,
-                                  max_y_extent=max_y)
-        idx = dm.cell_dofs[ci]
-        n = idx.size
-        rows.append(np.repeat(idx, n))
-        cols.append(np.tile(idx, n))
-        vals_pi.append(stiff.a_pi.ravel())
-        vals_s.append(stiff.a_s.ravel())
-        if load is not None:
-            b[idx] += load
-        if collect_packs:
-            packs.append(pack)
+                if f is not None:
+                    load = local_load(geom, k, f, pack.pi0_val, max_y_extent=max_y)
+            idx = dm.cell_dofs[ci]
+            n = idx.size
+            rows.append(np.repeat(idx, n))
+            cols.append(np.tile(idx, n))
+            vals_pi.append(stiff.a_pi.ravel())
+            vals_s.append(stiff.a_s.ravel())
+            if load is not None:
+                b[idx] += load
+            pi_stars.append(pack.pi_star)
+    except PolyvemError as exc:
+        exc.cell = ci
+        raise
 
     shape = (dm.n_total, dm.n_total)
     rows = np.concatenate(rows)
@@ -182,7 +176,7 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     a_pi = sp.coo_matrix((np.concatenate(vals_pi), (rows, cols)), shape=shape).tocsr()
     a_s = sp.coo_matrix((np.concatenate(vals_s), (rows, cols)), shape=shape).tocsr()
     return SparseSystem(a=(a_pi + a_s).tocsr(), a_pi=a_pi, a_s=a_s, b=b,
-                        dof_map=dm, k=k, method=method, packs=packs)
+                        dof_map=dm, k=k, method=method, pi_stars=pi_stars)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +213,6 @@ def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem
     return ReducedSystem(a_ff=a_ff, b_f=b_f, free_dofs=free, fixed_dofs=fixed,
                          fixed_values=vals, n_total=dm.n_total,
                          k=system.k, method=system.method)
-
-
-def apply_dirichlet_homogeneous(system: SparseSystem) -> ReducedSystem:
-    return apply_dirichlet(system, None)
 
 
 @dataclass

@@ -15,15 +15,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .errors import NumericalDegeneracyError, QuadratureError
+
 log = logging.getLogger(__name__)
-
-
-class QuadratureError(Exception):
-    pass
-
-
-class NumericalDegeneracyError(Exception):
-    """A cell-local matrix lost positive definiteness during factorization."""
 
 
 def dim_poly(k: int) -> int:
@@ -91,18 +85,6 @@ def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
     return out
 
 
-def scaled_monomial_eval(alpha, E, p) -> float:
-    ax, ay = alpha
-    v = eval_monomials(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
-    return float(v[0, monomial_index(ax, ay)])
-
-
-def scaled_monomial_grad(alpha, E, p) -> np.ndarray:
-    ax, ay = alpha
-    g = eval_monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
-    return g[0, monomial_index(ax, ay)].copy()
-
-
 def laplacian_coefficients(alpha):
     """Expansion of the Laplacian of m_alpha: list of (coefficient, beta).
 
@@ -115,13 +97,6 @@ def laplacian_coefficients(alpha):
     if ay >= 2:
         terms.append((float(ay * (ay - 1)), (ax, ay - 2)))
     return terms
-
-
-def scaled_monomial_laplacian(alpha, E, p) -> float:
-    total = 0.0
-    for c, beta in laplacian_coefficients(alpha):
-        total += c * scaled_monomial_eval(beta, E, p)
-    return total / E.diameter ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +195,7 @@ def polygon_quadrature(E, degree: int, *, max_y_extent=None, max_depth: int = 7)
     return QuadRule(np.vstack(pts), np.concatenate(wts), degree)
 
 
-def monomial_gram(E, degree: int, quad: QuadRule | None = None, *, cell_id=None) -> np.ndarray:
+def monomial_gram(E, degree: int, quad: QuadRule | None = None) -> np.ndarray:
     """Mass matrix of the scaled monomials up to `degree` on E, SPD by construction."""
     if quad is None:
         quad = polygon_quadrature(E, 2 * degree)
@@ -230,10 +205,8 @@ def monomial_gram(E, degree: int, quad: QuadRule | None = None, *, cell_id=None)
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        where = f"cell {cell_id}" if cell_id is not None else "cell"
         raise NumericalDegeneracyError(
-            f"monomial Gram matrix on {where} is not positive definite "
-            f"(degree {degree})") from None
+            f"monomial Gram matrix is not positive definite (degree {degree})") from None
     return M
 
 

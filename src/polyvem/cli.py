@@ -1,6 +1,7 @@
 """Command-line interface: mesh generation, single solves, studies, ratio tables.
 
-Exit codes: 0 success, 2 input or validation error, 3 solver failure.
+Exit codes: 0 success, 2 input or validation error, 3 solver failure; a
+`PolyvemError` exits with its own `exit_code` (see errors.py).
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ import argparse
 import json
 import sys
 
-from .assembly import SolverError
 from .cases import testcase
+from .errors import MeshError, PolyvemError
 from .local import Method
-from .mesh import (DEFAULT_LLOYD_ITERS, MeshError, generate_cartesian,
-                   generate_voronoi, load_mesh, save_mesh, validate_mesh)
+from .mesh import (DEFAULT_LLOYD_ITERS, FAMILIES, generate_mesh, load_mesh,
+                   save_mesh, validate_mesh)
 from .study import StudyConfig, ladder_for, ratio_ladder, run_study, solve_case
 
 
@@ -24,7 +25,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("mesh", help="generate a mesh and write the text format")
-    pm.add_argument("--family", choices=["cartesian", "voronoi"], required=True)
+    pm.add_argument("--family", choices=list(FAMILIES), required=True)
     pm.add_argument("--n", type=int, required=True,
                     help="cells per side (cartesian) or cell count (voronoi)")
     pm.add_argument("--seed", type=int, default=0)
@@ -41,7 +42,7 @@ def _build_parser():
     pt = sub.add_parser("study", help="run a refinement study and write CSV/JSON")
     pt.add_argument("--case", required=True)
     pt.add_argument("--orders", required=True, help="comma list, e.g. 1,3")
-    pt.add_argument("--family", choices=["cartesian", "voronoi", "both"],
+    pt.add_argument("--family", choices=[*FAMILIES, "both"],
                     required=True)
     pt.add_argument("--levels", type=int, default=0,
                     help="ladder prefix length (0 = full ladder)")
@@ -52,7 +53,7 @@ def _build_parser():
     pr = sub.add_parser("ratio", help="print ladder-averaged stabilization ratios")
     pr.add_argument("--case", required=True)
     pr.add_argument("--order", type=int, required=True)
-    pr.add_argument("--family", choices=["cartesian", "voronoi", "both"],
+    pr.add_argument("--family", choices=[*FAMILIES, "both"],
                     required=True)
     pr.add_argument("--levels", type=int, default=0)
     pr.add_argument("--seed", type=int, default=0)
@@ -61,14 +62,11 @@ def _build_parser():
 
 
 def _families(arg):
-    return ("cartesian", "voronoi") if arg == "both" else (arg,)
+    return tuple(FAMILIES) if arg == "both" else (arg,)
 
 
 def _cmd_mesh(args):
-    if args.family == "cartesian":
-        mesh = generate_cartesian(args.n)
-    else:
-        mesh = generate_voronoi(args.n, args.seed, args.lloyd_iters)
+    mesh = generate_mesh(args.family, args.n, args.seed, args.lloyd_iters)
     report = validate_mesh(mesh)
     if not report.ok:
         details = "; ".join(f"{v.kind} at {v.where}: {v.detail}"
@@ -143,12 +141,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except (MeshError, ValueError, OSError) as exc:
+    except (PolyvemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, PolyvemError) else 2
 
 
 if __name__ == "__main__":

@@ -1,0 +1,43 @@
+"""The failure taxonomy: every polyvem error carries the CLI exit code it maps to.
+
+Exit code 2 marks bad input (a mesh that cannot be built or integrated on),
+exit code 3 a discretization or solver failure.  `assemble` sets `cell` on
+any error raised while building a cell, and the message then leads with it.
+"""
+
+
+class PolyvemError(Exception):
+    exit_code = 2
+    cell = None
+
+    def __str__(self):
+        msg = super().__str__()
+        return msg if self.cell is None else f"cell {self.cell}: {msg}"
+
+
+class MeshError(PolyvemError):
+    """Base class for mesh construction and validation failures."""
+
+
+class QuadratureError(PolyvemError):
+    """A cell is not star-shaped with respect to its centroid."""
+
+
+class SolverError(PolyvemError):
+    exit_code = 3
+
+
+class StabilizationFreeRankError(PolyvemError):
+    """The stabilization-free consistency matrix lost rank on some cell."""
+
+    exit_code = 3
+
+
+class CellDegeneracyError(PolyvemError):
+    exit_code = 3
+
+
+class NumericalDegeneracyError(PolyvemError):
+    """A cell-local matrix lost positive definiteness during factorization."""
+
+    exit_code = 3

@@ -15,8 +15,8 @@ scheme needs is assembled from those dofs:
 The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
 higher-degree gradient projection rich enough that no stabilizing term is
-needed.  Its coercivity is only guaranteed at order 1; a per-cell rank check
-guards the higher orders.
+needed.  Its coercivity is only guaranteed at order 1; a per-cell rank check,
+made where ell is chosen, guards the higher orders.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .basis import (NumericalDegeneracyError, QuadRule, dim_poly, edge_rules,
-                    eval_monomial_grads, eval_monomials, lagrange_matrix,
-                    laplacian_coefficients, monomial_exponents, monomial_index,
-                    polygon_quadrature)
+from .basis import (dim_poly, edge_rules, eval_monomial_grads, eval_monomials,
+                    lagrange_matrix, laplacian_coefficients, monomial_exponents,
+                    monomial_index, polygon_quadrature)
+from .errors import (CellDegeneracyError, NumericalDegeneracyError,
+                     StabilizationFreeRankError)
 
 
 class Method(Enum):
@@ -44,14 +45,6 @@ class Method(Enum):
             if member.value == name:
                 return member
         raise ValueError(f"unknown method {name!r}, expected 'vem' or 'e2vem'")
-
-
-class CellDegeneracyError(Exception):
-    pass
-
-
-class StabilizationFreeRankError(Exception):
-    """The stabilization-free consistency matrix lost rank on some cell."""
 
 
 @dataclass(frozen=True)
@@ -177,16 +170,15 @@ class DofLayout:
 class ElementContext:
     """Quadrature, Gram matrix and edge data for one (cell, k, ell) triple."""
 
-    def __init__(self, E, k: int, ell: int = 0, *, cell_id=None):
+    def __init__(self, E, k: int, ell: int = 0):
         self.E = E
         self.k = k
         self.ell = ell
-        self.cell_id = cell_id
         self.layout = DofLayout(k, E.n_vertices)
         deg = k + ell
         self.quad = polygon_quadrature(E, 2 * deg)
         from .basis import monomial_gram
-        self.gram = monomial_gram(E, deg, self.quad, cell_id=cell_id)
+        self.gram = monomial_gram(E, deg, self.quad)
 
         lob, gl_t, gl_w = edge_rules(k, 2 * k + ell + 3)
         self.lobatto = lob
@@ -271,9 +263,7 @@ def build_pi_nabla(E, k: int, *, ctx: ElementContext | None = None) -> PiNabla:
     try:
         pi_star = np.linalg.solve(G, B)
     except np.linalg.LinAlgError:
-        where = f"cell {ctx.cell_id}" if ctx.cell_id is not None else "cell"
-        raise CellDegeneracyError(
-            f"singular projector system on {where} (k={k})") from None
+        raise CellDegeneracyError(f"singular projector system (k={k})") from None
     return PiNabla(D=D, B=B, G=G, pi_star=pi_star, pi_dof=D @ pi_star)
 
 
@@ -344,9 +334,8 @@ def build_pi0_grad(E, k: int, d: int, moments: np.ndarray,
     try:
         cho = cho_factor(ctx.gram[:nd, :nd])
     except np.linalg.LinAlgError:
-        where = f"cell {ctx.cell_id}" if ctx.cell_id is not None else "cell"
         raise NumericalDegeneracyError(
-            f"gradient-projection mass matrix on {where} is not SPD") from None
+            "gradient-projection mass matrix is not SPD") from None
     return np.vstack([cho_solve(cho, Rx), cho_solve(cho, Ry)])
 
 
@@ -388,7 +377,7 @@ def _grad_projection_rank(pi0_grad, gram, d: int) -> int:
     return int((evals > RANK_TOL * float(np.abs(evals).max())).sum())
 
 
-def build_projection_pack(E, k: int, method: Method, *, cell_id=None) -> ProjectionPack:
+def build_projection_pack(E, k: int, method: Method) -> ProjectionPack:
     """Projectors, recovered moments and L2 projections for one cell.
 
     For the stabilization-free scheme the enhancement enlargement starts at
@@ -404,7 +393,7 @@ def build_projection_pack(E, k: int, method: Method, *, cell_id=None) -> Project
         candidates = list(range(base, base + MAX_ELL_BUMPS + 1))
     for ell in candidates:
         d = k - 1 if method is Method.STANDARD else k + ell - 1
-        ctx = ElementContext(E, k, ell, cell_id=cell_id)
+        ctx = ElementContext(E, k, ell)
         pn = build_pi_nabla(E, k, ctx=ctx)
         moments = recover_moments(E, k, ell, pn.pi_star, ctx=ctx)
         pi0_val = build_pi0_val(E, k, moments, ctx=ctx)
@@ -417,9 +406,8 @@ def build_projection_pack(E, k: int, method: Method, *, cell_id=None) -> Project
                               D=pn.D, B=pn.B, G=pn.G, pi_star=pn.pi_star,
                               pi_dof=pn.pi_dof, moments=moments,
                               pi0_val=pi0_val, pi0_grad=pi0_grad, ctx=ctx)
-    where = f"cell {cell_id}" if cell_id is not None else "cell"
     raise StabilizationFreeRankError(
-        f"gradient projection on {where} stays rank deficient up to "
+        "gradient projection stays rank deficient up to "
         f"enlargement {candidates[-1]}; the stabilization-free scheme is only "
         f"guaranteed well-posed at order 1 (got k={k})")
 
@@ -455,18 +443,17 @@ def _weighted_vector_gram(K: DiffusionTensor, E, d: int, ctx: ElementContext):
 
 
 def local_stiffness(E, k: int, method: Method, K: DiffusionTensor,
-                    *, pack: ProjectionPack | None = None, cell_id=None,
-                    rank_check: bool = True) -> LocalStiffness:
+                    *, pack: ProjectionPack | None = None) -> LocalStiffness:
     """Local stiffness matrix of the chosen scheme with diffusion tensor K.
 
     Standard scheme: consistency from the degree k-1 gradient projection plus
     the dofi-dofi stabilization sup|K| * (I - Pi)^T (I - Pi) applied to the
     projection complement.  Stabilization-free scheme: consistency only, from
-    the degree k+ell-1 gradient projection; a rank check rejects cells where
-    that matrix cannot control the non-constant dof space.
+    the degree k+ell-1 gradient projection, whose rank `build_projection_pack`
+    has already checked.
     """
     if pack is None:
-        pack = build_projection_pack(E, k, method, cell_id=cell_id)
+        pack = build_projection_pack(E, k, method)
     d = pack.grad_degree
     nd = dim_poly(d)
     X = pack.pi0_grad[:nd]
@@ -483,28 +470,17 @@ def local_stiffness(E, k: int, method: Method, K: DiffusionTensor,
         a_s = 0.5 * (a_s + a_s.T)
     else:
         a_s = np.zeros((N, N))
-        if rank_check:
-            rank = _grad_projection_rank(pack.pi0_grad, pack.ctx.gram, d)
-            if rank < N - 1:
-                where = f"cell {cell_id}" if cell_id is not None else "cell"
-                raise StabilizationFreeRankError(
-                    f"stabilization-free consistency matrix on {where} has rank "
-                    f"{rank} < {N - 1}; the method is only guaranteed well-posed "
-                    f"at order 1 (got k={k})")
     return LocalStiffness(a_pi=a_pi, a_s=a_s, a=a_pi + a_s, k_inf=k_inf)
 
 
-def local_load(E, k: int, ell: int, f, pi0_val: np.ndarray, *,
-               max_y_extent=None, quad: QuadRule | None = None) -> np.ndarray:
+def local_load(E, k: int, f, pi0_val: np.ndarray, *, max_y_extent=None) -> np.ndarray:
     """Load vector (f, projection of v onto P_{k-1})_E for all local dofs.
 
-    Both schemes test the source against the degree k-1 value projection, so
-    `ell` does not change the formula; it is part of the calling context.
+    Both schemes test the source against the degree k-1 value projection.
     The data quadrature is exact to degree 2k+6, with optional vertical
     subdivision for oscillatory sources.
     """
-    if quad is None:
-        quad = polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y_extent)
+    quad = polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y_extent)
     V = eval_monomials(E, quad.points, k - 1)
     fvals = np.asarray(f(quad.points[:, 0], quad.points[:, 1]), dtype=float)
     fm = V.T @ (quad.weights * fvals)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
+from .errors import MeshError
+
 log = logging.getLogger(__name__)
 
 BOUNDARY_SNAP_TOL = 1e-9    # snapping band around the square sides
@@ -22,11 +24,9 @@ AREA_SUM_TOL = 1e-10
 
 CARTESIAN_LADDER = (8, 16, 32, 64, 128)
 VORONOI_LADDER = (64, 256, 1024, 4096)
+# mesh family -> its default refinement ladder (`generate_mesh` resolutions)
+FAMILIES = {"cartesian": CARTESIAN_LADDER, "voronoi": VORONOI_LADDER}
 DEFAULT_LLOYD_ITERS = 100
-
-
-class MeshError(Exception):
-    """Base class for mesh construction and validation failures."""
 
 
 class OrientationError(MeshError):
@@ -92,29 +92,12 @@ class CellGeometry:
         return self.verts.shape[0]
 
 
-@dataclass(frozen=True)
-class MeshFamilySpec:
-    """Parameters selecting one mesh of a refinement family."""
-
-    family: str                 # "cartesian" | "voronoi"
-    resolution: int             # cells per side (cartesian) or cell count (voronoi)
-    rng_seed: int = 0
-    lloyd_iters: int = DEFAULT_LLOYD_ITERS
-
-    def __post_init__(self):
-        if self.family not in ("cartesian", "voronoi"):
-            raise ValueError(f"unknown mesh family {self.family!r}")
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        if self.lloyd_iters < 0:
-            raise ValueError("lloyd_iters must be >= 0")
-
-
 class PolyMesh:
     """A conforming polygonal tessellation of the unit square.
 
-    Instances are built through :meth:`from_cells` or the generators and are
-    treated as immutable afterwards; they are safe to share across workers.
+    Instances come from the constructor, the generators or :func:`read_mesh`
+    and are treated as immutable afterwards; they are safe to share across
+    workers.
     """
 
     def __init__(self, vertices, cells, *, family="custom", congruent_cells=False,
@@ -149,10 +132,6 @@ class PolyMesh:
         self._flag_boundary()
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_cells(cls, vertices, cells, **kw):
-        return cls(vertices, cells, **kw)
 
     def _build_edges(self):
         edge_index = {}
@@ -342,6 +321,8 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
     """
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
+    if lloyd_iters < 0:
+        raise ValueError("lloyd_iters must be >= 0")
     rng = SplitMix64(rng_seed)
     seeds = _draw_seeds(rng, n_cells)
 
@@ -421,10 +402,19 @@ def _check_convex(mesh):
             raise MeshError(f"Voronoi cell {ci} is not convex")
 
 
-def generate_family(spec: MeshFamilySpec) -> PolyMesh:
-    if spec.family == "cartesian":
-        return generate_cartesian(spec.resolution)
-    return generate_voronoi(spec.resolution, spec.rng_seed, spec.lloyd_iters)
+def generate_mesh(family: str, n: int, seed: int = 0,
+                  lloyd_iters: int = DEFAULT_LLOYD_ITERS) -> PolyMesh:
+    """One mesh of a family in FAMILIES.
+
+    n is the cells per side (cartesian) or the cell count (voronoi); the seed
+    and the Lloyd iteration count only apply to the voronoi family.
+    """
+    if family == "cartesian":
+        return generate_cartesian(n)
+    if family == "voronoi":
+        return generate_voronoi(n, seed, lloyd_iters)
+    raise ValueError(f"unknown mesh family {family!r}, expected one of "
+                     f"{list(FAMILIES)}")
 
 
 # ---------------------------------------------------------------------------

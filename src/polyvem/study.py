@@ -22,14 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (SolverError, SparseSystem, apply_dirichlet, assemble,
-                       build_dof_map, solve, stab_consistency_ratio)
+from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
+                       solve, stab_consistency_ratio)
 from .basis import eval_monomial_grads, polygon_quadrature
 from .cases import TestCase, testcase
-from .local import (Method, StabilizationFreeRankError,
-                    build_projection_pack)
-from .mesh import (CARTESIAN_LADDER, DEFAULT_LLOYD_ITERS, VORONOI_LADDER,
-                   PolyMesh, generate_cartesian, generate_voronoi)
+from .errors import PolyvemError
+from .local import Method, build_projection_pack
+from .mesh import DEFAULT_LLOYD_ITERS, FAMILIES, PolyMesh, generate_mesh
 
 
 def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float) -> float:
@@ -51,9 +50,8 @@ def energy_error(mesh: PolyMesh, k: int, u_dofs: np.ndarray, case: TestCase,
     """Relative energy-norm error of a dof solution against the exact case.
 
     `pi_stars` supplies the per-cell energy projector coefficient matrices
-    (from collected projection packs); omitted, they are rebuilt for the
-    standard scheme layout, which shares the projector with the
-    stabilization-free one.
+    (`SparseSystem.pi_stars`); omitted, they are rebuilt for the standard
+    scheme layout, which shares the projector with the stabilization-free one.
     """
     dm = build_dof_map(mesh, k)
     sqK = case.K.sqrt_matrix()
@@ -64,7 +62,7 @@ def energy_error(mesh: PolyMesh, k: int, u_dofs: np.ndarray, case: TestCase,
         if pi_stars is not None:
             pi_star = pi_stars[ci]
         else:
-            pi_star = build_projection_pack(geom, k, Method.STANDARD, cell_id=ci).pi_star
+            pi_star = build_projection_pack(geom, k, Method.STANDARD).pi_star
         coeffs = pi_star @ u_dofs[dm.cell_dofs[ci]]
         quad = _data_quadrature(geom, k, case)
         grads = eval_monomial_grads(geom, quad.points, k)
@@ -136,15 +134,14 @@ def solve_case(mesh: PolyMesh, k: int, method: Method, case: TestCase) -> CaseSo
     patch cases interpolate their exact boundary values instead.
     """
     system = assemble(mesh, k, method, case.K, case.f,
-                      y_wavelength=case.y_wavelength, collect_packs=True)
+                      y_wavelength=case.y_wavelength)
     if case.zero_boundary:
         values = None
     else:
         values = _boundary_values(mesh, system.dof_map, k, case.u)
     reduced = apply_dirichlet(system, values)
     report = solve(reduced)
-    pi_stars = [p.pi_star for p in system.packs]
-    e_star = energy_error(mesh, k, report.solution, case, pi_stars)
+    e_star = energy_error(mesh, k, report.solution, case, system.pi_stars)
     return CaseSolution(u_dofs=report.solution, e_star=e_star,
                         report=report, system=system)
 
@@ -174,7 +171,7 @@ def _boundary_values(mesh, dm, k, func):
 class StudyConfig:
     case_id: str
     orders: tuple = (1,)
-    families: tuple = ("cartesian",)       # subset of {"cartesian", "voronoi"}
+    families: tuple = ("cartesian",)       # subset of FAMILIES
     levels: int = 0                        # 0 means the full default ladder
     rng_seed: int = 0
     lloyd_iters: int = DEFAULT_LLOYD_ITERS
@@ -183,7 +180,7 @@ class StudyConfig:
 
     def __post_init__(self):
         for fam in self.families:
-            if fam not in ("cartesian", "voronoi"):
+            if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
         if any(k not in (1, 2, 3) for k in self.orders):
             raise ValueError("study orders are limited to {1, 2, 3}")
@@ -217,14 +214,8 @@ class StudyResult:
 
 
 def ladder_for(family: str, levels: int = 0):
-    base = CARTESIAN_LADDER if family == "cartesian" else VORONOI_LADDER
+    base = FAMILIES[family]
     return base if levels <= 0 else base[:levels]
-
-
-def _make_mesh(family: str, resolution: int, cfg: StudyConfig) -> PolyMesh:
-    if family == "cartesian":
-        return generate_cartesian(resolution)
-    return generate_voronoi(resolution, cfg.rng_seed, cfg.lloyd_iters)
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -234,7 +225,8 @@ def run_study(cfg: StudyConfig) -> StudyResult:
 
     for family in cfg.families:
         ladder = ladder_for(family, cfg.levels)
-        meshes = [_make_mesh(family, n, cfg) for n in ladder]
+        meshes = [generate_mesh(family, n, cfg.rng_seed, cfg.lloyd_iters)
+                  for n in ladder]
         for order in cfg.orders:
             level_ratios = []
             for level, mesh in enumerate(meshes, start=1):
@@ -251,7 +243,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
                                                            sol.system.a_pi)
                             row.stab_ratio = ratio
                             level_ratios.append(ratio)
-                    except (SolverError, StabilizationFreeRankError) as exc:
+                    except PolyvemError as exc:
                         row.note = f"solver failure: {exc}"
                     result.rows.append(row)
             if level_ratios:
@@ -283,8 +275,7 @@ def ratio_ladder(case_id: str, order: int, family: str, *, levels: int = 0,
     case = testcase(case_id)
     ratios = []
     for n in ladder_for(family, levels):
-        mesh = (generate_cartesian(n) if family == "cartesian"
-                else generate_voronoi(n, rng_seed, lloyd_iters))
+        mesh = generate_mesh(family, n, rng_seed, lloyd_iters)
         system = assemble(mesh, order, Method.STANDARD, case.K)
         ratios.append(stab_consistency_ratio(system.a_s, system.a_pi))
     return ratios, sum(ratios) / len(ratios)

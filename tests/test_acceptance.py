@@ -11,13 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from polyvem.assembly import (apply_dirichlet_homogeneous, assemble,
-                              infinity_norm, solve, stab_consistency_ratio)
+from polyvem.assembly import assemble, stab_consistency_ratio
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
 from polyvem.local import (DiffusionTensor, Method, StabilizationFreeRankError,
-                           build_pi_nabla, build_projection_pack,
-                           local_stiffness, min_ell)
+                           build_pi_nabla, local_stiffness)
 from polyvem.mesh import (CARTESIAN_LADDER, VORONOI_LADDER, CellGeometry,
                           generate_cartesian, generate_voronoi)
 from polyvem.study import exact_energy_norm, solve_case
@@ -235,25 +233,11 @@ def test_criterion_7_wellposedness_probe(tc1_cart_sweep, tc1_vor_order1,
         spd_flags.append(sweep_v[(n, Method.E2VEM)].report.spd_ok)
     all_spd = all(f is True for f in spd_flags)
 
-    # the documented diagnostic on a deliberately deficient configuration:
-    # the exact square at order 2 with the bare counting-inequality
-    # enlargement leaves one symmetry mode unresolved
-    E = CellGeometry.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])
-    from polyvem.local import (ElementContext, ProjectionPack, build_pi0_grad,
-                               build_pi0_val, recover_moments)
-    k, ell = 2, min_ell(2, 4)
-    ctx = ElementContext(E, k, ell, cell_id=0)
-    pn = build_pi_nabla(E, k, ctx=ctx)
-    M = recover_moments(E, k, ell, pn.pi_star, ctx=ctx)
-    pack = ProjectionPack(k=k, ell=ell, grad_degree=k + ell - 1,
-                          layout=ctx.layout, D=pn.D, B=pn.B, G=pn.G,
-                          pi_star=pn.pi_star, pi_dof=pn.pi_dof, moments=M,
-                          pi0_val=build_pi0_val(E, k, M, ctx=ctx),
-                          pi0_grad=build_pi0_grad(E, k, k + ell - 1, M, ctx=ctx),
-                          ctx=ctx)
+    # the documented diagnostic on a realistic mesh: at order 3 the Lloyd
+    # voronoi 1024 mesh has cells whose tiny edges keep a near-kernel mode
     diagnostic = ""
     try:
-        local_stiffness(E, k, Method.E2VEM, K_PATCH, pack=pack, cell_id=0)
+        assemble(vor_meshes[1024], 3, Method.E2VEM, K_PATCH)
     except StabilizationFreeRankError as exc:
         diagnostic = str(exc)
     diag_ok = "rank" in diagnostic and "order 1" in diagnostic

@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from polyvem.assembly import (ReducedSystem, SolverError, apply_dirichlet,
-                              apply_dirichlet_homogeneous, assemble,
-                              build_dof_map, infinity_norm, solve,
+                              assemble, build_dof_map, infinity_norm, solve,
                               stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
 from polyvem.local import DiffusionTensor, Method
@@ -122,7 +121,7 @@ def test_congruent_cache_matches_direct_assembly():
 def test_homogeneous_elimination_counts():
     mesh = generate_cartesian(3)
     sys_ = assemble(mesh, 2, Method.STANDARD, K_ANISO, get_case("tc1").f)
-    red = apply_dirichlet_homogeneous(sys_)
+    red = apply_dirichlet(sys_)
     assert red.free_dofs.size == sys_.dof_map.n_total - sys_.dof_map.boundary_dofs.size
     diff = (red.a_ff - red.a_ff.T).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12
@@ -131,7 +130,7 @@ def test_homogeneous_elimination_counts():
 def test_all_boundary_system_is_trivial():
     mesh = generate_cartesian(1)
     sys_ = assemble(mesh, 1, Method.STANDARD, K_ANISO, get_case("tc1").f)
-    red = apply_dirichlet_homogeneous(sys_)
+    red = apply_dirichlet(sys_)
     rep = solve(red)
     assert red.free_dofs.size == 0
     assert rep.solver == "trivial"
@@ -155,7 +154,7 @@ def test_solve_single_free_dof_exact():
     mesh = generate_cartesian(2)
     case = get_case("tc1")
     sys_ = assemble(mesh, 1, Method.STANDARD, case.K, case.f)
-    red = apply_dirichlet_homogeneous(sys_)
+    red = apply_dirichlet(sys_)
     assert red.free_dofs.size == 1
     rep = solve(red)
     assert rep.residual <= 1e-14
@@ -201,7 +200,7 @@ def test_e2vem_order1_spd(maker):
     mesh = maker()
     case = get_case("tc1")
     sys_ = assemble(mesh, 1, Method.E2VEM, case.K, case.f)
-    rep = solve(apply_dirichlet_homogeneous(sys_))
+    rep = solve(apply_dirichlet(sys_))
     assert rep.spd_ok
 
 

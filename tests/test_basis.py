@@ -8,11 +8,31 @@ from hypothesis import strategies as st
 from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
 from polyvem.basis import (QuadratureError, dim_poly, edge_rules,
                            eval_monomial_grads, eval_monomials,
-                           lagrange_matrix, monomial_exponents, monomial_gram,
-                           monomial_index, polygon_quadrature,
-                           scaled_monomial_eval, scaled_monomial_grad,
-                           scaled_monomial_laplacian, triangle_rule)
+                           lagrange_matrix, laplacian_coefficients,
+                           monomial_exponents, monomial_gram, monomial_index,
+                           polygon_quadrature, triangle_rule)
 from polyvem.mesh import CellGeometry
+
+
+# point evaluation of a single scaled monomial m_alpha at p
+
+def scaled_monomial_eval(alpha, E, p) -> float:
+    ax, ay = alpha
+    v = eval_monomials(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
+    return float(v[0, monomial_index(ax, ay)])
+
+
+def scaled_monomial_grad(alpha, E, p) -> np.ndarray:
+    ax, ay = alpha
+    g = eval_monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
+    return g[0, monomial_index(ax, ay)].copy()
+
+
+def scaled_monomial_laplacian(alpha, E, p) -> float:
+    total = 0.0
+    for c, beta in laplacian_coefficients(alpha):
+        total += c * scaled_monomial_eval(beta, E, p)
+    return total / E.diameter ** 2
 
 
 def test_dim_poly():

@@ -1,10 +1,30 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from polyvem import assembly, local
 from polyvem.cli import main
+from polyvem.errors import CellDegeneracyError
+from polyvem.local import Method
 from polyvem.mesh import load_mesh
+from polyvem.study import parse_rows_csv
+
+# a U-shaped cell whose centroid lies in the slot filled by the second cell
+U_SHAPED_MESH = """polymesh 1
+8 2
+0 0
+1 0
+1 1
+0.7 1
+0.7 0.3
+0.3 0.3
+0.3 1
+0 1
+8 0 1 2 3 4 5 6 7
+4 5 4 3 6
+"""
 
 
 def test_mesh_command_writes_valid_file(tmp_path):
@@ -90,3 +110,63 @@ def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "bogus"])
     assert exc.value.code == 2
+
+
+def test_negative_lloyd_iters_exit_2(tmp_path):
+    rc = main(["mesh", "--family", "voronoi", "--n", "9", "--lloyd-iters", "-5",
+               "-o", str(tmp_path / "m.txt")])
+    assert rc == 2
+    assert not (tmp_path / "m.txt").exists()
+
+
+def _one_line_error(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+def test_non_star_shaped_cell_exit_2(tmp_path, capsys):
+    mesh_path = tmp_path / "u.txt"
+    mesh_path.write_text(U_SHAPED_MESH)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    line = _one_line_error(capsys)
+    assert "cell 0:" in line and "star-shaped" in line
+
+
+def test_rank_failure_exit_3_names_cell(tmp_path, capsys, monkeypatch):
+    mesh_path = tmp_path / "m.txt"
+    main(["mesh", "--family", "cartesian", "--n", "2", "-o", str(mesh_path)])
+    capsys.readouterr()
+    monkeypatch.setattr(local, "MAX_ELL_BUMPS", 0)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "e2vem",
+               "--order", "2", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 3
+    line = _one_line_error(capsys)
+    assert "cell 0:" in line and "rank deficient" in line
+
+
+def test_study_records_cell_failure_and_continues(tmp_path, monkeypatch):
+    real = assembly.build_projection_pack
+
+    def failing_e2vem(E, k, method):
+        if method is Method.E2VEM:
+            raise CellDegeneracyError(f"singular projector system (k={k})")
+        return real(E, k, method)
+
+    monkeypatch.setattr(assembly, "build_projection_pack", failing_e2vem)
+    out = tmp_path / "study"
+    rc = main(["study", "--case", "tc1", "--orders", "1", "--family",
+               "cartesian", "--levels", "2", "-o", str(out)])
+    assert rc == 3
+    rows = parse_rows_csv(out / "study_rows.csv")
+    assert [(r.level, r.method) for r in rows] == [
+        (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
+    for r in rows:
+        if r.method == "e2vem":
+            assert "cell 0: singular projector system" in r.note
+            assert math.isnan(r.e_star)
+        else:
+            assert r.note == "" and r.e_star > 0.0
+    assert (out / "summary.json").exists()

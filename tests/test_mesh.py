@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvem.mesh import (CARTESIAN_LADDER, VORONOI_LADDER, MeshFormatError,
-                          OrientationError, PolyMesh, SplitMix64,
-                          cell_geometry, generate_cartesian, generate_voronoi,
-                          read_mesh, validate_mesh, write_mesh)
+from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
+                          MeshFormatError, OrientationError, PolyMesh,
+                          SplitMix64, cell_geometry, generate_cartesian,
+                          generate_mesh, generate_voronoi, read_mesh,
+                          validate_mesh, write_mesh)
 
 
 # -- cell geometry -----------------------------------------------------------
@@ -66,12 +67,18 @@ def test_cartesian_rejects_zero():
 
 def test_refinement_ladders_monotone():
     for fam, ladder in (("cartesian", CARTESIAN_LADDER), ("voronoi", VORONOI_LADDER[:2])):
-        hs = []
-        for n in ladder:
-            mesh = (generate_cartesian(n) if fam == "cartesian"
-                    else generate_voronoi(n, 0, 30))
-            hs.append(mesh.h_max)
+        hs = [generate_mesh(fam, n, 0, 30).h_max for n in ladder]
         assert all(a > b for a, b in zip(hs, hs[1:]))
+
+
+def test_generate_mesh_dispatches_families():
+    assert set(FAMILIES) == {"cartesian", "voronoi"}
+    cart = generate_mesh("cartesian", 3)
+    assert cart.family == "cartesian" and cart.n_cells == 9
+    vor = generate_mesh("voronoi", 9, seed=42, lloyd_iters=10)
+    assert np.array_equal(vor.vertices, generate_voronoi(9, 42, 10).vertices)
+    with pytest.raises(ValueError, match="unknown mesh family"):
+        generate_mesh("triangular", 4)
 
 
 # -- voronoi family ----------------------------------------------------------
@@ -83,6 +90,11 @@ def test_voronoi_single_cell_is_unit_square():
     assert abs(m.cell_areas[0] - 1.0) < 1e-12
     assert sorted(map(tuple, np.round(m.vertices, 12))) == [
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
+def test_voronoi_rejects_negative_lloyd_iters():
+    with pytest.raises(ValueError, match="lloyd_iters"):
+        generate_voronoi(9, 0, -5)
 
 
 def test_voronoi_16_partition():
