@@ -17,11 +17,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, splu
 
-from .basis import dim_poly, eval_monomials, polygon_quadrature
+from .basis import dim_poly
 from .errors import PolyvemError, SolverError
-from .local import (DiffusionTensor, Method, build_projection_pack,
+from .local import (DataRule, DiffusionTensor, Method, build_projection_pack,
                     local_load, local_stiffness)
-from .mesh import NonConformingMeshError, PolyMesh
+from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
 
 log = logging.getLogger(__name__)
 
@@ -43,17 +43,10 @@ class GlobalDofMap:
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     """Global numbering for order k on a conforming mesh."""
-    from .mesh import _on_square_side
-
-    for eid, adj in enumerate(mesh.edge_cells):
-        a, b = mesh.edges[eid]
-        bad = (len(adj) > 2
-               or (len(adj) == 2 and adj[0][1] == adj[1][1])
-               or (len(adj) == 1
-                   and not _on_square_side(mesh.vertices[a], mesh.vertices[b])))
-        if bad:
-            raise NonConformingMeshError(
-                f"edge ({a},{b}) breaks conformity; run validate_mesh for details")
+    bad = next(edge_conformity_violations(mesh), None)
+    if bad is not None:
+        raise NonConformingMeshError(f"{bad.where} breaks conformity: {bad.detail}; "
+                                     "run validate_mesh for details")
 
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
     n_edge = ne * (k - 1)
@@ -102,12 +95,28 @@ class SparseSystem:
     pi_stars: list                       # per cell, energy projector coefficients
 
 
-def _congruent_to(geom, ref_geom, tol=1e-9):
-    if geom.n_vertices != ref_geom.n_vertices:
-        return False
-    rel = geom.verts - geom.centroid
-    rel_ref = ref_geom.verts - ref_geom.centroid
-    return bool(np.abs(rel - rel_ref).max() <= tol * max(ref_geom.diameter, 1e-300))
+def map_cells(mesh: PolyMesh, visit, *, data_order=None, y_wavelength=None) -> list:
+    """[visit(ci, E, rule) for every cell ci of the mesh, with E its geometry].
+
+    With `data_order` k set, rule is the cell's `DataRule` for order k and the
+    case's `y_wavelength`; otherwise it is None.  On a mesh of congruent cells
+    every cell gets cell 0's rule, one shared object, so its monomial tables
+    are evaluated once.  A `PolyvemError` raised while visiting a cell leaves
+    with that cell's index set on it; this is the one place cells are named.
+    """
+    out = []
+    rule = None
+    ci = 0
+    try:
+        for ci in range(mesh.n_cells):
+            E = mesh.cell_geom(ci)
+            if data_order is not None and (rule is None or not mesh.congruent_cells):
+                rule = DataRule(E, data_order, y_wavelength)
+            out.append(visit(ci, E, rule))
+    except PolyvemError as exc:
+        exc.cell = ci
+        raise
+    return out
 
 
 def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
@@ -115,60 +124,34 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
     With `f` omitted only the matrices are built (enough for norm studies).
-    On meshes whose cells are congruent translates (the cartesian family) the
-    element matrices are built once and reused; the reuse is verified per cell
-    against the reference geometry, never assumed.  A `PolyvemError` raised
-    while building a cell leaves with that cell's index set on it.
+    Element matrices are invariant under translation, so on a mesh of
+    congruent cells the ones of cell 0 serve every cell.
     """
     dm = build_dof_map(mesh, k)
-    max_y = y_wavelength / 2.0 if y_wavelength else None
+    element = None
+
+    def build(ci, E, rule):
+        nonlocal element
+        if element is None or not mesh.congruent_cells:
+            pack = build_projection_pack(E, k, method)
+            element = pack, local_stiffness(pack, method, K)
+        pack, stiff = element
+        load = None if f is None else local_load(E, k, f, pack.pi0_val, rule)
+        return pack.pi_star, stiff, load
+
+    cells = map_cells(mesh, build, data_order=None if f is None else k,
+                      y_wavelength=y_wavelength)
 
     rows, cols, vals_pi, vals_s = [], [], [], []
     b = np.zeros(dm.n_total)
-    pi_stars = []
-
-    ci = 0
-    try:
-        cache = None
-        if mesh.congruent_cells and K.constant:
-            ref_geom = mesh.cell_geom(0)
-            ref_pack = build_projection_pack(ref_geom, k, method)
-            ref_stiff = local_stiffness(ref_geom, k, method, K, pack=ref_pack)
-            rel_pts = Vw = None
-            if f is not None:
-                ref_quad = polygon_quadrature(ref_geom, 2 * k + 6, max_y_extent=max_y)
-                rel_pts = ref_quad.points - ref_geom.centroid
-                Vw = eval_monomials(ref_geom, ref_quad.points, k - 1).T * ref_quad.weights
-            cache = (ref_geom, ref_pack, ref_stiff, rel_pts, Vw)
-
-        for ci in range(mesh.n_cells):
-            geom = mesh.cell_geom(ci)
-            if cache is not None and _congruent_to(geom, cache[0]):
-                _, pack, stiff, rel_pts, Vw = cache
-                if f is not None:
-                    pts = rel_pts + geom.centroid
-                    fm = Vw @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-                    load = pack.pi0_val.T @ fm
-                else:
-                    load = None
-            else:
-                pack = build_projection_pack(geom, k, method)
-                stiff = local_stiffness(geom, k, method, K, pack=pack)
-                load = None
-                if f is not None:
-                    load = local_load(geom, k, f, pack.pi0_val, max_y_extent=max_y)
-            idx = dm.cell_dofs[ci]
-            n = idx.size
-            rows.append(np.repeat(idx, n))
-            cols.append(np.tile(idx, n))
-            vals_pi.append(stiff.a_pi.ravel())
-            vals_s.append(stiff.a_s.ravel())
-            if load is not None:
-                b[idx] += load
-            pi_stars.append(pack.pi_star)
-    except PolyvemError as exc:
-        exc.cell = ci
-        raise
+    for idx, (_, stiff, load) in zip(dm.cell_dofs, cells):
+        n = idx.size
+        rows.append(np.repeat(idx, n))
+        cols.append(np.tile(idx, n))
+        vals_pi.append(stiff.a_pi.ravel())
+        vals_s.append(stiff.a_s.ravel())
+        if load is not None:
+            b[idx] += load
 
     shape = (dm.n_total, dm.n_total)
     rows = np.concatenate(rows)
@@ -176,7 +159,8 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     a_pi = sp.coo_matrix((np.concatenate(vals_pi), (rows, cols)), shape=shape).tocsr()
     a_s = sp.coo_matrix((np.concatenate(vals_s), (rows, cols)), shape=shape).tocsr()
     return SparseSystem(a=(a_pi + a_s).tocsr(), a_pi=a_pi, a_s=a_s, b=b,
-                        dof_map=dm, k=k, method=method, pi_stars=pi_stars)
+                        dof_map=dm, k=k, method=method,
+                        pi_stars=[pi_star for pi_star, _, _ in cells])
 
 
 # ---------------------------------------------------------------------------

@@ -170,10 +170,8 @@ def manufactured_residual(case: TestCase, n_points: int = 100, seed: int = 7,
     sample (floored at 1 so cases with identically zero source stay well
     posed); pointwise normalization would blow up at the zeros of f where
     the finite-difference truncation error dominates.  Guards the
-    hand-derived source terms; K must be constant.
+    hand-derived source terms.
     """
-    if not case.K.constant:
-        raise ValueError("finite-difference check requires a constant tensor")
     rng = np.random.default_rng(seed)
     pts = 0.05 + 0.9 * rng.random((n_points, 2))
     x, y = pts[:, 0], pts[:, 1]

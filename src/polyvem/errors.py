@@ -1,8 +1,9 @@
 """The failure taxonomy: every polyvem error carries the CLI exit code it maps to.
 
 Exit code 2 marks bad input (a mesh that cannot be built or integrated on),
-exit code 3 a discretization or solver failure.  `assemble` sets `cell` on
-any error raised while building a cell, and the message then leads with it.
+exit code 3 a discretization or solver failure.  `assembly.map_cells`, the
+one loop over cells, sets `cell` on any error raised while visiting a cell,
+and the message then leads with it.
 """
 
 

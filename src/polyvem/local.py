@@ -10,7 +10,12 @@ scheme needs is assembled from those dofs:
   (this is what the enhancement constraint of the virtual space guarantees),
 * L2 projections of values (degree k-1) and gradients (degree k-1 for the
   standard scheme, degree k+ell-1 for the stabilization-free one),
-* the consistency and stabilization parts of the local stiffness matrix.
+* the consistency and stabilization parts of the local stiffness matrix,
+* the load vector, integrated with the cell's `DataRule`.
+
+`build_projection_pack` is the one place that chooses ell and builds the
+cell's `ElementContext` (quadrature, Gram matrix, edge data); every projector
+builder takes that context, and `local_stiffness` takes the finished pack.
 
 The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
@@ -49,25 +53,19 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class DiffusionTensor:
-    """Symmetric positive definite 2x2 diffusion coefficient.
+    """Constant symmetric positive definite 2x2 diffusion coefficient."""
 
-    Either a constant matrix or a position-dependent callable mapping
-    coordinate arrays (x, y) to entries; `eval` returns shape (n, 2, 2).
-    """
-
-    matrix: Optional[np.ndarray] = None
-    func: Optional[Callable] = None
+    matrix: np.ndarray
+    # every tensor is constant; perfbench/tracer.py reads this attribute
+    constant = True
 
     def __post_init__(self):
-        if (self.matrix is None) == (self.func is None):
-            raise ValueError("provide exactly one of matrix, func")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-14 * max(1.0, np.abs(m).max()):
-                raise ValueError("constant diffusion tensor must be symmetric 2x2")
-            if np.linalg.eigvalsh(m).min() <= 0:
-                raise ValueError("diffusion tensor must be positive definite")
-            object.__setattr__(self, "matrix", m)
+        m = np.asarray(self.matrix, dtype=float)
+        if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-14 * max(1.0, np.abs(m).max()):
+            raise ValueError("constant diffusion tensor must be symmetric 2x2")
+        if np.linalg.eigvalsh(m).min() <= 0:
+            raise ValueError("diffusion tensor must be positive definite")
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def diagonal(cls, kx: float, ky: float) -> "DiffusionTensor":
@@ -77,30 +75,11 @@ class DiffusionTensor:
     def identity(cls) -> "DiffusionTensor":
         return cls.diagonal(1.0, 1.0)
 
-    @property
-    def constant(self) -> bool:
-        return self.matrix is not None
-
-    def eval(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.constant:
-            return np.broadcast_to(self.matrix, x.shape + (2, 2))
-        return np.asarray(self.func(x, np.asarray(y, dtype=float)), dtype=float)
-
-    def sup_norm(self, pts=None) -> float:
-        """Largest spectral norm of the tensor; evaluated at pts when varying."""
-        if self.constant:
-            return float(np.linalg.eigvalsh(self.matrix).max())
-        if pts is None:
-            raise ValueError("evaluation points required for a varying tensor")
-        K = self.eval(pts[:, 0], pts[:, 1])
-        tr = K[:, 0, 0] + K[:, 1, 1]
-        disc = np.sqrt((K[:, 0, 0] - K[:, 1, 1]) ** 2 + 4.0 * K[:, 0, 1] ** 2)
-        return float((0.5 * (tr + disc)).max())
+    def sup_norm(self) -> float:
+        """Largest spectral norm of the tensor."""
+        return float(np.linalg.eigvalsh(self.matrix).max())
 
     def sqrt_matrix(self) -> np.ndarray:
-        if not self.constant:
-            raise ValueError("symmetric square root only available for constant tensors")
         w, V = np.linalg.eigh(self.matrix)
         return (V * np.sqrt(w)) @ V.T
 
@@ -168,7 +147,12 @@ class DofLayout:
 # ---------------------------------------------------------------------------
 
 class ElementContext:
-    """Quadrature, Gram matrix and edge data for one (cell, k, ell) triple."""
+    """Quadrature, Gram matrix and edge data for one (cell, k, ell) triple.
+
+    The Gram matrix reaches degree k+ell and the edge rules integrate traces
+    against monomials of degree k+ell exactly, which covers every projector
+    of the pack built with this enlargement.
+    """
 
     def __init__(self, E, k: int, ell: int = 0):
         self.E = E
@@ -208,26 +192,17 @@ class ElementContext:
 # projectors
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PiNabla:
-    D: np.ndarray        # total x dim P_k, dofs of the monomials
-    B: np.ndarray        # dim P_k x total, integration-by-parts rows
-    G: np.ndarray        # B @ D
-    pi_star: np.ndarray  # dim P_k x total, monomial coefficients of the projection
-    pi_dof: np.ndarray   # total x total, D @ pi_star
+def build_pi_nabla(ctx: ElementContext):
+    """Energy projector onto P_k from the local dof vector: (D, B, G, pi_star).
 
-
-def build_pi_nabla(E, k: int, *, ctx: ElementContext | None = None) -> PiNabla:
-    """Energy projector onto P_k from the local dof vector.
-
-    Row a of B realizes (grad v, grad m_a)_E by parts: the interior term reads
-    the moment dofs (the monomial Laplacian has degree <= k-2) and the
-    boundary term integrates the known polynomial edge traces.  Row 0 enforces
-    the average condition: boundary mean for k = 1, first moment dof for k > 1.
+    D holds the dofs of the monomials, row a of B realizes (grad v, grad m_a)_E
+    by parts, G = B @ D, and pi_star = G^-1 B maps a dof vector to the monomial
+    coefficients of its projection.  The interior term of B reads the moment
+    dofs (the monomial Laplacian has degree <= k-2) and the boundary term
+    integrates the known polynomial edge traces.  Row 0 enforces the average
+    condition: boundary mean for k = 1, first moment dof for k > 1.
     """
-    if ctx is None:
-        ctx = ElementContext(E, k)
-    lay = ctx.layout
+    E, k, lay = ctx.E, ctx.k, ctx.layout
     nk = dim_poly(k)
     N = lay.total
     exps = monomial_exponents(k)
@@ -264,41 +239,34 @@ def build_pi_nabla(E, k: int, *, ctx: ElementContext | None = None) -> PiNabla:
         pi_star = np.linalg.solve(G, B)
     except np.linalg.LinAlgError:
         raise CellDegeneracyError(f"singular projector system (k={k})") from None
-    return PiNabla(D=D, B=B, G=G, pi_star=pi_star, pi_dof=D @ pi_star)
+    return D, B, G, pi_star
 
 
-def recover_moments(E, k: int, ell: int, pi_star: np.ndarray,
-                    *, ctx: ElementContext | None = None) -> np.ndarray:
+def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
     """Linear maps dof vector -> int_E v m_a for all |a| <= k + ell.
 
     Moments up to degree k-2 are |E| times the stored moment dofs; the
     remaining ones equal the moments of the energy projection, which the
     enhancement constraint of the virtual space makes exact.
     """
-    if ctx is None:
-        ctx = ElementContext(E, k, ell)
     lay = ctx.layout
-    n_top = dim_poly(k + ell)
-    nk = dim_poly(k)
+    n_top = dim_poly(ctx.k + ctx.ell)
+    nk = dim_poly(ctx.k)
     M = np.zeros((n_top, lay.total))
     for m in range(lay.n_moments):
-        M[m, lay.moment_dof(m)] = E.area
+        M[m, lay.moment_dof(m)] = ctx.E.area
     M[lay.n_moments:] = ctx.gram[lay.n_moments:n_top, :nk] @ pi_star
     return M
 
 
-def build_pi0_val(E, k: int, moments: np.ndarray,
-                  *, ctx: ElementContext | None = None) -> np.ndarray:
+def build_pi0_val(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
     """Coefficients of the L2 projection of values onto P_{k-1}."""
-    if ctx is None:
-        ctx = ElementContext(E, k)
-    n = dim_poly(k - 1)
+    n = dim_poly(ctx.k - 1)
     cho = cho_factor(ctx.gram[:n, :n])
     return cho_solve(cho, moments[:n])
 
 
-def build_pi0_grad(E, k: int, d: int, moments: np.ndarray,
-                   *, ctx: ElementContext | None = None) -> np.ndarray:
+def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarray:
     """Coefficients of the L2 projection of the gradient onto [P_d]^2.
 
     For each vector monomial q the pairing (grad v, q)_E is integrated by
@@ -306,9 +274,7 @@ def build_pi0_grad(E, k: int, d: int, moments: np.ndarray,
     the boundary term uses exact edge quadrature of the traces.  Rows are the
     x-component block stacked over the y-component block.
     """
-    if ctx is None:
-        ctx = ElementContext(E, k, max(0, d + 1 - k))
-    lay = ctx.layout
+    E, lay = ctx.E, ctx.layout
     nd = dim_poly(d)
     if moments.shape[0] < dim_poly(d - 1):
         raise ValueError("recovered moments do not reach degree d-1")
@@ -347,11 +313,11 @@ class ProjectionPack:
     ell: int
     grad_degree: int
     layout: DofLayout
-    D: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
-    pi_star: np.ndarray
-    pi_dof: np.ndarray
+    D: np.ndarray        # total x dim P_k, dofs of the monomials
+    B: np.ndarray        # dim P_k x total, integration-by-parts rows
+    G: np.ndarray        # B @ D
+    pi_star: np.ndarray  # dim P_k x total, monomial coefficients of the projection
+    pi_dof: np.ndarray   # total x total, D @ pi_star
     moments: np.ndarray
     pi0_val: np.ndarray
     pi0_grad: np.ndarray
@@ -394,18 +360,17 @@ def build_projection_pack(E, k: int, method: Method) -> ProjectionPack:
     for ell in candidates:
         d = k - 1 if method is Method.STANDARD else k + ell - 1
         ctx = ElementContext(E, k, ell)
-        pn = build_pi_nabla(E, k, ctx=ctx)
-        moments = recover_moments(E, k, ell, pn.pi_star, ctx=ctx)
-        pi0_val = build_pi0_val(E, k, moments, ctx=ctx)
-        pi0_grad = build_pi0_grad(E, k, d, moments, ctx=ctx)
+        D, B, G, pi_star = build_pi_nabla(ctx)
+        moments = recover_moments(ctx, pi_star)
+        pi0_grad = build_pi0_grad(ctx, d, moments)
         if method is Method.E2VEM:
             rank = _grad_projection_rank(pi0_grad, ctx.gram, d)
             if rank < ctx.layout.total - 1:
                 continue
         return ProjectionPack(k=k, ell=ell, grad_degree=d, layout=ctx.layout,
-                              D=pn.D, B=pn.B, G=pn.G, pi_star=pn.pi_star,
-                              pi_dof=pn.pi_dof, moments=moments,
-                              pi0_val=pi0_val, pi0_grad=pi0_grad, ctx=ctx)
+                              D=D, B=B, G=G, pi_star=pi_star, pi_dof=D @ pi_star,
+                              moments=moments, pi0_val=build_pi0_val(ctx, moments),
+                              pi0_grad=pi0_grad, ctx=ctx)
     raise StabilizationFreeRankError(
         "gradient projection stays rank deficient up to "
         f"enlargement {candidates[-1]}; the stabilization-free scheme is only "
@@ -422,28 +387,10 @@ class LocalStiffness:
     a_s: np.ndarray
     a: np.ndarray
     k_inf: float
-    load: Optional[np.ndarray] = None
 
 
-def _weighted_vector_gram(K: DiffusionTensor, E, d: int, ctx: ElementContext):
-    nd = dim_poly(d)
-    if K.constant:
-        H = ctx.gram[:nd, :nd]
-        Km = K.matrix
-        return Km[0, 0] * H, Km[0, 1] * H, Km[1, 1] * H
-    # varying coefficient: evaluate at a rule with extra exactness margin
-    quad = polygon_quadrature(E, 2 * d + 4)
-    V = eval_monomials(E, quad.points, d)
-    Kp = K.eval(quad.points[:, 0], quad.points[:, 1])
-    w = quad.weights
-    Wxx = (V * (w * Kp[:, 0, 0])[:, None]).T @ V
-    Wxy = (V * (w * Kp[:, 0, 1])[:, None]).T @ V
-    Wyy = (V * (w * Kp[:, 1, 1])[:, None]).T @ V
-    return Wxx, Wxy, Wyy
-
-
-def local_stiffness(E, k: int, method: Method, K: DiffusionTensor,
-                    *, pack: ProjectionPack | None = None) -> LocalStiffness:
+def local_stiffness(pack: ProjectionPack, method: Method,
+                    K: DiffusionTensor) -> LocalStiffness:
     """Local stiffness matrix of the chosen scheme with diffusion tensor K.
 
     Standard scheme: consistency from the degree k-1 gradient projection plus
@@ -452,17 +399,16 @@ def local_stiffness(E, k: int, method: Method, K: DiffusionTensor,
     the degree k+ell-1 gradient projection, whose rank `build_projection_pack`
     has already checked.
     """
-    if pack is None:
-        pack = build_projection_pack(E, k, method)
-    d = pack.grad_degree
-    nd = dim_poly(d)
+    nd = dim_poly(pack.grad_degree)
     X = pack.pi0_grad[:nd]
     Y = pack.pi0_grad[nd:]
-    Wxx, Wxy, Wyy = _weighted_vector_gram(K, E, d, pack.ctx)
+    H = pack.ctx.gram[:nd, :nd]
+    Km = K.matrix
+    Wxx, Wxy, Wyy = Km[0, 0] * H, Km[0, 1] * H, Km[1, 1] * H
     a_pi = X.T @ (Wxx @ X) + X.T @ (Wxy @ Y) + Y.T @ (Wxy.T @ X) + Y.T @ (Wyy @ Y)
     a_pi = 0.5 * (a_pi + a_pi.T)
 
-    k_inf = K.sup_norm(pack.ctx.quad.points if not K.constant else None)
+    k_inf = K.sup_norm()
     N = pack.layout.total
     if method is Method.STANDARD:
         Mc = np.eye(N) - pack.pi_dof
@@ -473,15 +419,52 @@ def local_stiffness(E, k: int, method: Method, K: DiffusionTensor,
     return LocalStiffness(a_pi=a_pi, a_s=a_s, a=a_pi + a_s, k_inf=k_inf)
 
 
-def local_load(E, k: int, f, pi0_val: np.ndarray, *, max_y_extent=None) -> np.ndarray:
+class DataRule:
+    """The quadrature for source and error data on a cell, with monomial tables.
+
+    It is exact to degree 2k+6; for data oscillating in y (a case with a
+    `y_wavelength`) the fan triangles are subdivided to half the wavelength.
+    The rule is built on one cell E and serves any translate of E: `points`
+    moves it there, and the scaled monomials, which are centred on the cell,
+    take the same values at the moved points, so each table is evaluated
+    once per rule.
+    """
+
+    def __init__(self, E, k: int, y_wavelength=None):
+        max_y = y_wavelength / 2.0 if y_wavelength else None
+        quad = polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y)
+        self.E = E
+        self.weights = quad.weights
+        self._points = quad.points
+        self._offsets = quad.points - E.centroid
+        self._tables = {}
+
+    def points(self, E) -> np.ndarray:
+        """The rule's points on E, the cell it was built on or a translate of it."""
+        return self._points if E is self.E else self._offsets + E.centroid
+
+    def _table(self, fn, degree):
+        key = (fn, degree)
+        if key not in self._tables:
+            self._tables[key] = fn(self.E, self._points, degree)
+        return self._tables[key]
+
+    def monomials(self, degree: int) -> np.ndarray:
+        """Scaled monomials up to `degree` at the rule points, (npts, n)."""
+        return self._table(eval_monomials, degree)
+
+    def monomial_grads(self, degree: int) -> np.ndarray:
+        """Gradients of the scaled monomials at the rule points, (npts, n, 2)."""
+        return self._table(eval_monomial_grads, degree)
+
+
+def local_load(E, k: int, f, pi0_val: np.ndarray, rule: DataRule) -> np.ndarray:
     """Load vector (f, projection of v onto P_{k-1})_E for all local dofs.
 
-    Both schemes test the source against the degree k-1 value projection.
-    The data quadrature is exact to degree 2k+6, with optional vertical
-    subdivision for oscillatory sources.
+    Both schemes test the source against the degree k-1 value projection,
+    integrated with the cell's data rule.
     """
-    quad = polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y_extent)
-    V = eval_monomials(E, quad.points, k - 1)
-    fvals = np.asarray(f(quad.points[:, 0], quad.points[:, 1]), dtype=float)
-    fm = V.T @ (quad.weights * fvals)
+    pts = rule.points(E)
+    fvals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    fm = rule.monomials(k - 1).T @ (rule.weights * fvals)
     return pi0_val.T @ fm

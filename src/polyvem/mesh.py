@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 BOUNDARY_SNAP_TOL = 1e-9    # snapping band around the square sides
 VERTEX_DEDUP_TOL = 1e-12    # absolute merge tolerance when stitching Voronoi cells
 AREA_SUM_TOL = 1e-10
+CONGRUENCE_TOL = 1e-9       # vertex offsets from the centroid, relative to h_E
 
 CARTESIAN_LADDER = (8, 16, 32, 64, 128)
 VORONOI_LADDER = (64, 256, 1024, 4096)
@@ -97,16 +98,15 @@ class PolyMesh:
 
     Instances come from the constructor, the generators or :func:`read_mesh`
     and are treated as immutable afterwards; they are safe to share across
-    workers.
+    workers.  `congruent_cells` is true when every cell is a translate of
+    cell 0, vertex by vertex (the cartesian family, however it was built).
     """
 
-    def __init__(self, vertices, cells, *, family="custom", congruent_cells=False,
-                 strict=True):
+    def __init__(self, vertices, cells, *, family="custom", strict=True):
         self.vertices = np.array(vertices, dtype=float)
         self.vertices.setflags(write=False)
         self.cells = [np.array(c, dtype=int) for c in cells]
         self.family = family
-        self.congruent_cells = congruent_cells
 
         nv = self.vertices.shape[0]
         areas, cents, diams = [], [], []
@@ -127,11 +127,19 @@ class PolyMesh:
         self.cell_centroids = np.array(cents).reshape(-1, 2)
         self.cell_diameters = np.array(diams)
         self.h_max = float(self.cell_diameters.max()) if self.cells else 0.0
+        self.congruent_cells = self._all_translates_of_first()
 
         self._build_edges()
         self._flag_boundary()
 
     # -- construction helpers -------------------------------------------------
+
+    def _all_translates_of_first(self):
+        if not self.cells or any(len(c) != len(self.cells[0]) for c in self.cells):
+            return False
+        offsets = self.vertices[np.array(self.cells)] - self.cell_centroids[:, None, :]
+        tol = CONGRUENCE_TOL * max(self.cell_diameters[0], 1e-300)
+        return bool(np.abs(offsets - offsets[0]).max() <= tol)
 
     def _build_edges(self):
         edge_index = {}
@@ -216,7 +224,7 @@ def generate_cartesian(n: int) -> PolyMesh:
         for i in range(n):
             bl = j * (n + 1) + i
             cells.append([bl, bl + 1, bl + n + 2, bl + n + 1])
-    return PolyMesh(vertices, cells, family="cartesian", congruent_cells=True)
+    return PolyMesh(vertices, cells, family="cartesian")
 
 
 class SplitMix64:
@@ -571,22 +579,7 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
         dist = np.abs(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]) / elen
         rep.min_inradius_ratio = min(rep.min_inradius_ratio, float(dist.min() / h))
 
-    for eid, adj in enumerate(mesh.edge_cells):
-        a, b = mesh.edges[eid]
-        if len(adj) > 2:
-            rep.violations.append(
-                Violation("conformity", f"edge ({a},{b})", f"shared by {len(adj)} cells"))
-        elif len(adj) == 2:
-            if adj[0][1] == adj[1][1]:
-                rep.violations.append(
-                    Violation("conformity", f"edge ({a},{b})",
-                              "traversed in the same direction by both cells"))
-        else:
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            if not _on_square_side(va, vb):
-                rep.violations.append(
-                    Violation("conformity", f"edge ({a},{b})",
-                              "single-cell edge not on the square boundary"))
+    rep.violations.extend(edge_conformity_violations(mesh))
 
     on_boundary = (
         (np.abs(mesh.vertices) <= BOUNDARY_SNAP_TOL)
@@ -603,6 +596,28 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
         rep.violations.append(
             Violation("partition", "mesh", f"cell areas sum to {rep.area_sum!r}, not 1"))
     return rep
+
+
+def edge_conformity_violations(mesh: PolyMesh):
+    """Yield a conformity violation for each edge that breaks the mesh contract.
+
+    An edge must be shared by at most two cells, traversed in opposite
+    directions by two cells, and lie on a side of the unit square when only
+    one cell has it.
+    """
+    for eid, adj in enumerate(mesh.edge_cells):
+        a, b = mesh.edges[eid]
+        if len(adj) > 2:
+            detail = f"shared by {len(adj)} cells"
+        elif len(adj) == 2:
+            if adj[0][1] != adj[1][1]:
+                continue
+            detail = "traversed in the same direction by both cells"
+        elif _on_square_side(mesh.vertices[a], mesh.vertices[b]):
+            continue
+        else:
+            detail = "single-cell edge not on the square boundary"
+        yield Violation("conformity", f"edge ({a},{b})", detail)
 
 
 def _on_square_side(a, b):

@@ -5,8 +5,10 @@ schemes at the requested orders, and records the relative energy error
 
     e* = sqrt(sum_E ||sqrt(K) grad(u - P_k u_h)||^2_E) / ||sqrt(K) grad u||_Omega
 
-where P_k is the element energy projector, plus the convergence rate of the
-last two errors and, for the standard scheme, the stabilization/consistency
+where P_k is the element energy projector of the assembled system (its dof
+map and per-cell `pi_stars`), integrated cell by cell with the same data rule
+as the load (`assembly.map_cells`), plus the convergence rate of the last two
+errors and, for the standard scheme, the stabilization/consistency
 norm ratio per level and its ladder average.  Artifacts are written with
 full-precision floats so repeated runs are byte-identical.
 """
@@ -23,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
-                       solve, stab_consistency_ratio)
-from .basis import eval_monomial_grads, polygon_quadrature
+                       map_cells, solve, stab_consistency_ratio)
+from .basis import dim_poly, edge_rules
 from .cases import TestCase, testcase
 from .errors import PolyvemError
-from .local import Method, build_projection_pack
+from .local import Method
 from .mesh import DEFAULT_LLOYD_ITERS, FAMILIES, PolyMesh, generate_mesh
 
 
@@ -40,61 +42,56 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
     return math.log(e_prev / e_last) / math.log(h_prev / h_last)
 
 
-def _data_quadrature(geom, k: int, case: TestCase):
-    max_y = case.y_wavelength / 2.0 if case.y_wavelength else None
-    return polygon_quadrature(geom, 2 * k + 6, max_y_extent=max_y)
+def _energy(weights, grads, sqK) -> float:
+    """Quadrature value of ||sqrt(K) g||^2 from the values g of a gradient."""
+    wg = grads @ sqK.T
+    return float(weights @ (wg * wg).sum(axis=1))
 
 
-def energy_error(mesh: PolyMesh, k: int, u_dofs: np.ndarray, case: TestCase,
-                 pi_stars=None) -> float:
+def energy_error(mesh: PolyMesh, system: SparseSystem, u_dofs: np.ndarray,
+                 case: TestCase) -> float:
     """Relative energy-norm error of a dof solution against the exact case.
 
-    `pi_stars` supplies the per-cell energy projector coefficient matrices
-    (`SparseSystem.pi_stars`); omitted, they are rebuilt for the standard
-    scheme layout, which shares the projector with the stabilization-free one.
+    The solution's energy projection on each cell comes from the assembled
+    system's dof map and per-cell projector coefficients (`system.pi_stars`).
     """
-    dm = build_dof_map(mesh, k)
+    k = system.k
     sqK = case.K.sqrt_matrix()
-    num = 0.0
-    den = 0.0
-    for ci in range(mesh.n_cells):
-        geom = mesh.cell_geom(ci)
-        if pi_stars is not None:
-            pi_star = pi_stars[ci]
-        else:
-            pi_star = build_projection_pack(geom, k, Method.STANDARD).pi_star
-        coeffs = pi_star @ u_dofs[dm.cell_dofs[ci]]
-        quad = _data_quadrature(geom, k, case)
-        grads = eval_monomial_grads(geom, quad.points, k)
-        gh = np.tensordot(grads, coeffs, axes=([1], [0]))          # (nq, 2)
-        gx, gy = case.grad_u(quad.points[:, 0], quad.points[:, 1])
-        diff = np.column_stack([gx, gy]) - gh
-        wd = diff @ sqK.T
-        num += float(quad.weights @ (wd * wd).sum(axis=1))
-        ge = np.column_stack([gx, gy]) @ sqK.T
-        den += float(quad.weights @ (ge * ge).sum(axis=1))
+
+    def cell(ci, E, rule):
+        coeffs = system.pi_stars[ci] @ u_dofs[system.dof_map.cell_dofs[ci]]
+        gh = np.tensordot(rule.monomial_grads(k), coeffs, axes=([1], [0]))  # (nq, 2)
+        pts = rule.points(E)
+        ge = np.column_stack(case.grad_u(pts[:, 0], pts[:, 1]))
+        return _energy(rule.weights, ge - gh, sqK), _energy(rule.weights, ge, sqK)
+
+    num = den = 0.0
+    for cell_num, cell_den in map_cells(mesh, cell, data_order=k,
+                                        y_wavelength=case.y_wavelength):
+        num += cell_num
+        den += cell_den
     if den <= 0.0:
         raise ValueError("exact solution has zero energy norm")
     return math.sqrt(num / den)
 
 
 def exact_energy_norm(mesh: PolyMesh, case: TestCase, k: int = 1) -> float:
-    """Quadrature value of ||sqrt(K) grad u|| over the mesh."""
+    """Quadrature value of ||sqrt(K) grad u|| over the mesh, with order-k data rules."""
     sqK = case.K.sqrt_matrix()
+
+    def cell(ci, E, rule):
+        pts = rule.points(E)
+        ge = np.column_stack(case.grad_u(pts[:, 0], pts[:, 1]))
+        return _energy(rule.weights, ge, sqK)
+
     total = 0.0
-    for ci in range(mesh.n_cells):
-        geom = mesh.cell_geom(ci)
-        quad = _data_quadrature(geom, k, case)
-        gx, gy = case.grad_u(quad.points[:, 0], quad.points[:, 1])
-        ge = np.column_stack([gx, gy]) @ sqK.T
-        total += float(quad.weights @ (ge * ge).sum(axis=1))
+    for value in map_cells(mesh, cell, data_order=k, y_wavelength=case.y_wavelength):
+        total += value
     return math.sqrt(total)
 
 
 def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
     """Dof vector of the interpolant of a smooth function."""
-    from .basis import dim_poly, edge_rules, eval_monomials
-
     dm = build_dof_map(mesh, k)
     out = np.zeros(dm.n_total)
     out[:mesh.n_vertices] = func(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -109,13 +106,14 @@ def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
     n_mom = dim_poly(k - 2)
     if n_mom:
         base = mesh.n_vertices + mesh.n_edges * (k - 1)
-        for ci in range(mesh.n_cells):
-            geom = mesh.cell_geom(ci)
-            quad = polygon_quadrature(geom, 2 * k + 6)
-            V = eval_monomials(geom, quad.points, k - 2)
-            fv = np.asarray(func(quad.points[:, 0], quad.points[:, 1]), dtype=float)
+
+        def moments(ci, E, rule):
+            pts = rule.points(E)
+            fv = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
             out[base + ci * n_mom: base + (ci + 1) * n_mom] = \
-                V.T @ (quad.weights * fv) / geom.area
+                rule.monomials(k - 2).T @ (rule.weights * fv) / E.area
+
+        map_cells(mesh, moments, data_order=k)
     return out
 
 
@@ -141,14 +139,12 @@ def solve_case(mesh: PolyMesh, k: int, method: Method, case: TestCase) -> CaseSo
         values = _boundary_values(mesh, system.dof_map, k, case.u)
     reduced = apply_dirichlet(system, values)
     report = solve(reduced)
-    e_star = energy_error(mesh, k, report.solution, case, system.pi_stars)
+    e_star = energy_error(mesh, system, report.solution, case)
     return CaseSolution(u_dofs=report.solution, e_star=e_star,
                         report=report, system=system)
 
 
 def _boundary_values(mesh, dm, k, func):
-    from .basis import edge_rules
-
     vals = np.empty(dm.boundary_dofs.size)
     nv = mesh.n_vertices
     lob = edge_rules(k, 1)[0][1:-1] if k > 1 else np.empty(0)

@@ -14,8 +14,9 @@ import pytest
 from polyvem.assembly import assemble, stab_consistency_ratio
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
-from polyvem.local import (DiffusionTensor, Method, StabilizationFreeRankError,
-                           build_pi_nabla, local_stiffness)
+from polyvem.local import (DiffusionTensor, ElementContext, Method,
+                           StabilizationFreeRankError, build_pi_nabla,
+                           build_projection_pack, local_stiffness)
 from polyvem.mesh import (CARTESIAN_LADDER, VORONOI_LADDER, CellGeometry,
                           generate_cartesian, generate_voronoi)
 from polyvem.study import exact_energy_norm, solve_case
@@ -107,12 +108,12 @@ def test_criterion_2_projection_oracles(vor_meshes, rng):
     for k in (1, 2, 3):
         for ci in range(mesh.n_cells):
             E = mesh.cell_geom(ci)
-            pn = build_pi_nabla(E, k)
+            D, _, G, pi_star = build_pi_nabla(ElementContext(E, k))
             G_ref = _quadrature_pi_nabla_gram(E, k)
             worst_g = max(worst_g,
-                          np.abs(pn.G - G_ref).max() / np.abs(G_ref).max())
+                          np.abs(G - G_ref).max() / np.abs(G_ref).max())
             worst_fix = max(worst_fix,
-                            np.abs(pn.pi_star @ pn.D - np.eye(dim_poly(k))).max())
+                            np.abs(pi_star @ D - np.eye(dim_poly(k))).max())
     worst_tri = 0.0
     for _ in range(10):
         verts = rng.uniform(0.0, 1.0, (3, 2))
@@ -123,7 +124,8 @@ def test_criterion_2_projection_oracles(vor_meshes, rng):
         if area < 0:
             verts = verts[::-1]
         E = CellGeometry.from_vertices(verts)
-        st_ = local_stiffness(E, 1, Method.E2VEM, K_PATCH)
+        st_ = local_stiffness(build_projection_pack(E, 1, Method.E2VEM),
+                              Method.E2VEM, K_PATCH)
         worst_tri = max(worst_tri,
                         np.abs(st_.a - fem_triangle_stiffness(E, K_PATCH)).max())
     elapsed = time.time() - t0

@@ -88,13 +88,3 @@ def test_diffusion_tensor_validation():
     K = DiffusionTensor.diagonal(4.0, 9.0)
     assert np.allclose(K.sqrt_matrix(), np.diag([2.0, 3.0]))
     assert K.sup_norm() == pytest.approx(9.0)
-
-
-def test_varying_tensor_eval():
-    K = DiffusionTensor(func=lambda x, y: np.moveaxis(np.array(
-        [[1.0 + x, 0.0 * x], [0.0 * x, 2.0 + y]]), (0, 1), (-2, -1)))
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    vals = K.eval(pts[:, 0], pts[:, 1])
-    assert vals.shape == (2, 2, 2)
-    assert vals[1, 0, 0] == pytest.approx(2.0)
-    assert K.sup_norm(pts) == pytest.approx(3.0)

@@ -9,7 +9,7 @@ from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
                            monomial_exponents, polygon_quadrature)
-from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
+from polyvem.local import (DataRule, DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad,
                            build_pi_nabla, build_projection_pack, dof_count,
                            local_load, local_stiffness, min_ell,
@@ -90,22 +90,22 @@ def _monomial_func(E, idx, degree):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pi_nabla_fixes_polynomials(k, rng):
     for E in (UNIT_SQUARE, PENTAGON, star_polygon(rng, 6)):
-        pn = build_pi_nabla(E, k)
+        D, _, _, pi_star = build_pi_nabla(ElementContext(E, k))
         nk = dim_poly(k)
         # interpolate each monomial independently and project it back
         for a in range(nk):
             chi = interpolate_cell(E, k, _monomial_func(E, a, k))
-            coeff = pn.pi_star @ chi
+            coeff = pi_star @ chi
             expected = np.zeros(nk)
             expected[a] = 1.0
             assert np.abs(coeff - expected).max() < 1e-12
-        assert np.abs(pn.pi_star @ pn.D - np.eye(nk)).max() < 1e-12
+        assert np.abs(pi_star @ D - np.eye(nk)).max() < 1e-12
 
 
 def test_pi_dof_idempotent(rng):
     E = star_polygon(rng, 5)
-    pn = build_pi_nabla(E, 2)
-    assert np.abs(pn.pi_dof @ pn.pi_dof - pn.pi_dof).max() < 1e-10
+    pi_dof = build_projection_pack(E, 2, Method.STANDARD).pi_dof
+    assert np.abs(pi_dof @ pi_dof - pi_dof).max() < 1e-10
 
 
 def _quadrature_pi_nabla_gram(E, k):
@@ -138,10 +138,10 @@ def _quadrature_pi_nabla_gram(E, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_g_matches_quadrature_oracle(k, rng):
     for E in (UNIT_SQUARE, TRIANGLE, star_polygon(rng, 7)):
-        pn = build_pi_nabla(E, k)
+        _, _, G, _ = build_pi_nabla(ElementContext(E, k))
         G_ref = _quadrature_pi_nabla_gram(E, k)
         scale = np.abs(G_ref).max()
-        assert np.abs(pn.G - G_ref).max() <= 1e-11 * scale
+        assert np.abs(G - G_ref).max() <= 1e-11 * scale
 
 
 # -- moment recovery ---------------------------------------------------------
@@ -151,8 +151,7 @@ def test_recovered_moments_exact_on_polynomials(k, ell, rng):
     # oracle: quadrature moments of the polynomial itself
     E = star_polygon(rng, 6)
     ctx = ElementContext(E, k, ell)
-    pn = build_pi_nabla(E, k, ctx=ctx)
-    M = recover_moments(E, k, ell, pn.pi_star, ctx=ctx)
+    M = recover_moments(ctx, build_pi_nabla(ctx)[3])
     quad = polygon_quadrature(E, 2 * (k + ell) + 2)
     V_top = eval_monomials(E, quad.points, k + ell)
     for a in range(dim_poly(k)):
@@ -177,8 +176,7 @@ def test_triangle_k1_moments_match_linear_interpolant(rng):
     E = TRIANGLE
     vals = rng.uniform(-1, 1, 3)
     ctx = ElementContext(E, 1, 0)
-    pn = build_pi_nabla(E, 1, ctx=ctx)
-    M = recover_moments(E, 1, 0, pn.pi_star, ctx=ctx)
+    M = recover_moments(ctx, build_pi_nabla(ctx)[3])
     got = M @ vals
 
     # exact moments of the linear interpolant via quadrature
@@ -234,9 +232,8 @@ def test_pi0_grad_triangle_matches_fem_gradient(rng):
     E = TRIANGLE
     vals = rng.uniform(-1, 1, 3)
     ctx = ElementContext(E, 1, 0)
-    pn = build_pi_nabla(E, 1, ctx=ctx)
-    M = recover_moments(E, 1, 0, pn.pi_star, ctx=ctx)
-    C = build_pi0_grad(E, 1, 0, M, ctx=ctx)
+    M = recover_moments(ctx, build_pi_nabla(ctx)[3])
+    C = build_pi0_grad(ctx, 0, M)
     got = C @ vals
     v = E.verts
     T = np.column_stack([v[1] - v[0], v[2] - v[0]])
@@ -259,8 +256,7 @@ def fem_triangle_stiffness(E, K):
 def test_unit_square_k1_api_closed_form():
     # derived by evaluating the projected gradient of each vertex function
     pack = build_projection_pack(UNIT_SQUARE, 1, Method.STANDARD)
-    st_ = local_stiffness(UNIT_SQUARE, 1, Method.STANDARD,
-                          DiffusionTensor.identity(), pack=pack)
+    st_ = local_stiffness(pack, Method.STANDARD, DiffusionTensor.identity())
     expect = 0.5 * np.array([[1, 0, -1, 0], [0, 1, 0, -1],
                              [-1, 0, 1, 0], [0, -1, 0, 1]], dtype=float)
     assert np.abs(st_.a_pi - expect).max() <= 1e-12
@@ -276,7 +272,8 @@ def test_e2vem_triangle_equals_fem(rng):
         if area < 0:
             verts = verts[::-1]
         E = CellGeometry.from_vertices(verts)
-        st_ = local_stiffness(E, 1, Method.E2VEM, K_ANISO)
+        st_ = local_stiffness(build_projection_pack(E, 1, Method.E2VEM),
+                              Method.E2VEM, K_ANISO)
         assert np.abs(st_.a - fem_triangle_stiffness(E, K_ANISO)).max() <= 1e-12
         assert np.abs(st_.a_s).max() == 0.0
 
@@ -295,7 +292,7 @@ def chi_of_constant(pack):
 def test_constants_in_kernel(k, method, rng):
     for E in (UNIT_SQUARE, star_polygon(rng, 6)):
         pack = build_projection_pack(E, k, method)
-        st_ = local_stiffness(E, k, method, K_ANISO, pack=pack)
+        st_ = local_stiffness(pack, method, K_ANISO)
         chi = chi_of_constant(pack)
         assert np.abs(st_.a @ chi).max() <= 1e-10
 
@@ -305,7 +302,7 @@ def test_constants_in_kernel(k, method, rng):
 def test_polynomial_consistency_and_psd(k, method, rng):
     E = star_polygon(rng, 5)
     pack = build_projection_pack(E, k, method)
-    st_ = local_stiffness(E, k, method, K_ANISO, pack=pack)
+    st_ = local_stiffness(pack, method, K_ANISO)
     assert np.abs(st_.a - st_.a.T).max() <= 1e-12
     evals = np.linalg.eigvalsh(st_.a)
     assert evals.min() >= -1e-10 * np.abs(evals).max()
@@ -332,9 +329,9 @@ def test_stabilization_scaling_equivariance(rng):
     t = 3.7
     for method in (Method.STANDARD, Method.E2VEM):
         pack = build_projection_pack(E, 2, method)
-        s1 = local_stiffness(E, 2, method, K_ANISO, pack=pack)
+        s1 = local_stiffness(pack, method, K_ANISO)
         Kt = DiffusionTensor(matrix=t * K_ANISO.matrix)
-        s2 = local_stiffness(E, 2, method, Kt, pack=pack)
+        s2 = local_stiffness(pack, method, Kt)
         assert np.abs(s2.a_pi - t * s1.a_pi).max() <= 1e-13 * np.abs(s1.a_pi).max() * t
         assert np.abs(s2.a_s - t * s1.a_s).max() <= 1e-13 * max(1e-300, np.abs(s1.a_s).max()) * t
         assert s2.k_inf == pytest.approx(t * s1.k_inf, rel=1e-14)
@@ -366,7 +363,7 @@ def test_rank_check_raises_on_deficient_pack(monkeypatch):
 def test_load_zero_source(rng):
     E = star_polygon(rng, 5)
     pack = build_projection_pack(E, 2, Method.STANDARD)
-    load = local_load(E, 2, lambda x, y: 0.0 * x, pack.pi0_val)
+    load = local_load(E, 2, lambda x, y: 0.0 * x, pack.pi0_val, DataRule(E, 2))
     assert np.abs(load).max() == 0.0
 
 
@@ -374,7 +371,7 @@ def test_load_zero_source(rng):
 def test_load_constant_source_integrates_area(k, rng):
     E = star_polygon(rng, 6)
     pack = build_projection_pack(E, k, Method.STANDARD)
-    load = local_load(E, k, lambda x, y: np.ones_like(x), pack.pi0_val)
+    load = local_load(E, k, lambda x, y: np.ones_like(x), pack.pi0_val, DataRule(E, k))
     chi = chi_of_constant(pack)
     assert load @ chi == pytest.approx(E.area, abs=1e-10)
 
@@ -382,6 +379,7 @@ def test_load_constant_source_integrates_area(k, rng):
 def test_load_centered_monomial_unit_square():
     pack = build_projection_pack(UNIT_SQUARE, 1, Method.STANDARD)
     h, c = UNIT_SQUARE.diameter, UNIT_SQUARE.centroid
-    load = local_load(UNIT_SQUARE, 1, lambda x, y: (x - c[0]) / h, pack.pi0_val)
+    load = local_load(UNIT_SQUARE, 1, lambda x, y: (x - c[0]) / h, pack.pi0_val,
+                      DataRule(UNIT_SQUARE, 1))
     chi = np.ones(4)
     assert load @ chi == pytest.approx(0.0, abs=1e-12)

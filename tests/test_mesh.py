@@ -184,6 +184,16 @@ def test_roundtrip_exact():
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, back.cells))
 
 
+def test_congruence_derived_from_geometry():
+    cart = generate_cartesian(4)
+    assert cart.congruent_cells
+    assert _roundtrip(cart).congruent_cells
+    assert not generate_voronoi(12, rng_seed=4, lloyd_iters=20).congruent_cells
+    nudged = cart.vertices.copy()
+    nudged[6] += [1e-3, -2e-3]            # an interior vertex of the 4x4 grid
+    assert not PolyMesh(nudged, cart.cells).congruent_cells
+
+
 def test_roundtrip_voronoi_full_precision():
     mesh = generate_voronoi(9, rng_seed=1, lloyd_iters=5)
     back = _roundtrip(mesh)

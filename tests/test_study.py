@@ -1,14 +1,19 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from polyvem import assembly, local, study
+from polyvem.assembly import assemble, build_dof_map
 from polyvem.cases import testcase as get_case
+from polyvem.errors import QuadratureError
 from polyvem.local import Method
-from polyvem.mesh import generate_cartesian, generate_voronoi
+from polyvem.mesh import generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import (StudyConfig, convergence_rate, energy_error,
                            exact_energy_norm, interpolate_dofs, ladder_for,
                            parse_rows_csv, run_study, solve_case)
+from test_cli import U_SHAPED_MESH
 
 
 def test_convergence_rate_examples():
@@ -27,9 +32,8 @@ def test_convergence_rate_rejects_bad_inputs():
 def test_zero_solution_gives_unit_error():
     mesh = generate_cartesian(4)
     case = get_case("tc1")
-    from polyvem.assembly import build_dof_map
-    dm = build_dof_map(mesh, 1)
-    e = energy_error(mesh, 1, np.zeros(dm.n_total), case)
+    system = assemble(mesh, 1, Method.STANDARD, case.K)
+    e = energy_error(mesh, system, np.zeros(system.dof_map.n_total), case)
     assert e == pytest.approx(1.0, abs=1e-10)
 
 
@@ -47,8 +51,49 @@ def test_interpolant_energy_error_small():
     mesh = generate_cartesian(8)
     case = get_case("tc1")
     dofs = interpolate_dofs(mesh, 1, case.u)
-    e = energy_error(mesh, 1, dofs, case)
+    e = energy_error(mesh, assemble(mesh, 1, Method.STANDARD, case.K), dofs, case)
     assert 0.0 < e < 1.0
+
+
+def test_cell_loops_name_the_failing_cell():
+    # cell 0 of the U-shaped mesh is not star-shaped about its centroid
+    mesh = read_mesh(io.StringIO(U_SHAPED_MESH))
+    with pytest.raises(QuadratureError, match="^cell 0: "):
+        interpolate_dofs(mesh, 2, get_case("tc1").u)
+    with pytest.raises(QuadratureError, match="^cell 0: "):
+        exact_energy_norm(mesh, get_case("tc1"))
+
+
+def test_solve_case_builds_the_dof_map_once(monkeypatch):
+    calls = []
+
+    def counted(mesh, k):
+        calls.append(k)
+        return build_dof_map(mesh, k)
+
+    monkeypatch.setattr(assembly, "build_dof_map", counted)
+    monkeypatch.setattr(study, "build_dof_map", counted)
+    solve_case(generate_cartesian(4), 2, Method.STANDARD, get_case("tc1"))
+    assert calls == [2]
+
+
+def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
+    built = {"ctx": 0, "rule": 0}
+    for name, cls in (("ctx", local.ElementContext), ("rule", local.DataRule)):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=name, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    per_mesh = []
+    for n in (2, 8):
+        built.update(ctx=0, rule=0)
+        solve_case(generate_cartesian(n), 3, Method.STANDARD, get_case("tc2"))
+        per_mesh.append(dict(built))
+    # one element context; one data rule for the load and one for the error
+    assert per_mesh == [{"ctx": 1, "rule": 2}] * 2
 
 
 def test_exact_energy_norm_tc2_quadrature():
