@@ -2,31 +2,27 @@
 
 Vertex dofs come first, then k-1 dofs per mesh edge (ordered along the edge by
 ascending global vertex index, so adjacent cells agree), then the per-cell
-moment dofs blocked after everything else.  The consistency and stabilization
-parts of the stiffness matrix are accumulated separately so their norms can be
-compared after assembly.
+moment dofs blocked after everything else.  `build_dof_map` is the one place
+this numbering is made; its `nodes` give the point of every vertex and edge
+dof.  The consistency and stabilization parts of the stiffness matrix are
+accumulated separately so their norms can be compared after assembly.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
-from .basis import dim_poly
+from .basis import dim_poly, edge_rules
 from .errors import PolyvemError, SolverError
 from .local import (DataRule, DiffusionTensor, Method, build_projection_pack,
                     local_load, local_stiffness)
 from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
 
-log = logging.getLogger(__name__)
-
 RESIDUAL_RTOL = 1e-10
-CG_RTOL = 1e-12
 
 
 @dataclass
@@ -39,10 +35,13 @@ class GlobalDofMap:
     cell_dofs: list                      # per cell, local -> global index array
     boundary_dofs: np.ndarray            # sorted vertex/edge dofs on the boundary
     free_dofs: np.ndarray
+    nodes: np.ndarray                    # (nv + n_edge_dofs, 2) point of each vertex/edge dof
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     """Global numbering for order k on a conforming mesh."""
+    if k < 1:
+        raise ValueError(f"order must be >= 1, got {k}")
     bad = next(edge_conformity_violations(mesh), None)
     if bad is not None:
         raise NonConformingMeshError(f"{bad.where} breaks conformity: {bad.detail}; "
@@ -52,35 +51,36 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     n_edge = ne * (k - 1)
     n_mom_per = dim_poly(k - 2)
     n_total = nv + n_edge + nc * n_mom_per
-    mom_base = nv + n_edge
+    edge_dofs = nv + np.arange(n_edge).reshape(ne, k - 1)
+    moment_dofs = nv + n_edge + np.arange(nc * n_mom_per).reshape(nc, n_mom_per)
 
     cell_dofs = []
     for ci, cell in enumerate(mesh.cells):
         m = len(cell)
-        ids = list(map(int, cell))
+        parts = [cell]
         for e_loc in range(m):
             a, b = int(cell[e_loc]), int(cell[(e_loc + 1) % m])
-            eid = mesh.edge_index[(a, b) if a < b else (b, a)]
-            base = nv + eid * (k - 1)
-            span = range(base, base + k - 1)
+            dofs = edge_dofs[mesh.edge_index[(a, b) if a < b else (b, a)]]
             # interior edge nodes are symmetric in the edge parameter, so the
             # reversed traversal is exactly the reversed index range
-            ids.extend(span if a < b else reversed(span))
-        ids.extend(range(mom_base + ci * n_mom_per, mom_base + (ci + 1) * n_mom_per))
-        cell_dofs.append(np.array(ids, dtype=int))
+            parts.append(dofs if a < b else dofs[::-1])
+        parts.append(moment_dofs[ci])
+        cell_dofs.append(np.concatenate(parts))
 
-    bset = set(np.nonzero(mesh.boundary_vertex_flags)[0].tolist())
-    for eid, is_b in enumerate(mesh.boundary_edge_flags):
-        if is_b:
-            base = nv + eid * (k - 1)
-            bset.update(range(base, base + k - 1))
-    boundary = np.array(sorted(bset), dtype=int)
+    # edge dof j of edge (a, b), a < b, sits at interior Lobatto parameter j from a
+    inner = edge_rules(k, 1)[0][1:-1]
+    tail, head = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    edge_nodes = tail[:, None, :] + inner[None, :, None] * (head - tail)[:, None, :]
+    nodes = np.vstack([mesh.vertices, edge_nodes.reshape(-1, 2)])
+
+    boundary = np.concatenate([np.nonzero(mesh.boundary_vertex_flags)[0],
+                               edge_dofs[mesh.boundary_edge_flags].ravel()])
     mask = np.ones(n_total, dtype=bool)
     mask[boundary] = False
     return GlobalDofMap(k=k, n_vertex_dofs=nv, n_edge_dofs=n_edge,
                         n_moment_dofs=nc * n_mom_per, n_total=n_total,
                         cell_dofs=cell_dofs, boundary_dofs=boundary,
-                        free_dofs=np.nonzero(mask)[0])
+                        free_dofs=np.nonzero(mask)[0], nodes=nodes)
 
 
 @dataclass
@@ -203,9 +203,8 @@ def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem
 class SolveReport:
     solution: np.ndarray
     solver: str
-    iterations: int
     residual: float
-    spd_ok: Optional[bool]
+    spd_ok: bool
 
 
 def _embed(reduced: ReducedSystem, x_free) -> np.ndarray:
@@ -228,55 +227,30 @@ def solve(reduced: ReducedSystem) -> SolveReport:
 
     The LU factorization runs in symmetric mode without off-diagonal pivoting,
     so for an SPD matrix all pivots are positive; that sign pattern is the
-    reported SPD check.  If the factorization fails or the residual exceeds
-    1e-10 relative, diagonally preconditioned conjugate gradients take over.
+    reported SPD check.  A failed factorization, a non-finite solution or a
+    residual above RESIDUAL_RTOL relative to the right-hand side raises
+    `SolverError`.
     """
-    n = reduced.free_dofs.size
-    if n == 0:
+    if reduced.free_dofs.size == 0:
         return SolveReport(solution=_embed(reduced, np.zeros(0)), solver="trivial",
-                           iterations=0, residual=0.0, spd_ok=True)
+                           residual=0.0, spd_ok=True)
     A = reduced.a_ff
     b = reduced.b_f
-    bnorm = float(np.linalg.norm(b))
-
-    x = None
-    spd_ok = None
-    solver = "splu"
+    note = _wellposedness_note(reduced)
     try:
         lu = splu(A.tocsc(), diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
-        x = lu.solve(b)
-        spd_ok = bool(np.all(lu.U.diagonal() > 0.0))
     except RuntimeError as exc:
-        log.warning("sparse factorization failed (%s), falling back to CG", exc)
-
-    def _residual(v):
-        return float(np.linalg.norm(A @ v - b))
-
-    if x is None or not np.all(np.isfinite(x)) or _residual(x) > RESIDUAL_RTOL * max(bnorm, 1e-300):
-        solver = "cg"
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise SolverError(
-                "system matrix has non-positive diagonal entries; cannot "
-                "precondition" + _wellposedness_note(reduced))
-        M = sp.diags(1.0 / diag)
-        count = {"it": 0}
-
-        def cb(_):
-            count["it"] += 1
-
-        x, info = cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=20 * n, M=M, callback=cb)
-        if info != 0 or _residual(x) > RESIDUAL_RTOL * max(bnorm, 1e-300):
-            raise SolverError(
-                f"conjugate gradients did not converge (info={info}, "
-                f"residual={_residual(x):.3e})" + _wellposedness_note(reduced))
-        return SolveReport(solution=_embed(reduced, x), solver=solver,
-                           iterations=count["it"], residual=_residual(x),
-                           spd_ok=spd_ok)
-
-    return SolveReport(solution=_embed(reduced, x), solver=solver, iterations=0,
-                       residual=_residual(x), spd_ok=spd_ok)
+        raise SolverError(f"sparse factorization failed ({exc})" + note) from None
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("the factorized solve gave a non-finite solution" + note)
+    residual = float(np.linalg.norm(A @ x - b))
+    if not residual <= RESIDUAL_RTOL * max(float(np.linalg.norm(b)), 1e-300):  # NaN fails
+        raise SolverError(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g} "
+                          "relative to the right-hand side" + note)
+    return SolveReport(solution=_embed(reduced, x), solver="splu", residual=residual,
+                       spd_ok=bool(np.all(lu.U.diagonal() > 0.0)))
 
 
 def infinity_norm(A: sp.spmatrix) -> float:

@@ -19,6 +19,8 @@ from .errors import NumericalDegeneracyError, QuadratureError
 
 log = logging.getLogger(__name__)
 
+MAX_SUBDIVISION_DEPTH = 7   # quadrisection levels of a fan triangle under max_y_extent
+
 
 def dim_poly(k: int) -> int:
     """Dimension of bivariate polynomials of total degree <= k; 0 for k = -1."""
@@ -107,7 +109,6 @@ def laplacian_coefficients(alpha):
 class QuadRule:
     points: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +144,14 @@ def triangle_rule(p0, p1, p2, degree: int):
     return pts, W * det
 
 
-def _subdivide_by_extent(tris, max_y_extent, max_depth):
+def _subdivide_by_extent(tris, max_y_extent):
     out = []
     stack = [(t, 0) for t in reversed(tris)]
     capped = False
     while stack:
         (a, b, c), depth = stack.pop()
         ys = (a[1], b[1], c[1])
-        if max(ys) - min(ys) <= max_y_extent or depth >= max_depth:
+        if max(ys) - min(ys) <= max_y_extent or depth >= MAX_SUBDIVISION_DEPTH:
             capped = capped or (max(ys) - min(ys) > max_y_extent)
             out.append((a, b, c))
             continue
@@ -160,17 +161,17 @@ def _subdivide_by_extent(tris, max_y_extent, max_depth):
         for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca))[::-1]:
             stack.append((child, depth + 1))
     if capped:
-        log.debug("triangle subdivision hit the depth cap %d", max_depth)
+        log.debug("triangle subdivision hit the depth cap %d", MAX_SUBDIVISION_DEPTH)
     return out
 
 
-def polygon_quadrature(E, degree: int, *, max_y_extent=None, max_depth: int = 7) -> QuadRule:
+def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
     """Quadrature on a star-shaped polygon, exact for degree <= `degree`.
 
     The polygon is fanned into triangles from its centroid and a collapsed
     Gauss rule is applied per triangle.  With `max_y_extent` set, triangles
     are quadrisected until their vertical extent drops below it (resolving
-    data that oscillates in y), capped at `max_depth` levels.
+    data that oscillates in y), capped at MAX_SUBDIVISION_DEPTH levels.
     """
     v = np.asarray(E.verts, dtype=float)
     c = np.asarray(E.centroid, dtype=float)
@@ -185,14 +186,14 @@ def polygon_quadrature(E, degree: int, *, max_y_extent=None, max_depth: int = 7)
                 f"(fan triangle {i} has signed area {signed:g}); run mesh validation")
         tris.append((c, a, b))
     if max_y_extent is not None:
-        tris = _subdivide_by_extent(tris, max_y_extent, max_depth)
+        tris = _subdivide_by_extent(tris, max_y_extent)
     pts = []
     wts = []
     for a, b, cc in tris:
         p, w = triangle_rule(a, b, cc, degree)
         pts.append(p)
         wts.append(w)
-    return QuadRule(np.vstack(pts), np.concatenate(wts), degree)
+    return QuadRule(np.vstack(pts), np.concatenate(wts))
 
 
 def monomial_gram(E, degree: int, quad: QuadRule | None = None) -> np.ndarray:

@@ -93,7 +93,6 @@ def _cmd_solve(args):
         "n_dofs": sol.system.dof_map.n_total,
         "e_star": sol.e_star,
         "solver": sol.report.solver,
-        "iterations": sol.report.iterations,
         "residual": sol.report.residual,
         "spd_ok": sol.report.spd_ok,
         "solution": sol.u_dofs.tolist(),

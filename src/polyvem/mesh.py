@@ -98,11 +98,14 @@ class PolyMesh:
 
     Instances come from the constructor, the generators or :func:`read_mesh`
     and are treated as immutable afterwards; they are safe to share across
-    workers.  `congruent_cells` is true when every cell is a translate of
-    cell 0, vertex by vertex (the cartesian family, however it was built).
+    workers.  The constructor is where polygons are checked: a cell with an
+    out-of-range or repeated consecutive vertex, or one that is not a CCW
+    polygon of positive area, raises a `MeshError` naming the cell.
+    `congruent_cells` is true when every cell is a translate of cell 0,
+    vertex by vertex (the cartesian family, however it was built).
     """
 
-    def __init__(self, vertices, cells, *, family="custom", strict=True):
+    def __init__(self, vertices, cells, *, family="custom"):
         self.vertices = np.array(vertices, dtype=float)
         self.vertices.setflags(write=False)
         self.cells = [np.array(c, dtype=int) for c in cells]
@@ -110,19 +113,19 @@ class PolyMesh:
 
         nv = self.vertices.shape[0]
         areas, cents, diams = [], [], []
-        for ci, cell in enumerate(self.cells):
-            if cell.size and (cell.min() < 0 or cell.max() >= nv):
-                raise MeshError(f"cell {ci}: vertex index out of range")
-            v = self.vertices[cell]
-            if strict:
+        try:
+            for ci, cell in enumerate(self.cells):
+                if cell.size and (cell.min() < 0 or cell.max() >= nv):
+                    raise MeshError("vertex index out of range")
                 if len(cell) >= 2 and np.any(cell == np.roll(cell, -1)):
-                    raise MeshError(f"cell {ci}: repeated consecutive vertex")
-                a, c, d = cell_geometry(v)
-            else:
-                a, c, d = _lenient_geometry(v)
-            areas.append(a)
-            cents.append(c)
-            diams.append(d)
+                    raise MeshError("repeated consecutive vertex")
+                a, c, d = cell_geometry(self.vertices[cell])
+                areas.append(a)
+                cents.append(c)
+                diams.append(d)
+        except MeshError as exc:
+            exc.cell = ci
+            raise
         self.cell_areas = np.array(areas)
         self.cell_centroids = np.array(cents).reshape(-1, 2)
         self.cell_diameters = np.array(diams)
@@ -191,21 +194,6 @@ class PolyMesh:
         v.setflags(write=False)
         return CellGeometry(v, float(self.cell_areas[ci]),
                             self.cell_centroids[ci], float(self.cell_diameters[ci]))
-
-
-def _lenient_geometry(v):
-    """Geometry for possibly-broken polygons; used by the validator path."""
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    if abs(area) > 1e-300:
-        cx = ((x + xn) * cross).sum() / (6.0 * area)
-        cy = ((y + yn) * cross).sum() / (6.0 * area)
-    else:
-        cx, cy = v.mean(axis=0)
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    return float(area), np.array([cx, cy]), float(np.sqrt(d2.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +437,8 @@ def read_mesh(stream) -> PolyMesh:
     """Parse the mesh text format; inverse of :func:`write_mesh`.
 
     Raises :class:`MeshFormatError` with a line number on malformed counts,
-    out-of-range indices, or non-CCW cells.
+    trailing content, or a cell the :class:`PolyMesh` constructor rejects
+    (out-of-range indices, non-CCW cells).
     """
     lines = []
     for lineno, raw in enumerate(stream, start=1):
@@ -490,7 +479,7 @@ def read_mesh(stream) -> PolyMesh:
         except ValueError:
             raise MeshFormatError(f"bad coordinate for vertex {i}", lineno) from None
 
-    cells = []
+    cells, cell_lines = [], []
     for ci in range(nc):
         lineno, s = next_line(f"cell {ci}")
         parts = s.split()
@@ -500,23 +489,16 @@ def read_mesh(stream) -> PolyMesh:
             raise MeshFormatError(f"bad index in cell {ci}", lineno) from None
         if not ids or ids[0] != len(ids) - 1:
             raise MeshFormatError(f"cell {ci}: count prefix does not match", lineno)
-        ids = ids[1:]
-        if len(ids) < 3:
-            raise MeshFormatError(f"cell {ci}: fewer than 3 vertices", lineno)
-        if min(ids) < 0 or max(ids) >= nv:
-            raise MeshFormatError(f"cell {ci}: vertex index out of range", lineno)
-        try:
-            cell_geometry(verts[ids])
-        except OrientationError as exc:
-            raise MeshFormatError(f"cell {ci}: {exc}", lineno) from None
-        cells.append(ids)
+        cells.append(ids[1:])
+        cell_lines.append(lineno)
 
+    trailing = next(it, None)
+    if trailing is not None:
+        raise MeshFormatError("trailing content after last cell", trailing[0])
     try:
-        next(it)
-        raise MeshFormatError("trailing content after last cell")
-    except StopIteration:
-        pass
-    return PolyMesh(verts, cells, family="imported")
+        return PolyMesh(verts, cells, family="imported")
+    except MeshError as exc:
+        raise MeshFormatError(str(exc), cell_lines[exc.cell]) from None
 
 
 def save_mesh(mesh: PolyMesh, path) -> None:
@@ -535,7 +517,7 @@ def load_mesh(path) -> PolyMesh:
 
 @dataclass
 class Violation:
-    kind: str         # "orientation" | "conformity" | "boundary" | "partition" | "shape"
+    kind: str         # "conformity" | "boundary" | "partition"
     where: str
     detail: str
 
@@ -553,22 +535,14 @@ class MeshValidationReport:
 
 
 def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
-    """Structural checks and regularity indicators; collects violations, never raises."""
+    """Regularity indicators and the checks across cells; collects violations, never raises.
+
+    Each cell's own polygon was already checked by the `PolyMesh` constructor.
+    """
     rep = MeshValidationReport()
 
     for ci, cell in enumerate(mesh.cells):
         v = mesh.vertices[cell]
-        if len(cell) < 3:
-            rep.violations.append(Violation("shape", f"cell {ci}", "fewer than 3 vertices"))
-            continue
-        if np.any(cell == np.roll(cell, -1)):
-            rep.violations.append(Violation("shape", f"cell {ci}", "repeated consecutive vertex"))
-        x, y = v[:, 0], v[:, 1]
-        area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        if area <= 0:
-            rep.violations.append(
-                Violation("orientation", f"cell {ci}", f"signed area {area:g} is not positive"))
-            continue
         h = mesh.cell_diameters[ci]
         edges = np.roll(v, -1, axis=0) - v
         elen = np.hypot(edges[:, 0], edges[:, 1])
@@ -591,7 +565,7 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
             Violation("boundary", f"vertex {vi}",
                       "boundary flag disagrees with position on the unit square"))
 
-    rep.area_sum = float(np.abs(mesh.cell_areas).sum())
+    rep.area_sum = float(mesh.cell_areas.sum())
     if abs(rep.area_sum - 1.0) > AREA_SUM_TOL:
         rep.violations.append(
             Violation("partition", "mesh", f"cell areas sum to {rep.area_sum!r}, not 1"))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
                        map_cells, solve, stab_consistency_ratio)
-from .basis import dim_poly, edge_rules
+from .basis import dim_poly
 from .cases import TestCase, testcase
 from .errors import PolyvemError
 from .local import Method
@@ -94,23 +94,13 @@ def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
     """Dof vector of the interpolant of a smooth function."""
     dm = build_dof_map(mesh, k)
     out = np.zeros(dm.n_total)
-    out[:mesh.n_vertices] = func(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    if k > 1:
-        lob, _, _ = edge_rules(k, 1)
-        inner = lob[1:-1]
-        base = mesh.n_vertices
-        for eid in range(mesh.n_edges):
-            a, b = mesh.edges[eid]
-            pts = mesh.vertices[a] + np.outer(inner, mesh.vertices[b] - mesh.vertices[a])
-            out[base + eid * (k - 1): base + (eid + 1) * (k - 1)] = func(pts[:, 0], pts[:, 1])
+    out[:len(dm.nodes)] = func(*dm.nodes.T)
     n_mom = dim_poly(k - 2)
     if n_mom:
-        base = mesh.n_vertices + mesh.n_edges * (k - 1)
-
         def moments(ci, E, rule):
             pts = rule.points(E)
             fv = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
-            out[base + ci * n_mom: base + (ci + 1) * n_mom] = \
+            out[dm.cell_dofs[ci][-n_mom:]] = \
                 rule.monomials(k - 2).T @ (rule.weights * fv) / E.area
 
         map_cells(mesh, moments, data_order=k)
@@ -133,30 +123,13 @@ def solve_case(mesh: PolyMesh, k: int, method: Method, case: TestCase) -> CaseSo
     """
     system = assemble(mesh, k, method, case.K, case.f,
                       y_wavelength=case.y_wavelength)
-    if case.zero_boundary:
-        values = None
-    else:
-        values = _boundary_values(mesh, system.dof_map, k, case.u)
+    dm = system.dof_map
+    values = None if case.zero_boundary else case.u(*dm.nodes[dm.boundary_dofs].T)
     reduced = apply_dirichlet(system, values)
     report = solve(reduced)
     e_star = energy_error(mesh, system, report.solution, case)
     return CaseSolution(u_dofs=report.solution, e_star=e_star,
                         report=report, system=system)
-
-
-def _boundary_values(mesh, dm, k, func):
-    vals = np.empty(dm.boundary_dofs.size)
-    nv = mesh.n_vertices
-    lob = edge_rules(k, 1)[0][1:-1] if k > 1 else np.empty(0)
-    for i, dof in enumerate(dm.boundary_dofs):
-        if dof < nv:
-            p = mesh.vertices[dof]
-        else:
-            eid, j = divmod(dof - nv, k - 1)
-            a, b = mesh.edges[eid]
-            p = mesh.vertices[a] + lob[j] * (mesh.vertices[b] - mesh.vertices[a])
-        vals[i] = func(p[0], p[1])
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +183,11 @@ class StudyResult:
 
 
 def ladder_for(family: str, levels: int = 0):
+    """The first `levels` meshes of the family's ladder; 0 means all of it."""
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     base = FAMILIES[family]
-    return base if levels <= 0 else base[:levels]
+    return base if levels == 0 else base[:levels]
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:

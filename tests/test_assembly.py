@@ -6,8 +6,8 @@ from polyvem.assembly import (ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, solve,
                               stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
-from polyvem.local import (DataRule, DiffusionTensor, Method, build_projection_pack,
-                           local_load, local_stiffness)
+from polyvem.local import (DataRule, DiffusionTensor, ElementContext, Method,
+                           build_projection_pack, local_load, local_stiffness)
 from polyvem.mesh import NonConformingMeshError, PolyMesh, generate_cartesian, generate_voronoi
 from polyvem.study import interpolate_dofs
 
@@ -42,6 +42,10 @@ def test_dof_map_shared_edges_consistent():
     mesh = generate_voronoi(12, rng_seed=4, lloyd_iters=20)
     for k in (2, 3):
         dm = build_dof_map(mesh, k)
+        assert dm.nodes.shape == (dm.n_vertex_dofs + dm.n_edge_dofs, 2)
+        # every boundary dof sits exactly on a side of the unit square
+        p = dm.nodes[dm.boundary_dofs]
+        assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()
         seen = {}
         for ci, cell in enumerate(mesh.cells):
             dofs = dm.cell_dofs[ci]
@@ -52,12 +56,18 @@ def test_dof_map_shared_edges_consistent():
                 key = (min(a, b), max(a, b))
                 canon = ids if a < b else tuple(reversed(ids))
                 assert seen.setdefault(key, canon) == canon
+            # the element's Lobatto nodes, in local dof order, are the nodes
+            # of the cell's global dofs (reversed edges included)
+            ctx = ElementContext(mesh.cell_geom(ci), k)
+            local = np.vstack([pts[0] for pts in ctx.edge_node_points]
+                              + [pts[1:-1] for pts in ctx.edge_node_points])
+            assert np.allclose(local, dm.nodes[dofs[:m * k]], rtol=0.0, atol=1e-15)
 
 
 def test_dof_map_rejects_nonconforming():
     verts = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1], [0, 1], [0.5, 0.5]]
     cells = [[0, 1, 4, 5], [1, 2, 3, 4, 6]]
-    mesh = PolyMesh(verts, cells, strict=False)
+    mesh = PolyMesh(verts, cells)
     with pytest.raises(NonConformingMeshError,
                        match="single-cell edge not on the square boundary"):
         build_dof_map(mesh, 1)
@@ -194,12 +204,26 @@ def test_solve_flags_indefinite_matrix():
 
 
 def test_solver_error_cites_order_limitation():
-    # singular system: factorization fails, CG cannot be preconditioned
+    # singular system: the factorization fails
     A = sp.csr_matrix(np.diag([1.0, 0.0]))
     red = ReducedSystem(a_ff=A, b_f=np.ones(2), free_dofs=np.arange(2),
                         fixed_dofs=np.empty(0, int), fixed_values=np.empty(0),
                         n_total=2, k=3, method=Method.E2VEM)
     with pytest.raises(SolverError, match="order 1"):
+        solve(red)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1e-20, 1.0], [1.0, 1.0]],         # unpivoted elimination: residual ~1
+    [[1.0, 0.0], [0.0, 1e-310]],        # subnormal pivot: the solution overflows
+    [[1.0, 0.0], [0.0, np.inf]],        # non-finite entry: the residual is NaN
+])
+def test_solve_rejects_unverified_solution(matrix):
+    red = ReducedSystem(a_ff=sp.csr_matrix(np.array(matrix)), b_f=np.array([1.0, 2.0]),
+                        free_dofs=np.arange(2), fixed_dofs=np.empty(0, int),
+                        fixed_values=np.empty(0), n_total=2, k=1,
+                        method=Method.STANDARD)
+    with pytest.raises(SolverError):
         solve(red)
 
 

@@ -54,6 +54,7 @@ def test_solve_command_json_payload(tmp_path):
     assert payload["method"] == "e2vem"
     assert payload["e_star"] <= 1e-9
     assert payload["spd_ok"] is True
+    assert payload["solver"] == "splu"
     assert len(payload["solution"]) == payload["n_dofs"]
 
 
@@ -170,3 +171,23 @@ def test_study_records_cell_failure_and_continues(tmp_path, monkeypatch):
         else:
             assert r.note == "" and r.e_star > 0.0
     assert (out / "summary.json").exists()
+
+
+def test_negative_levels_exit_2(tmp_path, capsys):
+    for command, extra in (("study", ["--orders", "1", "-o", str(tmp_path / "s")]),
+                           ("ratio", ["--order", "1"])):
+        rc = main([command, "--case", "tc1", "--family", "cartesian",
+                   "--levels", "-1", *extra])
+        assert rc == 2
+        assert "levels must be >= 0" in _one_line_error(capsys)
+    assert not (tmp_path / "s").exists()
+
+
+def test_order_below_one_exit_2_names_order(tmp_path, capsys):
+    mesh_path = tmp_path / "m.txt"
+    main(["mesh", "--family", "cartesian", "--n", "2", "-o", str(mesh_path)])
+    capsys.readouterr()
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "0", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "order must be >= 1, got 0" in _one_line_error(capsys)

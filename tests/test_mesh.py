@@ -217,6 +217,9 @@ def test_read_errors_name_line_numbers():
         read_mesh(io.StringIO("polymesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n3 0 1 2 3\n"))
     with pytest.raises(MeshFormatError):
         read_mesh(io.StringIO("polymesh 1\n4\n"))
+    with pytest.raises(MeshFormatError, match="^line 10: trailing content"):
+        read_mesh(io.StringIO("polymesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"
+                              "\n# comment\n1 2\n"))
 
 
 @settings(max_examples=10, deadline=None)
@@ -239,13 +242,13 @@ def test_validate_clean_mesh():
 
 
 def test_validate_flags_clockwise_cell():
+    # a clockwise cell never reaches the validator: the constructor names it
     verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
     cells = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 4, 3]]
-    mesh = PolyMesh(verts, cells, strict=False)
-    mesh_bad = PolyMesh(verts, [[0, 4, 1]] + cells[1:], strict=False)
-    assert validate_mesh(mesh).ok
-    rep = validate_mesh(mesh_bad)
-    assert any(v.kind == "orientation" for v in rep.violations)
+    assert validate_mesh(PolyMesh(verts, cells)).ok
+    with pytest.raises(OrientationError,
+                       match=r"^cell 0: polygon is not CCW \(signed area -0.25\)$"):
+        PolyMesh(verts, [[0, 4, 1]] + cells[1:])
 
 
 def test_validate_flags_nonconforming_partial_edge():
@@ -253,6 +256,6 @@ def test_validate_flags_nonconforming_partial_edge():
     verts = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1], [0, 1], [0.5, 0.5]]
     cells = [[0, 1, 4, 5],          # left quad uses full edge (1,4)
              [1, 2, 3, 4, 6]]       # right pentagon passes through midpoint 6
-    mesh = PolyMesh(verts, cells, strict=False)
+    mesh = PolyMesh(verts, cells)
     rep = validate_mesh(mesh)
     assert any(v.kind == "conformity" for v in rep.violations)
