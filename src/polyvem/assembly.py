@@ -23,6 +23,10 @@ from .local import (DataRule, DiffusionTensor, Method, build_projection_pack,
 from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
 
 RESIDUAL_RTOL = 1e-10
+# Symmetric minimum-degree ordering on the pattern of A+A^T: the ordering
+# SuperLU pairs with symmetric mode and no off-diagonal pivoting.  On the
+# cartesian 128 k=3 system it leaves a third of COLAMD's L+U fill.
+ORDERING = "MMD_AT_PLUS_A"
 
 
 @dataclass
@@ -205,6 +209,8 @@ class SolveReport:
     solver: str
     residual: float
     spd_ok: bool
+    ordering: str                        # SuperLU column ordering, "none" if trivial
+    fill_nnz: int                        # nonzeros of L + U
 
 
 def _embed(reduced: ReducedSystem, x_free) -> np.ndarray:
@@ -226,19 +232,19 @@ def solve(reduced: ReducedSystem) -> SolveReport:
     """Direct symmetric factorization with a verified residual.
 
     The LU factorization runs in symmetric mode without off-diagonal pivoting,
-    so for an SPD matrix all pivots are positive; that sign pattern is the
-    reported SPD check.  A failed factorization, a non-finite solution or a
-    residual above RESIDUAL_RTOL relative to the right-hand side raises
-    `SolverError`.
+    after a symmetric minimum-degree ordering (ORDERING), so for an SPD matrix
+    all pivots are positive; that sign pattern is the reported SPD check.  A
+    failed factorization, a non-finite solution or a residual above
+    RESIDUAL_RTOL relative to the right-hand side raises `SolverError`.
     """
     if reduced.free_dofs.size == 0:
         return SolveReport(solution=_embed(reduced, np.zeros(0)), solver="trivial",
-                           residual=0.0, spd_ok=True)
+                           residual=0.0, spd_ok=True, ordering="none", fill_nnz=0)
     A = reduced.a_ff
     b = reduced.b_f
     note = _wellposedness_note(reduced)
     try:
-        lu = splu(A.tocsc(), diag_pivot_thresh=0.0,
+        lu = splu(A.tocsc(), permc_spec=ORDERING, diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed ({exc})" + note) from None
@@ -250,7 +256,8 @@ def solve(reduced: ReducedSystem) -> SolveReport:
         raise SolverError(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g} "
                           "relative to the right-hand side" + note)
     return SolveReport(solution=_embed(reduced, x), solver="splu", residual=residual,
-                       spd_ok=bool(np.all(lu.U.diagonal() > 0.0)))
+                       spd_ok=bool(np.all(lu.U.diagonal() > 0.0)),
+                       ordering=ORDERING, fill_nnz=int(lu.nnz))
 
 
 def infinity_norm(A: sp.spmatrix) -> float:

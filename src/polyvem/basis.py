@@ -215,13 +215,14 @@ def monomial_gram(E, degree: int, quad: QuadRule | None = None) -> np.ndarray:
 # edge rules
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def edge_rules(k: int, d_max: int):
     """Edge node and integration rules on the reference edge [0, 1].
 
     Returns (lobatto, gl_points, gl_weights): the k+1 Gauss-Lobatto node
     parameters (endpoints included) that carry the edge degrees of freedom,
     and a Gauss-Legendre rule exact for 1D polynomials of degree <= d_max
-    whose weights sum to 1.
+    whose weights sum to 1.  The arrays are cached and read-only.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -233,7 +234,10 @@ def edge_rules(k: int, d_max: int):
         lob = np.concatenate([[0.0], 0.5 * (np.sort(xi) + 1.0), [1.0]])
     m = max(1, (d_max + 2) // 2)
     xl, wl = roots_legendre(m)
-    return lob, 0.5 * (xl + 1.0), 0.5 * wl
+    out = (lob, 0.5 * (xl + 1.0), 0.5 * wl)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def lagrange_matrix(nodes, ts) -> np.ndarray:

@@ -95,6 +95,8 @@ def _cmd_solve(args):
         "solver": sol.report.solver,
         "residual": sol.report.residual,
         "spd_ok": sol.report.spd_ok,
+        "ordering": sol.report.ordering,
+        "fill_nnz": sol.report.fill_nnz,
         "solution": sol.u_dofs.tolist(),
     }
     with open(args.output, "w", encoding="utf-8") as fh:

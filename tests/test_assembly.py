@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from polyvem.assembly import (ReducedSystem, SolverError, apply_dirichlet,
+from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, solve,
                               stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
@@ -154,7 +155,7 @@ def test_all_boundary_system_is_trivial():
     red = apply_dirichlet(sys_)
     rep = solve(red)
     assert red.free_dofs.size == 0
-    assert rep.solver == "trivial"
+    assert (rep.solver, rep.ordering, rep.fill_nnz) == ("trivial", "none", 0)
     assert np.all(rep.solution == 0.0)
 
 
@@ -214,7 +215,7 @@ def test_solver_error_cites_order_limitation():
 
 
 @pytest.mark.parametrize("matrix", [
-    [[1e-20, 1.0], [1.0, 1.0]],         # unpivoted elimination: residual ~1
+    [[1.0, 1.0], [1.0, 1e-20]],         # unpivoted elimination: residual ~1
     [[1.0, 0.0], [0.0, 1e-310]],        # subnormal pivot: the solution overflows
     [[1.0, 0.0], [0.0, np.inf]],        # non-finite entry: the residual is NaN
 ])
@@ -225,6 +226,21 @@ def test_solve_rejects_unverified_solution(matrix):
                         method=Method.STANDARD)
     with pytest.raises(SolverError):
         solve(red)
+
+
+def test_solve_ordering_reduces_fill():
+    # the symmetric minimum-degree ordering leaves less L+U fill than SuperLU's
+    # default COLAMD on an order-3 system, with the same checks passing
+    case = get_case("tc1")
+    red = apply_dirichlet(assemble(generate_cartesian(16), 3, Method.STANDARD,
+                                   case.K, case.f))
+    rep = solve(red)
+    colamd = splu(red.a_ff.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    assert rep.ordering == "MMD_AT_PLUS_A"
+    assert 0 < rep.fill_nnz < colamd.nnz
+    assert rep.spd_ok
+    assert rep.residual <= RESIDUAL_RTOL * np.linalg.norm(red.b_f)
 
 
 @pytest.mark.parametrize("maker", [

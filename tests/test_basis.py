@@ -203,6 +203,15 @@ def test_edge_rule_exactness():
         assert w @ t ** p == pytest.approx(1.0 / (p + 1), rel=1e-13)
 
 
+def test_edge_rules_cached_read_only():
+    first, second = edge_rules(3, 9), edge_rules(3, 9)
+    for a, b in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
 def test_lagrange_matrix_cardinal():
     nodes = np.array([0.0, 0.3, 1.0])
     L = lagrange_matrix(nodes, nodes)
