@@ -94,7 +94,6 @@ class SparseSystem:
     a_s: sp.csr_matrix
     b: np.ndarray
     dof_map: GlobalDofMap
-    k: int
     method: Method
     pi_stars: list                       # per cell, energy projector coefficients
 
@@ -110,7 +109,6 @@ def map_cells(mesh: PolyMesh, visit, *, data_order=None, y_wavelength=None) -> l
     """
     out = []
     rule = None
-    ci = 0
     try:
         for ci in range(mesh.n_cells):
             E = mesh.cell_geom(ci)
@@ -123,15 +121,26 @@ def map_cells(mesh: PolyMesh, visit, *, data_order=None, y_wavelength=None) -> l
     return out
 
 
+def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarray:
+    """(n_cells, dim P_{k-1}) moments int_E f m_a of a source on every cell,
+    with order-k data rules: one pass serves the load of every scheme."""
+    if k < 1:
+        raise ValueError(f"order must be >= 1, got {k}")
+    return np.array(map_cells(mesh, lambda ci, E, rule: local_load(E, f, rule),
+                              data_order=k, y_wavelength=y_wavelength))
+
+
 def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
-             f=None, *, y_wavelength=None) -> SparseSystem:
+             source=None) -> SparseSystem:
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
-    With `f` omitted only the matrices are built (enough for norm studies).
-    Element matrices are invariant under translation, so on a mesh of
-    congruent cells the ones of cell 0 serve every cell.
+    Cell ci's load is `pack.pi0_val.T @ source[ci]`, from the `source_moments`
+    of the mesh at order k; without `source` b is zero (enough for norm
+    studies).  Element matrices are invariant under translation, so on a mesh
+    of congruent cells the ones of cell 0 serve every cell.
     """
     dm = build_dof_map(mesh, k)
+    b = np.zeros(dm.n_total)
     element = None
 
     def build(ci, E, rule):
@@ -140,22 +149,19 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
             pack = build_projection_pack(E, k, method)
             element = pack, local_stiffness(pack, method, K)
         pack, stiff = element
-        load = None if f is None else local_load(E, k, f, pack.pi0_val, rule)
-        return pack.pi_star, stiff, load
+        if source is not None:
+            b[dm.cell_dofs[ci]] += pack.pi0_val.T @ source[ci]
+        return pack.pi_star, stiff
 
-    cells = map_cells(mesh, build, data_order=None if f is None else k,
-                      y_wavelength=y_wavelength)
+    cells = map_cells(mesh, build)
 
     rows, cols, vals_pi, vals_s = [], [], [], []
-    b = np.zeros(dm.n_total)
-    for idx, (_, stiff, load) in zip(dm.cell_dofs, cells):
+    for idx, (_, stiff) in zip(dm.cell_dofs, cells):
         n = idx.size
         rows.append(np.repeat(idx, n))
         cols.append(np.tile(idx, n))
         vals_pi.append(stiff.a_pi.ravel())
         vals_s.append(stiff.a_s.ravel())
-        if load is not None:
-            b[idx] += load
 
     shape = (dm.n_total, dm.n_total)
     rows = np.concatenate(rows)
@@ -163,8 +169,8 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     a_pi = sp.coo_matrix((np.concatenate(vals_pi), (rows, cols)), shape=shape).tocsr()
     a_s = sp.coo_matrix((np.concatenate(vals_s), (rows, cols)), shape=shape).tocsr()
     return SparseSystem(a=(a_pi + a_s).tocsr(), a_pi=a_pi, a_s=a_s, b=b,
-                        dof_map=dm, k=k, method=method,
-                        pi_stars=[pi_star for pi_star, _, _ in cells])
+                        dof_map=dm, method=method,
+                        pi_stars=[pi_star for pi_star, _ in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem
         b_f = b_f - a_free[:, fixed] @ vals
     return ReducedSystem(a_ff=a_ff, b_f=b_f, free_dofs=free, fixed_dofs=fixed,
                          fixed_values=vals, n_total=dm.n_total,
-                         k=system.k, method=system.method)
+                         k=system.dof_map.k, method=system.method)
 
 
 @dataclass

@@ -108,8 +108,6 @@ def _cmd_solve(args):
 
 def _cmd_study(args):
     orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
-    if not orders:
-        raise ValueError("no orders given")
     cfg = StudyConfig(case_id=args.case, orders=orders,
                       families=_families(args.family), levels=args.levels,
                       rng_seed=args.seed, lloyd_iters=args.lloyd_iters,

@@ -11,7 +11,8 @@ scheme needs is assembled from those dofs:
 * L2 projections of values (degree k-1) and gradients (degree k-1 for the
   standard scheme, degree k+ell-1 for the stabilization-free one),
 * the consistency and stabilization parts of the local stiffness matrix,
-* the load vector, integrated with the cell's `DataRule`.
+* the source moments of degree k-1 (`local_load`, with the cell's `DataRule`),
+  which every scheme shares and tests with its own `pi0_val`.
 
 `build_projection_pack` is the one place that chooses ell and builds the
 cell's `ElementContext` (quadrature, Gram matrix, edge data); every projector
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
@@ -116,10 +118,6 @@ class DofLayout:
     n_vertices: int
 
     @property
-    def n_edge_interior(self) -> int:
-        return self.k - 1
-
-    @property
     def n_moments(self) -> int:
         return dim_poly(self.k - 2)
 
@@ -165,7 +163,6 @@ class ElementContext:
         self.gram = monomial_gram(E, deg, self.quad)
 
         lob, gl_t, gl_w = edge_rules(k, 2 * k + ell + 3)
-        self.lobatto = lob
         L = lagrange_matrix(lob, gl_t)
         verts = E.verts
         m = E.n_vertices
@@ -313,9 +310,6 @@ class ProjectionPack:
     ell: int
     grad_degree: int
     layout: DofLayout
-    D: np.ndarray        # total x dim P_k, dofs of the monomials
-    B: np.ndarray        # dim P_k x total, integration-by-parts rows
-    G: np.ndarray        # B @ D
     pi_star: np.ndarray  # dim P_k x total, monomial coefficients of the projection
     pi_dof: np.ndarray   # total x total, D @ pi_star
     moments: np.ndarray
@@ -360,7 +354,7 @@ def build_projection_pack(E, k: int, method: Method) -> ProjectionPack:
     for ell in candidates:
         d = k - 1 if method is Method.STANDARD else k + ell - 1
         ctx = ElementContext(E, k, ell)
-        D, B, G, pi_star = build_pi_nabla(ctx)
+        D, _, _, pi_star = build_pi_nabla(ctx)
         moments = recover_moments(ctx, pi_star)
         pi0_grad = build_pi0_grad(ctx, d, moments)
         if method is Method.E2VEM:
@@ -368,7 +362,7 @@ def build_projection_pack(E, k: int, method: Method) -> ProjectionPack:
             if rank < ctx.layout.total - 1:
                 continue
         return ProjectionPack(k=k, ell=ell, grad_degree=d, layout=ctx.layout,
-                              D=D, B=B, G=G, pi_star=pi_star, pi_dof=D @ pi_star,
+                              pi_star=pi_star, pi_dof=D @ pi_star,
                               moments=moments, pi0_val=build_pi0_val(ctx, moments),
                               pi0_grad=pi0_grad, ctx=ctx)
     raise StabilizationFreeRankError(
@@ -378,7 +372,7 @@ def build_projection_pack(E, k: int, method: Method) -> ProjectionPack:
 
 
 # ---------------------------------------------------------------------------
-# local stiffness and load
+# local stiffness and source moments
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -434,37 +428,30 @@ class DataRule:
         max_y = y_wavelength / 2.0 if y_wavelength else None
         quad = polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y)
         self.E = E
+        self.k = k
         self.weights = quad.weights
         self._points = quad.points
         self._offsets = quad.points - E.centroid
-        self._tables = {}
 
     def points(self, E) -> np.ndarray:
         """The rule's points on E, the cell it was built on or a translate of it."""
         return self._points if E is self.E else self._offsets + E.centroid
 
-    def _table(self, fn, degree):
-        key = (fn, degree)
-        if key not in self._tables:
-            self._tables[key] = fn(self.E, self._points, degree)
-        return self._tables[key]
+    @cached_property
+    def monomials(self) -> np.ndarray:
+        """Scaled monomials of degree <= k-1 (the source's) at the points, (npts, n)."""
+        return eval_monomials(self.E, self._points, self.k - 1)
 
-    def monomials(self, degree: int) -> np.ndarray:
-        """Scaled monomials up to `degree` at the rule points, (npts, n)."""
-        return self._table(eval_monomials, degree)
-
-    def monomial_grads(self, degree: int) -> np.ndarray:
-        """Gradients of the scaled monomials at the rule points, (npts, n, 2)."""
-        return self._table(eval_monomial_grads, degree)
+    @cached_property
+    def monomial_grads(self) -> np.ndarray:
+        """Gradients of the degree <= k scaled monomials at the points, (npts, n, 2)."""
+        return eval_monomial_grads(self.E, self._points, self.k)
 
 
-def local_load(E, k: int, f, pi0_val: np.ndarray, rule: DataRule) -> np.ndarray:
-    """Load vector (f, projection of v onto P_{k-1})_E for all local dofs.
+def local_load(E, f, rule: DataRule) -> np.ndarray:
+    """Moments int_E f m_a, |a| <= k-1, of a source on a cell, with its order-k rule.
 
-    Both schemes test the source against the degree k-1 value projection,
-    integrated with the cell's data rule.
-    """
+    A scheme's load on the cell is `pi0_val.T @ local_load(E, f, rule)`."""
     pts = rule.points(E)
     fvals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    fm = rule.monomials(k - 1).T @ (rule.weights * fvals)
-    return pi0_val.T @ fm
+    return rule.monomials.T @ (rule.weights * fvals)

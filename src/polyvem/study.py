@@ -6,11 +6,12 @@ schemes at the requested orders, and records the relative energy error
     e* = sqrt(sum_E ||sqrt(K) grad(u - P_k u_h)||^2_E) / ||sqrt(K) grad u||_Omega
 
 where P_k is the element energy projector of the assembled system (its dof
-map and per-cell `pi_stars`), integrated cell by cell with the same data rule
-as the load (`assembly.map_cells`), plus the convergence rate of the last two
+map and per-cell `pi_stars`), plus the convergence rate of the last two
 errors and, for the standard scheme, the stabilization/consistency
-norm ratio per level and its ladder average.  Artifacts are written with
-full-precision floats so repeated runs are byte-identical.
+norm ratio per level and its ladder average.  On each mesh and order
+`solve_cases` serves every scheme with one data pass for the source moments
+and one for the errors.  Artifacts are written with full-precision floats so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
-                       map_cells, solve, stab_consistency_ratio)
+                       map_cells, solve, source_moments, stab_consistency_ratio)
 from .basis import dim_poly
 from .cases import TestCase, testcase
 from .errors import PolyvemError
@@ -48,46 +49,43 @@ def _energy(weights, grads, sqK) -> float:
     return float(weights @ (wg * wg).sum(axis=1))
 
 
-def energy_error(mesh: PolyMesh, system: SparseSystem, u_dofs: np.ndarray,
-                 case: TestCase) -> float:
-    """Relative energy-norm error of a dof solution against the exact case.
-
-    The solution's energy projection on each cell comes from the assembled
-    system's dof map and per-cell projector coefficients (`system.pi_stars`).
-    """
-    k = system.k
+def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
+    """One pass over the cells with order-k data rules: the squared exact
+    norm, then the squared energy error of each (system, u_dofs) in `solved`."""
     sqK = case.K.sqrt_matrix()
 
     def cell(ci, E, rule):
-        coeffs = system.pi_stars[ci] @ u_dofs[system.dof_map.cell_dofs[ci]]
-        gh = np.tensordot(rule.monomial_grads(k), coeffs, axes=([1], [0]))  # (nq, 2)
         pts = rule.points(E)
         ge = np.column_stack(case.grad_u(pts[:, 0], pts[:, 1]))
-        return _energy(rule.weights, ge - gh, sqK), _energy(rule.weights, ge, sqK)
+        values = [_energy(rule.weights, ge, sqK)]
+        for system, u_dofs in solved:
+            coeffs = system.pi_stars[ci] @ u_dofs[system.dof_map.cell_dofs[ci]]
+            gh = np.tensordot(rule.monomial_grads, coeffs, axes=([1], [0]))  # (nq, 2)
+            values.append(_energy(rule.weights, ge - gh, sqK))
+        return values
 
-    num = den = 0.0
-    for cell_num, cell_den in map_cells(mesh, cell, data_order=k,
-                                        y_wavelength=case.y_wavelength):
-        num += cell_num
-        den += cell_den
+    sums = [0.0] * (len(solved) + 1)
+    for values in map_cells(mesh, cell, data_order=k, y_wavelength=case.y_wavelength):
+        sums = [a + b for a, b in zip(sums, values)]
+    return sums
+
+
+def energy_error(mesh: PolyMesh, solved, case: TestCase) -> list:
+    """Relative energy-norm errors of the (system, u_dofs) pairs in `solved`.
+
+    One pass over the cells serves every pair; all are assembled on the mesh
+    at one order.  A solution's energy projection on each cell comes from its
+    system's dof map and per-cell projector coefficients (`system.pi_stars`).
+    """
+    den, *num = _energy_sums(mesh, solved[0][0].dof_map.k, solved, case)
     if den <= 0.0:
         raise ValueError("exact solution has zero energy norm")
-    return math.sqrt(num / den)
+    return [math.sqrt(n / den) for n in num]
 
 
 def exact_energy_norm(mesh: PolyMesh, case: TestCase, k: int = 1) -> float:
     """Quadrature value of ||sqrt(K) grad u|| over the mesh, with order-k data rules."""
-    sqK = case.K.sqrt_matrix()
-
-    def cell(ci, E, rule):
-        pts = rule.points(E)
-        ge = np.column_stack(case.grad_u(pts[:, 0], pts[:, 1]))
-        return _energy(rule.weights, ge, sqK)
-
-    total = 0.0
-    for value in map_cells(mesh, cell, data_order=k, y_wavelength=case.y_wavelength):
-        total += value
-    return math.sqrt(total)
+    return math.sqrt(_energy_sums(mesh, k, [], case)[0])
 
 
 def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
@@ -97,13 +95,10 @@ def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
     out[:len(dm.nodes)] = func(*dm.nodes.T)
     n_mom = dim_poly(k - 2)
     if n_mom:
-        def moments(ci, E, rule):
-            pts = rule.points(E)
-            fv = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
-            out[dm.cell_dofs[ci][-n_mom:]] = \
-                rule.monomials(k - 2).T @ (rule.weights * fv) / E.area
-
-        map_cells(mesh, moments, data_order=k)
+        # the moment dofs (1/|E|) int_E func m_a, |a| <= k-2, lead the source moments
+        moments = source_moments(mesh, k, func)[:, :n_mom] / mesh.cell_areas[:, None]
+        for dofs, cell_moments in zip(dm.cell_dofs, moments):
+            out[dofs[-n_mom:]] = cell_moments
     return out
 
 
@@ -115,26 +110,49 @@ class CaseSolution:
     system: SparseSystem
 
 
-def solve_case(mesh: PolyMesh, k: int, method: Method, case: TestCase) -> CaseSolution:
-    """Assemble, apply Dirichlet data, solve, and measure the energy error.
+def solve_cases(mesh: PolyMesh, k: int, methods, case: TestCase) -> dict:
+    """Solve several schemes on one mesh and order with shared data passes.
 
-    Cases flagged `zero_boundary` use homogeneous elimination; the polynomial
-    patch cases interpolate their exact boundary values instead.
+    One source pass feeds every scheme's load and one error pass measures
+    every scheme that solved.  Returns {method: CaseSolution, or the
+    `PolyvemError` that stopped that scheme}; a shared pass's error is raised.
     """
-    system = assemble(mesh, k, method, case.K, case.f,
-                      y_wavelength=case.y_wavelength)
-    dm = system.dof_map
-    values = None if case.zero_boundary else case.u(*dm.nodes[dm.boundary_dofs].T)
-    reduced = apply_dirichlet(system, values)
-    report = solve(reduced)
-    e_star = energy_error(mesh, system, report.solution, case)
-    return CaseSolution(u_dofs=report.solution, e_star=e_star,
-                        report=report, system=system)
+    source = source_moments(mesh, k, case.f, y_wavelength=case.y_wavelength)
+    results = {}
+    for method in methods:
+        try:
+            system = assemble(mesh, k, method, case.K, source)
+            dm = system.dof_map
+            values = None if case.zero_boundary else case.u(*dm.nodes[dm.boundary_dofs].T)
+            report = solve(apply_dirichlet(system, values))
+        except PolyvemError as exc:
+            # kept without its traceback, whose frames would hold `results` in a cycle
+            results[method] = exc.with_traceback(None)
+            continue
+        results[method] = CaseSolution(report.solution, math.nan, report, system)
+    solved = [sol for sol in results.values() if isinstance(sol, CaseSolution)]
+    if solved:
+        e_stars = energy_error(mesh, [(sol.system, sol.u_dofs) for sol in solved], case)
+        for sol, e_star in zip(solved, e_stars):
+            sol.e_star = e_star
+    return results
+
+
+def solve_case(mesh: PolyMesh, k: int, method: Method, case: TestCase) -> CaseSolution:
+    """Assemble, apply Dirichlet data, solve, and measure the energy error:
+    the one-scheme case of `solve_cases`, which raises the scheme's failure."""
+    sol = solve_cases(mesh, k, (method,), case)[method]
+    if isinstance(sol, PolyvemError):
+        raise sol
+    return sol
 
 
 # ---------------------------------------------------------------------------
 # study driver
 # ---------------------------------------------------------------------------
+
+METHODS = (Method.STANDARD, Method.E2VEM)   # the schemes every study compares
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -144,7 +162,6 @@ class StudyConfig:
     levels: int = 0                        # 0 means the full default ladder
     rng_seed: int = 0
     lloyd_iters: int = DEFAULT_LLOYD_ITERS
-    methods: tuple = (Method.STANDARD, Method.E2VEM)
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -153,6 +170,9 @@ class StudyConfig:
                 raise ValueError(f"unknown family {fam!r}")
         if any(k not in (1, 2, 3) for k in self.orders):
             raise ValueError("study orders are limited to {1, 2, 3}")
+        for name, values in (("orders", self.orders), ("families", self.families)):
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"study {name} must be distinct and non-empty, got {values}")
 
 
 @dataclass
@@ -163,8 +183,8 @@ class StudyRow:
     order: int
     level: int
     h_max: float
-    n_dofs: int
-    e_star: float
+    n_dofs: int = 0                        # 0 and NaN on a failed row
+    e_star: float = math.nan
     alpha: Optional[float] = None
     stab_ratio: Optional[float] = None
     note: str = ""
@@ -200,28 +220,29 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         meshes = [generate_mesh(family, n, cfg.rng_seed, cfg.lloyd_iters)
                   for n in ladder]
         for order in cfg.orders:
-            level_ratios = []
             for level, mesh in enumerate(meshes, start=1):
-                for method in cfg.methods:
-                    row = StudyRow(family=family, case=case.name,
-                                   method=method.value, order=order, level=level,
-                                   h_max=mesh.h_max, n_dofs=0, e_star=float("nan"))
-                    try:
-                        sol = solve_case(mesh, order, method, case)
+                try:
+                    results = solve_cases(mesh, order, METHODS, case)
+                except PolyvemError as exc:
+                    results = dict.fromkeys(METHODS, exc)
+                for method, sol in results.items():
+                    row = StudyRow(family=family, case=case.name, method=method.value,
+                                   order=order, level=level, h_max=mesh.h_max)
+                    if isinstance(sol, PolyvemError):
+                        row.note = f"solver failure: {sol}"
+                    else:
                         row.n_dofs = sol.system.dof_map.n_total
                         row.e_star = sol.e_star
                         if method is Method.STANDARD:
-                            ratio = stab_consistency_ratio(sol.system.a_s,
-                                                           sol.system.a_pi)
-                            row.stab_ratio = ratio
-                            level_ratios.append(ratio)
-                    except PolyvemError as exc:
-                        row.note = f"solver failure: {exc}"
+                            row.stab_ratio = stab_consistency_ratio(sol.system.a_s,
+                                                                    sol.system.a_pi)
                     result.rows.append(row)
-            if level_ratios:
-                result.avg_stab_ratio[(family, order)] = \
-                    sum(level_ratios) / len(level_ratios)
-            for method in cfg.methods:
+                del results, sol        # release this level's systems before the next
+            ratios = [r.stab_ratio for r in result.series(family, order, Method.STANDARD)
+                      if r.stab_ratio is not None]
+            if ratios:
+                result.avg_stab_ratio[(family, order)] = sum(ratios) / len(ratios)
+            for method in METHODS:
                 _attach_rates(result.series(family, order, method))
 
     if cfg.out_dir:
@@ -287,36 +308,27 @@ def emit_plot_data(result: StudyResult, out_dir: str):
     combos = sorted({(r.family, r.order) for r in result.rows})
     safe_case = result.case.replace(":", "")
     for family, order in combos:
-        vem = result.series(family, order, Method.STANDARD)
-        e2 = result.series(family, order, Method.E2VEM)
-        by_level = {r.level: [None, None] for r in vem + e2}
-        for r in vem:
-            by_level[r.level][0] = r
-        for r in e2:
-            by_level[r.level][1] = r
         fig_path = os.path.join(out_dir, f"fig_{safe_case}_{family}_order{order}.csv")
         with open(fig_path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["h_max", "e_V", "e_W", "ratio_vw"])
-            for level in sorted(by_level):
-                rv, rw = by_level[level]
-                h = rv.h_max if rv is not None else rw.h_max
-                ev = rv.e_star if rv is not None else float("nan")
-                ew = rw.e_star if rw is not None else float("nan")
+            # run_study writes one row per scheme and level, in level order
+            for rv, rw in zip(result.series(family, order, Method.STANDARD),
+                              result.series(family, order, Method.E2VEM)):
+                ev, ew = rv.e_star, rw.e_star
                 ratio = ev / ew if (math.isfinite(ev) and math.isfinite(ew)
                                     and ew > 0) else float("nan")
-                w.writerow([_fmt(h), _fmt(ev), _fmt(ew), _fmt(ratio)])
+                w.writerow([_fmt(rv.h_max), _fmt(ev), _fmt(ew), _fmt(ratio)])
         paths.append(fig_path)
 
+    final_alpha = {(family, order, method): result.series(family, order, method)[-1].alpha
+                   for family, order in combos for method in METHODS}
     rates_path = os.path.join(out_dir, "rates_summary.csv")
     with open(rates_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["family", "case", "order", "method", "alpha_final"])
-        for family, order in combos:
-            for method in (Method.STANDARD, Method.E2VEM):
-                series = result.series(family, order, method)
-                alpha = series[-1].alpha if series else None
-                w.writerow([family, result.case, order, method.value, _fmt(alpha)])
+        for (family, order, method), alpha in final_alpha.items():
+            w.writerow([family, result.case, order, method.value, _fmt(alpha)])
     paths.append(rates_path)
 
     summary = {
@@ -325,13 +337,8 @@ def emit_plot_data(result: StudyResult, out_dir: str):
             f"{family}:order{order}": value
             for (family, order), value in sorted(result.avg_stab_ratio.items())
         },
-        "final_alpha": {
-            f"{family}:order{order}:{method.value}":
-                (result.series(family, order, method)[-1].alpha
-                 if result.series(family, order, method) else None)
-            for family, order in combos
-            for method in (Method.STANDARD, Method.E2VEM)
-        },
+        "final_alpha": {f"{family}:order{order}:{method.value}": alpha
+                        for (family, order, method), alpha in final_alpha.items()},
     }
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from polyvem.local import (DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_stiffness)
 from polyvem.mesh import (CARTESIAN_LADDER, VORONOI_LADDER, CellGeometry,
                           generate_cartesian, generate_voronoi)
-from polyvem.study import exact_energy_norm, solve_case
+from polyvem.study import METHODS, exact_energy_norm, solve_case, solve_cases
 
 K_PATCH = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -52,8 +52,8 @@ def tc1_cart_sweep(cart_meshes):
     out = {}
     for k in (1, 3):
         for n in CARTESIAN_LADDER:
-            for method in (Method.STANDARD, Method.E2VEM):
-                out[(k, n, method)] = solve_case(cart_meshes[n], k, method, case)
+            for method, sol in solve_cases(cart_meshes[n], k, METHODS, case).items():
+                out[(k, n, method)] = sol
     return out, time.time() - t0
 
 
@@ -63,8 +63,8 @@ def tc1_vor_order1(vor_meshes):
     t0 = time.time()
     out = {}
     for n in VORONOI_LADDER:
-        for method in (Method.STANDARD, Method.E2VEM):
-            out[(n, method)] = solve_case(vor_meshes[n], 1, method, case)
+        for method, sol in solve_cases(vor_meshes[n], 1, METHODS, case).items():
+            out[(n, method)] = sol
     return out, time.time() - t0
 
 

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, solve,
-                              stab_consistency_ratio)
+                              source_moments, stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
 from polyvem.local import (DataRule, DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_load, local_stiffness)
@@ -110,10 +110,10 @@ def test_assembly_load_linearity():
     mesh = generate_cartesian(3)
     f1 = lambda x, y: np.sin(3 * x) + y
     f2 = lambda x, y: np.exp(x - y)
-    b1 = assemble(mesh, 2, Method.STANDARD, K_ANISO, f1).b
-    b2 = assemble(mesh, 2, Method.STANDARD, K_ANISO, f2).b
+    b1 = assemble(mesh, 2, Method.STANDARD, K_ANISO, source_moments(mesh, 2, f1)).b
+    b2 = assemble(mesh, 2, Method.STANDARD, K_ANISO, source_moments(mesh, 2, f2)).b
     b12 = assemble(mesh, 2, Method.STANDARD, K_ANISO,
-                   lambda x, y: f1(x, y) + f2(x, y)).b
+                   source_moments(mesh, 2, lambda x, y: f1(x, y) + f2(x, y))).b
     assert np.abs(b12 - (b1 + b2)).max() <= 1e-13 * max(1.0, np.abs(b12).max())
 
 
@@ -124,7 +124,7 @@ def test_congruent_cache_matches_direct_assembly():
     assert mesh.congruent_cells
     case = get_case("tc1")
     k = 2
-    sys_ = assemble(mesh, k, Method.STANDARD, case.K, case.f)
+    sys_ = assemble(mesh, k, Method.STANDARD, case.K, source_moments(mesh, k, case.f))
     dm = sys_.dof_map
     A = np.zeros((dm.n_total, dm.n_total))
     b = np.zeros(dm.n_total)
@@ -133,7 +133,7 @@ def test_congruent_cache_matches_direct_assembly():
         pack = build_projection_pack(E, k, Method.STANDARD)
         idx = dm.cell_dofs[ci]
         A[np.ix_(idx, idx)] += local_stiffness(pack, Method.STANDARD, case.K).a
-        b[idx] += local_load(E, k, case.f, pack.pi0_val, DataRule(E, k))
+        b[idx] += pack.pi0_val.T @ local_load(E, case.f, DataRule(E, k))
     assert np.abs(sys_.a.toarray() - A).max() <= 1e-12
     assert np.abs(sys_.b - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
@@ -142,7 +142,8 @@ def test_congruent_cache_matches_direct_assembly():
 
 def test_homogeneous_elimination_counts():
     mesh = generate_cartesian(3)
-    sys_ = assemble(mesh, 2, Method.STANDARD, K_ANISO, get_case("tc1").f)
+    sys_ = assemble(mesh, 2, Method.STANDARD, K_ANISO,
+                    source_moments(mesh, 2, get_case("tc1").f))
     red = apply_dirichlet(sys_)
     assert red.free_dofs.size == sys_.dof_map.n_total - sys_.dof_map.boundary_dofs.size
     diff = (red.a_ff - red.a_ff.T).tocoo()
@@ -151,7 +152,8 @@ def test_homogeneous_elimination_counts():
 
 def test_all_boundary_system_is_trivial():
     mesh = generate_cartesian(1)
-    sys_ = assemble(mesh, 1, Method.STANDARD, K_ANISO, get_case("tc1").f)
+    sys_ = assemble(mesh, 1, Method.STANDARD, K_ANISO,
+                    source_moments(mesh, 1, get_case("tc1").f))
     red = apply_dirichlet(sys_)
     rep = solve(red)
     assert red.free_dofs.size == 0
@@ -162,7 +164,7 @@ def test_all_boundary_system_is_trivial():
 def test_inhomogeneous_elimination_moves_values():
     mesh = generate_cartesian(2)
     case = get_case("patch:1")
-    sys_ = assemble(mesh, 1, Method.STANDARD, case.K, case.f)
+    sys_ = assemble(mesh, 1, Method.STANDARD, case.K, source_moments(mesh, 1, case.f))
     vals = np.asarray([case.u(*mesh.vertices[d]) for d in sys_.dof_map.boundary_dofs])
     red = apply_dirichlet(sys_, vals)
     rep = solve(red)
@@ -175,7 +177,7 @@ def test_inhomogeneous_elimination_moves_values():
 def test_solve_single_free_dof_exact():
     mesh = generate_cartesian(2)
     case = get_case("tc1")
-    sys_ = assemble(mesh, 1, Method.STANDARD, case.K, case.f)
+    sys_ = assemble(mesh, 1, Method.STANDARD, case.K, source_moments(mesh, 1, case.f))
     red = apply_dirichlet(sys_)
     assert red.free_dofs.size == 1
     rep = solve(red)
@@ -232,8 +234,9 @@ def test_solve_ordering_reduces_fill():
     # the symmetric minimum-degree ordering leaves less L+U fill than SuperLU's
     # default COLAMD on an order-3 system, with the same checks passing
     case = get_case("tc1")
-    red = apply_dirichlet(assemble(generate_cartesian(16), 3, Method.STANDARD,
-                                   case.K, case.f))
+    mesh = generate_cartesian(16)
+    red = apply_dirichlet(assemble(mesh, 3, Method.STANDARD, case.K,
+                                   source_moments(mesh, 3, case.f)))
     rep = solve(red)
     colamd = splu(red.a_ff.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
@@ -250,7 +253,7 @@ def test_solve_ordering_reduces_fill():
 def test_e2vem_order1_spd(maker):
     mesh = maker()
     case = get_case("tc1")
-    sys_ = assemble(mesh, 1, Method.E2VEM, case.K, case.f)
+    sys_ = assemble(mesh, 1, Method.E2VEM, case.K, source_moments(mesh, 1, case.f))
     rep = solve(apply_dirichlet(sys_))
     assert rep.spd_ok
 

@@ -6,7 +6,7 @@ import pytest
 
 from polyvem import assembly, local
 from polyvem.cli import main
-from polyvem.errors import CellDegeneracyError
+from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
 from polyvem.mesh import load_mesh
 from polyvem.study import parse_rows_csv
@@ -175,6 +175,32 @@ def test_study_records_cell_failure_and_continues(tmp_path, monkeypatch):
     assert (out / "summary.json").exists()
 
 
+def test_study_records_source_pass_failure_on_both_rows(tmp_path, monkeypatch):
+    # the source pass is shared by both schemes, so its failure is theirs
+    real, calls = assembly.local_load, []
+
+    def failing_sixth_cell(E, f, rule):
+        calls.append(E)
+        if len(calls) == 6:
+            raise QuadratureError("source pass failed")
+        return real(E, f, rule)
+
+    monkeypatch.setattr(assembly, "local_load", failing_sixth_cell)
+    out = tmp_path / "study"
+    rc = main(["study", "--case", "tc1", "--orders", "1", "--family",
+               "cartesian", "--levels", "2", "-o", str(out)])
+    assert rc == 3
+    rows = parse_rows_csv(out / "study_rows.csv")
+    assert [(r.level, r.method) for r in rows] == [
+        (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
+    for r in rows[:2]:
+        assert r.note == "solver failure: cell 5: source pass failed"
+        assert math.isnan(r.e_star) and r.n_dofs == 0
+    for r in rows[2:]:
+        assert r.note == "" and r.e_star > 0.0
+    assert (out / "summary.json").exists()
+
+
 def test_negative_levels_exit_2(tmp_path, capsys):
     for command, extra in (("study", ["--orders", "1", "-o", str(tmp_path / "s")]),
                            ("ratio", ["--order", "1"])):
@@ -182,6 +208,14 @@ def test_negative_levels_exit_2(tmp_path, capsys):
                    "--levels", "-1", *extra])
         assert rc == 2
         assert "levels must be >= 0" in _one_line_error(capsys)
+    assert not (tmp_path / "s").exists()
+
+
+def test_repeated_orders_exit_2(tmp_path, capsys):
+    rc = main(["study", "--case", "tc1", "--orders", "1,1", "--family", "cartesian",
+               "--levels", "2", "-o", str(tmp_path / "s")])
+    assert rc == 2
+    assert "study orders must be distinct and non-empty, got (1, 1)" in _one_line_error(capsys)
     assert not (tmp_path / "s").exists()
 
 

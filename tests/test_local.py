@@ -363,7 +363,7 @@ def test_rank_check_raises_on_deficient_pack(monkeypatch):
 def test_load_zero_source(rng):
     E = star_polygon(rng, 5)
     pack = build_projection_pack(E, 2, Method.STANDARD)
-    load = local_load(E, 2, lambda x, y: 0.0 * x, pack.pi0_val, DataRule(E, 2))
+    load = pack.pi0_val.T @ local_load(E, lambda x, y: 0.0 * x, DataRule(E, 2))
     assert np.abs(load).max() == 0.0
 
 
@@ -371,7 +371,7 @@ def test_load_zero_source(rng):
 def test_load_constant_source_integrates_area(k, rng):
     E = star_polygon(rng, 6)
     pack = build_projection_pack(E, k, Method.STANDARD)
-    load = local_load(E, k, lambda x, y: np.ones_like(x), pack.pi0_val, DataRule(E, k))
+    load = pack.pi0_val.T @ local_load(E, lambda x, y: np.ones_like(x), DataRule(E, k))
     chi = chi_of_constant(pack)
     assert load @ chi == pytest.approx(E.area, abs=1e-10)
 
@@ -379,7 +379,7 @@ def test_load_constant_source_integrates_area(k, rng):
 def test_load_centered_monomial_unit_square():
     pack = build_projection_pack(UNIT_SQUARE, 1, Method.STANDARD)
     h, c = UNIT_SQUARE.diameter, UNIT_SQUARE.centroid
-    load = local_load(UNIT_SQUARE, 1, lambda x, y: (x - c[0]) / h, pack.pi0_val,
-                      DataRule(UNIT_SQUARE, 1))
+    load = pack.pi0_val.T @ local_load(UNIT_SQUARE, lambda x, y: (x - c[0]) / h,
+                                       DataRule(UNIT_SQUARE, 1))
     chi = np.ones(4)
     assert load @ chi == pytest.approx(0.0, abs=1e-12)

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ import pytest
 from polyvem import assembly, local, study
 from polyvem.assembly import assemble, build_dof_map
 from polyvem.cases import testcase as get_case
-from polyvem.errors import QuadratureError
+from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi, read_mesh
-from polyvem.study import (StudyConfig, convergence_rate, energy_error,
+from polyvem.study import (METHODS, StudyConfig, convergence_rate, energy_error,
                            exact_energy_norm, interpolate_dofs, ladder_for,
-                           parse_rows_csv, run_study, solve_case)
+                           parse_rows_csv, run_study, solve_case, solve_cases)
 from test_cli import U_SHAPED_MESH
 
 
@@ -33,7 +35,7 @@ def test_zero_solution_gives_unit_error():
     mesh = generate_cartesian(4)
     case = get_case("tc1")
     system = assemble(mesh, 1, Method.STANDARD, case.K)
-    e = energy_error(mesh, system, np.zeros(system.dof_map.n_total), case)
+    [e] = energy_error(mesh, [(system, np.zeros(system.dof_map.n_total))], case)
     assert e == pytest.approx(1.0, abs=1e-10)
 
 
@@ -51,7 +53,7 @@ def test_interpolant_energy_error_small():
     mesh = generate_cartesian(8)
     case = get_case("tc1")
     dofs = interpolate_dofs(mesh, 1, case.u)
-    e = energy_error(mesh, assemble(mesh, 1, Method.STANDARD, case.K), dofs, case)
+    [e] = energy_error(mesh, [(assemble(mesh, 1, Method.STANDARD, case.K), dofs)], case)
     assert 0.0 < e < 1.0
 
 
@@ -94,6 +96,47 @@ def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
         per_mesh.append(dict(built))
     # one element context; one data rule for the load and one for the error
     assert per_mesh == [{"ctx": 1, "rule": 2}] * 2
+
+
+def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
+    # both schemes share one source pass and one error pass on each mesh
+    built = []
+    init = local.DataRule.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(local.DataRule, "__init__", counted)
+    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=10)  # the ladder's level 1
+    result = run_study(StudyConfig(case_id="tc2", orders=(1,), families=("voronoi",),
+                                   levels=1, lloyd_iters=10))
+    assert [(r.method, r.n_dofs, r.note) for r in result.rows] == [
+        ("vem", mesh.n_vertices, ""), ("e2vem", mesh.n_vertices, "")]
+    assert built == [1] * (2 * mesh.n_cells)
+
+
+def test_solve_cases_keeps_a_failure_per_scheme(monkeypatch):
+    real = assembly.build_projection_pack
+
+    def failing_e2vem(E, k, method):
+        if method is Method.E2VEM:
+            raise CellDegeneracyError("singular projector system")
+        return real(E, k, method)
+
+    monkeypatch.setattr(assembly, "build_projection_pack", failing_e2vem)
+    results = solve_cases(generate_cartesian(4), 1, METHODS, get_case("tc1"))
+    assert str(results[Method.E2VEM]) == "cell 0: singular projector system"
+    assert results[Method.STANDARD].e_star > 0.0
+    # the kept error holds no frames, so dropping the result frees the solved
+    # scheme's system at once, without the cyclic garbage collector
+    solved = weakref.ref(results[Method.STANDARD])
+    gc.disable()
+    try:
+        del results
+        assert solved() is None
+    finally:
+        gc.enable()
 
 
 def test_exact_energy_norm_tc2_quadrature():
@@ -173,6 +216,10 @@ def test_study_config_validation():
         StudyConfig(case_id="tc1", orders=(0,))
     with pytest.raises(ValueError):
         StudyConfig(case_id="tc1", orders=(4,))
+    for orders, families in (((1, 2, 1), ("cartesian",)), ((), ("cartesian",)),
+                             ((1,), ("voronoi", "voronoi")), ((1,), ())):
+        with pytest.raises(ValueError, match="must be distinct and non-empty"):
+            StudyConfig(case_id="tc1", orders=orders, families=families)
 
 
 def test_tc1_cartesian_errors_decrease():
@@ -190,6 +237,5 @@ def test_tc2_method_ordering_floor():
     case = get_case("tc2")
     for n in (64, 256):
         mesh = generate_voronoi(n, rng_seed=0, lloyd_iters=30)
-        ev = solve_case(mesh, 1, Method.STANDARD, case).e_star
-        ew = solve_case(mesh, 1, Method.E2VEM, case).e_star
-        assert ev / ew >= 0.95
+        sols = solve_cases(mesh, 1, METHODS, case)
+        assert sols[Method.STANDARD].e_star / sols[Method.E2VEM].e_star >= 0.95
