@@ -38,9 +38,10 @@ def monomial_exponents(degree: int) -> np.ndarray:
     return out
 
 
-def monomial_index(ax: int, ay: int) -> int:
-    """Position of (ax, ay) in the graded-lex enumeration."""
-    if ax < 0 or ay < 0:
+def monomial_index(ax, ay):
+    """Position of (ax, ay) in the graded-lex enumeration, elementwise on arrays."""
+    ax, ay = np.asarray(ax), np.asarray(ay)
+    if (ax < 0).any() or (ay < 0).any():
         raise ValueError("exponents must be non-negative")
     d = ax + ay
     return d * (d + 1) // 2 + ay
@@ -134,35 +135,38 @@ def _reference_triangle_rule(degree: int):
 
 def triangle_rule(p0, p1, p2, degree: int):
     """Points and weights integrating polynomials of total degree <= degree
-    over the triangle (p0, p1, p2).  Weights sum to the signed area."""
+    over the triangle (p0, p1, p2).  Weights sum to the signed area.
+
+    The corners may be stacked (T, 2) arrays; the rules of the T triangles
+    are then concatenated in order.
+    """
     U, V, W = _reference_triangle_rule(degree)
-    p0 = np.asarray(p0, dtype=float)
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     e1 = np.asarray(p1, dtype=float) - p0
     e2 = np.asarray(p2, dtype=float) - p0
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    pts = p0 + np.outer(U, e1) + np.outer(V, e2)
-    return pts, W * det
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    pts = p0[:, None] + U[:, None] * e1[:, None] + V[:, None] * e2[:, None]
+    return pts.reshape(-1, 2), (W * det[:, None]).ravel()
 
 
-def _subdivide_by_extent(tris, max_y_extent):
-    out = []
-    stack = [(t, 0) for t in reversed(tris)]
-    capped = False
-    while stack:
-        (a, b, c), depth = stack.pop()
-        ys = (a[1], b[1], c[1])
-        if max(ys) - min(ys) <= max_y_extent or depth >= MAX_SUBDIVISION_DEPTH:
-            capped = capped or (max(ys) - min(ys) > max_y_extent)
-            out.append((a, b, c))
-            continue
-        mab = 0.5 * (a + b)
-        mbc = 0.5 * (b + c)
-        mca = 0.5 * (c + a)
-        for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca))[::-1]:
-            stack.append((child, depth + 1))
-    if capped:
-        log.debug("triangle subdivision hit the depth cap %d", MAX_SUBDIVISION_DEPTH)
-    return out
+def _subdivide_by_extent(a, b, c, max_y_extent):
+    """Quadrisect the triangles (a, b, c), stacked (T, 2) corners, until their
+    vertical extent is at most max_y_extent.  Children replace their parent
+    in place, so the order is that of a depth-first walk."""
+    for depth in range(MAX_SUBDIVISION_DEPTH + 1):
+        ys = np.stack([a[:, 1], b[:, 1], c[:, 1]])
+        split = ys.max(axis=0) - ys.min(axis=0) > max_y_extent
+        if not split.any():
+            return a, b, c
+        if depth == MAX_SUBDIVISION_DEPTH:
+            log.debug("triangle subdivision hit the depth cap %d", MAX_SUBDIVISION_DEPTH)
+            return a, b, c
+        mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        s = split[:, None]
+        keep = np.column_stack([np.ones_like(split), split, split, split])
+        a, b, c = (np.stack(corner, axis=1)[keep] for corner in
+                   ((a, mab, mca, mab), (np.where(s, mab, b), b, mbc, mbc),
+                    (np.where(s, mca, c), mbc, c, mca)))
 
 
 def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
@@ -173,27 +177,19 @@ def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
     are quadrisected until their vertical extent drops below it (resolving
     data that oscillates in y), capped at MAX_SUBDIVISION_DEPTH levels.
     """
-    v = np.asarray(E.verts, dtype=float)
+    a = np.asarray(E.verts, dtype=float)
+    b = np.roll(a, -1, axis=0)
     c = np.asarray(E.centroid, dtype=float)
-    m = v.shape[0]
-    tris = []
-    for i in range(m):
-        a, b = v[i], v[(i + 1) % m]
-        signed = 0.5 * ((a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0]))
-        if signed <= 1e-14 * E.area:
-            raise QuadratureError(
-                "cell is not star-shaped with respect to its centroid "
-                f"(fan triangle {i} has signed area {signed:g}); run mesh validation")
-        tris.append((c, a, b))
+    signed = 0.5 * ((a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (a[:, 1] - c[1]) * (b[:, 0] - c[0]))
+    bad = np.flatnonzero(signed <= 1e-14 * E.area)
+    if bad.size:
+        raise QuadratureError(
+            "cell is not star-shaped with respect to its centroid "
+            f"(fan triangle {bad[0]} has signed area {signed[bad[0]]:g}); run mesh validation")
+    corners = (np.broadcast_to(c, a.shape), a, b)
     if max_y_extent is not None:
-        tris = _subdivide_by_extent(tris, max_y_extent)
-    pts = []
-    wts = []
-    for a, b, cc in tris:
-        p, w = triangle_rule(a, b, cc, degree)
-        pts.append(p)
-        wts.append(w)
-    return QuadRule(np.vstack(pts), np.concatenate(wts))
+        corners = _subdivide_by_extent(*corners, max_y_extent)
+    return QuadRule(*triangle_rule(*corners, degree))
 
 
 def monomial_gram(E, degree: int, quad: QuadRule | None = None) -> np.ndarray:

@@ -18,6 +18,11 @@ scheme needs is assembled from those dofs:
 cell's `ElementContext` (quadrature, Gram matrix, edge data); every projector
 builder takes that context, and `local_stiffness` takes the finished pack.
 
+The context holds the data of all m edges as (m, ...) arrays; the builders
+evaluate monomials at all edge points at once and scatter through the one
+statement of the local edge order, the (m, k+1) table `DofLayout.edge_node_dofs`,
+with `np.add.at`, edge 0 first.
+
 The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
 higher-degree gradient projection rich enough that no stabilizing term is
@@ -29,14 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .basis import (dim_poly, edge_rules, eval_monomial_grads, eval_monomials,
                     lagrange_matrix, laplacian_coefficients, monomial_exponents,
-                    monomial_index, polygon_quadrature)
+                    monomial_gram, monomial_index, polygon_quadrature)
 from .errors import (CellDegeneracyError, NumericalDegeneracyError,
                      StabilizationFreeRankError)
 
@@ -112,7 +117,11 @@ def min_ell(k: int, n_vertices: int) -> int:
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Index bookkeeping for the local dof vector of one cell."""
+    """Index bookkeeping for the local dof vector of one cell.
+
+    `edge_node_dofs[e, j]` is the dof of node j of edge e (vertex e, its k-1
+    interior nodes, vertex e+1); the moment dofs start at `first_moment`.
+    """
 
     k: int
     n_vertices: int
@@ -125,19 +134,17 @@ class DofLayout:
     def total(self) -> int:
         return dof_count(self.k, self.n_vertices)
 
-    def vertex_dof(self, i: int) -> int:
-        return i
+    @property
+    def first_moment(self) -> int:
+        return self.k * self.n_vertices
 
-    def edge_dof(self, e: int, j: int) -> int:
-        return self.n_vertices + e * (self.k - 1) + j
-
-    def moment_dof(self, m: int) -> int:
-        return self.n_vertices * self.k + m
-
-    def edge_node_dofs(self, e: int) -> list:
-        """Dofs of the k+1 Lobatto nodes along edge e, in edge direction."""
-        inner = [self.edge_dof(e, j) for j in range(self.k - 1)]
-        return [e, *inner, (e + 1) % self.n_vertices]
+    @cached_property
+    def edge_node_dofs(self) -> np.ndarray:
+        """(n_vertices, k+1) dofs of each edge's Lobatto nodes, in edge direction."""
+        n, k = self.n_vertices, self.k
+        vertex = np.arange(n)
+        inner = n + np.arange(n * (k - 1)).reshape(n, k - 1)
+        return np.column_stack([vertex, inner, np.roll(vertex, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +156,13 @@ class ElementContext:
 
     The Gram matrix reaches degree k+ell and the edge rules integrate traces
     against monomials of degree k+ell exactly, which covers every projector
-    of the pack built with this enlargement.
+    of the pack built with this enlargement.  Edge e runs from vertex e to
+    vertex e+1; over m edges, nq Gauss points and k+1 Lobatto nodes the edge
+    data are `edge_points` (m, nq, 2), outward unit `edge_normals` (m, 2),
+    `edge_lengths` (m,), `edge_trace` (m, k+1, nq) = |e| w_q L_j(t_q) (so
+    `edge_trace @ g` integrates each node's trace against g at the Gauss
+    points) and `edge_node_points` (m, k+1, 2), whose dofs are
+    `layout.edge_node_dofs`.
     """
 
     def __init__(self, E, k: int, ell: int = 0):
@@ -159,35 +172,36 @@ class ElementContext:
         self.layout = DofLayout(k, E.n_vertices)
         deg = k + ell
         self.quad = polygon_quadrature(E, 2 * deg)
-        from .basis import monomial_gram
         self.gram = monomial_gram(E, deg, self.quad)
 
         lob, gl_t, gl_w = edge_rules(k, 2 * k + ell + 3)
-        L = lagrange_matrix(lob, gl_t)
-        verts = E.verts
-        m = E.n_vertices
-        self.edge_points = []       # physical Gauss points per edge
-        self.edge_normals = []      # outward unit normal per edge
-        self.edge_lengths = []
-        self.edge_trace = []        # (k+1, nq): |e| * w_q * L[j, q]
-        self.edge_node_points = []  # physical Lobatto nodes per edge
-        for e in range(m):
-            a, b = verts[e], verts[(e + 1) % m]
-            tang = b - a
-            length = float(np.hypot(*tang))
-            normal = np.array([tang[1], -tang[0]]) / length
-            pts = a + np.outer(gl_t, tang)
-            self.edge_points.append(pts)
-            self.edge_normals.append(normal)
-            self.edge_lengths.append(length)
-            self.edge_trace.append(L * (length * gl_w)[None, :])
-            self.edge_node_points.append(a + np.outer(lob, tang))
+        start = E.verts
+        tang = np.roll(start, -1, axis=0) - start
+        self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
+        self.edge_normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / self.edge_lengths[:, None]
+        self.edge_points = start[:, None] + gl_t[:, None] * tang[:, None]
+        self.edge_trace = lagrange_matrix(lob, gl_t) * (self.edge_lengths[:, None] * gl_w)[:, None]
+        self.edge_node_points = start[:, None] + lob[:, None] * tang[:, None]
         self.perimeter = float(sum(self.edge_lengths))
 
 
 # ---------------------------------------------------------------------------
 # projectors
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _laplacian_entries(k: int):
+    """Row a, moment index of beta and coefficient (without 1/h_E^2) of each
+    term of the Laplacian of m_a, over the monomials of degree <= k."""
+    terms = [(a, monomial_index(*beta), coef)
+             for a, alpha in enumerate(monomial_exponents(k))
+             for coef, beta in laplacian_coefficients(alpha)]
+    table = np.array(terms, dtype=float).reshape(-1, 3)
+    out = (table[:, 0].astype(int), table[:, 1].astype(int), table[:, 2])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
 
 def build_pi_nabla(ctx: ElementContext):
     """Energy projector onto P_k from the local dof vector: (D, B, G, pi_star).
@@ -201,35 +215,25 @@ def build_pi_nabla(ctx: ElementContext):
     """
     E, k, lay = ctx.E, ctx.k, ctx.layout
     nk = dim_poly(k)
-    N = lay.total
-    exps = monomial_exponents(k)
+    m, nq = ctx.edge_points.shape[:2]
 
-    D = np.empty((N, nk))
-    D[:lay.n_vertices] = eval_monomials(E, E.verts, k)
-    for e in range(lay.n_vertices):
-        inner = ctx.edge_node_points[e][1:-1]
-        if len(inner):
-            rows = [lay.edge_dof(e, j) for j in range(k - 1)]
-            D[rows] = eval_monomials(E, inner, k)
-    if lay.n_moments:
-        D[lay.n_vertices * k:] = ctx.gram[:lay.n_moments, :nk] / E.area
+    D = np.empty((lay.total, nk))
+    D[:m] = eval_monomials(E, E.verts, k)
+    D[m:lay.first_moment] = eval_monomials(E, ctx.edge_node_points[:, 1:-1].reshape(-1, 2), k)
+    D[lay.first_moment:] = ctx.gram[:lay.n_moments, :nk] / E.area
 
-    B = np.zeros((nk, N))
-    h2 = E.diameter ** 2
-    for a in range(1, nk):
-        for coef, beta in laplacian_coefficients(exps[a]):
-            B[a, lay.moment_dof(monomial_index(*beta))] -= coef / h2 * E.area
-    for e in range(lay.n_vertices):
-        grads = eval_monomial_grads(E, ctx.edge_points[e], k)
-        gn = grads @ ctx.edge_normals[e]          # (nq, nk)
-        B[:, lay.edge_node_dofs(e)] += gn.T @ ctx.edge_trace[e].T
+    B = np.zeros((nk, lay.total))
+    rows, moment, coef = _laplacian_entries(k)
+    B[rows, lay.first_moment + moment] -= coef / E.diameter ** 2 * E.area
+    grads = eval_monomial_grads(E, ctx.edge_points.reshape(-1, 2), k).reshape(m, nq, nk, 2)
+    gn = (grads @ ctx.edge_normals[:, None, :, None])[..., 0]          # (m, nq, nk)
+    np.add.at(B.T, lay.edge_node_dofs, ctx.edge_trace @ gn)
 
     B[0] = 0.0
     if k == 1:
-        for e in range(lay.n_vertices):
-            B[0, lay.edge_node_dofs(e)] += ctx.edge_trace[e].sum(axis=1) / ctx.perimeter
+        np.add.at(B[0], lay.edge_node_dofs, ctx.edge_trace.sum(axis=2) / ctx.perimeter)
     else:
-        B[0, lay.moment_dof(0)] = 1.0
+        B[0, lay.first_moment] = 1.0
 
     G = B @ D
     try:
@@ -250,8 +254,7 @@ def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
     n_top = dim_poly(ctx.k + ctx.ell)
     nk = dim_poly(ctx.k)
     M = np.zeros((n_top, lay.total))
-    for m in range(lay.n_moments):
-        M[m, lay.moment_dof(m)] = ctx.E.area
+    M[:lay.n_moments, lay.first_moment:] = ctx.E.area * np.eye(lay.n_moments)
     M[lay.n_moments:] = ctx.gram[lay.n_moments:n_top, :nk] @ pi_star
     return M
 
@@ -275,24 +278,19 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
     nd = dim_poly(d)
     if moments.shape[0] < dim_poly(d - 1):
         raise ValueError("recovered moments do not reach degree d-1")
-    exps = monomial_exponents(d)
+    ax, ay = monomial_exponents(d).T
     h = E.diameter
 
     Rx = np.zeros((nd, lay.total))
     Ry = np.zeros((nd, lay.total))
-    for a in range(nd):
-        ax, ay = exps[a]
-        if ax >= 1:
-            Rx[a] -= (ax / h) * moments[monomial_index(ax - 1, ay)]
-        if ay >= 1:
-            Ry[a] -= (ay / h) * moments[monomial_index(ax, ay - 1)]
-    for e in range(lay.n_vertices):
-        vals = eval_monomials(E, ctx.edge_points[e], d)       # (nq, nd)
-        contrib = vals.T @ ctx.edge_trace[e].T                # (nd, k+1)
-        nx, ny = ctx.edge_normals[e]
-        dofs = lay.edge_node_dofs(e)
-        Rx[:, dofs] += nx * contrib
-        Ry[:, dofs] += ny * contrib
+    dx, dy = np.flatnonzero(ax), np.flatnonzero(ay)
+    Rx[dx] -= (ax[dx] / h)[:, None] * moments[monomial_index(ax[dx] - 1, ay[dx])]
+    Ry[dy] -= (ay[dy] / h)[:, None] * moments[monomial_index(ax[dy], ay[dy] - 1)]
+    m, nq = ctx.edge_points.shape[:2]
+    vals = eval_monomials(E, ctx.edge_points.reshape(-1, 2), d).reshape(m, nq, nd)
+    contrib = ctx.edge_trace @ vals                               # (m, k+1, nd)
+    np.add.at(Rx.T, lay.edge_node_dofs, ctx.edge_normals[:, 0, None, None] * contrib)
+    np.add.at(Ry.T, lay.edge_node_dofs, ctx.edge_normals[:, 1, None, None] * contrib)
 
     try:
         cho = cho_factor(ctx.gram[:nd, :nd])

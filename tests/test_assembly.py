@@ -60,8 +60,8 @@ def test_dof_map_shared_edges_consistent():
             # the element's Lobatto nodes, in local dof order, are the nodes
             # of the cell's global dofs (reversed edges included)
             ctx = ElementContext(mesh.cell_geom(ci), k)
-            local = np.vstack([pts[0] for pts in ctx.edge_node_points]
-                              + [pts[1:-1] for pts in ctx.edge_node_points])
+            nodes = ctx.edge_node_points
+            local = np.vstack([nodes[:, 0], nodes[:, 1:-1].reshape(-1, 2)])
             assert np.allclose(local, dm.nodes[dofs[:m * k]], rtol=0.0, atol=1e-15)
 
 

@@ -145,8 +145,40 @@ def test_quadrature_rejects_nonstar_cell():
     bad = CellGeometry(
         verts=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.1], [0.0, 1.0]]),
         area=0.1, centroid=np.array([0.5, 0.5]), diameter=1.5)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"fan triangle 1 has signed area -0\.2\)"):
         polygon_quadrature(bad, 2)
+
+
+def test_stacked_triangle_rule_concatenates_single_rules(rng):
+    corners = rng.uniform(-1, 1, (3, 5, 2))
+    pts, wts = triangle_rule(*corners, 6)
+    single = [triangle_rule(a, b, c, 6) for a, b, c in zip(*corners)]
+    assert np.array_equal(pts, np.vstack([p for p, _ in single]))
+    assert np.array_equal(wts, np.concatenate([w for _, w in single]))
+
+
+def _quadrisect_depth_first(tri, max_y_extent, depth=0):
+    """Reference subdivision: one triangle at a time, children in order."""
+    a, b, c = tri
+    ys = (a[1], b[1], c[1])
+    if max(ys) - min(ys) <= max_y_extent or depth >= 7:
+        return [tri]
+    mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    return [t for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca))
+            for t in _quadrisect_depth_first(child, max_y_extent, depth + 1)]
+
+
+@pytest.mark.parametrize("max_y_extent", [0.3, 0.07])
+def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, rng):
+    E = star_polygon(rng, 6)
+    v = E.verts
+    fan = [(E.centroid, v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    tris = [t for tri in fan for t in _quadrisect_depth_first(tri, max_y_extent)]
+    rules = [triangle_rule(a, b, c, 5) for a, b, c in tris]
+    q = polygon_quadrature(E, 5, max_y_extent=max_y_extent)
+    assert len(tris) > len(fan)
+    assert np.array_equal(q.points, np.vstack([p for p, _ in rules]))
+    assert np.array_equal(q.weights, np.concatenate([w for _, w in rules]))
 
 
 def test_subdivided_quadrature_stays_exact():

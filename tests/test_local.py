@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
-                           monomial_exponents, polygon_quadrature)
+                           monomial_exponents, monomial_index, polygon_quadrature)
 from polyvem.local import (DataRule, DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad,
                            build_pi_nabla, build_projection_pack, dof_count,
@@ -52,10 +53,10 @@ def test_min_ell_matches_exhaustive_search(k, n):
 def test_dof_layout_ordering():
     lay = DofLayout(3, 5)
     assert lay.total == 18
-    assert lay.vertex_dof(4) == 4
-    assert lay.edge_dof(0, 0) == 5 and lay.edge_dof(4, 1) == 14
-    assert lay.moment_dof(0) == 15
-    assert lay.edge_node_dofs(4) == [4, 13, 14, 0]
+    assert lay.edge_node_dofs.shape == (5, 4)
+    assert lay.edge_node_dofs[4].tolist() == [4, 13, 14, 0]
+    assert lay.edge_node_dofs[0, 1] == 5
+    assert lay.first_moment == 15
 
 
 # -- interpolation helper ----------------------------------------------------
@@ -66,15 +67,14 @@ def interpolate_cell(E, k, func):
     lay = DofLayout(k, E.n_vertices)
     ctx = ElementContext(E, k)
     chi = np.zeros(lay.total)
-    chi[:E.n_vertices] = [func(p[0], p[1]) for p in E.verts]
-    for e in range(E.n_vertices):
-        for j, p in enumerate(ctx.edge_node_points[e][1:-1]):
-            chi[lay.edge_dof(e, j)] = func(p[0], p[1])
+    chi[:E.n_vertices] = func(E.verts[:, 0], E.verts[:, 1])
+    inner = ctx.edge_node_points[:, 1:-1]
+    chi[lay.edge_node_dofs[:, 1:-1]] = func(inner[..., 0], inner[..., 1])
     if lay.n_moments:
         quad = polygon_quadrature(E, 2 * k + 4)
         V = eval_monomials(E, quad.points, k - 2)
         fv = np.array([func(p[0], p[1]) for p in quad.points])
-        chi[lay.n_vertices * k:] = V.T @ (quad.weights * fv) / E.area
+        chi[lay.first_moment:] = V.T @ (quad.weights * fv) / E.area
     return chi
 
 
@@ -167,7 +167,7 @@ def test_moment_row_zero_is_scaled_moment_dof():
     pack = build_projection_pack(PENTAGON, 2, Method.STANDARD)
     row = pack.moments[0]
     expected = np.zeros(pack.layout.total)
-    expected[pack.layout.moment_dof(0)] = PENTAGON.area
+    expected[pack.layout.first_moment] = PENTAGON.area
     assert np.abs(row - expected).max() < 1e-14
 
 
@@ -225,6 +225,36 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
                 np.linalg.solve(H, V.T @ (quad.weights * grads[:, 1]))])
             assert np.abs(coeff - ref).max() < 1e-11
         assert pack.pi0_grad.shape == (2 * nd, pack.layout.total)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_edge_terms_match_per_edge_loop(k, rng):
+    """The batched edge terms equal a loop over edges, edge 0 first, bit for bit."""
+    E = star_polygon(rng, 9)
+    ctx = ElementContext(E, k, 1)
+    lay, h = ctx.layout, E.diameter
+    _, B, _, pi_star = build_pi_nabla(ctx)
+    moments = recover_moments(ctx, pi_star)
+    nd = dim_poly(k)
+    ref_B = np.zeros_like(B)
+    R = np.zeros((2, nd, lay.total))
+    for a, (ax, ay) in enumerate(monomial_exponents(k)):
+        if ax:
+            R[0, a] -= (ax / h) * moments[monomial_index(ax - 1, ay)]
+        if ay:
+            R[1, a] -= (ay / h) * moments[monomial_index(ax, ay - 1)]
+    for e in range(lay.n_vertices):
+        dofs = lay.edge_node_dofs[e]
+        gn = eval_monomial_grads(E, ctx.edge_points[e], k) @ ctx.edge_normals[e]
+        ref_B[:, dofs] += gn.T @ ctx.edge_trace[e].T
+        contrib = eval_monomials(E, ctx.edge_points[e], k).T @ ctx.edge_trace[e].T
+        for c in range(2):
+            R[c][:, dofs] += ctx.edge_normals[e, c] * contrib
+    edge_cols = slice(0, lay.first_moment)
+    assert np.array_equal(B[1:, edge_cols], ref_B[1:, edge_cols])
+    cho = cho_factor(ctx.gram[:nd, :nd])
+    assert np.array_equal(build_pi0_grad(ctx, k, moments),
+                          np.vstack([cho_solve(cho, R[0]), cho_solve(cho, R[1])]))
 
 
 def test_pi0_grad_triangle_matches_fem_gradient(rng):
