@@ -236,6 +236,17 @@ def edge_rules(k: int, d_max: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def edge_lagrange(k: int, d_max: int) -> np.ndarray:
+    """`lagrange_matrix` of the Lobatto nodes of `edge_rules(k, d_max)` at its
+    Gauss points, shape (k+1, nq): the edge dof basis traced at the rule.
+    Cached and read-only."""
+    lob, gl_t, _ = edge_rules(k, d_max)
+    out = lagrange_matrix(lob, gl_t)
+    out.setflags(write=False)
+    return out
+
+
 def lagrange_matrix(nodes, ts) -> np.ndarray:
     """L[j, q] = j-th Lagrange basis polynomial of `nodes` evaluated at ts[q]."""
     nodes = np.asarray(nodes, dtype=float)

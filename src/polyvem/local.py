@@ -39,8 +39,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .basis import (dim_poly, edge_rules, eval_monomial_grads, eval_monomials,
-                    lagrange_matrix, laplacian_coefficients, monomial_exponents,
+from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
+                    eval_monomials, laplacian_coefficients, monomial_exponents,
                     monomial_gram, monomial_index, polygon_quadrature)
 from .errors import (CellDegeneracyError, NumericalDegeneracyError,
                      StabilizationFreeRankError)
@@ -174,13 +174,14 @@ class ElementContext:
         self.quad = polygon_quadrature(E, 2 * deg)
         self.gram = monomial_gram(E, deg, self.quad)
 
-        lob, gl_t, gl_w = edge_rules(k, 2 * k + ell + 3)
+        d_max = 2 * k + ell + 3
+        lob, gl_t, gl_w = edge_rules(k, d_max)
         start = E.verts
         tang = np.roll(start, -1, axis=0) - start
         self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
         self.edge_normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / self.edge_lengths[:, None]
         self.edge_points = start[:, None] + gl_t[:, None] * tang[:, None]
-        self.edge_trace = lagrange_matrix(lob, gl_t) * (self.edge_lengths[:, None] * gl_w)[:, None]
+        self.edge_trace = edge_lagrange(k, d_max) * (self.edge_lengths[:, None] * gl_w)[:, None]
         self.edge_node_points = start[:, None] + lob[:, None] * tang[:, None]
         self.perimeter = float(sum(self.edge_lengths))
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Voronoi, cKDTree
 
 from .errors import MeshError
@@ -257,41 +260,74 @@ def _draw_seeds(rng: SplitMix64, n: int) -> np.ndarray:
     return pts
 
 
-def _mirror(points):
-    p = points
-    left = np.column_stack([-p[:, 0], p[:, 1]])
-    right = np.column_stack([2.0 - p[:, 0], p[:, 1]])
-    bottom = np.column_stack([p[:, 0], -p[:, 1]])
-    top = np.column_stack([p[:, 0], 2.0 - p[:, 1]])
-    return np.vstack([p, left, right, bottom, top])
+def _mirror(points, band):
+    """`points`, then their reflections across the left, right, bottom and top
+    sides of the unit square, each side reflecting only the points closer to
+    it than `band` (every point when `band` is inf).
+
+    The bisector between a seed and its reflection is the side itself, so a
+    reflection is needed only where the seed's region reaches that side.
+    `generate_voronoi` passes inf for its first diagram and, for each later
+    one, twice the largest seed-to-vertex distance of the previous diagram:
+    a region reaching a side has its seed within that distance of the side,
+    and the factor 2 leaves room for the seeds' Lloyd move.
+    """
+    x, y = points[:, 0], points[:, 1]
+    images = [(x < band, -x, y), (1.0 - x < band, 2.0 - x, y),
+              (y < band, x, -y), (1.0 - y < band, x, 2.0 - y)]
+    return np.vstack([points] + [np.column_stack([ix, iy])[near]
+                                 for near, ix, iy in images])
 
 
-def _box_voronoi(points):
+def _cell_error(ci, message):
+    """A MeshError whose message leads with `cell ci:`."""
+    exc = MeshError(message)
+    exc.cell = int(ci)
+    return exc
+
+
+def _box_voronoi(points, band):
     """Voronoi regions of `points` clipped to the unit square.
 
-    Reflecting every seed across the four sides makes each original region
-    finite with its outer edges lying exactly on the perpendicular bisector
-    between a seed and its mirror, i.e. on the square sides.  Returns the
-    shared vertex array and one CCW index list per seed.
+    The diagram is that of `_mirror(points, band)`.  Inside the closed square
+    a reflection is never closer to a point than its own seed, so the part of
+    a seed's region inside the square is its clipped region whatever the
+    band.  A region that lies entirely in the closed square is therefore
+    exactly the clipped region, and that is what this function checks: a
+    region that is unbounded or has a vertex outside the square by more than
+    BOUNDARY_SNAP_TOL raises MeshError naming its seed.  Such a region
+    reaches a side whose reflection of its seed was left out, i.e. the band
+    was too narrow; it is never repaired.  With `band` = inf every seed is
+    reflected across every side and no region can leave the square.
+
+    Returns the diagram's vertices and the regions flattened in seed order:
+    `flat` holds the vertex indices of region 0, then of region 1, ..., and
+    `lens[i]` the vertex count of region i.  A region's orientation is
+    qhull's.
     """
     n = points.shape[0]
-    vor = Voronoi(_mirror(points))
-    regions = []
-    for i in range(n):
-        reg = vor.regions[vor.point_region[i]]
-        if len(reg) < 3 or -1 in reg:
-            raise MeshError("degenerate Voronoi region (coincident seeds?)")
-        regions.append(reg)
-    return vor.vertices, regions
+    vor = Voronoi(_mirror(points, band))
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    lens = np.fromiter(map(len, regions), dtype=int, count=n)
+    if lens.min() < 3:
+        raise _cell_error(np.argmax(lens < 3), "degenerate Voronoi region (coincident seeds?)")
+    flat = np.fromiter(chain.from_iterable(regions), dtype=int, count=lens.sum())
+    v = vor.vertices[flat]
+    outside = ((flat < 0) | (v < -BOUNDARY_SNAP_TOL).any(axis=1)
+               | (v > 1.0 + BOUNDARY_SNAP_TOL).any(axis=1))
+    if outside.any():
+        seed = np.repeat(np.arange(n), lens)[np.argmax(outside)]
+        raise _cell_error(seed, f"Voronoi region leaves the unit square "
+                                f"(seeds reflected within {band:.3g} of a side)")
+    return vor.vertices, flat, lens
 
 
-def _region_centroids(vertices, regions):
-    lens = np.fromiter((len(r) for r in regions), dtype=int, count=len(regions))
-    flat = np.fromiter((i for r in regions for i in r), dtype=int, count=lens.sum())
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    ends = np.cumsum(lens) - 1
-    nxt = np.arange(flat.size) + 1
-    nxt[ends] = starts
+def _region_centroids(vertices, flat, lens):
+    """Centroids of the regions `_box_voronoi` returns as (flat, lens)."""
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    nxt = np.arange(1, flat.size + 1)
+    nxt[ends - 1] = starts
     p = vertices[flat]
     q = vertices[flat[nxt]]
     cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
@@ -313,7 +349,12 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
         centroid of its clipped Voronoi region).
 
     The result is deterministic for fixed inputs.  Coincident seeds are
-    perturbed by redrawing and reported on the module logger.
+    perturbed by redrawing and reported on the module logger.  Cell i is the
+    region of seed i.
+
+    Every diagram after the first reflects only the seeds near a side (see
+    `_mirror`); `_box_voronoi` checks that this sufficed and raises MeshError
+    naming the cell if it did not.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
@@ -333,57 +374,63 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
     else:
         raise MeshError("could not draw distinct Voronoi seeds")
 
+    band = np.inf
     for _ in range(lloyd_iters):
-        verts, regions = _box_voronoi(seeds)
-        seeds = _region_centroids(verts, regions)
+        verts, flat, lens = _box_voronoi(seeds, band)
+        reach = np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
+        band = 2.0 * reach
+        seeds = _region_centroids(verts, flat, lens)
 
-    verts, regions = _box_voronoi(seeds)
-    return _stitch_regions(verts, regions)
+    verts, flat, lens = _box_voronoi(seeds, band)
+    return _stitch_regions(verts, np.split(flat, np.cumsum(lens)[:-1]))
 
 
 def _stitch_regions(vor_vertices, regions):
-    used = sorted({i for r in regions for i in r})
-    remap = {old: new for new, old in enumerate(used)}
-    verts = vor_vertices[used].copy()
+    """The Voronoi PolyMesh whose cell i is region i (vertex indices into
+    `vor_vertices`).
+
+    Vertices within BOUNDARY_SNAP_TOL of a side are snapped onto it and
+    vertices closer than VERTEX_DEDUP_TOL are merged.  Each cell is made CCW
+    and starts at its lowest (y, x) vertex, and the vertices are numbered by
+    first appearance walking the cells in order, so the mesh does not depend
+    on the order in which qhull lists the vertices.  A cell that merging
+    collapses or pinches, or that is not convex, raises MeshError naming it.
+    """
+    used, entry = np.unique(np.concatenate(regions), return_inverse=True)
+    verts = vor_vertices[used]
 
     # boundary vertices land within roundoff of the sides; snap them exactly
     for target in (0.0, 1.0):
-        near = np.abs(verts - target) <= BOUNDARY_SNAP_TOL
-        verts[near] = target
+        verts[np.abs(verts - target) <= BOUNDARY_SNAP_TOL] = target
 
-    # merge vertices closer than the stitching tolerance (degenerate ridges)
-    parent = np.arange(len(verts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in sorted(cKDTree(verts).query_pairs(VERTEX_DEDUP_TOL)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(len(verts))])
-    kept = np.unique(roots)
-    compact = {r: k for k, r in enumerate(kept)}
-    final_verts = verts[kept]
+    # merge vertices closer than the stitching tolerance (degenerate ridges);
+    # a group takes the coordinates of its lowest-indexed member
+    pairs = cKDTree(verts).query_pairs(VERTEX_DEDUP_TOL, output_type="ndarray")
+    links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(verts), len(verts)))
+    group = connected_components(links, directed=False)[1]
+    group_verts = verts[np.unique(group, return_index=True)[1]]
 
     cells = []
-    for reg in regions:
-        ids = [compact[roots[remap[i]]] for i in reg]
-        dedup = [v for j, v in enumerate(ids) if v != ids[(j + 1) % len(ids)]]
-        if len(dedup) < 3:
-            raise MeshError("Voronoi cell collapsed during vertex merging")
-        if len(set(dedup)) != len(dedup):
-            raise MeshError("Voronoi cell pinched during vertex merging")
-        v = final_verts[dedup]
-        ar = 0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-        if ar < 0:
-            dedup.reverse()
-        cells.append(dedup)
+    lens = [len(r) for r in regions]
+    for ci, ids in enumerate(np.split(group[entry], np.cumsum(lens)[:-1])):
+        ids = ids[ids != np.roll(ids, -1)]
+        if len(ids) < 3:
+            raise _cell_error(ci, "Voronoi cell collapsed during vertex merging")
+        if len(np.unique(ids)) != len(ids):
+            raise _cell_error(ci, "Voronoi cell pinched during vertex merging")
+        v = group_verts[ids]
+        if np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]) < 0:
+            ids, v = ids[::-1], v[::-1]
+        cells.append(np.roll(ids, -np.lexsort((v[:, 0], v[:, 1]))[0]))
 
-    mesh = PolyMesh(final_verts, cells, family="voronoi")
+    flat = np.concatenate(cells)
+    numbered = flat[np.sort(np.unique(flat, return_index=True)[1])]
+    number = np.empty(len(group_verts), dtype=int)
+    number[numbered] = np.arange(len(numbered))
+    mesh = PolyMesh(group_verts[numbered],
+                    np.split(number[flat], np.cumsum([len(c) for c in cells])[:-1]),
+                    family="voronoi")
     _check_convex(mesh)
     return mesh
 
@@ -395,7 +442,7 @@ def _check_convex(mesh):
         b = np.roll(a, -1, axis=0)
         cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         if np.any(cross < -1e-9 * mesh.cell_diameters[ci] ** 2):
-            raise MeshError(f"Voronoi cell {ci} is not convex")
+            raise _cell_error(ci, "Voronoi cell is not convex")
 
 
 def generate_mesh(family: str, n: int, seed: int = 0,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
-from polyvem.basis import (QuadratureError, dim_poly, edge_rules,
-                           eval_monomial_grads, eval_monomials,
+from polyvem.basis import (QuadratureError, dim_poly, edge_lagrange,
+                           edge_rules, eval_monomial_grads, eval_monomials,
                            lagrange_matrix, laplacian_coefficients,
                            monomial_exponents, monomial_gram, monomial_index,
                            polygon_quadrature, triangle_rule)
@@ -237,11 +237,12 @@ def test_edge_rule_exactness():
 
 def test_edge_rules_cached_read_only():
     first, second = edge_rules(3, 9), edge_rules(3, 9)
-    for a, b in zip(first, second):
+    for a, b in zip(first + (edge_lagrange(3, 9),), second + (edge_lagrange(3, 9),)):
         assert a is b
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.5
+    assert np.array_equal(edge_lagrange(3, 9), lagrange_matrix(first[0], first[1]))
 
 
 def test_lagrange_matrix_cardinal():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyvem.mesh as meshmod
+from polyvem.errors import MeshError
 from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
                           MeshFormatError, OrientationError, PolyMesh,
                           SplitMix64, cell_geometry, generate_cartesian,
@@ -159,6 +161,63 @@ def test_voronoi_redraws_coincident_seeds(monkeypatch, caplog):
     assert calls["n"] == 2
     assert mesh.n_cells == 6
     assert any("coincident" in rec.message for rec in caplog.records)
+
+
+def _split(flat, lens):
+    return np.split(flat, np.cumsum(lens)[:-1])
+
+
+def _full_mirror_voronoi(n, seed, iters):
+    """generate_voronoi's Lloyd loop with every seed reflected across every side."""
+    seeds = meshmod._draw_seeds(SplitMix64(seed), n)
+    for _ in range(iters):
+        seeds = meshmod._region_centroids(*meshmod._box_voronoi(seeds, np.inf))
+    verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
+    return meshmod._stitch_regions(verts, _split(flat, lens))
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (9, 0)] + [(64, s) for s in range(30)])
+def test_band_mirroring_matches_full_mirroring(n, seed):
+    mesh = generate_voronoi(n, seed, 100)
+    ref = _full_mirror_voronoi(n, seed, 100)
+    assert len(mesh.cells) == len(ref.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+    assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-10
+    assert validate_mesh(mesh).ok
+
+
+def test_box_voronoi_names_the_seed_whose_region_leaves_the_square():
+    seeds = meshmod._draw_seeds(SplitMix64(42), 16)
+    meshmod._box_voronoi(seeds, np.inf)
+    with pytest.raises(MeshError, match="Voronoi region leaves the unit square") as info:
+        meshmod._box_voronoi(seeds, 0.0)   # no reflections: boundary regions are unbounded
+    assert info.value.cell in range(16)
+    assert str(info.value).startswith(f"cell {info.value.cell}: ")
+
+
+def test_stitch_regions_names_the_collapsed_cell():
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                      [0.5, 0.5], [0.5 + 1e-13, 0.5], [0.5, 0.5 + 1e-13]])
+    with pytest.raises(MeshError,
+                       match=r"^cell 1: Voronoi cell collapsed during vertex merging$"):
+        meshmod._stitch_regions(verts, [[0, 1, 2, 3], [4, 5, 6]])
+
+
+def test_stitch_regions_numbering_ignores_qhull_vertex_order():
+    seeds = meshmod._draw_seeds(SplitMix64(3), 16)
+    verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
+    mesh = meshmod._stitch_regions(verts, _split(flat, lens))
+    perm = np.random.default_rng(0).permutation(len(verts))
+    where = np.argsort(perm)              # old vertex index -> its new position
+    shuffled = [np.roll(where[r], i)[::(-1) ** i] for i, r in enumerate(_split(flat, lens))]
+    other = meshmod._stitch_regions(verts[perm], shuffled)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, other.cells))
+    assert np.array_equal(mesh.vertices, other.vertices)
+    for cell in mesh.cells:                # each cell starts at its lowest (y, x) vertex
+        v = mesh.vertices[cell]
+        assert np.lexsort((v[:, 0], v[:, 1]))[0] == 0
+    first_seen = np.unique(np.concatenate(mesh.cells), return_index=True)[1]
+    assert np.all(np.diff(first_seen) > 0)   # vertices numbered by first appearance
 
 
 # -- io ----------------------------------------------------------------------
