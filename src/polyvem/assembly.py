@@ -3,14 +3,18 @@
 Vertex dofs come first, then k-1 dofs per mesh edge (ordered along the edge by
 ascending global vertex index, so adjacent cells agree), then the per-cell
 moment dofs blocked after everything else.  `build_dof_map` is the one place
-this numbering is made; its `nodes` give the point of every vertex and edge
-dof.  The consistency and stabilization parts of the stiffness matrix are
-accumulated separately so their norms can be compared after assembly.
+this numbering is made; it groups the cells by vertex count, each group's
+dofs one (cells, local dofs) table, and its `nodes` give the point of every
+vertex and edge dof.  The scatter and the source pass go by groups and by
+blocks of cells, not cell by cell.  The consistency and stabilization parts
+of the stiffness matrix are accumulated separately so their norms can be
+compared after assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import dim_poly, edge_rules
 from .errors import PolyvemError, SolverError
-from .local import (DataRule, DiffusionTensor, Method, build_projection_pack,
+from .local import (DiffusionTensor, Method, build_projection_pack, data_rules,
                     local_load, local_stiffness)
 from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
 
@@ -36,10 +40,21 @@ class GlobalDofMap:
     n_edge_dofs: int
     n_moment_dofs: int
     n_total: int
-    cell_dofs: list                      # per cell, local -> global index array
+    # cells grouped by vertex count, so by local dof count N: (cells (n_g,),
+    # ascending, and their global dofs (n_g, N) in local dof order)
+    groups: list
     boundary_dofs: np.ndarray            # sorted vertex/edge dofs on the boundary
     free_dofs: np.ndarray
     nodes: np.ndarray                    # (nv + n_edge_dofs, 2) point of each vertex/edge dof
+
+    @cached_property
+    def cell_dofs(self) -> list:
+        """Per cell, its local -> global index array (the mesh passes read `groups`)."""
+        out = [None] * sum(cells.size for cells, _ in self.groups)
+        for cells, dofs in self.groups:
+            for ci, row in zip(cells.tolist(), dofs):
+                out[ci] = row
+        return out
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
@@ -58,18 +73,19 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     edge_dofs = nv + np.arange(n_edge).reshape(ne, k - 1)
     moment_dofs = nv + n_edge + np.arange(nc * n_mom_per).reshape(nc, n_mom_per)
 
-    cell_dofs = []
-    for ci, cell in enumerate(mesh.cells):
-        m = len(cell)
-        parts = [cell]
-        for e_loc in range(m):
-            a, b = int(cell[e_loc]), int(cell[(e_loc + 1) % m])
-            dofs = edge_dofs[mesh.edge_index[(a, b) if a < b else (b, a)]]
-            # interior edge nodes are symmetric in the edge parameter, so the
-            # reversed traversal is exactly the reversed index range
-            parts.append(dofs if a < b else dofs[::-1])
-        parts.append(moment_dofs[ci])
-        cell_dofs.append(np.concatenate(parts))
+    ids, starts = mesh.flat_cells
+    edge_ids, against = mesh.cell_sides
+    n_verts = np.diff(starts)
+    groups = []
+    for m in np.unique(n_verts):
+        cells = np.flatnonzero(n_verts == m)
+        sides = starts[cells][:, None] + np.arange(m)                 # (n_g, m)
+        dofs = edge_dofs[edge_ids[sides]]
+        # interior edge nodes are symmetric in the edge parameter, so the
+        # reversed traversal is exactly the reversed index range
+        dofs = np.where(against[sides][..., None], dofs[..., ::-1], dofs)
+        groups.append((cells, np.hstack([ids[sides], dofs.reshape(cells.size, -1),
+                                         moment_dofs[cells]])))
 
     # edge dof j of edge (a, b), a < b, sits at interior Lobatto parameter j from a
     inner = edge_rules(k, 1)[0][1:-1]
@@ -83,7 +99,7 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     mask[boundary] = False
     return GlobalDofMap(k=k, n_vertex_dofs=nv, n_edge_dofs=n_edge,
                         n_moment_dofs=nc * n_mom_per, n_total=n_total,
-                        cell_dofs=cell_dofs, boundary_dofs=boundary,
+                        groups=groups, boundary_dofs=boundary,
                         free_dofs=np.nonzero(mask)[0], nodes=nodes)
 
 
@@ -95,30 +111,33 @@ class SparseSystem:
     b: np.ndarray
     dof_map: GlobalDofMap
     method: Method
-    pi_stars: list                       # per cell, energy projector coefficients
+    # per group of dof_map.groups, the energy projector coefficients of its
+    # cells, (n_g, dim P_k, N); (1, dim P_k, N) serves every cell of a
+    # congruent mesh
+    pi_stars: list
+
+    def projections(self, u_dofs) -> np.ndarray:
+        """(n_cells, dim P_k) monomial coefficients of the energy projection
+        of the dof vector `u_dofs` on every cell."""
+        groups = self.dof_map.groups
+        out = np.empty((sum(cells.size for cells, _ in groups), self.pi_stars[0].shape[1]))
+        for (cells, dofs), pi_star in zip(groups, self.pi_stars):
+            out[cells] = (pi_star @ u_dofs[dofs][..., None])[..., 0]
+        return out
 
 
-def map_cells(mesh: PolyMesh, visit, *, data_order=None, y_wavelength=None) -> list:
-    """[visit(ci, E, rule) for every cell ci of the mesh, with E its geometry].
+def map_cells(mesh: PolyMesh, cells, visit):
+    """visit(ci, E) for every cell ci in `cells`, with E its geometry.
 
-    With `data_order` k set, rule is the cell's `DataRule` for order k and the
-    case's `y_wavelength`; otherwise it is None.  On a mesh of congruent cells
-    every cell gets cell 0's rule, one shared object, so its monomial tables
-    are evaluated once.  A `PolyvemError` raised while visiting a cell leaves
-    with that cell's index set on it; this is the one place cells are named.
+    This is the loop of element construction.  A `PolyvemError` raised while
+    visiting a cell leaves with that cell's index set on it.
     """
-    out = []
-    rule = None
     try:
-        for ci in range(mesh.n_cells):
-            E = mesh.cell_geom(ci)
-            if data_order is not None and (rule is None or not mesh.congruent_cells):
-                rule = DataRule(E, data_order, y_wavelength)
-            out.append(visit(ci, E, rule))
+        for ci in cells:
+            visit(ci, mesh.cell_geom(ci))
     except PolyvemError as exc:
         exc.cell = ci
         raise
-    return out
 
 
 def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarray:
@@ -126,8 +145,8 @@ def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarra
     with order-k data rules: one pass serves the load of every scheme."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
-    return np.array(map_cells(mesh, lambda ci, E, rule: local_load(E, f, rule),
-                              data_order=k, y_wavelength=y_wavelength))
+    return np.concatenate([local_load(f, rule)
+                           for rule in data_rules(mesh, k, y_wavelength)])
 
 
 def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
@@ -137,40 +156,46 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     Cell ci's load is `pack.pi0_val.T @ source[ci]`, from the `source_moments`
     of the mesh at order k; without `source` b is zero (enough for norm
     studies).  Element matrices are invariant under translation, so on a mesh
-    of congruent cells the ones of cell 0 serve every cell.
+    of congruent cells the ones of cell 0 serve every cell.  The scatter goes
+    by the dof map's groups of cells; the stabilization-free scheme scatters
+    no stabilization, so its `a_s` has no stored entries.
     """
     dm = build_dof_map(mesh, k)
+    elements = {}        # local dof count -> the element matrices of its cells, in cell order
+
+    def build(ci, E):
+        pack = build_projection_pack(E, k, method)
+        stiff = local_stiffness(pack, method, K)
+        elements.setdefault(pack.layout.total, []).append(
+            (pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s))
+
+    map_cells(mesh, [0] if mesh.congruent_cells else range(mesh.n_cells), build)
+
     b = np.zeros(dm.n_total)
-    element = None
-
-    def build(ci, E, rule):
-        nonlocal element
-        if element is None or not mesh.congruent_cells:
-            pack = build_projection_pack(E, k, method)
-            element = pack, local_stiffness(pack, method, K)
-        pack, stiff = element
+    rows, cols, vals_pi, vals_s, pi_stars = [], [], [], [], []
+    for cells, dofs in dm.groups:
+        n = dofs.shape[1]
+        pi_star, pi0_val, a_pi, a_s = map(np.array, zip(*elements[n]))
+        pi_stars.append(pi_star)
+        rows.append(np.repeat(dofs, n, axis=1).ravel())
+        cols.append(np.tile(dofs, n).ravel())
+        vals_pi.append(np.broadcast_to(a_pi.reshape(-1, n * n), (cells.size, n * n)).ravel())
+        if method is Method.STANDARD:
+            vals_s.append(np.broadcast_to(a_s.reshape(-1, n * n), (cells.size, n * n)).ravel())
         if source is not None:
-            b[dm.cell_dofs[ci]] += pack.pi0_val.T @ source[ci]
-        return pack.pi_star, stiff
-
-    cells = map_cells(mesh, build)
-
-    rows, cols, vals_pi, vals_s = [], [], [], []
-    for idx, (_, stiff) in zip(dm.cell_dofs, cells):
-        n = idx.size
-        rows.append(np.repeat(idx, n))
-        cols.append(np.tile(idx, n))
-        vals_pi.append(stiff.a_pi.ravel())
-        vals_s.append(stiff.a_s.ravel())
+            loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
+            b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
 
     shape = (dm.n_total, dm.n_total)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     a_pi = sp.coo_matrix((np.concatenate(vals_pi), (rows, cols)), shape=shape).tocsr()
-    a_s = sp.coo_matrix((np.concatenate(vals_s), (rows, cols)), shape=shape).tocsr()
+    if method is Method.STANDARD:
+        a_s = sp.coo_matrix((np.concatenate(vals_s), (rows, cols)), shape=shape).tocsr()
+    else:
+        a_s = sp.csr_matrix(shape)
     return SparseSystem(a=(a_pi + a_s).tocsr(), a_pi=a_pi, a_s=a_s, b=b,
-                        dof_map=dm, method=method,
-                        pi_stars=[pi_star for pi_star, _ in cells])
+                        dof_map=dm, method=method, pi_stars=pi_stars)
 
 
 # ---------------------------------------------------------------------------

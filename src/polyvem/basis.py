@@ -48,11 +48,18 @@ def monomial_index(ax, ay):
 
 
 def _power_table(values, degree):
-    out = np.empty((values.shape[0], degree + 1))
-    out[:, 0] = 1.0
+    out = np.empty(values.shape + (degree + 1,))
+    out[..., 0] = 1.0
     for d in range(1, degree + 1):
-        out[:, d] = out[:, d - 1] * values
+        out[..., d] = out[..., d - 1] * values
     return out
+
+
+def scaled_monomials(rx, ry, degree: int) -> np.ndarray:
+    """Values rx^ax ry^ay of all |a| <= degree at scaled coordinates
+    rx = (x - x_E) / h_E, ry = (y - y_E) / h_E of any shape, shape (..., n)."""
+    exps = monomial_exponents(degree)
+    return _power_table(rx, degree)[..., exps[:, 0]] * _power_table(ry, degree)[..., exps[:, 1]]
 
 
 def eval_monomials(E, pts, degree: int) -> np.ndarray:
@@ -60,10 +67,7 @@ def eval_monomials(E, pts, degree: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rx = (pts[:, 0] - E.centroid[0]) / E.diameter
     ry = (pts[:, 1] - E.centroid[1]) / E.diameter
-    px = _power_table(rx, degree)
-    py = _power_table(ry, degree)
-    exps = monomial_exponents(degree)
-    return px[:, exps[:, 0]] * py[:, exps[:, 1]]
+    return scaled_monomials(rx, ry, degree)
 
 
 def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
@@ -85,6 +89,21 @@ def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
     out = np.empty((pts.shape[0], exps.shape[0], 2))
     out[:, :, 0] = ax * pxm[:, ax] * py[:, ay] / h
     out[:, :, 1] = ay * px[:, ax] * pym[:, ay] / h
+    return out
+
+
+@lru_cache(maxsize=None)
+def monomial_derivatives(degree: int) -> np.ndarray:
+    """(2, dim P_{degree-1}, dim P_degree) table D with d m_a / dx_i =
+    (1/h_E) sum_b D[i, b, a] m_b: the gradient in the lower-degree basis.
+    Cached and read-only."""
+    exps = monomial_exponents(degree)
+    out = np.zeros((2, dim_poly(degree - 1), exps.shape[0]))
+    for i in (0, 1):
+        a = np.flatnonzero(exps[:, i])
+        lower = exps[a] - np.eye(2, dtype=int)[i]
+        out[i, monomial_index(lower[:, 0], lower[:, 1]), a] = exps[a, i]
+    out.setflags(write=False)
     return out
 
 
@@ -145,50 +164,81 @@ def triangle_rule(p0, p1, p2, degree: int):
     e1 = np.asarray(p1, dtype=float) - p0
     e2 = np.asarray(p2, dtype=float) - p0
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = p0[:, None] + U[:, None] * e1[:, None] + V[:, None] * e2[:, None]
+    pts = np.empty((p0.shape[0], U.size, 2))
+    for i in (0, 1):        # one coordinate at a time: the long axis is innermost
+        pts[..., i] = p0[:, i, None] + U * e1[:, i, None] + V * e2[:, i, None]
     return pts.reshape(-1, 2), (W * det[:, None]).ravel()
 
 
-def _subdivide_by_extent(a, b, c, max_y_extent):
+def _subdivide_by_extent(a, b, c, owner, max_y_extent):
     """Quadrisect the triangles (a, b, c), stacked (T, 2) corners, until their
     vertical extent is at most max_y_extent.  Children replace their parent
-    in place, so the order is that of a depth-first walk."""
+    in place, so the order is that of a depth-first walk; `owner` (T,) is
+    carried along to the children."""
     for depth in range(MAX_SUBDIVISION_DEPTH + 1):
         ys = np.stack([a[:, 1], b[:, 1], c[:, 1]])
         split = ys.max(axis=0) - ys.min(axis=0) > max_y_extent
         if not split.any():
-            return a, b, c
+            return a, b, c, owner
         if depth == MAX_SUBDIVISION_DEPTH:
             log.debug("triangle subdivision hit the depth cap %d", MAX_SUBDIVISION_DEPTH)
-            return a, b, c
+            return a, b, c, owner
         mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
         s = split[:, None]
         keep = np.column_stack([np.ones_like(split), split, split, split])
         a, b, c = (np.stack(corner, axis=1)[keep] for corner in
                    ((a, mab, mca, mab), (np.where(s, mab, b), b, mbc, mbc),
                     (np.where(s, mca, c), mbc, c, mca)))
+        owner = np.repeat(owner, 1 + 3 * split)
+
+
+def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
+    """The fan triangles of several star-shaped polygons: ((c, a, b), owner).
+
+    Polygon i has the CCW vertices verts[starts[i]:starts[i+1]], its
+    centroid centroids[i] and area areas[i], and is fanned into the
+    triangles (centroid, v_j, v_j+1), which are stacked (T, 2) corners in
+    polygon order; owner (T,) is the polygon of each triangle.  With
+    `max_y_extent` set, triangles are quadrisected until their vertical
+    extent drops below it (resolving data that oscillates in y), capped at
+    MAX_SUBDIVISION_DEPTH levels.  A polygon that is not star-shaped with
+    respect to its centroid raises `QuadratureError` with `cell` set to i.
+    """
+    starts = np.asarray(starts)
+    owner = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    a = np.asarray(verts, dtype=float)
+    nxt = np.arange(1, owner.size + 1)
+    nxt[starts[1:] - 1] = starts[:-1]
+    b = a[nxt]
+    c = np.asarray(centroids, dtype=float)[owner]
+    signed = 0.5 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+                    - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0]))
+    bad = np.flatnonzero(signed <= 1e-14 * np.asarray(areas)[owner])
+    if bad.size:
+        t = bad[0]
+        exc = QuadratureError(
+            "cell is not star-shaped with respect to its centroid "
+            f"(fan triangle {t - starts[owner[t]]} has signed area {signed[t]:g}); "
+            "run mesh validation")
+        exc.cell = int(owner[t])
+        raise exc
+    if max_y_extent is not None:
+        c, a, b, owner = _subdivide_by_extent(c, a, b, owner, max_y_extent)
+    return (c, a, b), owner
 
 
 def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
     """Quadrature on a star-shaped polygon, exact for degree <= `degree`.
 
-    The polygon is fanned into triangles from its centroid and a collapsed
-    Gauss rule is applied per triangle.  With `max_y_extent` set, triangles
-    are quadrisected until their vertical extent drops below it (resolving
-    data that oscillates in y), capped at MAX_SUBDIVISION_DEPTH levels.
+    The one-polygon case of `fan_triangles`, with a collapsed Gauss rule per
+    fan triangle.  Its `QuadratureError` names no cell: the caller does.
     """
-    a = np.asarray(E.verts, dtype=float)
-    b = np.roll(a, -1, axis=0)
-    c = np.asarray(E.centroid, dtype=float)
-    signed = 0.5 * ((a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (a[:, 1] - c[1]) * (b[:, 0] - c[0]))
-    bad = np.flatnonzero(signed <= 1e-14 * E.area)
-    if bad.size:
-        raise QuadratureError(
-            "cell is not star-shaped with respect to its centroid "
-            f"(fan triangle {bad[0]} has signed area {signed[bad[0]]:g}); run mesh validation")
-    corners = (np.broadcast_to(c, a.shape), a, b)
-    if max_y_extent is not None:
-        corners = _subdivide_by_extent(*corners, max_y_extent)
+    try:
+        corners, _ = fan_triangles(E.verts, (0, len(E.verts)), [E.centroid], [E.area],
+                                   max_y_extent=max_y_extent)
+    except QuadratureError as exc:
+        exc.cell = None
+        raise
     return QuadRule(*triangle_rule(*corners, degree))
 
 

@@ -1,9 +1,12 @@
 """The failure taxonomy: every polyvem error carries the CLI exit code it maps to.
 
 Exit code 2 marks bad input (a mesh that cannot be built or integrated on),
-exit code 3 a discretization or solver failure.  `assembly.map_cells`, the
-one loop over cells, sets `cell` on any error raised while visiting a cell,
-and the message then leads with it.
+exit code 3 a discretization or solver failure.  An error that belongs to
+one cell carries its index in `cell`, and the message then leads with it:
+`assembly.map_cells`, the loop of element construction, sets it on any error
+raised while visiting a cell, and in the data passes, which go by blocks of
+cells (`local.data_rules`), the block rule's fan check names the cell that
+is not star-shaped.
 """
 
 

@@ -11,8 +11,9 @@ scheme needs is assembled from those dofs:
 * L2 projections of values (degree k-1) and gradients (degree k-1 for the
   standard scheme, degree k+ell-1 for the stabilization-free one),
 * the consistency and stabilization parts of the local stiffness matrix,
-* the source moments of degree k-1 (`local_load`, with the cell's `DataRule`),
-  which every scheme shares and tests with its own `pi0_val`.
+* the source moments of degree k-1, which every scheme shares and tests with
+  its own `pi0_val`: `local_load` integrates them on a block of cells at
+  once, with the block's `DataRule` (`data_rules` cuts a mesh into blocks).
 
 `build_projection_pack` is the one place that chooses ell and builds the
 cell's `ElementContext` (quadrature, Gram matrix, edge data); every projector
@@ -40,8 +41,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
-                    eval_monomials, laplacian_coefficients, monomial_exponents,
-                    monomial_gram, monomial_index, polygon_quadrature)
+                    eval_monomials, fan_triangles, laplacian_coefficients,
+                    monomial_exponents, monomial_gram, monomial_index,
+                    polygon_quadrature, scaled_monomials, triangle_rule)
 from .errors import (CellDegeneracyError, NumericalDegeneracyError,
                      StabilizationFreeRankError)
 
@@ -412,45 +414,81 @@ def local_stiffness(pack: ProjectionPack, method: Method,
     return LocalStiffness(a_pi=a_pi, a_s=a_s, a=a_pi + a_s, k_inf=k_inf)
 
 
-class DataRule:
-    """The quadrature for source and error data on a cell, with monomial tables.
+# Points per data block.  Blocks of about this size ran the data passes
+# fastest, and they keep a block's tables to a few MB whatever the mesh.
+DATA_BLOCK_POINTS = 25_000
 
-    It is exact to degree 2k+6; for data oscillating in y (a case with a
-    `y_wavelength`) the fan triangles are subdivided to half the wavelength.
-    The rule is built on one cell E and serves any translate of E: `points`
-    moves it there, and the scaled monomials, which are centred on the cell,
-    take the same values at the moved points, so each table is evaluated
-    once per rule.
+
+def _data_degree(k: int) -> int:
+    return 2 * k + 6
+
+
+class DataRule:
+    """The quadrature for source and error data on a block of consecutive
+    cells, with its monomial table; `data_rules` cuts a mesh into blocks.
+
+    It is exact to degree 2k+6 on every cell of the block; for data
+    oscillating in y (a case with a `y_wavelength`) the fan triangles are
+    subdivided to half the wavelength.  `cells` is the block's range of cell
+    indices.  Its T triangles carry q points each: `points` (T*q, 2) and
+    `weights` (T*q,) run triangle by triangle, `triangle_cells` (T,) is the
+    cell of each triangle, and the triangles of cell `cells[i]` start at
+    `starts[i]`, so a per-cell integral is a segment sum.
     """
 
-    def __init__(self, E, k: int, y_wavelength=None):
-        max_y = y_wavelength / 2.0 if y_wavelength else None
-        quad = polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y)
-        self.E = E
+    def __init__(self, mesh, k: int, corners, triangle_cells):
         self.k = k
-        self.weights = quad.weights
-        self._points = quad.points
-        self._offsets = quad.points - E.centroid
-
-    def points(self, E) -> np.ndarray:
-        """The rule's points on E, the cell it was built on or a translate of it."""
-        return self._points if E is self.E else self._offsets + E.centroid
+        self.cells = range(int(triangle_cells[0]), int(triangle_cells[-1]) + 1)
+        self.points, self.weights = triangle_rule(*corners, _data_degree(k))
+        self.shape = (triangle_cells.size, self.weights.size // triangle_cells.size)
+        self.triangle_cells = triangle_cells
+        self.starts = np.searchsorted(triangle_cells, self.cells)
+        self._mesh = mesh
 
     @cached_property
     def monomials(self) -> np.ndarray:
-        """Scaled monomials of degree <= k-1 (the source's) at the points, (npts, n)."""
-        return eval_monomials(self.E, self._points, self.k - 1)
+        """Scaled monomials of degree <= k-1 at the points, (T, q, n), each
+        centred and scaled by its own cell."""
+        centroids = self._mesh.cell_centroids[self.triangle_cells]
+        h = self._mesh.cell_diameters[self.triangle_cells, None]
+        rx, ry = ((self.points[:, i].reshape(self.shape) - centroids[:, i, None]) / h
+                  for i in (0, 1))
+        return scaled_monomials(rx, ry, self.k - 1)
 
-    @cached_property
-    def monomial_grads(self) -> np.ndarray:
-        """Gradients of the degree <= k scaled monomials at the points, (npts, n, 2)."""
-        return eval_monomial_grads(self.E, self._points, self.k)
+
+def data_rules(mesh, k: int, y_wavelength=None):
+    """The order-k `DataRule`s of the mesh: consecutive blocks of whole cells
+    in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
+    cell that alone has more.
+
+    The fan triangles of all cells are formed, checked and subdivided once
+    (`fan_triangles`), so a cell that is not star-shaped raises
+    `QuadratureError` naming that cell before any block is built.
+    """
+    ids, starts = mesh.flat_cells
+    max_y = y_wavelength / 2.0 if y_wavelength else None
+    corners, triangle_cells = fan_triangles(mesh.vertices[ids], starts, mesh.cell_centroids,
+                                            mesh.cell_areas, max_y_extent=max_y)
+    # the points of one triangle's rule: every triangle has as many
+    per_triangle = triangle_rule(*(c[:1] for c in corners), _data_degree(k))[1].size
+    first_triangle = np.searchsorted(triangle_cells, np.arange(mesh.n_cells + 1))
+    points_before = first_triangle * per_triangle
+    first = 0
+    while first < mesh.n_cells:
+        stop = np.searchsorted(points_before, points_before[first] + DATA_BLOCK_POINTS,
+                               side="right") - 1
+        stop = max(int(stop), first + 1)
+        block = slice(first_triangle[first], first_triangle[stop])
+        yield DataRule(mesh, k, tuple(c[block] for c in corners), triangle_cells[block])
+        first = stop
 
 
-def local_load(E, f, rule: DataRule) -> np.ndarray:
-    """Moments int_E f m_a, |a| <= k-1, of a source on a cell, with its order-k rule.
+def local_load(f, rule: DataRule) -> np.ndarray:
+    """Moments int_E f m_a, |a| <= k-1, of a source on every cell E of a data
+    block, shape (len(rule.cells), dim P_{k-1}).
 
-    A scheme's load on the cell is `pi0_val.T @ local_load(E, f, rule)`."""
-    pts = rule.points(E)
-    fvals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    return rule.monomials.T @ (rule.weights * fvals)
+    A scheme's load on cell E is `pi0_val.T @` E's row."""
+    fvals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
+    fw = (rule.weights * fvals).reshape(rule.shape)
+    per_triangle = (fw[:, None, :] @ rule.monomials)[:, 0]
+    return np.add.reduceat(per_triangle, rule.starts, axis=0)

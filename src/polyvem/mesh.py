@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -191,6 +192,38 @@ class PolyMesh:
     @property
     def n_edges(self):
         return self.edges.shape[0]
+
+    @cached_property
+    def flat_cells(self):
+        """(ids, starts): the vertex ids of every cell concatenated in cell
+        order, and the (n_cells + 1,) offsets of each cell's run in `ids`."""
+        starts = np.zeros(self.n_cells + 1, dtype=int)
+        np.cumsum(np.fromiter(map(len, self.cells), dtype=int, count=self.n_cells),
+                  out=starts[1:])
+        ids = np.concatenate(self.cells) if self.cells else np.zeros(0, dtype=int)
+        ids.setflags(write=False)
+        starts.setflags(write=False)
+        return ids, starts
+
+    @cached_property
+    def cell_sides(self):
+        """(edge_ids, against): the mesh edge of every cell side, side j of a
+        cell running from its vertex j to vertex j+1, in the order of
+        `flat_cells`, and whether the side runs against the edge's (low, high)
+        vertex order.  Found among the sorted edge keys, all sides at once."""
+        ids, starts = self.flat_cells
+        nxt = np.arange(1, ids.size + 1)
+        nxt[starts[1:] - 1] = starts[:-1]
+        head, tail = ids, ids[nxt]
+        nv = self.n_vertices
+        keys = self.edges[:, 0] * nv + self.edges[:, 1]
+        order = np.argsort(keys)
+        side_keys = np.minimum(head, tail) * nv + np.maximum(head, tail)
+        edge_ids = order[np.searchsorted(keys[order], side_keys)]
+        against = head > tail
+        edge_ids.setflags(write=False)
+        against.setflags(write=False)
+        return edge_ids, against
 
     def cell_geom(self, ci) -> CellGeometry:
         v = self.vertices[self.cells[ci]]
@@ -626,25 +659,21 @@ def edge_conformity_violations(mesh: PolyMesh):
     directions by two cells, and lie on a side of the unit square when only
     one cell has it.
     """
-    for eid, adj in enumerate(mesh.edge_cells):
-        a, b = mesh.edges[eid]
-        if len(adj) > 2:
-            detail = f"shared by {len(adj)} cells"
-        elif len(adj) == 2:
-            if adj[0][1] != adj[1][1]:
-                continue
+    edge_ids, against = mesh.cell_sides
+    n_cells = np.bincount(edge_ids, minlength=mesh.n_edges)
+    n_against = np.bincount(edge_ids, weights=against, minlength=mesh.n_edges)
+    a, b = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    on_side = np.zeros(mesh.n_edges, dtype=bool)
+    for side in (0.0, 1.0):
+        on_side |= ((np.abs(a - side) <= BOUNDARY_SNAP_TOL)
+                    & (np.abs(b - side) <= BOUNDARY_SNAP_TOL)).any(axis=1)
+    bad = (n_cells > 2) | ((n_cells == 2) & (n_against != 1)) | ((n_cells == 1) & ~on_side)
+    for eid in np.flatnonzero(bad).tolist():
+        if n_cells[eid] > 2:
+            detail = f"shared by {n_cells[eid]} cells"
+        elif n_cells[eid] == 2:
             detail = "traversed in the same direction by both cells"
-        elif _on_square_side(mesh.vertices[a], mesh.vertices[b]):
-            continue
         else:
             detail = "single-cell edge not on the square boundary"
-        yield Violation("conformity", f"edge ({a},{b})", detail)
-
-
-def _on_square_side(a, b):
-    for coord in (0, 1):
-        for side in (0.0, 1.0):
-            if (abs(a[coord] - side) <= BOUNDARY_SNAP_TOL
-                    and abs(b[coord] - side) <= BOUNDARY_SNAP_TOL):
-                return True
-    return False
+        yield Violation("conformity", f"edge ({mesh.edges[eid, 0]},{mesh.edges[eid, 1]})",
+                        detail)

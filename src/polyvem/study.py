@@ -6,12 +6,14 @@ schemes at the requested orders, and records the relative energy error
     e* = sqrt(sum_E ||sqrt(K) grad(u - P_k u_h)||^2_E) / ||sqrt(K) grad u||_Omega
 
 where P_k is the element energy projector of the assembled system (its dof
-map and per-cell `pi_stars`), plus the convergence rate of the last two
+map and `pi_stars`), plus the convergence rate of the last two
 errors and, for the standard scheme, the stabilization/consistency
 norm ratio per level and its ladder average.  On each mesh and order
 `solve_cases` serves every scheme with one data pass for the source moments
-and one for the errors.  Artifacts are written with full-precision floats so
-repeated runs are byte-identical.
+and one for the errors.  Both passes run block by block over the mesh
+(`local.data_rules`), in array code with no loop over cells; the gradient of
+a projection is taken in each cell's degree k-1 monomials.  Artifacts are
+written with full-precision floats so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
-                       map_cells, solve, source_moments, stab_consistency_ratio)
-from .basis import dim_poly
+                       solve, source_moments, stab_consistency_ratio)
+from .basis import dim_poly, monomial_derivatives
 from .cases import TestCase, testcase
 from .errors import PolyvemError
-from .local import Method
+from .local import Method, data_rules
 from .mesh import DEFAULT_LLOYD_ITERS, FAMILIES, PolyMesh, generate_mesh
 
 
@@ -44,38 +46,37 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
 
 
 def _energy(weights, grads, sqK) -> float:
-    """Quadrature value of ||sqrt(K) g||^2 from the values g of a gradient."""
+    """Quadrature value of ||sqrt(K) g||^2 from the values g (npts, 2) of a gradient."""
     wg = grads @ sqK.T
-    return float(weights @ (wg * wg).sum(axis=1))
+    return float(np.einsum("p,pd,pd->", weights, wg, wg))
 
 
 def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
-    """One pass over the cells with order-k data rules: the squared exact
-    norm, then the squared energy error of each (system, u_dofs) in `solved`."""
+    """One pass over the data blocks of order-k rules: the squared exact
+    norm, then the squared energy error of each (system, u_dofs) in `solved`.
+
+    A projection's gradient is taken in the degree k-1 monomials of each
+    cell, so one monomial table per block serves every solution."""
     sqK = case.K.sqrt_matrix()
-
-    def cell(ci, E, rule):
-        pts = rule.points(E)
-        ge = np.column_stack(case.grad_u(pts[:, 0], pts[:, 1]))
-        values = [_energy(rule.weights, ge, sqK)]
-        for system, u_dofs in solved:
-            coeffs = system.pi_stars[ci] @ u_dofs[system.dof_map.cell_dofs[ci]]
-            gh = np.tensordot(rule.monomial_grads, coeffs, axes=([1], [0]))  # (nq, 2)
-            values.append(_energy(rule.weights, ge - gh, sqK))
-        return values
-
+    # (n_cells, dim P_{k-1}, 2) coefficients of each projection's gradient
+    grads = [np.einsum("dba,ca->cbd", monomial_derivatives(k), system.projections(u_dofs))
+             / mesh.cell_diameters[:, None, None] for system, u_dofs in solved]
     sums = [0.0] * (len(solved) + 1)
-    for values in map_cells(mesh, cell, data_order=k, y_wavelength=case.y_wavelength):
-        sums = [a + b for a, b in zip(sums, values)]
+    for rule in data_rules(mesh, k, case.y_wavelength):
+        ge = np.column_stack(case.grad_u(rule.points[:, 0], rule.points[:, 1]))
+        sums[0] += _energy(rule.weights, ge, sqK)
+        for j, g in enumerate(grads, start=1):
+            gh = rule.monomials @ g[rule.triangle_cells]                  # (T, q, 2)
+            sums[j] += _energy(rule.weights, ge - gh.reshape(-1, 2), sqK)
     return sums
 
 
 def energy_error(mesh: PolyMesh, solved, case: TestCase) -> list:
     """Relative energy-norm errors of the (system, u_dofs) pairs in `solved`.
 
-    One pass over the cells serves every pair; all are assembled on the mesh
+    One pass over the mesh serves every pair; all are assembled on the mesh
     at one order.  A solution's energy projection on each cell comes from its
-    system's dof map and per-cell projector coefficients (`system.pi_stars`).
+    system's dof map and projector coefficients (`SparseSystem.projections`).
     """
     den, *num = _energy_sums(mesh, solved[0][0].dof_map.k, solved, case)
     if den <= 0.0:
@@ -97,8 +98,8 @@ def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
     if n_mom:
         # the moment dofs (1/|E|) int_E func m_a, |a| <= k-2, lead the source moments
         moments = source_moments(mesh, k, func)[:, :n_mom] / mesh.cell_areas[:, None]
-        for dofs, cell_moments in zip(dm.cell_dofs, moments):
-            out[dofs[-n_mom:]] = cell_moments
+        for cells, dofs in dm.groups:
+            out[dofs[:, -n_mom:]] = moments[cells]
     return out
 
 

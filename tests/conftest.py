@@ -10,7 +10,8 @@ try:
 except ImportError:
     sys.path.insert(0, str(SRC))
 
-from polyvem.mesh import CellGeometry
+from polyvem.local import data_rules
+from polyvem.mesh import CellGeometry, PolyMesh
 
 
 def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> CellGeometry:
@@ -31,6 +32,12 @@ def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> Ce
         except Exception:
             continue
         return E
+
+
+def cell_data_rule(E: CellGeometry, k: int):
+    """The order-k data rule of the one cell E: the only block of its one-cell mesh."""
+    (rule,) = data_rules(PolyMesh(E.verts, [np.arange(E.n_vertices)]), k)
+    return rule
 
 
 UNIT_SQUARE = CellGeometry.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])

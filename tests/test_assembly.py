@@ -3,11 +3,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from conftest import cell_data_rule
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, solve,
                               source_moments, stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
-from polyvem.local import (DataRule, DiffusionTensor, ElementContext, Method,
+from polyvem.local import (DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_load, local_stiffness)
 from polyvem.mesh import NonConformingMeshError, PolyMesh, generate_cartesian, generate_voronoi
 from polyvem.study import interpolate_dofs
@@ -133,7 +134,7 @@ def test_congruent_cache_matches_direct_assembly():
         pack = build_projection_pack(E, k, Method.STANDARD)
         idx = dm.cell_dofs[ci]
         A[np.ix_(idx, idx)] += local_stiffness(pack, Method.STANDARD, case.K).a
-        b[idx] += pack.pi0_val.T @ local_load(E, case.f, DataRule(E, k))
+        b[idx] += pack.pi0_val.T @ local_load(case.f, cell_data_rule(E, k))[0]
     assert np.abs(sys_.a.toarray() - A).max() <= 1e-12
     assert np.abs(sys_.b - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 

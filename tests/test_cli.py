@@ -176,14 +176,17 @@ def test_study_records_cell_failure_and_continues(tmp_path, monkeypatch):
 
 
 def test_study_records_source_pass_failure_on_both_rows(tmp_path, monkeypatch):
-    # the source pass is shared by both schemes, so its failure is theirs
+    # the source pass is shared by both schemes, so its failure is theirs;
+    # a data-pass failure names its cell, here the sixth of the first block
     real, calls = assembly.local_load, []
 
-    def failing_sixth_cell(E, f, rule):
-        calls.append(E)
-        if len(calls) == 6:
-            raise QuadratureError("source pass failed")
-        return real(E, f, rule)
+    def failing_sixth_cell(f, rule):
+        calls.append(rule)
+        if len(calls) == 1:
+            exc = QuadratureError("source pass failed")
+            exc.cell = rule.cells[5]
+            raise exc
+        return real(f, rule)
 
     monkeypatch.setattr(assembly, "local_load", failing_sixth_cell)
     out = tmp_path / "study"

@@ -1,0 +1,105 @@
+"""The block data passes against a per-cell reference built here.
+
+`source_moments`, `exact_energy_norm` and `energy_error` integrate over
+blocks of cells (`local.data_rules`).  The reference integrates every cell
+with its own `polygon_quadrature` rule in plain loops, and takes each cell's
+energy projection from a pack built on that cell.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+
+from polyvem import local
+from polyvem.assembly import assemble, source_moments
+from polyvem.basis import eval_monomial_grads, eval_monomials, polygon_quadrature
+from polyvem.cases import testcase as get_case
+from polyvem.errors import QuadratureError
+from polyvem.local import Method, build_projection_pack, data_rules
+from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
+from polyvem.study import energy_error, exact_energy_norm, interpolate_dofs
+from test_cli import U_SHAPED_MESH
+
+RTOL = 1e-13
+MESHES = {"cartesian4": lambda: generate_cartesian(4),
+          "voronoi64": lambda: generate_voronoi(64, rng_seed=0, lloyd_iters=10)}
+
+
+def _cell_rule(E, k, case):
+    max_y = case.y_wavelength / 2.0 if case.y_wavelength else None
+    return polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y)
+
+
+def _reference_moments(mesh, k, case):
+    """The moments, and the largest integral of |f| over a cell: their scale,
+    since |m_a| <= 1 on the cell."""
+    out, scale = [], 0.0
+    for ci in range(mesh.n_cells):
+        E = mesh.cell_geom(ci)
+        q = _cell_rule(E, k, case)
+        fw = q.weights * case.f(q.points[:, 0], q.points[:, 1])
+        out.append(eval_monomials(E, q.points, k - 1).T @ fw)
+        scale = max(scale, float(np.abs(fw).sum()))
+    return np.array(out), scale
+
+
+def _energy(weights, grads, sqK):
+    wg = grads @ sqK.T
+    return float(weights @ (wg * wg).sum(axis=1))
+
+
+def _reference_energy_sums(mesh, k, solved, case):
+    sqK = case.K.sqrt_matrix()
+    sums = [0.0] * (len(solved) + 1)
+    for ci in range(mesh.n_cells):
+        E = mesh.cell_geom(ci)
+        q = _cell_rule(E, k, case)
+        ge = np.column_stack(case.grad_u(q.points[:, 0], q.points[:, 1]))
+        sums[0] += _energy(q.weights, ge, sqK)
+        grads = eval_monomial_grads(E, q.points, k)
+        for j, (system, u_dofs) in enumerate(solved, start=1):
+            pi_star = build_projection_pack(E, k, system.method).pi_star
+            coeffs = pi_star @ u_dofs[system.dof_map.cell_dofs[ci]]
+            gh = np.tensordot(grads, coeffs, axes=([1], [0]))              # (nq, 2)
+            sums[j] += _energy(q.weights, ge - gh, sqK)
+    return sums
+
+
+@pytest.mark.parametrize("case_id", ["tc1", "tc2"])
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_passes_match_per_cell_reference(k, mesh_name, case_id, monkeypatch):
+    monkeypatch.setattr(local, "DATA_BLOCK_POINTS", 500)
+    mesh = MESHES[mesh_name]()
+    case = get_case(case_id)
+    blocks = [rule.cells for rule in data_rules(mesh, k, case.y_wavelength)]
+    assert len(blocks) > 1
+    assert [ci for cells in blocks for ci in cells] == list(range(mesh.n_cells))
+
+    moments = source_moments(mesh, k, case.f, y_wavelength=case.y_wavelength)
+    ref, scale = _reference_moments(mesh, k, case)
+    assert moments.shape == ref.shape
+    assert np.abs(moments - ref).max() <= RTOL * scale
+
+    system = assemble(mesh, k, Method.STANDARD, case.K)
+    rng = np.random.default_rng(k)
+    solved = [(system, interpolate_dofs(mesh, k, case.u)),
+              (system, rng.standard_normal(system.dof_map.n_total))]
+    den, *num = _reference_energy_sums(mesh, k, solved, case)
+    assert exact_energy_norm(mesh, case, k) == pytest.approx(math.sqrt(den), rel=RTOL)
+    errors = energy_error(mesh, solved, case)
+    assert errors == pytest.approx([math.sqrt(n / den) for n in num], rel=RTOL)
+
+
+def test_block_pass_names_a_nonstar_cell_inside_its_block():
+    # the U-shaped cell, not star-shaped about its centroid, is cell 1 here;
+    # both cells fit in one block: 12 fan triangles of 36 points at k = 2
+    u_mesh = read_mesh(io.StringIO(U_SHAPED_MESH))
+    mesh = PolyMesh(u_mesh.vertices, u_mesh.cells[::-1])
+    assert 12 * 36 <= local.DATA_BLOCK_POINTS
+    with pytest.raises(QuadratureError, match="^cell 1: cell is not star-shaped"):
+        source_moments(mesh, 2, get_case("tc1").f)
+    with pytest.raises(QuadratureError, match="^cell 1: cell is not star-shaped"):
+        exact_energy_norm(mesh, get_case("tc1"), 2)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
+from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, star_polygon
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
                            monomial_exponents, monomial_index, polygon_quadrature)
-from polyvem.local import (DataRule, DiffusionTensor, DofLayout, ElementContext, Method,
+from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad,
                            build_pi_nabla, build_projection_pack, dof_count,
                            local_load, local_stiffness, min_ell,
@@ -393,7 +393,7 @@ def test_rank_check_raises_on_deficient_pack(monkeypatch):
 def test_load_zero_source(rng):
     E = star_polygon(rng, 5)
     pack = build_projection_pack(E, 2, Method.STANDARD)
-    load = pack.pi0_val.T @ local_load(E, lambda x, y: 0.0 * x, DataRule(E, 2))
+    load = pack.pi0_val.T @ local_load(lambda x, y: 0.0 * x, cell_data_rule(E, 2))[0]
     assert np.abs(load).max() == 0.0
 
 
@@ -401,7 +401,7 @@ def test_load_zero_source(rng):
 def test_load_constant_source_integrates_area(k, rng):
     E = star_polygon(rng, 6)
     pack = build_projection_pack(E, k, Method.STANDARD)
-    load = pack.pi0_val.T @ local_load(E, lambda x, y: np.ones_like(x), DataRule(E, k))
+    load = pack.pi0_val.T @ local_load(lambda x, y: np.ones_like(x), cell_data_rule(E, k))[0]
     chi = chi_of_constant(pack)
     assert load @ chi == pytest.approx(E.area, abs=1e-10)
 
@@ -409,7 +409,7 @@ def test_load_constant_source_integrates_area(k, rng):
 def test_load_centered_monomial_unit_square():
     pack = build_projection_pack(UNIT_SQUARE, 1, Method.STANDARD)
     h, c = UNIT_SQUARE.diameter, UNIT_SQUARE.centroid
-    load = pack.pi0_val.T @ local_load(UNIT_SQUARE, lambda x, y: (x - c[0]) / h,
-                                       DataRule(UNIT_SQUARE, 1))
+    load = pack.pi0_val.T @ local_load(lambda x, y: (x - c[0]) / h,
+                                       cell_data_rule(UNIT_SQUARE, 1))[0]
     chi = np.ones(4)
     assert load @ chi == pytest.approx(0.0, abs=1e-12)

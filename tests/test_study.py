@@ -79,41 +79,49 @@ def test_solve_case_builds_the_dof_map_once(monkeypatch):
     assert calls == [2]
 
 
+def _count_data_rules(monkeypatch, covered):
+    """Record (order, cells) of every data rule built."""
+    init = local.DataRule.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        covered.append((self.k, self.cells))
+
+    monkeypatch.setattr(local.DataRule, "__init__", counted)
+
+
 def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
-    built = {"ctx": 0, "rule": 0}
-    for name, cls in (("ctx", local.ElementContext), ("rule", local.DataRule)):
-        init = cls.__init__
+    built = {"ctx": 0}
+    init = local.ElementContext.__init__
 
-        def counted(self, *args, _init=init, _name=name, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built["ctx"] += 1
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
-    per_mesh = []
+    monkeypatch.setattr(local.ElementContext, "__init__", counted)
+    covered = []
+    _count_data_rules(monkeypatch, covered)
     for n in (2, 8):
-        built.update(ctx=0, rule=0)
+        built["ctx"] = 0
+        covered.clear()
         solve_case(generate_cartesian(n), 3, Method.STANDARD, get_case("tc2"))
-        per_mesh.append(dict(built))
-    # one element context; one data rule for the load and one for the error
-    assert per_mesh == [{"ctx": 1, "rule": 2}] * 2
+        # one element context; the data rules of the load pass, then those of
+        # the error pass, each cover every cell once, in cell order
+        assert built["ctx"] == 1
+        assert [ci for _, cells in covered for ci in cells] == list(range(n * n)) * 2
 
 
 def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
     # both schemes share one source pass and one error pass on each mesh
-    built = []
-    init = local.DataRule.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args[1])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(local.DataRule, "__init__", counted)
+    covered = []
+    _count_data_rules(monkeypatch, covered)
     mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=10)  # the ladder's level 1
     result = run_study(StudyConfig(case_id="tc2", orders=(1,), families=("voronoi",),
                                    levels=1, lloyd_iters=10))
     assert [(r.method, r.n_dofs, r.note) for r in result.rows] == [
         ("vem", mesh.n_vertices, ""), ("e2vem", mesh.n_vertices, "")]
-    assert built == [1] * (2 * mesh.n_cells)
+    assert {k for k, _ in covered} == {1}
+    assert [ci for _, cells in covered for ci in cells] == list(range(mesh.n_cells)) * 2
 
 
 def test_solve_cases_keeps_a_failure_per_scheme(monkeypatch):
