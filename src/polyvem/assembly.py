@@ -23,10 +23,15 @@ from scipy.sparse.linalg import splu
 from .basis import dim_poly, edge_rules
 from .errors import PolyvemError, SolverError
 from .local import (DiffusionTensor, Method, build_projection_pack, data_rules,
-                    local_load, local_stiffness)
+                    element_matrices, local_load)
 from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
 
 RESIDUAL_RTOL = 1e-10
+# Cells per element stack.  On Voronoi-1024 at orders 1-3, stacks of this
+# size built the elements within a few per cent of the time of whole
+# vertex-count groups, while the quadrature tables of a stack stay at a few MB
+# (a 697-cell stack of stabilization-free order-2 hexagons peaked at 42 MB).
+STACK_CELLS = 256
 # Symmetric minimum-degree ordering on the pattern of A+A^T: the ordering
 # SuperLU pairs with symmetric mode and no off-diagonal pivoting.  On the
 # cartesian 128 k=3 system it leaves a third of COLAMD's L+U fill.
@@ -126,18 +131,52 @@ class SparseSystem:
         return out
 
 
-def map_cells(mesh: PolyMesh, cells, visit):
-    """visit(ci, E) for every cell ci in `cells`, with E its geometry.
+def map_cells(mesh: PolyMesh, stacks, visit) -> list:
+    """[visit(cells, E) for cells in stacks], E the stacked geometry of the
+    index array `cells`, whose cells share a vertex count.
 
-    This is the loop of element construction.  A `PolyvemError` raised while
-    visiting a cell leaves with that cell's index set on it.
+    This is the loop of element construction: it goes by stacks, not cells.
+    If a visit raises a `PolyvemError`, the error of the lowest-numbered
+    failing cell of all stacks leaves, with that cell's index set on it.  A
+    failed visit sets on its error the position in its stack of a failing
+    cell if it knows one, and the cells before it are visited again to find
+    any lower one; a stack that failed as a whole is halved until one cell
+    fails.  Only the failure path visits a cell twice.
     """
-    try:
-        for ci in cells:
-            visit(ci, mesh.cell_geom(ci))
-    except PolyvemError as exc:
-        exc.cell = ci
-        raise
+    out = []
+    for i, cells in enumerate(stacks):
+        try:
+            out.append(visit(cells, mesh.cell_geom(cells)))
+        except PolyvemError as exc:
+            cell, exc = _first_failure(mesh, cells, visit, exc)
+            for later in stacks[i + 1:]:
+                cell, exc = _first_failure(mesh, later[later < cell], visit) or (cell, exc)
+            exc.cell = int(cell)
+            raise exc
+    return out
+
+
+def _first_failure(mesh: PolyMesh, cells, visit, exc=None):
+    """(cell, error) of the lowest-numbered cell of `cells` whose visit fails,
+    None if none does; `exc` is the error of visiting all of `cells`, if
+    that is already known."""
+    if exc is None:
+        if not cells.size:
+            return None
+        try:
+            visit(cells, mesh.cell_geom(cells))
+            return None
+        except PolyvemError as err:
+            exc = err
+    if cells.size == 1:
+        return cells[0], exc
+    if exc.cell is not None:
+        return _first_failure(mesh, cells[:exc.cell], visit) or (cells[exc.cell], exc)
+    half = cells.size // 2
+    found = _first_failure(mesh, cells[:half], visit) or _first_failure(mesh, cells[half:], visit)
+    if found is None:           # no part fails alone: the error names no cell
+        raise exc
+    return found
 
 
 def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarray:
@@ -153,30 +192,35 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
              source=None) -> SparseSystem:
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
-    Cell ci's load is `pack.pi0_val.T @ source[ci]`, from the `source_moments`
-    of the mesh at order k; without `source` b is zero (enough for norm
-    studies).  Element matrices are invariant under translation, so on a mesh
-    of congruent cells the ones of cell 0 serve every cell.  The scatter goes
-    by the dof map's groups of cells; the stabilization-free scheme scatters
-    no stabilization, so its `a_s` has no stored entries.
+    The elements of each group of the dof map, cells with one vertex count,
+    are built in stacks of at most STACK_CELLS cells (`map_cells`) and
+    scattered group by group.  Cell ci's load is `pack.pi0_val.T @
+    source[ci]`, from the `source_moments` of the mesh at order k; without
+    `source` b is zero (enough for norm studies).  Element matrices are
+    invariant under translation, so on a mesh of congruent cells the stack of
+    cell 0 serves every cell.  The consistency part, the stabilization part
+    and their sum share one read-only sparse pattern; the stabilization-free
+    scheme scatters no stabilization, so its `a_s` has no stored entries.
     """
     dm = build_dof_map(mesh, k)
-    elements = {}        # local dof count -> the element matrices of its cells, in cell order
 
-    def build(ci, E):
-        pack = build_projection_pack(E, k, method)
-        stiff = local_stiffness(pack, method, K)
-        elements.setdefault(pack.layout.total, []).append(
-            (pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s))
+    def build(cells, E):
+        return element_matrices(build_projection_pack(E, k, method), method, K)
 
-    map_cells(mesh, [0] if mesh.congruent_cells else range(mesh.n_cells), build)
+    # per group, its stacks: runs of at most STACK_CELLS of its cells, or on
+    # a mesh of congruent cells the stack of cell 0, which serves every cell
+    stacks = [[cells[:1]] if mesh.congruent_cells
+              else np.split(cells, range(STACK_CELLS, cells.size, STACK_CELLS))
+              for cells, _ in dm.groups]
+    built = iter(map_cells(mesh, [stack for group in stacks for stack in group], build))
+    # per group, (pi_star, pi0_val, a_pi, a_s) of its cells in order
+    elements = [[np.concatenate(parts) for parts in zip(*(next(built) for _ in group))]
+                for group in stacks]
 
     b = np.zeros(dm.n_total)
-    rows, cols, vals_pi, vals_s, pi_stars = [], [], [], [], []
-    for cells, dofs in dm.groups:
+    rows, cols, vals_pi, vals_s = [], [], [], []
+    for (cells, dofs), (_, pi0_val, a_pi, a_s) in zip(dm.groups, elements):
         n = dofs.shape[1]
-        pi_star, pi0_val, a_pi, a_s = map(np.array, zip(*elements[n]))
-        pi_stars.append(pi_star)
         rows.append(np.repeat(dofs, n, axis=1).ravel())
         cols.append(np.tile(dofs, n).ravel())
         vals_pi.append(np.broadcast_to(a_pi.reshape(-1, n * n), (cells.size, n * n)).ravel())
@@ -187,15 +231,27 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
             b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
 
     shape = (dm.n_total, dm.n_total)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    a_pi = sp.coo_matrix((np.concatenate(vals_pi), (rows, cols)), shape=shape).tocsr()
+    ij = (np.concatenate(rows), np.concatenate(cols))
     if method is Method.STANDARD:
-        a_s = sp.coo_matrix((np.concatenate(vals_s), (rows, cols)), shape=shape).tocsr()
+        # one conversion sorts the pattern and sums the duplicates of both
+        # parts: the consistency part as the real, the stabilization part as
+        # the imaginary part of one complex matrix
+        both = np.empty(ij[0].size, dtype=complex)
+        np.concatenate(vals_pi, out=both.real)
+        np.concatenate(vals_s, out=both.imag)
+        both = sp.coo_matrix((both, ij), shape=shape).tocsr()
+        pattern = (both.indices, both.indptr)
+        for index in pattern:
+            index.setflags(write=False)
+        a_pi = sp.csr_matrix((both.data.real.copy(), *pattern), shape=shape)
+        a_s = sp.csr_matrix((both.data.imag.copy(), *pattern), shape=shape)
+        a = sp.csr_matrix((a_pi.data + a_s.data, *pattern), shape=shape)
     else:
+        a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
         a_s = sp.csr_matrix(shape)
-    return SparseSystem(a=(a_pi + a_s).tocsr(), a_pi=a_pi, a_s=a_s, b=b,
-                        dof_map=dm, method=method, pi_stars=pi_stars)
+        a = a_pi.copy()
+    return SparseSystem(a=a, a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, method=method,
+                        pi_stars=[pi_star for pi_star, *_ in elements])
 
 
 # ---------------------------------------------------------------------------

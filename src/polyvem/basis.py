@@ -62,33 +62,38 @@ def scaled_monomials(rx, ry, degree: int) -> np.ndarray:
     return _power_table(rx, degree)[..., exps[:, 0]] * _power_table(ry, degree)[..., exps[:, 1]]
 
 
-def eval_monomials(E, pts, degree: int) -> np.ndarray:
-    """Values of all scaled monomials with |a| <= degree at pts, shape (npts, n)."""
+def _scaled_coordinates(E, pts):
+    """rx, ry = (pts - x_E) / h_E; pts (..., npts, 2) and E a cell or a stack
+    of cells with the same leading axes."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    rx = (pts[:, 0] - E.centroid[0]) / E.diameter
-    ry = (pts[:, 1] - E.centroid[1]) / E.diameter
-    return scaled_monomials(rx, ry, degree)
+    c = np.asarray(E.centroid)[..., None, :]
+    h = np.asarray(E.diameter)[..., None]
+    return (pts[..., 0] - c[..., 0]) / h, (pts[..., 1] - c[..., 1]) / h
+
+
+def eval_monomials(E, pts, degree: int) -> np.ndarray:
+    """Values of all scaled monomials with |a| <= degree at pts, shape
+    (..., npts, n); a stack of cells takes its own points, (..., npts, 2)."""
+    return scaled_monomials(*_scaled_coordinates(E, pts), degree)
 
 
 def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
-    """Gradients of all scaled monomials at pts, shape (npts, n, 2).
+    """Gradients of all scaled monomials at pts, shape (..., npts, n, 2).
 
     Carries the 1/h_E chain-rule factor.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = E.diameter
-    rx = (pts[:, 0] - E.centroid[0]) / h
-    ry = (pts[:, 1] - E.centroid[1]) / h
+    rx, ry = _scaled_coordinates(E, pts)
+    h = np.asarray(E.diameter)[..., None, None]
     px = _power_table(rx, degree)
     py = _power_table(ry, degree)
     # shifted tables: column a holds value^(a-1), zero column for a = 0
-    pxm = np.hstack([np.zeros((pts.shape[0], 1)), px[:, :degree]])
-    pym = np.hstack([np.zeros((pts.shape[0], 1)), py[:, :degree]])
+    pxm = np.concatenate([np.zeros_like(px[..., :1]), px[..., :degree]], axis=-1)
+    pym = np.concatenate([np.zeros_like(py[..., :1]), py[..., :degree]], axis=-1)
     exps = monomial_exponents(degree)
     ax, ay = exps[:, 0], exps[:, 1]
-    out = np.empty((pts.shape[0], exps.shape[0], 2))
-    out[:, :, 0] = ax * pxm[:, ax] * py[:, ay] / h
-    out[:, :, 1] = ay * px[:, ax] * pym[:, ay] / h
+    out = np.empty(rx.shape + (exps.shape[0], 2))
+    out[..., 0] = ax * pxm[..., ax] * py[..., ay] / h
+    out[..., 1] = ay * px[..., ax] * pym[..., ay] / h
     return out
 
 
@@ -228,27 +233,40 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
 
 
 def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
-    """Quadrature on a star-shaped polygon, exact for degree <= `degree`.
+    """Quadrature on a star-shaped polygon, exact for degree <= `degree`: a
+    collapsed Gauss rule on each triangle of the centroid fan (`fan_triangles`).
 
-    The one-polygon case of `fan_triangles`, with a collapsed Gauss rule per
-    fan triangle.  Its `QuadratureError` names no cell: the caller does.
+    E is one cell, giving points (npts, 2) and weights (npts,), or a stack of
+    n cells with one vertex count, giving (n, npts, 2) and (n, npts).  A rule
+    subdivided under `max_y_extent` has its own point count on each cell, so
+    it takes one cell.  A stack's `QuadratureError` carries the position of
+    its failing cell in `cell`; one cell's names no cell: the caller does.
     """
+    verts = np.asarray(E.verts, dtype=float)
+    batch, m = verts.shape[:-2], verts.shape[-2]
+    if batch and max_y_extent is not None:
+        raise ValueError("a subdivided rule takes one cell, not a stack")
+    n = int(np.prod(batch))
     try:
-        corners, _ = fan_triangles(E.verts, (0, len(E.verts)), [E.centroid], [E.area],
-                                   max_y_extent=max_y_extent)
+        corners, _ = fan_triangles(verts.reshape(-1, 2), m * np.arange(n + 1),
+                                   np.reshape(E.centroid, (n, 2)),
+                                   np.reshape(E.area, n), max_y_extent=max_y_extent)
     except QuadratureError as exc:
-        exc.cell = None
+        if not batch:
+            exc.cell = None
         raise
-    return QuadRule(*triangle_rule(*corners, degree))
+    points, weights = triangle_rule(*corners, degree)
+    return QuadRule(points.reshape(batch + (-1, 2)), weights.reshape(batch + (-1,)))
 
 
 def monomial_gram(E, degree: int, quad: QuadRule | None = None) -> np.ndarray:
-    """Mass matrix of the scaled monomials up to `degree` on E, SPD by construction."""
+    """Mass matrix of the scaled monomials up to `degree` on E, SPD by
+    construction; (..., n, n) on a stack of cells."""
     if quad is None:
         quad = polygon_quadrature(E, 2 * degree)
     V = eval_monomials(E, quad.points, degree)
-    M = (V * quad.weights[:, None]).T @ V
-    M = 0.5 * (M + M.T)
+    M = np.swapaxes(V * quad.weights[..., None], -1, -2) @ V
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:

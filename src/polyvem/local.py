@@ -15,36 +15,43 @@ scheme needs is assembled from those dofs:
   its own `pi0_val`: `local_load` integrates them on a block of cells at
   once, with the block's `DataRule` (`data_rules` cuts a mesh into blocks).
 
-`build_projection_pack` is the one place that chooses ell and builds the
-cell's `ElementContext` (quadrature, Gram matrix, edge data); every projector
-builder takes that context, and `local_stiffness` takes the finished pack.
+Every step works on one cell or, with the same code, on a stack of cells
+that share a vertex count: all arrays then lead with the stack axis, matrix
+products are stacked `@`, and the solves, Cholesky checks and eigenvalues
+are batched LAPACK calls (`assembly.assemble` builds a mesh in stacks of
+up to `assembly.STACK_CELLS` cells of one vertex count).  `build_projection_pack` is the one place that
+chooses ell and builds the `ElementContext` (quadrature, Gram matrix, edge
+data); every projector builder takes that context, `local_stiffness` takes
+the finished pack, and `element_matrices` gives a stack's matrices cell by
+cell at the ell each cell was kept at.
 
-The context holds the data of all m edges as (m, ...) arrays; the builders
-evaluate monomials at all edge points at once and scatter through the one
-statement of the local edge order, the (m, k+1) table `DofLayout.edge_node_dofs`,
-with `np.add.at`, edge 0 first.
+The context holds the data of all m edges as (..., m, ...) arrays; the
+builders evaluate monomials at all edge points at once and scatter through
+the one statement of the local edge order, the (m, k+1) table
+`DofLayout.edge_node_dofs`, with `np.add.at`, edge 0 first.
 
 The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
 higher-degree gradient projection rich enough that no stabilizing term is
-needed.  Its coercivity is only guaranteed at order 1; a per-cell rank check,
-made where ell is chosen, guards the higher orders.
+needed.  Its coercivity is only guaranteed at order 1; a rank check of each
+cell, made where ell is chosen, guards the higher orders.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import LinAlgWarning, solve
 
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
                     eval_monomials, fan_triangles, laplacian_coefficients,
                     monomial_exponents, monomial_gram, monomial_index,
                     polygon_quadrature, scaled_monomials, triangle_rule)
-from .errors import (CellDegeneracyError, NumericalDegeneracyError,
+from .errors import (CellDegeneracyError, NumericalDegeneracyError, PolyvemError,
                      StabilizationFreeRankError)
 
 
@@ -153,16 +160,29 @@ class DofLayout:
 # per-element context shared by the build steps
 # ---------------------------------------------------------------------------
 
+def _t(a):
+    """Transpose of the last two axes: of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _add_edge_columns(target, edge_node_dofs, values):
+    """target[..., :, edge_node_dofs[e, j]] += values[..., e, j, :], edge 0
+    first, so the column of a vertex dof takes its two edges in edge order."""
+    np.add.at(np.moveaxis(target, -1, 0), edge_node_dofs, np.moveaxis(values, (-3, -2), (0, 1)))
+
+
 class ElementContext:
-    """Quadrature, Gram matrix and edge data for one (cell, k, ell) triple.
+    """Quadrature, Gram matrix and edge data for one (cell, k, ell) triple, or
+    for a stack of cells with one vertex count (E from `PolyMesh.cell_geom`
+    of an index array), whose arrays then all lead with the stack axis.
 
     The Gram matrix reaches degree k+ell and the edge rules integrate traces
     against monomials of degree k+ell exactly, which covers every projector
     of the pack built with this enlargement.  Edge e runs from vertex e to
     vertex e+1; over m edges, nq Gauss points and k+1 Lobatto nodes the edge
-    data are `edge_points` (m, nq, 2), outward unit `edge_normals` (m, 2),
-    `edge_lengths` (m,), `edge_trace` (m, k+1, nq) = |e| w_q L_j(t_q) (so
-    `edge_trace @ g` integrates each node's trace against g at the Gauss
+    data of a cell are `edge_points` (m, nq, 2), outward unit `edge_normals`
+    (m, 2), `edge_lengths` (m,), `edge_trace` (m, k+1, nq) = |e| w_q L_j(t_q)
+    (so `edge_trace @ g` integrates each node's trace against g at the Gauss
     points) and `edge_node_points` (m, k+1, 2), whose dofs are
     `layout.edge_node_dofs`.
     """
@@ -179,13 +199,20 @@ class ElementContext:
         d_max = 2 * k + ell + 3
         lob, gl_t, gl_w = edge_rules(k, d_max)
         start = E.verts
-        tang = np.roll(start, -1, axis=0) - start
-        self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
-        self.edge_normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / self.edge_lengths[:, None]
-        self.edge_points = start[:, None] + gl_t[:, None] * tang[:, None]
-        self.edge_trace = edge_lagrange(k, d_max) * (self.edge_lengths[:, None] * gl_w)[:, None]
-        self.edge_node_points = start[:, None] + lob[:, None] * tang[:, None]
-        self.perimeter = float(sum(self.edge_lengths))
+        tang = np.roll(start, -1, axis=-2) - start
+        self.edge_lengths = np.hypot(tang[..., 0], tang[..., 1])
+        self.edge_normals = (np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
+                             / self.edge_lengths[..., None])
+        self.edge_points = start[..., None, :] + gl_t[:, None] * tang[..., None, :]
+        self.edge_trace = (edge_lagrange(k, d_max)
+                           * (self.edge_lengths[..., None] * gl_w)[..., None, :])
+        self.edge_node_points = start[..., None, :] + lob[:, None] * tang[..., None, :]
+        self.perimeter = self.edge_lengths.sum(axis=-1)
+
+    @property
+    def batch(self) -> tuple:
+        """The leading axes: () for one cell, (n,) for a stack of n."""
+        return self.edge_lengths.shape[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +243,31 @@ def build_pi_nabla(ctx: ElementContext):
     integrates the known polynomial edge traces.  Row 0 enforces the average
     condition: boundary mean for k = 1, first moment dof for k > 1.
     """
-    E, k, lay = ctx.E, ctx.k, ctx.layout
+    E, k, lay, batch = ctx.E, ctx.k, ctx.layout, ctx.batch
     nk = dim_poly(k)
-    m, nq = ctx.edge_points.shape[:2]
+    m, nq = ctx.edge_points.shape[-3:-1]
+    area, h = np.asarray(E.area)[..., None], np.asarray(E.diameter)[..., None]
 
-    D = np.empty((lay.total, nk))
-    D[:m] = eval_monomials(E, E.verts, k)
-    D[m:lay.first_moment] = eval_monomials(E, ctx.edge_node_points[:, 1:-1].reshape(-1, 2), k)
-    D[lay.first_moment:] = ctx.gram[:lay.n_moments, :nk] / E.area
+    D = np.empty(batch + (lay.total, nk))
+    D[..., :m, :] = eval_monomials(E, E.verts, k)
+    inner = ctx.edge_node_points[..., 1:-1, :].reshape(batch + (-1, 2))
+    D[..., m:lay.first_moment, :] = eval_monomials(E, inner, k)
+    D[..., lay.first_moment:, :] = ctx.gram[..., :lay.n_moments, :nk] / area[..., None]
 
-    B = np.zeros((nk, lay.total))
+    B = np.zeros(batch + (nk, lay.total))
     rows, moment, coef = _laplacian_entries(k)
-    B[rows, lay.first_moment + moment] -= coef / E.diameter ** 2 * E.area
-    grads = eval_monomial_grads(E, ctx.edge_points.reshape(-1, 2), k).reshape(m, nq, nk, 2)
-    gn = (grads @ ctx.edge_normals[:, None, :, None])[..., 0]          # (m, nq, nk)
-    np.add.at(B.T, lay.edge_node_dofs, ctx.edge_trace @ gn)
+    B[..., rows, lay.first_moment + moment] -= coef / h ** 2 * area
+    grads = eval_monomial_grads(E, ctx.edge_points.reshape(batch + (-1, 2)), k)
+    grads = grads.reshape(batch + (m, nq, nk, 2))
+    gn = (grads @ ctx.edge_normals[..., :, None, :, None])[..., 0]   # (..., m, nq, nk)
+    _add_edge_columns(B, lay.edge_node_dofs, ctx.edge_trace @ gn)
 
-    B[0] = 0.0
+    B[..., 0, :] = 0.0
     if k == 1:
-        np.add.at(B[0], lay.edge_node_dofs, ctx.edge_trace.sum(axis=2) / ctx.perimeter)
+        mean = ctx.edge_trace.sum(axis=-1) / ctx.perimeter[..., None, None]
+        _add_edge_columns(B[..., :1, :], lay.edge_node_dofs, mean[..., None])
     else:
-        B[0, lay.first_moment] = 1.0
+        B[..., 0, lay.first_moment] = 1.0
 
     G = B @ D
     try:
@@ -256,17 +287,28 @@ def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
     lay = ctx.layout
     n_top = dim_poly(ctx.k + ctx.ell)
     nk = dim_poly(ctx.k)
-    M = np.zeros((n_top, lay.total))
-    M[:lay.n_moments, lay.first_moment:] = ctx.E.area * np.eye(lay.n_moments)
-    M[lay.n_moments:] = ctx.gram[lay.n_moments:n_top, :nk] @ pi_star
+    M = np.zeros(ctx.batch + (n_top, lay.total))
+    M[..., :lay.n_moments, lay.first_moment:] = (np.asarray(ctx.E.area)[..., None, None]
+                                                 * np.eye(lay.n_moments))
+    M[..., lay.n_moments:, :] = ctx.gram[..., lay.n_moments:n_top, :nk] @ pi_star
     return M
+
+
+def _cholesky_solve(H, R):
+    """H^-1 R for SPD H, each matrix of a stack by LAPACK potrf and potrs, as
+    `scipy.linalg.cho_solve` does it.  H is broadcast over R's leading axes
+    (a 1x1 H broadcast by `solve` itself would be divided by), and `solve`'s
+    ill-conditioning warning is left out, as `cho_solve` gives none."""
+    H = np.broadcast_to(H, R.shape[:-2] + H.shape[-2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return solve(H, R, assume_a="pos", check_finite=False)
 
 
 def build_pi0_val(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
     """Coefficients of the L2 projection of values onto P_{k-1}."""
     n = dim_poly(ctx.k - 1)
-    cho = cho_factor(ctx.gram[:n, :n])
-    return cho_solve(cho, moments[:n])
+    return _cholesky_solve(ctx.gram[..., :n, :n], moments[..., :n, :])
 
 
 def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarray:
@@ -277,35 +319,41 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
     the boundary term uses exact edge quadrature of the traces.  Rows are the
     x-component block stacked over the y-component block.
     """
-    E, lay = ctx.E, ctx.layout
+    E, lay, batch = ctx.E, ctx.layout, ctx.batch
     nd = dim_poly(d)
-    if moments.shape[0] < dim_poly(d - 1):
+    if moments.shape[-2] < dim_poly(d - 1):
         raise ValueError("recovered moments do not reach degree d-1")
     ax, ay = monomial_exponents(d).T
-    h = E.diameter
+    h = np.asarray(E.diameter)[..., None]
 
-    Rx = np.zeros((nd, lay.total))
-    Ry = np.zeros((nd, lay.total))
+    R = np.zeros(batch + (2, nd, lay.total))          # the x block, then the y block
     dx, dy = np.flatnonzero(ax), np.flatnonzero(ay)
-    Rx[dx] -= (ax[dx] / h)[:, None] * moments[monomial_index(ax[dx] - 1, ay[dx])]
-    Ry[dy] -= (ay[dy] / h)[:, None] * moments[monomial_index(ax[dy], ay[dy] - 1)]
-    m, nq = ctx.edge_points.shape[:2]
-    vals = eval_monomials(E, ctx.edge_points.reshape(-1, 2), d).reshape(m, nq, nd)
-    contrib = ctx.edge_trace @ vals                               # (m, k+1, nd)
-    np.add.at(Rx.T, lay.edge_node_dofs, ctx.edge_normals[:, 0, None, None] * contrib)
-    np.add.at(Ry.T, lay.edge_node_dofs, ctx.edge_normals[:, 1, None, None] * contrib)
+    R[..., 0, dx, :] -= (ax[dx] / h)[..., None] * moments[..., monomial_index(ax[dx] - 1, ay[dx]), :]
+    R[..., 1, dy, :] -= (ay[dy] / h)[..., None] * moments[..., monomial_index(ax[dy], ay[dy] - 1), :]
+    m, nq = ctx.edge_points.shape[-3:-1]
+    vals = eval_monomials(E, ctx.edge_points.reshape(batch + (-1, 2)), d)
+    contrib = ctx.edge_trace @ vals.reshape(batch + (m, nq, nd))     # (..., m, k+1, nd)
+    for c in (0, 1):
+        _add_edge_columns(R[..., c, :, :], lay.edge_node_dofs,
+                          ctx.edge_normals[..., :, c, None, None] * contrib)
 
     try:
-        cho = cho_factor(ctx.gram[:nd, :nd])
+        coef = _cholesky_solve(ctx.gram[..., None, :nd, :nd], R)
     except np.linalg.LinAlgError:
         raise NumericalDegeneracyError(
             "gradient-projection mass matrix is not SPD") from None
-    return np.vstack([cho_solve(cho, Rx), cho_solve(cho, Ry)])
+    return coef.reshape(batch + (2 * nd, lay.total))
 
 
 @dataclass
 class ProjectionPack:
-    """All element matrices one scheme needs on one cell."""
+    """All element matrices one scheme needs on one cell, or on a stack of
+    cells (arrays with a leading stack axis), built with one enlargement ell.
+
+    `bumped` is (positions, pack) when some cells of a stack needed a larger
+    ell: those cells were rebuilt as the smaller stack `pack`, whose matrices
+    supersede this pack's at `positions`.
+    """
 
     k: int
     ell: int
@@ -317,59 +365,79 @@ class ProjectionPack:
     pi0_val: np.ndarray
     pi0_grad: np.ndarray
     ctx: ElementContext
+    bumped: tuple | None = None
 
 
 RANK_TOL = 1e-9
 MAX_ELL_BUMPS = 4
 
 
-def _grad_projection_rank(pi0_grad, gram, d: int) -> int:
-    """Numerical rank of the unweighted gradient-projection energy.
+def _grad_projection_rank(pi0_grad, gram, d: int):
+    """Numerical rank of the unweighted gradient-projection energy, per cell.
 
     Uses the identity-tensor form X^T H X + Y^T H Y; any SPD diffusion tensor
     yields a matrix of the same mathematical rank, and the unweighted form
     keeps the eigenvalue threshold independent of the tensor's anisotropy.
     """
     nd = dim_poly(d)
-    X, Y = pi0_grad[:nd], pi0_grad[nd:]
-    HX, HY = gram[:nd, :nd] @ X, gram[:nd, :nd] @ Y
-    A = X.T @ HX + Y.T @ HY
-    evals = eigh(0.5 * (A + A.T), eigvals_only=True)
-    return int((evals > RANK_TOL * float(np.abs(evals).max())).sum())
+    X, Y = pi0_grad[..., :nd, :], pi0_grad[..., nd:, :]
+    H = gram[..., :nd, :nd]
+    A = _t(X) @ (H @ X) + _t(Y) @ (H @ Y)
+    evals = np.linalg.eigvalsh(0.5 * (A + _t(A)))
+    return (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
 
 
-def build_projection_pack(E, k: int, method: Method) -> ProjectionPack:
-    """Projectors, recovered moments and L2 projections for one cell.
+def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> ProjectionPack:
+    """Projectors, recovered moments and L2 projections for one cell, or for
+    a stack of cells with one vertex count.
 
     For the stabilization-free scheme the enhancement enlargement starts at
-    the counting-inequality minimum and is increased until the gradient
-    projection has full rank N-1; the inequality alone is not sufficient on
-    symmetric cells (exact squares at order 2, regular hexagons at order 1
-    carry a symmetry mode in its kernel).
+    the counting-inequality minimum (or at `ell`) and is increased, cell by
+    cell, until the gradient projection has full rank N-1; the inequality
+    alone is not sufficient on symmetric cells (exact squares at order 2,
+    regular hexagons at order 1 carry a symmetry mode in its kernel).  The
+    cells of a stack that stay short are rebuilt as a smaller stack at the
+    next ell (the pack's `bumped`); if none of its cells passes, the whole
+    stack is.  A `StabilizationFreeRankError` of a stack carries the position
+    of its first cell that is still short at the last ell in `cell`.
     """
     if method is Method.STANDARD:
-        candidates = [0]
+        ell = last = 0
     else:
-        base = min_ell(k, E.n_vertices)
-        candidates = list(range(base, base + MAX_ELL_BUMPS + 1))
-    for ell in candidates:
-        d = k - 1 if method is Method.STANDARD else k + ell - 1
-        ctx = ElementContext(E, k, ell)
-        D, _, _, pi_star = build_pi_nabla(ctx)
-        moments = recover_moments(ctx, pi_star)
-        pi0_grad = build_pi0_grad(ctx, d, moments)
-        if method is Method.E2VEM:
-            rank = _grad_projection_rank(pi0_grad, ctx.gram, d)
-            if rank < ctx.layout.total - 1:
-                continue
-        return ProjectionPack(k=k, ell=ell, grad_degree=d, layout=ctx.layout,
-                              pi_star=pi_star, pi_dof=D @ pi_star,
-                              moments=moments, pi0_val=build_pi0_val(ctx, moments),
-                              pi0_grad=pi0_grad, ctx=ctx)
-    raise StabilizationFreeRankError(
-        "gradient projection stays rank deficient up to "
-        f"enlargement {candidates[-1]}; the stabilization-free scheme is only "
-        f"guaranteed well-posed at order 1 (got k={k})")
+        first = min_ell(k, E.n_vertices)
+        last = first + MAX_ELL_BUMPS
+        ell = first if ell is None else ell
+    d = k - 1 if method is Method.STANDARD else k + ell - 1
+    ctx = ElementContext(E, k, ell)
+    D, _, _, pi_star = build_pi_nabla(ctx)
+    moments = recover_moments(ctx, pi_star)
+    pi0_grad = build_pi0_grad(ctx, d, moments)
+    pack = ProjectionPack(k=k, ell=ell, grad_degree=d, layout=ctx.layout,
+                          pi_star=pi_star, pi_dof=D @ pi_star,
+                          moments=moments, pi0_val=build_pi0_val(ctx, moments),
+                          pi0_grad=pi0_grad, ctx=ctx)
+    if method is Method.STANDARD:
+        return pack
+    short = _grad_projection_rank(pi0_grad, ctx.gram, d) < ctx.layout.total - 1
+    if not short.any():
+        return pack
+    if ell == last:
+        exc = StabilizationFreeRankError(
+            "gradient projection stays rank deficient up to "
+            f"enlargement {last}; the stabilization-free scheme is only "
+            f"guaranteed well-posed at order 1 (got k={k})")
+        exc.cell = int(np.argmax(short)) if short.ndim else None
+        raise exc
+    if short.all():
+        return build_projection_pack(E, k, method, ell + 1)
+    at = np.flatnonzero(short)
+    try:
+        pack.bumped = (at, build_projection_pack(E.take(at), k, method, ell + 1))
+    except PolyvemError as exc:
+        if exc.cell is not None:
+            exc.cell = int(at[exc.cell])
+        raise
+    return pack
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +454,9 @@ class LocalStiffness:
 
 def local_stiffness(pack: ProjectionPack, method: Method,
                     K: DiffusionTensor) -> LocalStiffness:
-    """Local stiffness matrix of the chosen scheme with diffusion tensor K.
+    """Local stiffness matrix of the chosen scheme with diffusion tensor K,
+    of one cell or of each cell of a stack (the pack's own cells: see
+    `element_matrices` for a pack with `bumped` cells).
 
     Standard scheme: consistency from the degree k-1 gradient projection plus
     the dofi-dofi stabilization sup|K| * (I - Pi)^T (I - Pi) applied to the
@@ -395,23 +465,36 @@ def local_stiffness(pack: ProjectionPack, method: Method,
     has already checked.
     """
     nd = dim_poly(pack.grad_degree)
-    X = pack.pi0_grad[:nd]
-    Y = pack.pi0_grad[nd:]
-    H = pack.ctx.gram[:nd, :nd]
+    X = pack.pi0_grad[..., :nd, :]
+    Y = pack.pi0_grad[..., nd:, :]
+    H = pack.ctx.gram[..., :nd, :nd]
     Km = K.matrix
     Wxx, Wxy, Wyy = Km[0, 0] * H, Km[0, 1] * H, Km[1, 1] * H
-    a_pi = X.T @ (Wxx @ X) + X.T @ (Wxy @ Y) + Y.T @ (Wxy.T @ X) + Y.T @ (Wyy @ Y)
-    a_pi = 0.5 * (a_pi + a_pi.T)
+    a_pi = (_t(X) @ (Wxx @ X) + _t(X) @ (Wxy @ Y) + _t(Y) @ (_t(Wxy) @ X)
+            + _t(Y) @ (Wyy @ Y))
+    a_pi = 0.5 * (a_pi + _t(a_pi))
 
     k_inf = K.sup_norm()
-    N = pack.layout.total
     if method is Method.STANDARD:
-        Mc = np.eye(N) - pack.pi_dof
-        a_s = k_inf * (Mc.T @ Mc)
-        a_s = 0.5 * (a_s + a_s.T)
+        Mc = np.eye(pack.layout.total) - pack.pi_dof
+        a_s = k_inf * (_t(Mc) @ Mc)
+        a_s = 0.5 * (a_s + _t(a_s))
     else:
-        a_s = np.zeros((N, N))
+        a_s = np.zeros_like(a_pi)
     return LocalStiffness(a_pi=a_pi, a_s=a_s, a=a_pi + a_s, k_inf=k_inf)
+
+
+def element_matrices(pack: ProjectionPack, method: Method, K: DiffusionTensor):
+    """(pi_star, pi0_val, a_pi, a_s) of every cell of a pack's stack, each
+    cell's from the pack of the enlargement it was kept at."""
+    stiff = local_stiffness(pack, method, K)
+    out = (pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s)
+    if pack.bumped is not None:
+        at, sub = pack.bumped
+        out = tuple(a.copy() for a in out)
+        for mine, theirs in zip(out, element_matrices(sub, method, K)):
+            mine[at] = theirs
+    return out
 
 
 # Points per data block.  Blocks of about this size ran the data passes

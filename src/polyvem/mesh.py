@@ -50,34 +50,97 @@ class NonConformingMeshError(MeshError):
     pass
 
 
-def cell_geometry(verts):
-    """Area, centroid and diameter of one CCW polygon.
+def _next_vertex(starts):
+    """Position of the next vertex of each vertex of the polygon runs
+    `starts[i]:starts[i+1]` of a flat vertex list, wrapping to the run's
+    first vertex; a run may be empty."""
+    nxt = np.arange(1, starts[-1] + 1)
+    runs = starts[1:] > starts[:-1]
+    nxt[starts[1:][runs] - 1] = starts[:-1][runs]
+    return nxt
 
-    Uses the shoelace formula for the area, the area-weighted polygon centroid,
-    and the maximum pairwise vertex distance for the diameter.  Raises
-    :class:`OrientationError` if the signed area is not positive.
+
+def _polygon_geometry(vertices, ids, starts):
+    """Areas, centroids and diameters of the polygons `vertices[ids[starts[i]:
+    starts[i+1]]]`, all at once, after checking each polygon.
+
+    Areas are shoelace sums, centroids the area-weighted polygon centroids and
+    diameters the largest vertex-to-vertex distances.  A polygon with an
+    out-of-range or repeated consecutive vertex raises `MeshError`, one with
+    fewer than 3 planar vertices, non-finite coordinates or a signed area that
+    is not positive `OrientationError`; the error names the first bad polygon
+    in `cell`, with the first check it fails.
+    """
+    n, nv = starts.size - 1, vertices.shape[0]
+    lens = np.diff(starts)
+    owner = np.repeat(np.arange(n), lens)
+    nxt = _next_vertex(starts)
+
+    def per_polygon(flags):
+        return np.bincount(owner, weights=flags, minlength=n) > 0
+
+    areas, cents, diams = np.zeros(n), np.zeros((n, 2)), np.zeros(n)
+    non_finite = np.zeros(n, dtype=bool)
+    planar = vertices.ndim == 2 and vertices.shape[1] == 2
+    if planar:
+        p = vertices[np.clip(ids, 0, max(nv - 1, 0))]
+        q = p[nxt]
+        non_finite = per_polygon(~np.isfinite(p).all(axis=1))
+        # the measures of a bad polygon are never returned, nor warned about
+        with np.errstate(all="ignore"):
+            cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+            areas = 0.5 * np.bincount(owner, weights=cross, minlength=n)
+            cents = np.column_stack([np.bincount(owner, weights=(p[:, i] + q[:, i]) * cross,
+                                                 minlength=n) / (6.0 * areas) for i in (0, 1)])
+            for m in np.unique(lens[lens >= 3]):
+                group = np.flatnonzero(lens == m)
+                v = p[starts[group][:, None] + np.arange(m)]
+                d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
+                diams[group] = np.sqrt(d2.max(axis=(1, 2)))
+
+    checks = [
+        (per_polygon((ids < 0) | (ids >= nv)), MeshError,
+         lambda ci: "vertex index out of range"),
+        (per_polygon(ids == ids[nxt]) & (lens >= 2), MeshError,
+         lambda ci: "repeated consecutive vertex"),
+        ((lens < 3) | (not planar), OrientationError,
+         lambda ci: "polygon needs at least 3 planar vertices, got shape "
+                    f"{(int(lens[ci]),) + vertices.shape[1:]}"),
+        (non_finite, OrientationError, lambda ci: "polygon has non-finite coordinates"),
+        (~(areas > 0.0), OrientationError,
+         lambda ci: f"polygon is not CCW (signed area {areas[ci]:g})"),
+    ]
+    bad = np.flatnonzero(np.any([flags for flags, _, _ in checks], axis=0))
+    if bad.size:
+        ci = int(bad[0])
+        _, error, message = next(check for check in checks if check[0][ci])
+        exc = error(message(ci))
+        exc.cell = ci
+        raise exc
+    return areas, cents, diams
+
+
+def cell_geometry(verts):
+    """Area, centroid and diameter of one CCW polygon: the one-polygon case
+    of the check and measurement that `PolyMesh` makes of its cells.
+
+    Raises :class:`OrientationError` if the polygon has fewer than 3 planar
+    vertices, a non-finite coordinate or a signed area that is not positive.
     """
     v = np.asarray(verts, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
-        raise OrientationError(f"polygon needs at least 3 planar vertices, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise OrientationError("polygon has non-finite coordinates")
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    if area <= 0.0:
-        raise OrientationError(f"polygon is not CCW (signed area {area:g})")
-    cx = ((x + xn) * cross).sum() / (6.0 * area)
-    cy = ((y + yn) * cross).sum() / (6.0 * area)
-    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    diameter = float(np.sqrt(d2.max()))
-    return float(area), np.array([cx, cy]), diameter
+    try:
+        areas, cents, diams = _polygon_geometry(v, np.arange(len(v)), np.array([0, len(v)]))
+    except MeshError as exc:
+        exc.cell = None
+        raise
+    return float(areas[0]), cents[0], float(diams[0])
 
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Geometry of a single polygonal cell: CCW vertices, |E|, centroid, h_E."""
+    """Geometry of a polygonal cell: CCW vertices (m, 2), |E|, centroid (2,),
+    h_E.  A stack of n cells with one vertex count has `verts` (n, m, 2),
+    `area` (n,), `centroid` (n, 2) and `diameter` (n,)."""
 
     verts: np.ndarray
     area: float
@@ -94,7 +157,12 @@ class CellGeometry:
 
     @property
     def n_vertices(self):
-        return self.verts.shape[0]
+        return self.verts.shape[-2]
+
+    def take(self, positions) -> "CellGeometry":
+        """The stack of the cells at `positions` of this stack."""
+        return CellGeometry(self.verts[positions], self.area[positions],
+                            self.centroid[positions], self.diameter[positions])
 
 
 class PolyMesh:
@@ -104,9 +172,10 @@ class PolyMesh:
     and are treated as immutable afterwards; they are safe to share across
     workers.  The constructor is where polygons are checked: a cell with an
     out-of-range or repeated consecutive vertex, or one that is not a CCW
-    polygon of positive area, raises a `MeshError` naming the cell.
-    `congruent_cells` is true when every cell is a translate of cell 0,
-    vertex by vertex (the cartesian family, however it was built).
+    polygon of positive area, raises a `MeshError` naming the cell.  It
+    checks and measures all cells and numbers the edges in array passes over
+    `flat_cells`.  `congruent_cells` is true when every cell is a translate
+    of cell 0, vertex by vertex (the cartesian family, however it was built).
     """
 
     def __init__(self, vertices, cells, *, family="custom"):
@@ -115,69 +184,50 @@ class PolyMesh:
         self.cells = [np.array(c, dtype=int) for c in cells]
         self.family = family
 
-        nv = self.vertices.shape[0]
-        areas, cents, diams = [], [], []
-        try:
-            for ci, cell in enumerate(self.cells):
-                if cell.size and (cell.min() < 0 or cell.max() >= nv):
-                    raise MeshError("vertex index out of range")
-                if len(cell) >= 2 and np.any(cell == np.roll(cell, -1)):
-                    raise MeshError("repeated consecutive vertex")
-                a, c, d = cell_geometry(self.vertices[cell])
-                areas.append(a)
-                cents.append(c)
-                diams.append(d)
-        except MeshError as exc:
-            exc.cell = ci
-            raise
-        self.cell_areas = np.array(areas)
-        self.cell_centroids = np.array(cents).reshape(-1, 2)
-        self.cell_diameters = np.array(diams)
+        ids, starts = self.flat_cells
+        self.cell_areas, self.cell_centroids, self.cell_diameters = _polygon_geometry(
+            self.vertices, ids, starts)
         self.h_max = float(self.cell_diameters.max()) if self.cells else 0.0
         self.congruent_cells = self._all_translates_of_first()
 
         self._build_edges()
-        self._flag_boundary()
+        flags = np.zeros(self.vertices.shape[0], dtype=bool)
+        flags[self.edges[self.boundary_edge_flags].ravel()] = True
+        self.boundary_vertex_flags = flags
 
     # -- construction helpers -------------------------------------------------
 
     def _all_translates_of_first(self):
-        if not self.cells or any(len(c) != len(self.cells[0]) for c in self.cells):
+        ids, starts = self.flat_cells
+        lens = np.diff(starts)
+        if not self.cells or np.any(lens != lens[0]):
             return False
-        offsets = self.vertices[np.array(self.cells)] - self.cell_centroids[:, None, :]
+        offsets = (self.vertices[ids.reshape(self.n_cells, -1)]
+                   - self.cell_centroids[:, None, :])
         tol = CONGRUENCE_TOL * max(self.cell_diameters[0], 1e-300)
         return bool(np.abs(offsets - offsets[0]).max() <= tol)
 
     def _build_edges(self):
-        edge_index = {}
-        edges = []
-        edge_cells = []
-        for ci, cell in enumerate(self.cells):
-            m = len(cell)
-            for j in range(m):
-                a, b = int(cell[j]), int(cell[(j + 1) % m])
-                key = (a, b) if a < b else (b, a)
-                direction = 1 if a < b else -1
-                eid = edge_index.get(key)
-                if eid is None:
-                    eid = len(edges)
-                    edge_index[key] = eid
-                    edges.append(key)
-                    edge_cells.append([])
-                edge_cells[eid].append((ci, direction))
-        self.edges = np.array(edges, dtype=int).reshape(-1, 2)
-        self.edge_index = edge_index
-        self.edge_cells = edge_cells
-        self.boundary_edge_flags = np.array(
-            [len(adj) == 1 for adj in edge_cells], dtype=bool
-        )
-
-    def _flag_boundary(self):
-        flags = np.zeros(self.vertices.shape[0], dtype=bool)
-        for eid, is_b in enumerate(self.boundary_edge_flags):
-            if is_b:
-                flags[self.edges[eid]] = True
-        self.boundary_vertex_flags = flags
+        """Number the edges in order of first appearance, walking the cells in
+        order and each cell's sides from vertex j to vertex j+1, and find
+        `cell_sides`: the edge of every side and whether the side runs
+        against the edge's (low, high) vertex order."""
+        ids, starts = self.flat_cells
+        head, tail = ids, ids[_next_vertex(starts)]
+        nv = self.n_vertices
+        keys, first, side_key = np.unique(np.minimum(head, tail) * nv + np.maximum(head, tail),
+                                          return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        keys = keys[order]
+        self.edges = np.column_stack([keys // nv, keys % nv]).reshape(-1, 2)
+        edge_ids = number[side_key]
+        against = head > tail
+        edge_ids.setflags(write=False)
+        against.setflags(write=False)
+        self.cell_sides = (edge_ids, against)
+        self.boundary_edge_flags = np.bincount(edge_ids, minlength=self.n_edges) == 1
 
     # -- accessors -------------------------------------------------------------
 
@@ -206,30 +256,31 @@ class PolyMesh:
         return ids, starts
 
     @cached_property
-    def cell_sides(self):
-        """(edge_ids, against): the mesh edge of every cell side, side j of a
-        cell running from its vertex j to vertex j+1, in the order of
-        `flat_cells`, and whether the side runs against the edge's (low, high)
-        vertex order.  Found among the sorted edge keys, all sides at once."""
+    def edge_cells(self):
+        """Per edge, the (cell, direction) of each cell side on it in order of
+        appearance; direction is 1 along the edge's (low, high) vertex order
+        and -1 against it."""
+        edge_ids, against = self.cell_sides
         ids, starts = self.flat_cells
-        nxt = np.arange(1, ids.size + 1)
-        nxt[starts[1:] - 1] = starts[:-1]
-        head, tail = ids, ids[nxt]
-        nv = self.n_vertices
-        keys = self.edges[:, 0] * nv + self.edges[:, 1]
-        order = np.argsort(keys)
-        side_keys = np.minimum(head, tail) * nv + np.maximum(head, tail)
-        edge_ids = order[np.searchsorted(keys[order], side_keys)]
-        against = head > tail
-        edge_ids.setflags(write=False)
-        against.setflags(write=False)
-        return edge_ids, against
+        owner = np.repeat(np.arange(self.n_cells), np.diff(starts))
+        out = [[] for _ in range(self.n_edges)]
+        for eid, ci, back in zip(edge_ids.tolist(), owner.tolist(), against.tolist()):
+            out[eid].append((ci, -1 if back else 1))
+        return out
 
-    def cell_geom(self, ci) -> CellGeometry:
-        v = self.vertices[self.cells[ci]]
+    def cell_geom(self, cells) -> CellGeometry:
+        """The geometry of cell `cells`, or the stacked geometry of an index
+        array of cells that share a vertex count."""
+        ids, starts = self.flat_cells
+        first = starts[cells]
+        lens = starts[np.add(cells, 1)] - first
+        m = int(np.max(lens))
+        if np.any(lens != m):
+            raise ValueError("a stack of cells must share one vertex count")
+        v = self.vertices[ids[first[..., None] + np.arange(m)]]
         v.setflags(write=False)
-        return CellGeometry(v, float(self.cell_areas[ci]),
-                            self.cell_centroids[ci], float(self.cell_diameters[ci]))
+        return CellGeometry(v, self.cell_areas[cells], self.cell_centroids[cells],
+                            self.cell_diameters[cells])
 
 
 # ---------------------------------------------------------------------------

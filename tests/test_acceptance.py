@@ -249,6 +249,15 @@ def test_criterion_7_wellposedness_probe(tc1_cart_sweep, tc1_vor_order1,
            f"rank diagnostic fires and cites the order-1 guarantee: {diag_ok}")
 
 
+def test_rank_failure_names_the_lowest_short_cell(vor_meshes):
+    """The criterion 7 diagnostic names cell 126, the lowest of the four
+    Voronoi-1024 cells whose edges below 1e-3 h_E keep a near-kernel mode,
+    though every vertex-count group is built as one stack."""
+    with pytest.raises(StabilizationFreeRankError,
+                       match=r"^cell 126: gradient projection stays rank deficient"):
+        assemble(vor_meshes[1024], 3, Method.E2VEM, K_PATCH)
+
+
 def test_criterion_8_study_determinism(tmp_path):
     from polyvem.cli import main
     args = ["study", "--case", "tc1", "--orders", "1", "--family", "both",

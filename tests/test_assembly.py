@@ -4,10 +4,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from conftest import cell_data_rule
+from polyvem import assembly
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
-                              assemble, build_dof_map, infinity_norm, solve,
+                              assemble, build_dof_map, infinity_norm, map_cells, solve,
                               source_moments, stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
+from polyvem.errors import NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_load, local_stiffness)
 from polyvem.mesh import NonConformingMeshError, PolyMesh, generate_cartesian, generate_voronoi
@@ -137,6 +139,76 @@ def test_congruent_cache_matches_direct_assembly():
         b[idx] += pack.pi0_val.T @ local_load(case.f, cell_data_rule(E, k))[0]
     assert np.abs(sys_.a.toarray() - A).max() <= 1e-12
     assert np.abs(sys_.b - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+# -- failures inside a stack -------------------------------------------------
+
+@pytest.mark.parametrize("stack_cells", [assembly.STACK_CELLS, 3])
+def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
+    # pulling the top-right vertex of cell 5 of cartesian 4 deep into it makes
+    # that cell alone a dart that is not star-shaped about its centroid; the
+    # 16 quadrilaterals are one group, built as one stack or as six
+    monkeypatch.setattr(assembly, "STACK_CELLS", stack_cells)
+    mesh = generate_cartesian(4)
+    verts = mesh.vertices.copy()
+    verts[6 + 6] = verts[6] + 0.025
+    dented = PolyMesh(verts, mesh.cells)
+    assert len(build_dof_map(dented, 2).groups) == 1 and not dented.congruent_cells
+    for method in (Method.STANDARD, Method.E2VEM):
+        with pytest.raises(QuadratureError, match=r"^cell 5: cell is not star-shaped"):
+            assemble(dented, 2, method, K_ANISO)
+
+
+def test_stack_size_leaves_the_system_unchanged(monkeypatch):
+    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=100)
+    case = get_case("tc1")
+    source = source_moments(mesh, 2, case.f)
+    for method in (Method.STANDARD, Method.E2VEM):
+        whole = assemble(mesh, 2, method, case.K, source)
+        monkeypatch.setattr(assembly, "STACK_CELLS", 3)
+        split = assemble(mesh, 2, method, case.K, source)
+        monkeypatch.undo()
+        for name in ("a", "a_pi", "a_s"):
+            diff = getattr(split, name) - getattr(whole, name)
+            assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-14 * abs(whole.a).max()
+        assert np.abs(split.b - whole.b).max() <= 1e-14 * np.abs(whole.b).max()
+        for got, want in zip(split.pi_stars, whole.pi_stars):
+            assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def voronoi_groups():
+    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=100)
+    return mesh, [cells for cells, _ in build_dof_map(mesh, 1).groups]
+
+
+@pytest.mark.parametrize("names_position", [False, True])
+def test_map_cells_names_the_lowest_failing_cell(voronoi_groups, names_position):
+    """A stack that fails as a whole, or names one failing position, leads
+    map_cells to the lowest failing cell over all stacks."""
+    mesh, groups = voronoi_groups
+    assert [cells.size for cells in groups] == [4, 27, 28, 5]
+    # two failing cells in the middle of the 5-vertex group and one in the
+    # 6-vertex group, visited after it, with a lower index than both
+    bad = np.concatenate([groups[1][[20, 12]], groups[2][[10]]])
+    assert bad[2] < bad[1] < bad[0]
+
+    def visit(cells, E):
+        assert E.verts.shape[:2] == (cells.size, np.diff(mesh.flat_cells[1])[cells[0]])
+        hit = np.flatnonzero(np.isin(cells, bad))
+        if hit.size:
+            exc = NumericalDegeneracyError("stack failed")
+            # the last failing position, so cells before it must be revisited
+            exc.cell = int(hit[-1]) if names_position else None
+            raise exc
+        return cells
+
+    with pytest.raises(NumericalDegeneracyError, match=f"^cell {bad[2]}: stack failed$"):
+        map_cells(mesh, groups, visit)
+    with pytest.raises(NumericalDegeneracyError, match=f"^cell {bad[1]}: stack failed$"):
+        map_cells(mesh, groups[:2], visit)
+    out = map_cells(mesh, [groups[0], groups[3]], visit)
+    assert [c.tolist() for c in out] == [groups[0].tolist(), groups[3].tolist()]
 
 
 # -- dirichlet elimination ---------------------------------------------------

@@ -13,9 +13,9 @@ from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad,
                            build_pi_nabla, build_projection_pack, dof_count,
-                           local_load, local_stiffness, min_ell,
-                           recover_moments)
-from polyvem.mesh import CellGeometry
+                           element_matrices, local_load, local_stiffness,
+                           min_ell, recover_moments)
+from polyvem.mesh import CellGeometry, PolyMesh, generate_voronoi
 
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -386,6 +386,57 @@ def test_rank_check_raises_on_deficient_pack(monkeypatch):
     monkeypatch.setattr(local, "MAX_ELL_BUMPS", 0)
     with pytest.raises(StabilizationFreeRankError, match="rank deficient"):
         build_projection_pack(UNIT_SQUARE, 2, Method.E2VEM)
+
+
+# -- stacks of cells ---------------------------------------------------------
+
+def _hexagon_mesh(rng):
+    """Irregular and regular hexagons, apart, in one vertex-count group: at
+    order 1 the stabilization-free build keeps the irregular ones at the
+    counting-inequality ell and bumps the regular ones."""
+    angles = np.arange(6) * math.pi / 3
+    regular = np.column_stack([np.cos(angles), np.sin(angles)])
+    shapes = [star_polygon(rng, 6).verts, regular, star_polygon(rng, 6).verts,
+              0.5 * regular, star_polygon(rng, 6).verts]
+    verts = np.vstack([v + [3.0 * i, 0.0] for i, v in enumerate(shapes)])
+    return PolyMesh(verts, np.arange(verts.shape[0]).reshape(-1, 6))
+
+
+def _cell_ells(pack, n):
+    """The enlargement each of the n cells of a stacked pack was kept at."""
+    ells = np.full(n, pack.ell)
+    if pack.bumped is not None:
+        at, sub = pack.bumped
+        ells[at] = _cell_ells(sub, at.size)
+    return ells
+
+
+@pytest.fixture(scope="module")
+def stack_meshes():
+    return {"voronoi64": generate_voronoi(64, rng_seed=0, lloyd_iters=100),
+            "hexagons": _hexagon_mesh(np.random.default_rng(5))}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
+@pytest.mark.parametrize("name", ["voronoi64", "hexagons"])
+def test_stacked_build_matches_one_cell_stacks(name, method, k, stack_meshes):
+    """Each cell of a vertex-count group keeps the ell of its own one-cell
+    build, and its pi_star, pi0_val, a_pi and a_s agree to 1e-12."""
+    mesh = stack_meshes[name]
+    n_verts = np.diff(mesh.flat_cells[1])
+    for m in np.unique(n_verts):
+        cells = np.flatnonzero(n_verts == m)
+        pack = build_projection_pack(mesh.cell_geom(cells), k, method)
+        stacked = element_matrices(pack, method, K_ANISO)
+        ells = _cell_ells(pack, cells.size)
+        for i in range(cells.size):
+            one = build_projection_pack(mesh.cell_geom(cells[i:i + 1]), k, method)
+            assert one.bumped is None and ells[i] == one.ell
+            for got, want in zip(stacked, element_matrices(one, method, K_ANISO)):
+                assert np.abs(got[i] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+    if name == "hexagons" and method is Method.E2VEM and k == 1:
+        assert ells.tolist() == [1, 2, 1, 2, 1] and pack.bumped is not None
 
 
 # -- local load --------------------------------------------------------------

@@ -5,13 +5,16 @@ a traced function is renamed, deleted or bound where it cannot be wrapped.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 import polyvem
 import polyvem.cli  # noqa: F401  (the tracer wraps cli.main)
 from polyvem.cases import testcase as get_case
 from polyvem.local import Method
-from polyvem.mesh import generate_cartesian
+from polyvem.mesh import generate_cartesian, generate_voronoi
 from polyvem.study import solve_case
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -44,3 +47,22 @@ def test_tracer_installs_and_uninstalls():
     assert take["local.pack"]["calls"] >= 2
     assert take["counts"]["local.rank_failures"] == 0
     assert take["counts"]["assembly.n_free"] > 0
+
+
+def test_tracer_take_of_stacked_builds_is_json():
+    # `--trace 1` writes each take as JSON: the packs of a stabilization-free
+    # build over several vertex-count groups must leave integer counts
+    tracer = _load_tracer()
+    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=10)
+    assert np.unique(np.diff(mesh.flat_cells[1])).size > 1
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        solve_case(mesh, 1, Method.E2VEM, get_case("tc1"))
+        take = tr.take()
+    finally:
+        tr.uninstall()
+    json.dumps(take)
+    assert all(type(value) is int for value in take["counts"].values())
+    assert take["local.pack"]["calls"] >= np.unique(np.diff(mesh.flat_cells[1])).size
+    assert take["counts"]["local.ctx_built"] == take["local.pack"]["calls"]
