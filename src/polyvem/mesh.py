@@ -11,12 +11,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshError
 
@@ -255,19 +254,6 @@ class PolyMesh:
         starts.setflags(write=False)
         return ids, starts
 
-    @cached_property
-    def edge_cells(self):
-        """Per edge, the (cell, direction) of each cell side on it in order of
-        appearance; direction is 1 along the edge's (low, high) vertex order
-        and -1 against it."""
-        edge_ids, against = self.cell_sides
-        ids, starts = self.flat_cells
-        owner = np.repeat(np.arange(self.n_cells), np.diff(starts))
-        out = [[] for _ in range(self.n_edges)]
-        for eid, ci, back in zip(edge_ids.tolist(), owner.tolist(), against.tolist()):
-            out[eid].append((ci, -1 if back else 1))
-        return out
-
     def cell_geom(self, cells) -> CellGeometry:
         """The geometry of cell `cells`, or the stacked geometry of an index
         array of cells that share a vertex count."""
@@ -354,7 +340,8 @@ def _mirror(points, band):
     `generate_voronoi` passes inf for its first diagram and, for each later
     one, twice the largest seed-to-vertex distance of the previous diagram:
     a region reaching a side has its seed within that distance of the side,
-    and the factor 2 leaves room for the seeds' Lloyd move.
+    and the factor 2 leaves room for the seeds' Lloyd move.  The result is
+    the point set that `_box_voronoi` triangulates.
     """
     x, y = points[:, 0], points[:, 1]
     images = [(x < band, -x, y), (1.0 - x < band, 2.0 - x, y),
@@ -370,40 +357,71 @@ def _cell_error(ci, message):
     return exc
 
 
+def _circumcenters(corners):
+    """Circumcenters of the triangles `corners` (nt, 3, 2), each computed in
+    coordinates relative to the triangle's first corner."""
+    a = corners[:, 0]
+    b, c = corners[:, 1] - a, corners[:, 2] - a
+    bb, cc = (b ** 2).sum(axis=1), (c ** 2).sum(axis=1)
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+
+
 def _box_voronoi(points, band):
-    """Voronoi regions of `points` clipped to the unit square.
+    """Voronoi regions of `points` clipped to the unit square, read off the
+    Delaunay triangulation of `_mirror(points, band)`.
 
-    The diagram is that of `_mirror(points, band)`.  Inside the closed square
-    a reflection is never closer to a point than its own seed, so the part of
-    a seed's region inside the square is its clipped region whatever the
-    band.  A region that lies entirely in the closed square is therefore
-    exactly the clipped region, and that is what this function checks: a
-    region that is unbounded or has a vertex outside the square by more than
-    BOUNDARY_SNAP_TOL raises MeshError naming its seed.  Such a region
-    reaches a side whose reflection of its seed was left out, i.e. the band
-    was too narrow; it is never repaired.  With `band` = inf every seed is
-    reflected across every side and no region can leave the square.
+    Each triangle's circumcenter is a Voronoi vertex, and a seed's region is
+    the circumcenters of the triangles around it, in angular order about the
+    seed.  Points on a common circle give one vertex per triangle of their
+    polygon; these coincide and are merged by `_stitch_regions`.
 
-    Returns the diagram's vertices and the regions flattened in seed order:
-    `flat` holds the vertex indices of region 0, then of region 1, ..., and
-    `lens[i]` the vertex count of region i.  A region's orientation is
-    qhull's.
+    Inside the closed square a reflection is never closer to a point than its
+    own seed, so the part of a seed's region inside the square is its clipped
+    region whatever the band.  A region that lies entirely in the closed
+    square is therefore exactly the clipped region, and that is what this
+    function checks: a seed on the hull of the mirrored points (its triangles
+    do not close around it, so its region is unbounded) or a region with a
+    vertex outside the square by more than BOUNDARY_SNAP_TOL raises MeshError
+    naming its seed.  Such a region reaches a side whose reflection of its
+    seed was left out, i.e. the band was too narrow; it is never repaired.
+    With `band` = inf every seed is reflected across every side and no region
+    can leave the square.  A seed that qhull leaves out of every triangle
+    (it coincides with another point) raises MeshError naming it.
+
+    Returns the circumcenters and the regions flattened in seed order: `flat`
+    holds the vertex indices of region 0, then of region 1, ..., and
+    `lens[i]` the vertex count of region i.
     """
     n = points.shape[0]
-    vor = Voronoi(_mirror(points, band))
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    lens = np.fromiter(map(len, regions), dtype=int, count=n)
-    if lens.min() < 3:
-        raise _cell_error(np.argmax(lens < 3), "degenerate Voronoi region (coincident seeds?)")
-    flat = np.fromiter(chain.from_iterable(regions), dtype=int, count=lens.sum())
-    v = vor.vertices[flat]
-    outside = ((flat < 0) | (v < -BOUNDARY_SNAP_TOL).any(axis=1)
-               | (v > 1.0 + BOUNDARY_SNAP_TOL).any(axis=1))
-    if outside.any():
-        seed = np.repeat(np.arange(n), lens)[np.argmax(outside)]
-        raise _cell_error(seed, f"Voronoi region leaves the unit square "
-                                f"(seeds reflected within {band:.3g} of a side)")
-    return vor.vertices, flat, lens
+    tri = Delaunay(_mirror(points, band))
+    centers = _circumcenters(tri.points[tri.simplices])
+    corner = tri.simplices.ravel()
+    mine = corner < n
+    seed = corner[mine]
+    lens = np.bincount(seed, minlength=n)
+    if lens.min() == 0:
+        raise _cell_error(np.argmin(lens), "degenerate Voronoi region (coincident seeds?)")
+    around = np.flatnonzero(mine) // 3
+    rel = centers[around] - points[seed]
+    # sort by (seed, angle) through one exact integer key built from the
+    # angle's rank; np.lexsort with the float angle is several times slower
+    angle = np.arctan2(rel[:, 1], rel[:, 0])
+    rank = np.empty(angle.size, dtype=int)
+    rank[np.argsort(angle)] = np.arange(angle.size)
+    order = np.argsort(seed * angle.size + rank)
+    seed, flat = seed[order], around[order]
+    v = centers[flat]
+    hull = tri.convex_hull.ravel()
+    lo, hi = -BOUNDARY_SNAP_TOL, 1.0 + BOUNDARY_SNAP_TOL
+    # written so that a non-finite vertex counts as outside
+    if hull.min() < n or not (v.min() >= lo and v.max() <= hi):
+        outside = np.isin(seed, hull) | ~((v >= lo) & (v <= hi)).all(axis=1)
+        raise _cell_error(seed[np.argmax(outside)],
+                          f"Voronoi region leaves the unit square "
+                          f"(seeds reflected within {band:.3g} of a side)")
+    return centers, flat, lens
 
 
 def _region_centroids(vertices, flat, lens):
@@ -436,9 +454,11 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
     perturbed by redrawing and reported on the module logger.  Cell i is the
     region of seed i.
 
-    Every diagram after the first reflects only the seeds near a side (see
-    `_mirror`); `_box_voronoi` checks that this sufficed and raises MeshError
-    naming the cell if it did not.
+    Each diagram comes from one Delaunay triangulation of the seeds and
+    their reflections (see `_box_voronoi`), and the mesh is stitched from the
+    arrays of the last one.  Every diagram after the first reflects only the
+    seeds near a side (see `_mirror`); `_box_voronoi` checks that this
+    sufficed and raises MeshError naming the cell if it did not.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
@@ -474,12 +494,17 @@ def _stitch_regions(vor_vertices, regions):
     `vor_vertices`).
 
     Vertices within BOUNDARY_SNAP_TOL of a side are snapped onto it and
-    vertices closer than VERTEX_DEDUP_TOL are merged.  Each cell is made CCW
-    and starts at its lowest (y, x) vertex, and the vertices are numbered by
-    first appearance walking the cells in order, so the mesh does not depend
-    on the order in which qhull lists the vertices.  A cell that merging
-    collapses or pinches, or that is not convex, raises MeshError naming it.
+    vertices closer than VERTEX_DEDUP_TOL are merged, taking the coordinates
+    of their lowest (y, x) member.  Each cell is made CCW and starts at its
+    lowest (y, x) vertex, and the vertices are numbered by first appearance
+    walking the cells in order, so the mesh does not depend on the order in
+    which qhull lists its points and triangles.  A cell that merging
+    collapses or pinches, or that is not convex, raises MeshError naming the
+    lowest such cell.  Each step is one pass over the regions concatenated in
+    cell order.
     """
+    n = len(regions)
+    lens = np.fromiter(map(len, regions), dtype=int, count=n)
     used, entry = np.unique(np.concatenate(regions), return_inverse=True)
     verts = vor_vertices[used]
 
@@ -487,46 +512,65 @@ def _stitch_regions(vor_vertices, regions):
     for target in (0.0, 1.0):
         verts[np.abs(verts - target) <= BOUNDARY_SNAP_TOL] = target
 
-    # merge vertices closer than the stitching tolerance (degenerate ridges);
-    # a group takes the coordinates of its lowest-indexed member
+    # merge vertices closer than the stitching tolerance (degenerate ridges,
+    # cocircular seeds); with the vertices in (y, x) order, a group takes the
+    # coordinates of its lowest member whatever the order of `vor_vertices`
+    by_yx = np.lexsort((verts[:, 0], verts[:, 1]))
+    verts = verts[by_yx]
+    entry = np.argsort(by_yx)[entry]
     pairs = cKDTree(verts).query_pairs(VERTEX_DEDUP_TOL, output_type="ndarray")
     links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(len(verts), len(verts)))
     group = connected_components(links, directed=False)[1]
     group_verts = verts[np.unique(group, return_index=True)[1]]
 
-    cells = []
-    lens = [len(r) for r in regions]
-    for ci, ids in enumerate(np.split(group[entry], np.cumsum(lens)[:-1])):
-        ids = ids[ids != np.roll(ids, -1)]
-        if len(ids) < 3:
-            raise _cell_error(ci, "Voronoi cell collapsed during vertex merging")
-        if len(np.unique(ids)) != len(ids):
-            raise _cell_error(ci, "Voronoi cell pinched during vertex merging")
-        v = group_verts[ids]
-        if np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]) < 0:
-            ids, v = ids[::-1], v[::-1]
-        cells.append(np.roll(ids, -np.lexsort((v[:, 0], v[:, 1]))[0]))
+    # drop each vertex that equals its successor in its cell, cyclically
+    ids = group[entry]
+    keep = ids != ids[_next_vertex(np.concatenate([[0], np.cumsum(lens)]))]
+    ids = ids[keep]
+    owner = np.repeat(np.arange(n), lens)[keep]
+    lens = np.bincount(owner, minlength=n)
+    starts = np.concatenate([[0], np.cumsum(lens)])
+    collapsed = lens < 3
+    distinct = np.bincount(owner[np.unique(owner * len(group_verts) + ids, return_index=True)[1]],
+                           minlength=n)
+    bad = collapsed | (distinct != lens)
+    if bad.any():
+        ci = np.argmax(bad)
+        raise _cell_error(ci, "Voronoi cell collapsed during vertex merging" if collapsed[ci]
+                          else "Voronoi cell pinched during vertex merging")
 
-    flat = np.concatenate(cells)
+    # read each cell CCW from its lowest (y, x) vertex, at position `low` of
+    # its run: a clockwise cell is read backwards
+    v = group_verts[ids]
+    w = v[_next_vertex(starts)]
+    cw = np.bincount(owner, weights=v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1], minlength=n) < 0
+    low = np.lexsort((v[:, 0], v[:, 1], owner))[starts[:-1]] - starts[:-1]
+    m = lens[owner]
+    step = (np.arange(ids.size) - starts[owner] + np.where(cw, lens - 1 - low, low)[owner]) % m
+    flat = ids[starts[owner] + np.where(cw[owner], m - 1 - step, step)]
+
     numbered = flat[np.sort(np.unique(flat, return_index=True)[1])]
     number = np.empty(len(group_verts), dtype=int)
     number[numbered] = np.arange(len(numbered))
-    mesh = PolyMesh(group_verts[numbered],
-                    np.split(number[flat], np.cumsum([len(c) for c in cells])[:-1]),
+    mesh = PolyMesh(group_verts[numbered], np.split(number[flat], starts[1:-1]),
                     family="voronoi")
     _check_convex(mesh)
     return mesh
 
 
 def _check_convex(mesh):
-    for ci, cell in enumerate(mesh.cells):
-        v = mesh.vertices[cell]
-        a = np.roll(v, -1, axis=0) - v
-        b = np.roll(a, -1, axis=0)
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        if np.any(cross < -1e-9 * mesh.cell_diameters[ci] ** 2):
-            raise _cell_error(ci, "Voronoi cell is not convex")
+    """Raise MeshError naming the lowest cell of `mesh` with a reflex corner."""
+    ids, starts = mesh.flat_cells
+    nxt = _next_vertex(starts)
+    v = mesh.vertices[ids]
+    a = v[nxt] - v
+    b = a[nxt]
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    owner = np.repeat(np.arange(mesh.n_cells), np.diff(starts))
+    reflex = cross < -1e-9 * mesh.cell_diameters[owner] ** 2
+    if reflex.any():
+        raise _cell_error(owner[np.argmax(reflex)], "Voronoi cell is not convex")
 
 
 def generate_mesh(family: str, n: int, seed: int = 0,
@@ -672,17 +716,19 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
     """
     rep = MeshValidationReport()
 
-    for ci, cell in enumerate(mesh.cells):
-        v = mesh.vertices[cell]
-        h = mesh.cell_diameters[ci]
-        edges = np.roll(v, -1, axis=0) - v
-        elen = np.hypot(edges[:, 0], edges[:, 1])
-        rep.min_edge_ratio = min(rep.min_edge_ratio, float(elen.min() / h))
-        # distance from the centroid to each edge line, a crude inradius proxy
-        c = mesh.cell_centroids[ci]
-        rel = v - c
-        dist = np.abs(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]) / elen
-        rep.min_inradius_ratio = min(rep.min_inradius_ratio, float(dist.min() / h))
+    # one pass over the sides of all cells: dividing by h_E > 0 keeps their
+    # order, so each least quotient is the per-cell least measure over h_E
+    ids, starts = mesh.flat_cells
+    owner = np.repeat(np.arange(mesh.n_cells), np.diff(starts))
+    v = mesh.vertices[ids]
+    h = mesh.cell_diameters[owner]
+    edges = v[_next_vertex(starts)] - v
+    elen = np.hypot(edges[:, 0], edges[:, 1])
+    rep.min_edge_ratio = float(np.min(elen / h, initial=rep.min_edge_ratio))
+    # distance from the centroid to each edge line, a crude inradius proxy
+    rel = v - mesh.cell_centroids[owner]
+    dist = np.abs(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]) / elen
+    rep.min_inradius_ratio = float(np.min(dist / h, initial=rep.min_inradius_ratio))
 
     rep.violations.extend(edge_conformity_violations(mesh))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Voronoi
 
 import polyvem.mesh as meshmod
 from polyvem.errors import MeshError
@@ -127,10 +128,11 @@ def test_voronoi_determinism_bit_identical():
 
 def test_voronoi_conformity():
     m = generate_voronoi(40, rng_seed=3, lloyd_iters=40)
-    for eid, adj in enumerate(m.edge_cells):
-        assert len(adj) in (1, 2)
-        if len(adj) == 2:
-            assert adj[0][1] != adj[1][1]   # opposite traversal
+    edge_ids, against = m.cell_sides
+    sides = np.bincount(edge_ids, minlength=m.n_edges)
+    assert set(sides.tolist()) <= {1, 2}
+    backward = np.bincount(edge_ids, weights=against, minlength=m.n_edges)
+    assert np.all(backward[sides == 2] == 1)   # opposite traversal
 
 
 def test_splitmix64_reference_sequence():
@@ -203,6 +205,14 @@ def test_stitch_regions_names_the_collapsed_cell():
         meshmod._stitch_regions(verts, [[0, 1, 2, 3], [4, 5, 6]])
 
 
+def test_stitch_regions_names_the_pinched_cell():
+    # vertices 3 and 5 merge, and they are not neighbours in cell 0
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0.5, 0.5], [0, 1], [0.5 + 1e-13, 0.5]])
+    with pytest.raises(MeshError,
+                       match=r"^cell 0: Voronoi cell pinched during vertex merging$"):
+        meshmod._stitch_regions(verts, [[0, 1, 3, 2, 4, 5]])
+
+
 def test_stitch_regions_numbering_ignores_qhull_vertex_order():
     seeds = meshmod._draw_seeds(SplitMix64(3), 16)
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
@@ -218,6 +228,77 @@ def test_stitch_regions_numbering_ignores_qhull_vertex_order():
         assert np.lexsort((v[:, 0], v[:, 1]))[0] == 0
     first_seen = np.unique(np.concatenate(mesh.cells), return_index=True)[1]
     assert np.all(np.diff(first_seen) > 0)   # vertices numbered by first appearance
+
+
+def _voronoi_oracle(n, seed, iters):
+    """generate_voronoi with every diagram taken from qhull's Voronoi
+    instead of the circumcenters of a Delaunay triangulation: the same
+    seeds, Lloyd loop, band rule and stitching."""
+    def box(points, band):
+        vor = Voronoi(meshmod._mirror(points, band))
+        regions = [vor.regions[r] for r in vor.point_region[:len(points)]]
+        flat = np.concatenate(regions)
+        assert flat.min() >= 0
+        assert np.all(np.abs(vor.vertices[flat] - 0.5) <= 0.5 + meshmod.BOUNDARY_SNAP_TOL)
+        return vor.vertices, regions, flat, np.array([len(r) for r in regions])
+
+    seeds = meshmod._draw_seeds(SplitMix64(seed), n)
+    band = np.inf
+    for _ in range(iters):
+        verts, _, flat, lens = box(seeds, band)
+        band = 2.0 * np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
+        seeds = meshmod._region_centroids(verts, flat, lens)
+    verts, regions, _, _ = box(seeds, band)
+    return meshmod._stitch_regions(verts, regions)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_delaunay_voronoi_matches_qhull_voronoi_oracle(seed):
+    # 25 Lloyd iterations leave more short edges than the ladder's 100
+    mesh = generate_voronoi(64, seed, 25)
+    ref = _voronoi_oracle(64, seed, 25)
+    assert len(mesh.cells) == len(ref.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+    assert mesh.vertices.shape == ref.vertices.shape
+    assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-10
+    assert validate_mesh(mesh).ok
+
+
+def test_cocircular_seeds_share_one_vertex():
+    ticks = np.array([1.0, 3.0, 5.0]) / 6.0
+    seeds = np.column_stack([np.tile(ticks, 3), np.repeat(ticks, 3)])
+    verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
+    mesh = meshmod._stitch_regions(verts, _split(flat, lens))
+    assert mesh.n_cells == 9 and mesh.n_vertices == 16
+    assert [len(c) for c in mesh.cells] == [4] * 9
+    assert np.allclose(mesh.cell_areas, 1.0 / 9.0)
+    assert validate_mesh(mesh).ok
+
+
+def test_box_voronoi_names_a_seed_with_an_open_fan():
+    # no reflections: every seed is on the hull, and the one circumcenter,
+    # (0.5, 0.45), lies inside the square
+    seeds = np.array([[0.5, 0.2], [0.3, 0.6], [0.7, 0.6]])
+    with pytest.raises(MeshError, match=r"^cell 0: Voronoi region leaves the unit square"):
+        meshmod._box_voronoi(seeds, 0.0)
+
+
+def test_box_voronoi_names_a_coincident_seed():
+    seeds = meshmod._draw_seeds(SplitMix64(5), 9)
+    seeds[6] = seeds[2]
+    with pytest.raises(MeshError,
+                       match=r"degenerate Voronoi region \(coincident seeds\?\)") as info:
+        meshmod._box_voronoi(seeds, np.inf)
+    assert info.value.cell in (2, 6)
+    assert str(info.value).startswith(f"cell {info.value.cell}: ")
+
+
+def test_stitch_regions_names_the_reflex_cell():
+    # cell 1 is a CCW dart whose corner at (2.5, 1) is reflex
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                      [2, 0], [4, 1], [2, 2], [2.5, 1]], dtype=float)
+    with pytest.raises(MeshError, match=r"^cell 1: Voronoi cell is not convex$"):
+        meshmod._stitch_regions(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
 
 
 # -- io ----------------------------------------------------------------------
@@ -298,6 +379,28 @@ def test_validate_clean_mesh():
     assert rep.area_sum == pytest.approx(1.0, abs=1e-12)
     assert rep.min_edge_ratio > 0.5
     assert rep.min_inradius_ratio > 0.2
+
+
+def _ratios_per_cell(mesh):
+    """validate_mesh's two ratios, measured one cell at a time."""
+    edge_ratio = inradius_ratio = float("inf")
+    for ci, cell in enumerate(mesh.cells):
+        v = mesh.vertices[cell]
+        h = mesh.cell_diameters[ci]
+        edges = np.roll(v, -1, axis=0) - v
+        elen = np.hypot(edges[:, 0], edges[:, 1])
+        edge_ratio = min(edge_ratio, float(elen.min() / h))
+        rel = v - mesh.cell_centroids[ci]
+        dist = np.abs(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]) / elen
+        inradius_ratio = min(inradius_ratio, float(dist.min() / h))
+    return edge_ratio, inradius_ratio
+
+
+@pytest.mark.parametrize("family, n", [("cartesian", 8), ("voronoi", 256)])
+def test_validate_ratios_match_per_cell_loop(family, n):
+    mesh = generate_mesh(family, n)
+    rep = validate_mesh(mesh)
+    assert (rep.min_edge_ratio, rep.min_inradius_ratio) == _ratios_per_cell(mesh)
 
 
 def test_validate_flags_clockwise_cell():
