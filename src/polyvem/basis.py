@@ -8,7 +8,7 @@ conditioned on small or stretched cells.  All functions here are pure.
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,10 +16,6 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import NumericalDegeneracyError, QuadratureError
-
-log = logging.getLogger(__name__)
-
-MAX_SUBDIVISION_DEPTH = 7   # quadrisection levels of a fan triangle under max_y_extent
 
 
 def dim_poly(k: int) -> int:
@@ -176,25 +172,63 @@ def triangle_rule(p0, p1, p2, degree: int):
 
 
 def _subdivide_by_extent(a, b, c, owner, max_y_extent):
-    """Quadrisect the triangles (a, b, c), stacked (T, 2) corners, until their
-    vertical extent is at most max_y_extent.  Children replace their parent
-    in place, so the order is that of a depth-first walk; `owner` (T,) is
-    carried along to the children."""
-    for depth in range(MAX_SUBDIVISION_DEPTH + 1):
-        ys = np.stack([a[:, 1], b[:, 1], c[:, 1]])
-        split = ys.max(axis=0) - ys.min(axis=0) > max_y_extent
-        if not split.any():
-            return a, b, c, owner
-        if depth == MAX_SUBDIVISION_DEPTH:
-            log.debug("triangle subdivision hit the depth cap %d", MAX_SUBDIVISION_DEPTH)
-            return a, b, c, owner
-        mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        s = split[:, None]
-        keep = np.column_stack([np.ones_like(split), split, split, split])
-        a, b, c = (np.stack(corner, axis=1)[keep] for corner in
-                   ((a, mab, mca, mab), (np.where(s, mab, b), b, mbc, mbc),
-                    (np.where(s, mca, c), mbc, c, mca)))
-        owner = np.repeat(owner, 1 + 3 * split)
+    """Cut the triangles (a, b, c), stacked (T, 2) CCW corners, into
+    horizontal strips of vertical extent at most max_y_extent.
+
+    A triangle of y-extent e is cut at n = ceil(e / max_y_extent) equal-height
+    levels.  With its corners lo, mid, hi sorted by y, a strip runs up the
+    long edge lo-hi from L0 to L1 and back down the short side lo-mid-hi
+    from S1 to S0, through mid if mid lies strictly inside it.  It is fanned
+    from L0 into the CCW triangles (L0, L1, S1), (L0, S1, mid), (L0, mid, S0)
+    that have positive area: 1 at a sharp bottom or top corner, 2 for a
+    trapezoid, 3 for the pentagon around mid.  Children replace their parent
+    in place, strip by strip from the bottom, and `owner` (T,) is carried
+    along, so it stays sorted.  A triangle with n = 1 is kept as it is."""
+    corners = np.stack([a, b, c], axis=1)                       # (T, 3, 2)
+    ys = corners[..., 1]
+    n = np.ceil((ys.max(axis=1) - ys.min(axis=1)) / max_y_extent)
+    is_split = n > 1
+    if not is_split.any():
+        return a, b, c, owner
+    order = np.argsort(ys[is_split], axis=1, kind="stable")
+    # (lo, hi, mid) is CCW when it is a rotation of the parent's corner order
+    ccw = (order[:, 2] - order[:, 0]) % 3 == 1
+    lo, mid, hi = np.take_along_axis(corners[is_split], order[..., None], axis=1).transpose(1, 0, 2)
+    n = n[is_split].astype(int)
+    # one row per strip: its parent (among the split triangles) and its lower level
+    parent = np.repeat(np.arange(n.size), n)
+    level = np.arange(parent.size) - np.repeat(np.cumsum(n) - n, n)
+    lo, mid, hi, n, ccw = lo[parent], mid[parent], hi[parent], n[parent], ccw[parent]
+    e = hi[:, 1] - lo[:, 1]
+    dm = mid[:, 1] - lo[:, 1]
+
+    def cut(j):
+        """Height above lo, long-edge point and short-side point of level j;
+        both points are hi at the top unless the top is flat."""
+        t = j / n
+        h = t * e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lower = lo + (h / dm)[:, None] * (mid - lo)
+            upper = mid + ((h - dm) / (e - dm))[:, None] * (hi - mid)
+        short = np.where((h < dm)[:, None], lower, np.where((h > dm)[:, None], upper, mid))
+        top = (j == n)[:, None]
+        return (h, np.where(top, hi, lo + t[:, None] * (hi - lo)),
+                np.where(top & (dm < e)[:, None], hi, short))
+
+    h0, L0, S0 = cut(level)
+    h1, L1, S1 = cut(level + 1)
+    inside = (h0 < dm) & (dm < h1)
+    M = np.where(inside[:, None], mid, S1)
+    fans = np.stack([np.stack([L0, L1, S1], axis=1), np.stack([L0, S1, M], axis=1),
+                     np.stack([L0, M, S0], axis=1)], axis=1)    # (strips, 3, 3, 2)
+    fans[~ccw] = fans[~ccw][:, :, [0, 2, 1]]
+    # S1 is L1 at a sharp top and S0 is L0 at a sharp bottom: those collapse
+    keep = np.column_stack([(level + 1 < n) | (dm == e), inside, (level > 0) | (dm == 0)])
+    per_parent = np.ones(owner.size, dtype=int)
+    per_parent[is_split] = np.bincount(parent, weights=keep.sum(axis=1))
+    out = np.repeat(corners, per_parent, axis=0)
+    out[np.repeat(is_split, per_parent)] = fans[keep]
+    return out[:, 0], out[:, 1], out[:, 2], np.repeat(owner, per_parent)
 
 
 def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
@@ -203,12 +237,16 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     Polygon i has the CCW vertices verts[starts[i]:starts[i+1]], its
     centroid centroids[i] and area areas[i], and is fanned into the
     triangles (centroid, v_j, v_j+1), which are stacked (T, 2) corners in
-    polygon order; owner (T,) is the polygon of each triangle.  With
-    `max_y_extent` set, triangles are quadrisected until their vertical
-    extent drops below it (resolving data that oscillates in y), capped at
-    MAX_SUBDIVISION_DEPTH levels.  A polygon that is not star-shaped with
+    polygon order; owner (T,) is the polygon of each triangle, non-decreasing.
+    With `max_y_extent` set (positive and finite, else `ValueError`), a
+    triangle taller than it is cut into ceil(extent / max_y_extent)
+    horizontal strips of CCW triangles that take its place
+    (`_subdivide_by_extent`), resolving data that oscillate in y; a triangle
+    within it is kept as it is.  A polygon that is not star-shaped with
     respect to its centroid raises `QuadratureError` with `cell` set to i.
     """
+    if max_y_extent is not None and not (math.isfinite(max_y_extent) and max_y_extent > 0):
+        raise ValueError(f"max_y_extent must be positive and finite, got {max_y_extent}")
     starts = np.asarray(starts)
     owner = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     a = np.asarray(verts, dtype=float)
@@ -234,7 +272,8 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
 
 def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
     """Quadrature on a star-shaped polygon, exact for degree <= `degree`: a
-    collapsed Gauss rule on each triangle of the centroid fan (`fan_triangles`).
+    collapsed Gauss rule on each triangle of the centroid fan, in fan order,
+    cut into horizontal strips under `max_y_extent` (`fan_triangles`).
 
     E is one cell, giving points (npts, 2) and weights (npts,), or a stack of
     n cells with one vertex count, giving (n, npts, 2) and (n, npts).  A rule

@@ -372,19 +372,38 @@ RANK_TOL = 1e-9
 MAX_ELL_BUMPS = 4
 
 
-def _grad_projection_rank(pi0_grad, gram, d: int):
-    """Numerical rank of the unweighted gradient-projection energy, per cell.
+def _grad_projection_spectrum(pi0_grad, gram, d: int):
+    """Eigenvalues, ascending, of the unweighted gradient-projection energy,
+    per cell.
 
     Uses the identity-tensor form X^T H X + Y^T H Y; any SPD diffusion tensor
     yields a matrix of the same mathematical rank, and the unweighted form
     keeps the eigenvalue threshold independent of the tensor's anisotropy.
+    Full rank is N-1: the constants are its kernel.
     """
     nd = dim_poly(d)
     X, Y = pi0_grad[..., :nd, :], pi0_grad[..., nd:, :]
     H = gram[..., :nd, :nd]
     A = _t(X) @ (H @ X) + _t(Y) @ (H @ Y)
-    evals = np.linalg.eigvalsh(0.5 * (A + _t(A)))
-    return (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
+    return np.linalg.eigvalsh(0.5 * (A + _t(A)))
+
+
+def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRankError:
+    """The error for the first short cell of a pack at its last enlargement,
+    with the numbers that diagnose it: lambda_2 / lambda_max of its
+    gradient-projection energy (short means at most RANK_TOL), its shortest
+    edge over its diameter, and ell."""
+    at = int(np.argmax(short)) if short.ndim else ()
+    lam = evals[at]
+    ratio = lam[1] / np.abs(lam).max()
+    eps = ctx.edge_lengths[at].min() / np.asarray(E.diameter)[at]
+    exc = StabilizationFreeRankError(
+        f"gradient projection stays rank deficient up to enlargement ell={ell} "
+        f"(lambda_2/lambda_max = {ratio:.3e} <= RANK_TOL = {RANK_TOL:g}, "
+        f"shortest edge / h_E = {eps:.6e}); the stabilization-free scheme is only "
+        f"guaranteed well-posed at order 1 (got k={k})")
+    exc.cell = at if short.ndim else None
+    return exc
 
 
 def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> ProjectionPack:
@@ -399,7 +418,8 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     cells of a stack that stay short are rebuilt as a smaller stack at the
     next ell (the pack's `bumped`); if none of its cells passes, the whole
     stack is.  A `StabilizationFreeRankError` of a stack carries the position
-    of its first cell that is still short at the last ell in `cell`.
+    of its first cell that is still short at the last ell in `cell`; its
+    message gives that cell's numbers (`_rank_error`).
     """
     if method is Method.STANDARD:
         ell = last = 0
@@ -418,16 +438,13 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
                           pi0_grad=pi0_grad, ctx=ctx)
     if method is Method.STANDARD:
         return pack
-    short = _grad_projection_rank(pi0_grad, ctx.gram, d) < ctx.layout.total - 1
+    evals = _grad_projection_spectrum(pi0_grad, ctx.gram, d)
+    rank = (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
+    short = rank < ctx.layout.total - 1
     if not short.any():
         return pack
     if ell == last:
-        exc = StabilizationFreeRankError(
-            "gradient projection stays rank deficient up to "
-            f"enlargement {last}; the stabilization-free scheme is only "
-            f"guaranteed well-posed at order 1 (got k={k})")
-        exc.cell = int(np.argmax(short)) if short.ndim else None
-        raise exc
+        raise _rank_error(E, ctx, evals, short, k, ell)
     if short.all():
         return build_projection_pack(E, k, method, ell + 1)
     at = np.flatnonzero(short)
@@ -511,8 +528,9 @@ class DataRule:
     cells, with its monomial table; `data_rules` cuts a mesh into blocks.
 
     It is exact to degree 2k+6 on every cell of the block; for data
-    oscillating in y (a case with a `y_wavelength`) the fan triangles are
-    subdivided to half the wavelength.  `cells` is the block's range of cell
+    oscillating in y (a case with a `y_wavelength`) the fan triangles taller
+    than half the wavelength are cut into horizontal strips
+    (`basis.fan_triangles`).  `cells` is the block's range of cell
     indices.  Its T triangles carry q points each: `points` (T*q, 2) and
     `weights` (T*q,) run triangle by triangle, `triangle_cells` (T,) is the
     cell of each triangle, and the triangles of cell `cells[i]` start at
@@ -544,9 +562,11 @@ def data_rules(mesh, k: int, y_wavelength=None):
     in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
     cell that alone has more.
 
-    The fan triangles of all cells are formed, checked and subdivided once
-    (`fan_triangles`), so a cell that is not star-shaped raises
-    `QuadratureError` naming that cell before any block is built.
+    The fan triangles of all cells are formed, checked and, with a
+    `y_wavelength`, cut into strips of at most half of it, once
+    (`fan_triangles`); a cell's triangles stay together and in cell order.
+    A cell that is not star-shaped raises `QuadratureError` naming that cell
+    before any block is built.
     """
     ids, starts = mesh.flat_cells
     max_y = y_wavelength / 2.0 if y_wavelength else None

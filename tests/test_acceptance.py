@@ -6,6 +6,7 @@ ladder sweeps are shared through module-scoped fixtures.
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -14,9 +15,9 @@ import pytest
 from polyvem.assembly import assemble, stab_consistency_ratio
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
-from polyvem.local import (DiffusionTensor, ElementContext, Method,
-                           StabilizationFreeRankError, build_pi_nabla,
-                           build_projection_pack, local_stiffness)
+from polyvem.local import (MAX_ELL_BUMPS, RANK_TOL, DiffusionTensor, ElementContext,
+                           Method, StabilizationFreeRankError, build_pi_nabla,
+                           build_projection_pack, local_stiffness, min_ell)
 from polyvem.mesh import (CARTESIAN_LADDER, VORONOI_LADDER, CellGeometry,
                           generate_cartesian, generate_voronoi)
 from polyvem.study import METHODS, exact_energy_norm, solve_case, solve_cases
@@ -256,6 +257,24 @@ def test_rank_failure_names_the_lowest_short_cell(vor_meshes):
     with pytest.raises(StabilizationFreeRankError,
                        match=r"^cell 126: gradient projection stays rank deficient"):
         assemble(vor_meshes[1024], 3, Method.E2VEM, K_PATCH)
+
+
+def test_rank_failure_reports_its_diagnosis(vor_meshes):
+    """The criterion 7 failure on cell 126 reports lambda_2/lambda_max below
+    RANK_TOL, the cell's shortest edge over its diameter, and the last ell."""
+    mesh = vor_meshes[1024]
+    with pytest.raises(StabilizationFreeRankError) as info:
+        assemble(mesh, 3, Method.E2VEM, K_PATCH)
+    found = re.search(r"ell=(\d+) \(lambda_2/lambda_max = (\S+) <= RANK_TOL = \S+, "
+                      r"shortest edge / h_E = (\S+)\)", str(info.value))
+    assert found, str(info.value)
+    ell, ratio, eps = int(found[1]), float(found[2]), float(found[3])
+    E = mesh.cell_geom(np.array([126]))
+    edges = np.linalg.norm(np.roll(E.verts[0], -1, axis=0) - E.verts[0], axis=1)
+    assert info.value.cell == 126
+    assert ell == min_ell(3, E.n_vertices) + MAX_ELL_BUMPS
+    assert ratio < RANK_TOL
+    assert eps == pytest.approx(edges.min() / E.diameter[0], rel=1e-6)
 
 
 def test_criterion_8_study_determinism(tmp_path):

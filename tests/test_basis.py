@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
-from polyvem.basis import (QuadratureError, dim_poly, edge_lagrange,
+from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly, edge_lagrange,
                            edge_rules, eval_monomial_grads, eval_monomials,
                            lagrange_matrix, laplacian_coefficients,
                            monomial_exponents, monomial_gram, monomial_index,
@@ -157,15 +157,42 @@ def test_stacked_triangle_rule_concatenates_single_rules(rng):
     assert np.array_equal(wts, np.concatenate([w for _, w in single]))
 
 
-def _quadrisect_depth_first(tri, max_y_extent, depth=0):
-    """Reference subdivision: one triangle at a time, children in order."""
-    a, b, c = tri
-    ys = (a[1], b[1], c[1])
-    if max(ys) - min(ys) <= max_y_extent or depth >= 7:
+def _strips_one_by_one(tri, max_y_extent):
+    """Reference strip cut: one triangle at a time, corners sorted by y, n
+    equal-height strips from the bottom, each fanned from its lower
+    long-edge point (L0, L1, S1, mid, S0 minus the repeated corners)."""
+    n = math.ceil((max(p[1] for p in tri) - min(p[1] for p in tri)) / max_y_extent)
+    if n <= 1:
         return [tri]
-    mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return [t for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca))
-            for t in _quadrisect_depth_first(child, max_y_extent, depth + 1)]
+    order = sorted(range(3), key=lambda i: tri[i][1])
+    lo, mid, hi = (tri[i] for i in order)
+    ccw = (order[2] - order[0]) % 3 == 1
+    e, dm = hi[1] - lo[1], mid[1] - lo[1]
+
+    def cut(j):
+        t = j / n
+        h = t * e
+        long_edge = hi if j == n else lo + t * (hi - lo)
+        if h < dm:
+            return h, long_edge, lo + (h / dm) * (mid - lo)
+        if h > dm:
+            return h, long_edge, mid + ((h - dm) / (e - dm)) * (hi - mid)
+        return h, long_edge, mid
+
+    children = []
+    for i in range(n):
+        (h0, L0, S0), (h1, L1, S1) = cut(i), cut(i + 1)
+        poly = [L0, L1]
+        if i + 1 < n or dm == e:
+            poly.append(S1)
+        if h0 < dm < h1:
+            poly.append(mid)
+        if i > 0 or dm == 0:
+            poly.append(S0)
+        for j in range(1, len(poly) - 1):
+            pair = (poly[j], poly[j + 1]) if ccw else (poly[j + 1], poly[j])
+            children.append((poly[0], *pair))
+    return children
 
 
 @pytest.mark.parametrize("max_y_extent", [0.3, 0.07])
@@ -173,12 +200,83 @@ def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, 
     E = star_polygon(rng, 6)
     v = E.verts
     fan = [(E.centroid, v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-    tris = [t for tri in fan for t in _quadrisect_depth_first(tri, max_y_extent)]
+    tris = [t for tri in fan for t in _strips_one_by_one(tri, max_y_extent)]
     rules = [triangle_rule(a, b, c, 5) for a, b, c in tris]
     q = polygon_quadrature(E, 5, max_y_extent=max_y_extent)
     assert len(tris) > len(fan)
     assert np.array_equal(q.points, np.vstack([p for p, _ in rules]))
     assert np.array_equal(q.weights, np.concatenate([w for _, w in rules]))
+
+
+def _signed_areas(a, b, c):
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def _check_strips(tris, max_y_extent):
+    """The strip cut of the CCW triangles `tris` (T, 3, 2), owner i for
+    triangle i: CCW children within the extent that tile their parent."""
+    tris = np.asarray(tris, dtype=float)
+    a, b, c, owner = _subdivide_by_extent(*tris.transpose(1, 0, 2),
+                                          np.arange(len(tris)), max_y_extent)
+    areas = _signed_areas(a, b, c)
+    assert (areas > 0.0).all()
+    ys = np.stack([a[:, 1], b[:, 1], c[:, 1]])
+    assert (ys.max(axis=0) - ys.min(axis=0) <= max_y_extent * (1.0 + 1e-12)).all()
+    assert (np.diff(owner) >= 0).all()
+    parent = _signed_areas(*tris.transpose(1, 0, 2))
+    per_owner = np.bincount(owner, weights=areas, minlength=len(tris))
+    assert np.abs(per_owner - parent).max() <= 1e-13 * parent.min()
+    return a, b, c, owner
+
+
+_corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tris=st.lists(st.tuples(_corner, _corner, _corner), min_size=1, max_size=4),
+       max_y_extent=st.floats(0.02, 2.5))
+def test_strips_tile_their_triangles(tris, max_y_extent):
+    tris = np.array(tris)
+    parent = _signed_areas(*tris.transpose(1, 0, 2))
+    assume((np.abs(parent) > 0.05).all())
+    tris[parent < 0] = tris[parent < 0][:, [0, 2, 1]]       # make every one CCW
+    _check_strips(tris, max_y_extent)
+
+
+@pytest.mark.parametrize("tri, max_y_extent, n_children", [
+    (((0.0, 0.0), (1.0, 0.0), (0.3, 1.0)), 0.3, 7),         # flat bottom: 3 trapezoids
+    (((0.2, 0.0), (1.0, 1.0), (0.0, 1.0)), 0.3, 7),         # flat top
+    (((0.0, 0.0), (1.0, 0.5), (0.2, 1.0)), 0.25, 6),        # mid on the cut at 0.5
+    (((0.0, 0.0), (1.0, 0.6), (0.2, 1.0)), 0.25, 7),        # pentagon around mid
+    (((0.0, 0.0), (1.0, 0.2), (0.5, 0.5)), 0.5, 1),         # extent exactly the maximum
+])
+def test_strip_edge_cases(tri, max_y_extent, n_children):
+    for rot in range(3):                                    # each corner first in turn
+        t = np.roll(np.array(tri), rot, axis=0)
+        a, b, c, _ = _check_strips(t[None], max_y_extent)
+        assert a.shape[0] == n_children
+        if n_children == 1:
+            assert np.array_equal(np.stack([a[0], b[0], c[0]]), t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), degree=st.integers(1, 7),
+       max_y_extent=st.floats(0.05, 0.8))
+def test_strip_quadrature_exact_for_monomials(seed, degree, max_y_extent):
+    for E in (PENTAGON, star_polygon(np.random.default_rng(seed), 7)):
+        q = polygon_quadrature(E, degree, max_y_extent=max_y_extent)
+        rp, rw = _ear_fan_reference(E, degree)
+        for ax, ay in monomial_exponents(degree):
+            mine = q.weights @ (q.points[:, 0] ** ax * q.points[:, 1] ** ay)
+            ref = rw @ (rp[:, 0] ** ax * rp[:, 1] ** ay)
+            assert mine == pytest.approx(ref, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.inf, math.nan])
+def test_subdivision_rejects_bad_extent(bad):
+    with pytest.raises(ValueError, match="max_y_extent must be positive and finite"):
+        polygon_quadrature(UNIT_SQUARE, 2, max_y_extent=bad)
 
 
 def test_subdivided_quadrature_stays_exact():

@@ -154,6 +154,20 @@ def test_exact_energy_norm_tc2_quadrature():
     assert den == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
 
 
+@pytest.fixture(scope="module")
+def tc2_voronoi():
+    return {n: generate_voronoi(n, rng_seed=0) for n in (64, 256)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [64, 256])
+def test_exact_energy_norm_tc2_voronoi_strips(tc2_voronoi, n, k):
+    # the strip-subdivided data rule on the study's Voronoi levels: the
+    # worst relative error is about 1.2e-7 (Voronoi-64, k=1)
+    den = exact_energy_norm(tc2_voronoi[n], get_case("tc2"), k)
+    assert den == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
+
+
 def test_ladder_prefixes():
     assert ladder_for("cartesian", 0) == (8, 16, 32, 64, 128)
     assert ladder_for("cartesian", 2) == (8, 16)
