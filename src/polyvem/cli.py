@@ -1,4 +1,4 @@
-"""Command-line interface: mesh generation, single solves, studies, ratio tables.
+"""Command-line interface: mesh generation, single solves, studies, the paper run.
 
 Exit codes: 0 success, 2 input or validation error, 3 solver failure; a
 `PolyvemError` exits with its own `exit_code` (see errors.py).
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cases import testcase
@@ -15,7 +16,7 @@ from .errors import MeshError, PolyvemError
 from .local import Method
 from .mesh import (DEFAULT_LLOYD_ITERS, FAMILIES, generate_mesh, load_mesh,
                    save_mesh, validate_mesh)
-from .study import StudyConfig, ladder_for, ratio_ladder, run_study, solve_case
+from .study import StudyConfig, run_paper, run_study, solve_case
 
 
 def _build_parser():
@@ -50,14 +51,12 @@ def _build_parser():
     pt.add_argument("--lloyd-iters", type=int, default=DEFAULT_LLOYD_ITERS)
     pt.add_argument("-o", "--output", required=True, help="output directory")
 
-    pr = sub.add_parser("ratio", help="print ladder-averaged stabilization ratios")
-    pr.add_argument("--case", required=True)
-    pr.add_argument("--order", type=int, required=True)
-    pr.add_argument("--family", choices=[*FAMILIES, "both"],
-                    required=True)
-    pr.add_argument("--levels", type=int, default=0)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--lloyd-iters", type=int, default=DEFAULT_LLOYD_ITERS)
+    pp = sub.add_parser("paper", help="run every study of the paper on one set of "
+                                      "ladder meshes and write its ratio tables")
+    pp.add_argument("--levels", type=int, default=0,
+                    help="ladder prefix length (0 = full ladder)")
+    pp.add_argument("--seed", type=int, default=0)
+    pp.add_argument("-o", "--output", required=True, help="output directory")
     return p
 
 
@@ -106,34 +105,35 @@ def _cmd_solve(args):
     return 0
 
 
+def _report_study(name, result, out_dir) -> int:
+    """Print a study's row count and ratio averages; return its failure count."""
+    failures = sum(1 for r in result.rows if r.note)
+    print(f"study {name}: {len(result.rows)} rows -> {out_dir}"
+          + (f" ({failures} solver failures)" if failures else ""))
+    for key, value in sorted(result.avg_stab_ratio.items()):
+        print(f"avg stab/consistency ratio {key[0]} order {key[1]}: {value:.4f}")
+    return failures
+
+
 def _cmd_study(args):
     orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
     cfg = StudyConfig(case_id=args.case, orders=orders,
                       families=_families(args.family), levels=args.levels,
                       rng_seed=args.seed, lloyd_iters=args.lloyd_iters,
                       out_dir=args.output)
-    result = run_study(cfg)
-    failures = [r for r in result.rows if r.note]
-    print(f"study {args.case}: {len(result.rows)} rows -> {args.output}"
-          + (f" ({len(failures)} solver failures)" if failures else ""))
-    for key, value in sorted(result.avg_stab_ratio.items()):
-        print(f"avg stab/consistency ratio {key[0]} order {key[1]}: {value:.4f}")
+    return 3 if _report_study(args.case, run_study(cfg), args.output) else 0
+
+
+def _cmd_paper(args):
+    results = run_paper(args.output, levels=args.levels, rng_seed=args.seed)
+    failures = sum(_report_study(case_id, result, os.path.join(args.output, case_id))
+                   for case_id, result in results.items())
+    print(f"wrote {os.path.join(args.output, 'ratio_tables.csv')}")
     return 3 if failures else 0
 
 
-def _cmd_ratio(args):
-    for family in _families(args.family):
-        ratios, avg = ratio_ladder(args.case, args.order, family,
-                                   levels=args.levels, rng_seed=args.seed,
-                                   lloyd_iters=args.lloyd_iters)
-        levels = ladder_for(family, args.levels)
-        per = ", ".join(f"{n}:{r:.4f}" for n, r in zip(levels, ratios))
-        print(f"{args.case} {family} order {args.order}: avg={avg:.4f} [{per}]")
-    return 0
-
-
 _COMMANDS = {"mesh": _cmd_mesh, "solve": _cmd_solve,
-             "study": _cmd_study, "ratio": _cmd_ratio}
+             "study": _cmd_study, "paper": _cmd_paper}
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
-"""Convergence studies: energy errors, rates, ratio tables, CSV/JSON artifacts.
+"""Convergence studies and the paper run: energy errors, rates, ratio tables,
+CSV/JSON artifacts.
 
 A study sweeps a mesh refinement ladder for one manufactured case, solves both
 schemes at the requested orders, and records the relative energy error
@@ -14,6 +15,9 @@ and one for the errors.  Both passes run block by block over the mesh
 (`local.data_rules`), in array code with no loop over cells; the gradient of
 a projection is taken in each cell's degree k-1 monomials.  Artifacts are
 written with full-precision floats so repeated runs are byte-identical.
+
+The paper run (`run_paper`) builds each ladder mesh once, runs every study of
+the paper on it, and writes the ratio tables from the standard-scheme rows.
 """
 
 from __future__ import annotations
@@ -214,13 +218,31 @@ def ladder_for(family: str, levels: int = 0):
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Run the full sweep described by `cfg`; write artifacts when out_dir set."""
     case = testcase(cfg.case_id)
-    result = StudyResult(case=case.name)
+    ladders = _ladder_meshes(cfg.families, cfg.levels, cfg.rng_seed, cfg.lloyd_iters)
+    result = study_ladders(case, cfg.orders, ladders)
+    if cfg.out_dir:
+        emit_plot_data(result, cfg.out_dir)
+    return result
 
-    for family in cfg.families:
-        ladder = ladder_for(family, cfg.levels)
-        meshes = [generate_mesh(family, n, cfg.rng_seed, cfg.lloyd_iters)
-                  for n in ladder]
-        for order in cfg.orders:
+
+def _ladder_meshes(families, levels: int, rng_seed: int, lloyd_iters: int) -> dict:
+    """{family: the meshes of its first `levels` ladder sizes}, each built once."""
+    return {family: [generate_mesh(family, n, rng_seed, lloyd_iters)
+                     for n in ladder_for(family, levels)]
+            for family in families}
+
+
+def study_ladders(case: TestCase, orders, ladders: dict) -> StudyResult:
+    """Solve `case` with both schemes at each order on every mesh of
+    `ladders` ({family: meshes, coarsest first}) and collect the study rows,
+    rates and ladder-averaged stabilization ratios.
+
+    A failure on one level is recorded in that level's rows; each level's
+    systems are released before the next is assembled.
+    """
+    result = StudyResult(case=case.name)
+    for family, meshes in ladders.items():
+        for order in orders:
             for level, mesh in enumerate(meshes, start=1):
                 try:
                     results = solve_cases(mesh, order, METHODS, case)
@@ -245,10 +267,27 @@ def run_study(cfg: StudyConfig) -> StudyResult:
                 result.avg_stab_ratio[(family, order)] = sum(ratios) / len(ratios)
             for method in METHODS:
                 _attach_rates(result.series(family, order, method))
-
-    if cfg.out_dir:
-        emit_plot_data(result, cfg.out_dir)
     return result
+
+
+# the paper's studies: each case with its orders, over every family
+PAPER_STUDIES = (("tc1", (1, 3)), ("tc2", (1, 2)))
+
+
+def run_paper(out_dir: str, levels: int = 0, rng_seed: int = 0) -> dict:
+    """The paper's convergence studies and ratio tables in one run.
+
+    Each (family, n) ladder mesh is built once and serves every case and
+    order of `PAPER_STUDIES`.  Writes each case's study artifacts to
+    out_dir/<case>/, then out_dir/ratio_tables.csv.  Returns {case_id: StudyResult}.
+    """
+    ladders = _ladder_meshes(FAMILIES, levels, rng_seed, DEFAULT_LLOYD_ITERS)
+    results = {}
+    for case_id, orders in PAPER_STUDIES:
+        results[case_id] = study_ladders(testcase(case_id), orders, ladders)
+        emit_plot_data(results[case_id], os.path.join(out_dir, case_id))
+    emit_ratio_tables(results, out_dir)
+    return results
 
 
 def _attach_rates(series):
@@ -257,22 +296,6 @@ def _attach_rates(series):
                 and prev.e_star > 0 and cur.e_star > 0 and prev.h_max > cur.h_max):
             cur.alpha = convergence_rate(prev.e_star, cur.e_star,
                                          prev.h_max, cur.h_max)
-
-
-def ratio_ladder(case_id: str, order: int, family: str, *, levels: int = 0,
-                 rng_seed: int = 0, lloyd_iters: int = DEFAULT_LLOYD_ITERS):
-    """Per-level stabilization/consistency norm ratios and their average.
-
-    Only the standard scheme is assembled (no loads, no solves), which is all
-    the ratio needs.
-    """
-    case = testcase(case_id)
-    ratios = []
-    for n in ladder_for(family, levels):
-        mesh = generate_mesh(family, n, rng_seed, lloyd_iters)
-        system = assemble(mesh, order, Method.STANDARD, case.K)
-        ratios.append(stab_consistency_ratio(system.a_s, system.a_pi))
-    return ratios, sum(ratios) / len(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +370,24 @@ def emit_plot_data(result: StudyResult, out_dir: str):
         fh.write("\n")
     paths.append(summary_path)
     return paths
+
+
+def emit_ratio_tables(results: dict, out_dir: str):
+    """Write ratio_tables.csv from the standard-scheme rows of each case's
+    study ({case_id: StudyResult}): one row per (case, family, order) with the
+    ladder-averaged stabilization/consistency ratio, then the ratio of each
+    level (empty for a failed level)."""
+    path = os.path.join(out_dir, "ratio_tables.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["case", "family", "order", "avg_ratio", "per_level..."])
+        for case_id, result in results.items():
+            # study rows run family by family, order by order
+            for family, order in dict.fromkeys((r.family, r.order) for r in result.rows):
+                w.writerow([case_id, family, order,
+                            _fmt(result.avg_stab_ratio.get((family, order)))]
+                           + [_fmt(r.stab_ratio)
+                              for r in result.series(family, order, Method.STANDARD)])
 
 
 def parse_rows_csv(path) -> list:

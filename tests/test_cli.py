@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from polyvem import assembly, local
+from polyvem import assembly, local, study
 from polyvem.cli import main
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
@@ -79,14 +80,64 @@ def test_study_determinism_bytes(tmp_path):
             (tmp_path / "r2" / name).read_bytes()
 
 
-def test_ratio_command(capsys, tmp_path):
-    rc = main(["ratio", "--case", "tc1", "--order", "1", "--family",
-               "cartesian", "--levels", "2"])
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def paper_first_level(tmp_path_factory):
+    out = tmp_path_factory.mktemp("paper")
+    return main(["paper", "--levels", "1", "-o", str(out)]), out
+
+
+def test_paper_writes_each_case_study(paper_first_level):
+    rc, out = paper_first_level
     assert rc == 0
-    line = capsys.readouterr().out.strip()
-    assert "cartesian order 1" in line
-    avg = float(line.split("avg=")[1].split()[0].rstrip("]"))
-    assert avg == pytest.approx(1.0, abs=0.05)
+    for case_id in ("tc1", "tc2"):
+        # 2 families x 2 orders x 2 methods, one level each
+        assert len(parse_rows_csv(out / case_id / "study_rows.csv")) == 8
+        assert (out / case_id / "summary.json").exists()
+
+
+def test_paper_writes_ratio_tables(paper_first_level):
+    rc, out = paper_first_level
+    assert rc == 0
+    rows = _read_csv(out / "ratio_tables.csv")
+    assert len(rows) == 1 + 8
+    assert all(float(r[3]) > 0.0 for r in rows[1:])
+
+
+@pytest.fixture(scope="module")
+def paper_two_levels(tmp_path_factory):
+    """`polyvem paper --levels 2`, with the (family, n) of each generated mesh."""
+    out = tmp_path_factory.mktemp("paper2")
+    real, built = study.generate_mesh, []
+
+    def counted(family, n, *args):
+        built.append((family, n))
+        return real(family, n, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(study, "generate_mesh", counted)
+        rc = main(["paper", "--levels", "2", "-o", str(out)])
+    return rc, out, built
+
+
+def test_paper_builds_each_ladder_mesh_once(paper_two_levels):
+    rc, _, built = paper_two_levels
+    assert rc == 0
+    # one mesh per (family, level), shared by both cases and all their orders
+    assert built == [("cartesian", 8), ("cartesian", 16), ("voronoi", 64), ("voronoi", 256)]
+
+
+def test_paper_cartesian_order1_ratio_near_one(paper_two_levels):
+    rc, out, _ = paper_two_levels
+    assert rc == 0
+    rows = {tuple(r[:3]): r[3:] for r in _read_csv(out / "ratio_tables.csv")[1:]}
+    avg, *per_level = rows[("tc1", "cartesian", "1")]
+    assert len(per_level) == 2
+    assert float(avg) == pytest.approx(1.0, abs=0.05)
 
 
 def test_missing_mesh_file_exit_2(tmp_path):
@@ -204,14 +255,43 @@ def test_study_records_source_pass_failure_on_both_rows(tmp_path, monkeypatch):
     assert (out / "summary.json").exists()
 
 
+def test_paper_exit_3_after_writing_every_artifact(tmp_path, monkeypatch):
+    # the first source pass of the run (tc1, cartesian, order 1, level 1) fails
+    real, calls = assembly.local_load, []
+
+    def failing_sixth_cell(f, rule):
+        calls.append(rule)
+        if len(calls) == 1:
+            exc = QuadratureError("source pass failed")
+            exc.cell = rule.cells[5]
+            raise exc
+        return real(f, rule)
+
+    monkeypatch.setattr(assembly, "local_load", failing_sixth_cell)
+    rc = main(["paper", "--levels", "1", "-o", str(tmp_path)])
+    assert rc == 3
+    rows = parse_rows_csv(tmp_path / "tc1" / "study_rows.csv")
+    assert [(r.family, r.order, r.method) for r in rows[:2]] == [
+        ("cartesian", 1, "vem"), ("cartesian", 1, "e2vem")]
+    for r in rows[:2]:
+        assert r.note == "solver failure: cell 5: source pass failed"
+    assert all(r.note == "" for r in rows[2:])
+    for case_id in ("tc1", "tc2"):
+        for name in ("study_rows.csv", "rates_summary.csv", "summary.json"):
+            assert (tmp_path / case_id / name).exists()
+    table = _read_csv(tmp_path / "ratio_tables.csv")
+    assert table[1] == ["tc1", "cartesian", "1", "", ""]
+    assert all(float(r[3]) > 0.0 for r in table[2:])
+
+
 def test_negative_levels_exit_2(tmp_path, capsys):
-    for command, extra in (("study", ["--orders", "1", "-o", str(tmp_path / "s")]),
-                           ("ratio", ["--order", "1"])):
-        rc = main([command, "--case", "tc1", "--family", "cartesian",
-                   "--levels", "-1", *extra])
+    for argv in (["study", "--case", "tc1", "--family", "cartesian", "--orders", "1"],
+                 ["paper"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--levels", "-1", "-o", str(out)])
         assert rc == 2
         assert "levels must be >= 0" in _one_line_error(capsys)
-    assert not (tmp_path / "s").exists()
+        assert not out.exists()
 
 
 def test_repeated_orders_exit_2(tmp_path, capsys):
