@@ -207,7 +207,8 @@ def _subdivide_by_extent(a, b, c, owner, max_y_extent):
         both points are hi at the top unless the top is flat."""
         t = j / n
         h = t * e
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the values of the sides a level does not cut are discarded below
+        with np.errstate(all="ignore"):
             lower = lo + (h / dm)[:, None] * (mid - lo)
             upper = mid + ((h - dm) / (e - dm))[:, None] * (hi - mid)
         short = np.where((h < dm)[:, None], lower, np.where((h > dm)[:, None], upper, mid))

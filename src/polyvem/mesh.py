@@ -22,6 +22,7 @@ from .errors import MeshError
 log = logging.getLogger(__name__)
 
 BOUNDARY_SNAP_TOL = 1e-9    # snapping band around the square sides
+DELAUNAY_TOL = 1e-12        # locally Delaunay test of a dual edge, relative to circumcenter roundoff
 VERTEX_DEDUP_TOL = 1e-12    # absolute merge tolerance when stitching Voronoi cells
 AREA_SUM_TOL = 1e-10
 CONGRUENCE_TOL = 1e-9       # vertex offsets from the centroid, relative to h_E
@@ -341,7 +342,7 @@ def _mirror(points, band):
     one, twice the largest seed-to-vertex distance of the previous diagram:
     a region reaching a side has its seed within that distance of the side,
     and the factor 2 leaves room for the seeds' Lloyd move.  The result is
-    the point set that `_box_voronoi` triangulates.
+    the point set that `_seed_fans` triangulates.
     """
     x, y = points[:, 0], points[:, 1]
     images = [(x < band, -x, y), (1.0 - x < band, 2.0 - x, y),
@@ -357,52 +358,161 @@ def _cell_error(ci, message):
     return exc
 
 
-def _circumcenters(corners):
-    """Circumcenters of the triangles `corners` (nt, 3, 2), each computed in
-    coordinates relative to the triangle's first corner."""
-    a = corners[:, 0]
-    b, c = corners[:, 1] - a, corners[:, 2] - a
-    bb, cc = (b ** 2).sum(axis=1), (c ** 2).sum(axis=1)
-    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
-                                b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+def _edge_ends(simplices, t, i):
+    """The ends p, q of the edge across corner i of triangle t, for arrays
+    t, i; corner i lies on the left of p -> q when the triangles are CCW."""
+    k = 3 * t + i
+    return simplices[:, [1, 2, 0]].ravel()[k], simplices[:, [2, 0, 1]].ravel()[k]
 
 
-def _box_voronoi(points, band):
-    """Voronoi regions of `points` clipped to the unit square, read off the
-    Delaunay triangulation of `_mirror(points, band)`.
+def _triangulate(points):
+    """Delaunay triangulation of `points` by qhull without facet merging,
+    checked here in place of qhull's own check.
+
+    The mirrored point sets of `generate_voronoi` are cocircular by
+    construction (a seed near a side, its neighbour and their two images lie
+    on one circle), and merging those facets is a third of qhull's time.  So
+    qhull runs with scipy's default options plus `Q0` (no facet merging) and
+    `Po` (output despite precision errors, which `Q0` alone raises on some
+    Lloyd iterates).  With `Po` qhull no longer checks its output, and this
+    function raises MeshError unless every triangle is CCW with positive area
+    and every dual edge is locally Delaunay: its Voronoi edge runs from the
+    circumcenter of `t` into `u`'s side of the shared Delaunay edge.  A
+    cocircular quadrilateral gives two triangles with one circumcenter, and
+    either diagonal passes, so the test allows the circumcenter of `u` on
+    `t`'s side by DELAUNAY_TOL times a bound on the circumcenters' roundoff:
+    a triangle with corner a and edge vectors b, c from it has a circumcenter
+    exact to a few ulps of |a| + (|b|^2 |c| + |c|^2 |b|) / (2 |b x c|).  That
+    bound grows for the slivers that a seed near a side forms with its image.
+
+    Returns the triangles (nt, 3) of indices into `points`, their
+    circumcenters (nt, 2), and the dual edges as the arrays (t, i, u):
+    triangle u lies across corner i of triangle t, and each pair of
+    neighbours is listed once, with u > t.
+    """
+    tri = Delaunay(points, qhull_options="Qbb Qc Qz Q12 Q0 Po")
+    simplices, neighbors = tri.simplices, tri.neighbors
+    x, y = tri.points.T
+    X, Y = x[simplices], y[simplices]
+    # circumcenters in coordinates relative to each triangle's first corner
+    ax, ay = X[:, 0], Y[:, 0]
+    bx, by, cx, cy = X[:, 1] - ax, Y[:, 1] - ay, X[:, 2] - ax, Y[:, 2] - ay
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    d = 2.0 * (bx * cy - by * cx)
+    with np.errstate(all="ignore"):
+        ox, oy = ax + (cy * bb - by * cc) / d, ay + (bx * cc - cx * bb) / d
+        # the roundoff of each circumcenter is a few ulps of this size
+        size = np.maximum(abs(ax), abs(ay)) + (bb * np.maximum(abs(cx), abs(cy))
+                                               + cc * np.maximum(abs(bx), abs(by))) / abs(d)
+    k = np.flatnonzero(neighbors > np.arange(len(simplices))[:, None])
+    t = k // 3
+    i = k - 3 * t
+    u = neighbors.ravel()[k]
+    p, q = _edge_ends(simplices, t, i)
+    ex, ey = x[q] - x[p], y[q] - y[p]
+    with np.errstate(all="ignore"):
+        margin = ((ex * (oy[t] - oy[u]) - ey * (ox[t] - ox[u]))
+                  / (np.sqrt(ex * ex + ey * ey) * np.maximum(size[t], size[u])))
+    # written so that a non-finite value fails
+    flipped = ~(margin >= -DELAUNAY_TOL)
+    if not (d > 0.0).all() or flipped.any():
+        raise MeshError(f"qhull's triangulation is not Delaunay "
+                        f"({np.count_nonzero(~(d > 0.0))} triangles not CCW with positive "
+                        f"area, {np.count_nonzero(flipped)} dual edges not locally Delaunay)")
+    centers = np.column_stack([ox, oy])
+    return simplices, centers, (t, i, u)
+
+
+def _seed_fans(points, band):
+    """Triangulate `_mirror(points, band)` and check that the Voronoi region
+    of every seed is a closed polygon in the closed square.
 
     Each triangle's circumcenter is a Voronoi vertex, and a seed's region is
-    the circumcenters of the triangles around it, in angular order about the
-    seed.  Points on a common circle give one vertex per triangle of their
-    polygon; these coincide and are merged by `_stitch_regions`.
+    the circumcenters of the triangles around it.  Each dual edge t-u is the
+    Voronoi edge between the two seeds at the ends of the Delaunay edge that
+    t and u share, and gives each of them the fan triangle (seed, c_t, c_u).
 
     Inside the closed square a reflection is never closer to a point than its
     own seed, so the part of a seed's region inside the square is its clipped
     region whatever the band.  A region that lies entirely in the closed
-    square is therefore exactly the clipped region, and that is what this
-    function checks: a seed on the hull of the mirrored points (its triangles
-    do not close around it, so its region is unbounded) or a region with a
-    vertex outside the square by more than BOUNDARY_SNAP_TOL raises MeshError
-    naming its seed.  Such a region reaches a side whose reflection of its
-    seed was left out, i.e. the band was too narrow; it is never repaired.
-    With `band` = inf every seed is reflected across every side and no region
-    can leave the square.  A seed that qhull leaves out of every triangle
-    (it coincides with another point) raises MeshError naming it.
+    square is therefore exactly the clipped region, and that is what is
+    checked here.  A seed with fewer fan triangles than triangles lies on the
+    hull of the mirrored points (its fan does not close, so its region is
+    unbounded); that, or a region vertex outside the square by more than
+    BOUNDARY_SNAP_TOL, raises MeshError naming the lowest such seed.  Such a
+    region reaches a side whose reflection of its seed was left out, i.e. the
+    band was too narrow; it is never repaired.  With `band` = inf every seed
+    is reflected across every side and no region can leave the square.  A
+    seed that qhull leaves out of every triangle (it coincides with another
+    point) raises MeshError naming it first.
+
+    Returns the triangles, their circumcenters and the fan triangles as
+    arrays (seed, t, u): fan triangle k is (points[seed[k]], centers[t[k]],
+    centers[u[k]]).
+    """
+    n = points.shape[0]
+    simplices, centers, (t, i, u) = _triangulate(_mirror(points, band))
+    corner = simplices.ravel()
+    lens = np.bincount(corner[corner < n], minlength=n)
+    if lens.min() == 0:
+        raise _cell_error(np.argmin(lens), "degenerate Voronoi region (coincident seeds?)")
+    ends = np.concatenate(_edge_ends(simplices, t, i))
+    mine = ends < n
+    seed, t, u = ends[mine], np.tile(t, 2)[mine], np.tile(u, 2)[mine]
+    # written so that a non-finite vertex counts as outside
+    lo, hi = -BOUNDARY_SNAP_TOL, 1.0 + BOUNDARY_SNAP_TOL
+    x, y = centers.T
+    inside = (x >= lo) & (x <= hi) & (y >= lo) & (y <= hi)
+    outside = ~(inside[t] & inside[u])
+    bad = np.bincount(seed, minlength=n) < lens
+    if bad.any() or outside.any():
+        bad |= np.bincount(seed, weights=outside, minlength=n) > 0
+        raise _cell_error(np.argmax(bad), f"Voronoi region leaves the unit square "
+                                          f"(seeds reflected within {band:.3g} of a side)")
+    return simplices, centers, (seed, t, u)
+
+
+def _lloyd_step(points, band):
+    """One Lloyd step: the centroids of the clipped Voronoi regions of
+    `points`, and `reach`, the largest seed-to-vertex distance.
+
+    Each region is summed from its fan triangles (see `_seed_fans`), in
+    coordinates relative to its seed; the seed lies inside its own convex
+    region, so every fan triangle counts with its absolute area.  The checks
+    and errors are those of `_seed_fans`.
+    """
+    n = points.shape[0]
+    _, centers, (seed, t, u) = _seed_fans(points, band)
+    x, y = centers.T
+    px, py = points.T
+    ax, ay, bx, by = x[t] - px[seed], y[t] - py[seed], x[u] - px[seed], y[u] - py[seed]
+    w = np.abs(ax * by - ay * bx)
+    area3 = 3.0 * np.bincount(seed, weights=w, minlength=n)
+    centroids = np.column_stack([px + np.bincount(seed, weights=w * (ax + bx), minlength=n) / area3,
+                                 py + np.bincount(seed, weights=w * (ay + by), minlength=n) / area3])
+    reach = np.sqrt(max((ax * ax + ay * ay).max(), (bx * bx + by * by).max()))
+    return centroids, reach
+
+
+def _box_voronoi(points, band):
+    """Voronoi regions of `points` clipped to the unit square, read off the
+    Delaunay triangulation of `_mirror(points, band)`: the final diagram of
+    `generate_voronoi`, with the checks and errors of `_seed_fans`.
+
+    A region is the circumcenters of the triangles around its seed, in
+    angular order about the seed.  Points on a common circle give one vertex
+    per triangle of their polygon; these coincide and are merged by
+    `_stitch_regions`.
 
     Returns the circumcenters and the regions flattened in seed order: `flat`
     holds the vertex indices of region 0, then of region 1, ..., and
     `lens[i]` the vertex count of region i.
     """
     n = points.shape[0]
-    tri = Delaunay(_mirror(points, band))
-    centers = _circumcenters(tri.points[tri.simplices])
-    corner = tri.simplices.ravel()
+    simplices, centers, _ = _seed_fans(points, band)
+    corner = simplices.ravel()
     mine = corner < n
     seed = corner[mine]
-    lens = np.bincount(seed, minlength=n)
-    if lens.min() == 0:
-        raise _cell_error(np.argmin(lens), "degenerate Voronoi region (coincident seeds?)")
     around = np.flatnonzero(mine) // 3
     rel = centers[around] - points[seed]
     # sort by (seed, angle) through one exact integer key built from the
@@ -411,32 +521,7 @@ def _box_voronoi(points, band):
     rank = np.empty(angle.size, dtype=int)
     rank[np.argsort(angle)] = np.arange(angle.size)
     order = np.argsort(seed * angle.size + rank)
-    seed, flat = seed[order], around[order]
-    v = centers[flat]
-    hull = tri.convex_hull.ravel()
-    lo, hi = -BOUNDARY_SNAP_TOL, 1.0 + BOUNDARY_SNAP_TOL
-    # written so that a non-finite vertex counts as outside
-    if hull.min() < n or not (v.min() >= lo and v.max() <= hi):
-        outside = np.isin(seed, hull) | ~((v >= lo) & (v <= hi)).all(axis=1)
-        raise _cell_error(seed[np.argmax(outside)],
-                          f"Voronoi region leaves the unit square "
-                          f"(seeds reflected within {band:.3g} of a side)")
-    return centers, flat, lens
-
-
-def _region_centroids(vertices, flat, lens):
-    """Centroids of the regions `_box_voronoi` returns as (flat, lens)."""
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    nxt = np.arange(1, flat.size + 1)
-    nxt[ends - 1] = starts
-    p = vertices[flat]
-    q = vertices[flat[nxt]]
-    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-    area = 0.5 * np.add.reduceat(cross, starts)
-    cx = np.add.reduceat((p[:, 0] + q[:, 0]) * cross, starts) / (6.0 * area)
-    cy = np.add.reduceat((p[:, 1] + q[:, 1]) * cross, starts) / (6.0 * area)
-    return np.column_stack([cx, cy])
+    return centers, around[order], np.bincount(seed, minlength=n)
 
 
 def generate_voronoi(n_cells: int, rng_seed: int = 0,
@@ -454,11 +539,13 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
     perturbed by redrawing and reported on the module logger.  Cell i is the
     region of seed i.
 
-    Each diagram comes from one Delaunay triangulation of the seeds and
-    their reflections (see `_box_voronoi`), and the mesh is stitched from the
-    arrays of the last one.  Every diagram after the first reflects only the
-    seeds near a side (see `_mirror`); `_box_voronoi` checks that this
-    sufficed and raises MeshError naming the cell if it did not.
+    Each diagram comes from one checked Delaunay triangulation of the seeds
+    and their reflections (`_triangulate`).  A Lloyd step sums the fan
+    triangles of the dual edges (`_lloyd_step`); the final diagram's regions
+    are sorted by angle (`_box_voronoi`) and the mesh is stitched from them.
+    Every diagram after the first reflects only the seeds near a side (see
+    `_mirror`); `_seed_fans` checks that this sufficed and raises MeshError
+    naming the cell if it did not.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
@@ -480,10 +567,8 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
 
     band = np.inf
     for _ in range(lloyd_iters):
-        verts, flat, lens = _box_voronoi(seeds, band)
-        reach = np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
+        seeds, reach = _lloyd_step(seeds, band)
         band = 2.0 * reach
-        seeds = _region_centroids(verts, flat, lens)
 
     verts, flat, lens = _box_voronoi(seeds, band)
     return _stitch_regions(verts, np.split(flat, np.cumsum(lens)[:-1]))

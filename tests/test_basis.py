@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,15 @@ def test_strip_edge_cases(tri, max_y_extent, n_children):
         assert a.shape[0] == n_children
         if n_children == 1:
             assert np.array_equal(np.stack([a[0], b[0], c[0]]), t)
+
+
+def test_strips_of_a_subnormal_middle_height_warn_nothing():
+    # h / dm overflows at every level when mid sits 1e-310 above lo
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, c, owner = _check_strips([[[0.0, 0.0], [1.0, 1e-310], [0.3, 1.0]]], 0.3)
+    assert a.shape[0] > 1 and (owner == 0).all()
+    assert (_signed_areas(a, b, c) > 0.0).all()
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,11 +1,12 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Voronoi
+from scipy.spatial import Delaunay, Voronoi
 
 import polyvem.mesh as meshmod
 from polyvem.errors import MeshError
@@ -169,11 +170,27 @@ def _split(flat, lens):
     return np.split(flat, np.cumsum(lens)[:-1])
 
 
+def _region_centroids(vertices, flat, lens):
+    """Shoelace centroids of the regions given as (flat, lens), as
+    `_box_voronoi` returns them."""
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    nxt = np.arange(1, flat.size + 1)
+    nxt[ends - 1] = starts
+    p = vertices[flat]
+    q = vertices[flat[nxt]]
+    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    area = 0.5 * np.add.reduceat(cross, starts)
+    cx = np.add.reduceat((p[:, 0] + q[:, 0]) * cross, starts) / (6.0 * area)
+    cy = np.add.reduceat((p[:, 1] + q[:, 1]) * cross, starts) / (6.0 * area)
+    return np.column_stack([cx, cy])
+
+
 def _full_mirror_voronoi(n, seed, iters):
     """generate_voronoi's Lloyd loop with every seed reflected across every side."""
     seeds = meshmod._draw_seeds(SplitMix64(seed), n)
     for _ in range(iters):
-        seeds = meshmod._region_centroids(*meshmod._box_voronoi(seeds, np.inf))
+        seeds = meshmod._lloyd_step(seeds, np.inf)[0]
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
     return meshmod._stitch_regions(verts, _split(flat, lens))
 
@@ -247,7 +264,7 @@ def _voronoi_oracle(n, seed, iters):
     for _ in range(iters):
         verts, _, flat, lens = box(seeds, band)
         band = 2.0 * np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
-        seeds = meshmod._region_centroids(verts, flat, lens)
+        seeds = _region_centroids(verts, flat, lens)
     verts, regions, _, _ = box(seeds, band)
     return meshmod._stitch_regions(verts, regions)
 
@@ -299,6 +316,145 @@ def test_stitch_regions_names_the_reflex_cell():
                       [2, 0], [4, 1], [2, 2], [2.5, 1]], dtype=float)
     with pytest.raises(MeshError, match=r"^cell 1: Voronoi cell is not convex$"):
         meshmod._stitch_regions(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def _merged_qhull_voronoi(n, seed, iters):
+    """generate_voronoi as it was before the Lloyd steps summed fan
+    triangles: every diagram from qhull's default (merging) `Delaunay`, each
+    region its circumcenters sorted by angle about the seed, and each Lloyd
+    step the shoelace centroids of those polygons.  The band rule and the
+    stitching are the same."""
+    def box(points, band):
+        tri = Delaunay(meshmod._mirror(points, band))
+        corners = tri.points[tri.simplices]
+        a, b, c = corners[:, 0], corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+        bb, cc = (b ** 2).sum(axis=1), (c ** 2).sum(axis=1)
+        d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        centers = a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                       b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+        corner = tri.simplices.ravel()
+        mine = corner < len(points)
+        seed, around = corner[mine], np.flatnonzero(mine) // 3
+        assert np.array_equal(np.unique(seed), np.arange(len(points)))
+        assert not np.isin(seed, tri.convex_hull).any()
+        rel = centers[around] - points[seed]
+        order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
+        flat = around[order]
+        assert np.all(np.abs(centers[flat] - 0.5) <= 0.5 + meshmod.BOUNDARY_SNAP_TOL)
+        return centers, flat, np.bincount(seed)
+
+    seeds = meshmod._draw_seeds(SplitMix64(seed), n)
+    band = np.inf
+    for _ in range(iters):
+        verts, flat, lens = box(seeds, band)
+        band = 2.0 * np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
+        seeds = _region_centroids(verts, flat, lens)
+    verts, flat, lens = box(seeds, band)
+    return meshmod._stitch_regions(verts, _split(flat, lens))
+
+
+# the meshes on which `Q0` without `Po` raises qhull precision errors: there
+# the mesh rests on `_triangulate`'s own Delaunay check
+@pytest.mark.parametrize("n, seed", [(64, 11), (64, 13), (256, 5)])
+def test_unmerged_lloyd_matches_merged_qhull_oracle(n, seed):
+    mesh = generate_voronoi(n, seed, 100)
+    ref = _merged_qhull_voronoi(n, seed, 100)
+    assert len(mesh.cells) == len(ref.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+    assert mesh.vertices.shape == ref.vertices.shape
+    assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-10   # 2.7e-12 measured
+
+
+def test_lloyd_step_is_the_centroid_of_the_box_voronoi_regions():
+    seeds = meshmod._draw_seeds(SplitMix64(4), 100)
+    centroids, reach = meshmod._lloyd_step(seeds, np.inf)
+    verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
+    assert np.abs(centroids - _region_centroids(verts, flat, lens)).max() <= 1e-13
+    assert reach == pytest.approx(
+        np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max(), rel=1e-14)
+
+
+def test_triangulate_lists_each_dual_edge_once():
+    points = np.random.default_rng(1).uniform(size=(60, 2))
+    simplices, centers, (t, i, u) = meshmod._triangulate(points)
+    assert np.all(u > t)
+    shared = np.sort(simplices[t[:, None], (i[:, None] + [1, 2]) % 3], axis=1)
+    assert all(set(s) <= set(simplices[k]) and simplices[t[j], i[j]] not in simplices[k]
+               for j, (s, k) in enumerate(zip(shared, u)))
+    # 3 nt = 2 interior edges + hull edges, each hull edge on one triangle
+    hull = Delaunay(points).convex_hull
+    assert 3 * len(simplices) == 2 * len(t) + len(hull)
+    assert np.allclose(np.hypot(*(points[simplices[:, 0]] - centers).T),
+                       np.hypot(*(points[simplices[:, 1]] - centers).T))
+
+
+# a kite A, B, C, D whose Delaunay diagonal is the short one, C-D; each
+# triangulation is (triangles, neighbours) as qhull would list them
+_KITE = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5], [1.0, -0.5]])
+_KITE_DELAUNAY = ([[0, 3, 2], [3, 1, 2]], [[1, -1, -1], [-1, 0, -1]])
+_KITE_FLIPPED = ([[0, 3, 1], [0, 1, 2]], [[-1, 1, -1], [-1, -1, 0]])
+_KITE_CLOCKWISE = ([[0, 2, 3]], [[-1, -1, -1]])           # one triangle, A C D
+
+
+def _fake_qhull(monkeypatch, simplices, neighbors):
+    tri = SimpleNamespace(points=_KITE, simplices=np.array(simplices),
+                          neighbors=np.array(neighbors))
+    monkeypatch.setattr(meshmod, "Delaunay", lambda points, qhull_options: tri)
+
+
+def test_triangulate_accepts_the_delaunay_kite(monkeypatch):
+    assert np.array_equal(np.sort(Delaunay(_KITE).simplices, axis=1),
+                          np.sort(_KITE_DELAUNAY[0], axis=1))
+    _fake_qhull(monkeypatch, *_KITE_DELAUNAY)
+    _, centers, (t, i, u) = meshmod._triangulate(_KITE)
+    assert (t.tolist(), i.tolist(), u.tolist()) == ([0], [0], [1])
+    assert np.allclose(centers, [[0.625, 0.0], [1.375, 0.0]])
+
+
+@pytest.mark.parametrize("triangulation, counts", [
+    (_KITE_FLIPPED, "0 triangles not CCW with positive area, "
+                    "1 dual edges not locally Delaunay"),
+    (_KITE_CLOCKWISE, "1 triangles not CCW with positive area, "
+                      "0 dual edges not locally Delaunay"),
+])
+def test_triangulate_refuses_what_is_not_delaunay(monkeypatch, triangulation, counts):
+    _fake_qhull(monkeypatch, *triangulation)
+    with pytest.raises(MeshError, match="^qhull's triangulation is not Delaunay") as info:
+        meshmod._triangulate(_KITE)
+    assert counts in str(info.value)
+    assert info.value.cell is None
+
+
+def test_triangulate_accepts_the_slivers_of_seeds_next_to_a_side():
+    # a seed 1e-9 from a side and its image make slivers whose circumcenters
+    # lose about 1e-9 to roundoff; the Delaunay check must allow for that
+    for s in range(20):
+        seeds = meshmod._draw_seeds(SplitMix64(s), 64)
+        seeds[:4, 0] = [1e-9, 1.0 - 1e-9, 3e-9, 1.0 - 2e-9]
+        seeds[4:8, 1] = [1e-9, 1.0 - 1e-9, 3e-9, 1.0 - 2e-9]
+        meshmod._triangulate(meshmod._mirror(seeds, np.inf))
+
+
+def _coincident_seeds():
+    seeds = meshmod._draw_seeds(SplitMix64(5), 9)
+    seeds[6] = seeds[2]
+    return seeds
+
+
+@pytest.mark.parametrize("seeds, band, message", [
+    (meshmod._draw_seeds(SplitMix64(42), 16), 0.0, "Voronoi region leaves the unit square"),
+    (np.array([[0.5, 0.2], [0.3, 0.6], [0.7, 0.6]]), 0.0,      # no interior edge at all
+     "Voronoi region leaves the unit square"),
+    (meshmod._draw_seeds(SplitMix64(7), 30), 0.05, "Voronoi region leaves the unit square"),
+    (_coincident_seeds(), np.inf, "degenerate Voronoi region"),
+])
+def test_lloyd_step_names_the_cell_that_box_voronoi_names(seeds, band, message):
+    with pytest.raises(MeshError) as box:
+        meshmod._box_voronoi(seeds, band)
+    with pytest.raises(MeshError, match=message) as step:
+        meshmod._lloyd_step(seeds, band)
+    assert step.value.cell == box.value.cell
+    assert str(step.value) == str(box.value)
 
 
 # -- io ----------------------------------------------------------------------
