@@ -14,7 +14,6 @@ compared after assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,15 +50,6 @@ class GlobalDofMap:
     boundary_dofs: np.ndarray            # sorted vertex/edge dofs on the boundary
     free_dofs: np.ndarray
     nodes: np.ndarray                    # (nv + n_edge_dofs, 2) point of each vertex/edge dof
-
-    @cached_property
-    def cell_dofs(self) -> list:
-        """Per cell, its local -> global index array (the mesh passes read `groups`)."""
-        out = [None] * sum(cells.size for cells, _ in self.groups)
-        for cells, dofs in self.groups:
-            for ci, row in zip(cells.tolist(), dofs):
-                out[ci] = row
-        return out
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
@@ -189,7 +179,7 @@ def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarra
 
 
 def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
-             source=None) -> SparseSystem:
+             source=None, dof_map: GlobalDofMap | None = None) -> SparseSystem:
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
     The elements of each group of the dof map, cells with one vertex count,
@@ -201,8 +191,10 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     cell 0 serves every cell.  The consistency part, the stabilization part
     and their sum share one read-only sparse pattern; the stabilization-free
     scheme scatters no stabilization, so its `a_s` has no stored entries.
+    `dof_map` is the mesh's `build_dof_map` at order k, built here if not
+    given; the schemes solved on one mesh and order share it.
     """
-    dm = build_dof_map(mesh, k)
+    dm = build_dof_map(mesh, k) if dof_map is None else dof_map
 
     def build(cells, E):
         return element_matrices(build_projection_pack(E, k, method), method, K)

@@ -530,31 +530,37 @@ class DataRule:
     It is exact to degree 2k+6 on every cell of the block; for data
     oscillating in y (a case with a `y_wavelength`) the fan triangles taller
     than half the wavelength are cut into horizontal strips
-    (`basis.fan_triangles`).  `cells` is the block's range of cell
-    indices.  Its T triangles carry q points each: `points` (T*q, 2) and
-    `weights` (T*q,) run triangle by triangle, `triangle_cells` (T,) is the
-    cell of each triangle, and the triangles of cell `cells[i]` start at
-    `starts[i]`, so a per-cell integral is a segment sum.
+    (`basis.fan_triangles`).  `cells` is the block's range of cell indices.
+    The rule has R rows of q points each: `points` (R*q, 2) and `weights`
+    (R*q,) run row by row, `row_cells` (R,) is the cell of each row, and the
+    rows of cell `cells[i]` start at `starts[i]`, so a per-cell integral is
+    a segment sum.  A row is one fan triangle, or on a mesh of congruent
+    cells one whole cell.  `monomials` holds the scaled monomials of degree
+    <= k-1 at the points, each centred and scaled by its own cell: (R, q, n),
+    or (1, q, n) when the rows are congruent cells, which share one table.
     """
 
-    def __init__(self, mesh, k: int, corners, triangle_cells):
+    def __init__(self, k: int, row_cells, points, weights, monomials):
         self.k = k
-        self.cells = range(int(triangle_cells[0]), int(triangle_cells[-1]) + 1)
-        self.points, self.weights = triangle_rule(*corners, _data_degree(k))
-        self.shape = (triangle_cells.size, self.weights.size // triangle_cells.size)
-        self.triangle_cells = triangle_cells
-        self.starts = np.searchsorted(triangle_cells, self.cells)
-        self._mesh = mesh
+        self.cells = range(int(row_cells[0]), int(row_cells[-1]) + 1)
+        self.points, self.weights = points, weights
+        self.shape = (row_cells.size, weights.size // row_cells.size)
+        self.row_cells = row_cells
+        self.starts = np.searchsorted(row_cells, self.cells)
+        self.monomials = monomials
 
-    @cached_property
-    def monomials(self) -> np.ndarray:
-        """Scaled monomials of degree <= k-1 at the points, (T, q, n), each
-        centred and scaled by its own cell."""
-        centroids = self._mesh.cell_centroids[self.triangle_cells]
-        h = self._mesh.cell_diameters[self.triangle_cells, None]
-        rx, ry = ((self.points[:, i].reshape(self.shape) - centroids[:, i, None]) / h
-                  for i in (0, 1))
-        return scaled_monomials(rx, ry, self.k - 1)
+
+def _blocks(points_before):
+    """The (first, stop) cell ranges of consecutive blocks of at most
+    DATA_BLOCK_POINTS points, or of one cell that alone has more;
+    `points_before[i]` counts the points of the cells before cell i."""
+    first, n_cells = 0, points_before.size - 1
+    while first < n_cells:
+        stop = np.searchsorted(points_before, points_before[first] + DATA_BLOCK_POINTS,
+                               side="right") - 1
+        stop = max(int(stop), first + 1)
+        yield first, stop
+        first = stop
 
 
 def data_rules(mesh, k: int, y_wavelength=None):
@@ -562,28 +568,49 @@ def data_rules(mesh, k: int, y_wavelength=None):
     in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
     cell that alone has more.
 
-    The fan triangles of all cells are formed, checked and, with a
-    `y_wavelength`, cut into strips of at most half of it, once
-    (`fan_triangles`); a cell's triangles stay together and in cell order.
-    A cell that is not star-shaped raises `QuadratureError` naming that cell
-    before any block is built.
+    The fan triangles are formed, checked and, with a `y_wavelength`, cut
+    into strips of at most half of it, once (`fan_triangles`).  A cell that
+    is not star-shaped raises `QuadratureError` naming that cell before any
+    block is built.  On a mesh of `congruent_cells` this is done for cell 0
+    alone, about its centroid, and cell 0 stands for every cell, as it does
+    for the elements of `assembly.assemble`: the star-shape check runs on
+    cell 0, every cell takes cell 0's triangles (and strip count), weights
+    and monomial table, and its points are its centroid plus cell 0's
+    offsets.  Otherwise every cell's own triangles are formed, a cell's
+    triangles stay together and in cell order, and each block applies one
+    `triangle_rule` to its triangles.
     """
-    ids, starts = mesh.flat_cells
     max_y = y_wavelength / 2.0 if y_wavelength else None
+    degree = _data_degree(k)
+    if mesh.congruent_cells:
+        cell = mesh.cells[0]
+        corners, _ = fan_triangles(mesh.vertices[cell] - mesh.cell_centroids[0],
+                                   [0, cell.size], np.zeros((1, 2)), mesh.cell_areas[:1],
+                                   max_y_extent=max_y)
+        offsets, weights = triangle_rule(*corners, degree)
+        table = scaled_monomials(*(offsets.T / mesh.cell_diameters[0]), k - 1)[None]
+        for first, stop in _blocks(weights.size * np.arange(mesh.n_cells + 1)):
+            points = np.empty((stop - first, weights.size, 2))
+            for i in (0, 1):    # one coordinate at a time: the long axis is innermost
+                points[..., i] = mesh.cell_centroids[first:stop, i, None] + offsets[:, i]
+            yield DataRule(k, np.arange(first, stop), points.reshape(-1, 2),
+                           np.tile(weights, stop - first), table)
+        return
+    ids, starts = mesh.flat_cells
     corners, triangle_cells = fan_triangles(mesh.vertices[ids], starts, mesh.cell_centroids,
                                             mesh.cell_areas, max_y_extent=max_y)
     # the points of one triangle's rule: every triangle has as many
-    per_triangle = triangle_rule(*(c[:1] for c in corners), _data_degree(k))[1].size
+    per_triangle = triangle_rule(*(c[:1] for c in corners), degree)[1].size
     first_triangle = np.searchsorted(triangle_cells, np.arange(mesh.n_cells + 1))
-    points_before = first_triangle * per_triangle
-    first = 0
-    while first < mesh.n_cells:
-        stop = np.searchsorted(points_before, points_before[first] + DATA_BLOCK_POINTS,
-                               side="right") - 1
-        stop = max(int(stop), first + 1)
+    for first, stop in _blocks(first_triangle * per_triangle):
         block = slice(first_triangle[first], first_triangle[stop])
-        yield DataRule(mesh, k, tuple(c[block] for c in corners), triangle_cells[block])
-        first = stop
+        owner = triangle_cells[block]
+        points, weights = triangle_rule(*(c[block] for c in corners), degree)
+        centroids = mesh.cell_centroids[owner]
+        h = mesh.cell_diameters[owner, None]
+        rx, ry = ((points[:, i].reshape(owner.size, -1) - centroids[:, i, None]) / h
+                  for i in (0, 1))
+        yield DataRule(k, owner, points, weights, scaled_monomials(rx, ry, k - 1))
 
 
 def local_load(f, rule: DataRule) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import MeshError
 log = logging.getLogger(__name__)
 
 BOUNDARY_SNAP_TOL = 1e-9    # snapping band around the square sides
+SEED_SIDE_GAP = 1e-6        # initial seeds are drawn at least this far from every side
 DELAUNAY_TOL = 1e-12        # locally Delaunay test of a dual edge, relative to circumcenter roundoff
 VERTEX_DEDUP_TOL = 1e-12    # absolute merge tolerance when stitching Voronoi cells
 AREA_SUM_TOL = 1e-10
@@ -318,14 +319,18 @@ class SplitMix64:
 def _draw_seeds(rng: SplitMix64, n: int) -> np.ndarray:
     """n seed points strictly inside the unit square.
 
-    Coordinates within 1e-9 of a side are rejected and redrawn so that every
-    seed has a well-separated mirror image.
+    Coordinates closer than SEED_SIDE_GAP to a side are rejected and redrawn
+    so that every seed has a well-separated mirror image.  A seed and its
+    image form slivers whose circumcenters carry a roundoff that grows as
+    the seed nears the side: at 1e-9 from a side it exceeds
+    BOUNDARY_SNAP_TOL and `_seed_fans` refuses the first diagram; at
+    SEED_SIDE_GAP it is below 1e-11.
     """
     pts = np.empty((n, 2))
     for i in range(n):
         for d in range(2):
             c = rng.next_float()
-            while c < 1e-9 or c > 1.0 - 1e-9:
+            while c < SEED_SIDE_GAP or c > 1.0 - SEED_SIDE_GAP:
                 c = rng.next_float()
             pts[i, d] = c
     return pts

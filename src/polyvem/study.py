@@ -10,11 +10,12 @@ where P_k is the element energy projector of the assembled system (its dof
 map and `pi_stars`), plus the convergence rate of the last two
 errors and, for the standard scheme, the stabilization/consistency
 norm ratio per level and its ladder average.  On each mesh and order
-`solve_cases` serves every scheme with one data pass for the source moments
-and one for the errors.  Both passes run block by block over the mesh
-(`local.data_rules`), in array code with no loop over cells; the gradient of
-a projection is taken in each cell's degree k-1 monomials.  Artifacts are
-written with full-precision floats so repeated runs are byte-identical.
+`solve_cases` serves every scheme with one dof map, one data pass for the
+source moments and one for the errors.  Both passes run block by block over
+the mesh (`local.data_rules`), in array code with no loop over cells; the
+gradient of a projection is taken in each cell's degree k-1 monomials.
+Artifacts are written with full-precision floats so repeated runs are
+byte-identical.
 
 The paper run (`run_paper`) builds each ladder mesh once, runs every study of
 the paper on it, and writes the ratio tables from the standard-scheme rows.
@@ -70,7 +71,7 @@ def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
         ge = np.column_stack(case.grad_u(rule.points[:, 0], rule.points[:, 1]))
         sums[0] += _energy(rule.weights, ge, sqK)
         for j, g in enumerate(grads, start=1):
-            gh = rule.monomials @ g[rule.triangle_cells]                  # (T, q, 2)
+            gh = rule.monomials @ g[rule.row_cells]                       # (R, q, 2)
             sums[j] += _energy(rule.weights, ge - gh.reshape(-1, 2), sqK)
     return sums
 
@@ -118,17 +119,18 @@ class CaseSolution:
 def solve_cases(mesh: PolyMesh, k: int, methods, case: TestCase) -> dict:
     """Solve several schemes on one mesh and order with shared data passes.
 
-    One source pass feeds every scheme's load and one error pass measures
-    every scheme that solved.  Returns {method: CaseSolution, or the
-    `PolyvemError` that stopped that scheme}; a shared pass's error is raised.
+    One source pass feeds every scheme's load, one dof map numbers every
+    scheme's system and one error pass measures every scheme that solved.
+    Returns {method: CaseSolution, or the `PolyvemError` that stopped that
+    scheme}; the error of a shared step is raised.
     """
     source = source_moments(mesh, k, case.f, y_wavelength=case.y_wavelength)
+    dm = build_dof_map(mesh, k)
+    values = None if case.zero_boundary else case.u(*dm.nodes[dm.boundary_dofs].T)
     results = {}
     for method in methods:
         try:
-            system = assemble(mesh, k, method, case.K, source)
-            dm = system.dof_map
-            values = None if case.zero_boundary else case.u(*dm.nodes[dm.boundary_dofs].T)
+            system = assemble(mesh, k, method, case.K, source, dof_map=dm)
             report = solve(apply_dirichlet(system, values))
         except PolyvemError as exc:
             # kept without its traceback, whose frames would hold `results` in a cycle

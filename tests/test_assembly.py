@@ -51,21 +51,23 @@ def test_dof_map_shared_edges_consistent():
         p = dm.nodes[dm.boundary_dofs]
         assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()
         seen = {}
-        for ci, cell in enumerate(mesh.cells):
-            dofs = dm.cell_dofs[ci]
-            m = len(cell)
-            for e_loc in range(m):
-                a, b = int(cell[e_loc]), int(cell[(e_loc + 1) % m])
-                ids = tuple(dofs[m + e_loc * (k - 1): m + (e_loc + 1) * (k - 1)])
-                key = (min(a, b), max(a, b))
-                canon = ids if a < b else tuple(reversed(ids))
-                assert seen.setdefault(key, canon) == canon
-            # the element's Lobatto nodes, in local dof order, are the nodes
-            # of the cell's global dofs (reversed edges included)
-            ctx = ElementContext(mesh.cell_geom(ci), k)
-            nodes = ctx.edge_node_points
-            local = np.vstack([nodes[:, 0], nodes[:, 1:-1].reshape(-1, 2)])
-            assert np.allclose(local, dm.nodes[dofs[:m * k]], rtol=0.0, atol=1e-15)
+        for cells, rows in dm.groups:
+            for ci, dofs in zip(cells, rows):
+                cell = mesh.cells[ci]
+                m = len(cell)
+                for e_loc in range(m):
+                    a, b = int(cell[e_loc]), int(cell[(e_loc + 1) % m])
+                    ids = tuple(dofs[m + e_loc * (k - 1): m + (e_loc + 1) * (k - 1)])
+                    key = (min(a, b), max(a, b))
+                    canon = ids if a < b else tuple(reversed(ids))
+                    assert seen.setdefault(key, canon) == canon
+                # the element's Lobatto nodes, in local dof order, are the nodes
+                # of the cell's global dofs (reversed edges included)
+                ctx = ElementContext(mesh.cell_geom(ci), k)
+                nodes = ctx.edge_node_points
+                local = np.vstack([nodes[:, 0], nodes[:, 1:-1].reshape(-1, 2)])
+                assert np.allclose(local, dm.nodes[dofs[:m * k]], rtol=0.0, atol=1e-15)
+        assert len(seen) == mesh.n_edges
 
 
 def test_dof_map_rejects_nonconforming():
@@ -131,10 +133,10 @@ def test_congruent_cache_matches_direct_assembly():
     dm = sys_.dof_map
     A = np.zeros((dm.n_total, dm.n_total))
     b = np.zeros(dm.n_total)
-    for ci in range(mesh.n_cells):
+    (cells, rows), = dm.groups
+    for ci, idx in zip(cells, rows):
         E = mesh.cell_geom(ci)
         pack = build_projection_pack(E, k, Method.STANDARD)
-        idx = dm.cell_dofs[ci]
         A[np.ix_(idx, idx)] += local_stiffness(pack, Method.STANDARD, case.K).a
         b[idx] += pack.pi0_val.T @ local_load(case.f, cell_data_rule(E, k))[0]
     assert np.abs(sys_.a.toarray() - A).max() <= 1e-12

@@ -3,7 +3,10 @@
 `source_moments`, `exact_energy_norm` and `energy_error` integrate over
 blocks of cells (`local.data_rules`).  The reference integrates every cell
 with its own `polygon_quadrature` rule in plain loops, and takes each cell's
-energy projection from a pack built on that cell.
+energy projection from a pack built on that cell.  On a mesh of congruent
+cells the passes read cell 0's rule for every cell; they are also compared
+with the passes over each cell's own triangles, on the same mesh with its
+`congruent_cells` flag forced off.
 """
 
 import io
@@ -19,7 +22,8 @@ from polyvem.cases import testcase as get_case
 from polyvem.errors import QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
 from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
-from polyvem.study import energy_error, exact_energy_norm, interpolate_dofs
+from polyvem.study import (METHODS, energy_error, exact_energy_norm, interpolate_dofs,
+                           solve_cases)
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13
@@ -53,6 +57,8 @@ def _energy(weights, grads, sqK):
 def _reference_energy_sums(mesh, k, solved, case):
     sqK = case.K.sqrt_matrix()
     sums = [0.0] * (len(solved) + 1)
+    cell_dofs = [{ci: row for cells, rows in system.dof_map.groups
+                  for ci, row in zip(cells, rows)} for system, _ in solved]
     for ci in range(mesh.n_cells):
         E = mesh.cell_geom(ci)
         q = _cell_rule(E, k, case)
@@ -61,7 +67,7 @@ def _reference_energy_sums(mesh, k, solved, case):
         grads = eval_monomial_grads(E, q.points, k)
         for j, (system, u_dofs) in enumerate(solved, start=1):
             pi_star = build_projection_pack(E, k, system.method).pi_star
-            coeffs = pi_star @ u_dofs[system.dof_map.cell_dofs[ci]]
+            coeffs = pi_star @ u_dofs[cell_dofs[j - 1][ci]]
             gh = np.tensordot(grads, coeffs, axes=([1], [0]))              # (nq, 2)
             sums[j] += _energy(q.weights, ge - gh, sqK)
     return sums
@@ -91,6 +97,44 @@ def test_block_passes_match_per_cell_reference(k, mesh_name, case_id, monkeypatc
     assert exact_energy_norm(mesh, case, k) == pytest.approx(math.sqrt(den), rel=RTOL)
     errors = energy_error(mesh, solved, case)
     assert errors == pytest.approx([math.sqrt(n / den) for n in num], rel=RTOL)
+
+
+@pytest.mark.parametrize("case_id, k", [("tc1", 1), ("tc1", 2), ("tc1", 3),
+                                       ("tc2", 1), ("tc2", 2)])
+@pytest.mark.parametrize("n", [8, 40])
+def test_congruent_passes_match_the_per_cell_passes(n, case_id, k):
+    mesh = generate_cartesian(n)
+    per_cell = PolyMesh(mesh.vertices, mesh.cells)
+    assert mesh.congruent_cells
+    per_cell.congruent_cells = False
+    case = get_case(case_id)
+    wavelength = case.y_wavelength
+
+    moments = source_moments(mesh, k, case.f, y_wavelength=wavelength)
+    ref = source_moments(per_cell, k, case.f, y_wavelength=wavelength)
+    # the moments' scale: the largest integral of |f| over a cell
+    scale = source_moments(per_cell, 1, lambda x, y: np.abs(case.f(x, y)),
+                           y_wavelength=wavelength).max()
+    # the triangles of each cell of the per-cell passes; every cell takes
+    # cell 0's count in the congruent passes
+    triangles = np.concatenate([np.diff(rule.starts, append=rule.shape[0])
+                                for rule in data_rules(per_cell, k, wavelength)])
+    same = triangles == triangles[0]
+    assert np.abs(moments - ref)[same].max() <= 1e-10 * scale
+    # on cartesian 40, the tc2 strips of a cell's fan number from 6 to 16
+    # triangles, as ceil rounds the cell's exact height ratios either way;
+    # the cells cut otherwise than cell 0 are integrated at least as well
+    # as the per-cell rules integrate them
+    assert same.all() == ((n, case_id) != (40, "tc2"))
+    if not same.all():
+        assert (triangles.min(), triangles.max()) == (6, 16)
+        fine = source_moments(per_cell, k, case.f, y_wavelength=wavelength / 16)
+        assert np.abs(moments - fine).max() <= np.abs(ref - fine).max()
+
+    sols = solve_cases(mesh, k, METHODS, case)
+    solved = [(sol.system, sol.u_dofs) for sol in sols.values()]
+    assert energy_error(per_cell, solved, case) == pytest.approx(
+        [sol.e_star for sol in sols.values()], rel=1e-10)
 
 
 def test_block_pass_names_a_nonstar_cell_inside_its_block():

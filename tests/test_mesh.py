@@ -435,6 +435,25 @@ def test_triangulate_accepts_the_slivers_of_seeds_next_to_a_side():
         meshmod._triangulate(meshmod._mirror(seeds, np.inf))
 
 
+def test_seeds_at_the_side_gap_give_a_closed_first_diagram():
+    # at 1e-9 from a side 10 of these 40 sets fail `_seed_fans`: the slivers
+    # a seed forms with its image put circumcenters outside the square by
+    # more than BOUNDARY_SNAP_TOL; at the drawing gap they stay within it
+    gap = meshmod.SEED_SIDE_GAP
+    for s in range(40):
+        seeds = meshmod._draw_seeds(SplitMix64(s), 64)
+        seeds[:4, 0] = [gap, 1.0 - gap, gap, 1.0 - gap]
+        seeds[4:8, 1] = [gap, 1.0 - gap, gap, 1.0 - gap]
+        meshmod._seed_fans(seeds, np.inf)
+
+
+def test_draw_seeds_redraws_coordinates_within_the_side_gap():
+    gap = meshmod.SEED_SIDE_GAP
+    draws = iter([0.5 * gap, 1.0 - 0.5 * gap, gap, 1.0 - 0.5 * gap, 1.0 - gap])
+    rng = SimpleNamespace(next_float=lambda: next(draws))
+    assert meshmod._draw_seeds(rng, 1).tolist() == [[gap, 1.0 - gap]]
+
+
 def _coincident_seeds():
     seeds = meshmod._draw_seeds(SplitMix64(5), 9)
     seeds[6] = seeds[2]

@@ -77,15 +77,20 @@ def test_solve_case_builds_the_dof_map_once(monkeypatch):
     monkeypatch.setattr(study, "build_dof_map", counted)
     solve_case(generate_cartesian(4), 2, Method.STANDARD, get_case("tc1"))
     assert calls == [2]
+    # both schemes of a mesh and order share one dof map
+    calls.clear()
+    results = solve_cases(generate_cartesian(4), 2, METHODS, get_case("tc1"))
+    assert calls == [2]
+    assert results[Method.STANDARD].system.dof_map is results[Method.E2VEM].system.dof_map
 
 
 def _count_data_rules(monkeypatch, covered):
-    """Record (order, cells) of every data rule built."""
+    """Record (order, cells, points per row) of every data rule built."""
     init = local.DataRule.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        covered.append((self.k, self.cells))
+        covered.append((self.k, self.cells, self.shape[1]))
 
     monkeypatch.setattr(local.DataRule, "__init__", counted)
 
@@ -101,14 +106,28 @@ def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
     monkeypatch.setattr(local.ElementContext, "__init__", counted)
     covered = []
     _count_data_rules(monkeypatch, covered)
+    ruled = []
+    triangle_rule = local.triangle_rule
+
+    def counted_rule(*args):
+        points, weights = triangle_rule(*args)
+        ruled.append(weights.size)
+        return points, weights
+
+    monkeypatch.setattr(local, "triangle_rule", counted_rule)
     for n in (2, 8):
         built["ctx"] = 0
         covered.clear()
+        ruled.clear()
         solve_case(generate_cartesian(n), 3, Method.STANDARD, get_case("tc2"))
         # one element context; the data rules of the load pass, then those of
         # the error pass, each cover every cell once, in cell order
         assert built["ctx"] == 1
-        assert [ci for _, cells in covered for ci in cells] == list(range(n * n)) * 2
+        assert [ci for _, cells, _ in covered for ci in cells] == list(range(n * n)) * 2
+        # each pass applies triangle_rule once, to cell 0's triangles: its
+        # points are one row, one cell, of every rule of the pass
+        assert len(ruled) == 2 and ruled[0] == ruled[1]
+        assert {q for *_, q in covered} == {ruled[0]}
 
 
 def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
@@ -120,8 +139,8 @@ def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
                                    levels=1, lloyd_iters=10))
     assert [(r.method, r.n_dofs, r.note) for r in result.rows] == [
         ("vem", mesh.n_vertices, ""), ("e2vem", mesh.n_vertices, "")]
-    assert {k for k, _ in covered} == {1}
-    assert [ci for _, cells in covered for ci in cells] == list(range(mesh.n_cells)) * 2
+    assert {k for k, *_ in covered} == {1}
+    assert [ci for _, cells, _ in covered for ci in cells] == list(range(mesh.n_cells)) * 2
 
 
 def test_solve_cases_keeps_a_failure_per_scheme(monkeypatch):
