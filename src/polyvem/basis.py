@@ -45,7 +45,7 @@ def monomial_index(ax, ay):
 
 def _power_table(values, degree):
     out = np.empty(values.shape + (degree + 1,))
-    out[..., 0] = 1.0
+    out[..., :1] = 1.0          # a slice: at degree -1 there is no column
     for d in range(1, degree + 1):
         out[..., d] = out[..., d - 1] * values
     return out
@@ -53,7 +53,8 @@ def _power_table(values, degree):
 
 def scaled_monomials(rx, ry, degree: int) -> np.ndarray:
     """Values rx^ax ry^ay of all |a| <= degree at scaled coordinates
-    rx = (x - x_E) / h_E, ry = (y - y_E) / h_E of any shape, shape (..., n)."""
+    rx = (x - x_E) / h_E, ry = (y - y_E) / h_E of any shape, shape (..., n);
+    n = 0 at degree -1."""
     exps = monomial_exponents(degree)
     return _power_table(rx, degree)[..., exps[:, 0]] * _power_table(ry, degree)[..., exps[:, 1]]
 
@@ -74,30 +75,19 @@ def eval_monomials(E, pts, degree: int) -> np.ndarray:
 
 
 def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
-    """Gradients of all scaled monomials at pts, shape (..., npts, n, 2).
-
-    Carries the 1/h_E chain-rule factor.
-    """
-    rx, ry = _scaled_coordinates(E, pts)
+    """Gradients of all scaled monomials at pts, shape (..., npts, n, 2): the
+    monomials of degree - 1 times `monomial_derivatives(degree)`, over h_E."""
+    lower = eval_monomials(E, pts, degree - 1)
     h = np.asarray(E.diameter)[..., None, None]
-    px = _power_table(rx, degree)
-    py = _power_table(ry, degree)
-    # shifted tables: column a holds value^(a-1), zero column for a = 0
-    pxm = np.concatenate([np.zeros_like(px[..., :1]), px[..., :degree]], axis=-1)
-    pym = np.concatenate([np.zeros_like(py[..., :1]), py[..., :degree]], axis=-1)
-    exps = monomial_exponents(degree)
-    ax, ay = exps[:, 0], exps[:, 1]
-    out = np.empty(rx.shape + (exps.shape[0], 2))
-    out[..., 0] = ax * pxm[..., ax] * py[..., ay] / h
-    out[..., 1] = ay * px[..., ax] * pym[..., ay] / h
-    return out
+    return np.stack([lower @ D / h for D in monomial_derivatives(degree)], axis=-1)
 
 
 @lru_cache(maxsize=None)
 def monomial_derivatives(degree: int) -> np.ndarray:
     """(2, dim P_{degree-1}, dim P_degree) table D with d m_a / dx_i =
     (1/h_E) sum_b D[i, b, a] m_b: the gradient in the lower-degree basis.
-    Cached and read-only."""
+    Every derivative of a scaled monomial is read from it.  Cached and
+    read-only."""
     exps = monomial_exponents(degree)
     out = np.zeros((2, dim_poly(degree - 1), exps.shape[0]))
     for i in (0, 1):
@@ -106,20 +96,6 @@ def monomial_derivatives(degree: int) -> np.ndarray:
         out[i, monomial_index(lower[:, 0], lower[:, 1]), a] = exps[a, i]
     out.setflags(write=False)
     return out
-
-
-def laplacian_coefficients(alpha):
-    """Expansion of the Laplacian of m_alpha: list of (coefficient, beta).
-
-    Coefficients exclude the 1/h_E**2 factor, which the caller applies.
-    """
-    ax, ay = alpha
-    terms = []
-    if ax >= 2:
-        terms.append((float(ax * (ax - 1)), (ax - 2, ay)))
-    if ay >= 2:
-        terms.append((float(ay * (ay - 1)), (ax, ay - 2)))
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +247,21 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     return (c, a, b), owner
 
 
-def polygon_quadrature(E, degree: int, *, max_y_extent=None) -> QuadRule:
+def polygon_quadrature(E, degree: int) -> QuadRule:
     """Quadrature on a star-shaped polygon, exact for degree <= `degree`: a
-    collapsed Gauss rule on each triangle of the centroid fan, in fan order,
-    cut into horizontal strips under `max_y_extent` (`fan_triangles`).
+    collapsed Gauss rule on each triangle of the centroid fan, in fan order.
 
     E is one cell, giving points (npts, 2) and weights (npts,), or a stack of
-    n cells with one vertex count, giving (n, npts, 2) and (n, npts).  A rule
-    subdivided under `max_y_extent` has its own point count on each cell, so
-    it takes one cell.  A stack's `QuadratureError` carries the position of
-    its failing cell in `cell`; one cell's names no cell: the caller does.
+    n cells with one vertex count, giving (n, npts, 2) and (n, npts).  A
+    stack's `QuadratureError` carries the position of its failing cell in
+    `cell`; one cell's names no cell: the caller does.
     """
     verts = np.asarray(E.verts, dtype=float)
     batch, m = verts.shape[:-2], verts.shape[-2]
-    if batch and max_y_extent is not None:
-        raise ValueError("a subdivided rule takes one cell, not a stack")
     n = int(np.prod(batch))
     try:
         corners, _ = fan_triangles(verts.reshape(-1, 2), m * np.arange(n + 1),
-                                   np.reshape(E.centroid, (n, 2)),
-                                   np.reshape(E.area, n), max_y_extent=max_y_extent)
+                                   np.reshape(E.centroid, (n, 2)), np.reshape(E.area, n))
     except QuadratureError as exc:
         if not batch:
             exc.cell = None

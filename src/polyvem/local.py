@@ -42,14 +42,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, solve
 
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
-                    eval_monomials, fan_triangles, laplacian_coefficients,
-                    monomial_exponents, monomial_gram, monomial_index,
+                    eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
                     polygon_quadrature, scaled_monomials, triangle_rule)
 from .errors import (CellDegeneracyError, NumericalDegeneracyError, PolyvemError,
                      StabilizationFreeRankError)
@@ -219,44 +218,32 @@ class ElementContext:
 # projectors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _laplacian_entries(k: int):
-    """Row a, moment index of beta and coefficient (without 1/h_E^2) of each
-    term of the Laplacian of m_a, over the monomials of degree <= k."""
-    terms = [(a, monomial_index(*beta), coef)
-             for a, alpha in enumerate(monomial_exponents(k))
-             for coef, beta in laplacian_coefficients(alpha)]
-    table = np.array(terms, dtype=float).reshape(-1, 3)
-    out = (table[:, 0].astype(int), table[:, 1].astype(int), table[:, 2])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def build_pi_nabla(ctx: ElementContext):
     """Energy projector onto P_k from the local dof vector: (D, B, G, pi_star).
 
     D holds the dofs of the monomials, row a of B realizes (grad v, grad m_a)_E
     by parts, G = B @ D, and pi_star = G^-1 B maps a dof vector to the monomial
-    coefficients of its projection.  The interior term of B reads the moment
-    dofs (the monomial Laplacian has degree <= k-2) and the boundary term
-    integrates the known polynomial edge traces.  Row 0 enforces the average
-    condition: boundary mean for k = 1, first moment dof for k > 1.
+    coefficients of its projection.  The interior term of B pairs the moment
+    dofs with the monomial Laplacians (of degree <= k-2, from
+    `monomial_derivatives`) and the boundary term integrates the known
+    polynomial edge traces.  Row 0 enforces the average condition: boundary
+    mean for k = 1, first moment dof for k > 1.
     """
     E, k, lay, batch = ctx.E, ctx.k, ctx.layout, ctx.batch
     nk = dim_poly(k)
     m, nq = ctx.edge_points.shape[-3:-1]
-    area, h = np.asarray(E.area)[..., None], np.asarray(E.diameter)[..., None]
+    area, h = np.asarray(E.area)[..., None, None], np.asarray(E.diameter)[..., None, None]
 
     D = np.empty(batch + (lay.total, nk))
     D[..., :m, :] = eval_monomials(E, E.verts, k)
     inner = ctx.edge_node_points[..., 1:-1, :].reshape(batch + (-1, 2))
     D[..., m:lay.first_moment, :] = eval_monomials(E, inner, k)
-    D[..., lay.first_moment:, :] = ctx.gram[..., :lay.n_moments, :nk] / area[..., None]
+    D[..., lay.first_moment:, :] = ctx.gram[..., :lay.n_moments, :nk] / area
 
     B = np.zeros(batch + (nk, lay.total))
-    rows, moment, coef = _laplacian_entries(k)
-    B[..., rows, lay.first_moment + moment] -= coef / h ** 2 * area
+    lower, upper = monomial_derivatives(k - 1), monomial_derivatives(k)
+    lap = lower[0] @ upper[0] + lower[1] @ upper[1]      # (dim P_{k-2}, nk), integers
+    B[..., lay.first_moment:] = -lap.T / h ** 2 * area
     grads = eval_monomial_grads(E, ctx.edge_points.reshape(batch + (-1, 2)), k)
     grads = grads.reshape(batch + (m, nq, nk, 2))
     gn = (grads @ ctx.edge_normals[..., :, None, :, None])[..., 0]   # (..., m, nq, nk)
@@ -315,21 +302,19 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
     """Coefficients of the L2 projection of the gradient onto [P_d]^2.
 
     For each vector monomial q the pairing (grad v, q)_E is integrated by
-    parts: the divergence term reads recovered moments (degree <= d-1) and
-    the boundary term uses exact edge quadrature of the traces.  Rows are the
-    x-component block stacked over the y-component block.
+    parts: the divergence term reads recovered moments (degree <= d-1)
+    through `monomial_derivatives` and the boundary term uses exact edge
+    quadrature of the traces.  Rows are the x-component block stacked over
+    the y-component block.
     """
     E, lay, batch = ctx.E, ctx.layout, ctx.batch
-    nd = dim_poly(d)
-    if moments.shape[-2] < dim_poly(d - 1):
+    nd, n_lower = dim_poly(d), dim_poly(d - 1)
+    if moments.shape[-2] < n_lower:
         raise ValueError("recovered moments do not reach degree d-1")
-    ax, ay = monomial_exponents(d).T
-    h = np.asarray(E.diameter)[..., None]
+    h = np.asarray(E.diameter)[..., None, None, None]
 
-    R = np.zeros(batch + (2, nd, lay.total))          # the x block, then the y block
-    dx, dy = np.flatnonzero(ax), np.flatnonzero(ay)
-    R[..., 0, dx, :] -= (ax[dx] / h)[..., None] * moments[..., monomial_index(ax[dx] - 1, ay[dx]), :]
-    R[..., 1, dy, :] -= (ay[dy] / h)[..., None] * moments[..., monomial_index(ax[dy], ay[dy] - 1), :]
+    # the x block, then the y block: (..., 2, nd, total)
+    R = -(_t(monomial_derivatives(d)) / h) @ moments[..., None, :n_lower, :]
     m, nq = ctx.edge_points.shape[-3:-1]
     vals = eval_monomials(E, ctx.edge_points.reshape(batch + (-1, 2)), d)
     contrib = ctx.edge_trace @ vals.reshape(batch + (m, nq, nd))     # (..., m, k+1, nd)

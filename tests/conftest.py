@@ -10,6 +10,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(SRC))
 
+from polyvem.basis import QuadRule, fan_triangles, triangle_rule
 from polyvem.local import data_rules
 from polyvem.mesh import CellGeometry, PolyMesh
 
@@ -38,6 +39,14 @@ def cell_data_rule(E: CellGeometry, k: int):
     """The order-k data rule of the one cell E: the only block of its one-cell mesh."""
     (rule,) = data_rules(PolyMesh(E.verts, [np.arange(E.n_vertices)]), k)
     return rule
+
+
+def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
+    """Cell E's centroid-fan rule, in horizontal strips of at most
+    `max_y_extent` when it is set: the rule the data passes form for E."""
+    corners, _ = fan_triangles(E.verts, [0, E.n_vertices], [E.centroid], [E.area],
+                               max_y_extent=max_y_extent)
+    return QuadRule(*triangle_rule(*corners, degree))
 
 
 UNIT_SQUARE = CellGeometry.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, star_polygon
+from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, fan_rule, star_polygon
 from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly, edge_lagrange,
                            edge_rules, eval_monomial_grads, eval_monomials,
-                           lagrange_matrix, laplacian_coefficients,
-                           monomial_exponents, monomial_gram, monomial_index,
-                           polygon_quadrature, triangle_rule)
+                           lagrange_matrix, monomial_derivatives, monomial_exponents,
+                           monomial_gram, monomial_index, polygon_quadrature,
+                           triangle_rule)
 from polyvem.mesh import CellGeometry
 
 
@@ -27,13 +27,6 @@ def scaled_monomial_grad(alpha, E, p) -> np.ndarray:
     ax, ay = alpha
     g = eval_monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
     return g[0, monomial_index(ax, ay)].copy()
-
-
-def scaled_monomial_laplacian(alpha, E, p) -> float:
-    total = 0.0
-    for c, beta in laplacian_coefficients(alpha):
-        total += c * scaled_monomial_eval(beta, E, p)
-    return total / E.diameter ** 2
 
 
 def test_dim_poly():
@@ -66,12 +59,42 @@ def test_scaled_monomial_values():
 def test_scaled_monomial_derivatives():
     E = PENTAGON
     p = np.array([0.2, 0.4])
-    assert np.allclose(scaled_monomial_grad((0, 0), E, p), 0.0)
+    assert np.array_equal(scaled_monomial_grad((0, 0), E, p), [0.0, 0.0])
     assert np.allclose(scaled_monomial_grad((1, 0), E, p),
                        [1.0 / E.diameter, 0.0], atol=1e-15)
-    assert scaled_monomial_laplacian((2, 0), E, p) == pytest.approx(
-        2.0 / E.diameter ** 2, rel=1e-14)
-    assert scaled_monomial_laplacian((1, 1), E, p) == 0.0
+    # h_E^2 times the Laplacian of each monomial of degree <= 2, a constant
+    lower, upper = monomial_derivatives(1), monomial_derivatives(2)
+    lap = lower[0] @ upper[0] + lower[1] @ upper[1]
+    assert lap.tolist() == [[0, 0, 0, 2, 0, 2]]
+
+
+def test_monomials_of_degree_minus_one_are_empty():
+    pts = np.array([[0.2, 0.4], [0.5, 0.1], [0.3, 0.3]])
+    assert eval_monomials(PENTAGON, pts, -1).shape == (3, 0)
+    assert monomial_derivatives(0).shape == (2, 0, 1)
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_derivative_table_matches_finite_differences(degree, rng):
+    # the gradient and the Laplacian of every monomial of degree <= `degree`,
+    # read from the table, against central differences of the values
+    E = star_polygon(rng, 6)
+    pts = rng.uniform(-0.3, 0.3, (5, 2)) + E.centroid
+    h = E.diameter
+    lower, upper = monomial_derivatives(degree - 1), monomial_derivatives(degree)
+    grad = eval_monomials(E, pts, degree - 1) @ upper / h                # (2, 5, n)
+    lap = (eval_monomials(E, pts, degree - 2)
+           @ (lower[0] @ upper[0] + lower[1] @ upper[1]) / h ** 2)      # (5, n)
+
+    def values(shift):
+        return eval_monomials(E, pts + shift, degree)
+
+    fd_lap = -4.0 * values(0.0)
+    for i, unit in enumerate(np.eye(2)):
+        fd = (values(1e-6 * unit) - values(-1e-6 * unit)) / 2e-6
+        assert np.abs(fd - grad[i]).max() < 1e-8
+        fd_lap += values(1e-3 * unit) + values(-1e-3 * unit)
+    assert np.abs(fd_lap / 1e-6 - lap).max() < 1e-5
 
 
 def test_gradients_match_finite_differences(rng):
@@ -203,7 +226,7 @@ def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, 
     fan = [(E.centroid, v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
     tris = [t for tri in fan for t in _strips_one_by_one(tri, max_y_extent)]
     rules = [triangle_rule(a, b, c, 5) for a, b, c in tris]
-    q = polygon_quadrature(E, 5, max_y_extent=max_y_extent)
+    q = fan_rule(E, 5, max_y_extent)
     assert len(tris) > len(fan)
     assert np.array_equal(q.points, np.vstack([p for p, _ in rules]))
     assert np.array_equal(q.weights, np.concatenate([w for _, w in rules]))
@@ -275,7 +298,7 @@ def test_strips_of_a_subnormal_middle_height_warn_nothing():
        max_y_extent=st.floats(0.05, 0.8))
 def test_strip_quadrature_exact_for_monomials(seed, degree, max_y_extent):
     for E in (PENTAGON, star_polygon(np.random.default_rng(seed), 7)):
-        q = polygon_quadrature(E, degree, max_y_extent=max_y_extent)
+        q = fan_rule(E, degree, max_y_extent)
         rp, rw = _ear_fan_reference(E, degree)
         for ax, ay in monomial_exponents(degree):
             mine = q.weights @ (q.points[:, 0] ** ax * q.points[:, 1] ** ay)
@@ -286,11 +309,11 @@ def test_strip_quadrature_exact_for_monomials(seed, degree, max_y_extent):
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.inf, math.nan])
 def test_subdivision_rejects_bad_extent(bad):
     with pytest.raises(ValueError, match="max_y_extent must be positive and finite"):
-        polygon_quadrature(UNIT_SQUARE, 2, max_y_extent=bad)
+        fan_rule(UNIT_SQUARE, 2, bad)
 
 
 def test_subdivided_quadrature_stays_exact():
-    q = polygon_quadrature(UNIT_SQUARE, 3, max_y_extent=0.2)
+    q = fan_rule(UNIT_SQUARE, 3, 0.2)
     plain = polygon_quadrature(UNIT_SQUARE, 3)
     assert q.points.shape[0] > plain.points.shape[0]
     assert q.weights.sum() == pytest.approx(1.0, abs=1e-12)

@@ -2,8 +2,8 @@
 
 `source_moments`, `exact_energy_norm` and `energy_error` integrate over
 blocks of cells (`local.data_rules`).  The reference integrates every cell
-with its own `polygon_quadrature` rule in plain loops, and takes each cell's
-energy projection from a pack built on that cell.  On a mesh of congruent
+with its own fan rule (`conftest.fan_rule`) in plain loops, and takes each
+cell's energy projection from a pack built on that cell.  On a mesh of congruent
 cells the passes read cell 0's rule for every cell; they are also compared
 with the passes over each cell's own triangles, on the same mesh with its
 `congruent_cells` flag forced off.
@@ -17,13 +17,14 @@ import pytest
 
 from polyvem import local
 from polyvem.assembly import assemble, source_moments
-from polyvem.basis import eval_monomial_grads, eval_monomials, polygon_quadrature
+from polyvem.basis import eval_monomial_grads, eval_monomials
 from polyvem.cases import testcase as get_case
 from polyvem.errors import QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
 from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import (METHODS, energy_error, exact_energy_norm, interpolate_dofs,
                            solve_cases)
+from conftest import fan_rule
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13
@@ -33,7 +34,7 @@ MESHES = {"cartesian4": lambda: generate_cartesian(4),
 
 def _cell_rule(E, k, case):
     max_y = case.y_wavelength / 2.0 if case.y_wavelength else None
-    return polygon_quadrature(E, 2 * k + 6, max_y_extent=max_y)
+    return fan_rule(E, 2 * k + 6, max_y)
 
 
 def _reference_moments(mesh, k, case):

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-import polyvem
 import polyvem.cli  # noqa: F401  (the tracer wraps cli.main)
+from polyvem import assembly, local
 from polyvem.cases import testcase as get_case
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi
@@ -29,20 +29,21 @@ def _load_tracer():
 
 def test_tracer_installs_and_uninstalls():
     tracer = _load_tracer()
-    originals = {name: getattr(polyvem, name) for name in
-                 ("assemble", "build_projection_pack", "local_stiffness", "local_load")}
+    originals = {(module, name): getattr(module, name) for module, name in
+                 ((assembly, "assemble"), (local, "build_projection_pack"),
+                  (local, "local_stiffness"), (local, "local_load"))}
     tr = tracer.Tracer()
     try:
         tr.install()
-        assert polyvem.assemble is not originals["assemble"]
+        assert assembly.assemble is not originals[assembly, "assemble"]
         mesh = generate_cartesian(2)
         for method in (Method.STANDARD, Method.E2VEM):
             solve_case(mesh, 2, method, get_case("tc1"))
         take = tr.take()
     finally:
         tr.uninstall()
-    for name, fn in originals.items():
-        assert getattr(polyvem, name) is fn
+    for (module, name), fn in originals.items():
+        assert getattr(module, name) is fn
     assert take["assembly.assemble"]["calls"] == 2
     assert take["local.pack"]["calls"] >= 2
     assert take["counts"]["local.rank_failures"] == 0
