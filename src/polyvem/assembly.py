@@ -40,16 +40,13 @@ ORDERING = "MMD_AT_PLUS_A"
 @dataclass
 class GlobalDofMap:
     k: int
-    n_vertex_dofs: int
-    n_edge_dofs: int
-    n_moment_dofs: int
     n_total: int
     # cells grouped by vertex count, so by local dof count N: (cells (n_g,),
     # ascending, and their global dofs (n_g, N) in local dof order)
     groups: list
     boundary_dofs: np.ndarray            # sorted vertex/edge dofs on the boundary
     free_dofs: np.ndarray
-    nodes: np.ndarray                    # (nv + n_edge_dofs, 2) point of each vertex/edge dof
+    nodes: np.ndarray                    # (n, 2) point of each of the n vertex/edge dofs
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
@@ -92,9 +89,7 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
                                edge_dofs[mesh.boundary_edge_flags].ravel()])
     mask = np.ones(n_total, dtype=bool)
     mask[boundary] = False
-    return GlobalDofMap(k=k, n_vertex_dofs=nv, n_edge_dofs=n_edge,
-                        n_moment_dofs=nc * n_mom_per, n_total=n_total,
-                        groups=groups, boundary_dofs=boundary,
+    return GlobalDofMap(k=k, n_total=n_total, groups=groups, boundary_dofs=boundary,
                         free_dofs=np.nonzero(mask)[0], nodes=nodes)
 
 
@@ -190,7 +185,8 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     invariant under translation, so on a mesh of congruent cells the stack of
     cell 0 serves every cell.  The consistency part, the stabilization part
     and their sum share one read-only sparse pattern; the stabilization-free
-    scheme scatters no stabilization, so its `a_s` has no stored entries.
+    scheme scatters no stabilization, so its `a_s` has no stored entries and
+    its `a` and `a_pi` are one matrix, which nothing mutates.
     `dof_map` is the mesh's `build_dof_map` at order k, built here if not
     given; the schemes solved on one mesh and order share it.
     """
@@ -241,7 +237,7 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     else:
         a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
         a_s = sp.csr_matrix(shape)
-        a = a_pi.copy()
+        a = a_pi
     return SparseSystem(a=a, a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, method=method,
                         pi_stars=[pi_star for pi_star, *_ in elements])
 

@@ -270,11 +270,10 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
     return QuadRule(points.reshape(batch + (-1, 2)), weights.reshape(batch + (-1,)))
 
 
-def monomial_gram(E, degree: int, quad: QuadRule | None = None) -> np.ndarray:
+def monomial_gram(E, degree: int, quad: QuadRule) -> np.ndarray:
     """Mass matrix of the scaled monomials up to `degree` on E, SPD by
-    construction; (..., n, n) on a stack of cells."""
-    if quad is None:
-        quad = polygon_quadrature(E, 2 * degree)
+    construction, from a rule `quad` on E exact to degree 2*degree;
+    (..., n, n) on a stack of cells."""
     V = eval_monomials(E, quad.points, degree)
     M = np.swapaxes(V * quad.weights[..., None], -1, -2) @ V
     M = 0.5 * (M + np.swapaxes(M, -1, -2))

@@ -26,7 +26,6 @@ class TestCase:
     K: DiffusionTensor
     zero_boundary: bool = True
     y_wavelength: Optional[float] = None
-    exact_energy_norm: Optional[float] = None
 
 
 def _tc1() -> TestCase:
@@ -88,8 +87,7 @@ def _tc2() -> TestCase:
 
     return TestCase(name="tc2", u=u, grad_u=grad_u, f=f,
                     K=DiffusionTensor.diagonal(1.0, ky),
-                    y_wavelength=0.025,
-                    exact_energy_norm=math.pi * math.sqrt(2.0))
+                    y_wavelength=0.025)
 
 
 # fixed generic coefficients for the polynomial patch cases, truncated by degree

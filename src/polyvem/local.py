@@ -10,7 +10,10 @@ scheme needs is assembled from those dofs:
   (this is what the enhancement constraint of the virtual space guarantees),
 * L2 projections of values (degree k-1) and gradients (degree k-1 for the
   standard scheme, degree k+ell-1 for the stabilization-free one),
-* the consistency and stabilization parts of the local stiffness matrix,
+* the consistency and stabilization parts of the local stiffness matrix;
+  the consistency part is the gradient energy (K grad Pi v, grad Pi w)_E,
+  stated once in `_gradient_energy`, which with K = I is also the form
+  whose rank the stabilization-free scheme checks,
 * the source moments of degree k-1, which every scheme shares and tests with
   its own `pi0_val`: `local_load` integrates them on a block of cells at
   once, with the block's `DataRule` (`data_rules` cuts a mesh into blocks).
@@ -19,11 +22,12 @@ Every step works on one cell or, with the same code, on a stack of cells
 that share a vertex count: all arrays then lead with the stack axis, matrix
 products are stacked `@`, and the solves, Cholesky checks and eigenvalues
 are batched LAPACK calls (`assembly.assemble` builds a mesh in stacks of
-up to `assembly.STACK_CELLS` cells of one vertex count).  `build_projection_pack` is the one place that
-chooses ell and builds the `ElementContext` (quadrature, Gram matrix, edge
-data); every projector builder takes that context, `local_stiffness` takes
-the finished pack, and `element_matrices` gives a stack's matrices cell by
-cell at the ell each cell was kept at.
+up to `assembly.STACK_CELLS` cells of one vertex count).
+`build_projection_pack` is the one place that chooses ell and builds the
+`ElementContext` (Gram matrix, edge data); every projector builder takes
+that context, `local_stiffness` takes the finished pack, and
+`element_matrices` gives a stack's matrices cell by cell at the ell each
+cell was kept at.
 
 The context holds the data of all m edges as (..., m, ...) arrays; the
 builders evaluate monomials at all edge points at once and scatter through
@@ -34,7 +38,7 @@ The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
 higher-degree gradient projection rich enough that no stabilizing term is
 needed.  Its coercivity is only guaranteed at order 1; a rank check of each
-cell, made where ell is chosen, guards the higher orders.
+cell's gradient energy, made where ell is chosen, guards the higher orders.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ class DiffusionTensor:
     @classmethod
     def diagonal(cls, kx: float, ky: float) -> "DiffusionTensor":
         return cls(matrix=np.diag([float(kx), float(ky)]))
-
-    @classmethod
-    def identity(cls) -> "DiffusionTensor":
-        return cls.diagonal(1.0, 1.0)
 
     def sup_norm(self) -> float:
         """Largest spectral norm of the tensor."""
@@ -171,7 +171,7 @@ def _add_edge_columns(target, edge_node_dofs, values):
 
 
 class ElementContext:
-    """Quadrature, Gram matrix and edge data for one (cell, k, ell) triple, or
+    """Gram matrix and edge data for one (cell, k, ell) triple, or
     for a stack of cells with one vertex count (E from `PolyMesh.cell_geom`
     of an index array), whose arrays then all lead with the stack axis.
 
@@ -192,8 +192,7 @@ class ElementContext:
         self.ell = ell
         self.layout = DofLayout(k, E.n_vertices)
         deg = k + ell
-        self.quad = polygon_quadrature(E, 2 * deg)
-        self.gram = monomial_gram(E, deg, self.quad)
+        self.gram = monomial_gram(E, deg, polygon_quadrature(E, 2 * deg))
 
         d_max = 2 * k + ell + 3
         lob, gl_t, gl_w = edge_rules(k, d_max)
@@ -346,7 +345,6 @@ class ProjectionPack:
     layout: DofLayout
     pi_star: np.ndarray  # dim P_k x total, monomial coefficients of the projection
     pi_dof: np.ndarray   # total x total, D @ pi_star
-    moments: np.ndarray
     pi0_val: np.ndarray
     pi0_grad: np.ndarray
     ctx: ElementContext
@@ -357,20 +355,19 @@ RANK_TOL = 1e-9
 MAX_ELL_BUMPS = 4
 
 
-def _grad_projection_spectrum(pi0_grad, gram, d: int):
-    """Eigenvalues, ascending, of the unweighted gradient-projection energy,
-    per cell.
-
-    Uses the identity-tensor form X^T H X + Y^T H Y; any SPD diffusion tensor
-    yields a matrix of the same mathematical rank, and the unweighted form
-    keeps the eigenvalue threshold independent of the tensor's anisotropy.
-    Full rank is N-1: the constants are its kernel.
+def _gradient_energy(pi0_grad, gram, d: int, Km) -> np.ndarray:
+    """(K grad Pi v, grad Pi w)_E for the gradient projection onto [P_d]^2
+    with the constant tensor Km, per cell: with the x and y blocks X, Y of
+    `pi0_grad` and H the degree-d Gram matrix, the symmetrized
+    X^T (K00 H) X + X^T (K01 H) Y + Y^T (K01 H)^T X + Y^T (K11 H) Y.
     """
     nd = dim_poly(d)
     X, Y = pi0_grad[..., :nd, :], pi0_grad[..., nd:, :]
     H = gram[..., :nd, :nd]
-    A = _t(X) @ (H @ X) + _t(Y) @ (H @ Y)
-    return np.linalg.eigvalsh(0.5 * (A + _t(A)))
+    Wxx, Wxy, Wyy = Km[0, 0] * H, Km[0, 1] * H, Km[1, 1] * H
+    A = (_t(X) @ (Wxx @ X) + _t(X) @ (Wxy @ Y) + _t(Y) @ (_t(Wxy) @ X)
+         + _t(Y) @ (Wyy @ Y))
+    return 0.5 * (A + _t(A))
 
 
 def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRankError:
@@ -419,11 +416,14 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     pi0_grad = build_pi0_grad(ctx, d, moments)
     pack = ProjectionPack(k=k, ell=ell, grad_degree=d, layout=ctx.layout,
                           pi_star=pi_star, pi_dof=D @ pi_star,
-                          moments=moments, pi0_val=build_pi0_val(ctx, moments),
+                          pi0_val=build_pi0_val(ctx, moments),
                           pi0_grad=pi0_grad, ctx=ctx)
     if method is Method.STANDARD:
         return pack
-    evals = _grad_projection_spectrum(pi0_grad, ctx.gram, d)
+    # the unweighted form (K = I) has the rank of any SPD tensor's and keeps
+    # the threshold free of the tensor's anisotropy; full rank is N-1, as
+    # the constants are its kernel
+    evals = np.linalg.eigvalsh(_gradient_energy(pi0_grad, ctx.gram, d, np.eye(2)))
     rank = (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
     short = rank < ctx.layout.total - 1
     if not short.any():
@@ -450,8 +450,10 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
 class LocalStiffness:
     a_pi: np.ndarray
     a_s: np.ndarray
-    a: np.ndarray
-    k_inf: float
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.a_pi + self.a_s
 
 
 def local_stiffness(pack: ProjectionPack, method: Method,
@@ -460,30 +462,21 @@ def local_stiffness(pack: ProjectionPack, method: Method,
     of one cell or of each cell of a stack (the pack's own cells: see
     `element_matrices` for a pack with `bumped` cells).
 
-    Standard scheme: consistency from the degree k-1 gradient projection plus
-    the dofi-dofi stabilization sup|K| * (I - Pi)^T (I - Pi) applied to the
-    projection complement.  Stabilization-free scheme: consistency only, from
-    the degree k+ell-1 gradient projection, whose rank `build_projection_pack`
-    has already checked.
+    Standard scheme: consistency (`_gradient_energy`) from the degree k-1
+    gradient projection plus the dofi-dofi stabilization
+    sup|K| * (I - Pi)^T (I - Pi) applied to the projection complement.
+    Stabilization-free scheme: consistency only, from the degree k+ell-1
+    gradient projection, whose rank `build_projection_pack` has already
+    checked.
     """
-    nd = dim_poly(pack.grad_degree)
-    X = pack.pi0_grad[..., :nd, :]
-    Y = pack.pi0_grad[..., nd:, :]
-    H = pack.ctx.gram[..., :nd, :nd]
-    Km = K.matrix
-    Wxx, Wxy, Wyy = Km[0, 0] * H, Km[0, 1] * H, Km[1, 1] * H
-    a_pi = (_t(X) @ (Wxx @ X) + _t(X) @ (Wxy @ Y) + _t(Y) @ (_t(Wxy) @ X)
-            + _t(Y) @ (Wyy @ Y))
-    a_pi = 0.5 * (a_pi + _t(a_pi))
-
-    k_inf = K.sup_norm()
+    a_pi = _gradient_energy(pack.pi0_grad, pack.ctx.gram, pack.grad_degree, K.matrix)
     if method is Method.STANDARD:
         Mc = np.eye(pack.layout.total) - pack.pi_dof
-        a_s = k_inf * (_t(Mc) @ Mc)
+        a_s = K.sup_norm() * (_t(Mc) @ Mc)
         a_s = 0.5 * (a_s + _t(a_s))
     else:
         a_s = np.zeros_like(a_pi)
-    return LocalStiffness(a_pi=a_pi, a_s=a_s, a=a_pi + a_s, k_inf=k_inf)
+    return LocalStiffness(a_pi=a_pi, a_s=a_s)
 
 
 def element_matrices(pack: ProjectionPack, method: Method, K: DiffusionTensor):

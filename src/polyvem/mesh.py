@@ -179,11 +179,10 @@ class PolyMesh:
     of cell 0, vertex by vertex (the cartesian family, however it was built).
     """
 
-    def __init__(self, vertices, cells, *, family="custom"):
+    def __init__(self, vertices, cells):
         self.vertices = np.array(vertices, dtype=float)
         self.vertices.setflags(write=False)
         self.cells = [np.array(c, dtype=int) for c in cells]
-        self.family = family
 
         ids, starts = self.flat_cells
         self.cell_areas, self.cell_centroids, self.cell_diameters = _polygon_geometry(
@@ -287,7 +286,7 @@ def generate_cartesian(n: int) -> PolyMesh:
         for i in range(n):
             bl = j * (n + 1) + i
             cells.append([bl, bl + 1, bl + n + 2, bl + n + 1])
-    return PolyMesh(vertices, cells, family="cartesian")
+    return PolyMesh(vertices, cells)
 
 
 class SplitMix64:
@@ -643,8 +642,7 @@ def _stitch_regions(vor_vertices, regions):
     numbered = flat[np.sort(np.unique(flat, return_index=True)[1])]
     number = np.empty(len(group_verts), dtype=int)
     number[numbered] = np.arange(len(numbered))
-    mesh = PolyMesh(group_verts[numbered], np.split(number[flat], starts[1:-1]),
-                    family="voronoi")
+    mesh = PolyMesh(group_verts[numbered], np.split(number[flat], starts[1:-1]))
     _check_convex(mesh)
     return mesh
 
@@ -761,7 +759,7 @@ def read_mesh(stream) -> PolyMesh:
     if trailing is not None:
         raise MeshFormatError("trailing content after last cell", trailing[0])
     try:
-        return PolyMesh(verts, cells, family="imported")
+        return PolyMesh(verts, cells)
     except MeshError as exc:
         raise MeshFormatError(str(exc), cell_lines[exc.cell]) from None
 

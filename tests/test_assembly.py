@@ -28,11 +28,13 @@ def test_dof_map_counts_cartesian2_k1():
 
 
 def test_dof_map_counts_cartesian2_k2():
-    dm = build_dof_map(generate_cartesian(2), 2)
+    mesh = generate_cartesian(2)
+    dm = build_dof_map(mesh, 2)
     assert dm.n_total == 25            # 9 vertices + 12 edges + 4 moments
-    assert dm.n_vertex_dofs == 9
-    assert dm.n_edge_dofs == 12
-    assert dm.n_moment_dofs == 4
+    # the vertex dofs lead the nodes, the edge dofs follow, the moments close
+    assert np.array_equal(dm.nodes[:9], mesh.vertices)
+    assert dm.nodes.shape[0] - 9 == 12
+    assert dm.n_total - dm.nodes.shape[0] == 4
 
 
 def test_dof_map_single_square_all_boundary():
@@ -46,7 +48,7 @@ def test_dof_map_shared_edges_consistent():
     mesh = generate_voronoi(12, rng_seed=4, lloyd_iters=20)
     for k in (2, 3):
         dm = build_dof_map(mesh, k)
-        assert dm.nodes.shape == (dm.n_vertex_dofs + dm.n_edge_dofs, 2)
+        assert dm.nodes.shape == (mesh.n_vertices + mesh.n_edges * (k - 1), 2)
         # every boundary dof sits exactly on a side of the unit square
         p = dm.nodes[dm.boundary_dofs]
         assert ((p == 0.0) | (p == 1.0)).any(axis=1).all()

@@ -323,18 +323,18 @@ def test_subdivided_quadrature_stays_exact():
 
 def test_gram_first_entry_is_area(rng):
     for E in (UNIT_SQUARE, PENTAGON, star_polygon(rng, 7)):
-        M = monomial_gram(E, 2)
+        M = monomial_gram(E, 2, polygon_quadrature(E, 4))
         assert M[0, 0] == pytest.approx(E.area, abs=1e-13)
 
 
 def test_gram_symmetry_exact():
-    M = monomial_gram(PENTAGON, 3)
+    M = monomial_gram(PENTAGON, 3, polygon_quadrature(PENTAGON, 6))
     assert np.abs(M - M.T).max() == 0.0
 
 
 def test_gram_unit_square_closed_form():
     # int ((x-1/2)/sqrt(2))^2 over the unit square = (1/2)*(1/12) = 1/24
-    M = monomial_gram(UNIT_SQUARE, 1)
+    M = monomial_gram(UNIT_SQUARE, 1, polygon_quadrature(UNIT_SQUARE, 2))
     assert M[1, 1] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[2, 2] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[1, 2] == pytest.approx(0.0, abs=1e-15)
@@ -345,7 +345,7 @@ def test_gram_unit_square_closed_form():
 def test_gram_positive_definite(seed, d):
     rng = np.random.default_rng(seed)
     E = star_polygon(rng, int(rng.integers(4, 9)))
-    M = monomial_gram(E, d)
+    M = monomial_gram(E, d, polygon_quadrature(E, 2 * d))
     assert np.linalg.eigvalsh(M).min() > 0.0
 
 

@@ -30,7 +30,6 @@ def test_tc2_point_values():
     assert tc.u(0.25, 1.0 / 160.0) == pytest.approx(1.0, abs=1e-14)
     xs = np.linspace(0, 1, 13)
     assert np.abs(tc.u(xs, np.zeros_like(xs))).max() <= 1e-12
-    assert tc.exact_energy_norm == pytest.approx(math.pi * math.sqrt(2.0))
     assert tc.y_wavelength == pytest.approx(0.025)
 
 

@@ -1,15 +1,21 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+function, class and method it defines is referenced somewhere.
 
-The package root is left out: it imports the error classes to re-export them.
+The package root is left out of the import check: it imports the error
+classes to re-export them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyvem"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polyvem"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where else a definition of the package may be referenced
+READERS = ("tests", "perfbench")
 
 
 def _unused_imports(source: str) -> list:
@@ -34,3 +40,57 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _definitions(tree):
+    """(name, node) of each top-level function and class of a module and of
+    each method of its classes, dunder methods left out."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*funcs, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and not (item.name.startswith("__")
+                                                    and item.name.endswith("__")):
+                    yield item.name, item
+
+
+def _references(tree) -> Counter:
+    """How often each name is referenced: as a `Name`, as the attribute of an
+    `Attribute` or as an imported name."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+    return refs
+
+
+def _dead_definitions(package: list, readers: list) -> list:
+    """The names defined in the `package` sources that no source of
+    `package` or `readers` references outside their own definition."""
+    trees = [ast.parse(source) for source in package]
+    refs = sum(map(_references, trees + [ast.parse(source) for source in readers]), Counter())
+    return sorted(name for tree in trees for name, node in _definitions(tree)
+                  if refs[name] <= _references(node)[name])
+
+
+def test_the_check_sees_a_dead_definition():
+    package = ["def spectrum(a):\n    return spectrum(a[1:])\n"
+               "def energy(a):\n    return a\n"
+               "class Pack:\n    def __init__(self):\n        pass\n"
+               "    def rank(self):\n        pass\n"
+               "    def size(self):\n        pass\n"]
+    readers = ["from m import energy\nPack().size()\n"]
+    assert _dead_definitions(package, readers) == ["rank", "spectrum"]
+
+
+def test_every_definition_is_referenced():
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text(encoding="utf-8")
+               for d in READERS for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _dead_definitions(package, readers) == []
