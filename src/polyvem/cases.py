@@ -37,27 +37,25 @@ def _tc1() -> TestCase:
     """
     kx = 8.0e-3
 
-    def g(x):
-        return x * (1.0 - x) * (np.exp(20.0 * x) - 1.0)
-
-    def gp(x):
+    def profile(x):
+        """g(x) = x (1-x) (exp(20x) - 1) and its first two derivatives g', g'',
+        from one exponential."""
         ex = np.exp(20.0 * x)
-        return (1.0 - 2.0 * x) * (ex - 1.0) + 20.0 * x * (1.0 - x) * ex
-
-    def gpp(x):
-        ex = np.exp(20.0 * x)
-        return -2.0 * (ex - 1.0) + (40.0 * (1.0 - 2.0 * x) + 400.0 * x * (1.0 - x)) * ex
+        em1 = ex - 1.0
+        p, q = x * (1.0 - x), 1.0 - 2.0 * x           # x (1-x) and its derivative
+        return p * em1, q * em1 + 20.0 * p * ex, (40.0 * q + 400.0 * p) * ex - 2.0 * em1
 
     def u(x, y):
-        return 1.0e-2 * g(x) * y * (1.0 - y)
+        return 1.0e-2 * profile(x)[0] * y * (1.0 - y)
 
     def grad_u(x, y):
-        w = y * (1.0 - y)
-        return 1.0e-2 * gp(x) * w, 1.0e-2 * g(x) * (1.0 - 2.0 * y)
+        g, gp, _ = profile(x)
+        return 1.0e-2 * gp * (y * (1.0 - y)), 1.0e-2 * g * (1.0 - 2.0 * y)
 
     def f(x, y):
         # -(kx*u_xx + u_yy) with u_yy = -2e-2*g(x)
-        return -1.0e-2 * (kx * gpp(x) * y * (1.0 - y) - 2.0 * g(x))
+        g, _, gpp = profile(x)
+        return -1.0e-2 * (kx * gpp * y * (1.0 - y) - 2.0 * g)
 
     return TestCase(name="tc1", u=u, grad_u=grad_u, f=f,
                     K=DiffusionTensor.diagonal(kx, 1.0))

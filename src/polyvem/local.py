@@ -94,10 +94,6 @@ class DiffusionTensor:
         """Largest spectral norm of the tensor."""
         return float(np.linalg.eigvalsh(self.matrix).max())
 
-    def sqrt_matrix(self) -> np.ndarray:
-        w, V = np.linalg.eigh(self.matrix)
-        return (V * np.sqrt(w)) @ V.T
-
 
 # ---------------------------------------------------------------------------
 # dof layout
@@ -284,11 +280,15 @@ def _cholesky_solve(H, R):
     """H^-1 R for SPD H, each matrix of a stack by LAPACK potrf and potrs, as
     `scipy.linalg.cho_solve` does it.  H is broadcast over R's leading axes
     (a 1x1 H broadcast by `solve` itself would be divided by), and `solve`'s
-    ill-conditioning warning is left out, as `cho_solve` gives none."""
+    ill-conditioning warning is left out, as `cho_solve` gives none.  An H
+    that is not SPD raises `NumericalDegeneracyError`."""
     H = np.broadcast_to(H, R.shape[:-2] + H.shape[-2:])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        return solve(H, R, assume_a="pos", check_finite=False)
+        try:
+            return solve(H, R, assume_a="pos", check_finite=False)
+        except np.linalg.LinAlgError:
+            raise NumericalDegeneracyError("L2-projection mass matrix is not SPD") from None
 
 
 def build_pi0_val(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
@@ -321,11 +321,7 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
         _add_edge_columns(R[..., c, :, :], lay.edge_node_dofs,
                           ctx.edge_normals[..., :, c, None, None] * contrib)
 
-    try:
-        coef = _cholesky_solve(ctx.gram[..., None, :nd, :nd], R)
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError(
-            "gradient-projection mass matrix is not SPD") from None
+    coef = _cholesky_solve(ctx.gram[..., None, :nd, :nd], R)
     return coef.reshape(batch + (2 * nd, lay.total))
 
 
@@ -518,8 +514,7 @@ class DataRule:
     or (1, q, n) when the rows are congruent cells, which share one table.
     """
 
-    def __init__(self, k: int, row_cells, points, weights, monomials):
-        self.k = k
+    def __init__(self, row_cells, points, weights, monomials):
         self.cells = range(int(row_cells[0]), int(row_cells[-1]) + 1)
         self.points, self.weights = points, weights
         self.shape = (row_cells.size, weights.size // row_cells.size)
@@ -571,7 +566,7 @@ def data_rules(mesh, k: int, y_wavelength=None):
             points = np.empty((stop - first, weights.size, 2))
             for i in (0, 1):    # one coordinate at a time: the long axis is innermost
                 points[..., i] = mesh.cell_centroids[first:stop, i, None] + offsets[:, i]
-            yield DataRule(k, np.arange(first, stop), points.reshape(-1, 2),
+            yield DataRule(np.arange(first, stop), points.reshape(-1, 2),
                            np.tile(weights, stop - first), table)
         return
     ids, starts = mesh.flat_cells
@@ -588,7 +583,7 @@ def data_rules(mesh, k: int, y_wavelength=None):
         h = mesh.cell_diameters[owner, None]
         rx, ry = ((points[:, i].reshape(owner.size, -1) - centroids[:, i, None]) / h
                   for i in (0, 1))
-        yield DataRule(k, owner, points, weights, scaled_monomials(rx, ry, k - 1))
+        yield DataRule(owner, points, weights, scaled_monomials(rx, ry, k - 1))
 
 
 def local_load(f, rule: DataRule) -> np.ndarray:

@@ -50,10 +50,12 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
     return math.log(e_prev / e_last) / math.log(h_prev / h_last)
 
 
-def _energy(weights, grads, sqK) -> float:
-    """Quadrature value of ||sqrt(K) g||^2 from the values g (npts, 2) of a gradient."""
-    wg = grads @ sqK.T
-    return float(np.einsum("p,pd,pd->", weights, wg, wg))
+def _energy(weights, gx, gy, Km) -> float:
+    """Quadrature value of the integral of (K g, g) = K00 gx^2 + 2 K01 gx gy
+    + K11 gy^2 from the values gx, gy (npts,) of a gradient; K is read by its
+    entries, as in `local._gradient_energy`."""
+    return float(weights @ (Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy
+                            + Km[1, 1] * gy * gy))
 
 
 def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
@@ -62,17 +64,17 @@ def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
 
     A projection's gradient is taken in the degree k-1 monomials of each
     cell, so one monomial table per block serves every solution."""
-    sqK = case.K.sqrt_matrix()
+    Km = case.K.matrix
     # (n_cells, dim P_{k-1}, 2) coefficients of each projection's gradient
     grads = [np.einsum("dba,ca->cbd", monomial_derivatives(k), system.projections(u_dofs))
              / mesh.cell_diameters[:, None, None] for system, u_dofs in solved]
     sums = [0.0] * (len(solved) + 1)
     for rule in data_rules(mesh, k, case.y_wavelength):
-        ge = np.column_stack(case.grad_u(rule.points[:, 0], rule.points[:, 1]))
-        sums[0] += _energy(rule.weights, ge, sqK)
+        ux, uy = case.grad_u(rule.points[:, 0], rule.points[:, 1])
+        sums[0] += _energy(rule.weights, ux, uy, Km)
         for j, g in enumerate(grads, start=1):
-            gh = rule.monomials @ g[rule.row_cells]                       # (R, q, 2)
-            sums[j] += _energy(rule.weights, ge - gh.reshape(-1, 2), sqK)
+            gh = (rule.monomials @ g[rule.row_cells]).reshape(-1, 2)      # (R*q, 2)
+            sums[j] += _energy(rule.weights, ux - gh[:, 0], uy - gh[:, 1], Km)
     return sums
 
 
@@ -90,7 +92,8 @@ def energy_error(mesh: PolyMesh, solved, case: TestCase) -> list:
 
 
 def exact_energy_norm(mesh: PolyMesh, case: TestCase, k: int = 1) -> float:
-    """Quadrature value of ||sqrt(K) grad u|| over the mesh, with order-k data rules."""
+    """Quadrature value of sqrt(int (K grad u, grad u)) over the mesh, with
+    order-k data rules."""
     return math.sqrt(_energy_sums(mesh, k, [], case)[0])
 
 

@@ -215,6 +215,22 @@ def test_map_cells_names_the_lowest_failing_cell(voronoi_groups, names_position)
     assert [c.tolist() for c in out] == [groups[0].tolist(), groups[3].tolist()]
 
 
+def test_map_cells_reraises_a_failure_no_cell_has_alone(voronoi_groups):
+    """A visit that fails only when two given cells share a stack: halving
+    finds no failing part, so the stack's error leaves naming no cell."""
+    mesh, groups = voronoi_groups
+    pair = groups[1][[3, 20]]
+
+    def visit(cells, E):
+        if np.isin(pair, cells).all():
+            raise NumericalDegeneracyError("pair failed")
+        return cells
+
+    with pytest.raises(NumericalDegeneracyError, match="^pair failed$") as info:
+        map_cells(mesh, groups, visit)
+    assert info.value.cell is None
+
+
 # -- dirichlet elimination ---------------------------------------------------
 
 def test_homogeneous_elimination_counts():

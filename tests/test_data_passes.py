@@ -50,13 +50,12 @@ def _reference_moments(mesh, k, case):
     return np.array(out), scale
 
 
-def _energy(weights, grads, sqK):
-    wg = grads @ sqK.T
-    return float(weights @ (wg * wg).sum(axis=1))
+def _energy(weights, grads, K):
+    return float(np.einsum("p,pi,ij,pj->", weights, grads, K, grads))
 
 
 def _reference_energy_sums(mesh, k, solved, case):
-    sqK = case.K.sqrt_matrix()
+    K = case.K.matrix
     sums = [0.0] * (len(solved) + 1)
     cell_dofs = [{ci: row for cells, rows in system.dof_map.groups
                   for ci, row in zip(cells, rows)} for system, _ in solved]
@@ -64,13 +63,13 @@ def _reference_energy_sums(mesh, k, solved, case):
         E = mesh.cell_geom(ci)
         q = _cell_rule(E, k, case)
         ge = np.column_stack(case.grad_u(q.points[:, 0], q.points[:, 1]))
-        sums[0] += _energy(q.weights, ge, sqK)
+        sums[0] += _energy(q.weights, ge, K)
         grads = eval_monomial_grads(E, q.points, k)
         for j, (system, u_dofs) in enumerate(solved, start=1):
             pi_star = build_projection_pack(E, k, system.method).pi_star
             coeffs = pi_star @ u_dofs[cell_dofs[j - 1][ci]]
             gh = np.tensordot(grads, coeffs, axes=([1], [0]))              # (nq, 2)
-            sums[j] += _energy(q.weights, ge - gh, sqK)
+            sums[j] += _energy(q.weights, ge - gh, K)
     return sums
 
 

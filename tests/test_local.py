@@ -10,8 +10,9 @@ from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, star_polyg
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
                            monomial_exponents, monomial_index, polygon_quadrature)
+from polyvem.errors import NumericalDegeneracyError
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
-                           StabilizationFreeRankError, build_pi0_grad,
+                           StabilizationFreeRankError, build_pi0_grad, build_pi0_val,
                            build_pi_nabla, build_projection_pack, dof_count,
                            element_matrices, local_load, local_stiffness,
                            min_ell, recover_moments)
@@ -255,6 +256,18 @@ def test_edge_terms_match_per_edge_loop(k, rng):
     cho = cho_factor(ctx.gram[:nd, :nd])
     assert np.array_equal(build_pi0_grad(ctx, k, moments),
                           np.vstack([cho_solve(cho, R[0]), cho_solve(cho, R[1])]))
+
+
+def test_l2_projections_reject_a_gram_matrix_that_is_not_spd():
+    """Both L2 projections solve with the Gram matrix: one that is not SPD
+    raises the solver-failure error, which map_cells can pin to a cell."""
+    ctx = ElementContext(PENTAGON, 2)
+    moments = recover_moments(ctx, build_pi_nabla(ctx)[3])
+    ctx.gram = -ctx.gram
+    with pytest.raises(NumericalDegeneracyError, match="mass matrix is not SPD"):
+        build_pi0_val(ctx, moments)
+    with pytest.raises(NumericalDegeneracyError, match="mass matrix is not SPD"):
+        build_pi0_grad(ctx, 1, moments)
 
 
 def test_pi0_grad_triangle_matches_fem_gradient(rng):

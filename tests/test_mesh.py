@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay, Voronoi
 
 import polyvem.mesh as meshmod
+from polyvem.assembly import build_dof_map
 from polyvem.errors import MeshError
 from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
-                          MeshFormatError, OrientationError, PolyMesh,
-                          SplitMix64, cell_geometry, generate_cartesian,
+                          MeshFormatError, NonConformingMeshError, OrientationError,
+                          PolyMesh, SplitMix64, cell_geometry, generate_cartesian,
                           generate_mesh, generate_voronoi, read_mesh,
                           validate_mesh, write_mesh)
 
@@ -596,3 +597,23 @@ def test_validate_flags_nonconforming_partial_edge():
     mesh = PolyMesh(verts, cells)
     rep = validate_mesh(mesh)
     assert any(v.kind == "conformity" for v in rep.violations)
+
+
+@pytest.mark.parametrize("n, detail", [
+    (2, "traversed in the same direction by both cells"),
+    (3, "shared by 3 cells"),
+])
+def test_validate_flags_stacked_copies_of_one_cell(n, detail):
+    """n copies of the unit square: every side is shared by all n cells in
+    one direction, no side is a boundary edge, and the areas sum to n."""
+    mesh = PolyMesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]] * n)
+    rep = validate_mesh(mesh)
+    assert rep.area_sum == float(n)
+    assert [(v.kind, v.where, v.detail) for v in rep.violations] == (
+        [("conformity", f"edge {e}", detail) for e in ("(0,1)", "(1,2)", "(2,3)", "(0,3)")]
+        + [("boundary", f"vertex {vi}",
+            "boundary flag disagrees with position on the unit square") for vi in range(4)]
+        + [("partition", "mesh", f"cell areas sum to {float(n)!r}, not 1")])
+    with pytest.raises(NonConformingMeshError,
+                       match=f"^edge \\(0,1\\) breaks conformity: {detail};"):
+        build_dof_map(mesh, 1)

@@ -85,12 +85,13 @@ def test_solve_case_builds_the_dof_map_once(monkeypatch):
 
 
 def _count_data_rules(monkeypatch, covered):
-    """Record (order, cells, points per row) of every data rule built."""
+    """Record (monomials per point, cells, points per row) of every data rule
+    built; an order-k rule has dim P_{k-1} monomials, 1 at k = 1."""
     init = local.DataRule.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        covered.append((self.k, self.cells, self.shape[1]))
+        covered.append((self.monomials.shape[-1], self.cells, self.shape[1]))
 
     monkeypatch.setattr(local.DataRule, "__init__", counted)
 
@@ -139,7 +140,7 @@ def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
                                    levels=1, lloyd_iters=10))
     assert [(r.method, r.n_dofs, r.note) for r in result.rows] == [
         ("vem", mesh.n_vertices, ""), ("e2vem", mesh.n_vertices, "")]
-    assert {k for k, *_ in covered} == {1}
+    assert {n for n, *_ in covered} == {1}
     assert [ci for _, cells, _ in covered for ci in cells] == list(range(mesh.n_cells)) * 2
 
 
