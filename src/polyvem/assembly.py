@@ -7,8 +7,9 @@ this numbering is made; it groups the cells by vertex count, each group's
 dofs one (cells, local dofs) table, and its `nodes` give the point of every
 vertex and edge dof.  The scatter and the source pass go by groups and by
 blocks of cells, not cell by cell.  The consistency and stabilization parts
-of the stiffness matrix are accumulated separately so their norms can be
-compared after assembly.
+of the stiffness matrix are the stored matrices, on one shared sparse
+pattern, so their norms can be compared after assembly; their sum, the
+matrix that is solved, is formed when it is read.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
 
 @dataclass
 class SparseSystem:
-    a: sp.csr_matrix
     a_pi: sp.csr_matrix
     a_s: sp.csr_matrix
     b: np.ndarray
@@ -114,6 +114,16 @@ class SparseSystem:
         for (cells, dofs), pi_star in zip(groups, self.pi_stars):
             out[cells] = (pi_star @ u_dofs[dofs][..., None])[..., 0]
         return out
+
+    @property
+    def a(self) -> sp.csr_matrix:
+        """The stiffness matrix a_pi + a_s: `a_pi` itself for the
+        stabilization-free scheme, else the sum of the parts' data on their
+        shared pattern, formed at each read."""
+        if self.method is Method.E2VEM:
+            return self.a_pi
+        return sp.csr_matrix((self.a_pi.data + self.a_s.data, self.a_pi.indices,
+                              self.a_pi.indptr), shape=self.a_pi.shape)
 
 
 def map_cells(mesh: PolyMesh, stacks, visit) -> list:
@@ -183,10 +193,9 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     source[ci]`, from the `source_moments` of the mesh at order k; without
     `source` b is zero (enough for norm studies).  Element matrices are
     invariant under translation, so on a mesh of congruent cells the stack of
-    cell 0 serves every cell.  The consistency part, the stabilization part
-    and their sum share one read-only sparse pattern; the stabilization-free
-    scheme scatters no stabilization, so its `a_s` has no stored entries and
-    its `a` and `a_pi` are one matrix, which nothing mutates.
+    cell 0 serves every cell.  The consistency and stabilization parts share
+    one read-only sparse pattern; the stabilization-free scheme scatters no
+    stabilization, so its `a_s` has no stored entries and its `a` is `a_pi`.
     `dof_map` is the mesh's `build_dof_map` at order k, built here if not
     given; the schemes solved on one mesh and order share it.
     """
@@ -220,25 +229,18 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
 
     shape = (dm.n_total, dm.n_total)
     ij = (np.concatenate(rows), np.concatenate(cols))
+    a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
+    pattern = (a_pi.indices, a_pi.indptr)
+    for index in pattern:
+        index.setflags(write=False)
     if method is Method.STANDARD:
-        # one conversion sorts the pattern and sums the duplicates of both
-        # parts: the consistency part as the real, the stabilization part as
-        # the imaginary part of one complex matrix
-        both = np.empty(ij[0].size, dtype=complex)
-        np.concatenate(vals_pi, out=both.real)
-        np.concatenate(vals_s, out=both.imag)
-        both = sp.coo_matrix((both, ij), shape=shape).tocsr()
-        pattern = (both.indices, both.indptr)
-        for index in pattern:
-            index.setflags(write=False)
-        a_pi = sp.csr_matrix((both.data.real.copy(), *pattern), shape=shape)
-        a_s = sp.csr_matrix((both.data.imag.copy(), *pattern), shape=shape)
-        a = sp.csr_matrix((a_pi.data + a_s.data, *pattern), shape=shape)
+        # the parts share their entries (i, j), so the conversion sorts and
+        # sums the stabilization part onto the consistency part's pattern
+        a_s = sp.coo_matrix((np.concatenate(vals_s), ij), shape=shape).tocsr()
+        a_s = sp.csr_matrix((a_s.data, *pattern), shape=shape)
     else:
-        a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
         a_s = sp.csr_matrix(shape)
-        a = a_pi
-    return SparseSystem(a=a, a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, method=method,
+    return SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, method=method,
                         pi_stars=[pi_star for pi_star, *_ in elements])
 
 

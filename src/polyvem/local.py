@@ -308,8 +308,6 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
     """
     E, lay, batch = ctx.E, ctx.layout, ctx.batch
     nd, n_lower = dim_poly(d), dim_poly(d - 1)
-    if moments.shape[-2] < n_lower:
-        raise ValueError("recovered moments do not reach degree d-1")
     h = np.asarray(E.diameter)[..., None, None, None]
 
     # the x block, then the y block: (..., 2, nd, total)
@@ -555,10 +553,10 @@ def data_rules(mesh, k: int, y_wavelength=None):
     """
     max_y = y_wavelength / 2.0 if y_wavelength else None
     degree = _data_degree(k)
+    ids, starts = mesh.flat_cells
     if mesh.congruent_cells:
-        cell = mesh.cells[0]
-        corners, _ = fan_triangles(mesh.vertices[cell] - mesh.cell_centroids[0],
-                                   [0, cell.size], np.zeros((1, 2)), mesh.cell_areas[:1],
+        corners, _ = fan_triangles(mesh.vertices[ids[:starts[1]]] - mesh.cell_centroids[0],
+                                   starts[:2], np.zeros((1, 2)), mesh.cell_areas[:1],
                                    max_y_extent=max_y)
         offsets, weights = triangle_rule(*corners, degree)
         table = scaled_monomials(*(offsets.T / mesh.cell_diameters[0]), k - 1)[None]
@@ -569,7 +567,6 @@ def data_rules(mesh, k: int, y_wavelength=None):
             yield DataRule(np.arange(first, stop), points.reshape(-1, 2),
                            np.tile(weights, stop - first), table)
         return
-    ids, starts = mesh.flat_cells
     corners, triangle_cells = fan_triangles(mesh.vertices[ids], starts, mesh.cell_centroids,
                                             mesh.cell_areas, max_y_extent=max_y)
     # the points of one triangle's rule: every triangle has as many

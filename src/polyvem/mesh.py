@@ -1,16 +1,18 @@
 """Polygonal tessellations of the unit square.
 
-Vertices are rows of an (nv, 2) float array; a cell is an index array listing
-its vertices in counter-clockwise order.  Generators produce conforming meshes
-(every internal edge shared by exactly two cells, traversed in opposite
-directions) whose cell areas sum to one.
+Vertices are rows of an (nv, 2) float array; a cell lists its vertex indices
+in counter-clockwise order.  A mesh stores its cells flat: the indices of
+every cell concatenated in cell order, with the offset of each cell's run.
+Generators produce conforming meshes (every internal edge shared by exactly
+two cells, traversed in opposite directions) whose cell areas sum to one.  A
+lone polygon is a one-cell mesh: `PolyMesh(v, [range(len(v))]).cell_geom(0)`
+checks and measures it as the cells of any mesh are.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -121,22 +123,6 @@ def _polygon_geometry(vertices, ids, starts):
     return areas, cents, diams
 
 
-def cell_geometry(verts):
-    """Area, centroid and diameter of one CCW polygon: the one-polygon case
-    of the check and measurement that `PolyMesh` makes of its cells.
-
-    Raises :class:`OrientationError` if the polygon has fewer than 3 planar
-    vertices, a non-finite coordinate or a signed area that is not positive.
-    """
-    v = np.asarray(verts, dtype=float)
-    try:
-        areas, cents, diams = _polygon_geometry(v, np.arange(len(v)), np.array([0, len(v)]))
-    except MeshError as exc:
-        exc.cell = None
-        raise
-    return float(areas[0]), cents[0], float(diams[0])
-
-
 @dataclass(frozen=True)
 class CellGeometry:
     """Geometry of a polygonal cell: CCW vertices (m, 2), |E|, centroid (2,),
@@ -147,14 +133,6 @@ class CellGeometry:
     area: float
     centroid: np.ndarray
     diameter: float
-
-    @classmethod
-    def from_vertices(cls, verts):
-        v = np.array(verts, dtype=float)
-        area, centroid, diameter = cell_geometry(v)
-        v.setflags(write=False)
-        centroid.setflags(write=False)
-        return cls(v, area, centroid, diameter)
 
     @property
     def n_vertices(self):
@@ -173,21 +151,31 @@ class PolyMesh:
     and are treated as immutable afterwards; they are safe to share across
     workers.  The constructor is where polygons are checked: a cell with an
     out-of-range or repeated consecutive vertex, or one that is not a CCW
-    polygon of positive area, raises a `MeshError` naming the cell.  It
-    checks and measures all cells and numbers the edges in array passes over
-    `flat_cells`.  `congruent_cells` is true when every cell is a translate
-    of cell 0, vertex by vertex (the cartesian family, however it was built).
+    polygon of positive area, raises a `MeshError` naming the cell.  Its
+    `cells` are index sequences, one per cell (an (n, m) array gives n cells
+    of m vertices).  It stores them once, as `flat_cells` = (ids, starts):
+    the vertex ids of every cell concatenated in cell order, and the
+    (n_cells + 1,) offsets of each cell's run in `ids`.  It checks and
+    measures all cells and numbers the edges in array passes over them.
+    `congruent_cells` is true when every cell is a translate of cell 0,
+    vertex by vertex (the cartesian family, however it was built).
     """
 
     def __init__(self, vertices, cells):
         self.vertices = np.array(vertices, dtype=float)
         self.vertices.setflags(write=False)
-        self.cells = [np.array(c, dtype=int) for c in cells]
+        starts = np.zeros(len(cells) + 1, dtype=int)
+        np.cumsum(np.fromiter(map(len, cells), dtype=int, count=len(cells)), out=starts[1:])
+        # unsafe casting: an empty cell given as [] is a float array
+        ids = (np.concatenate(cells, dtype=int, casting="unsafe") if len(cells)
+               else np.zeros(0, dtype=int))
+        ids.setflags(write=False)
+        starts.setflags(write=False)
+        self.flat_cells = (ids, starts)
 
-        ids, starts = self.flat_cells
         self.cell_areas, self.cell_centroids, self.cell_diameters = _polygon_geometry(
             self.vertices, ids, starts)
-        self.h_max = float(self.cell_diameters.max()) if self.cells else 0.0
+        self.h_max = float(self.cell_diameters.max()) if self.n_cells else 0.0
         self.congruent_cells = self._all_translates_of_first()
 
         self._build_edges()
@@ -200,7 +188,7 @@ class PolyMesh:
     def _all_translates_of_first(self):
         ids, starts = self.flat_cells
         lens = np.diff(starts)
-        if not self.cells or np.any(lens != lens[0]):
+        if not self.n_cells or np.any(lens != lens[0]):
             return False
         offsets = (self.vertices[ids.reshape(self.n_cells, -1)]
                    - self.cell_centroids[:, None, :])
@@ -237,23 +225,18 @@ class PolyMesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return self.flat_cells[1].size - 1
 
     @property
     def n_edges(self):
         return self.edges.shape[0]
 
-    @cached_property
-    def flat_cells(self):
-        """(ids, starts): the vertex ids of every cell concatenated in cell
-        order, and the (n_cells + 1,) offsets of each cell's run in `ids`."""
-        starts = np.zeros(self.n_cells + 1, dtype=int)
-        np.cumsum(np.fromiter(map(len, self.cells), dtype=int, count=self.n_cells),
-                  out=starts[1:])
-        ids = np.concatenate(self.cells) if self.cells else np.zeros(0, dtype=int)
-        ids.setflags(write=False)
-        starts.setflags(write=False)
-        return ids, starts
+    @property
+    def cells(self):
+        """The vertex ids of each cell: read-only views of `flat_cells`."""
+        ids, starts = self.flat_cells
+        bounds = starts.tolist()
+        return [ids[first:stop] for first, stop in zip(bounds, bounds[1:])]
 
     def cell_geom(self, cells) -> CellGeometry:
         """The geometry of cell `cells`, or the stacked geometry of an index
@@ -281,12 +264,9 @@ def generate_cartesian(n: int) -> PolyMesh:
     ticks = np.arange(n + 1) / n
     X, Y = np.meshgrid(ticks, ticks)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            bl = j * (n + 1) + i
-            cells.append([bl, bl + 1, bl + n + 2, bl + n + 1])
-    return PolyMesh(vertices, cells)
+    # cell (i, j), row j of the grid, numbered j n + i from its bottom-left vertex
+    bottom_left = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return PolyMesh(vertices, bottom_left[:, None] + [0, 1, n + 2, n + 1])
 
 
 class SplitMix64:

@@ -308,11 +308,7 @@ def _attach_rates(series):
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value)
 
 
 ROWS_HEADER = ["family", "case", "method", "order", "level", "h_max",

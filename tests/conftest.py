@@ -15,6 +15,11 @@ from polyvem.local import data_rules
 from polyvem.mesh import CellGeometry, PolyMesh
 
 
+def lone_cell(verts) -> CellGeometry:
+    """The geometry of the polygon `verts`: the one cell of its one-cell mesh."""
+    return PolyMesh(verts, [range(len(verts))]).cell_geom(0)
+
+
 def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> CellGeometry:
     """Random CCW polygon that is star-shaped with respect to its centroid."""
     from polyvem.basis import polygon_quadrature
@@ -28,7 +33,7 @@ def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> Ce
         verts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         verts += rng.uniform(-0.2, 0.2, 2)
         try:
-            E = CellGeometry.from_vertices(verts)
+            E = lone_cell(verts)
             polygon_quadrature(E, 1)
         except Exception:
             continue
@@ -49,9 +54,9 @@ def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
     return QuadRule(*triangle_rule(*corners, degree))
 
 
-UNIT_SQUARE = CellGeometry.from_vertices([[0, 0], [1, 0], [1, 1], [0, 1]])
-TRIANGLE = CellGeometry.from_vertices([[0, 0], [1, 0], [0, 1]])
-PENTAGON = CellGeometry.from_vertices(
+UNIT_SQUARE = lone_cell([[0, 0], [1, 0], [1, 1], [0, 1]])
+TRIANGLE = lone_cell([[0, 0], [1, 0], [0, 1]])
+PENTAGON = lone_cell(
     [[0, 0], [0.7, 0.05], [1, 0.6], [0.45, 1.0], [-0.05, 0.55]])
 
 

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import lone_cell
 from polyvem.assembly import assemble, stab_consistency_ratio
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
 from polyvem.local import (MAX_ELL_BUMPS, RANK_TOL, DiffusionTensor, ElementContext,
                            Method, StabilizationFreeRankError, build_pi_nabla,
                            build_projection_pack, local_stiffness, min_ell)
-from polyvem.mesh import (CARTESIAN_LADDER, VORONOI_LADDER, CellGeometry,
-                          generate_cartesian, generate_voronoi)
+from polyvem.mesh import CARTESIAN_LADDER, VORONOI_LADDER, generate_cartesian, generate_voronoi
 from polyvem.study import METHODS, exact_energy_norm, solve_case, solve_cases
 
 K_PATCH = DiffusionTensor.diagonal(8.0e-3, 1.0)
@@ -134,7 +134,7 @@ def test_criterion_2_projection_oracles(vor_meshes, rng):
             continue
         if area < 0:
             verts = verts[::-1]
-        E = CellGeometry.from_vertices(verts)
+        E = lone_cell(verts)
         st_ = local_stiffness(build_projection_pack(E, 1, Method.E2VEM),
                               Method.E2VEM, K_PATCH)
         worst_tri = max(worst_tri,

@@ -113,6 +113,22 @@ def test_assembly_splits_parts():
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) == 0.0
 
 
+def test_parts_share_one_read_only_pattern():
+    mesh = generate_voronoi(10, rng_seed=2, lloyd_iters=20)
+    sys_ = assemble(mesh, 2, Method.STANDARD, K_ANISO)
+    for index in ("indices", "indptr"):
+        part_s, part_pi = getattr(sys_.a_s, index), getattr(sys_.a_pi, index)
+        assert np.shares_memory(part_s, part_pi)
+        assert not part_s.flags.writeable and not part_pi.flags.writeable
+    a = sys_.a
+    assert np.array_equal(a.indices, sys_.a_pi.indices)
+    assert np.array_equal(a.indptr, sys_.a_pi.indptr)
+    assert np.array_equal(a.data, sys_.a_pi.data + sys_.a_s.data)
+    assert (a != sys_.a_pi + sys_.a_s).nnz == 0
+    free = assemble(mesh, 2, Method.E2VEM, K_ANISO)
+    assert free.a is free.a_pi and free.a_s.nnz == 0
+
+
 def test_assembly_load_linearity():
     mesh = generate_cartesian(3)
     f1 = lambda x, y: np.sin(3 * x) + y

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, fan_rule, star_polygon
-from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly, edge_lagrange,
-                           edge_rules, eval_monomial_grads, eval_monomials,
+from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, fan_rule, lone_cell, star_polygon
+from polyvem.basis import (QuadratureError, QuadRule, _subdivide_by_extent, dim_poly,
+                           edge_lagrange, edge_rules, eval_monomial_grads, eval_monomials,
                            lagrange_matrix, monomial_derivatives, monomial_exponents,
                            monomial_gram, monomial_index, polygon_quadrature,
                            triangle_rule)
+from polyvem.errors import NumericalDegeneracyError
 from polyvem.mesh import CellGeometry
 
 
@@ -332,6 +333,13 @@ def test_gram_symmetry_exact():
     assert np.abs(M - M.T).max() == 0.0
 
 
+def test_gram_rejects_a_rule_that_makes_it_indefinite():
+    q = polygon_quadrature(PENTAGON, 4)
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"^monomial Gram matrix is not positive definite \(degree 2\)$"):
+        monomial_gram(PENTAGON, 2, QuadRule(q.points, -q.weights))
+
+
 def test_gram_unit_square_closed_form():
     # int ((x-1/2)/sqrt(2))^2 over the unit square = (1/2)*(1/12) = 1/24
     M = monomial_gram(UNIT_SQUARE, 1, polygon_quadrature(UNIT_SQUARE, 2))
@@ -392,7 +400,7 @@ def test_scaling_covariance(seed, scale):
     rng = np.random.default_rng(seed)
     E = star_polygon(rng, 5)
     pts = rng.uniform(-0.5, 0.5, (4, 2)) + E.centroid
-    Es = CellGeometry.from_vertices(E.verts * scale)
+    Es = lone_cell(E.verts * scale)
     vals = eval_monomials(E, pts, 3)
     vals_s = eval_monomials(Es, pts * scale, 3)
     assert np.abs(vals - vals_s).max() < 1e-11

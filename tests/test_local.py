@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, star_polygon
+from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, lone_cell,
+                      star_polygon)
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
                            monomial_exponents, monomial_index, polygon_quadrature)
-from polyvem.errors import NumericalDegeneracyError
+from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad, build_pi0_val,
                            build_pi_nabla, build_projection_pack, dof_count,
                            element_matrices, local_load, local_stiffness,
                            min_ell, recover_moments)
-from polyvem.mesh import CellGeometry, PolyMesh, generate_voronoi
+from polyvem.mesh import PolyMesh, generate_voronoi
 
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -258,6 +259,17 @@ def test_edge_terms_match_per_edge_loop(k, rng):
                           np.vstack([cho_solve(cho, R[0]), cho_solve(cho, R[1])]))
 
 
+def test_energy_projector_rejects_a_singular_system():
+    """Zero edge traces leave B, so G = B @ D, zero at k = 1: the projector
+    system is singular, a solver failure of the cell."""
+    ctx = ElementContext(PENTAGON, 1)
+    ctx.edge_trace = np.zeros_like(ctx.edge_trace)
+    with pytest.raises(CellDegeneracyError,
+                       match=r"^singular projector system \(k=1\)$") as info:
+        build_pi_nabla(ctx)
+    assert info.value.exit_code == 3
+
+
 def test_l2_projections_reject_a_gram_matrix_that_is_not_spd():
     """Both L2 projections solve with the Gram matrix: one that is not SPD
     raises the solver-failure error, which map_cells can pin to a cell."""
@@ -314,7 +326,7 @@ def test_e2vem_triangle_equals_fem(rng):
             continue
         if area < 0:
             verts = verts[::-1]
-        E = CellGeometry.from_vertices(verts)
+        E = lone_cell(verts)
         st_ = local_stiffness(build_projection_pack(E, 1, Method.E2VEM),
                               Method.E2VEM, K_ANISO)
         assert np.abs(st_.a - fem_triangle_stiffness(E, K_ANISO)).max() <= 1e-12
@@ -384,7 +396,7 @@ def test_e2vem_enlargement_bumps_on_symmetric_cells():
     # enhancement degree than the counting inequality suggests
     assert build_projection_pack(UNIT_SQUARE, 2, Method.E2VEM).ell == 2
     assert min_ell(2, 4) == 1
-    hexa = CellGeometry.from_vertices(
+    hexa = lone_cell(
         [[math.cos(a), math.sin(a)] for a in np.arange(6) * math.pi / 3])
     assert build_projection_pack(hexa, 1, Method.E2VEM).ell == 2
     assert min_ell(1, 6) == 1

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay, Voronoi
 
 import polyvem.mesh as meshmod
+from conftest import lone_cell
 from polyvem.assembly import build_dof_map
 from polyvem.errors import MeshError
 from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
                           MeshFormatError, NonConformingMeshError, OrientationError,
-                          PolyMesh, SplitMix64, cell_geometry, generate_cartesian,
+                          PolyMesh, SplitMix64, generate_cartesian,
                           generate_mesh, generate_voronoi, read_mesh,
                           validate_mesh, write_mesh)
 
@@ -21,31 +22,31 @@ from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
 # -- cell geometry -----------------------------------------------------------
 
 def test_cell_geometry_unit_square():
-    area, centroid, diameter = cell_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
-    assert area == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(centroid, [0.5, 0.5])
-    assert diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    E = lone_cell([[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert E.area == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(E.centroid, [0.5, 0.5])
+    assert E.diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_cell_geometry_triangle():
-    area, centroid, diameter = cell_geometry([[0, 0], [1, 0], [0, 1]])
-    assert area == pytest.approx(0.5)
-    assert np.allclose(centroid, [1 / 3, 1 / 3])
-    assert diameter == pytest.approx(math.sqrt(2.0))
+    E = lone_cell([[0, 0], [1, 0], [0, 1]])
+    assert E.area == pytest.approx(0.5)
+    assert np.allclose(E.centroid, [1 / 3, 1 / 3])
+    assert E.diameter == pytest.approx(math.sqrt(2.0))
 
 
 def test_cell_geometry_regular_hexagon():
-    pts = [[math.cos(a), math.sin(a)] for a in np.arange(6) * math.pi / 3]
-    area, _, diameter = cell_geometry(pts)
-    assert area == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, abs=1e-12)
-    assert diameter == pytest.approx(2.0)
+    E = lone_cell([[math.cos(a), math.sin(a)] for a in np.arange(6) * math.pi / 3])
+    assert E.area == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, abs=1e-12)
+    assert E.diameter == pytest.approx(2.0)
 
 
 def test_cell_geometry_rejects_clockwise():
-    with pytest.raises(OrientationError):
-        cell_geometry([[0, 0], [0, 1], [1, 1], [1, 0]])
-    with pytest.raises(OrientationError):
-        cell_geometry([[0, 0], [1, 0]])
+    with pytest.raises(OrientationError, match=r"^cell 0: polygon is not CCW"):
+        lone_cell([[0, 0], [0, 1], [1, 1], [1, 0]])
+    with pytest.raises(OrientationError,
+                       match=r"^cell 0: polygon needs at least 3 planar vertices"):
+        lone_cell([[0, 0], [1, 0]])
 
 
 # -- cartesian family --------------------------------------------------------
@@ -57,6 +58,16 @@ def test_cartesian_basic_counts():
     m2 = generate_cartesian(2)
     assert m2.n_cells == 4 and m2.n_vertices == 9
     assert m2.h_max == pytest.approx(math.sqrt(2.0) / 2.0)
+
+
+def test_cartesian_cells_are_read_only_views_of_the_flat_cells():
+    mesh = generate_cartesian(2)
+    ids, starts = mesh.flat_cells
+    assert np.array_equal(starts, [0, 4, 8, 12, 16])
+    assert [c.tolist() for c in mesh.cells] == [[0, 1, 4, 3], [1, 2, 5, 4],
+                                                 [3, 4, 7, 6], [4, 5, 8, 7]]
+    for cell in mesh.cells:
+        assert np.shares_memory(cell, ids) and not cell.flags.writeable
 
 
 def test_cartesian_partition_of_unity():
@@ -536,6 +547,25 @@ def test_read_errors_name_line_numbers():
     with pytest.raises(MeshFormatError, match="^line 10: trailing content"):
         read_mesh(io.StringIO("polymesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"
                               "\n# comment\n1 2\n"))
+
+
+SQUARE_VERTICES = "0 0\n1 0\n1 1\n0 1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("polymesh 1\n4 1\n0 0\n1 0\n", None, "unexpected end of stream, expected vertex 2"),
+    ("polymesh 1\n4 one\n", 2, "vertex/cell counts must be integers"),
+    ("polymesh 1\n2 1\n", 2, "implausible counts nv=2 nc=1"),
+    ("polymesh 1\n4 1\n0 0\n1 0 0\n", 4, "expected 'x y' for vertex 1"),
+    ("polymesh 1\n4 1\n0 0\n1 0\n1 y\n", 5, "bad coordinate for vertex 2"),
+    ("polymesh 1\n4 1\n" + SQUARE_VERTICES + "4 0 1 2 3.0\n", 7, "bad index in cell 0"),
+], ids=["end-of-stream", "non-integer-counts", "implausible-counts", "vertex-not-x-y",
+        "bad-coordinate", "bad-cell-index"])
+def test_read_rejects_malformed_text(text, line, message):
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(io.StringIO(text))
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
 @settings(max_examples=10, deadline=None)
