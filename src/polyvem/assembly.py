@@ -22,8 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import dim_poly, edge_rules
 from .errors import PolyvemError, SolverError
-from .local import (DiffusionTensor, Method, build_projection_pack, data_rules,
-                    element_matrices, local_load)
+from .local import DiffusionTensor, Method, data_rules, element_matrices, local_load
 from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
 
 RESIDUAL_RTOL = 1e-10
@@ -127,46 +126,46 @@ class SparseSystem:
 
 
 def map_cells(mesh: PolyMesh, stacks, visit) -> list:
-    """[visit(cells, E) for cells in stacks], E the stacked geometry of the
-    index array `cells`, whose cells share a vertex count.
+    """[visit(mesh.cell_geom(cells)) for cells in stacks], each `cells` an
+    index array of cells that share a vertex count.
 
     This is the loop of element construction: it goes by stacks, not cells.
     If a visit raises a `PolyvemError`, the error of the lowest-numbered
-    failing cell of all stacks leaves, with that cell's index set on it.  A
-    failed visit sets on its error the position in its stack of a failing
-    cell if it knows one, and the cells before it are visited again to find
-    any lower one; a stack that failed as a whole is halved until one cell
-    fails.  Only the failure path visits a cell twice.
+    failing cell of all stacks leaves, naming that cell.  An error that
+    names a cell (from the stack's `cells`) has the cells below it visited
+    again to find any lower one; a stack that failed as a whole is halved
+    until one cell fails, and that cell is set on its error.  Only the
+    failure path visits a cell twice.
     """
     out = []
     for i, cells in enumerate(stacks):
         try:
-            out.append(visit(cells, mesh.cell_geom(cells)))
+            out.append(visit(mesh.cell_geom(cells)))
         except PolyvemError as exc:
-            cell, exc = _first_failure(mesh, cells, visit, exc)
+            exc = _first_failure(mesh, cells, visit, exc)
             for later in stacks[i + 1:]:
-                cell, exc = _first_failure(mesh, later[later < cell], visit) or (cell, exc)
-            exc.cell = int(cell)
+                exc = _first_failure(mesh, later[later < exc.cell], visit) or exc
             raise exc
     return out
 
 
 def _first_failure(mesh: PolyMesh, cells, visit, exc=None):
-    """(cell, error) of the lowest-numbered cell of `cells` whose visit fails,
-    None if none does; `exc` is the error of visiting all of `cells`, if
-    that is already known."""
+    """The error of the lowest-numbered cell of `cells` whose visit fails,
+    naming that cell, or None if none fails; `exc` is the error of visiting
+    all of `cells`, if that is already known."""
     if exc is None:
         if not cells.size:
             return None
         try:
-            visit(cells, mesh.cell_geom(cells))
+            visit(mesh.cell_geom(cells))
             return None
         except PolyvemError as err:
             exc = err
-    if cells.size == 1:
-        return cells[0], exc
     if exc.cell is not None:
-        return _first_failure(mesh, cells[:exc.cell], visit) or (cells[exc.cell], exc)
+        return _first_failure(mesh, cells[cells < exc.cell], visit) or exc
+    if cells.size == 1:
+        exc.cell = int(cells[0])
+        return exc
     half = cells.size // 2
     found = _first_failure(mesh, cells[:half], visit) or _first_failure(mesh, cells[half:], visit)
     if found is None:           # no part fails alone: the error names no cell
@@ -201,15 +200,13 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     """
     dm = build_dof_map(mesh, k) if dof_map is None else dof_map
 
-    def build(cells, E):
-        return element_matrices(build_projection_pack(E, k, method), method, K)
-
     # per group, its stacks: runs of at most STACK_CELLS of its cells, or on
     # a mesh of congruent cells the stack of cell 0, which serves every cell
     stacks = [[cells[:1]] if mesh.congruent_cells
               else np.split(cells, range(STACK_CELLS, cells.size, STACK_CELLS))
               for cells, _ in dm.groups]
-    built = iter(map_cells(mesh, [stack for group in stacks for stack in group], build))
+    built = iter(map_cells(mesh, [stack for group in stacks for stack in group],
+                           lambda E: element_matrices(E, k, method, K)))
     # per group, (pi_star, pi0_val, a_pi, a_s) of its cells in order
     elements = [[np.concatenate(parts) for parts in zip(*(next(built) for _ in group))]
                 for group in stacks]

@@ -253,8 +253,8 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
 
     E is one cell, giving points (npts, 2) and weights (npts,), or a stack of
     n cells with one vertex count, giving (n, npts, 2) and (n, npts).  A
-    stack's `QuadratureError` carries the position of its failing cell in
-    `cell`; one cell's names no cell: the caller does.
+    cell that is not star-shaped raises `QuadratureError` naming its mesh
+    index, from `E.cells`.
     """
     verts = np.asarray(E.verts, dtype=float)
     batch, m = verts.shape[:-2], verts.shape[-2]
@@ -263,8 +263,7 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
         corners, _ = fan_triangles(verts.reshape(-1, 2), m * np.arange(n + 1),
                                    np.reshape(E.centroid, (n, 2)), np.reshape(E.area, n))
     except QuadratureError as exc:
-        if not batch:
-            exc.cell = None
+        exc.cell = int(E.cells.flat[exc.cell])
         raise
     points, weights = triangle_rule(*corners, degree)
     return QuadRule(points.reshape(batch + (-1, 2)), weights.reshape(batch + (-1,)))

@@ -96,7 +96,7 @@ def _cmd_solve(args):
         "spd_ok": sol.report.spd_ok,
         "ordering": sol.report.ordering,
         "fill_nnz": sol.report.fill_nnz,
-        "solution": sol.u_dofs.tolist(),
+        "solution": sol.report.solution.tolist(),
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)

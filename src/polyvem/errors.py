@@ -2,14 +2,15 @@
 
 Exit code 2 marks bad input (a mesh that cannot be built or integrated on),
 exit code 3 a discretization or solver failure.  An error that belongs to
-one cell carries its index in `cell`, and the message then leads with it.
-Element construction goes by stacks of cells with one vertex count: a
-failing stack build puts the position of its failing cell in `cell` when an
-array check finds it (a fan triangle, a rank test), and `assembly.map_cells`
-replaces it by the index of the lowest-numbered failing cell of the mesh,
-halving a stack whose batched LAPACK call failed as a whole to find it.  In
-the data passes, which go by blocks of cells (`local.data_rules`), the block
-rule's fan check names the cell that is not star-shaped.
+one cell carries its mesh index in `cell`, and the message then leads with
+it.  Element construction goes by stacks of cells with one vertex count,
+whose geometry carries the mesh index of each cell (`CellGeometry.cells`),
+so an array check that finds a failing cell (a fan triangle, a rank test)
+names it itself.  `assembly.map_cells` leaves the error of the
+lowest-numbered failing cell of the mesh, halving a stack whose batched
+LAPACK call failed as a whole to find that cell.  In the data passes, which
+go by blocks of cells (`local.data_rules`), the fan check names the cell
+that is not star-shaped.
 """
 
 

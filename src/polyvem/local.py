@@ -23,11 +23,10 @@ that share a vertex count: all arrays then lead with the stack axis, matrix
 products are stacked `@`, and the solves, Cholesky checks and eigenvalues
 are batched LAPACK calls (`assembly.assemble` builds a mesh in stacks of
 up to `assembly.STACK_CELLS` cells of one vertex count).
-`build_projection_pack` is the one place that chooses ell and builds the
-`ElementContext` (Gram matrix, edge data); every projector builder takes
-that context, `local_stiffness` takes the finished pack, and
-`element_matrices` gives a stack's matrices cell by cell at the ell each
-cell was kept at.
+`build_projection_pack` builds a stack's `ElementContext` (Gram matrix, edge
+data) and every projector at one ell; `local_stiffness` takes the finished
+pack, and `element_matrices` is the one loop over ell: it builds the cells
+that a pack leaves `short` again at the next ell, as a smaller stack.
 
 The context holds the data of all m edges as (..., m, ...) arrays; the
 builders evaluate monomials at all edge points at once and scatter through
@@ -38,7 +37,7 @@ The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
 higher-degree gradient projection rich enough that no stabilizing term is
 needed.  Its coercivity is only guaranteed at order 1; a rank check of each
-cell's gradient energy, made where ell is chosen, guards the higher orders.
+cell's gradient energy, made on every pack, guards the higher orders.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from scipy.linalg import LinAlgWarning, solve
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
                     eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
                     polygon_quadrature, scaled_monomials, triangle_rule)
-from .errors import (CellDegeneracyError, NumericalDegeneracyError, PolyvemError,
-                     StabilizationFreeRankError)
+from .errors import CellDegeneracyError, NumericalDegeneracyError, StabilizationFreeRankError
 
 
 class Method(Enum):
@@ -328,9 +326,9 @@ class ProjectionPack:
     """All element matrices one scheme needs on one cell, or on a stack of
     cells (arrays with a leading stack axis), built with one enlargement ell.
 
-    `bumped` is (positions, pack) when some cells of a stack needed a larger
-    ell: those cells were rebuilt as the smaller stack `pack`, whose matrices
-    supersede this pack's at `positions`.
+    `short` marks the cells whose stabilization-free gradient projection is
+    rank deficient at this ell, None when no cell is; `element_matrices`
+    builds them again at ell + 1.
     """
 
     k: int
@@ -342,7 +340,7 @@ class ProjectionPack:
     pi0_val: np.ndarray
     pi0_grad: np.ndarray
     ctx: ElementContext
-    bumped: tuple | None = None
+    short: np.ndarray | None = None
 
 
 RANK_TOL = 1e-9
@@ -366,9 +364,9 @@ def _gradient_energy(pi0_grad, gram, d: int, Km) -> np.ndarray:
 
 def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRankError:
     """The error for the first short cell of a pack at its last enlargement,
-    with the numbers that diagnose it: lambda_2 / lambda_max of its
-    gradient-projection energy (short means at most RANK_TOL), its shortest
-    edge over its diameter, and ell."""
+    naming its mesh cell, with the numbers that diagnose it: lambda_2 /
+    lambda_max of its gradient-projection energy (short means at most
+    RANK_TOL), its shortest edge over its diameter, and ell."""
     at = int(np.argmax(short)) if short.ndim else ()
     lam = evals[at]
     ratio = lam[1] / np.abs(lam).max()
@@ -378,31 +376,27 @@ def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRank
         f"(lambda_2/lambda_max = {ratio:.3e} <= RANK_TOL = {RANK_TOL:g}, "
         f"shortest edge / h_E = {eps:.6e}); the stabilization-free scheme is only "
         f"guaranteed well-posed at order 1 (got k={k})")
-    exc.cell = at if short.ndim else None
+    exc.cell = int(E.cells[at])
     return exc
 
 
 def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> ProjectionPack:
     """Projectors, recovered moments and L2 projections for one cell, or for
-    a stack of cells with one vertex count.
+    a stack of cells with one vertex count, at one enhancement enlargement.
 
-    For the stabilization-free scheme the enhancement enlargement starts at
-    the counting-inequality minimum (or at `ell`) and is increased, cell by
-    cell, until the gradient projection has full rank N-1; the inequality
-    alone is not sufficient on symmetric cells (exact squares at order 2,
-    regular hexagons at order 1 carry a symmetry mode in its kernel).  The
-    cells of a stack that stay short are rebuilt as a smaller stack at the
-    next ell (the pack's `bumped`); if none of its cells passes, the whole
-    stack is.  A `StabilizationFreeRankError` of a stack carries the position
-    of its first cell that is still short at the last ell in `cell`; its
-    message gives that cell's numbers (`_rank_error`).
+    For the stabilization-free scheme `ell` defaults to the
+    counting-inequality minimum, and each cell's gradient projection is
+    checked for full rank N-1; the inequality alone is not sufficient on
+    symmetric cells (exact squares at order 2, regular hexagons at order 1
+    carry a symmetry mode in its kernel).  The cells that fall short are
+    marked in the pack's `short`.  At the last ell, MAX_ELL_BUMPS past the
+    minimum, the first of them raises `StabilizationFreeRankError` naming
+    its mesh cell, with that cell's numbers (`_rank_error`).
     """
     if method is Method.STANDARD:
-        ell = last = 0
-    else:
-        first = min_ell(k, E.n_vertices)
-        last = first + MAX_ELL_BUMPS
-        ell = first if ell is None else ell
+        ell = 0
+    elif ell is None:
+        ell = min_ell(k, E.n_vertices)
     d = k - 1 if method is Method.STANDARD else k + ell - 1
     ctx = ElementContext(E, k, ell)
     D, _, _, pi_star = build_pi_nabla(ctx)
@@ -420,19 +414,10 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     evals = np.linalg.eigvalsh(_gradient_energy(pi0_grad, ctx.gram, d, np.eye(2)))
     rank = (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
     short = rank < ctx.layout.total - 1
-    if not short.any():
-        return pack
-    if ell == last:
-        raise _rank_error(E, ctx, evals, short, k, ell)
-    if short.all():
-        return build_projection_pack(E, k, method, ell + 1)
-    at = np.flatnonzero(short)
-    try:
-        pack.bumped = (at, build_projection_pack(E.take(at), k, method, ell + 1))
-    except PolyvemError as exc:
-        if exc.cell is not None:
-            exc.cell = int(at[exc.cell])
-        raise
+    if short.any():
+        if ell >= min_ell(k, E.n_vertices) + MAX_ELL_BUMPS:
+            raise _rank_error(E, ctx, evals, short, k, ell)
+        pack.short = short
     return pack
 
 
@@ -453,8 +438,8 @@ class LocalStiffness:
 def local_stiffness(pack: ProjectionPack, method: Method,
                     K: DiffusionTensor) -> LocalStiffness:
     """Local stiffness matrix of the chosen scheme with diffusion tensor K,
-    of one cell or of each cell of a stack (the pack's own cells: see
-    `element_matrices` for a pack with `bumped` cells).
+    of one cell or of each cell of a stack, at the pack's ell (its `short`
+    cells included: `element_matrices` replaces theirs).
 
     Standard scheme: consistency (`_gradient_energy`) from the degree k-1
     gradient projection plus the dofi-dofi stabilization
@@ -473,15 +458,23 @@ def local_stiffness(pack: ProjectionPack, method: Method,
     return LocalStiffness(a_pi=a_pi, a_s=a_s)
 
 
-def element_matrices(pack: ProjectionPack, method: Method, K: DiffusionTensor):
-    """(pi_star, pi0_val, a_pi, a_s) of every cell of a pack's stack, each
-    cell's from the pack of the enlargement it was kept at."""
-    stiff = local_stiffness(pack, method, K)
-    out = (pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s)
-    if pack.bumped is not None:
-        at, sub = pack.bumped
-        out = tuple(a.copy() for a in out)
-        for mine, theirs in zip(out, element_matrices(sub, method, K)):
+def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
+    """(pi_star, pi0_val, a_pi, a_s) of every cell of the stack E, each at
+    the first enlargement that passes its rank check.
+
+    This is the one loop over ell: the cells a pack leaves `short` are built
+    again at the next ell as a smaller stack, whose matrices are written
+    over theirs in place."""
+    def matrices(pack):
+        stiff = local_stiffness(pack, method, K)
+        return pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s
+
+    pack = build_projection_pack(E, k, method)
+    out, at = matrices(pack), np.arange(E.cells.size)
+    while pack.short is not None:
+        at = at[pack.short]
+        pack = build_projection_pack(E.take(at), k, method, pack.ell + 1)
+        for mine, theirs in zip(out, matrices(pack)):
             mine[at] = theirs
     return out
 

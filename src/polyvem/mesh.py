@@ -126,13 +126,16 @@ def _polygon_geometry(vertices, ids, starts):
 @dataclass(frozen=True)
 class CellGeometry:
     """Geometry of a polygonal cell: CCW vertices (m, 2), |E|, centroid (2,),
-    h_E.  A stack of n cells with one vertex count has `verts` (n, m, 2),
-    `area` (n,), `centroid` (n, 2) and `diameter` (n,)."""
+    h_E, and its index in its mesh, `cells` (0-d).  A stack of n cells with
+    one vertex count has `verts` (n, m, 2), `area` (n,), `centroid` (n, 2),
+    `diameter` (n,) and `cells` (n,), so an error found on a stack can name
+    its mesh cell."""
 
     verts: np.ndarray
     area: float
     centroid: np.ndarray
     diameter: float
+    cells: np.ndarray
 
     @property
     def n_vertices(self):
@@ -141,7 +144,8 @@ class CellGeometry:
     def take(self, positions) -> "CellGeometry":
         """The stack of the cells at `positions` of this stack."""
         return CellGeometry(self.verts[positions], self.area[positions],
-                            self.centroid[positions], self.diameter[positions])
+                            self.centroid[positions], self.diameter[positions],
+                            self.cells[positions])
 
 
 class PolyMesh:
@@ -250,7 +254,7 @@ class PolyMesh:
         v = self.vertices[ids[first[..., None] + np.arange(m)]]
         v.setflags(write=False)
         return CellGeometry(v, self.cell_areas[cells], self.cell_centroids[cells],
-                            self.cell_diameters[cells])
+                            self.cell_diameters[cells], np.asarray(cells))
 
 
 # ---------------------------------------------------------------------------

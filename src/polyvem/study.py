@@ -113,7 +113,6 @@ def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
 
 @dataclass
 class CaseSolution:
-    u_dofs: np.ndarray
     e_star: float
     report: object
     system: SparseSystem
@@ -139,10 +138,10 @@ def solve_cases(mesh: PolyMesh, k: int, methods, case: TestCase) -> dict:
             # kept without its traceback, whose frames would hold `results` in a cycle
             results[method] = exc.with_traceback(None)
             continue
-        results[method] = CaseSolution(report.solution, math.nan, report, system)
+        results[method] = CaseSolution(math.nan, report, system)
     solved = [sol for sol in results.values() if isinstance(sol, CaseSolution)]
     if solved:
-        e_stars = energy_error(mesh, [(sol.system, sol.u_dofs) for sol in solved], case)
+        e_stars = energy_error(mesh, [(sol.system, sol.report.solution) for sol in solved], case)
         for sol, e_star in zip(solved, e_stars):
             sol.e_star = e_star
     return results

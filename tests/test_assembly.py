@@ -204,7 +204,7 @@ def voronoi_groups():
 
 @pytest.mark.parametrize("names_position", [False, True])
 def test_map_cells_names_the_lowest_failing_cell(voronoi_groups, names_position):
-    """A stack that fails as a whole, or names one failing position, leads
+    """A stack that fails as a whole, or names one failing cell, leads
     map_cells to the lowest failing cell over all stacks."""
     mesh, groups = voronoi_groups
     assert [cells.size for cells in groups] == [4, 27, 28, 5]
@@ -213,13 +213,14 @@ def test_map_cells_names_the_lowest_failing_cell(voronoi_groups, names_position)
     bad = np.concatenate([groups[1][[20, 12]], groups[2][[10]]])
     assert bad[2] < bad[1] < bad[0]
 
-    def visit(cells, E):
+    def visit(E):
+        cells = E.cells
         assert E.verts.shape[:2] == (cells.size, np.diff(mesh.flat_cells[1])[cells[0]])
         hit = np.flatnonzero(np.isin(cells, bad))
         if hit.size:
             exc = NumericalDegeneracyError("stack failed")
-            # the last failing position, so cells before it must be revisited
-            exc.cell = int(hit[-1]) if names_position else None
+            # the last failing cell, so the cells below it must be revisited
+            exc.cell = int(cells[hit[-1]]) if names_position else None
             raise exc
         return cells
 
@@ -237,10 +238,10 @@ def test_map_cells_reraises_a_failure_no_cell_has_alone(voronoi_groups):
     mesh, groups = voronoi_groups
     pair = groups[1][[3, 20]]
 
-    def visit(cells, E):
-        if np.isin(pair, cells).all():
+    def visit(E):
+        if np.isin(pair, E.cells).all():
             raise NumericalDegeneracyError("pair failed")
-        return cells
+        return E.cells
 
     with pytest.raises(NumericalDegeneracyError, match="^pair failed$") as info:
         map_cells(mesh, groups, visit)
@@ -402,7 +403,7 @@ def test_patch_solutions_match_interpolant(k):
     exact = interpolate_dofs(mesh, k, case.u)
     for method in (Method.STANDARD, Method.E2VEM):
         sol = solve_case(mesh, k, method, case)
-        assert np.abs(sol.u_dofs - exact).max() <= 1e-9
+        assert np.abs(sol.report.solution - exact).max() <= 1e-9
 
 
 def test_cell_order_independence():
@@ -415,9 +416,9 @@ def test_cell_order_independence():
     a = solve_case(mesh, 1, Method.STANDARD, case)
     b = solve_case(shuffled, 1, Method.STANDARD, case)
     # k = 1 numbering is cell-order independent (vertex dofs only)
-    assert np.abs(a.u_dofs - b.u_dofs).max() <= 1e-11
+    assert np.abs(a.report.solution - b.report.solution).max() <= 1e-11
 
     a2 = solve_case(mesh, 2, Method.STANDARD, case)
     b2 = solve_case(shuffled, 2, Method.STANDARD, case)
     nv = mesh.n_vertices
-    assert np.abs(a2.u_dofs[:nv] - b2.u_dofs[:nv]).max() <= 1e-11
+    assert np.abs(a2.report.solution[:nv] - b2.report.solution[:nv]).max() <= 1e-11

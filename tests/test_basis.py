@@ -169,7 +169,7 @@ def test_quadrature_rejects_nonstar_cell():
     # re-entrant quadrilateral whose centroid sees a negative fan triangle
     bad = CellGeometry(
         verts=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.1], [0.0, 1.0]]),
-        area=0.1, centroid=np.array([0.5, 0.5]), diameter=1.5)
+        area=0.1, centroid=np.array([0.5, 0.5]), diameter=1.5, cells=np.asarray(0))
     with pytest.raises(QuadratureError, match=r"fan triangle 1 has signed area -0\.2\)"):
         polygon_quadrature(bad, 2)
 

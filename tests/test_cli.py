@@ -250,14 +250,14 @@ def test_rank_failure_exit_3_names_cell(tmp_path, capsys, monkeypatch):
 
 
 def test_study_records_cell_failure_and_continues(tmp_path, monkeypatch):
-    real = assembly.build_projection_pack
+    real = local.build_projection_pack
 
     def failing_e2vem(E, k, method):
         if method is Method.E2VEM:
             raise CellDegeneracyError(f"singular projector system (k={k})")
         return real(E, k, method)
 
-    monkeypatch.setattr(assembly, "build_projection_pack", failing_e2vem)
+    monkeypatch.setattr(local, "build_projection_pack", failing_e2vem)
     out = tmp_path / "study"
     rc = main(["study", "--case", "tc1", "--orders", "1", "--family",
                "cartesian", "--levels", "2", "-o", str(out)])

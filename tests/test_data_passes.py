@@ -132,7 +132,7 @@ def test_congruent_passes_match_the_per_cell_passes(n, case_id, k):
         assert np.abs(moments - fine).max() <= np.abs(ref - fine).max()
 
     sols = solve_cases(mesh, k, METHODS, case)
-    solved = [(sol.system, sol.u_dofs) for sol in sols.values()]
+    solved = [(sol.system, sol.report.solution) for sol in sols.values()]
     assert energy_error(per_cell, solved, case) == pytest.approx(
         [sol.e_star for sol in sols.values()], rel=1e-10)
 

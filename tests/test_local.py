@@ -11,13 +11,13 @@ from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, lone_cell
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
                            monomial_exponents, monomial_index, polygon_quadrature)
-from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError
+from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad, build_pi0_val,
                            build_pi_nabla, build_projection_pack, dof_count,
                            element_matrices, local_load, local_stiffness,
                            min_ell, recover_moments)
-from polyvem.mesh import PolyMesh, generate_voronoi
+from polyvem.mesh import OrientationError, PolyMesh, generate_voronoi
 
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -391,17 +391,26 @@ def test_stabilization_scaling_equivariance(rng):
         assert np.abs(s2.a_s - t * s1.a_s).max() <= 1e-13 * max(1e-300, np.abs(s1.a_s).max()) * t
 
 
+def _kept_pack(E, k, method):
+    """The pack of the first ell that leaves the lone cell E not short: the
+    enlargement `element_matrices` keeps it at."""
+    pack = build_projection_pack(E, k, method)
+    while pack.short is not None:
+        pack = build_projection_pack(E, k, method, pack.ell + 1)
+    return pack
+
+
 def test_e2vem_enlargement_bumps_on_symmetric_cells():
     # exact squares at order 2 and regular hexagons at order 1 need one more
     # enhancement degree than the counting inequality suggests
-    assert build_projection_pack(UNIT_SQUARE, 2, Method.E2VEM).ell == 2
+    assert _kept_pack(UNIT_SQUARE, 2, Method.E2VEM).ell == 2
     assert min_ell(2, 4) == 1
     hexa = lone_cell(
         [[math.cos(a), math.sin(a)] for a in np.arange(6) * math.pi / 3])
-    assert build_projection_pack(hexa, 1, Method.E2VEM).ell == 2
+    assert _kept_pack(hexa, 1, Method.E2VEM).ell == 2
     assert min_ell(1, 6) == 1
     # generic cells keep the minimal value
-    assert build_projection_pack(PENTAGON, 1, Method.E2VEM).ell == min_ell(1, 5)
+    assert _kept_pack(PENTAGON, 1, Method.E2VEM).ell == min_ell(1, 5)
 
 
 def test_rank_check_raises_on_deficient_pack(monkeypatch):
@@ -409,6 +418,21 @@ def test_rank_check_raises_on_deficient_pack(monkeypatch):
     # symmetry mode of the bare counting-inequality enlargement
     monkeypatch.setattr(local, "MAX_ELL_BUMPS", 0)
     with pytest.raises(StabilizationFreeRankError, match="rank deficient"):
+        build_projection_pack(UNIT_SQUARE, 2, Method.E2VEM)
+
+
+def test_lone_polygon_errors_name_cell_0(monkeypatch):
+    """A lone polygon is the one cell of its mesh: its quadrature and rank
+    errors lead with `cell 0:`, as its constructor's errors do."""
+    with pytest.raises(OrientationError, match=r"^cell 0: polygon is not CCW"):
+        lone_cell([[0, 0], [0, 1], [1, 0]])
+    # re-entrant quadrilateral whose centroid lies outside it
+    dart = lone_cell([[0.0, 0.0], [1.0, 0.0], [0.1, 0.1], [0.0, 1.0]])
+    with pytest.raises(QuadratureError, match=r"^cell 0: cell is not star-shaped"):
+        polygon_quadrature(dart, 2)
+    monkeypatch.setattr(local, "MAX_ELL_BUMPS", 0)
+    with pytest.raises(StabilizationFreeRankError,
+                       match=r"^cell 0: gradient projection stays rank deficient"):
         build_projection_pack(UNIT_SQUARE, 2, Method.E2VEM)
 
 
@@ -426,12 +450,17 @@ def _hexagon_mesh(rng):
     return PolyMesh(verts, np.arange(verts.shape[0]).reshape(-1, 6))
 
 
-def _cell_ells(pack, n):
-    """The enlargement each of the n cells of a stacked pack was kept at."""
-    ells = np.full(n, pack.ell)
-    if pack.bumped is not None:
-        at, sub = pack.bumped
-        ells[at] = _cell_ells(sub, at.size)
+def _check_against_one_cell_stacks(mesh, cells, k, method):
+    """Check the stacked `element_matrices` of `cells` against each cell's
+    one-cell stack at the ell it is kept at, to 1e-12; return those ells."""
+    stacked = element_matrices(mesh.cell_geom(cells), k, method, K_ANISO)
+    ells = []
+    for i in range(cells.size):
+        pack = _kept_pack(mesh.cell_geom(cells[i:i + 1]), k, method)
+        stiff = local_stiffness(pack, method, K_ANISO)
+        ells.append(pack.ell)
+        for got, want in zip(stacked, (pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s)):
+            assert np.abs(got[i] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
     return ells
 
 
@@ -446,21 +475,33 @@ def stack_meshes():
 @pytest.mark.parametrize("name", ["voronoi64", "hexagons"])
 def test_stacked_build_matches_one_cell_stacks(name, method, k, stack_meshes):
     """Each cell of a vertex-count group keeps the ell of its own one-cell
-    build, and its pi_star, pi0_val, a_pi and a_s agree to 1e-12."""
+    stack, and its pi_star, pi0_val, a_pi and a_s agree to 1e-12."""
     mesh = stack_meshes[name]
     n_verts = np.diff(mesh.flat_cells[1])
     for m in np.unique(n_verts):
         cells = np.flatnonzero(n_verts == m)
-        pack = build_projection_pack(mesh.cell_geom(cells), k, method)
-        stacked = element_matrices(pack, method, K_ANISO)
-        ells = _cell_ells(pack, cells.size)
-        for i in range(cells.size):
-            one = build_projection_pack(mesh.cell_geom(cells[i:i + 1]), k, method)
-            assert one.bumped is None and ells[i] == one.ell
-            for got, want in zip(stacked, element_matrices(one, method, K_ANISO)):
-                assert np.abs(got[i] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+        ells = _check_against_one_cell_stacks(mesh, cells, k, method)
     if name == "hexagons" and method is Method.E2VEM and k == 1:
-        assert ells.tolist() == [1, 2, 1, 2, 1] and pack.bumped is not None
+        assert ells == [1, 2, 1, 2, 1]
+        short = build_projection_pack(mesh.cell_geom(cells), k, method).short
+        assert short.tolist() == [False, True, False, True, False]
+
+
+def test_stack_cells_kept_at_three_enlargements(monkeypatch, stack_meshes):
+    """With a looser rank threshold the order-2 stabilization-free build of
+    Voronoi-64 keeps cells at min_ell, min_ell + 1 and min_ell + 2, and the
+    7-vertex stack takes one cell through both extra levels; every cell
+    matches its one-cell stack at its own ell."""
+    monkeypatch.setattr(local, "RANK_TOL", 1e-4)
+    mesh = stack_meshes["voronoi64"]
+    n_verts = np.diff(mesh.flat_cells[1])
+    bumps = {}
+    for m in np.unique(n_verts):
+        cells = np.flatnonzero(n_verts == m)
+        ells = _check_against_one_cell_stacks(mesh, cells, 2, Method.E2VEM)
+        bumps[int(m)] = sorted({ell - min_ell(2, m) for ell in ells})
+    assert set().union(*bumps.values()) == {0, 1, 2}
+    assert bumps[7] == [0, 2]
 
 
 @pytest.mark.parametrize("Km", [np.array([[8.0e-3, 0.05], [0.05, 1.0]]), np.eye(2)],

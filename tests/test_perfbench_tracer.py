@@ -9,10 +9,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import polyvem.cli  # noqa: F401  (the tracer wraps cli.main)
 from polyvem import assembly, local
+from polyvem import mesh as pmesh
 from polyvem.cases import testcase as get_case
+from polyvem.errors import StabilizationFreeRankError
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi
 from polyvem.study import solve_case
@@ -67,3 +70,25 @@ def test_tracer_take_of_stacked_builds_is_json():
     assert all(type(value) is int for value in take["counts"].values())
     assert take["local.pack"]["calls"] >= np.unique(np.diff(mesh.flat_cells[1])).size
     assert take["counts"]["local.ctx_built"] == take["local.pack"]["calls"]
+
+
+def test_tracer_counts_a_generated_mesh_and_a_rank_failure(monkeypatch):
+    """The hooks read a generator's mesh, a pack's `ell`, `k` and
+    `layout.n_vertices`, and the rank error `build_projection_pack` raises."""
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        mesh = pmesh.generate_cartesian(2)      # the traced binding
+        # exact squares at order 2 are built again one ell past the minimum
+        solve_case(mesh, 2, Method.E2VEM, get_case("tc1"))
+        monkeypatch.setattr(local, "MAX_ELL_BUMPS", 0)
+        with pytest.raises(StabilizationFreeRankError, match="^cell 0: "):
+            solve_case(mesh, 2, Method.E2VEM, get_case("tc1"))
+        take = tr.take()
+    finally:
+        tr.uninstall()
+    counts = take["counts"]
+    assert counts["mesh.cells"] == 4
+    assert counts["local.ell_bumps"] == 1
+    assert counts["local.rank_failures"] == 1

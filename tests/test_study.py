@@ -145,14 +145,14 @@ def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
 
 
 def test_solve_cases_keeps_a_failure_per_scheme(monkeypatch):
-    real = assembly.build_projection_pack
+    real = local.build_projection_pack
 
     def failing_e2vem(E, k, method):
         if method is Method.E2VEM:
             raise CellDegeneracyError("singular projector system")
         return real(E, k, method)
 
-    monkeypatch.setattr(assembly, "build_projection_pack", failing_e2vem)
+    monkeypatch.setattr(local, "build_projection_pack", failing_e2vem)
     results = solve_cases(generate_cartesian(4), 1, METHODS, get_case("tc1"))
     assert str(results[Method.E2VEM]) == "cell 0: singular projector system"
     assert results[Method.STANDARD].e_star > 0.0
