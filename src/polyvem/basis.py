@@ -248,34 +248,35 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
 
 
 def polygon_quadrature(E, degree: int) -> QuadRule:
-    """Quadrature on a star-shaped polygon, exact for degree <= `degree`: a
-    collapsed Gauss rule on each triangle of the centroid fan, in fan order.
-
-    E is one cell, giving points (npts, 2) and weights (npts,), or a stack of
-    n cells with one vertex count, giving (n, npts, 2) and (n, npts).  A
-    cell that is not star-shaped raises `QuadratureError` naming its mesh
-    index, from `E.cells`.
-    """
-    verts = np.asarray(E.verts, dtype=float)
-    batch, m = verts.shape[:-2], verts.shape[-2]
-    n = int(np.prod(batch))
+    """Quadrature on the star-shaped polygon E, one cell, exact for degree
+    <= `degree`: a collapsed Gauss rule on each triangle of the centroid
+    fan, in fan order.  A cell that is not star-shaped raises
+    `QuadratureError` naming its mesh index, `E.cells`."""
     try:
-        corners, _ = fan_triangles(verts.reshape(-1, 2), m * np.arange(n + 1),
-                                   np.reshape(E.centroid, (n, 2)), np.reshape(E.area, n))
+        corners, _ = fan_triangles(E.verts, [0, E.n_vertices], [E.centroid], [E.area])
     except QuadratureError as exc:
-        exc.cell = int(E.cells.flat[exc.cell])
+        exc.cell = int(E.cells)
         raise
-    points, weights = triangle_rule(*corners, degree)
-    return QuadRule(points.reshape(batch + (-1, 2)), weights.reshape(batch + (-1,)))
+    return QuadRule(*triangle_rule(*corners, degree))
 
 
-def monomial_gram(E, degree: int, quad: QuadRule) -> np.ndarray:
+def monomial_gram(E, degree: int) -> np.ndarray:
     """Mass matrix of the scaled monomials up to `degree` on E, SPD by
-    construction, from a rule `quad` on E exact to degree 2*degree;
-    (..., n, n) on a stack of cells."""
-    V = eval_monomials(E, quad.points, degree)
-    M = np.swapaxes(V * quad.weights[..., None], -1, -2) @ V
-    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    construction; (..., n, n) on a stack of cells.  G[a, b] is the moment of
+    m_g, g = a + b, homogeneous of degree |g| about x_E: mu_g = sum_e ((x -
+    x_E) . n_e) int_e m_g ds / (|g| + 2) (Chin, Lasserre & Sukumar, Comput.
+    Mech. 56, 2015), by the `edge_rules` Gauss-Legendre rule, exact to 2*degree."""
+    _, t, w = edge_rules(1, 2 * degree)
+    tang = np.roll(E.verts, -1, axis=-2) - E.verts
+    arm = E.verts - np.asarray(E.centroid)[..., None, :]
+    # |e| (x - x_E) . n_e, constant on edge e, times the rule's weights
+    flux = (arm[..., 0] * tang[..., 1] - arm[..., 1] * tang[..., 0])[..., None] * w
+    points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]     # (..., m, nq, 2)
+    V = eval_monomials(E, points.reshape(flux.shape[:-2] + (-1, 2)), 2 * degree)
+    mu = np.einsum("...q,...qg->...g", flux.reshape(V.shape[:-1]), V)
+    mu /= monomial_exponents(2 * degree).sum(axis=1) + 2
+    exps = monomial_exponents(degree)
+    M = mu[..., monomial_index(*np.moveaxis(exps[:, None] + exps, -1, 0))]
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:

@@ -143,28 +143,3 @@ def testcase(case_id: str) -> TestCase:
             raise ValueError(f"bad patch degree in {case_id!r}") from None
         return _patch(degree)
     raise ValueError(f"unknown test case {case_id!r}; expected tc1, tc2 or patch:<k>")
-
-
-def manufactured_residual(case: TestCase, n_points: int = 100, seed: int = 7,
-                          step: float = 1e-5) -> float:
-    """Relative mismatch between f and -div(K grad u) by central differences.
-
-    The residual is normalized by the largest source magnitude over the
-    sample (floored at 1 so cases with identically zero source stay well
-    posed); pointwise normalization would blow up at the zeros of f where
-    the finite-difference truncation error dominates.  Guards the
-    hand-derived source terms.
-    """
-    rng = np.random.default_rng(seed)
-    pts = 0.05 + 0.9 * rng.random((n_points, 2))
-    x, y = pts[:, 0], pts[:, 1]
-    Km = case.K.matrix
-    u = case.u
-    uxx = (u(x + step, y) - 2.0 * u(x, y) + u(x - step, y)) / step ** 2
-    uyy = (u(x, y + step) - 2.0 * u(x, y) + u(x, y - step)) / step ** 2
-    uxy = (u(x + step, y + step) - u(x + step, y - step)
-           - u(x - step, y + step) + u(x - step, y - step)) / (4.0 * step ** 2)
-    div_flux = Km[0, 0] * uxx + 2.0 * Km[0, 1] * uxy + Km[1, 1] * uyy
-    fv = np.asarray(case.f(x, y), dtype=float)
-    scale = max(1.0, float(np.abs(fv).max()), float(np.abs(div_flux).max()))
-    return float(np.abs(fv + div_flux).max() / scale)

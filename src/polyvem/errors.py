@@ -5,12 +5,13 @@ exit code 3 a discretization or solver failure.  An error that belongs to
 one cell carries its mesh index in `cell`, and the message then leads with
 it.  Element construction goes by stacks of cells with one vertex count,
 whose geometry carries the mesh index of each cell (`CellGeometry.cells`),
-so an array check that finds a failing cell (a fan triangle, a rank test)
-names it itself.  `assembly.map_cells` leaves the error of the
-lowest-numbered failing cell of the mesh, halving a stack whose batched
-LAPACK call failed as a whole to find that cell.  In the data passes, which
-go by blocks of cells (`local.data_rules`), the fan check names the cell
-that is not star-shaped.
+so an array check that finds a failing cell (the rank test) names it
+itself.  `assembly.map_cells` leaves the error of the lowest-numbered
+failing cell of the mesh, halving a stack whose batched LAPACK call failed
+as a whole to find that cell.  In the data passes, which go by blocks of
+cells (`local.data_rules`), the fan check names the cell that is not
+star-shaped; it is the one polygon check a solve makes, as element
+construction integrates along edges only.
 """
 
 

@@ -23,10 +23,10 @@ that share a vertex count: all arrays then lead with the stack axis, matrix
 products are stacked `@`, and the solves, Cholesky checks and eigenvalues
 are batched LAPACK calls (`assembly.assemble` builds a mesh in stacks of
 up to `assembly.STACK_CELLS` cells of one vertex count).
-`build_projection_pack` builds a stack's `ElementContext` (Gram matrix, edge
-data) and every projector at one ell; `local_stiffness` takes the finished
-pack, and `element_matrices` is the one loop over ell: it builds the cells
-that a pack leaves `short` again at the next ell, as a smaller stack.
+`build_projection_pack` builds a stack's `ElementContext` (Gram matrix and
+edge data, from edge integrals alone) and every projector at one ell;
+`local_stiffness` takes the finished pack, and `element_matrices` is the one
+loop over ell, building the cells a pack leaves `short` again at ell + 1.
 
 The context holds the data of all m edges as (..., m, ...) arrays; the
 builders evaluate monomials at all edge points at once and scatter through
@@ -52,7 +52,7 @@ from scipy.linalg import LinAlgWarning, solve
 
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
                     eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
-                    polygon_quadrature, scaled_monomials, triangle_rule)
+                    scaled_monomials, triangle_rule)
 from .errors import CellDegeneracyError, NumericalDegeneracyError, StabilizationFreeRankError
 
 
@@ -169,15 +169,15 @@ class ElementContext:
     for a stack of cells with one vertex count (E from `PolyMesh.cell_geom`
     of an index array), whose arrays then all lead with the stack axis.
 
-    The Gram matrix reaches degree k+ell and the edge rules integrate traces
-    against monomials of degree k+ell exactly, which covers every projector
-    of the pack built with this enlargement.  Edge e runs from vertex e to
-    vertex e+1; over m edges, nq Gauss points and k+1 Lobatto nodes the edge
-    data of a cell are `edge_points` (m, nq, 2), outward unit `edge_normals`
-    (m, 2), `edge_lengths` (m,), `edge_trace` (m, k+1, nq) = |e| w_q L_j(t_q)
-    (so `edge_trace @ g` integrates each node's trace against g at the Gauss
-    points) and `edge_node_points` (m, k+1, 2), whose dofs are
-    `layout.edge_node_dofs`.
+    The Gram matrix (`monomial_gram`) and the trace integrals reach degree
+    k+ell exactly from edge rules alone, which covers every projector of the
+    pack built with this enlargement on any simple polygon.  Edge e runs from
+    vertex e to vertex e+1; over m edges, nq Gauss points and k+1 Lobatto
+    nodes the edge data of a cell are `edge_points` (m, nq, 2), outward unit
+    `edge_normals` (m, 2), `edge_lengths` (m,), `edge_trace` (m, k+1, nq) =
+    |e| w_q L_j(t_q) (so `edge_trace @ g` integrates each node's trace
+    against g at the Gauss points) and `edge_node_points` (m, k+1, 2), whose
+    dofs are `layout.edge_node_dofs`.
     """
 
     def __init__(self, E, k: int, ell: int = 0):
@@ -185,8 +185,7 @@ class ElementContext:
         self.k = k
         self.ell = ell
         self.layout = DofLayout(k, E.n_vertices)
-        deg = k + ell
-        self.gram = monomial_gram(E, deg, polygon_quadrature(E, 2 * deg))
+        self.gram = monomial_gram(E, k + ell)
 
         d_max = 2 * k + ell + 3
         lob, gl_t, gl_w = edge_rules(k, d_max)
@@ -532,17 +531,17 @@ def data_rules(mesh, k: int, y_wavelength=None):
     in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
     cell that alone has more.
 
-    The fan triangles are formed, checked and, with a `y_wavelength`, cut
-    into strips of at most half of it, once (`fan_triangles`).  A cell that
-    is not star-shaped raises `QuadratureError` naming that cell before any
-    block is built.  On a mesh of `congruent_cells` this is done for cell 0
-    alone, about its centroid, and cell 0 stands for every cell, as it does
-    for the elements of `assembly.assemble`: the star-shape check runs on
-    cell 0, every cell takes cell 0's triangles (and strip count), weights
-    and monomial table, and its points are its centroid plus cell 0's
-    offsets.  Otherwise every cell's own triangles are formed, a cell's
-    triangles stay together and in cell order, and each block applies one
-    `triangle_rule` to its triangles.
+    The fan triangles are formed, checked (the one polygon check of a solve:
+    a cell that is not star-shaped raises `QuadratureError` naming that cell
+    before any block is built) and, with a `y_wavelength`, cut into strips
+    of at most half of it, once (`fan_triangles`).  On a mesh of
+    `congruent_cells` this is done for cell 0 alone, about its centroid, and
+    cell 0 stands for every cell, as it does for the elements of
+    `assembly.assemble`: the star-shape check runs on cell 0, every cell
+    takes cell 0's triangles (and strip count), weights and monomial table,
+    and its points are its centroid plus cell 0's offsets.  Otherwise every
+    cell's own triangles are formed, a cell's triangles stay together and in
+    cell order, and each block applies one `triangle_rule` to its triangles.
     """
     max_y = y_wavelength / 2.0 if y_wavelength else None
     degree = _data_degree(k)

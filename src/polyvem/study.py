@@ -34,7 +34,7 @@ import numpy as np
 
 from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
                        solve, source_moments, stab_consistency_ratio)
-from .basis import dim_poly, monomial_derivatives
+from .basis import monomial_derivatives
 from .cases import TestCase, testcase
 from .errors import PolyvemError
 from .local import Method, data_rules
@@ -53,9 +53,10 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
 def _energy(weights, gx, gy, Km) -> float:
     """Quadrature value of the integral of (K g, g) = K00 gx^2 + 2 K01 gx gy
     + K11 gy^2 from the values gx, gy (npts,) of a gradient; K is read by its
-    entries, as in `local._gradient_energy`."""
-    return float(weights @ (Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy
-                            + Km[1, 1] * gy * gy))
+    entries, as in `local._gradient_energy`.  numpy's pairwise sum, unlike a
+    BLAS dot, adds in the same order whatever the BLAS thread count."""
+    return float((weights * (Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy
+                             + Km[1, 1] * gy * gy)).sum())
 
 
 def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
@@ -89,26 +90,6 @@ def energy_error(mesh: PolyMesh, solved, case: TestCase) -> list:
     if den <= 0.0:
         raise ValueError("exact solution has zero energy norm")
     return [math.sqrt(n / den) for n in num]
-
-
-def exact_energy_norm(mesh: PolyMesh, case: TestCase, k: int = 1) -> float:
-    """Quadrature value of sqrt(int (K grad u, grad u)) over the mesh, with
-    order-k data rules."""
-    return math.sqrt(_energy_sums(mesh, k, [], case)[0])
-
-
-def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
-    """Dof vector of the interpolant of a smooth function."""
-    dm = build_dof_map(mesh, k)
-    out = np.zeros(dm.n_total)
-    out[:len(dm.nodes)] = func(*dm.nodes.T)
-    n_mom = dim_poly(k - 2)
-    if n_mom:
-        # the moment dofs (1/|E|) int_E func m_a, |a| <= k-2, lead the source moments
-        moments = source_moments(mesh, k, func)[:, :n_mom] / mesh.cell_areas[:, None]
-        for cells, dofs in dm.groups:
-            out[dofs[:, -n_mom:]] = moments[cells]
-    return out
 
 
 @dataclass
@@ -388,20 +369,3 @@ def emit_ratio_tables(results: dict, out_dir: str):
                             _fmt(result.avg_stab_ratio.get((family, order)))]
                            + [_fmt(r.stab_ratio)
                               for r in result.series(family, order, Method.STANDARD)])
-
-
-def parse_rows_csv(path) -> list:
-    """Read back a study_rows.csv; floats round-trip exactly."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(StudyRow(
-                family=rec["family"], case=rec["case"], method=rec["method"],
-                order=int(rec["order"]), level=int(rec["level"]),
-                h_max=float(rec["h_max"]), n_dofs=int(rec["n_dofs"]),
-                e_star=float(rec["e_star"]),
-                alpha=float(rec["alpha"]) if rec["alpha"] else None,
-                stab_ratio=float(rec["stab_ratio"]) if rec["stab_ratio"] else None,
-                note=rec["note"]))
-    return rows

@@ -1,3 +1,5 @@
+import csv
+import math
 import sys
 from pathlib import Path
 
@@ -10,9 +12,11 @@ try:
 except ImportError:
     sys.path.insert(0, str(SRC))
 
-from polyvem.basis import QuadRule, fan_triangles, triangle_rule
+from polyvem.assembly import build_dof_map, source_moments
+from polyvem.basis import QuadRule, dim_poly, fan_triangles, triangle_rule
 from polyvem.local import data_rules
 from polyvem.mesh import CellGeometry, PolyMesh
+from polyvem.study import StudyRow, _energy_sums
 
 
 def lone_cell(verts) -> CellGeometry:
@@ -52,6 +56,42 @@ def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
     corners, _ = fan_triangles(E.verts, [0, E.n_vertices], [E.centroid], [E.area],
                                max_y_extent=max_y_extent)
     return QuadRule(*triangle_rule(*corners, degree))
+
+
+def exact_energy_norm(mesh: PolyMesh, case, k: int = 1) -> float:
+    """Quadrature value of sqrt(int (K grad u, grad u)) over the mesh, with
+    order-k data rules: the denominator of the energy error."""
+    return math.sqrt(_energy_sums(mesh, k, [], case)[0])
+
+
+def interpolate_dofs(mesh: PolyMesh, k: int, func) -> np.ndarray:
+    """Dof vector of the interpolant of a smooth function."""
+    dm = build_dof_map(mesh, k)
+    out = np.zeros(dm.n_total)
+    out[:len(dm.nodes)] = func(*dm.nodes.T)
+    n_mom = dim_poly(k - 2)
+    if n_mom:
+        # the moment dofs (1/|E|) int_E func m_a, |a| <= k-2, lead the source moments
+        moments = source_moments(mesh, k, func)[:, :n_mom] / mesh.cell_areas[:, None]
+        for cells, dofs in dm.groups:
+            out[dofs[:, -n_mom:]] = moments[cells]
+    return out
+
+
+def parse_rows_csv(path) -> list:
+    """Read back a study_rows.csv; floats round-trip exactly."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for rec in csv.DictReader(fh):
+            rows.append(StudyRow(
+                family=rec["family"], case=rec["case"], method=rec["method"],
+                order=int(rec["order"]), level=int(rec["level"]),
+                h_max=float(rec["h_max"]), n_dofs=int(rec["n_dofs"]),
+                e_star=float(rec["e_star"]),
+                alpha=float(rec["alpha"]) if rec["alpha"] else None,
+                stab_ratio=float(rec["stab_ratio"]) if rec["stab_ratio"] else None,
+                note=rec["note"]))
+    return rows
 
 
 UNIT_SQUARE = lone_cell([[0, 0], [1, 0], [1, 1], [0, 1]])

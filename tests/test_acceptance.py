@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import lone_cell
+from conftest import exact_energy_norm, lone_cell
 from polyvem.assembly import assemble, stab_consistency_ratio
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
@@ -20,7 +20,7 @@ from polyvem.local import (MAX_ELL_BUMPS, RANK_TOL, DiffusionTensor, ElementCont
                            Method, StabilizationFreeRankError, build_pi_nabla,
                            build_projection_pack, local_stiffness, min_ell)
 from polyvem.mesh import CARTESIAN_LADDER, VORONOI_LADDER, generate_cartesian, generate_voronoi
-from polyvem.study import METHODS, exact_energy_norm, solve_case, solve_cases
+from polyvem.study import METHODS, solve_case, solve_cases
 
 K_PATCH = DiffusionTensor.diagonal(8.0e-3, 1.0)
 

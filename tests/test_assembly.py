@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from conftest import cell_data_rule
-from polyvem import assembly
+from conftest import cell_data_rule, interpolate_dofs
+from polyvem import assembly, local
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, map_cells, solve,
                               source_moments, stab_consistency_ratio)
@@ -13,7 +13,7 @@ from polyvem.errors import NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_load, local_stiffness)
 from polyvem.mesh import NonConformingMeshError, PolyMesh, generate_cartesian, generate_voronoi
-from polyvem.study import interpolate_dofs
+from polyvem.study import solve_case
 
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -174,8 +174,26 @@ def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
     verts[6 + 6] = verts[6] + 0.025
     dented = PolyMesh(verts, mesh.cells)
     assert len(build_dof_map(dented, 2).groups) == 1 and not dented.congruent_cells
+    # element construction integrates along edges only, so it builds the dart;
+    # the data pass checks the polygons and names it
     for method in (Method.STANDARD, Method.E2VEM):
-        with pytest.raises(QuadratureError, match=r"^cell 5: cell is not star-shaped"):
+        assert np.isfinite(assemble(dented, 2, method, K_ANISO).a.data).all()
+    case = get_case("tc1")
+    with pytest.raises(QuadratureError, match=r"^cell 5: cell is not star-shaped"):
+        source_moments(dented, 2, case.f)
+    with pytest.raises(QuadratureError, match=r"^cell 5: cell is not star-shaped"):
+        solve_case(dented, 2, Method.STANDARD, case)
+    # a failure that names no cell, in whichever stack holds cell 5, names it
+    gram = local.monomial_gram
+
+    def failing_gram(E, degree):
+        if (E.cells == 5).any():
+            raise NumericalDegeneracyError("Gram matrix failed")
+        return gram(E, degree)
+
+    monkeypatch.setattr(local, "monomial_gram", failing_gram)
+    for method in (Method.STANDARD, Method.E2VEM):
+        with pytest.raises(NumericalDegeneracyError, match=r"^cell 5: Gram matrix failed$"):
             assemble(dented, 2, method, K_ANISO)
 
 

@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, fan_rule, lone_cell, star_polygon
-from polyvem.basis import (QuadratureError, QuadRule, _subdivide_by_extent, dim_poly,
+from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly,
                            edge_lagrange, edge_rules, eval_monomial_grads, eval_monomials,
                            lagrange_matrix, monomial_derivatives, monomial_exponents,
                            monomial_gram, monomial_index, polygon_quadrature,
                            triangle_rule)
 from polyvem.errors import NumericalDegeneracyError
-from polyvem.mesh import CellGeometry
+from polyvem.mesh import CellGeometry, generate_voronoi
 
 
 # point evaluation of a single scaled monomial m_alpha at p
@@ -324,25 +324,28 @@ def test_subdivided_quadrature_stays_exact():
 
 def test_gram_first_entry_is_area(rng):
     for E in (UNIT_SQUARE, PENTAGON, star_polygon(rng, 7)):
-        M = monomial_gram(E, 2, polygon_quadrature(E, 4))
+        M = monomial_gram(E, 2)
         assert M[0, 0] == pytest.approx(E.area, abs=1e-13)
 
 
 def test_gram_symmetry_exact():
-    M = monomial_gram(PENTAGON, 3, polygon_quadrature(PENTAGON, 6))
+    M = monomial_gram(PENTAGON, 3)
     assert np.abs(M - M.T).max() == 0.0
 
 
-def test_gram_rejects_a_rule_that_makes_it_indefinite():
-    q = polygon_quadrature(PENTAGON, 4)
+def test_gram_rejects_a_clockwise_cell():
+    # the pentagon traversed clockwise: every edge moment changes sign
+    cw = CellGeometry(verts=PENTAGON.verts[::-1], area=PENTAGON.area,
+                      centroid=PENTAGON.centroid, diameter=PENTAGON.diameter,
+                      cells=np.asarray(0))
     with pytest.raises(NumericalDegeneracyError,
                        match=r"^monomial Gram matrix is not positive definite \(degree 2\)$"):
-        monomial_gram(PENTAGON, 2, QuadRule(q.points, -q.weights))
+        monomial_gram(cw, 2)
 
 
 def test_gram_unit_square_closed_form():
     # int ((x-1/2)/sqrt(2))^2 over the unit square = (1/2)*(1/12) = 1/24
-    M = monomial_gram(UNIT_SQUARE, 1, polygon_quadrature(UNIT_SQUARE, 2))
+    M = monomial_gram(UNIT_SQUARE, 1)
     assert M[1, 1] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[2, 2] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[1, 2] == pytest.approx(0.0, abs=1e-15)
@@ -353,8 +356,46 @@ def test_gram_unit_square_closed_form():
 def test_gram_positive_definite(seed, d):
     rng = np.random.default_rng(seed)
     E = star_polygon(rng, int(rng.integers(4, 9)))
-    M = monomial_gram(E, d, polygon_quadrature(E, 2 * d))
+    M = monomial_gram(E, d)
     assert np.linalg.eigvalsh(M).min() > 0.0
+
+
+def _rule_gram(E, points, weights, degree):
+    """The Gram matrix of one cell E from a 2D rule on it."""
+    V = eval_monomials(E, points, degree)
+    return (V.T * weights) @ V
+
+
+@pytest.fixture(scope="module")
+def voronoi_stacks():
+    """The cells of a Voronoi-64 mesh as stacks, one per vertex count."""
+    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=100)
+    n_verts = np.diff(mesh.flat_cells[1])
+    return [mesh.cell_geom(np.flatnonzero(n_verts == m)) for m in np.unique(n_verts)]
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_gram_matches_the_fan_quadrature_gram(voronoi_stacks, degree):
+    for E in voronoi_stacks:
+        G = monomial_gram(E, degree)
+        for i in range(E.cells.size):
+            cell = E.take(i)
+            q = polygon_quadrature(cell, 2 * degree)
+            ref = _rule_gram(cell, q.points, q.weights, degree)
+            assert np.abs(G[i] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_gram_is_exact_on_a_cell_that_is_not_star_shaped():
+    # a re-entrant quadrilateral whose centroid lies outside it, cut at its
+    # reflex vertex into two triangles for the oracle
+    dart = lone_cell([[0.0, 0.0], [1.0, 0.0], [0.1, 0.1], [0.0, 1.0]])
+    with pytest.raises(QuadratureError, match="not star-shaped"):
+        polygon_quadrature(dart, 2)
+    d = 3
+    points, weights = triangle_rule([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.1, 0.1]],
+                                    [[0.1, 0.1], [0.0, 1.0]], 2 * d)
+    ref = _rule_gram(dart, points, weights, d)
+    assert np.abs(monomial_gram(dart, d) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_edge_rules_lobatto_nodes():

@@ -1,7 +1,7 @@
 """The block data passes against a per-cell reference built here.
 
-`source_moments`, `exact_energy_norm` and `energy_error` integrate over
-blocks of cells (`local.data_rules`).  The reference integrates every cell
+`source_moments`, `energy_error` and its denominator (conftest's
+`exact_energy_norm`) integrate over blocks of cells (`local.data_rules`).  The reference integrates every cell
 with its own fan rule (`conftest.fan_rule`) in plain loops, and takes each
 cell's energy projection from a pack built on that cell.  On a mesh of congruent
 cells the passes read cell 0's rule for every cell; they are also compared
@@ -22,9 +22,8 @@ from polyvem.cases import testcase as get_case
 from polyvem.errors import QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
 from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
-from polyvem.study import (METHODS, energy_error, exact_energy_norm, interpolate_dofs,
-                           solve_cases)
-from conftest import fan_rule
+from polyvem.study import METHODS, energy_error, solve_cases
+from conftest import exact_energy_norm, fan_rule, interpolate_dofs
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13

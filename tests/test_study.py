@@ -12,9 +12,9 @@ from polyvem.cases import testcase as get_case
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi, read_mesh
-from polyvem.study import (METHODS, StudyConfig, convergence_rate, energy_error,
-                           exact_energy_norm, interpolate_dofs, ladder_for,
-                           parse_rows_csv, run_study, solve_case, solve_cases)
+from polyvem.study import (METHODS, StudyConfig, convergence_rate, energy_error, ladder_for,
+                           run_study, solve_case, solve_cases)
+from conftest import exact_energy_norm, interpolate_dofs, parse_rows_csv
 from test_cli import U_SHAPED_MESH
 
 
