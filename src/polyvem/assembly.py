@@ -9,7 +9,8 @@ vertex and edge dof.  The scatter and the source pass go by groups and by
 blocks of cells, not cell by cell.  The consistency and stabilization parts
 of the stiffness matrix are the stored matrices, on one shared sparse
 pattern, so their norms can be compared after assembly; their sum, the
-matrix that is solved, is formed when it is read.
+matrix that is solved, is formed when it is read.  Only `assemble` knows the
+scheme: the Dirichlet elimination and the solve know only the matrix.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class SparseSystem:
     a_s: sp.csr_matrix
     b: np.ndarray
     dof_map: GlobalDofMap
-    method: Method
     # per group of dof_map.groups, the energy projector coefficients of its
     # cells, (n_g, dim P_k, N); (1, dim P_k, N) serves every cell of a
     # congruent mesh
@@ -116,10 +116,11 @@ class SparseSystem:
 
     @property
     def a(self) -> sp.csr_matrix:
-        """The stiffness matrix a_pi + a_s: `a_pi` itself for the
-        stabilization-free scheme, else the sum of the parts' data on their
-        shared pattern, formed at each read."""
-        if self.method is Method.E2VEM:
+        """The stiffness matrix a_pi + a_s: `a_pi` itself when `a_s` has no
+        stored entries (the stabilization-free scheme scatters none), else
+        the sum of the parts' data on their shared pattern, formed at each
+        read."""
+        if not self.a_s.nnz:
             return self.a_pi
         return sp.csr_matrix((self.a_pi.data + self.a_s.data, self.a_pi.indices,
                               self.a_pi.indptr), shape=self.a_pi.shape)
@@ -237,7 +238,7 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
         a_s = sp.csr_matrix((a_s.data, *pattern), shape=shape)
     else:
         a_s = sp.csr_matrix(shape)
-    return SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, method=method,
+    return SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm,
                         pi_stars=[pi_star for pi_star, *_ in elements])
 
 
@@ -253,8 +254,6 @@ class ReducedSystem:
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
     n_total: int
-    k: int
-    method: Method
 
 
 def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem:
@@ -268,13 +267,12 @@ def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem
         if vals.shape != (fixed.size,):
             raise ValueError(f"expected {fixed.size} boundary values, got {vals.shape}")
     a_free = system.a[free]
-    a_ff = a_free[:, free].tocsr()
+    a_ff = a_free[:, free]
     b_f = system.b[free]
     if vals.size and np.any(vals):
         b_f = b_f - a_free[:, fixed] @ vals
     return ReducedSystem(a_ff=a_ff, b_f=b_f, free_dofs=free, fixed_dofs=fixed,
-                         fixed_values=vals, n_total=dm.n_total,
-                         k=system.dof_map.k, method=system.method)
+                         fixed_values=vals, n_total=dm.n_total)
 
 
 @dataclass
@@ -290,45 +288,42 @@ class SolveReport:
 def _embed(reduced: ReducedSystem, x_free) -> np.ndarray:
     x = np.zeros(reduced.n_total)
     x[reduced.free_dofs] = x_free
-    if reduced.fixed_values.size:
-        x[reduced.fixed_dofs] = reduced.fixed_values
+    x[reduced.fixed_dofs] = reduced.fixed_values
     return x
-
-
-def _wellposedness_note(reduced: ReducedSystem) -> str:
-    if reduced.method is Method.E2VEM and reduced.k > 1:
-        return (" (note: the stabilization-free scheme is only guaranteed "
-                f"well-posed at order 1; this run uses order {reduced.k})")
-    return ""
 
 
 def solve(reduced: ReducedSystem) -> SolveReport:
     """Direct symmetric factorization with a verified residual.
 
-    The LU factorization runs in symmetric mode without off-diagonal pivoting,
-    after a symmetric minimum-degree ordering (ORDERING), so for an SPD matrix
-    all pivots are positive; that sign pattern is the reported SPD check.  A
-    failed factorization, a non-finite solution or a residual above
-    RESIDUAL_RTOL relative to the right-hand side raises `SolverError`.
+    `a_ff` must be symmetric with sorted indices, as `apply_dirichlet`
+    returns it: its CSR arrays are then its CSC arrays, and SuperLU factors
+    them as they are, with no conversion or copy.  A non-symmetric `a_ff`
+    would be solved as its transpose and fail the residual check, which is
+    computed with `a_ff` itself.  The LU factorization runs in symmetric mode
+    without off-diagonal pivoting, after a symmetric minimum-degree ordering
+    (ORDERING), so for an SPD matrix all pivots are positive; that sign
+    pattern is the reported SPD check.  A failed factorization, a non-finite
+    solution or a residual above RESIDUAL_RTOL relative to the right-hand
+    side raises `SolverError`.
     """
     if reduced.free_dofs.size == 0:
         return SolveReport(solution=_embed(reduced, np.zeros(0)), solver="trivial",
                            residual=0.0, spd_ok=True, ordering="none", fill_nnz=0)
     A = reduced.a_ff
     b = reduced.b_f
-    note = _wellposedness_note(reduced)
     try:
-        lu = splu(A.tocsc(), permc_spec=ORDERING, diag_pivot_thresh=0.0,
+        lu = splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                  permc_spec=ORDERING, diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed ({exc})" + note) from None
+        raise SolverError(f"sparse factorization failed ({exc})") from None
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
-        raise SolverError("the factorized solve gave a non-finite solution" + note)
+        raise SolverError("the factorized solve gave a non-finite solution")
     residual = float(np.linalg.norm(A @ x - b))
     if not residual <= RESIDUAL_RTOL * max(float(np.linalg.norm(b)), 1e-300):  # NaN fails
         raise SolverError(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g} "
-                          "relative to the right-hand side" + note)
+                          "relative to the right-hand side")
     return SolveReport(solution=_embed(reduced, x), solver="splu", residual=residual,
                        spd_ok=bool(np.all(lu.U.diagonal() > 0.0)),
                        ordering=ORDERING, fill_nnz=int(lu.nnz))

@@ -236,12 +236,10 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     bad = np.flatnonzero(signed <= 1e-14 * np.asarray(areas)[owner])
     if bad.size:
         t = bad[0]
-        exc = QuadratureError(
+        raise QuadratureError(
             "cell is not star-shaped with respect to its centroid "
             f"(fan triangle {t - starts[owner[t]]} has signed area {signed[t]:g}); "
-            "run mesh validation")
-        exc.cell = int(owner[t])
-        raise exc
+            "run mesh validation", cell=int(owner[t]))
     if max_y_extent is not None:
         c, a, b, owner = _subdivide_by_extent(c, a, b, owner, max_y_extent)
     return (c, a, b), owner

@@ -2,22 +2,28 @@
 
 Exit code 2 marks bad input (a mesh that cannot be built or integrated on),
 exit code 3 a discretization or solver failure.  An error that belongs to
-one cell carries its mesh index in `cell`, and the message then leads with
-it.  Element construction goes by stacks of cells with one vertex count,
-whose geometry carries the mesh index of each cell (`CellGeometry.cells`),
-so an array check that finds a failing cell (the rank test) names it
-itself.  `assembly.map_cells` leaves the error of the lowest-numbered
-failing cell of the mesh, halving a stack whose batched LAPACK call failed
-as a whole to find that cell.  In the data passes, which go by blocks of
-cells (`local.data_rules`), the fan check names the cell that is not
-star-shaped; it is the one polygon check a solve makes, as element
-construction integrates along edges only.
+one cell is built with its mesh index, `cell=`, and the message then leads
+with it; only a caller that finds the cell later sets `cell` itself.
+Element construction goes by stacks of cells with one vertex count, whose
+geometry carries the mesh index of each cell (`CellGeometry.cells`), so an
+array check that finds a failing cell (the rank test) names it itself.
+`assembly.map_cells` leaves the error of the lowest-numbered failing cell of
+the mesh, halving a stack whose batched LAPACK call failed as a whole to
+find that cell.  In the data passes, which go by blocks of cells
+(`local.data_rules`), the fan check names the cell that is not star-shaped;
+it is the one polygon check a solve makes, as element construction
+integrates along edges only.  A `SolverError` names no scheme, as the solve
+knows only its matrix; `study.solve_cases` adds the order caveat of the
+stabilization-free scheme.
 """
 
 
 class PolyvemError(Exception):
     exit_code = 2
-    cell = None
+
+    def __init__(self, *args, cell=None):
+        super().__init__(*args)
+        self.cell = cell
 
     def __str__(self):
         msg = super().__str__()

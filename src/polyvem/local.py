@@ -370,13 +370,11 @@ def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRank
     lam = evals[at]
     ratio = lam[1] / np.abs(lam).max()
     eps = ctx.edge_lengths[at].min() / np.asarray(E.diameter)[at]
-    exc = StabilizationFreeRankError(
+    return StabilizationFreeRankError(
         f"gradient projection stays rank deficient up to enlargement ell={ell} "
         f"(lambda_2/lambda_max = {ratio:.3e} <= RANK_TOL = {RANK_TOL:g}, "
         f"shortest edge / h_E = {eps:.6e}); the stabilization-free scheme is only "
-        f"guaranteed well-posed at order 1 (got k={k})")
-    exc.cell = int(E.cells[at])
-    return exc
+        f"guaranteed well-posed at order 1 (got k={k})", cell=int(E.cells[at]))
 
 
 def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> ProjectionPack:

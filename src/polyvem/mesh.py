@@ -117,9 +117,7 @@ def _polygon_geometry(vertices, ids, starts):
     if bad.size:
         ci = int(bad[0])
         _, error, message = next(check for check in checks if check[0][ci])
-        exc = error(message(ci))
-        exc.cell = ci
-        raise exc
+        raise error(message(ci), cell=ci)
     return areas, cents, diams
 
 
@@ -152,29 +150,27 @@ class PolyMesh:
     """A conforming polygonal tessellation of the unit square.
 
     Instances come from the constructor, the generators or :func:`read_mesh`
-    and are treated as immutable afterwards; they are safe to share across
-    workers.  The constructor is where polygons are checked: a cell with an
-    out-of-range or repeated consecutive vertex, or one that is not a CCW
-    polygon of positive area, raises a `MeshError` naming the cell.  Its
-    `cells` are index sequences, one per cell (an (n, m) array gives n cells
-    of m vertices).  It stores them once, as `flat_cells` = (ids, starts):
-    the vertex ids of every cell concatenated in cell order, and the
-    (n_cells + 1,) offsets of each cell's run in `ids`.  It checks and
-    measures all cells and numbers the edges in array passes over them.
+    and are immutable afterwards, every array they hold read-only; they are
+    safe to share across workers.  The constructor is where polygons are
+    checked: a cell with an out-of-range or repeated consecutive vertex, or
+    one that is not a CCW polygon of positive area, raises a `MeshError`
+    naming the cell.  Its `cells` are index sequences, one per cell (an
+    (n, m) array gives n cells of m vertices).  It stores them once, as
+    `flat_cells` = (ids, starts): the vertex ids of every cell concatenated
+    in cell order, and the (n_cells + 1,) offsets of each cell's run in
+    `ids`.  It checks and measures all cells and numbers the edges in array
+    passes over them.
     `congruent_cells` is true when every cell is a translate of cell 0,
     vertex by vertex (the cartesian family, however it was built).
     """
 
     def __init__(self, vertices, cells):
         self.vertices = np.array(vertices, dtype=float)
-        self.vertices.setflags(write=False)
         starts = np.zeros(len(cells) + 1, dtype=int)
         np.cumsum(np.fromiter(map(len, cells), dtype=int, count=len(cells)), out=starts[1:])
         # unsafe casting: an empty cell given as [] is a float array
         ids = (np.concatenate(cells, dtype=int, casting="unsafe") if len(cells)
                else np.zeros(0, dtype=int))
-        ids.setflags(write=False)
-        starts.setflags(write=False)
         self.flat_cells = (ids, starts)
 
         self.cell_areas, self.cell_centroids, self.cell_diameters = _polygon_geometry(
@@ -186,6 +182,11 @@ class PolyMesh:
         flags = np.zeros(self.vertices.shape[0], dtype=bool)
         flags[self.edges[self.boundary_edge_flags].ravel()] = True
         self.boundary_vertex_flags = flags
+        # the congruent-cell reuse and the data rules rely on a mesh never changing
+        for array in (self.vertices, ids, starts, self.cell_areas, self.cell_centroids,
+                      self.cell_diameters, self.edges, *self.cell_sides,
+                      self.boundary_edge_flags, flags):
+            array.setflags(write=False)
 
     # -- construction helpers -------------------------------------------------
 
@@ -216,8 +217,6 @@ class PolyMesh:
         self.edges = np.column_stack([keys // nv, keys % nv]).reshape(-1, 2)
         edge_ids = number[side_key]
         against = head > tail
-        edge_ids.setflags(write=False)
-        against.setflags(write=False)
         self.cell_sides = (edge_ids, against)
         self.boundary_edge_flags = np.bincount(edge_ids, minlength=self.n_edges) == 1
 
@@ -339,13 +338,6 @@ def _mirror(points, band):
                                  for near, ix, iy in images])
 
 
-def _cell_error(ci, message):
-    """A MeshError whose message leads with `cell ci:`."""
-    exc = MeshError(message)
-    exc.cell = int(ci)
-    return exc
-
-
 def _edge_ends(simplices, t, i):
     """The ends p, q of the edge across corner i of triangle t, for arrays
     t, i; corner i lies on the left of p -> q when the triangles are CCW."""
@@ -443,7 +435,8 @@ def _seed_fans(points, band):
     corner = simplices.ravel()
     lens = np.bincount(corner[corner < n], minlength=n)
     if lens.min() == 0:
-        raise _cell_error(np.argmin(lens), "degenerate Voronoi region (coincident seeds?)")
+        raise MeshError("degenerate Voronoi region (coincident seeds?)",
+                        cell=int(np.argmin(lens)))
     ends = np.concatenate(_edge_ends(simplices, t, i))
     mine = ends < n
     seed, t, u = ends[mine], np.tile(t, 2)[mine], np.tile(u, 2)[mine]
@@ -455,8 +448,8 @@ def _seed_fans(points, band):
     bad = np.bincount(seed, minlength=n) < lens
     if bad.any() or outside.any():
         bad |= np.bincount(seed, weights=outside, minlength=n) > 0
-        raise _cell_error(np.argmax(bad), f"Voronoi region leaves the unit square "
-                                          f"(seeds reflected within {band:.3g} of a side)")
+        raise MeshError("Voronoi region leaves the unit square (seeds reflected within "
+                        f"{band:.3g} of a side)", cell=int(np.argmax(bad)))
     return simplices, centers, (seed, t, u)
 
 
@@ -609,9 +602,9 @@ def _stitch_regions(vor_vertices, regions):
                            minlength=n)
     bad = collapsed | (distinct != lens)
     if bad.any():
-        ci = np.argmax(bad)
-        raise _cell_error(ci, "Voronoi cell collapsed during vertex merging" if collapsed[ci]
-                          else "Voronoi cell pinched during vertex merging")
+        ci = int(np.argmax(bad))
+        raise MeshError("Voronoi cell collapsed during vertex merging" if collapsed[ci]
+                        else "Voronoi cell pinched during vertex merging", cell=ci)
 
     # read each cell CCW from its lowest (y, x) vertex, at position `low` of
     # its run: a clockwise cell is read backwards
@@ -642,7 +635,7 @@ def _check_convex(mesh):
     owner = np.repeat(np.arange(mesh.n_cells), np.diff(starts))
     reflex = cross < -1e-9 * mesh.cell_diameters[owner] ** 2
     if reflex.any():
-        raise _cell_error(owner[np.argmax(reflex)], "Voronoi cell is not convex")
+        raise MeshError("Voronoi cell is not convex", cell=int(owner[np.argmax(reflex)]))
 
 
 def generate_mesh(family: str, n: int, seed: int = 0,

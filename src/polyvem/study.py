@@ -36,7 +36,7 @@ from .assembly import (SparseSystem, apply_dirichlet, assemble, build_dof_map,
                        solve, source_moments, stab_consistency_ratio)
 from .basis import monomial_derivatives
 from .cases import TestCase, testcase
-from .errors import PolyvemError
+from .errors import PolyvemError, SolverError
 from .local import Method, data_rules
 from .mesh import DEFAULT_LLOYD_ITERS, FAMILIES, PolyMesh, generate_mesh
 
@@ -105,7 +105,9 @@ def solve_cases(mesh: PolyMesh, k: int, methods, case: TestCase) -> dict:
     One source pass feeds every scheme's load, one dof map numbers every
     scheme's system and one error pass measures every scheme that solved.
     Returns {method: CaseSolution, or the `PolyvemError` that stopped that
-    scheme}; the error of a shared step is raised.
+    scheme}; the error of a shared step is raised.  A `SolverError` of the
+    stabilization-free scheme above order 1 ends with a note that the scheme
+    is only guaranteed well-posed at order 1.
     """
     source = source_moments(mesh, k, case.f, y_wavelength=case.y_wavelength)
     dm = build_dof_map(mesh, k)
@@ -116,6 +118,9 @@ def solve_cases(mesh: PolyMesh, k: int, methods, case: TestCase) -> dict:
             system = assemble(mesh, k, method, case.K, source, dof_map=dm)
             report = solve(apply_dirichlet(system, values))
         except PolyvemError as exc:
+            if isinstance(exc, SolverError) and method is Method.E2VEM and k > 1:
+                exc.args = (exc.args[0] + " (note: the stabilization-free scheme is only "
+                            f"guaranteed well-posed at order 1; this run uses order {k})",)
             # kept without its traceback, whose frames would hold `results` in a cycle
             results[method] = exc.with_traceback(None)
             continue

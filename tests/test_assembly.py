@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from conftest import cell_data_rule, interpolate_dofs
-from polyvem import assembly, local
+from polyvem import assembly, local, study
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, map_cells, solve,
                               source_moments, stab_consistency_ratio)
@@ -13,7 +13,7 @@ from polyvem.errors import NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_load, local_stiffness)
 from polyvem.mesh import NonConformingMeshError, PolyMesh, generate_cartesian, generate_voronoi
-from polyvem.study import solve_case
+from polyvem.study import solve_case, solve_cases
 
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -320,7 +320,7 @@ def test_solve_recovers_known_solution(rng):
     x_star = rng.random(n)
     red = ReducedSystem(a_ff=A, b_f=A @ x_star, free_dofs=np.arange(n),
                         fixed_dofs=np.empty(0, int), fixed_values=np.empty(0),
-                        n_total=n, k=1, method=Method.STANDARD)
+                        n_total=n)
     rep = solve(red)
     assert np.abs(rep.solution - x_star).max() <= 1e-10
     assert rep.spd_ok
@@ -330,17 +330,72 @@ def test_solve_flags_indefinite_matrix():
     A = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
     red = ReducedSystem(a_ff=A, b_f=np.ones(3), free_dofs=np.arange(3),
                         fixed_dofs=np.empty(0, int), fixed_values=np.empty(0),
-                        n_total=3, k=1, method=Method.STANDARD)
+                        n_total=3)
     assert solve(red).spd_ok is False
 
 
-def test_solver_error_cites_order_limitation():
-    # singular system: the factorization fails
-    A = sp.csr_matrix(np.diag([1.0, 0.0]))
-    red = ReducedSystem(a_ff=A, b_f=np.ones(2), free_dofs=np.arange(2),
-                        fixed_dofs=np.empty(0, int), fixed_values=np.empty(0),
-                        n_total=2, k=3, method=Method.E2VEM)
-    with pytest.raises(SolverError, match="order 1"):
+def test_solver_error_cites_order_limitation(monkeypatch):
+    # the solve knows no scheme: solve_cases adds the order caveat of the
+    # stabilization-free scheme to its solver errors above order 1
+    def failing_solve(reduced):
+        raise SolverError("sparse factorization failed (singular)")
+
+    monkeypatch.setattr(study, "solve", failing_solve)
+    mesh = generate_cartesian(2)
+    case = get_case("tc1")
+    note = (" (note: the stabilization-free scheme is only guaranteed well-posed "
+            "at order 1; this run uses order 3)")
+    for k in (1, 3):
+        results = solve_cases(mesh, k, (Method.STANDARD, Method.E2VEM), case)
+        for method, exc in results.items():
+            assert isinstance(exc, SolverError)
+            tail = note if method is Method.E2VEM and k == 3 else ""
+            assert str(exc) == "sparse factorization failed (singular)" + tail
+
+
+@pytest.fixture(scope="module")
+def voronoi_256():
+    return generate_voronoi(256, rng_seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
+@pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
+def test_reduced_matrix_is_its_own_csc(mesh_name, method, k, voronoi_256):
+    # solve hands SuperLU the CSR arrays of a_ff as CSC arrays; that is a_ff
+    # itself only when it is bitwise symmetric with sorted indices
+    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
+    a_ff = apply_dirichlet(assemble(mesh, k, method, K_ANISO)).a_ff
+    csc = a_ff.tocsc()
+    assert a_ff.nnz > 0 and a_ff.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a_ff, name), getattr(csc, name))
+
+
+def test_solve_factors_the_reduced_matrix_arrays(monkeypatch):
+    mesh = generate_cartesian(4)
+    red = apply_dirichlet(assemble(mesh, 2, Method.STANDARD, K_ANISO))
+    seen = []
+
+    def recording_splu(A, **kwargs):
+        seen.append(A)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", recording_splu)
+    assert solve(red).solver == "splu"
+    [A] = seen
+    assert A.format == "csc"
+    assert np.shares_memory(A.data, red.a_ff.data)
+    assert np.shares_memory(A.indices, red.a_ff.indices)
+
+
+def test_solve_rejects_a_nonsymmetric_matrix():
+    # SuperLU reads the CSR arrays as CSC, so it solves with the transpose;
+    # the residual, computed with the matrix itself, catches it (0.707)
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
+    red = ReducedSystem(a_ff=A, b_f=np.array([1.0, 2.0]), free_dofs=np.arange(2),
+                        fixed_dofs=np.empty(0, int), fixed_values=np.empty(0), n_total=2)
+    with pytest.raises(SolverError, match=r"^residual 7\.071e-01 exceeds"):
         solve(red)
 
 
@@ -352,8 +407,7 @@ def test_solver_error_cites_order_limitation():
 def test_solve_rejects_unverified_solution(matrix):
     red = ReducedSystem(a_ff=sp.csr_matrix(np.array(matrix)), b_f=np.array([1.0, 2.0]),
                         free_dofs=np.arange(2), fixed_dofs=np.empty(0, int),
-                        fixed_values=np.empty(0), n_total=2, k=1,
-                        method=Method.STANDARD)
+                        fixed_values=np.empty(0), n_total=2)
     with pytest.raises(SolverError):
         solve(red)
 

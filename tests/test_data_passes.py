@@ -53,7 +53,8 @@ def _energy(weights, grads, K):
     return float(np.einsum("p,pi,ij,pj->", weights, grads, K, grads))
 
 
-def _reference_energy_sums(mesh, k, solved, case):
+def _reference_energy_sums(mesh, k, method, solved, case):
+    # every system of `solved` is assembled with `method`
     K = case.K.matrix
     sums = [0.0] * (len(solved) + 1)
     cell_dofs = [{ci: row for cells, rows in system.dof_map.groups
@@ -65,7 +66,7 @@ def _reference_energy_sums(mesh, k, solved, case):
         sums[0] += _energy(q.weights, ge, K)
         grads = eval_monomial_grads(E, q.points, k)
         for j, (system, u_dofs) in enumerate(solved, start=1):
-            pi_star = build_projection_pack(E, k, system.method).pi_star
+            pi_star = build_projection_pack(E, k, method).pi_star
             coeffs = pi_star @ u_dofs[cell_dofs[j - 1][ci]]
             gh = np.tensordot(grads, coeffs, axes=([1], [0]))              # (nq, 2)
             sums[j] += _energy(q.weights, ge - gh, K)
@@ -92,7 +93,7 @@ def test_block_passes_match_per_cell_reference(k, mesh_name, case_id, monkeypatc
     rng = np.random.default_rng(k)
     solved = [(system, interpolate_dofs(mesh, k, case.u)),
               (system, rng.standard_normal(system.dof_map.n_total))]
-    den, *num = _reference_energy_sums(mesh, k, solved, case)
+    den, *num = _reference_energy_sums(mesh, k, Method.STANDARD, solved, case)
     assert exact_energy_norm(mesh, case, k) == pytest.approx(math.sqrt(den), rel=RTOL)
     errors = energy_error(mesh, solved, case)
     assert errors == pytest.approx([math.sqrt(n / den) for n in num], rel=RTOL)

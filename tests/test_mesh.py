@@ -70,6 +70,22 @@ def test_cartesian_cells_are_read_only_views_of_the_flat_cells():
         assert np.shares_memory(cell, ids) and not cell.flags.writeable
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_cartesian(3),
+    lambda: generate_voronoi(12, rng_seed=4, lloyd_iters=20),
+    lambda: _roundtrip(generate_voronoi(12, rng_seed=4, lloyd_iters=20)),
+], ids=["cartesian", "voronoi", "read_mesh"])
+def test_every_mesh_array_is_read_only(make):
+    # the congruent-cell reuse and the data rules rely on a mesh never changing
+    mesh = make()
+    arrays = [(name, a) for name, value in vars(mesh).items()
+              for a in (value if isinstance(value, tuple) else (value,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11
+    for name, a in arrays:
+        assert not a.flags.writeable, name
+
+
 def test_cartesian_partition_of_unity():
     m = generate_cartesian(4)
     assert m.n_cells == 16
