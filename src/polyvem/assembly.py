@@ -10,7 +10,8 @@ blocks of cells, not cell by cell.  The consistency and stabilization parts
 of the stiffness matrix are the stored matrices, on one shared sparse
 pattern, so their norms can be compared after assembly; their sum, the
 matrix that is solved, is formed when it is read.  Only `assemble` knows the
-scheme: the Dirichlet elimination and the solve know only the matrix.
+scheme: the Dirichlet elimination and the solve know only the matrix.  An
+element failure leaves `assemble` naming the mesh's lowest failing cell.
 """
 
 from __future__ import annotations
@@ -126,54 +127,6 @@ class SparseSystem:
                               self.a_pi.indptr), shape=self.a_pi.shape)
 
 
-def map_cells(mesh: PolyMesh, stacks, visit) -> list:
-    """[visit(mesh.cell_geom(cells)) for cells in stacks], each `cells` an
-    index array of cells that share a vertex count.
-
-    This is the loop of element construction: it goes by stacks, not cells.
-    If a visit raises a `PolyvemError`, the error of the lowest-numbered
-    failing cell of all stacks leaves, naming that cell.  An error that
-    names a cell (from the stack's `cells`) has the cells below it visited
-    again to find any lower one; a stack that failed as a whole is halved
-    until one cell fails, and that cell is set on its error.  Only the
-    failure path visits a cell twice.
-    """
-    out = []
-    for i, cells in enumerate(stacks):
-        try:
-            out.append(visit(mesh.cell_geom(cells)))
-        except PolyvemError as exc:
-            exc = _first_failure(mesh, cells, visit, exc)
-            for later in stacks[i + 1:]:
-                exc = _first_failure(mesh, later[later < exc.cell], visit) or exc
-            raise exc
-    return out
-
-
-def _first_failure(mesh: PolyMesh, cells, visit, exc=None):
-    """The error of the lowest-numbered cell of `cells` whose visit fails,
-    naming that cell, or None if none fails; `exc` is the error of visiting
-    all of `cells`, if that is already known."""
-    if exc is None:
-        if not cells.size:
-            return None
-        try:
-            visit(mesh.cell_geom(cells))
-            return None
-        except PolyvemError as err:
-            exc = err
-    if exc.cell is not None:
-        return _first_failure(mesh, cells[cells < exc.cell], visit) or exc
-    if cells.size == 1:
-        exc.cell = int(cells[0])
-        return exc
-    half = cells.size // 2
-    found = _first_failure(mesh, cells[:half], visit) or _first_failure(mesh, cells[half:], visit)
-    if found is None:           # no part fails alone: the error names no cell
-        raise exc
-    return found
-
-
 def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarray:
     """(n_cells, dim P_{k-1}) moments int_E f m_a of a source on every cell,
     with order-k data rules: one pass serves the load of every scheme."""
@@ -188,29 +141,41 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
     The elements of each group of the dof map, cells with one vertex count,
-    are built in stacks of at most STACK_CELLS cells (`map_cells`) and
-    scattered group by group.  Cell ci's load is `pack.pi0_val.T @
-    source[ci]`, from the `source_moments` of the mesh at order k; without
-    `source` b is zero (enough for norm studies).  Element matrices are
-    invariant under translation, so on a mesh of congruent cells the stack of
-    cell 0 serves every cell.  The consistency and stabilization parts share
-    one read-only sparse pattern; the stabilization-free scheme scatters no
-    stabilization, so its `a_s` has no stored entries and its `a` is `a_pi`.
-    `dof_map` is the mesh's `build_dof_map` at order k, built here if not
-    given; the schemes solved on one mesh and order share it.
+    are built in stacks of at most STACK_CELLS cells (`element_matrices`) and
+    scattered group by group.  Once a stack fails, naming its lowest failing
+    cell, later stacks are built only on their cells below the lowest failing
+    cell so far, whose error leaves at the end; an error that names no cell
+    leaves at once.  Cell ci's load is `pack.pi0_val.T @ source[ci]`, from the
+    `source_moments` of the mesh at order k; without `source` b is zero
+    (enough for norm studies).  Element matrices are invariant under
+    translation, so on a mesh of congruent cells the stack of cell 0 serves
+    every cell.  The consistency and stabilization parts share one read-only
+    sparse pattern; the stabilization-free scheme scatters no stabilization,
+    so its `a_s` has no stored entries and its `a` is `a_pi`.  `dof_map` is
+    the mesh's `build_dof_map` at order k, built here if not given; the
+    schemes solved on one mesh and order share it.
     """
     dm = build_dof_map(mesh, k) if dof_map is None else dof_map
 
-    # per group, its stacks: runs of at most STACK_CELLS of its cells, or on
-    # a mesh of congruent cells the stack of cell 0, which serves every cell
-    stacks = [[cells[:1]] if mesh.congruent_cells
-              else np.split(cells, range(STACK_CELLS, cells.size, STACK_CELLS))
-              for cells, _ in dm.groups]
-    built = iter(map_cells(mesh, [stack for group in stacks for stack in group],
-                           lambda E: element_matrices(E, k, method, K)))
-    # per group, (pi_star, pi0_val, a_pi, a_s) of its cells in order
-    elements = [[np.concatenate(parts) for parts in zip(*(next(built) for _ in group))]
-                for group in stacks]
+    # per group, (pi_star, pi0_val, a_pi, a_s) of its cells in order, from runs
+    # of at most STACK_CELLS of them, or on congruent cells from cell 0 alone
+    elements, failure = [], None
+    for cells, _ in dm.groups:
+        built = []
+        for stack in ([cells[:1]] if mesh.congruent_cells
+                      else np.split(cells, range(STACK_CELLS, cells.size, STACK_CELLS))):
+            stack = stack if failure is None else stack[stack < failure.cell]
+            if not stack.size:
+                continue
+            try:
+                built.append(element_matrices(mesh.cell_geom(stack), k, method, K))
+            except PolyvemError as exc:
+                if exc.cell is None:
+                    raise
+                failure = exc
+        elements.append([np.concatenate(parts) for parts in zip(*built)])
+    if failure is not None:
+        raise failure
 
     b = np.zeros(dm.n_total)
     rows, cols, vals_pi, vals_s = [], [], [], []

@@ -7,14 +7,14 @@ with it; only a caller that finds the cell later sets `cell` itself.
 Element construction goes by stacks of cells with one vertex count, whose
 geometry carries the mesh index of each cell (`CellGeometry.cells`), so an
 array check that finds a failing cell (the rank test) names it itself.
-`assembly.map_cells` leaves the error of the lowest-numbered failing cell of
-the mesh, halving a stack whose batched LAPACK call failed as a whole to
-find that cell.  In the data passes, which go by blocks of cells
-(`local.data_rules`), the fan check names the cell that is not star-shaped;
-it is the one polygon check a solve makes, as element construction
-integrates along edges only.  A `SolverError` names no scheme, as the solve
-knows only its matrix; `study.solve_cases` adds the order caveat of the
-stabilization-free scheme.
+`local.element_matrices` names its stack's lowest failing cell, building
+the cells alone if a batched LAPACK call fails as a whole (naming no cell),
+and `assembly.assemble` raises the lowest of its stacks'.  In the data
+passes, which go by blocks of cells (`local.data_rules`), the fan check
+names the cell that is not star-shaped; it is the one polygon check a solve
+makes, as element construction integrates along edges only.  A
+`SolverError` names no scheme, as the solve knows only its matrix;
+`study.solve_cases` adds the order caveat of the stabilization-free scheme.
 """
 
 

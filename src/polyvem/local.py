@@ -53,7 +53,8 @@ from scipy.linalg import LinAlgWarning, solve
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
                     eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
                     scaled_monomials, triangle_rule)
-from .errors import CellDegeneracyError, NumericalDegeneracyError, StabilizationFreeRankError
+from .errors import (CellDegeneracyError, NumericalDegeneracyError, PolyvemError,
+                     StabilizationFreeRankError)
 
 
 class Method(Enum):
@@ -456,23 +457,39 @@ def local_stiffness(pack: ProjectionPack, method: Method,
 
 
 def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
-    """(pi_star, pi0_val, a_pi, a_s) of every cell of the stack E, each at
-    the first enlargement that passes its rank check.
+    """(pi_star, pi0_val, a_pi, a_s) of every cell of the stack E, or of the
+    one cell E, each at the first enlargement that passes its rank check.
 
     This is the one loop over ell: the cells a pack leaves `short` are built
     again at the next ell as a smaller stack, whose matrices are written
-    over theirs in place."""
+    over theirs in place.  A `PolyvemError` names the lowest failing cell of
+    E (whose cells ascend), or none if no cell fails alone: the rank error,
+    raised at the last ell once every cell has passed every solve, names the
+    first short cell, and a batched solve that fails as a whole has the
+    cells built alone, in order.
+    """
+    if E.cells.ndim == 0:
+        return [matrix[0] for matrix in element_matrices(E.take(None), k, method, K)]
+
     def matrices(pack):
         stiff = local_stiffness(pack, method, K)
         return pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s
 
-    pack = build_projection_pack(E, k, method)
-    out, at = matrices(pack), np.arange(E.cells.size)
-    while pack.short is not None:
-        at = at[pack.short]
-        pack = build_projection_pack(E.take(at), k, method, pack.ell + 1)
-        for mine, theirs in zip(out, matrices(pack)):
-            mine[at] = theirs
+    try:
+        pack = build_projection_pack(E, k, method)
+        out, at = matrices(pack), np.arange(E.cells.size)
+        while pack.short is not None:
+            at = at[pack.short]
+            pack = build_projection_pack(E.take(at), k, method, pack.ell + 1)
+            for mine, theirs in zip(out, matrices(pack)):
+                mine[at] = theirs
+    except PolyvemError as exc:
+        if exc.cell is None and E.cells.size == 1:
+            exc.cell = E.cells.item()
+        elif exc.cell is None:
+            for i in range(E.cells.size):
+                element_matrices(E.take([i]), k, method, K)
+        raise
     return out
 
 

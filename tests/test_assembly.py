@@ -6,12 +6,13 @@ from scipy.sparse.linalg import splu
 from conftest import cell_data_rule, interpolate_dofs
 from polyvem import assembly, local, study
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
-                              assemble, build_dof_map, infinity_norm, map_cells, solve,
+                              assemble, build_dof_map, infinity_norm, solve,
                               source_moments, stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
 from polyvem.errors import NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, ElementContext, Method,
-                           build_projection_pack, local_load, local_stiffness)
+                           build_projection_pack, local_load, local_stiffness,
+                           min_ell)
 from polyvem.mesh import NonConformingMeshError, PolyMesh, generate_cartesian, generate_voronoi
 from polyvem.study import solve_case, solve_cases
 
@@ -163,16 +164,21 @@ def test_congruent_cache_matches_direct_assembly():
 
 # -- failures inside a stack -------------------------------------------------
 
-@pytest.mark.parametrize("stack_cells", [assembly.STACK_CELLS, 3])
-def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
-    # pulling the top-right vertex of cell 5 of cartesian 4 deep into it makes
-    # that cell alone a dart that is not star-shaped about its centroid; the
-    # 16 quadrilaterals are one group, built as one stack or as six
-    monkeypatch.setattr(assembly, "STACK_CELLS", stack_cells)
+def _dented_cartesian4():
+    """Cartesian 4 with the top-right vertex of cell 5 pulled deep into it:
+    that cell alone is a dart that is not star-shaped about its centroid."""
     mesh = generate_cartesian(4)
     verts = mesh.vertices.copy()
     verts[6 + 6] = verts[6] + 0.025
-    dented = PolyMesh(verts, mesh.cells)
+    return PolyMesh(verts, mesh.cells)
+
+
+@pytest.mark.parametrize("stack_cells", [assembly.STACK_CELLS, 3])
+def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
+    # the 16 quadrilaterals of the dented cartesian 4 are one group, built as
+    # one stack or as six
+    monkeypatch.setattr(assembly, "STACK_CELLS", stack_cells)
+    dented = _dented_cartesian4()
     assert len(build_dof_map(dented, 2).groups) == 1 and not dented.congruent_cells
     # element construction integrates along edges only, so it builds the dart;
     # the data pass checks the polygons and names it
@@ -220,50 +226,88 @@ def voronoi_groups():
     return mesh, [cells for cells, _ in build_dof_map(mesh, 1).groups]
 
 
-@pytest.mark.parametrize("names_position", [False, True])
-def test_map_cells_names_the_lowest_failing_cell(voronoi_groups, names_position):
-    """A stack that fails as a whole, or names one failing cell, leads
-    map_cells to the lowest failing cell over all stacks."""
+def _failing_gram(monkeypatch, fails):
+    """Make `local.monomial_gram` raise an error that names no cell, as a
+    batched LAPACK failure does, on every stack E of degree d with
+    fails(E.cells, d); return its calls, (cells, degree, raised) each."""
+    gram, calls = local.monomial_gram, []
+
+    def failing_gram(E, degree):
+        raised = bool(fails(E.cells, degree))
+        calls.append((E.cells.copy(), degree, raised))
+        if raised:
+            raise NumericalDegeneracyError("Gram matrix failed")
+        return gram(E, degree)
+
+    monkeypatch.setattr(local, "monomial_gram", failing_gram)
+    return calls
+
+
+def _builds_below_each_failure(calls):
+    """The lowest cell that failed alone in `calls`, or False if a stack
+    built after such a failure holds a cell not below the lowest so far."""
+    kept = None
+    for cells, _, raised in calls:
+        if kept is not None and cells.max() >= kept:
+            return False
+        if raised and cells.size == 1:
+            kept = cells.item()
+    return kept
+
+
+@pytest.mark.parametrize("positions", [{1: [20, 12], 2: [10]}, {1: [13, 12]}],
+                         ids=["lowest-in-a-later-group", "one-group"])
+def test_assemble_names_the_lowest_failing_cell(monkeypatch, voronoi_groups, positions):
+    """Stacks of 3 that fail as a whole: the error names the lowest failing
+    cell of the mesh, also when a later group holds it or when it shares its
+    stack with a higher one, and every stack built after a failure holds
+    only cells below the lowest failing cell so far."""
     mesh, groups = voronoi_groups
     assert [cells.size for cells in groups] == [4, 27, 28, 5]
-    # two failing cells in the middle of the 5-vertex group and one in the
-    # 6-vertex group, visited after it, with a lower index than both
-    bad = np.concatenate([groups[1][[20, 12]], groups[2][[10]]])
-    assert bad[2] < bad[1] < bad[0]
-
-    def visit(E):
-        cells = E.cells
-        assert E.verts.shape[:2] == (cells.size, np.diff(mesh.flat_cells[1])[cells[0]])
-        hit = np.flatnonzero(np.isin(cells, bad))
-        if hit.size:
-            exc = NumericalDegeneracyError("stack failed")
-            # the last failing cell, so the cells below it must be revisited
-            exc.cell = int(cells[hit[-1]]) if names_position else None
-            raise exc
-        return cells
-
-    with pytest.raises(NumericalDegeneracyError, match=f"^cell {bad[2]}: stack failed$"):
-        map_cells(mesh, groups, visit)
-    with pytest.raises(NumericalDegeneracyError, match=f"^cell {bad[1]}: stack failed$"):
-        map_cells(mesh, groups[:2], visit)
-    out = map_cells(mesh, [groups[0], groups[3]], visit)
-    assert [c.tolist() for c in out] == [groups[0].tolist(), groups[3].tolist()]
+    bad = np.concatenate([groups[g][p] for g, p in positions.items()])
+    # in a later group, the 6-vertex one, or in one stack with the other
+    assert bad[2] < bad[1] < bad[0] if bad.size == 3 else bad[1] < bad[0]
+    monkeypatch.setattr(assembly, "STACK_CELLS", 3)
+    calls = _failing_gram(monkeypatch, lambda cells, _: np.isin(cells, bad).any())
+    for method in (Method.STANDARD, Method.E2VEM):
+        calls.clear()
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^cell {bad.min()}: Gram matrix failed$"):
+            assemble(mesh, 1, method, K_ANISO)
+        assert _builds_below_each_failure(calls) == bad.min()
 
 
-def test_map_cells_reraises_a_failure_no_cell_has_alone(voronoi_groups):
-    """A visit that fails only when two given cells share a stack: halving
-    finds no failing part, so the stack's error leaves naming no cell."""
+def test_a_failure_no_cell_has_alone_names_no_cell(monkeypatch, voronoi_groups):
+    """A Gram that fails only when two given cells share a stack: built
+    alone, no cell fails, so the stack's error leaves naming no cell."""
     mesh, groups = voronoi_groups
-    pair = groups[1][[3, 20]]
-
-    def visit(E):
-        if np.isin(pair, E.cells).all():
-            raise NumericalDegeneracyError("pair failed")
-        return E.cells
-
-    with pytest.raises(NumericalDegeneracyError, match="^pair failed$") as info:
-        map_cells(mesh, groups, visit)
+    pair = groups[1][[3, 5]]              # in one stack of 3
+    monkeypatch.setattr(assembly, "STACK_CELLS", 3)
+    _failing_gram(monkeypatch, lambda cells, _: np.isin(pair, cells).all())
+    with pytest.raises(NumericalDegeneracyError, match="^Gram matrix failed$") as info:
+        assemble(mesh, 1, Method.STANDARD, K_ANISO)
     assert info.value.cell is None
+
+
+@pytest.mark.parametrize("stack_cells", [assembly.STACK_CELLS, 3])
+def test_a_failure_at_the_next_enlargement_names_its_cell(monkeypatch, stack_cells):
+    """The stabilization-free order-2 build of the dented cartesian 4 keeps
+    the dart, cell 5, and its neighbours 6, 9 and 10 at the minimal ell, and
+    builds the exact squares again at ell + 1.  A failure of that rebuild,
+    which names no cell, on the squares 7 and 13 names the lower, 7, which
+    sits at position 5 of the rebuilt stack when the 16 cells are one."""
+    monkeypatch.setattr(assembly, "STACK_CELLS", stack_cells)
+    dented = _dented_cartesian4()
+    top = 2 + min_ell(2, 4)
+    short = build_projection_pack(dented.cell_geom(np.arange(16)), 2, Method.E2VEM).short
+    assert np.flatnonzero(~short).tolist() == [5, 6, 9, 10]
+    calls = _failing_gram(monkeypatch,
+                          lambda cells, degree: degree > top and np.isin(cells, [7, 13]).any())
+    with pytest.raises(NumericalDegeneracyError, match=r"^cell 7: Gram matrix failed$"):
+        assemble(dented, 2, Method.E2VEM, K_ANISO)
+    failed = [(cells.tolist(), degree) for cells, degree, raised in calls if raised]
+    assert failed[-1] == ([7], top + 1)
+    assert _builds_below_each_failure(calls) == 7
 
 
 # -- dirichlet elimination ---------------------------------------------------

@@ -272,7 +272,8 @@ def test_energy_projector_rejects_a_singular_system():
 
 def test_l2_projections_reject_a_gram_matrix_that_is_not_spd():
     """Both L2 projections solve with the Gram matrix: one that is not SPD
-    raises the solver-failure error, which map_cells can pin to a cell."""
+    raises the solver-failure error, which names no cell until
+    element_matrices builds the cells of its stack alone."""
     ctx = ElementContext(PENTAGON, 2)
     moments = recover_moments(ctx, build_pi_nabla(ctx)[3])
     ctx.gram = -ctx.gram
@@ -485,6 +486,19 @@ def test_stacked_build_matches_one_cell_stacks(name, method, k, stack_meshes):
         assert ells == [1, 2, 1, 2, 1]
         short = build_projection_pack(mesh.cell_geom(cells), k, method).short
         assert short.tolist() == [False, True, False, True, False]
+
+
+@pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
+def test_lone_cell_matches_its_one_cell_stack(method):
+    """A lone cell builds as its one-cell stack does, bit for bit, without
+    the stack axis; at order 1 the regular hexagon takes the stabilization-free
+    build through an enlargement bump."""
+    angles = np.arange(6) * math.pi / 3
+    mesh = PolyMesh(np.column_stack([np.cos(angles), np.sin(angles)]), [range(6)])
+    lone = element_matrices(mesh.cell_geom(0), 1, method, K_ANISO)
+    stack = element_matrices(mesh.cell_geom(np.array([0])), 1, method, K_ANISO)
+    for got, want in zip(lone, stack):
+        assert got.shape == want.shape[1:] and np.array_equal(got, want[0])
 
 
 def test_stack_cells_kept_at_three_enlargements(monkeypatch, stack_meshes):
