@@ -60,25 +60,24 @@ def scaled_monomials(rx, ry, degree: int) -> np.ndarray:
 
 
 def _scaled_coordinates(E, pts):
-    """rx, ry = (pts - x_E) / h_E; pts (..., npts, 2) and E a cell or a stack
-    of cells with the same leading axes."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    c = np.asarray(E.centroid)[..., None, :]
-    h = np.asarray(E.diameter)[..., None]
+    """rx, ry = (pts - x_E) / h_E, shape (n, npts): each of the n cells of
+    the stack E takes its own points, pts (n, npts, 2)."""
+    c = E.centroid[:, None, :]
+    h = E.diameter[:, None]
     return (pts[..., 0] - c[..., 0]) / h, (pts[..., 1] - c[..., 1]) / h
 
 
 def eval_monomials(E, pts, degree: int) -> np.ndarray:
-    """Values of all scaled monomials with |a| <= degree at pts, shape
-    (..., npts, n); a stack of cells takes its own points, (..., npts, 2)."""
+    """Values of all scaled monomials with |a| <= degree at pts on each cell
+    of the stack E, which takes its own points (n, npts, 2): (n, npts, dim)."""
     return scaled_monomials(*_scaled_coordinates(E, pts), degree)
 
 
 def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
-    """Gradients of all scaled monomials at pts, shape (..., npts, n, 2): the
+    """Gradients of all scaled monomials at pts, shape (n, npts, dim, 2): the
     monomials of degree - 1 times `monomial_derivatives(degree)`, over h_E."""
     lower = eval_monomials(E, pts, degree - 1)
-    h = np.asarray(E.diameter)[..., None, None]
+    h = E.diameter[:, None, None]
     return np.stack([lower @ D / h for D in monomial_derivatives(degree)], axis=-1)
 
 
@@ -246,31 +245,34 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
 
 
 def polygon_quadrature(E, degree: int) -> QuadRule:
-    """Quadrature on the star-shaped polygon E, one cell, exact for degree
-    <= `degree`: a collapsed Gauss rule on each triangle of the centroid
-    fan, in fan order.  A cell that is not star-shaped raises
-    `QuadratureError` naming its mesh index, `E.cells`."""
+    """Quadrature on the star-shaped polygon of the one-cell stack E, exact
+    for degree <= `degree`: a collapsed Gauss rule on each triangle of the
+    centroid fan, in fan order.  A stack of more cells raises `ValueError`;
+    a cell that is not star-shaped raises `QuadratureError` naming its mesh
+    index."""
+    if E.cells.size != 1:
+        raise ValueError(f"polygon_quadrature takes one cell, got a stack of {E.cells.size}")
     try:
-        corners, _ = fan_triangles(E.verts, [0, E.n_vertices], [E.centroid], [E.area])
+        corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area)
     except QuadratureError as exc:
-        exc.cell = int(E.cells)
+        exc.cell = E.cells.item()
         raise
     return QuadRule(*triangle_rule(*corners, degree))
 
 
 def monomial_gram(E, degree: int) -> np.ndarray:
-    """Mass matrix of the scaled monomials up to `degree` on E, SPD by
-    construction; (..., n, n) on a stack of cells.  G[a, b] is the moment of
+    """Mass matrix of the scaled monomials up to `degree` on each cell of the
+    stack E, SPD by construction, (n, dim, dim).  G[a, b] is the moment of
     m_g, g = a + b, homogeneous of degree |g| about x_E: mu_g = sum_e ((x -
     x_E) . n_e) int_e m_g ds / (|g| + 2) (Chin, Lasserre & Sukumar, Comput.
     Mech. 56, 2015), by the `edge_rules` Gauss-Legendre rule, exact to 2*degree."""
     _, t, w = edge_rules(1, 2 * degree)
     tang = np.roll(E.verts, -1, axis=-2) - E.verts
-    arm = E.verts - np.asarray(E.centroid)[..., None, :]
+    arm = E.verts - E.centroid[:, None, :]
     # |e| (x - x_E) . n_e, constant on edge e, times the rule's weights
     flux = (arm[..., 0] * tang[..., 1] - arm[..., 1] * tang[..., 0])[..., None] * w
-    points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]     # (..., m, nq, 2)
-    V = eval_monomials(E, points.reshape(flux.shape[:-2] + (-1, 2)), 2 * degree)
+    points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]     # (n, m, nq, 2)
+    V = eval_monomials(E, points.reshape(E.cells.size, -1, 2), 2 * degree)
     mu = np.einsum("...q,...qg->...g", flux.reshape(V.shape[:-1]), V)
     mu /= monomial_exponents(2 * degree).sum(axis=1) + 2
     exps = monomial_exponents(degree)

@@ -18,11 +18,11 @@ scheme needs is assembled from those dofs:
   its own `pi0_val`: `local_load` integrates them on a block of cells at
   once, with the block's `DataRule` (`data_rules` cuts a mesh into blocks).
 
-Every step works on one cell or, with the same code, on a stack of cells
-that share a vertex count: all arrays then lead with the stack axis, matrix
-products are stacked `@`, and the solves, Cholesky checks and eigenvalues
-are batched LAPACK calls (`assembly.assemble` builds a mesh in stacks of
-up to `assembly.STACK_CELLS` cells of one vertex count).
+Every step works on a stack of n >= 1 cells that share a vertex count (a
+`mesh.CellGeometry`; a lone cell is a one-cell stack): all arrays lead with
+the stack axis, matrix products are stacked `@`, and the solves, Cholesky
+checks and eigenvalues are batched LAPACK calls (`assembly.assemble` builds
+a mesh in stacks of up to `assembly.STACK_CELLS` cells of one vertex count).
 `build_projection_pack` builds a stack's `ElementContext` (Gram matrix and
 edge data, from edge integrals alone) and every projector at one ell;
 `local_stiffness` takes the finished pack, and `element_matrices` is the one
@@ -166,19 +166,19 @@ def _add_edge_columns(target, edge_node_dofs, values):
 
 
 class ElementContext:
-    """Gram matrix and edge data for one (cell, k, ell) triple, or
-    for a stack of cells with one vertex count (E from `PolyMesh.cell_geom`
-    of an index array), whose arrays then all lead with the stack axis.
+    """Gram matrix and edge data at (k, ell) of a stack of n cells with one
+    vertex count (E from `PolyMesh.cell_geom`), every array leading with
+    the stack axis.
 
     The Gram matrix (`monomial_gram`) and the trace integrals reach degree
     k+ell exactly from edge rules alone, which covers every projector of the
     pack built with this enlargement on any simple polygon.  Edge e runs from
     vertex e to vertex e+1; over m edges, nq Gauss points and k+1 Lobatto
-    nodes the edge data of a cell are `edge_points` (m, nq, 2), outward unit
-    `edge_normals` (m, 2), `edge_lengths` (m,), `edge_trace` (m, k+1, nq) =
-    |e| w_q L_j(t_q) (so `edge_trace @ g` integrates each node's trace
-    against g at the Gauss points) and `edge_node_points` (m, k+1, 2), whose
-    dofs are `layout.edge_node_dofs`.
+    nodes the edge data are `edge_points` (n, m, nq, 2), outward unit
+    `edge_normals` (n, m, 2), `edge_lengths` (n, m), `edge_trace` (n, m,
+    k+1, nq) = |e| w_q L_j(t_q) (so `edge_trace @ g` integrates each node's
+    trace against g at the Gauss points) and `edge_node_points` (n, m, k+1,
+    2), whose dofs are `layout.edge_node_dofs`.
     """
 
     def __init__(self, E, k: int, ell: int = 0):
@@ -201,11 +201,6 @@ class ElementContext:
         self.edge_node_points = start[..., None, :] + lob[:, None] * tang[..., None, :]
         self.perimeter = self.edge_lengths.sum(axis=-1)
 
-    @property
-    def batch(self) -> tuple:
-        """The leading axes: () for one cell, (n,) for a stack of n."""
-        return self.edge_lengths.shape[:-1]
-
 
 # ---------------------------------------------------------------------------
 # projectors
@@ -222,24 +217,24 @@ def build_pi_nabla(ctx: ElementContext):
     polynomial edge traces.  Row 0 enforces the average condition: boundary
     mean for k = 1, first moment dof for k > 1.
     """
-    E, k, lay, batch = ctx.E, ctx.k, ctx.layout, ctx.batch
+    E, k, lay = ctx.E, ctx.k, ctx.layout
     nk = dim_poly(k)
-    m, nq = ctx.edge_points.shape[-3:-1]
-    area, h = np.asarray(E.area)[..., None, None], np.asarray(E.diameter)[..., None, None]
+    n, m, nq = ctx.edge_points.shape[:3]
+    area, h = E.area[:, None, None], E.diameter[:, None, None]
 
-    D = np.empty(batch + (lay.total, nk))
+    D = np.empty((n, lay.total, nk))
     D[..., :m, :] = eval_monomials(E, E.verts, k)
-    inner = ctx.edge_node_points[..., 1:-1, :].reshape(batch + (-1, 2))
+    inner = ctx.edge_node_points[..., 1:-1, :].reshape(n, -1, 2)
     D[..., m:lay.first_moment, :] = eval_monomials(E, inner, k)
     D[..., lay.first_moment:, :] = ctx.gram[..., :lay.n_moments, :nk] / area
 
-    B = np.zeros(batch + (nk, lay.total))
+    B = np.zeros((n, nk, lay.total))
     lower, upper = monomial_derivatives(k - 1), monomial_derivatives(k)
     lap = lower[0] @ upper[0] + lower[1] @ upper[1]      # (dim P_{k-2}, nk), integers
     B[..., lay.first_moment:] = -lap.T / h ** 2 * area
-    grads = eval_monomial_grads(E, ctx.edge_points.reshape(batch + (-1, 2)), k)
-    grads = grads.reshape(batch + (m, nq, nk, 2))
-    gn = (grads @ ctx.edge_normals[..., :, None, :, None])[..., 0]   # (..., m, nq, nk)
+    grads = eval_monomial_grads(E, ctx.edge_points.reshape(n, -1, 2), k)
+    grads = grads.reshape(n, m, nq, nk, 2)
+    gn = (grads @ ctx.edge_normals[..., :, None, :, None])[..., 0]   # (n, m, nq, nk)
     _add_edge_columns(B, lay.edge_node_dofs, ctx.edge_trace @ gn)
 
     B[..., 0, :] = 0.0
@@ -267,8 +262,8 @@ def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
     lay = ctx.layout
     n_top = dim_poly(ctx.k + ctx.ell)
     nk = dim_poly(ctx.k)
-    M = np.zeros(ctx.batch + (n_top, lay.total))
-    M[..., :lay.n_moments, lay.first_moment:] = (np.asarray(ctx.E.area)[..., None, None]
+    M = np.zeros((ctx.E.cells.size, n_top, lay.total))
+    M[..., :lay.n_moments, lay.first_moment:] = (ctx.E.area[:, None, None]
                                                  * np.eye(lay.n_moments))
     M[..., lay.n_moments:, :] = ctx.gram[..., lay.n_moments:n_top, :nk] @ pi_star
     return M
@@ -304,39 +299,39 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
     quadrature of the traces.  Rows are the x-component block stacked over
     the y-component block.
     """
-    E, lay, batch = ctx.E, ctx.layout, ctx.batch
+    E, lay = ctx.E, ctx.layout
     nd, n_lower = dim_poly(d), dim_poly(d - 1)
-    h = np.asarray(E.diameter)[..., None, None, None]
+    h = E.diameter[:, None, None, None]
 
-    # the x block, then the y block: (..., 2, nd, total)
-    R = -(_t(monomial_derivatives(d)) / h) @ moments[..., None, :n_lower, :]
-    m, nq = ctx.edge_points.shape[-3:-1]
-    vals = eval_monomials(E, ctx.edge_points.reshape(batch + (-1, 2)), d)
-    contrib = ctx.edge_trace @ vals.reshape(batch + (m, nq, nd))     # (..., m, k+1, nd)
+    # the x block, then the y block: (n, 2, nd, total)
+    R = -(_t(monomial_derivatives(d)) / h) @ moments[:, None, :n_lower, :]
+    n, m, nq = ctx.edge_points.shape[:3]
+    vals = eval_monomials(E, ctx.edge_points.reshape(n, -1, 2), d)
+    contrib = ctx.edge_trace @ vals.reshape(n, m, nq, nd)     # (n, m, k+1, nd)
     for c in (0, 1):
         _add_edge_columns(R[..., c, :, :], lay.edge_node_dofs,
                           ctx.edge_normals[..., :, c, None, None] * contrib)
 
     coef = _cholesky_solve(ctx.gram[..., None, :nd, :nd], R)
-    return coef.reshape(batch + (2 * nd, lay.total))
+    return coef.reshape(n, 2 * nd, lay.total)
 
 
 @dataclass
 class ProjectionPack:
-    """All element matrices one scheme needs on one cell, or on a stack of
-    cells (arrays with a leading stack axis), built with one enlargement ell.
+    """All element matrices one scheme needs on a stack of n cells, each
+    array leading with the stack axis, built with one enlargement ell.
 
-    `short` marks the cells whose stabilization-free gradient projection is
-    rank deficient at this ell, None when no cell is; `element_matrices`
-    builds them again at ell + 1.
+    `short` (n,) marks the cells whose stabilization-free gradient
+    projection is rank deficient at this ell, None when no cell is;
+    `element_matrices` builds them again at ell + 1.
     """
 
     k: int
     ell: int
     grad_degree: int
     layout: DofLayout
-    pi_star: np.ndarray  # dim P_k x total, monomial coefficients of the projection
-    pi_dof: np.ndarray   # total x total, D @ pi_star
+    pi_star: np.ndarray  # n x dim P_k x total, monomial coefficients of the projection
+    pi_dof: np.ndarray   # n x total x total, D @ pi_star
     pi0_val: np.ndarray
     pi0_grad: np.ndarray
     ctx: ElementContext
@@ -367,10 +362,10 @@ def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRank
     naming its mesh cell, with the numbers that diagnose it: lambda_2 /
     lambda_max of its gradient-projection energy (short means at most
     RANK_TOL), its shortest edge over its diameter, and ell."""
-    at = int(np.argmax(short)) if short.ndim else ()
+    at = int(np.argmax(short))
     lam = evals[at]
     ratio = lam[1] / np.abs(lam).max()
-    eps = ctx.edge_lengths[at].min() / np.asarray(E.diameter)[at]
+    eps = ctx.edge_lengths[at].min() / E.diameter[at]
     return StabilizationFreeRankError(
         f"gradient projection stays rank deficient up to enlargement ell={ell} "
         f"(lambda_2/lambda_max = {ratio:.3e} <= RANK_TOL = {RANK_TOL:g}, "
@@ -379,8 +374,8 @@ def _rank_error(E, ctx, evals, short, k: int, ell: int) -> StabilizationFreeRank
 
 
 def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> ProjectionPack:
-    """Projectors, recovered moments and L2 projections for one cell, or for
-    a stack of cells with one vertex count, at one enhancement enlargement.
+    """Projectors, recovered moments and L2 projections for a stack of cells
+    with one vertex count, at one enhancement enlargement.
 
     For the stabilization-free scheme `ell` defaults to the
     counting-inequality minimum, and each cell's gradient projection is
@@ -423,20 +418,10 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
 # local stiffness and source moments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LocalStiffness:
-    a_pi: np.ndarray
-    a_s: np.ndarray
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.a_pi + self.a_s
-
-
-def local_stiffness(pack: ProjectionPack, method: Method,
-                    K: DiffusionTensor) -> LocalStiffness:
-    """Local stiffness matrix of the chosen scheme with diffusion tensor K,
-    of one cell or of each cell of a stack, at the pack's ell (its `short`
+def local_stiffness(pack: ProjectionPack, method: Method, K: DiffusionTensor):
+    """The consistency and stabilization parts (a_pi, a_s) of the local
+    stiffness matrix of the chosen scheme with diffusion tensor K, each
+    (n, total, total) over the pack's stack, at the pack's ell (its `short`
     cells included: `element_matrices` replaces theirs).
 
     Standard scheme: consistency (`_gradient_energy`) from the degree k-1
@@ -453,12 +438,12 @@ def local_stiffness(pack: ProjectionPack, method: Method,
         a_s = 0.5 * (a_s + _t(a_s))
     else:
         a_s = np.zeros_like(a_pi)
-    return LocalStiffness(a_pi=a_pi, a_s=a_s)
+    return a_pi, a_s
 
 
 def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
-    """(pi_star, pi0_val, a_pi, a_s) of every cell of the stack E, or of the
-    one cell E, each at the first enlargement that passes its rank check.
+    """(pi_star, pi0_val, a_pi, a_s) of every cell of the stack E, each
+    stacked, each cell at the first enlargement that passes its rank check.
 
     This is the one loop over ell: the cells a pack leaves `short` are built
     again at the next ell as a smaller stack, whose matrices are written
@@ -468,12 +453,8 @@ def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
     first short cell, and a batched solve that fails as a whole has the
     cells built alone, in order.
     """
-    if E.cells.ndim == 0:
-        return [matrix[0] for matrix in element_matrices(E.take(None), k, method, K)]
-
     def matrices(pack):
-        stiff = local_stiffness(pack, method, K)
-        return pack.pi_star, pack.pi0_val, stiff.a_pi, stiff.a_s
+        return (pack.pi_star, pack.pi0_val, *local_stiffness(pack, method, K))
 
     try:
         pack = build_projection_pack(E, k, method)

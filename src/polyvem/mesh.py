@@ -5,8 +5,8 @@ in counter-clockwise order.  A mesh stores its cells flat: the indices of
 every cell concatenated in cell order, with the offset of each cell's run.
 Generators produce conforming meshes (every internal edge shared by exactly
 two cells, traversed in opposite directions) whose cell areas sum to one.  A
-lone polygon is a one-cell mesh: `PolyMesh(v, [range(len(v))]).cell_geom(0)`
-checks and measures it as the cells of any mesh are.
+lone polygon is a one-cell mesh: `PolyMesh(v, [range(len(v))]).cell_geom([0])`
+checks and measures it as the cells of any mesh are, a one-cell stack.
 """
 
 from __future__ import annotations
@@ -123,16 +123,16 @@ def _polygon_geometry(vertices, ids, starts):
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Geometry of a polygonal cell: CCW vertices (m, 2), |E|, centroid (2,),
-    h_E, and its index in its mesh, `cells` (0-d).  A stack of n cells with
-    one vertex count has `verts` (n, m, 2), `area` (n,), `centroid` (n, 2),
-    `diameter` (n,) and `cells` (n,), so an error found on a stack can name
-    its mesh cell."""
+    """Geometry of a stack of n >= 1 polygonal cells with one vertex count m:
+    CCW vertices `verts` (n, m, 2), |E| `area` (n,), `centroid` (n, 2), h_E
+    `diameter` (n,) and the index of each cell in its mesh, `cells` (n,), so
+    an error found on a stack can name its mesh cell.  A lone cell is a
+    one-cell stack."""
 
     verts: np.ndarray
-    area: float
+    area: np.ndarray
     centroid: np.ndarray
-    diameter: float
+    diameter: np.ndarray
     cells: np.ndarray
 
     @property
@@ -242,18 +242,22 @@ class PolyMesh:
         return [ids[first:stop] for first, stop in zip(bounds, bounds[1:])]
 
     def cell_geom(self, cells) -> CellGeometry:
-        """The geometry of cell `cells`, or the stacked geometry of an index
-        array of cells that share a vertex count."""
+        """The stacked geometry of `cells`, a non-empty 1-D index array of
+        cells that share a vertex count; `[i]` gives cell i alone."""
+        cells = np.asarray(cells)
+        if cells.ndim != 1 or not cells.size:
+            raise ValueError("cell_geom takes a non-empty 1-D array of cell indices, "
+                             f"got shape {cells.shape}")
         ids, starts = self.flat_cells
         first = starts[cells]
-        lens = starts[np.add(cells, 1)] - first
-        m = int(np.max(lens))
+        lens = starts[cells + 1] - first
+        m = int(lens[0])
         if np.any(lens != m):
             raise ValueError("a stack of cells must share one vertex count")
-        v = self.vertices[ids[first[..., None] + np.arange(m)]]
+        v = self.vertices[ids[first[:, None] + np.arange(m)]]
         v.setflags(write=False)
         return CellGeometry(v, self.cell_areas[cells], self.cell_centroids[cells],
-                            self.cell_diameters[cells], np.asarray(cells))
+                            self.cell_diameters[cells], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +771,6 @@ class MeshValidationReport:
     violations: list = field(default_factory=list)
     area_sum: float = 0.0
     min_edge_ratio: float = float("inf")       # min over cells of min edge / h_E
-    min_inradius_ratio: float = float("inf")   # min over cells of inradius estimate / h_E
 
     @property
     def ok(self):
@@ -790,10 +793,6 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
     edges = v[_next_vertex(starts)] - v
     elen = np.hypot(edges[:, 0], edges[:, 1])
     rep.min_edge_ratio = float(np.min(elen / h, initial=rep.min_edge_ratio))
-    # distance from the centroid to each edge line, a crude inradius proxy
-    rel = v - mesh.cell_centroids[owner]
-    dist = np.abs(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]) / elen
-    rep.min_inradius_ratio = float(np.min(dist / h, initial=rep.min_inradius_ratio))
 
     rep.violations.extend(edge_conformity_violations(mesh))
 

@@ -20,12 +20,13 @@ from polyvem.study import StudyRow, _energy_sums
 
 
 def lone_cell(verts) -> CellGeometry:
-    """The geometry of the polygon `verts`: the one cell of its one-cell mesh."""
-    return PolyMesh(verts, [range(len(verts))]).cell_geom(0)
+    """The geometry of the polygon `verts`: the one-cell stack of its one-cell mesh."""
+    return PolyMesh(verts, [range(len(verts))]).cell_geom([0])
 
 
 def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> CellGeometry:
-    """Random CCW polygon that is star-shaped with respect to its centroid."""
+    """Random CCW polygon that is star-shaped with respect to its centroid,
+    as a one-cell stack."""
     from polyvem.basis import polygon_quadrature
 
     while True:
@@ -45,15 +46,17 @@ def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> Ce
 
 
 def cell_data_rule(E: CellGeometry, k: int):
-    """The order-k data rule of the one cell E: the only block of its one-cell mesh."""
-    (rule,) = data_rules(PolyMesh(E.verts, [np.arange(E.n_vertices)]), k)
+    """The order-k data rule of the one-cell stack E: the only block of its
+    one-cell mesh."""
+    (rule,) = data_rules(PolyMesh(E.verts[0], [np.arange(E.n_vertices)]), k)
     return rule
 
 
 def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
-    """Cell E's centroid-fan rule, in horizontal strips of at most
-    `max_y_extent` when it is set: the rule the data passes form for E."""
-    corners, _ = fan_triangles(E.verts, [0, E.n_vertices], [E.centroid], [E.area],
+    """The centroid-fan rule of the one-cell stack E, in horizontal strips
+    of at most `max_y_extent` when it is set: the rule the data passes form
+    for E's cell."""
+    corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area,
                                max_y_extent=max_y_extent)
     return QuadRule(*triangle_rule(*corners, degree))
 

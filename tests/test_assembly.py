@@ -66,8 +66,8 @@ def test_dof_map_shared_edges_consistent():
                     assert seen.setdefault(key, canon) == canon
                 # the element's Lobatto nodes, in local dof order, are the nodes
                 # of the cell's global dofs (reversed edges included)
-                ctx = ElementContext(mesh.cell_geom(ci), k)
-                nodes = ctx.edge_node_points
+                ctx = ElementContext(mesh.cell_geom([ci]), k)
+                nodes = ctx.edge_node_points[0]
                 local = np.vstack([nodes[:, 0], nodes[:, 1:-1].reshape(-1, 2)])
                 assert np.allclose(local, dm.nodes[dofs[:m * k]], rtol=0.0, atol=1e-15)
         assert len(seen) == mesh.n_edges
@@ -154,10 +154,11 @@ def test_congruent_cache_matches_direct_assembly():
     b = np.zeros(dm.n_total)
     (cells, rows), = dm.groups
     for ci, idx in zip(cells, rows):
-        E = mesh.cell_geom(ci)
+        E = mesh.cell_geom([ci])
         pack = build_projection_pack(E, k, Method.STANDARD)
-        A[np.ix_(idx, idx)] += local_stiffness(pack, Method.STANDARD, case.K).a
-        b[idx] += pack.pi0_val.T @ local_load(case.f, cell_data_rule(E, k))[0]
+        a_pi, a_s = local_stiffness(pack, Method.STANDARD, case.K)
+        A[np.ix_(idx, idx)] += (a_pi + a_s)[0]
+        b[idx] += pack.pi0_val[0].T @ local_load(case.f, cell_data_rule(E, k))[0]
     assert np.abs(sys_.a.toarray() - A).max() <= 1e-12
     assert np.abs(sys_.b - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 

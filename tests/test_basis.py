@@ -20,14 +20,14 @@ from polyvem.mesh import CellGeometry, generate_voronoi
 
 def scaled_monomial_eval(alpha, E, p) -> float:
     ax, ay = alpha
-    v = eval_monomials(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
-    return float(v[0, monomial_index(ax, ay)])
+    v = eval_monomials(E, np.asarray(p, dtype=float).reshape(1, 1, 2), ax + ay)
+    return float(v[0, 0, monomial_index(ax, ay)])
 
 
 def scaled_monomial_grad(alpha, E, p) -> np.ndarray:
     ax, ay = alpha
-    g = eval_monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 2), ax + ay)
-    return g[0, monomial_index(ax, ay)].copy()
+    g = eval_monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 1, 2), ax + ay)
+    return g[0, 0, monomial_index(ax, ay)].copy()
 
 
 def test_dim_poly():
@@ -52,8 +52,8 @@ def test_scaled_monomial_values():
     E = UNIT_SQUARE
     p = np.array([0.3, 0.9])
     assert scaled_monomial_eval((0, 0), E, p) == 1.0
-    assert scaled_monomial_eval((1, 0), E, E.centroid) == 0.0
-    shifted = E.centroid + np.array([E.diameter, 0.0])
+    assert scaled_monomial_eval((1, 0), E, E.centroid[0]) == 0.0
+    shifted = E.centroid[0] + np.array([E.diameter[0], 0.0])
     assert scaled_monomial_eval((1, 0), E, shifted) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -62,7 +62,7 @@ def test_scaled_monomial_derivatives():
     p = np.array([0.2, 0.4])
     assert np.array_equal(scaled_monomial_grad((0, 0), E, p), [0.0, 0.0])
     assert np.allclose(scaled_monomial_grad((1, 0), E, p),
-                       [1.0 / E.diameter, 0.0], atol=1e-15)
+                       [1.0 / E.diameter[0], 0.0], atol=1e-15)
     # h_E^2 times the Laplacian of each monomial of degree <= 2, a constant
     lower, upper = monomial_derivatives(1), monomial_derivatives(2)
     lap = lower[0] @ upper[0] + lower[1] @ upper[1]
@@ -70,8 +70,8 @@ def test_scaled_monomial_derivatives():
 
 
 def test_monomials_of_degree_minus_one_are_empty():
-    pts = np.array([[0.2, 0.4], [0.5, 0.1], [0.3, 0.3]])
-    assert eval_monomials(PENTAGON, pts, -1).shape == (3, 0)
+    pts = np.array([[[0.2, 0.4], [0.5, 0.1], [0.3, 0.3]]])
+    assert eval_monomials(PENTAGON, pts, -1).shape == (1, 3, 0)
     assert monomial_derivatives(0).shape == (2, 0, 1)
 
 
@@ -80,15 +80,15 @@ def test_derivative_table_matches_finite_differences(degree, rng):
     # the gradient and the Laplacian of every monomial of degree <= `degree`,
     # read from the table, against central differences of the values
     E = star_polygon(rng, 6)
-    pts = rng.uniform(-0.3, 0.3, (5, 2)) + E.centroid
-    h = E.diameter
+    pts = (rng.uniform(-0.3, 0.3, (5, 2)) + E.centroid)[None]
+    h = E.diameter[0]
     lower, upper = monomial_derivatives(degree - 1), monomial_derivatives(degree)
-    grad = eval_monomials(E, pts, degree - 1) @ upper / h                # (2, 5, n)
-    lap = (eval_monomials(E, pts, degree - 2)
+    grad = eval_monomials(E, pts, degree - 1)[0] @ upper / h             # (2, 5, n)
+    lap = (eval_monomials(E, pts, degree - 2)[0]
            @ (lower[0] @ upper[0] + lower[1] @ upper[1]) / h ** 2)      # (5, n)
 
     def values(shift):
-        return eval_monomials(E, pts + shift, degree)
+        return eval_monomials(E, pts + shift, degree)[0]
 
     fd_lap = -4.0 * values(0.0)
     for i, unit in enumerate(np.eye(2)):
@@ -100,12 +100,12 @@ def test_derivative_table_matches_finite_differences(degree, rng):
 
 def test_gradients_match_finite_differences(rng):
     E = star_polygon(rng, 6)
-    pts = rng.uniform(-0.3, 0.3, (5, 2)) + E.centroid
+    pts = (rng.uniform(-0.3, 0.3, (5, 2)) + E.centroid)[None]
     step = 1e-6
-    g = eval_monomial_grads(E, pts, 3)
+    g = eval_monomial_grads(E, pts, 3)[0]
     for d, off in ((0, [step, 0.0]), (1, [0.0, step])):
-        vp = eval_monomials(E, pts + off, 3)
-        vm = eval_monomials(E, pts - off, 3)
+        vp = eval_monomials(E, pts + off, 3)[0]
+        vm = eval_monomials(E, pts - off, 3)[0]
         fd = (vp - vm) / (2.0 * step)
         assert np.abs(fd - g[:, :, d]).max() < 1e-8
 
@@ -114,7 +114,7 @@ def test_quadrature_weight_sum_equals_area(rng):
     for E in (UNIT_SQUARE, TRIANGLE, PENTAGON, star_polygon(rng, 8)):
         for deg in (1, 4, 9):
             q = polygon_quadrature(E, deg)
-            assert q.weights.sum() == pytest.approx(E.area, abs=1e-13)
+            assert q.weights.sum() == pytest.approx(E.area[0], abs=1e-13)
 
 
 def test_quadrature_unit_square_xy():
@@ -124,9 +124,10 @@ def test_quadrature_unit_square_xy():
 
 
 def _ear_fan_reference(E, degree):
-    """Independent reference rule: fan triangulation from vertex 0 (not the
-    centroid) with a rule of four extra exactness degrees."""
-    v = E.verts
+    """Independent reference rule on the one-cell stack E: fan triangulation
+    from vertex 0 (not the centroid) with a rule of four extra exactness
+    degrees."""
+    v = E.verts[0]
     pts, wts = [], []
     for i in range(1, len(v) - 1):
         p, w = triangle_rule(v[0], v[i], v[i + 1], degree + 4)
@@ -142,8 +143,8 @@ def test_quadrature_monomial_products_vs_reference(rng):
     q = polygon_quadrature(E, d)
     rp, rw = _ear_fan_reference(E, d)
     exps = monomial_exponents(3)
-    V = eval_monomials(E, q.points, 3)
-    R = eval_monomials(E, rp, 3)
+    V = eval_monomials(E, q.points[None], 3)[0]
+    R = eval_monomials(E, rp[None], 3)[0]
     for a in range(len(exps)):
         for b in range(len(exps)):
             if exps[a].sum() + exps[b].sum() <= d:
@@ -160,18 +161,29 @@ def test_quadrature_exactness_random_polynomials(seed, degree):
     q = polygon_quadrature(E, degree)
     rp, rw = _ear_fan_reference(E, degree)
     coeffs = rng.uniform(-1, 1, dim_poly(degree))
-    mine = q.weights @ (eval_monomials(E, q.points, degree) @ coeffs)
-    ref = rw @ (eval_monomials(E, rp, degree) @ coeffs)
+    mine = q.weights @ (eval_monomials(E, q.points[None], degree)[0] @ coeffs)
+    ref = rw @ (eval_monomials(E, rp[None], degree)[0] @ coeffs)
     assert mine == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 
 def test_quadrature_rejects_nonstar_cell():
     # re-entrant quadrilateral whose centroid sees a negative fan triangle
     bad = CellGeometry(
-        verts=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.1], [0.0, 1.0]]),
-        area=0.1, centroid=np.array([0.5, 0.5]), diameter=1.5, cells=np.asarray(0))
-    with pytest.raises(QuadratureError, match=r"fan triangle 1 has signed area -0\.2\)"):
+        verts=np.array([[[0.0, 0.0], [1.0, 0.0], [0.1, 0.1], [0.0, 1.0]]]),
+        area=np.array([0.1]), centroid=np.array([[0.5, 0.5]]), diameter=np.array([1.5]),
+        cells=np.array([7]))
+    with pytest.raises(QuadratureError,
+                       match=r"fan triangle 1 has signed area -0\.2\)") as info:
         polygon_quadrature(bad, 2)
+    assert info.value.cell == 7
+
+
+def test_quadrature_takes_one_cell():
+    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=10)
+    n_verts = np.diff(mesh.flat_cells[1])
+    stack = mesh.cell_geom(np.flatnonzero(n_verts == n_verts[0])[:2])
+    with pytest.raises(ValueError, match="polygon_quadrature takes one cell, got a stack of 2"):
+        polygon_quadrature(stack, 2)
 
 
 def test_stacked_triangle_rule_concatenates_single_rules(rng):
@@ -223,8 +235,8 @@ def _strips_one_by_one(tri, max_y_extent):
 @pytest.mark.parametrize("max_y_extent", [0.3, 0.07])
 def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, rng):
     E = star_polygon(rng, 6)
-    v = E.verts
-    fan = [(E.centroid, v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    v = E.verts[0]
+    fan = [(E.centroid[0], v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
     tris = [t for tri in fan for t in _strips_one_by_one(tri, max_y_extent)]
     rules = [triangle_rule(a, b, c, 5) for a, b, c in tris]
     q = fan_rule(E, 5, max_y_extent)
@@ -324,20 +336,20 @@ def test_subdivided_quadrature_stays_exact():
 
 def test_gram_first_entry_is_area(rng):
     for E in (UNIT_SQUARE, PENTAGON, star_polygon(rng, 7)):
-        M = monomial_gram(E, 2)
-        assert M[0, 0] == pytest.approx(E.area, abs=1e-13)
+        M = monomial_gram(E, 2)[0]
+        assert M[0, 0] == pytest.approx(E.area[0], abs=1e-13)
 
 
 def test_gram_symmetry_exact():
-    M = monomial_gram(PENTAGON, 3)
+    M = monomial_gram(PENTAGON, 3)[0]
     assert np.abs(M - M.T).max() == 0.0
 
 
 def test_gram_rejects_a_clockwise_cell():
     # the pentagon traversed clockwise: every edge moment changes sign
-    cw = CellGeometry(verts=PENTAGON.verts[::-1], area=PENTAGON.area,
+    cw = CellGeometry(verts=PENTAGON.verts[:, ::-1], area=PENTAGON.area,
                       centroid=PENTAGON.centroid, diameter=PENTAGON.diameter,
-                      cells=np.asarray(0))
+                      cells=PENTAGON.cells)
     with pytest.raises(NumericalDegeneracyError,
                        match=r"^monomial Gram matrix is not positive definite \(degree 2\)$"):
         monomial_gram(cw, 2)
@@ -345,7 +357,7 @@ def test_gram_rejects_a_clockwise_cell():
 
 def test_gram_unit_square_closed_form():
     # int ((x-1/2)/sqrt(2))^2 over the unit square = (1/2)*(1/12) = 1/24
-    M = monomial_gram(UNIT_SQUARE, 1)
+    M = monomial_gram(UNIT_SQUARE, 1)[0]
     assert M[1, 1] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[2, 2] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[1, 2] == pytest.approx(0.0, abs=1e-15)
@@ -361,8 +373,8 @@ def test_gram_positive_definite(seed, d):
 
 
 def _rule_gram(E, points, weights, degree):
-    """The Gram matrix of one cell E from a 2D rule on it."""
-    V = eval_monomials(E, points, degree)
+    """The Gram matrix of the one-cell stack E from a 2D rule on its cell."""
+    V = eval_monomials(E, points[None], degree)[0]
     return (V.T * weights) @ V
 
 
@@ -379,7 +391,7 @@ def test_gram_matches_the_fan_quadrature_gram(voronoi_stacks, degree):
     for E in voronoi_stacks:
         G = monomial_gram(E, degree)
         for i in range(E.cells.size):
-            cell = E.take(i)
+            cell = E.take([i])
             q = polygon_quadrature(cell, 2 * degree)
             ref = _rule_gram(cell, q.points, q.weights, degree)
             assert np.abs(G[i] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -395,7 +407,7 @@ def test_gram_is_exact_on_a_cell_that_is_not_star_shaped():
     points, weights = triangle_rule([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.1, 0.1]],
                                     [[0.1, 0.1], [0.0, 1.0]], 2 * d)
     ref = _rule_gram(dart, points, weights, d)
-    assert np.abs(monomial_gram(dart, d) - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(monomial_gram(dart, d)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_edge_rules_lobatto_nodes():
@@ -440,8 +452,8 @@ def test_scaling_covariance(seed, scale):
     # the scaled basis is invariant under uniform dilation of cell and points
     rng = np.random.default_rng(seed)
     E = star_polygon(rng, 5)
-    pts = rng.uniform(-0.5, 0.5, (4, 2)) + E.centroid
-    Es = lone_cell(E.verts * scale)
+    pts = (rng.uniform(-0.5, 0.5, (4, 2)) + E.centroid)[None]
+    Es = lone_cell(E.verts[0] * scale)
     vals = eval_monomials(E, pts, 3)
     vals_s = eval_monomials(Es, pts * scale, 3)
     assert np.abs(vals - vals_s).max() < 1e-11

@@ -41,10 +41,10 @@ def _reference_moments(mesh, k, case):
     since |m_a| <= 1 on the cell."""
     out, scale = [], 0.0
     for ci in range(mesh.n_cells):
-        E = mesh.cell_geom(ci)
+        E = mesh.cell_geom([ci])
         q = _cell_rule(E, k, case)
         fw = q.weights * case.f(q.points[:, 0], q.points[:, 1])
-        out.append(eval_monomials(E, q.points, k - 1).T @ fw)
+        out.append(eval_monomials(E, q.points[None], k - 1)[0].T @ fw)
         scale = max(scale, float(np.abs(fw).sum()))
     return np.array(out), scale
 
@@ -60,13 +60,13 @@ def _reference_energy_sums(mesh, k, method, solved, case):
     cell_dofs = [{ci: row for cells, rows in system.dof_map.groups
                   for ci, row in zip(cells, rows)} for system, _ in solved]
     for ci in range(mesh.n_cells):
-        E = mesh.cell_geom(ci)
+        E = mesh.cell_geom([ci])
         q = _cell_rule(E, k, case)
         ge = np.column_stack(case.grad_u(q.points[:, 0], q.points[:, 1]))
         sums[0] += _energy(q.weights, ge, K)
-        grads = eval_monomial_grads(E, q.points, k)
+        grads = eval_monomial_grads(E, q.points[None], k)[0]
         for j, (system, u_dofs) in enumerate(solved, start=1):
-            pi_star = build_projection_pack(E, k, method).pi_star
+            pi_star = build_projection_pack(E, k, method).pi_star[0]
             coeffs = pi_star @ u_dofs[cell_dofs[j - 1][ci]]
             gh = np.tensordot(grads, coeffs, axes=([1], [0]))              # (nq, 2)
             sums[j] += _energy(q.weights, ge - gh, K)

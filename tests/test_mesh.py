@@ -23,22 +23,35 @@ from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
 
 def test_cell_geometry_unit_square():
     E = lone_cell([[0, 0], [1, 0], [1, 1], [0, 1]])
-    assert E.area == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(E.centroid, [0.5, 0.5])
-    assert E.diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert E.verts.shape == (1, 4, 2) and E.cells.tolist() == [0]
+    assert E.area[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(E.centroid[0], [0.5, 0.5])
+    assert E.diameter[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_cell_geometry_triangle():
     E = lone_cell([[0, 0], [1, 0], [0, 1]])
-    assert E.area == pytest.approx(0.5)
-    assert np.allclose(E.centroid, [1 / 3, 1 / 3])
-    assert E.diameter == pytest.approx(math.sqrt(2.0))
+    assert E.area[0] == pytest.approx(0.5)
+    assert np.allclose(E.centroid[0], [1 / 3, 1 / 3])
+    assert E.diameter[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_cell_geometry_regular_hexagon():
     E = lone_cell([[math.cos(a), math.sin(a)] for a in np.arange(6) * math.pi / 3])
-    assert E.area == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, abs=1e-12)
-    assert E.diameter == pytest.approx(2.0)
+    assert E.area[0] == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, abs=1e-12)
+    assert E.diameter[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("cells", [0, np.int64(2), np.array([], dtype=int), [],
+                                   np.array([[0, 1]])],
+                         ids=["int", "numpy-scalar", "empty", "empty-list", "2-d"])
+def test_cell_geom_takes_a_nonempty_1d_index_array(cells):
+    mesh = generate_cartesian(2)
+    with pytest.raises(ValueError, match=r"^cell_geom takes a non-empty 1-D array of cell "
+                                         r"indices, got shape \("):
+        mesh.cell_geom(cells)
+    E = mesh.cell_geom(np.array([1, 3]))
+    assert E.cells.tolist() == [1, 3] and E.verts.shape == (2, 4, 2)
 
 
 def test_cell_geometry_rejects_clockwise():
@@ -600,29 +613,24 @@ def test_validate_clean_mesh():
     assert rep.ok
     assert rep.area_sum == pytest.approx(1.0, abs=1e-12)
     assert rep.min_edge_ratio > 0.5
-    assert rep.min_inradius_ratio > 0.2
 
 
-def _ratios_per_cell(mesh):
-    """validate_mesh's two ratios, measured one cell at a time."""
-    edge_ratio = inradius_ratio = float("inf")
+def _edge_ratio_per_cell(mesh):
+    """validate_mesh's edge ratio, measured one cell at a time."""
+    edge_ratio = float("inf")
     for ci, cell in enumerate(mesh.cells):
         v = mesh.vertices[cell]
-        h = mesh.cell_diameters[ci]
         edges = np.roll(v, -1, axis=0) - v
         elen = np.hypot(edges[:, 0], edges[:, 1])
-        edge_ratio = min(edge_ratio, float(elen.min() / h))
-        rel = v - mesh.cell_centroids[ci]
-        dist = np.abs(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]) / elen
-        inradius_ratio = min(inradius_ratio, float(dist.min() / h))
-    return edge_ratio, inradius_ratio
+        edge_ratio = min(edge_ratio, float(elen.min() / mesh.cell_diameters[ci]))
+    return edge_ratio
 
 
 @pytest.mark.parametrize("family, n", [("cartesian", 8), ("voronoi", 256)])
 def test_validate_ratios_match_per_cell_loop(family, n):
     mesh = generate_mesh(family, n)
     rep = validate_mesh(mesh)
-    assert (rep.min_edge_ratio, rep.min_inradius_ratio) == _ratios_per_cell(mesh)
+    assert rep.min_edge_ratio == _edge_ratio_per_cell(mesh)
 
 
 def test_validate_flags_clockwise_cell():
