@@ -130,13 +130,13 @@ def _reference_triangle_rule(degree: int):
 
 def triangle_rule(p0, p1, p2, degree: int):
     """Points and weights integrating polynomials of total degree <= degree
-    over the triangle (p0, p1, p2).  Weights sum to the signed area.
-
-    The corners may be stacked (T, 2) arrays; the rules of the T triangles
-    are then concatenated in order.
+    over each triangle (p0, p1, p2) of stacked (T, 2) corners, the rules of
+    the T triangles concatenated in order.  Each triangle's weights sum to
+    its signed area, and its points are p0 + U (p1 - p0) + V (p2 - p0) at
+    the points (U, V) of the reference rule.
     """
     U, V, W = _reference_triangle_rule(degree)
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    p0 = np.asarray(p0, dtype=float)
     e1 = np.asarray(p1, dtype=float) - p0
     e2 = np.asarray(p2, dtype=float) - p0
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -144,6 +144,48 @@ def triangle_rule(p0, p1, p2, degree: int):
     for i in (0, 1):        # one coordinate at a time: the long axis is innermost
         pts[..., i] = p0[:, i, None] + U * e1[:, i, None] + V * e2[:, i, None]
     return pts.reshape(-1, 2), (W * det[:, None]).ravel()
+
+
+@lru_cache(maxsize=None)
+def reference_monomials(degree: int, d: int) -> np.ndarray:
+    """(q, dim P_d) values U^i V^j, i + j <= d, graded-lex as in
+    `scaled_monomials`, at the q points (U, V) of the reference rule that
+    `triangle_rule` maps at `degree`.  Cached and read-only."""
+    U, V, _ = _reference_triangle_rule(degree)
+    out = scaled_monomials(U, V, d)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lattice(d: int):
+    """The principal lattice of degree d on the reference triangle, the
+    points (i, j) / d with i + j <= d in the order of `monomial_exponents`
+    (the origin at d = 0), which is unisolvent for P_d, and the inverse of
+    the matrix of the monomials U^i V^j at its points.  Cached and read-only."""
+    nodes = monomial_exponents(d) / max(d, 1)
+    inverse = np.linalg.inv(scaled_monomials(nodes[:, 0], nodes[:, 1], d))
+    nodes.setflags(write=False), inverse.setflags(write=False)
+    return nodes, inverse
+
+
+def monomial_transfer(p0, p1, p2, centroids, diameters, d: int) -> np.ndarray:
+    """(T, n, n), n = dim P_d: on each triangle (p0, p1, p2) of stacked (T, 2)
+    corners, the coefficients of the scaled monomials of degree <= d, about
+    the centroid (T, 2) and diameter (T,) of the triangle's cell, in the
+    monomials U^i V^j of the reference coordinates of `triangle_rule`.  So
+    triangle t's scaled monomials at the points of its rule are
+    `reference_monomials(degree, d) @ transfer[t].T`.
+
+    A point of the triangle is affine in (U, V), so a scaled monomial of
+    degree <= d is a polynomial of degree <= d in (U, V); its coefficients
+    come from its values at the points of `_lattice(d)`."""
+    nodes, inverse = _lattice(d)
+    p0 = np.asarray(p0, dtype=float)
+    e1, e2 = np.asarray(p1, dtype=float) - p0, np.asarray(p2, dtype=float) - p0
+    rx, ry = ((p0[:, i, None] + nodes[:, 0] * e1[:, i, None] + nodes[:, 1] * e2[:, i, None]
+               - centroids[:, i, None]) / diameters[:, None] for i in (0, 1))
+    return np.swapaxes(scaled_monomials(rx, ry, d), -1, -2) @ inverse.T
 
 
 def _subdivide_by_extent(a, b, c, owner, max_y_extent):

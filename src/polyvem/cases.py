@@ -38,25 +38,27 @@ def _tc1() -> TestCase:
     """
     kx = 8.0e-3
 
-    def profile(x):
-        """g(x) = x (1-x) (exp(20x) - 1) and its first two derivatives g', g'',
-        from one exponential."""
+    def factors(x):
+        """x (1-x), its derivative 1 - 2x, exp(20x) and exp(20x) - 1, from one
+        exponential: g(x) = x (1-x) (exp(20x) - 1) and its derivatives are
+        formed from them by each caller, which forms only those it reads."""
         ex = np.exp(20.0 * x)
-        em1 = ex - 1.0
-        p, q = x * (1.0 - x), 1.0 - 2.0 * x           # x (1-x) and its derivative
-        return p * em1, q * em1 + 20.0 * p * ex, (40.0 * q + 400.0 * p) * ex - 2.0 * em1
+        return x * (1.0 - x), 1.0 - 2.0 * x, ex, ex - 1.0
 
     def u(x, y):
-        return 1.0e-2 * profile(x)[0] * y * (1.0 - y)
+        p, _, _, em1 = factors(x)
+        return 1.0e-2 * (p * em1) * y * (1.0 - y)
 
     def grad_u(x, y):
-        g, gp, _ = profile(x)
-        return 1.0e-2 * gp * (y * (1.0 - y)), 1.0e-2 * g * (1.0 - 2.0 * y)
+        p, q, ex, em1 = factors(x)
+        gp = q * em1 + 20.0 * p * ex
+        return 1.0e-2 * gp * (y * (1.0 - y)), 1.0e-2 * (p * em1) * (1.0 - 2.0 * y)
 
     def f(x, y):
         # -(kx*u_xx + u_yy) with u_yy = -2e-2*g(x)
-        g, _, gpp = profile(x)
-        return -1.0e-2 * (kx * gpp * y * (1.0 - y) - 2.0 * g)
+        p, q, ex, em1 = factors(x)
+        gpp = (40.0 * q + 400.0 * p) * ex - 2.0 * em1
+        return -1.0e-2 * (kx * gpp * y * (1.0 - y) - 2.0 * (p * em1))
 
     return TestCase(name="tc1", u=u, grad_u=grad_u, f=f,
                     K=DiffusionTensor.diagonal(kx, 1.0))

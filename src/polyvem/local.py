@@ -17,6 +17,9 @@ scheme needs is assembled from those dofs:
 * the source moments of degree k-1, which every scheme shares and tests with
   its own `pi0_val`: `local_load` integrates them on a block of cells at
   once, with the block's `DataRule` (`data_rules` cuts a mesh into blocks).
+  A rule holds one monomial table that all its rows share and a small
+  transfer matrix per row, so a data pass evaluates the data at each
+  quadrature point and no monomial there.
 
 Every step works on a stack of n >= 1 cells that share a vertex count (a
 `mesh.CellGeometry`; a lone cell is a one-cell stack): all arrays lead with
@@ -52,7 +55,7 @@ from scipy.linalg import LinAlgWarning, solve
 
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
                     eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
-                    scaled_monomials, triangle_rule)
+                    monomial_transfer, reference_monomials, scaled_monomials, triangle_rule)
 from .errors import (CellDegeneracyError, NumericalDegeneracyError, PolyvemError,
                      StabilizationFreeRankError)
 
@@ -485,7 +488,8 @@ def _data_degree(k: int) -> int:
 
 class DataRule:
     """The quadrature for source and error data on a block of consecutive
-    cells, with its monomial table; `data_rules` cuts a mesh into blocks.
+    cells, with the scaled monomials of its rows; `data_rules` cuts a mesh
+    into blocks.
 
     It is exact to degree 2k+6 on every cell of the block; for data
     oscillating in y (a case with a `y_wavelength`) the fan triangles taller
@@ -495,18 +499,25 @@ class DataRule:
     (R*q,) run row by row, `row_cells` (R,) is the cell of each row, and the
     rows of cell `cells[i]` start at `starts[i]`, so a per-cell integral is
     a segment sum.  A row is one fan triangle, or on a mesh of congruent
-    cells one whole cell.  `monomials` holds the scaled monomials of degree
-    <= k-1 at the points, each centred and scaled by its own cell: (R, q, n),
-    or (1, q, n) when the rows are congruent cells, which share one table.
+    cells one whole cell.
+
+    The scaled monomials of degree <= k-1 of row r's cell at row r's points
+    are `table @ transfer[r].T`: `table` (q, n) is shared by every row and
+    `transfer` (R, n, n) maps it to each row's cell.  On fan triangles the
+    table holds the monomials of the reference coordinates
+    (`basis.reference_monomials`) and `transfer` comes from each triangle's
+    corners (`basis.monomial_transfer`); on congruent cells the table is
+    cell 0's own scaled monomials, which every cell shares, and `transfer`
+    is the (1, n, n) identity.
     """
 
-    def __init__(self, row_cells, points, weights, monomials):
+    def __init__(self, row_cells, points, weights, table, transfer):
         self.cells = range(int(row_cells[0]), int(row_cells[-1]) + 1)
         self.points, self.weights = points, weights
         self.shape = (row_cells.size, weights.size // row_cells.size)
         self.row_cells = row_cells
         self.starts = np.searchsorted(row_cells, self.cells)
-        self.monomials = monomials
+        self.table, self.transfer = table, transfer
 
 
 def _blocks(points_before):
@@ -537,7 +548,9 @@ def data_rules(mesh, k: int, y_wavelength=None):
     takes cell 0's triangles (and strip count), weights and monomial table,
     and its points are its centroid plus cell 0's offsets.  Otherwise every
     cell's own triangles are formed, a cell's triangles stay together and in
-    cell order, and each block applies one `triangle_rule` to its triangles.
+    cell order, and each block applies one `triangle_rule` and one
+    `monomial_transfer` to its triangles: the scaled monomials are formed at
+    n points of each triangle, not at each of its q rule points.
     """
     max_y = y_wavelength / 2.0 if y_wavelength else None
     degree = _data_degree(k)
@@ -547,36 +560,36 @@ def data_rules(mesh, k: int, y_wavelength=None):
                                    starts[:2], np.zeros((1, 2)), mesh.cell_areas[:1],
                                    max_y_extent=max_y)
         offsets, weights = triangle_rule(*corners, degree)
-        table = scaled_monomials(*(offsets.T / mesh.cell_diameters[0]), k - 1)[None]
+        table = scaled_monomials(*(offsets.T / mesh.cell_diameters[0]), k - 1)
+        identity = np.eye(table.shape[1])[None]
         for first, stop in _blocks(weights.size * np.arange(mesh.n_cells + 1)):
             points = np.empty((stop - first, weights.size, 2))
             for i in (0, 1):    # one coordinate at a time: the long axis is innermost
                 points[..., i] = mesh.cell_centroids[first:stop, i, None] + offsets[:, i]
             yield DataRule(np.arange(first, stop), points.reshape(-1, 2),
-                           np.tile(weights, stop - first), table)
+                           np.tile(weights, stop - first), table, identity)
         return
     corners, triangle_cells = fan_triangles(mesh.vertices[ids], starts, mesh.cell_centroids,
                                             mesh.cell_areas, max_y_extent=max_y)
-    # the points of one triangle's rule: every triangle has as many
-    per_triangle = triangle_rule(*(c[:1] for c in corners), degree)[1].size
+    table = reference_monomials(degree, k - 1)
     first_triangle = np.searchsorted(triangle_cells, np.arange(mesh.n_cells + 1))
-    for first, stop in _blocks(first_triangle * per_triangle):
+    for first, stop in _blocks(first_triangle * table.shape[0]):
         block = slice(first_triangle[first], first_triangle[stop])
         owner = triangle_cells[block]
-        points, weights = triangle_rule(*(c[block] for c in corners), degree)
-        centroids = mesh.cell_centroids[owner]
-        h = mesh.cell_diameters[owner, None]
-        rx, ry = ((points[:, i].reshape(owner.size, -1) - centroids[:, i, None]) / h
-                  for i in (0, 1))
-        yield DataRule(owner, points, weights, scaled_monomials(rx, ry, k - 1))
+        tri = [c[block] for c in corners]
+        transfer = monomial_transfer(*tri, mesh.cell_centroids[owner],
+                                     mesh.cell_diameters[owner], k - 1)
+        yield DataRule(owner, *triangle_rule(*tri, degree), table, transfer)
 
 
 def local_load(f, rule: DataRule) -> np.ndarray:
     """Moments int_E f m_a, |a| <= k-1, of a source on every cell E of a data
     block, shape (len(rule.cells), dim P_{k-1}).
 
-    A scheme's load on cell E is `pi0_val.T @` E's row."""
+    A scheme's load on cell E is `pi0_val.T @` E's row.  The weighted values
+    of each row meet the shared table in one product, and each row's
+    moments are then mapped to its cell's monomials by its transfer."""
     fvals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
     fw = (rule.weights * fvals).reshape(rule.shape)
-    per_triangle = (fw[:, None, :] @ rule.monomials)[:, 0]
-    return np.add.reduceat(per_triangle, rule.starts, axis=0)
+    per_row = (rule.transfer @ (fw @ rule.table)[..., None])[..., 0]
+    return np.add.reduceat(per_row, rule.starts, axis=0)

@@ -13,7 +13,8 @@ norm ratio per level and its ladder average.  On each mesh and order
 `solve_cases` serves every scheme with one dof map, one data pass for the
 source moments and one for the errors.  Both passes run block by block over
 the mesh (`local.data_rules`), in array code with no loop over cells; the
-gradient of a projection is taken in each cell's degree k-1 monomials.
+gradient of a projection is mapped once per rule row to the rule's shared
+monomial table, so the points see only the data and one product.
 Artifacts are written with full-precision floats so repeated runs are
 byte-identical.
 
@@ -53,10 +54,14 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
 def _energy(weights, gx, gy, Km) -> float:
     """Quadrature value of the integral of (K g, g) = K00 gx^2 + 2 K01 gx gy
     + K11 gy^2 from the values gx, gy (npts,) of a gradient; K is read by its
-    entries, as in `local._gradient_energy`.  numpy's pairwise sum, unlike a
-    BLAS dot, adds in the same order whatever the BLAS thread count."""
-    return float((weights * (Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy
-                             + Km[1, 1] * gy * gy)).sum())
+    entries, as in `local._gradient_energy`.  A diagonal K skips the K01
+    term, whose zero would leave the sum as it is.  numpy's pairwise sum,
+    unlike a BLAS dot, adds in the same order whatever the BLAS thread
+    count."""
+    density = Km[0, 0] * gx * gx
+    if Km[0, 1] != 0.0:
+        density = density + 2.0 * Km[0, 1] * gx * gy
+    return float((weights * (density + Km[1, 1] * gy * gy)).sum())
 
 
 def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
@@ -64,7 +69,8 @@ def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
     norm, then the squared energy error of each (system, u_dofs) in `solved`.
 
     A projection's gradient is taken in the degree k-1 monomials of each
-    cell, so one monomial table per block serves every solution."""
+    cell and mapped to each rule row by the row's transfer, (R, n, 2), so
+    the rule's one shared table serves every row and every solution."""
     Km = case.K.matrix
     # (n_cells, dim P_{k-1}, 2) coefficients of each projection's gradient
     grads = [np.einsum("dba,ca->cbd", monomial_derivatives(k), system.projections(u_dofs))
@@ -74,7 +80,8 @@ def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
         ux, uy = case.grad_u(rule.points[:, 0], rule.points[:, 1])
         sums[0] += _energy(rule.weights, ux, uy, Km)
         for j, g in enumerate(grads, start=1):
-            gh = (rule.monomials @ g[rule.row_cells]).reshape(-1, 2)      # (R*q, 2)
+            coeffs = np.swapaxes(rule.transfer, -1, -2) @ g[rule.row_cells]
+            gh = (rule.table @ coeffs).reshape(-1, 2)      # (R*q, 2)
             sums[j] += _energy(rule.weights, ux - gh[:, 0], uy - gh[:, 1], Km)
     return sums
 

@@ -130,7 +130,7 @@ def _ear_fan_reference(E, degree):
     v = E.verts[0]
     pts, wts = [], []
     for i in range(1, len(v) - 1):
-        p, w = triangle_rule(v[0], v[i], v[i + 1], degree + 4)
+        p, w = triangle_rule(v[None, 0], v[None, i], v[None, i + 1], degree + 4)
         pts.append(p)
         wts.append(w)
     return np.vstack(pts), np.concatenate(wts)
@@ -189,7 +189,7 @@ def test_quadrature_takes_one_cell():
 def test_stacked_triangle_rule_concatenates_single_rules(rng):
     corners = rng.uniform(-1, 1, (3, 5, 2))
     pts, wts = triangle_rule(*corners, 6)
-    single = [triangle_rule(a, b, c, 6) for a, b, c in zip(*corners)]
+    single = [triangle_rule(a[None], b[None], c[None], 6) for a, b, c in zip(*corners)]
     assert np.array_equal(pts, np.vstack([p for p, _ in single]))
     assert np.array_equal(wts, np.concatenate([w for _, w in single]))
 
@@ -238,7 +238,7 @@ def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, 
     v = E.verts[0]
     fan = [(E.centroid[0], v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
     tris = [t for tri in fan for t in _strips_one_by_one(tri, max_y_extent)]
-    rules = [triangle_rule(a, b, c, 5) for a, b, c in tris]
+    rules = [triangle_rule(a[None], b[None], c[None], 5) for a, b, c in tris]
     q = fan_rule(E, 5, max_y_extent)
     assert len(tris) > len(fan)
     assert np.array_equal(q.points, np.vstack([p for p, _ in rules]))

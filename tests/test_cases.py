@@ -24,6 +24,29 @@ def test_tc1_vanishes_on_boundary():
     assert np.abs(tc.u(ys, np.ones_like(ys))).max() <= 1e-12
 
 
+def _tc1_by_profile(x, y):
+    """u, grad u and f of tc1 from the profile g and both its derivatives,
+    formed together: the form the case had before each callable formed only
+    the derivatives it reads."""
+    ex = np.exp(20.0 * x)
+    em1 = ex - 1.0
+    p, q = x * (1.0 - x), 1.0 - 2.0 * x
+    g, gp, gpp = p * em1, q * em1 + 20.0 * p * ex, (40.0 * q + 400.0 * p) * ex - 2.0 * em1
+    return (1.0e-2 * g * y * (1.0 - y),
+            (1.0e-2 * gp * (y * (1.0 - y)), 1.0e-2 * g * (1.0 - 2.0 * y)),
+            -1.0e-2 * (8.0e-3 * gpp * y * (1.0 - y) - 2.0 * g))
+
+
+def test_tc1_callables_equal_the_profile_form_bitwise():
+    x, y = np.random.default_rng(26).uniform(0.0, 1.0, (2, 100_000))
+    u, (ux, uy), f = _tc1_by_profile(x, y)
+    tc = get_case("tc1")
+    gx, gy = tc.grad_u(x, y)
+    assert np.array_equal(tc.u(x, y), u)
+    assert np.array_equal(gx, ux) and np.array_equal(gy, uy)
+    assert np.array_equal(tc.f(x, y), f)
+
+
 def test_tc2_point_values():
     tc = get_case("tc2")
     assert tc.u(0.25, 1.0 / 160.0) == pytest.approx(1.0, abs=1e-14)

@@ -17,7 +17,7 @@ import pytest
 
 from polyvem import local
 from polyvem.assembly import assemble, source_moments
-from polyvem.basis import eval_monomial_grads, eval_monomials
+from polyvem.basis import dim_poly, eval_monomial_grads, eval_monomials, scaled_monomials
 from polyvem.cases import testcase as get_case
 from polyvem.errors import QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
@@ -71,6 +71,39 @@ def _reference_energy_sums(mesh, k, method, solved, case):
             gh = np.tensordot(grads, coeffs, axes=([1], [0]))              # (nq, 2)
             sums[j] += _energy(q.weights, ge - gh, K)
     return sums
+
+
+@pytest.mark.parametrize("mesh_name, case_id", [("voronoi64", "tc1"), ("voronoi64", "tc2"),
+                                               ("cartesian4", "tc1")])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rule_table_and_transfer_give_each_rows_scaled_monomials(k, mesh_name, case_id,
+                                                                 monkeypatch):
+    # tc2 cuts the Voronoi fan into y-strips; cartesian 4 takes the
+    # congruent-cell rule
+    monkeypatch.setattr(local, "DATA_BLOCK_POINTS", 500)
+    mesh = MESHES[mesh_name]()
+    wavelength = get_case(case_id).y_wavelength
+    rules = list(data_rules(mesh, k, wavelength))
+    assert len(rules) > 1
+    n = dim_poly(k - 1)
+    rows = 0
+    for rule in rules:
+        R, q = rule.shape
+        rows += R
+        # one (q, n) table per rule, no per-point table
+        assert rule.table.shape == (q, n)
+        assert rule.transfer.shape == ((1, n, n) if mesh.congruent_cells else (R, n, n))
+        points = rule.points.reshape(R, q, 2)
+        rx, ry = ((points[..., i] - mesh.cell_centroids[rule.row_cells, i, None])
+                  / mesh.cell_diameters[rule.row_cells, None] for i in (0, 1))
+        got = rule.table @ np.swapaxes(rule.transfer, -1, -2)
+        assert np.abs(got - scaled_monomials(rx, ry, k - 1)).max() <= 1e-13
+    # a row is a cell, a fan triangle or a strip triangle
+    fan = sum(len(cell) for cell in mesh.cells)
+    if mesh.congruent_cells:
+        assert rows == mesh.n_cells
+    else:
+        assert rows == fan if case_id == "tc1" else rows > fan
 
 
 @pytest.mark.parametrize("case_id", ["tc1", "tc2"])

@@ -31,6 +31,22 @@ def test_convergence_rate_rejects_bad_inputs():
         convergence_rate(0.0, 0.05, 0.2, 0.1)
 
 
+def test_energy_of_a_diagonal_tensor_is_the_three_term_sum_bitwise():
+    rng = np.random.default_rng(3)
+    w, gx, gy = rng.uniform(0.0, 1.0, 1000), *rng.standard_normal((2, 1000))
+    Km = np.diag([8.0e-3, 1.0])
+    three_terms = float((w * (Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy
+                              + Km[1, 1] * gy * gy)).sum())
+    assert study._energy(w, gx, gy, Km) == three_terms
+    # a rotated tensor keeps its cross term
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    Kr = rot @ Km @ rot.T
+    ref = np.einsum("p,pi,ij,pj->", w, np.column_stack([gx, gy]), Kr, np.column_stack([gx, gy]))
+    assert study._energy(w, gx, gy, Kr) == pytest.approx(ref, rel=1e-13)
+    assert abs(ref - study._energy(w, gx, gy, np.diag(np.diag(Kr)))) > 1e-3 * abs(ref)
+
+
 def test_zero_solution_gives_unit_error():
     mesh = generate_cartesian(4)
     case = get_case("tc1")
@@ -85,13 +101,14 @@ def test_solve_case_builds_the_dof_map_once(monkeypatch):
 
 
 def _count_data_rules(monkeypatch, covered):
-    """Record (monomials per point, cells, points per row) of every data rule
-    built; an order-k rule has dim P_{k-1} monomials, 1 at k = 1."""
+    """Record (monomials of the table, cells, points per row) of every data
+    rule built; an order-k rule has dim P_{k-1} monomials, 1 at k = 1."""
     init = local.DataRule.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        covered.append((self.monomials.shape[-1], self.cells, self.shape[1]))
+        assert self.table.shape == (self.shape[1], self.transfer.shape[-1])
+        covered.append((self.table.shape[1], self.cells, self.shape[1]))
 
     monkeypatch.setattr(local.DataRule, "__init__", counted)
 
