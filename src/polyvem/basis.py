@@ -181,8 +181,7 @@ def monomial_transfer(p0, p1, p2, centroids, diameters, d: int) -> np.ndarray:
     degree <= d is a polynomial of degree <= d in (U, V); its coefficients
     come from its values at the points of `_lattice(d)`."""
     nodes, inverse = _lattice(d)
-    p0 = np.asarray(p0, dtype=float)
-    e1, e2 = np.asarray(p1, dtype=float) - p0, np.asarray(p2, dtype=float) - p0
+    e1, e2 = p1 - p0, p2 - p0
     rx, ry = ((p0[:, i, None] + nodes[:, 0] * e1[:, i, None] + nodes[:, 1] * e2[:, i, None]
                - centroids[:, i, None]) / diameters[:, None] for i in (0, 1))
     return np.swapaxes(scaled_monomials(rx, ry, d), -1, -2) @ inverse.T

@@ -6,7 +6,8 @@ with its own fan rule (`conftest.fan_rule`) in plain loops, and takes each
 cell's energy projection from a pack built on that cell.  On a mesh of congruent
 cells the passes read cell 0's rule for every cell; they are also compared
 with the passes over each cell's own triangles, on the same mesh with its
-`congruent_cells` flag forced off.
+`congruent_cells` flag forced off.  Each rule's shared monomial table and
+per-row transfers are checked against the scaled monomials at its points.
 """
 
 import io
