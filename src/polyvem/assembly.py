@@ -6,12 +6,13 @@ moment dofs blocked after everything else.  `build_dof_map` is the one place
 this numbering is made; it groups the cells by vertex count, each group's
 dofs one (cells, local dofs) table, and its `nodes` give the point of every
 vertex and edge dof.  The scatter and the source pass go by groups and by
-blocks of cells, not cell by cell.  The consistency and stabilization parts
-of the stiffness matrix are the stored matrices, on one shared sparse
-pattern, so their norms can be compared after assembly; their sum, the
-matrix that is solved, is formed when it is read.  Only `assemble` knows the
-scheme: the Dirichlet elimination and the solve know only the matrix.  An
-element failure leaves `assemble` naming the mesh's lowest failing cell.
+blocks of cells, not cell by cell; the scatter fills one preallocated int32
+COO triple per part of the stiffness matrix.  The consistency and
+stabilization parts are the stored matrices, on one shared sparse pattern,
+so their norms can be compared after assembly; their sum, the matrix that
+is solved, is formed when it is read.  Only `assemble` knows the scheme: the
+Dirichlet elimination and the solve know only the matrix.  An element
+failure leaves `assemble` naming the mesh's lowest failing cell.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ STACK_CELLS = 256
 # SuperLU pairs with symmetric mode and no off-diagonal pivoting.  On the
 # cartesian 128 k=3 system it leaves a third of COLAMD's L+U fill.
 ORDERING = "MMD_AT_PLUS_A"
+# SuperLU's panel width: its default of 20 columns is too wide for VEM's small
+# supernodes.  On cartesian 128 k=3, 6 cut `gstrf` by a tenth, with equal fill.
+PANEL_COLUMNS = 6
 
 
 @dataclass
@@ -117,10 +121,8 @@ class SparseSystem:
 
     @property
     def a(self) -> sp.csr_matrix:
-        """The stiffness matrix a_pi + a_s: `a_pi` itself when `a_s` has no
-        stored entries (the stabilization-free scheme scatters none), else
-        the sum of the parts' data on their shared pattern, formed at each
-        read."""
+        """a_pi + a_s, summed on their shared pattern at each read; `a_pi`
+        itself when `a_s` stores nothing (the stabilization-free scheme)."""
         if not self.a_s.nnz:
             return self.a_pi
         return sp.csr_matrix((self.a_pi.data + self.a_s.data, self.a_pi.indices,
@@ -141,19 +143,20 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     """Scatter-add of the local stiffness matrices and loads over the mesh.
 
     The elements of each group of the dof map, cells with one vertex count,
-    are built in stacks of at most STACK_CELLS cells (`element_matrices`) and
-    scattered group by group.  Once a stack fails, naming its lowest failing
-    cell, later stacks are built only on their cells below the lowest failing
-    cell so far, whose error leaves at the end; an error that names no cell
-    leaves at once.  Cell ci's load is `pack.pi0_val.T @ source[ci]`, from the
+    are built in stacks of at most STACK_CELLS cells (`element_matrices`).
+    Once a stack fails, naming its lowest failing cell, later stacks are
+    built only on their cells below the lowest failing cell so far, whose
+    error leaves at the end; an error that names no cell leaves at once.
+    Cell ci's load is `pack.pi0_val.T @ source[ci]`, from the
     `source_moments` of the mesh at order k; without `source` b is zero
     (enough for norm studies).  Element matrices are invariant under
     translation, so on a mesh of congruent cells the stack of cell 0 serves
-    every cell.  The consistency and stabilization parts share one read-only
-    sparse pattern; the stabilization-free scheme scatters no stabilization,
-    so its `a_s` has no stored entries and its `a` is `a_pi`.  `dof_map` is
-    the mesh's `build_dof_map` at order k, built here if not given; the
-    schemes solved on one mesh and order share it.
+    every cell.  Each group is broadcast into its slice of COO arrays sized
+    once, whose int32 indices scipy converts to CSR without a copy.  The
+    parts share one read-only sparse pattern; the stabilization-free scheme
+    scatters no stabilization, so its `a_s` has no stored entries and its
+    `a` is `a_pi`.  `dof_map` is the mesh's `build_dof_map` at order k, built
+    here if not given; the schemes solved on one mesh and order share it.
     """
     dm = build_dof_map(mesh, k) if dof_map is None else dof_map
 
@@ -178,31 +181,31 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
         raise failure
 
     b = np.zeros(dm.n_total)
-    rows, cols, vals_pi, vals_s = [], [], [], []
-    for (cells, dofs), (_, pi0_val, a_pi, a_s) in zip(dm.groups, elements):
-        n = dofs.shape[1]
-        rows.append(np.repeat(dofs, n, axis=1).ravel())
-        cols.append(np.tile(dofs, n).ravel())
-        vals_pi.append(np.broadcast_to(a_pi.reshape(-1, n * n), (cells.size, n * n)).ravel())
-        if method is Method.STANDARD:
-            vals_s.append(np.broadcast_to(a_s.reshape(-1, n * n), (cells.size, n * n)).ravel())
+    ends = np.cumsum([dofs.size * dofs.shape[1] for _, dofs in dm.groups])
+    rows, cols = np.empty((2, ends[-1]), np.int32 if dm.n_total < 2**31 else np.int64)
+    vals = np.empty((2 if method is Method.STANDARD else 1, ends[-1]))
+    for (cells, dofs), (_, pi0_val, *parts), end in zip(dm.groups, elements, ends):
+        n_g, n = dofs.shape
+        at = slice(end - n_g * n * n, end)
+        rows[at].reshape(n_g, n, n)[...] = dofs[:, :, None]
+        cols[at].reshape(n_g, n, n)[...] = dofs[:, None, :]
+        for out, part in zip(vals, parts):
+            out[at].reshape(n_g, n, n)[...] = part
         if source is not None:
             loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
             b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
 
     shape = (dm.n_total, dm.n_total)
-    ij = (np.concatenate(rows), np.concatenate(cols))
-    a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
+    a_pi = sp.coo_matrix((vals[0], (rows, cols)), shape=shape).tocsr()
     pattern = (a_pi.indices, a_pi.indptr)
     for index in pattern:
         index.setflags(write=False)
+    a_s = sp.csr_matrix(shape)
     if method is Method.STANDARD:
         # the parts share their entries (i, j), so the conversion sorts and
         # sums the stabilization part onto the consistency part's pattern
-        a_s = sp.coo_matrix((np.concatenate(vals_s), ij), shape=shape).tocsr()
+        a_s = sp.coo_matrix((vals[1], (rows, cols)), shape=shape).tocsr()
         a_s = sp.csr_matrix((a_s.data, *pattern), shape=shape)
-    else:
-        a_s = sp.csr_matrix(shape)
     return SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm,
                         pi_stars=[pi_star for pi_star, *_ in elements])
 
@@ -225,12 +228,9 @@ def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem
     """Eliminate boundary dofs symmetrically, moving known values to the rhs."""
     dm = system.dof_map
     free, fixed = dm.free_dofs, dm.boundary_dofs
-    if boundary_values is None:
-        vals = np.zeros(fixed.size)
-    else:
-        vals = np.asarray(boundary_values, dtype=float)
-        if vals.shape != (fixed.size,):
-            raise ValueError(f"expected {fixed.size} boundary values, got {vals.shape}")
+    vals = np.zeros(fixed.size) if boundary_values is None else np.asarray(boundary_values, float)
+    if vals.shape != (fixed.size,):
+        raise ValueError(f"expected {fixed.size} boundary values, got {vals.shape}")
     a_free = system.a[free]
     a_ff = a_free[:, free]
     b_f = system.b[free]
@@ -278,7 +278,7 @@ def solve(reduced: ReducedSystem) -> SolveReport:
     b = reduced.b_f
     try:
         lu = splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
-                  permc_spec=ORDERING, diag_pivot_thresh=0.0,
+                  permc_spec=ORDERING, diag_pivot_thresh=0.0, panel_size=PANEL_COLUMNS,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed ({exc})") from None

@@ -417,18 +417,77 @@ def test_reduced_matrix_is_its_own_csc(mesh_name, method, k, voronoi_256):
         assert np.array_equal(getattr(a_ff, name), getattr(csc, name))
 
 
+def _reference_scatter(mesh, k, method, K, source, monkeypatch):
+    """`assemble`'s system, and its parts and load scattered from the same
+    element stacks by per-group index lists joined and converted by scipy."""
+    stacks = []
+
+    def recording(E, *args):
+        stacks.append((E.cells, local.element_matrices(E, *args)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(assembly, "element_matrices", recording)
+    system = assemble(mesh, k, method, K, source)
+    monkeypatch.undo()
+    dm = system.dof_map
+    b = np.zeros(dm.n_total)
+    rows, cols, vals_pi, vals_s = [], [], [], []
+    for cells, dofs in dm.groups:
+        _, pi0_val, a_pi, a_s = [np.concatenate(parts) for parts in zip(
+            *(out for at, out in stacks if np.isin(at, cells).all()))]
+        n = dofs.shape[1]
+        rows.append(np.repeat(dofs, n, axis=1).ravel())
+        cols.append(np.tile(dofs, n).ravel())
+        vals_pi.append(np.broadcast_to(a_pi.reshape(-1, n * n), (cells.size, n * n)).ravel())
+        vals_s.append(np.broadcast_to(a_s.reshape(-1, n * n), (cells.size, n * n)).ravel())
+        loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
+        b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
+    shape = (dm.n_total, dm.n_total)
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
+    a_s = (sp.coo_matrix((np.concatenate(vals_s), ij), shape=shape).tocsr()
+           if method is Method.STANDARD else sp.csr_matrix(shape))
+    return system, assembly.SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, pi_stars=[])
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
+@pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
+def test_scatter_is_bitwise_the_joined_index_lists(mesh_name, method, k, voronoi_256,
+                                                   monkeypatch):
+    # the preallocated int32 COO arrays give the very matrices, load and
+    # reduced matrix that per-group repeat/tile lists, joined, gave
+    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
+    case = get_case("tc1")
+    system, ref = _reference_scatter(mesh, k, method, case.K, source_moments(mesh, k, case.f),
+                                     monkeypatch)
+    assert (len(system.dof_map.groups) > 1) == (mesh_name == "voronoi 256")
+    for got, want in ((system.a_pi, ref.a_pi), (system.a_s, ref.a_s),
+                      (apply_dirichlet(system).a_ff, apply_dirichlet(ref).a_ff)):
+        for name in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert system.a_pi.indices.dtype == np.int32
+    assert (system.a_s.nnz > 0) == (method is Method.STANDARD)
+    assert _same_bits(system.b, ref.b)
+
+
 def test_solve_factors_the_reduced_matrix_arrays(monkeypatch):
     mesh = generate_cartesian(4)
     red = apply_dirichlet(assemble(mesh, 2, Method.STANDARD, K_ANISO))
     seen = []
 
     def recording_splu(A, **kwargs):
-        seen.append(A)
+        seen.append((A, kwargs))
         return splu(A, **kwargs)
 
     monkeypatch.setattr(assembly, "splu", recording_splu)
     assert solve(red).solver == "splu"
-    [A] = seen
+    [(A, kwargs)] = seen
+    assert kwargs["panel_size"] == assembly.PANEL_COLUMNS
     assert A.format == "csc"
     assert np.shares_memory(A.data, red.a_ff.data)
     assert np.shares_memory(A.indices, red.a_ff.indices)
@@ -459,7 +518,8 @@ def test_solve_rejects_unverified_solution(matrix):
 
 def test_solve_ordering_reduces_fill():
     # the symmetric minimum-degree ordering leaves less L+U fill than SuperLU's
-    # default COLAMD on an order-3 system, with the same checks passing
+    # default COLAMD on an order-3 system, with the same checks passing; the
+    # panel width changes the speed of the factorization, not its fill
     case = get_case("tc1")
     mesh = generate_cartesian(16)
     red = apply_dirichlet(assemble(mesh, 3, Method.STANDARD, case.K,
@@ -467,8 +527,11 @@ def test_solve_ordering_reduces_fill():
     rep = solve(red)
     colamd = splu(red.a_ff.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
+    default_panel = splu(red.a_ff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
     assert rep.ordering == "MMD_AT_PLUS_A"
     assert 0 < rep.fill_nnz < colamd.nnz
+    assert rep.fill_nnz == default_panel.nnz
     assert rep.spd_ok
     assert rep.residual <= RESIDUAL_RTOL * np.linalg.norm(red.b_f)
 

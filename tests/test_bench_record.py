@@ -16,11 +16,14 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 END_TO_END = ("wall_s", "dofs_per_s", "setup_s", "peak_rss_mb", "ok_ratio")
+with open(ROOT / "BENCHMARK.json", encoding="utf-8") as _fh:
+    LAYER_SECONDS = {m["name"] for m in json.load(_fh)["per_layer"] if m["unit"] == "s"}
 
 
 def _run_record(workload, seed, trace, wall):
     """A perfbench run record with the keys the recorder reads, and some it drops."""
-    metrics = ({"study.error_self_s": wall / 4, "local.load_s": wall / 20} if trace
+    metrics = ({"study.error_self_s": wall / 4, "local.load_s": wall / 20,
+                "mesh.cells": 1024.0, "trace.coverage": 0.98} if trace
                else {"wall_s": wall, "dofs_per_s": 1e5 / wall, "setup_s": 0.5,
                      "peak_rss_mb": 137.0, "ok_ratio": 1.0})
     return {"workload": workload, "seed": seed, "mesh_seed": seed % 30, "seconds": 10,
@@ -32,7 +35,9 @@ def _run_record(workload, seed, trace, wall):
 
 
 def check_schema(record):
-    assert record["schema"] == bench_record.SCHEMA
+    # schema 1 files are kept as they were written; from schema 2 on a traced
+    # run also holds its per-layer seconds at the reference host speed
+    assert record["schema"] in (1, bench_record.SCHEMA)
     assert isinstance(record["label"], str) and record["label"]
     assert isinstance(record["commit"], str) and len(record["commit"]) == 40
     assert isinstance(record["dirty"], bool)
@@ -41,8 +46,14 @@ def check_schema(record):
     assert isinstance(bench["run_seconds"], int)
     assert bench["seeds"] and bench["trace_seeds"]
     for run in record["runs"]:
+        scaled = {"layers_at_reference"} if run["trace"] and record["schema"] >= 2 else set()
         assert set(run) == {"workload", "seed", "trace", "seconds", "correct", "problems",
-                            *bench_record.RUN_KEYS}
+                            *bench_record.RUN_KEYS, *scaled}
+        if scaled:
+            layers = run["layers_at_reference"]
+            assert set(layers) == LAYER_SECONDS & set(run["metrics"])
+            for name, value in layers.items():
+                assert math.isclose(value, run["metrics"][name] * run["host_speed"])
         assert run["trace"] in (0, 1)
         assert run["correct"] == (not run["problems"])
         assert set(run["raw_seconds"]) == {"wall_s", "dofs_per_s", "setup_s"}
@@ -71,7 +82,8 @@ def test_record_keeps_each_run_and_the_untraced_medians():
              "identical": dict.fromkeys(bench_record.PAPER_FILES, True)}
     benchmark = {"command": ["python3", "perfbench/run.py"], "run_seconds": 10,
                  "seeds": [1, 2, 3], "trace_seeds": [1]}
-    record = bench_record.build_record("demo", "a" * 40, False, benchmark, records, paper)
+    record = bench_record.build_record("demo", "a" * 40, False, benchmark, records, paper,
+                                       LAYER_SECONDS)
     # the file is JSON as written, and reads back the same
     record = json.loads(json.dumps(record))
     check_schema(record)
@@ -80,7 +92,13 @@ def test_record_keeps_each_run_and_the_untraced_medians():
     assert "passes" not in record["runs"][0]
     assert record["median"]["vor1024-tc1"]["wall_s"] == 0.40
     assert math.isclose(record["median"]["cart128-tc1-k3"]["dofs_per_s"], 1e5 / 0.40)
-    assert record["runs"][-1]["metrics"] == {"study.error_self_s": 0.125, "local.load_s": 0.025}
+    traced = record["runs"][-1]
+    assert traced["metrics"] == {"study.error_self_s": 0.125, "local.load_s": 0.025,
+                                 "mesh.cells": 1024.0, "trace.coverage": 0.98}
+    # seconds scaled by the run's host speed, counts and ratios left out
+    assert traced["layers_at_reference"] == {"study.error_self_s": 0.125 * 0.77,
+                                             "local.load_s": 0.025 * 0.77}
+    assert all("layers_at_reference" not in run for run in record["runs"][:-1])
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -7,7 +7,11 @@ workload of BENCHMARK.json at its run length: untraced at each of SEEDS and
 traced at TRACE_SEEDS.  It keeps from each run record that perfbench writes
 to .perfbench_out/ the metrics, the raw seconds, the host speed, the
 provenance and the output check, and adds the commit from `git rev-parse`,
-since perfbench reads none outside a git checkout.  The paper run goes in a
+since perfbench reads none outside a git checkout.  A traced run's per-layer
+metrics are raw seconds; the file adds them scaled by that run's own host
+speed (`layers_at_reference`, every per-layer metric whose unit in
+BENCHMARK.json is s), so that traced runs on hosts of different speed
+compare as perfbench's end-to-end times do.  The paper run goes in a
 subprocess with single-threaded BLAS; the file records its wall time, its
 peak RSS, its exit code and whether each reference file of tests/data/paper/
 came out byte-identical.  Apart from the paper run nothing is timed here:
@@ -31,7 +35,8 @@ TRACE_SEEDS = (1,)
 # what the file keeps of a perfbench run record
 RUN_KEYS = ("metrics", "raw_seconds", "host_speed", "provenance")
 PAPER_FILES = ("tc1/study_rows.csv", "tc2/study_rows.csv", "ratio_tables.csv")
-SCHEMA = 1
+# 2: traced runs carry layers_at_reference
+SCHEMA = 2
 
 
 def git_commit(root=ROOT):
@@ -73,13 +78,23 @@ def run_perfbench(workload, seed, seconds, trace, root=ROOT):
         return json.load(fh)
 
 
-def build_record(label, commit, dirty, benchmark, records, paper):
+def at_reference(rec, layer_seconds):
+    """A traced run's per-layer seconds among `layer_seconds`, each scaled by
+    the run's host speed to seconds at perfbench's reference speed."""
+    return {name: value * rec["host_speed"] for name, value in rec["metrics"].items()
+            if name in layer_seconds}
+
+
+def build_record(label, commit, dirty, benchmark, records, paper, layer_seconds):
     """The BENCH file's contents from perfbench run records and the paper
-    run: each run's kept keys, and per workload the median of each untraced
+    run: each run's kept keys, each traced run's `layer_seconds` metrics at
+    the reference speed, and per workload the median of each untraced
     metric."""
     runs = [{"workload": rec["workload"], "seed": rec["seed"], "trace": rec["trace"],
              "seconds": rec["seconds"], "correct": not rec["problems"],
-             "problems": rec["problems"], **{key: rec[key] for key in RUN_KEYS}}
+             "problems": rec["problems"], **{key: rec[key] for key in RUN_KEYS},
+             **({"layers_at_reference": at_reference(rec, layer_seconds)}
+                if rec["trace"] else {})}
             for rec in records]
     medians = {}
     for run in runs:
@@ -108,7 +123,8 @@ def main(argv=None):
                for seed in seeds for w in workloads]
     benchmark = {"command": spec["command"], "run_seconds": seconds,
                  "seeds": list(SEEDS), "trace_seeds": list(TRACE_SEEDS)}
-    record = build_record(args[0], *git_commit(), benchmark, records, paper)
+    layer_seconds = {m["name"] for m in spec["per_layer"] if m["unit"] == "s"}
+    record = build_record(args[0], *git_commit(), benchmark, records, paper, layer_seconds)
     path = ROOT / f"BENCH_{args[0]}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
