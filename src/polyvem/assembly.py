@@ -39,7 +39,7 @@ STACK_CELLS = 256
 # cartesian 128 k=3 system it leaves a third of COLAMD's L+U fill.
 ORDERING = "MMD_AT_PLUS_A"
 # SuperLU's panel width: its default of 20 columns is too wide for VEM's small
-# supernodes.  On cartesian 128 k=3, 6 cut `gstrf` by a tenth, with equal fill.
+# supernodes.  On cartesian 128 k=3, 6 cut `gstrf` by 7-8%, with equal fill.
 PANEL_COLUMNS = 6
 
 
