@@ -303,10 +303,15 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
 
 def monomial_gram(E, degree: int) -> np.ndarray:
     """Mass matrix of the scaled monomials up to `degree` on each cell of the
-    stack E, SPD by construction, (n, dim, dim).  G[a, b] is the moment of
-    m_g, g = a + b, homogeneous of degree |g| about x_E: mu_g = sum_e ((x -
-    x_E) . n_e) int_e m_g ds / (|g| + 2) (Chin, Lasserre & Sukumar, Comput.
-    Mech. 56, 2015), by the `edge_rules` Gauss-Legendre rule, exact to 2*degree."""
+    stack E, (n, dim, dim).  G[a, b] is the moment of m_g, g = a + b,
+    homogeneous of degree |g| about x_E: mu_g = sum_e ((x - x_E) . n_e)
+    int_e m_g ds / (|g| + 2) (Chin, Lasserre & Sukumar, Comput. Mech. 56,
+    2015), by the `edge_rules` Gauss-Legendre rule, exact to 2*degree.
+
+    SPD in exact arithmetic; a Cholesky factorization checks it in floating
+    point and raises `NumericalDegeneracyError` if it fails.  That check is
+    the SPD guarantee the L2 projections of `local` rely on: every leading
+    block they solve with is SPD too, and they check nothing themselves."""
     _, t, w = edge_rules(1, 2 * degree)
     tang = np.roll(E.verts, -1, axis=-2) - E.verts
     arm = E.verts - E.centroid[:, None, :]

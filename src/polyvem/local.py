@@ -23,13 +23,16 @@ scheme needs is assembled from those dofs:
 
 Every step works on a stack of n >= 1 cells that share a vertex count (a
 `mesh.CellGeometry`; a lone cell is a one-cell stack): all arrays lead with
-the stack axis, matrix products are stacked `@`, and the solves, Cholesky
-checks and eigenvalues are batched LAPACK calls (`assembly.assemble` builds
-a mesh in stacks of up to `assembly.STACK_CELLS` cells of one vertex count).
-`build_projection_pack` builds a stack's `ElementContext` (Gram matrix and
-edge data, from edge integrals alone) and every projector at one ell;
-`local_stiffness` takes the finished pack, and `element_matrices` is the one
-loop over ell, building the cells a pack leaves `short` again at ell + 1.
+the stack axis, matrix products are stacked `@`, and the solves and
+eigenvalues are batched LAPACK calls (`assembly.assemble` builds a mesh in
+stacks of up to `assembly.STACK_CELLS` cells of one vertex count).  The
+one dense solver is `np.linalg.solve`, for the energy projector and for both
+L2 projections, whose Gram blocks `monomial_gram`'s Cholesky check has
+already shown SPD.  `build_projection_pack` builds a stack's
+`ElementContext` (Gram matrix and edge data, from edge integrals alone) and
+every projector at one ell; `local_stiffness` takes the finished pack, and
+`element_matrices` is the one loop over ell, building the cells a pack
+leaves `short` again at ell + 1.
 
 The context holds the data of all m edges as (..., m, ...) arrays; the
 builders evaluate monomials at all edge points at once and scatter through
@@ -45,19 +48,16 @@ cell's gradient energy, made on every pack, guards the higher orders.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, solve
 
 from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
                     eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
                     monomial_transfer, reference_monomials, scaled_monomials, triangle_rule)
-from .errors import (CellDegeneracyError, NumericalDegeneracyError, PolyvemError,
-                     StabilizationFreeRankError)
+from .errors import CellDegeneracyError, PolyvemError, StabilizationFreeRankError
 
 
 class Method(Enum):
@@ -272,25 +272,10 @@ def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
     return M
 
 
-def _cholesky_solve(H, R):
-    """H^-1 R for SPD H, each matrix of a stack by LAPACK potrf and potrs, as
-    `scipy.linalg.cho_solve` does it.  H is broadcast over R's leading axes
-    (a 1x1 H broadcast by `solve` itself would be divided by), and `solve`'s
-    ill-conditioning warning is left out, as `cho_solve` gives none.  An H
-    that is not SPD raises `NumericalDegeneracyError`."""
-    H = np.broadcast_to(H, R.shape[:-2] + H.shape[-2:])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        try:
-            return solve(H, R, assume_a="pos", check_finite=False)
-        except np.linalg.LinAlgError:
-            raise NumericalDegeneracyError("L2-projection mass matrix is not SPD") from None
-
-
 def build_pi0_val(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
     """Coefficients of the L2 projection of values onto P_{k-1}."""
     n = dim_poly(ctx.k - 1)
-    return _cholesky_solve(ctx.gram[..., :n, :n], moments[..., :n, :])
+    return np.linalg.solve(ctx.gram[..., :n, :n], moments[..., :n, :])
 
 
 def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarray:
@@ -299,8 +284,9 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
     For each vector monomial q the pairing (grad v, q)_E is integrated by
     parts: the divergence term reads recovered moments (degree <= d-1)
     through `monomial_derivatives` and the boundary term uses exact edge
-    quadrature of the traces.  Rows are the x-component block stacked over
-    the y-component block.
+    quadrature of the traces.  One solve with the degree-d Gram block takes
+    the x and y right-hand sides side by side.  Rows are the x-component
+    block stacked over the y-component block.
     """
     E, lay = ctx.E, ctx.layout
     nd, n_lower = dim_poly(d), dim_poly(d - 1)
@@ -315,8 +301,9 @@ def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarr
         _add_edge_columns(R[..., c, :, :], lay.edge_node_dofs,
                           ctx.edge_normals[..., :, c, None, None] * contrib)
 
-    coef = _cholesky_solve(ctx.gram[..., None, :nd, :nd], R)
-    return coef.reshape(n, 2 * nd, lay.total)
+    rhs = np.concatenate([R[:, 0], R[:, 1]], axis=-1)        # (n, nd, 2 total)
+    coef = np.linalg.solve(ctx.gram[..., :nd, :nd], rhs)
+    return np.concatenate(np.split(coef, 2, axis=-1), axis=-2)
 
 
 @dataclass
@@ -347,16 +334,12 @@ MAX_ELL_BUMPS = 4
 
 def _gradient_energy(pi0_grad, gram, d: int, Km) -> np.ndarray:
     """(K grad Pi v, grad Pi w)_E for the gradient projection onto [P_d]^2
-    with the constant tensor Km, per cell: with the x and y blocks X, Y of
-    `pi0_grad` and H the degree-d Gram matrix, the symmetrized
-    X^T (K00 H) X + X^T (K01 H) Y + Y^T (K01 H)^T X + Y^T (K11 H) Y.
+    with the constant tensor Km, per cell: the symmetrized Z^T (K kron H) Z,
+    with Z = `pi0_grad` (its x block over its y block) and H the degree-d
+    Gram matrix.
     """
     nd = dim_poly(d)
-    X, Y = pi0_grad[..., :nd, :], pi0_grad[..., nd:, :]
-    H = gram[..., :nd, :nd]
-    Wxx, Wxy, Wyy = Km[0, 0] * H, Km[0, 1] * H, Km[1, 1] * H
-    A = (_t(X) @ (Wxx @ X) + _t(X) @ (Wxy @ Y) + _t(Y) @ (_t(Wxy) @ X)
-         + _t(Y) @ (Wyy @ Y))
+    A = _t(pi0_grad) @ (np.kron(Km, gram[..., :nd, :nd]) @ pi0_grad)
     return 0.5 * (A + _t(A))
 
 

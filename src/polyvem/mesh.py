@@ -11,7 +11,6 @@ checks and measures it as the cells of any mesh are, a one-cell stack.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshError
-
-log = logging.getLogger(__name__)
 
 BOUNDARY_SNAP_TOL = 1e-9    # snapping band around the square sides
 SEED_SIDE_GAP = 1e-6        # initial seeds are drawn at least this far from every side
@@ -520,9 +517,9 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
     lloyd_iters : number of Lloyd iterations (each moves every seed to the
         centroid of its clipped Voronoi region).
 
-    The result is deterministic for fixed inputs.  Coincident seeds are
-    perturbed by redrawing and reported on the module logger.  Cell i is the
-    region of seed i.
+    The result is deterministic for fixed inputs.  Cell i is the region of
+    seed i.  The seeds are drawn once; drawn seeds that coincide leave a
+    degenerate region, and `_seed_fans` raises MeshError naming its cell.
 
     Each diagram comes from one checked Delaunay triangulation of the seeds
     and their reflections (`_triangulate`).  A Lloyd step sums the fan
@@ -536,20 +533,7 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
         raise ValueError("n_cells must be >= 1")
     if lloyd_iters < 0:
         raise ValueError("lloyd_iters must be >= 0")
-    rng = SplitMix64(rng_seed)
-    seeds = _draw_seeds(rng, n_cells)
-
-    for attempt in range(16):
-        if n_cells == 1:
-            break
-        dmin = cKDTree(seeds).query(seeds, k=2)[0][:, 1].min()
-        if dmin > 1e-9:
-            break
-        log.warning("voronoi seeds nearly coincident (min distance %.3e), redrawing", dmin)
-        seeds = _draw_seeds(rng, n_cells)
-    else:
-        raise MeshError("could not draw distinct Voronoi seeds")
-
+    seeds = _draw_seeds(SplitMix64(rng_seed), n_cells)
     band = np.inf
     for _ in range(lloyd_iters):
         seeds, reach = _lloyd_step(seeds, band)

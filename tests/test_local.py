@@ -11,7 +11,7 @@ from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, lone_cell
 from polyvem import local
 from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
                            monomial_exponents, monomial_index, polygon_quadrature)
-from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError, QuadratureError
+from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad, build_pi0_val,
                            build_pi_nabla, build_projection_pack, dof_count,
@@ -230,35 +230,43 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
         assert pack.pi0_grad[0].shape == (2 * nd, pack.layout.total)
 
 
+def _gradient_rhs_by_edges(ctx, d, moments, c=0):
+    """(2, dim P_d, total): the pairings (grad v, m_a e_i)_E of cell c of the
+    stack by parts, the boundary term one edge at a time, edge 0 first."""
+    lay, h, E = ctx.layout, ctx.E.diameter[c], ctx.E.take([c])
+    R = np.zeros((2, dim_poly(d), lay.total))
+    for a, (ax, ay) in enumerate(monomial_exponents(d)):
+        if ax:
+            R[0, a] -= (ax / h) * moments[c, monomial_index(ax - 1, ay)]
+        if ay:
+            R[1, a] -= (ay / h) * moments[c, monomial_index(ax, ay - 1)]
+    for e in range(lay.n_vertices):
+        dofs = lay.edge_node_dofs[e]
+        contrib = (eval_monomials(E, ctx.edge_points[c:c + 1, e], d)[0].T
+                   @ ctx.edge_trace[c, e].T)
+        for i in range(2):
+            R[i][:, dofs] += ctx.edge_normals[c, e, i] * contrib
+    return R
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_edge_terms_match_per_edge_loop(k, rng):
     """The batched edge terms equal a loop over edges, edge 0 first, bit for bit."""
     E = star_polygon(rng, 9)
     ctx = ElementContext(E, k, 1)
-    lay, h = ctx.layout, E.diameter[0]
+    lay = ctx.layout
     _, B, _, pi_star = build_pi_nabla(ctx)
     moments = recover_moments(ctx, pi_star)
-    nd = dim_poly(k)
     ref_B = np.zeros_like(B[0])
-    R = np.zeros((2, nd, lay.total))
-    for a, (ax, ay) in enumerate(monomial_exponents(k)):
-        if ax:
-            R[0, a] -= (ax / h) * moments[0, monomial_index(ax - 1, ay)]
-        if ay:
-            R[1, a] -= (ay / h) * moments[0, monomial_index(ax, ay - 1)]
     for e in range(lay.n_vertices):
-        dofs = lay.edge_node_dofs[e]
         points, trace = ctx.edge_points[:, e], ctx.edge_trace[0, e]
         gn = eval_monomial_grads(E, points, k)[0] @ ctx.edge_normals[0, e]
-        ref_B[:, dofs] += gn.T @ trace.T
-        contrib = eval_monomials(E, points, k)[0].T @ trace.T
-        for c in range(2):
-            R[c][:, dofs] += ctx.edge_normals[0, e, c] * contrib
+        ref_B[:, lay.edge_node_dofs[e]] += gn.T @ trace.T
     edge_cols = slice(0, lay.first_moment)
     assert np.array_equal(B[0, 1:, edge_cols], ref_B[1:, edge_cols])
-    cho = cho_factor(ctx.gram[0, :nd, :nd])
-    assert np.array_equal(build_pi0_grad(ctx, k, moments)[0],
-                          np.vstack([cho_solve(cho, R[0]), cho_solve(cho, R[1])]))
+    R = _gradient_rhs_by_edges(ctx, k, moments)
+    coef = np.linalg.solve(ctx.gram[0, :dim_poly(k), :dim_poly(k)], np.hstack([R[0], R[1]]))
+    assert np.array_equal(build_pi0_grad(ctx, k, moments)[0], np.vstack(np.hsplit(coef, 2)))
 
 
 def test_energy_projector_rejects_a_singular_system():
@@ -270,19 +278,6 @@ def test_energy_projector_rejects_a_singular_system():
                        match=r"^singular projector system \(k=1\)$") as info:
         build_pi_nabla(ctx)
     assert info.value.exit_code == 3
-
-
-def test_l2_projections_reject_a_gram_matrix_that_is_not_spd():
-    """Both L2 projections solve with the Gram matrix: one that is not SPD
-    raises the solver-failure error, which names no cell until
-    element_matrices builds the cells of its stack alone."""
-    ctx = ElementContext(PENTAGON, 2)
-    moments = recover_moments(ctx, build_pi_nabla(ctx)[3])
-    ctx.gram = -ctx.gram
-    with pytest.raises(NumericalDegeneracyError, match="mass matrix is not SPD"):
-        build_pi0_val(ctx, moments)
-    with pytest.raises(NumericalDegeneracyError, match="mass matrix is not SPD"):
-        build_pi0_grad(ctx, 1, moments)
 
 
 def test_pi0_grad_triangle_matches_fem_gradient(rng):
@@ -515,14 +510,24 @@ def test_stack_cells_kept_at_three_enlargements(monkeypatch, stack_meshes):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gradient_energy_matches_per_cell_sum(k, Km, stack_meshes):
     """The stacked form equals sum_ij K_ij G_i^T H G_j cell by cell, G_0 and
-    G_1 the x and y blocks of the gradient projection, at both degrees."""
+    G_1 the x and y blocks of the gradient projection, at both degrees; and
+    both L2 projections match a per-cell Cholesky solve with the Gram block."""
     Km = DiffusionTensor(matrix=Km).matrix
     mesh = stack_meshes["voronoi64"]
     n_verts = np.diff(mesh.flat_cells[1])
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     for m in np.unique(n_verts):
         ell = min_ell(k, m)
         ctx = ElementContext(mesh.cell_geom(np.flatnonzero(n_verts == m)), k, ell)
         moments = recover_moments(ctx, build_pi_nabla(ctx)[3])
+        nv = dim_poly(k - 1)
+        pi0_val = build_pi0_val(ctx, moments)
+        for c in range(pi0_val.shape[0]):
+            cho = cho_factor(ctx.gram[c, :nv, :nv])
+            assert_close(pi0_val[c], cho_solve(cho, moments[c, :nv]))
         for d in (k - 1, k + ell - 1):
             pi0_grad = build_pi0_grad(ctx, d, moments)
             got = local._gradient_energy(pi0_grad, ctx.gram, d, Km)
@@ -532,6 +537,10 @@ def test_gradient_energy_matches_per_cell_sum(k, Km, stack_meshes):
                 H = ctx.gram[c, :nd, :nd]
                 want = sum(Km[i, j] * G[i].T @ H @ G[j] for i in (0, 1) for j in (0, 1))
                 assert np.abs(got[c] - want).max() <= 1e-13 * np.abs(want).max()
+                cho = cho_factor(H)
+                R = _gradient_rhs_by_edges(ctx, d, moments, c)
+                assert_close(pi0_grad[c], np.vstack([cho_solve(cho, R[0]),
+                                                     cho_solve(cho, R[1])]))
 
 
 # -- local load --------------------------------------------------------------

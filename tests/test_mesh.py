@@ -186,25 +186,21 @@ def test_splitmix64_reference_sequence():
     assert 0.0 <= r2.next_float() < 1.0
 
 
-def test_voronoi_redraws_coincident_seeds(monkeypatch, caplog):
-    import logging
-    import polyvem.mesh as meshmod
-
-    calls = {"n": 0}
+def test_voronoi_coincident_seeds_name_a_cell(monkeypatch):
+    """Seeds are drawn once: a drawn pair that coincides leaves a degenerate
+    region, and generate_voronoi raises MeshError naming the lower cell."""
     good = meshmod._draw_seeds
 
-    def flaky(rng, n):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return np.full((n, 2), 0.5)        # all seeds coincide
-        return good(rng, n)
+    def coincident(rng, n):
+        seeds = good(rng, n)
+        seeds[3] = seeds[1]
+        return seeds
 
-    monkeypatch.setattr(meshmod, "_draw_seeds", flaky)
-    with caplog.at_level(logging.WARNING, logger="polyvem.mesh"):
-        mesh = meshmod.generate_voronoi(6, rng_seed=1, lloyd_iters=3)
-    assert calls["n"] == 2
-    assert mesh.n_cells == 6
-    assert any("coincident" in rec.message for rec in caplog.records)
+    monkeypatch.setattr(meshmod, "_draw_seeds", coincident)
+    with pytest.raises(MeshError, match=r"^cell 1: degenerate Voronoi region "
+                                        r"\(coincident seeds\?\)$") as info:
+        meshmod.generate_voronoi(6, rng_seed=1, lloyd_iters=3)
+    assert info.value.cell == 1
 
 
 def _split(flat, lens):
