@@ -73,14 +73,6 @@ def eval_monomials(E, pts, degree: int) -> np.ndarray:
     return scaled_monomials(*_scaled_coordinates(E, pts), degree)
 
 
-def eval_monomial_grads(E, pts, degree: int) -> np.ndarray:
-    """Gradients of all scaled monomials at pts, shape (n, npts, dim, 2): the
-    monomials of degree - 1 times `monomial_derivatives(degree)`, over h_E."""
-    lower = eval_monomials(E, pts, degree - 1)
-    h = E.diameter[:, None, None]
-    return np.stack([lower @ D / h for D in monomial_derivatives(degree)], axis=-1)
-
-
 @lru_cache(maxsize=None)
 def monomial_derivatives(degree: int) -> np.ndarray:
     """(2, dim P_{degree-1}, dim P_degree) table D with d m_a / dx_i =
@@ -301,25 +293,26 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
     return QuadRule(*triangle_rule(*corners, degree))
 
 
-def monomial_gram(E, degree: int) -> np.ndarray:
+def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Mass matrix of the scaled monomials up to `degree` on each cell of the
     stack E, (n, dim, dim).  G[a, b] is the moment of m_g, g = a + b,
     homogeneous of degree |g| about x_E: mu_g = sum_e ((x - x_E) . n_e)
     int_e m_g ds / (|g| + 2) (Chin, Lasserre & Sukumar, Comput. Mech. 56,
-    2015), by the `edge_rules` Gauss-Legendre rule, exact to 2*degree.
+    2015).  The edge integrals read `table` (n, m*nq, dim P_{2 degree}), the
+    scaled monomials of degree <= 2*degree at the points of a reference
+    edge rule with `weights` (nq,) summing to 1, mapped onto each of the m
+    edges in edge order, edge e from vertex e to vertex e+1; the moments are
+    exact when the rule is exact to degree 2*degree.
 
     SPD in exact arithmetic; a Cholesky factorization checks it in floating
     point and raises `NumericalDegeneracyError` if it fails.  That check is
     the SPD guarantee the L2 projections of `local` rely on: every leading
     block they solve with is SPD too, and they check nothing themselves."""
-    _, t, w = edge_rules(1, 2 * degree)
     tang = np.roll(E.verts, -1, axis=-2) - E.verts
     arm = E.verts - E.centroid[:, None, :]
     # |e| (x - x_E) . n_e, constant on edge e, times the rule's weights
-    flux = (arm[..., 0] * tang[..., 1] - arm[..., 1] * tang[..., 0])[..., None] * w
-    points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]     # (n, m, nq, 2)
-    V = eval_monomials(E, points.reshape(E.cells.size, -1, 2), 2 * degree)
-    mu = np.einsum("...q,...qg->...g", flux.reshape(V.shape[:-1]), V)
+    flux = (arm[..., 0] * tang[..., 1] - arm[..., 1] * tang[..., 0])[..., None] * weights
+    mu = np.einsum("...q,...qg->...g", flux.reshape(table.shape[:-1]), table)
     mu /= monomial_exponents(2 * degree).sum(axis=1) + 2
     exps = monomial_exponents(degree)
     M = mu[..., monomial_index(*np.moveaxis(exps[:, None] + exps, -1, 0))]

@@ -11,8 +11,8 @@ array check that finds a failing cell (the rank test) names it itself.
 the cells alone if a batched LAPACK call fails as a whole (naming no cell),
 and `assembly.assemble` raises the lowest of its stacks'.  In the data
 passes, which go by blocks of cells (`local.data_rules`), the fan check
-names the cell that is not star-shaped; it is the one polygon check a solve
-makes, as element construction integrates along edges only.  A
+names the cell that is not star-shaped; it is the one star-shape check a
+solve makes, as element construction integrates along edges only.  A
 `SolverError` names no scheme, as the solve knows only its matrix;
 `study.solve_cases` adds the order caveat of the stabilization-free scheme.
 """

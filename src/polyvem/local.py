@@ -34,10 +34,12 @@ every projector at one ell; `local_stiffness` takes the finished pack, and
 `element_matrices` is the one loop over ell, building the cells a pack
 leaves `short` again at ell + 1.
 
-The context holds the data of all m edges as (..., m, ...) arrays; the
-builders evaluate monomials at all edge points at once and scatter through
-the one statement of the local edge order, the (m, k+1) table
-`DofLayout.edge_node_dofs`, with `np.add.at`, edge 0 first.
+The context holds the data of all m edges as (..., m, ...) arrays.  It is
+the one boundary pass of an element: it evaluates the monomials at all edge
+points once, and from that table forms the Gram matrix and the boundary
+pairing that both projectors read, scattered through the one statement of
+the local edge order, the (m, k+1) table `DofLayout.edge_node_dofs`, with
+`np.add.at`, edge 0 first.
 
 The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
@@ -54,9 +56,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomial_grads,
-                    eval_monomials, fan_triangles, monomial_derivatives, monomial_gram,
-                    monomial_transfer, reference_monomials, scaled_monomials, triangle_rule)
+from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomials, fan_triangles,
+                    monomial_derivatives, monomial_gram, monomial_transfer,
+                    reference_monomials, scaled_monomials, triangle_rule)
 from .errors import CellDegeneracyError, PolyvemError, StabilizationFreeRankError
 
 
@@ -173,25 +175,30 @@ class ElementContext:
     vertex count (E from `PolyMesh.cell_geom`), every array leading with
     the stack axis.
 
-    The Gram matrix (`monomial_gram`) and the trace integrals reach degree
-    k+ell exactly from edge rules alone, which covers every projector of the
-    pack built with this enlargement on any simple polygon.  Edge e runs from
-    vertex e to vertex e+1; over m edges, nq Gauss points and k+1 Lobatto
-    nodes the edge data are `edge_points` (n, m, nq, 2), outward unit
-    `edge_normals` (n, m, 2), `edge_lengths` (n, m), `edge_trace` (n, m,
-    k+1, nq) = |e| w_q L_j(t_q) (so `edge_trace @ g` integrates each node's
-    trace against g at the Gauss points) and `edge_node_points` (n, m, k+1,
-    2), whose dofs are `layout.edge_node_dofs`.
+    One Gauss-Legendre edge rule, exact to degree max(2(k+ell), 2k+ell+3),
+    and one table of the scaled monomials of degree <= 2(k+ell) at its
+    points give the Gram matrix up to degree k+ell (`monomial_gram`) and
+    `boundary` (n, 2, dim P_{k+ell-1}, total) = int_dE phi_j n_c m_b, the
+    pairing of each dof basis function, normal component and monomial that
+    both projectors read; both are exact on any simple polygon.
+    `grad_degree` = k+ell-1 is the degree of the gradient projection (k-1
+    for the standard scheme, whose ell is 0).  Edge e runs from vertex e to
+    vertex e+1; over m edges, nq Gauss points and k+1 Lobatto nodes the edge
+    data are `edge_points` (n, m, nq, 2), outward unit `edge_normals` (n, m,
+    2), `edge_lengths` (n, m), `edge_trace` (n, m, k+1, nq) = |e| w_q
+    L_j(t_q) (so `edge_trace @ g` integrates each node's trace against g at
+    the Gauss points) and `edge_node_points` (n, m, k+1, 2), whose dofs are
+    `layout.edge_node_dofs`.
     """
 
     def __init__(self, E, k: int, ell: int = 0):
         self.E = E
         self.k = k
         self.ell = ell
+        self.grad_degree = k + ell - 1
         self.layout = DofLayout(k, E.n_vertices)
-        self.gram = monomial_gram(E, k + ell)
 
-        d_max = 2 * k + ell + 3
+        d_max = max(2 * (k + ell), 2 * k + ell + 3)
         lob, gl_t, gl_w = edge_rules(k, d_max)
         start = E.verts
         tang = np.roll(start, -1, axis=-2) - start
@@ -203,6 +210,17 @@ class ElementContext:
                            * (self.edge_lengths[..., None] * gl_w)[..., None, :])
         self.edge_node_points = start[..., None, :] + lob[:, None] * tang[..., None, :]
         self.perimeter = self.edge_lengths.sum(axis=-1)
+
+        n, m, nq = self.edge_points.shape[:3]
+        # not kept: about 23 MB for 256 hexagons at k = 3, ell = 6
+        table = eval_monomials(E, self.edge_points.reshape(n, -1, 2), 2 * (k + ell))
+        self.gram = monomial_gram(E, k + ell, table, gl_w)
+        nb = dim_poly(self.grad_degree)
+        traced = self.edge_trace @ table[..., :nb].reshape(n, m, nq, nb)   # (n, m, k+1, nb)
+        self.boundary = np.zeros((n, 2, nb, self.layout.total))
+        for c in (0, 1):
+            _add_edge_columns(self.boundary[:, c], self.layout.edge_node_dofs,
+                              self.edge_normals[..., :, c, None, None] * traced)
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +234,27 @@ def build_pi_nabla(ctx: ElementContext):
     by parts, G = B @ D, and pi_star = G^-1 B maps a dof vector to the monomial
     coefficients of its projection.  The interior term of B pairs the moment
     dofs with the monomial Laplacians (of degree <= k-2, from
-    `monomial_derivatives`) and the boundary term integrates the known
-    polynomial edge traces.  Row 0 enforces the average condition: boundary
-    mean for k = 1, first moment dof for k > 1.
+    `monomial_derivatives`) and the boundary term is the context's
+    `boundary` pairing of degree <= k-1, read through the gradients
+    `monomial_derivatives(k)`.  Row 0 enforces the average condition:
+    boundary mean for k = 1, first moment dof for k > 1.
     """
     E, k, lay = ctx.E, ctx.k, ctx.layout
     nk = dim_poly(k)
-    n, m, nq = ctx.edge_points.shape[:3]
+    n, m = ctx.edge_lengths.shape
     area, h = E.area[:, None, None], E.diameter[:, None, None]
 
     D = np.empty((n, lay.total, nk))
-    D[..., :m, :] = eval_monomials(E, E.verts, k)
-    inner = ctx.edge_node_points[..., 1:-1, :].reshape(n, -1, 2)
-    D[..., m:lay.first_moment, :] = eval_monomials(E, inner, k)
+    # vertex e is node 0 of edge e: the nodes of each edge but its last are
+    # every vertex and edge-node dof once
+    D[:, lay.edge_node_dofs[:, :-1]] = eval_monomials(
+        E, ctx.edge_node_points[..., :-1, :].reshape(n, -1, 2), k).reshape(n, m, k, nk)
     D[..., lay.first_moment:, :] = ctx.gram[..., :lay.n_moments, :nk] / area
 
-    B = np.zeros((n, nk, lay.total))
     lower, upper = monomial_derivatives(k - 1), monomial_derivatives(k)
+    B = (_t(upper) @ ctx.boundary[:, :, :dim_poly(k - 1)]).sum(axis=1) / h
     lap = lower[0] @ upper[0] + lower[1] @ upper[1]      # (dim P_{k-2}, nk), integers
     B[..., lay.first_moment:] = -lap.T / h ** 2 * area
-    grads = eval_monomial_grads(E, ctx.edge_points.reshape(n, -1, 2), k)
-    grads = grads.reshape(n, m, nq, nk, 2)
-    gn = (grads @ ctx.edge_normals[..., :, None, :, None])[..., 0]   # (n, m, nq, nk)
-    _add_edge_columns(B, lay.edge_node_dofs, ctx.edge_trace @ gn)
-
     B[..., 0, :] = 0.0
     if k == 1:
         mean = ctx.edge_trace.sum(axis=-1) / ctx.perimeter[..., None, None]
@@ -278,29 +293,23 @@ def build_pi0_val(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
     return np.linalg.solve(ctx.gram[..., :n, :n], moments[..., :n, :])
 
 
-def build_pi0_grad(ctx: ElementContext, d: int, moments: np.ndarray) -> np.ndarray:
-    """Coefficients of the L2 projection of the gradient onto [P_d]^2.
+def build_pi0_grad(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
+    """Coefficients of the L2 projection of the gradient onto [P_d]^2, d =
+    `ctx.grad_degree`.
 
     For each vector monomial q the pairing (grad v, q)_E is integrated by
     parts: the divergence term reads recovered moments (degree <= d-1)
-    through `monomial_derivatives` and the boundary term uses exact edge
-    quadrature of the traces.  One solve with the degree-d Gram block takes
-    the x and y right-hand sides side by side.  Rows are the x-component
-    block stacked over the y-component block.
+    through `monomial_derivatives` and the boundary term is the context's
+    `boundary`.  One solve with the degree-d Gram block takes the x and y
+    right-hand sides side by side.  Rows are the x-component block stacked
+    over the y-component block.
     """
-    E, lay = ctx.E, ctx.layout
+    d = ctx.grad_degree
     nd, n_lower = dim_poly(d), dim_poly(d - 1)
-    h = E.diameter[:, None, None, None]
+    h = ctx.E.diameter[:, None, None, None]
 
     # the x block, then the y block: (n, 2, nd, total)
-    R = -(_t(monomial_derivatives(d)) / h) @ moments[:, None, :n_lower, :]
-    n, m, nq = ctx.edge_points.shape[:3]
-    vals = eval_monomials(E, ctx.edge_points.reshape(n, -1, 2), d)
-    contrib = ctx.edge_trace @ vals.reshape(n, m, nq, nd)     # (n, m, k+1, nd)
-    for c in (0, 1):
-        _add_edge_columns(R[..., c, :, :], lay.edge_node_dofs,
-                          ctx.edge_normals[..., :, c, None, None] * contrib)
-
+    R = ctx.boundary - (_t(monomial_derivatives(d)) / h) @ moments[:, None, :n_lower, :]
     rhs = np.concatenate([R[:, 0], R[:, 1]], axis=-1)        # (n, nd, 2 total)
     coef = np.linalg.solve(ctx.gram[..., :nd, :nd], rhs)
     return np.concatenate(np.split(coef, 2, axis=-1), axis=-2)
@@ -318,7 +327,6 @@ class ProjectionPack:
 
     k: int
     ell: int
-    grad_degree: int
     layout: DofLayout
     pi_star: np.ndarray  # n x dim P_k x total, monomial coefficients of the projection
     pi_dof: np.ndarray   # n x total x total, D @ pi_star
@@ -332,14 +340,14 @@ RANK_TOL = 1e-9
 MAX_ELL_BUMPS = 4
 
 
-def _gradient_energy(pi0_grad, gram, d: int, Km) -> np.ndarray:
-    """(K grad Pi v, grad Pi w)_E for the gradient projection onto [P_d]^2
-    with the constant tensor Km, per cell: the symmetrized Z^T (K kron H) Z,
-    with Z = `pi0_grad` (its x block over its y block) and H the degree-d
-    Gram matrix.
+def _gradient_energy(pi0_grad, ctx: ElementContext, Km) -> np.ndarray:
+    """(K grad Pi v, grad Pi w)_E for the gradient projection onto [P_d]^2,
+    d = `ctx.grad_degree`, with the constant tensor Km, per cell: the
+    symmetrized Z^T (K kron H) Z, with Z = `pi0_grad` (its x block over its
+    y block) and H the degree-d block of the context's Gram matrix.
     """
-    nd = dim_poly(d)
-    A = _t(pi0_grad) @ (np.kron(Km, gram[..., :nd, :nd]) @ pi0_grad)
+    nd = dim_poly(ctx.grad_degree)
+    A = _t(pi0_grad) @ (np.kron(Km, ctx.gram[..., :nd, :nd]) @ pi0_grad)
     return 0.5 * (A + _t(A))
 
 
@@ -376,12 +384,11 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
         ell = 0
     elif ell is None:
         ell = min_ell(k, E.n_vertices)
-    d = k - 1 if method is Method.STANDARD else k + ell - 1
     ctx = ElementContext(E, k, ell)
     D, _, _, pi_star = build_pi_nabla(ctx)
     moments = recover_moments(ctx, pi_star)
-    pi0_grad = build_pi0_grad(ctx, d, moments)
-    pack = ProjectionPack(k=k, ell=ell, grad_degree=d, layout=ctx.layout,
+    pi0_grad = build_pi0_grad(ctx, moments)
+    pack = ProjectionPack(k=k, ell=ell, layout=ctx.layout,
                           pi_star=pi_star, pi_dof=D @ pi_star,
                           pi0_val=build_pi0_val(ctx, moments),
                           pi0_grad=pi0_grad, ctx=ctx)
@@ -390,7 +397,7 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     # the unweighted form (K = I) has the rank of any SPD tensor's and keeps
     # the threshold free of the tensor's anisotropy; full rank is N-1, as
     # the constants are its kernel
-    evals = np.linalg.eigvalsh(_gradient_energy(pi0_grad, ctx.gram, d, np.eye(2)))
+    evals = np.linalg.eigvalsh(_gradient_energy(pi0_grad, ctx, np.eye(2)))
     rank = (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
     short = rank < ctx.layout.total - 1
     if short.any():
@@ -417,7 +424,7 @@ def local_stiffness(pack: ProjectionPack, method: Method, K: DiffusionTensor):
     gradient projection, whose rank `build_projection_pack` has already
     checked.
     """
-    a_pi = _gradient_energy(pack.pi0_grad, pack.ctx.gram, pack.grad_degree, K.matrix)
+    a_pi = _gradient_energy(pack.pi0_grad, pack.ctx, K.matrix)
     if method is Method.STANDARD:
         Mc = np.eye(pack.layout.total) - pack.pi_dof
         a_s = K.sup_norm() * (_t(Mc) @ Mc)
@@ -521,7 +528,7 @@ def data_rules(mesh, k: int, y_wavelength=None):
     in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
     cell that alone has more.
 
-    The fan triangles are formed, checked (the one polygon check of a solve:
+    The fan triangles are formed, checked (the one star-shape check of a solve:
     a cell that is not star-shaped raises `QuadratureError` naming that cell
     before any block is built) and, with a `y_wavelength`, cut into strips
     of at most half of it, once (`fan_triangles`).  On a mesh of

@@ -54,14 +54,10 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
 def _energy(weights, gx, gy, Km) -> float:
     """Quadrature value of the integral of (K g, g) = K00 gx^2 + 2 K01 gx gy
     + K11 gy^2 from the values gx, gy (npts,) of a gradient; K is read by its
-    entries, as in `local._gradient_energy`.  A diagonal K skips the K01
-    term, whose zero would leave the sum as it is.  numpy's pairwise sum,
-    unlike a BLAS dot, adds in the same order whatever the BLAS thread
-    count."""
-    density = Km[0, 0] * gx * gx
-    if Km[0, 1] != 0.0:
-        density = density + 2.0 * Km[0, 1] * gx * gy
-    return float((weights * (density + Km[1, 1] * gy * gy)).sum())
+    entries, as in `local._gradient_energy`.  numpy's pairwise sum, unlike
+    a BLAS dot, adds in the same order whatever the BLAS thread count."""
+    density = Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy + Km[1, 1] * gy * gy
+    return float((weights * density).sum())
 
 
 def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:

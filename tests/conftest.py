@@ -13,7 +13,8 @@ except ImportError:
     sys.path.insert(0, str(SRC))
 
 from polyvem.assembly import build_dof_map, source_moments
-from polyvem.basis import QuadRule, dim_poly, fan_triangles, triangle_rule
+from polyvem.basis import (QuadRule, dim_poly, edge_rules, eval_monomials, fan_triangles,
+                           monomial_derivatives, monomial_gram, triangle_rule)
 from polyvem.local import data_rules
 from polyvem.mesh import CellGeometry, PolyMesh
 from polyvem.study import StudyRow, _energy_sums
@@ -59,6 +60,27 @@ def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
     corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area,
                                max_y_extent=max_y_extent)
     return QuadRule(*triangle_rule(*corners, degree))
+
+
+def monomial_grads(E, pts, degree: int) -> np.ndarray:
+    """Gradients of all scaled monomials of degree <= `degree` at pts on each
+    cell of the stack E, shape (n, npts, dim, 2): the monomials of degree - 1
+    times `monomial_derivatives(degree)`, over h_E.  An oracle: the element
+    kernels read the gradients through `monomial_derivatives` alone."""
+    lower = eval_monomials(E, pts, degree - 1)
+    h = E.diameter[:, None, None]
+    return np.stack([lower @ D / h for D in monomial_derivatives(degree)], axis=-1)
+
+
+def edge_gram(E, degree: int) -> np.ndarray:
+    """`monomial_gram` of the stack E up to `degree`, its moments read from
+    the scaled monomials at the points of a Gauss-Legendre edge rule exact
+    to degree 2*degree."""
+    _, t, w = edge_rules(1, 2 * degree)
+    tang = np.roll(E.verts, -1, axis=-2) - E.verts
+    points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]
+    table = eval_monomials(E, points.reshape(E.cells.size, -1, 2), 2 * degree)
+    return monomial_gram(E, degree, table, w)
 
 
 def exact_energy_norm(mesh: PolyMesh, case, k: int = 1) -> float:

@@ -193,10 +193,10 @@ def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
     # a failure that names no cell, in whichever stack holds cell 5, names it
     gram = local.monomial_gram
 
-    def failing_gram(E, degree):
+    def failing_gram(E, degree, table, weights):
         if (E.cells == 5).any():
             raise NumericalDegeneracyError("Gram matrix failed")
-        return gram(E, degree)
+        return gram(E, degree, table, weights)
 
     monkeypatch.setattr(local, "monomial_gram", failing_gram)
     for method in (Method.STANDARD, Method.E2VEM):
@@ -233,12 +233,12 @@ def _failing_gram(monkeypatch, fails):
     fails(E.cells, d); return its calls, (cells, degree, raised) each."""
     gram, calls = local.monomial_gram, []
 
-    def failing_gram(E, degree):
+    def failing_gram(E, degree, table, weights):
         raised = bool(fails(E.cells, degree))
         calls.append((E.cells.copy(), degree, raised))
         if raised:
             raise NumericalDegeneracyError("Gram matrix failed")
-        return gram(E, degree)
+        return gram(E, degree, table, weights)
 
     monkeypatch.setattr(local, "monomial_gram", failing_gram)
     return calls

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PENTAGON, TRIANGLE, UNIT_SQUARE, fan_rule, lone_cell, star_polygon
+from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule, lone_cell,
+                      monomial_grads, star_polygon)
 from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly,
-                           edge_lagrange, edge_rules, eval_monomial_grads, eval_monomials,
+                           edge_lagrange, edge_rules, eval_monomials,
                            lagrange_matrix, monomial_derivatives, monomial_exponents,
-                           monomial_gram, monomial_index, polygon_quadrature,
-                           triangle_rule)
+                           monomial_index, polygon_quadrature, triangle_rule)
 from polyvem.errors import NumericalDegeneracyError
 from polyvem.mesh import CellGeometry, generate_voronoi
 
@@ -26,7 +26,7 @@ def scaled_monomial_eval(alpha, E, p) -> float:
 
 def scaled_monomial_grad(alpha, E, p) -> np.ndarray:
     ax, ay = alpha
-    g = eval_monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 1, 2), ax + ay)
+    g = monomial_grads(E, np.asarray(p, dtype=float).reshape(1, 1, 2), ax + ay)
     return g[0, 0, monomial_index(ax, ay)].copy()
 
 
@@ -75,6 +75,17 @@ def test_monomials_of_degree_minus_one_are_empty():
     assert monomial_derivatives(0).shape == (2, 0, 1)
 
 
+@pytest.mark.parametrize("top", [4, 12])
+def test_lower_degrees_are_the_leading_columns_bit_for_bit(top, rng):
+    # graded-lex puts the lower degrees first, so one table of the highest
+    # degree serves every lower one
+    E = star_polygon(rng, 6)
+    pts = rng.uniform(-0.5, 0.5, (1, 9, 2)) + E.centroid
+    table = eval_monomials(E, pts, top)
+    for d in range(-1, top):
+        assert np.array_equal(eval_monomials(E, pts, d), table[..., :dim_poly(d)])
+
+
 @pytest.mark.parametrize("degree", range(1, 6))
 def test_derivative_table_matches_finite_differences(degree, rng):
     # the gradient and the Laplacian of every monomial of degree <= `degree`,
@@ -102,7 +113,7 @@ def test_gradients_match_finite_differences(rng):
     E = star_polygon(rng, 6)
     pts = (rng.uniform(-0.3, 0.3, (5, 2)) + E.centroid)[None]
     step = 1e-6
-    g = eval_monomial_grads(E, pts, 3)[0]
+    g = monomial_grads(E, pts, 3)[0]
     for d, off in ((0, [step, 0.0]), (1, [0.0, step])):
         vp = eval_monomials(E, pts + off, 3)[0]
         vm = eval_monomials(E, pts - off, 3)[0]
@@ -336,12 +347,12 @@ def test_subdivided_quadrature_stays_exact():
 
 def test_gram_first_entry_is_area(rng):
     for E in (UNIT_SQUARE, PENTAGON, star_polygon(rng, 7)):
-        M = monomial_gram(E, 2)[0]
+        M = edge_gram(E, 2)[0]
         assert M[0, 0] == pytest.approx(E.area[0], abs=1e-13)
 
 
 def test_gram_symmetry_exact():
-    M = monomial_gram(PENTAGON, 3)[0]
+    M = edge_gram(PENTAGON, 3)[0]
     assert np.abs(M - M.T).max() == 0.0
 
 
@@ -352,12 +363,12 @@ def test_gram_rejects_a_clockwise_cell():
                       cells=PENTAGON.cells)
     with pytest.raises(NumericalDegeneracyError,
                        match=r"^monomial Gram matrix is not positive definite \(degree 2\)$"):
-        monomial_gram(cw, 2)
+        edge_gram(cw, 2)
 
 
 def test_gram_unit_square_closed_form():
     # int ((x-1/2)/sqrt(2))^2 over the unit square = (1/2)*(1/12) = 1/24
-    M = monomial_gram(UNIT_SQUARE, 1)[0]
+    M = edge_gram(UNIT_SQUARE, 1)[0]
     assert M[1, 1] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[2, 2] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[1, 2] == pytest.approx(0.0, abs=1e-15)
@@ -368,7 +379,7 @@ def test_gram_unit_square_closed_form():
 def test_gram_positive_definite(seed, d):
     rng = np.random.default_rng(seed)
     E = star_polygon(rng, int(rng.integers(4, 9)))
-    M = monomial_gram(E, d)
+    M = edge_gram(E, d)
     assert np.linalg.eigvalsh(M).min() > 0.0
 
 
@@ -389,7 +400,7 @@ def voronoi_stacks():
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_gram_matches_the_fan_quadrature_gram(voronoi_stacks, degree):
     for E in voronoi_stacks:
-        G = monomial_gram(E, degree)
+        G = edge_gram(E, degree)
         for i in range(E.cells.size):
             cell = E.take([i])
             q = polygon_quadrature(cell, 2 * degree)
@@ -407,7 +418,7 @@ def test_gram_is_exact_on_a_cell_that_is_not_star_shaped():
     points, weights = triangle_rule([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.1, 0.1]],
                                     [[0.1, 0.1], [0.0, 1.0]], 2 * d)
     ref = _rule_gram(dart, points, weights, d)
-    assert np.abs(monomial_gram(dart, d)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(edge_gram(dart, d)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_edge_rules_lobatto_nodes():

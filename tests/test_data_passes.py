@@ -18,13 +18,13 @@ import pytest
 
 from polyvem import local
 from polyvem.assembly import assemble, source_moments
-from polyvem.basis import dim_poly, eval_monomial_grads, eval_monomials, scaled_monomials
+from polyvem.basis import dim_poly, eval_monomials, scaled_monomials
 from polyvem.cases import testcase as get_case
 from polyvem.errors import QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
 from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import METHODS, energy_error, solve_cases
-from conftest import exact_energy_norm, fan_rule, interpolate_dofs
+from conftest import exact_energy_norm, fan_rule, interpolate_dofs, monomial_grads
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13
@@ -65,7 +65,7 @@ def _reference_energy_sums(mesh, k, method, solved, case):
         q = _cell_rule(E, k, case)
         ge = np.column_stack(case.grad_u(q.points[:, 0], q.points[:, 1]))
         sums[0] += _energy(q.weights, ge, K)
-        grads = eval_monomial_grads(E, q.points[None], k)[0]
+        grads = monomial_grads(E, q.points[None], k)[0]
         for j, (system, u_dofs) in enumerate(solved, start=1):
             pi_star = build_projection_pack(E, k, method).pi_star[0]
             coeffs = pi_star @ u_dofs[cell_dofs[j - 1][ci]]

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, lone_cell,
-                      star_polygon)
+from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, fan_rule, lone_cell,
+                      monomial_grads, star_polygon)
 from polyvem import local
-from polyvem.basis import (dim_poly, eval_monomial_grads, eval_monomials,
-                           monomial_exponents, monomial_index, polygon_quadrature)
+from polyvem.basis import (dim_poly, eval_monomials, monomial_exponents, monomial_index,
+                           polygon_quadrature)
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad, build_pi0_val,
@@ -116,7 +116,7 @@ def _quadrature_pi_nabla_gram(E, k):
     quadrature plus the average-condition row computed from scratch."""
     quad = polygon_quadrature(E, 2 * k)
     nk = dim_poly(k)
-    grads = eval_monomial_grads(E, quad.points[None], k)[0]
+    grads = monomial_grads(E, quad.points[None], k)[0]
     G = np.einsum("q,qad,qbd->ab", quad.weights, grads, grads)
     if k == 1:
         from polyvem.basis import edge_rules
@@ -212,7 +212,7 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
     E = star_polygon(rng, 6)
     for method in (Method.STANDARD, Method.E2VEM):
         pack = build_projection_pack(E, k, method)
-        d = pack.grad_degree
+        d = pack.ctx.grad_degree
         nd = dim_poly(d)
         for a in range(dim_poly(k)):
             f = _monomial_func(E, a, k)
@@ -220,7 +220,7 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
             coeff = pack.pi0_grad[0] @ chi
             # oracle: L2 projection of the exact gradient by quadrature
             quad = polygon_quadrature(E, 2 * d + 2)
-            grads = eval_monomial_grads(E, quad.points[None], k)[0, :, a, :]
+            grads = monomial_grads(E, quad.points[None], k)[0, :, a, :]
             V = eval_monomials(E, quad.points[None], d)[0]
             H = (V * quad.weights[:, None]).T @ V
             ref = np.concatenate([
@@ -230,50 +230,82 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
         assert pack.pi0_grad[0].shape == (2 * nd, pack.layout.total)
 
 
-def _gradient_rhs_by_edges(ctx, d, moments, c=0):
-    """(2, dim P_d, total): the pairings (grad v, m_a e_i)_E of cell c of the
-    stack by parts, the boundary term one edge at a time, edge 0 first."""
-    lay, h, E = ctx.layout, ctx.E.diameter[c], ctx.E.take([c])
-    R = np.zeros((2, dim_poly(d), lay.total))
+def _boundary_by_edges(ctx, c=0):
+    """(2, dim P_d, total), d = `ctx.grad_degree`: the boundary pairings
+    int_dE phi_j n_i m_a of cell c of the stack, one edge at a time, edge 0
+    first."""
+    lay, E = ctx.layout, ctx.E.take([c])
+    out = np.zeros((2, dim_poly(ctx.grad_degree), lay.total))
+    for e in range(lay.n_vertices):
+        dofs = lay.edge_node_dofs[e]
+        contrib = (eval_monomials(E, ctx.edge_points[c:c + 1, e], ctx.grad_degree)[0].T
+                   @ ctx.edge_trace[c, e].T)
+        for i in range(2):
+            out[i][:, dofs] += ctx.edge_normals[c, e, i] * contrib
+    return out
+
+
+def _gradient_rhs_by_edges(ctx, moments, c=0):
+    """(2, dim P_d, total), d = `ctx.grad_degree`: the pairings
+    (grad v, m_a e_i)_E of cell c of the stack by parts, the boundary term
+    one edge at a time (`_boundary_by_edges`), then the divergence term."""
+    h, d = ctx.E.diameter[c], ctx.grad_degree
+    R = _boundary_by_edges(ctx, c)
     for a, (ax, ay) in enumerate(monomial_exponents(d)):
         if ax:
             R[0, a] -= (ax / h) * moments[c, monomial_index(ax - 1, ay)]
         if ay:
             R[1, a] -= (ay / h) * moments[c, monomial_index(ax, ay - 1)]
-    for e in range(lay.n_vertices):
-        dofs = lay.edge_node_dofs[e]
-        contrib = (eval_monomials(E, ctx.edge_points[c:c + 1, e], d)[0].T
-                   @ ctx.edge_trace[c, e].T)
-        for i in range(2):
-            R[i][:, dofs] += ctx.edge_normals[c, e, i] * contrib
     return R
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_edge_terms_match_per_edge_loop(k, rng):
-    """The batched edge terms equal a loop over edges, edge 0 first, bit for bit."""
+    """The batched boundary pairing and the gradient projection's right-hand
+    side equal a loop over edges, edge 0 first, bit for bit; B's edge
+    columns, read from the pairing through the derivative table, match the
+    gradients integrated edge by edge."""
     E = star_polygon(rng, 9)
     ctx = ElementContext(E, k, 1)
     lay = ctx.layout
     _, B, _, pi_star = build_pi_nabla(ctx)
-    moments = recover_moments(ctx, pi_star)
+    assert np.array_equal(ctx.boundary[0], _boundary_by_edges(ctx))
     ref_B = np.zeros_like(B[0])
     for e in range(lay.n_vertices):
         points, trace = ctx.edge_points[:, e], ctx.edge_trace[0, e]
-        gn = eval_monomial_grads(E, points, k)[0] @ ctx.edge_normals[0, e]
+        gn = monomial_grads(E, points, k)[0] @ ctx.edge_normals[0, e]
         ref_B[:, lay.edge_node_dofs[e]] += gn.T @ trace.T
     edge_cols = slice(0, lay.first_moment)
-    assert np.array_equal(B[0, 1:, edge_cols], ref_B[1:, edge_cols])
-    R = _gradient_rhs_by_edges(ctx, k, moments)
-    coef = np.linalg.solve(ctx.gram[0, :dim_poly(k), :dim_poly(k)], np.hstack([R[0], R[1]]))
-    assert np.array_equal(build_pi0_grad(ctx, k, moments)[0], np.vstack(np.hsplit(coef, 2)))
+    assert (np.abs(B[0, 1:, edge_cols] - ref_B[1:, edge_cols]).max()
+            <= 1e-13 * np.abs(ref_B[1:, edge_cols]).max())
+    moments = recover_moments(ctx, pi_star)
+    R = _gradient_rhs_by_edges(ctx, moments)
+    nd = dim_poly(ctx.grad_degree)
+    coef = np.linalg.solve(ctx.gram[0, :nd, :nd], np.hstack([R[0], R[1]]))
+    assert np.array_equal(build_pi0_grad(ctx, moments)[0], np.vstack(np.hsplit(coef, 2)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_context_gram_matches_the_fan_quadrature_gram(k, rng):
+    """The Gram matrix from the context's one edge table, whose rule reaches
+    degree 2(k+ell) at every ell (the Gram sets it from ell = 4 on), equals
+    the Gram of the centroid-fan rule."""
+    for E in (star_polygon(rng, 5), star_polygon(rng, 8)):
+        for ell in range(7):
+            degree = k + ell
+            q = fan_rule(E, 2 * degree)
+            V = eval_monomials(E, q.points[None], degree)[0]
+            ref = (V.T * q.weights) @ V
+            gram = ElementContext(E, k, ell).gram[0]
+            assert np.abs(gram - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_energy_projector_rejects_a_singular_system():
-    """Zero edge traces leave B, so G = B @ D, zero at k = 1: the projector
-    system is singular, a solver failure of the cell."""
+    """Zero edge traces and boundary pairings leave B, so G = B @ D, zero at
+    k = 1: the projector system is singular, a solver failure of the cell."""
     ctx = ElementContext(PENTAGON, 1)
     ctx.edge_trace = np.zeros_like(ctx.edge_trace)
+    ctx.boundary = np.zeros_like(ctx.boundary)
     with pytest.raises(CellDegeneracyError,
                        match=r"^singular projector system \(k=1\)$") as info:
         build_pi_nabla(ctx)
@@ -286,7 +318,7 @@ def test_pi0_grad_triangle_matches_fem_gradient(rng):
     vals = rng.uniform(-1, 1, 3)
     ctx = ElementContext(E, 1, 0)
     M = recover_moments(ctx, build_pi_nabla(ctx)[3])
-    C = build_pi0_grad(ctx, 0, M)[0]
+    C = build_pi0_grad(ctx, M)[0]
     got = C @ vals
     v = E.verts[0]
     T = np.column_stack([v[1] - v[0], v[2] - v[0]])
@@ -368,7 +400,7 @@ def test_polynomial_consistency_and_psd(k, method, rng):
 
     # chi(p)^T A chi(q) = (K grad p, grad q) for p, q in P_k
     quad = polygon_quadrature(E, 2 * k)
-    grads = eval_monomial_grads(E, quad.points[None], k)[0]
+    grads = monomial_grads(E, quad.points[None], k)[0]
     Km = K_ANISO.matrix
     nk = dim_poly(k)
     for a in range(1, nk):
@@ -520,25 +552,26 @@ def test_gradient_energy_matches_per_cell_sum(k, Km, stack_meshes):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     for m in np.unique(n_verts):
-        ell = min_ell(k, m)
-        ctx = ElementContext(mesh.cell_geom(np.flatnonzero(n_verts == m)), k, ell)
-        moments = recover_moments(ctx, build_pi_nabla(ctx)[3])
-        nv = dim_poly(k - 1)
-        pi0_val = build_pi0_val(ctx, moments)
-        for c in range(pi0_val.shape[0]):
-            cho = cho_factor(ctx.gram[c, :nv, :nv])
-            assert_close(pi0_val[c], cho_solve(cho, moments[c, :nv]))
-        for d in (k - 1, k + ell - 1):
-            pi0_grad = build_pi0_grad(ctx, d, moments)
-            got = local._gradient_energy(pi0_grad, ctx.gram, d, Km)
-            nd = dim_poly(d)
+        E = mesh.cell_geom(np.flatnonzero(n_verts == m))
+        # both gradient degrees: k-1 at ell = 0, k+ell-1 at the minimal ell
+        for ell in (0, min_ell(k, m)):
+            ctx = ElementContext(E, k, ell)
+            moments = recover_moments(ctx, build_pi_nabla(ctx)[3])
+            nv = dim_poly(k - 1)
+            pi0_val = build_pi0_val(ctx, moments)
+            for c in range(pi0_val.shape[0]):
+                cho = cho_factor(ctx.gram[c, :nv, :nv])
+                assert_close(pi0_val[c], cho_solve(cho, moments[c, :nv]))
+            pi0_grad = build_pi0_grad(ctx, moments)
+            got = local._gradient_energy(pi0_grad, ctx, Km)
+            nd = dim_poly(ctx.grad_degree)
             for c in range(got.shape[0]):
                 G = (pi0_grad[c, :nd], pi0_grad[c, nd:])
                 H = ctx.gram[c, :nd, :nd]
                 want = sum(Km[i, j] * G[i].T @ H @ G[j] for i in (0, 1) for j in (0, 1))
                 assert np.abs(got[c] - want).max() <= 1e-13 * np.abs(want).max()
                 cho = cho_factor(H)
-                R = _gradient_rhs_by_edges(ctx, d, moments, c)
+                R = _gradient_rhs_by_edges(ctx, moments, c)
                 assert_close(pi0_grad[c], np.vstack([cho_solve(cho, R[0]),
                                                      cho_solve(cho, R[1])]))
 
