@@ -121,21 +121,20 @@ def _reference_triangle_rule(degree: int):
 
 
 def triangle_rule(p0, p1, p2, degree: int):
-    """Points and weights integrating polynomials of total degree <= degree
-    over each triangle (p0, p1, p2) of stacked (T, 2) corners, the rules of
-    the T triangles concatenated in order.  Each triangle's weights sum to
-    its signed area, and its points are p0 + U (p1 - p0) + V (p2 - p0) at
-    the points (U, V) of the reference rule.
+    """Coordinate planes x, y and weights w, each (T, q), integrating
+    polynomials of total degree <= degree over each triangle (p0, p1, p2)
+    of stacked (T, 2) corners: row t is triangle t's rule.  Each row's
+    weights sum to its triangle's signed area, and its points are
+    p0 + U (p1 - p0) + V (p2 - p0) at the points (U, V) of the reference
+    rule.
     """
     U, V, W = _reference_triangle_rule(degree)
     p0 = np.asarray(p0, dtype=float)
     e1 = np.asarray(p1, dtype=float) - p0
     e2 = np.asarray(p2, dtype=float) - p0
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = np.empty((p0.shape[0], U.size, 2))
-    for i in (0, 1):        # one coordinate at a time: the long axis is innermost
-        pts[..., i] = p0[:, i, None] + U * e1[:, i, None] + V * e2[:, i, None]
-    return pts.reshape(-1, 2), (W * det[:, None]).ravel()
+    x, y = p0.T[..., None] + U * e1.T[..., None] + V * e2.T[..., None]
+    return x, y, W * det[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +289,8 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
     except QuadratureError as exc:
         exc.cell = E.cells.item()
         raise
-    return QuadRule(*triangle_rule(*corners, degree))
+    x, y, w = triangle_rule(*corners, degree)
+    return QuadRule(np.column_stack([x.ravel(), y.ravel()]), w.ravel())
 
 
 def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray) -> np.ndarray:

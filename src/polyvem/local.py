@@ -485,11 +485,11 @@ class DataRule:
     oscillating in y (a case with a `y_wavelength`) the fan triangles taller
     than half the wavelength are cut into horizontal strips
     (`basis.fan_triangles`).  `cells` is the block's range of cell indices.
-    The rule has R rows of q points each: `points` (R*q, 2) and `weights`
-    (R*q,) run row by row, `row_cells` (R,) is the cell of each row, and the
-    rows of cell `cells[i]` start at `starts[i]`, so a per-cell integral is
-    a segment sum.  A row is one fan triangle, or on a mesh of congruent
-    cells one whole cell.
+    The rule has R rows of q points each, held as coordinate planes: `x`,
+    `y` and `weights` are (R, q), `row_cells` (R,) is the cell of each row,
+    and the rows of cell `cells[i]` start at `starts[i]`, so a per-cell
+    integral is a segment sum.  A row is one fan triangle, or on a mesh of
+    congruent cells one whole cell.
 
     The scaled monomials of degree <= k-1 of row r's cell at row r's points
     are `table @ transfer[r].T`: `table` (q, n) is shared by every row and
@@ -497,14 +497,14 @@ class DataRule:
     table holds the monomials of the reference coordinates
     (`basis.reference_monomials`) and `transfer` comes from each triangle's
     corners (`basis.monomial_transfer`); on congruent cells the table is
-    cell 0's own scaled monomials, which every cell shares, and `transfer`
-    is the (1, n, n) identity.
+    cell 0's own scaled monomials, which every cell shares, `transfer` is
+    the (1, n, n) identity and `weights` is cell 0's row, broadcast
+    read-only.
     """
 
-    def __init__(self, row_cells, points, weights, table, transfer):
+    def __init__(self, row_cells, x, y, weights, table, transfer):
         self.cells = range(int(row_cells[0]), int(row_cells[-1]) + 1)
-        self.points, self.weights = points, weights
-        self.shape = (row_cells.size, weights.size // row_cells.size)
+        self.x, self.y, self.weights = x, y, weights
         self.row_cells = row_cells
         self.starts = np.searchsorted(row_cells, self.cells)
         self.table, self.transfer = table, transfer
@@ -536,11 +536,12 @@ def data_rules(mesh, k: int, y_wavelength=None):
     cell 0 stands for every cell, as it does for the elements of
     `assembly.assemble`: the star-shape check runs on cell 0, every cell
     takes cell 0's triangles (and strip count), weights and monomial table,
-    and its points are its centroid plus cell 0's offsets.  Otherwise every
-    cell's own triangles are formed, a cell's triangles stay together and in
-    cell order, and each block applies one `triangle_rule` and one
-    `monomial_transfer` to its triangles: the scaled monomials are formed at
-    n points of each triangle, not at each of its q rule points.
+    and a block's planes are its centroids plus cell 0's offsets, in one
+    broadcast.  Otherwise every cell's own triangles are formed, a cell's
+    triangles stay together and in cell order, and each block applies one
+    `triangle_rule` and one `monomial_transfer` to its triangles, whose
+    planes are the rule's: the scaled monomials are formed at n points of
+    each triangle, not at each of its q rule points.
     """
     max_y = y_wavelength / 2.0 if y_wavelength else None
     degree = _data_degree(k)
@@ -549,15 +550,14 @@ def data_rules(mesh, k: int, y_wavelength=None):
         corners, _ = fan_triangles(mesh.vertices[ids[:starts[1]]] - mesh.cell_centroids[0],
                                    starts[:2], np.zeros((1, 2)), mesh.cell_areas[:1],
                                    max_y_extent=max_y)
-        offsets, weights = triangle_rule(*corners, degree)
-        table = scaled_monomials(*(offsets.T / mesh.cell_diameters[0]), k - 1)
+        # cell 0's rule as one row: x and y offsets from its centroid, weights
+        offsets = np.stack(triangle_rule(*corners, degree)).reshape(3, 1, -1)
+        table = scaled_monomials(*(offsets[:2, 0] / mesh.cell_diameters[0]), k - 1)
         identity = np.eye(table.shape[1])[None]
-        for first, stop in _blocks(weights.size * np.arange(mesh.n_cells + 1)):
-            points = np.empty((stop - first, weights.size, 2))
-            for i in (0, 1):    # one coordinate at a time: the long axis is innermost
-                points[..., i] = mesh.cell_centroids[first:stop, i, None] + offsets[:, i]
-            yield DataRule(np.arange(first, stop), points.reshape(-1, 2),
-                           np.tile(weights, stop - first), table, identity)
+        for first, stop in _blocks(offsets.shape[-1] * np.arange(mesh.n_cells + 1)):
+            x, y = mesh.cell_centroids[first:stop].T[..., None] + offsets[:2]
+            weights = np.broadcast_to(offsets[2], x.shape)
+            yield DataRule(np.arange(first, stop), x, y, weights, table, identity)
         return
     corners, triangle_cells = fan_triangles(mesh.vertices[ids], starts, mesh.cell_centroids,
                                             mesh.cell_areas, max_y_extent=max_y)
@@ -576,10 +576,10 @@ def local_load(f, rule: DataRule) -> np.ndarray:
     """Moments int_E f m_a, |a| <= k-1, of a source on every cell E of a data
     block, shape (len(rule.cells), dim P_{k-1}).
 
-    A scheme's load on cell E is `pi0_val.T @` E's row.  The weighted values
-    of each row meet the shared table in one product, and each row's
-    moments are then mapped to its cell's monomials by its transfer."""
-    fvals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    fw = (rule.weights * fvals).reshape(rule.shape)
+    A scheme's load on cell E is `pi0_val.T @` E's row.  `f` is evaluated
+    on the rule's (R, q) planes, the weighted values of each row meet the
+    shared table in one product, and each row's moments are then mapped to
+    its cell's monomials by its transfer."""
+    fw = rule.weights * np.asarray(f(rule.x, rule.y), dtype=float)
     per_row = (rule.transfer @ (fw @ rule.table)[..., None])[..., 0]
     return np.add.reduceat(per_row, rule.starts, axis=0)

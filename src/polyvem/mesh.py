@@ -339,13 +339,6 @@ def _mirror(points, band):
                                  for near, ix, iy in images])
 
 
-def _edge_ends(simplices, t, i):
-    """The ends p, q of the edge across corner i of triangle t, for arrays
-    t, i; corner i lies on the left of p -> q when the triangles are CCW."""
-    k = 3 * t + i
-    return simplices[:, [1, 2, 0]].ravel()[k], simplices[:, [2, 0, 1]].ravel()[k]
-
-
 def _triangulate(points):
     """Delaunay triangulation of `points` by qhull without facet merging,
     checked here in place of qhull's own check.
@@ -367,9 +360,10 @@ def _triangulate(points):
     bound grows for the slivers that a seed near a side forms with its image.
 
     Returns the triangles (nt, 3) of indices into `points`, their
-    circumcenters (nt, 2), and the dual edges as the arrays (t, i, u):
-    triangle u lies across corner i of triangle t, and each pair of
-    neighbours is listed once, with u > t.
+    circumcenters (nt, 2), the dual edges as the arrays (t, i, u): triangle
+    u lies across corner i of triangle t, and each pair of neighbours is
+    listed once, with u > t; and their ends, (2, ne) rows p and q: the
+    Delaunay edge p -> q that t and u share, with corner i of t on its left.
     """
     tri = Delaunay(points, qhull_options="Qbb Qc Qz Q12 Q0 Po")
     simplices, neighbors = tri.simplices, tri.neighbors
@@ -389,7 +383,8 @@ def _triangulate(points):
     t = k // 3
     i = k - 3 * t
     u = neighbors.ravel()[k]
-    p, q = _edge_ends(simplices, t, i)
+    ends = np.stack([simplices[:, [1, 2, 0]].ravel()[k], simplices[:, [2, 0, 1]].ravel()[k]])
+    p, q = ends
     ex, ey = x[q] - x[p], y[q] - y[p]
     with np.errstate(all="ignore"):
         margin = ((ex * (oy[t] - oy[u]) - ey * (ox[t] - ox[u]))
@@ -401,7 +396,7 @@ def _triangulate(points):
                         f"({np.count_nonzero(~(d > 0.0))} triangles not CCW with positive "
                         f"area, {np.count_nonzero(flipped)} dual edges not locally Delaunay)")
     centers = np.column_stack([ox, oy])
-    return simplices, centers, (t, i, u)
+    return simplices, centers, (t, i, u), ends
 
 
 def _seed_fans(points, band):
@@ -432,15 +427,15 @@ def _seed_fans(points, band):
     centers[u[k]]).
     """
     n = points.shape[0]
-    simplices, centers, (t, i, u) = _triangulate(_mirror(points, band))
+    simplices, centers, (t, _, u), ends = _triangulate(_mirror(points, band))
     corner = simplices.ravel()
     lens = np.bincount(corner[corner < n], minlength=n)
     if lens.min() == 0:
         raise MeshError("degenerate Voronoi region (coincident seeds?)",
                         cell=int(np.argmin(lens)))
-    ends = np.concatenate(_edge_ends(simplices, t, i))
     mine = ends < n
-    seed, t, u = ends[mine], np.tile(t, 2)[mine], np.tile(u, 2)[mine]
+    edge = np.nonzero(mine)[1]
+    seed, t, u = ends[mine], t[edge], u[edge]
     # written so that a non-finite vertex counts as outside
     lo, hi = -BOUNDARY_SNAP_TOL, 1.0 + BOUNDARY_SNAP_TOL
     x, y = centers.T

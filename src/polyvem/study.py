@@ -53,9 +53,11 @@ def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float)
 
 def _energy(weights, gx, gy, Km) -> float:
     """Quadrature value of the integral of (K g, g) = K00 gx^2 + 2 K01 gx gy
-    + K11 gy^2 from the values gx, gy (npts,) of a gradient; K is read by its
-    entries, as in `local._gradient_energy`.  numpy's pairwise sum, unlike
-    a BLAS dot, adds in the same order whatever the BLAS thread count."""
+    + K11 gy^2 from the values gx, gy of a gradient at the points of
+    `weights`, arrays of one shape; K is read by its entries, as in
+    `local._gradient_energy`.  numpy's pairwise sum, unlike a BLAS dot, adds
+    in the same order whatever the BLAS thread count, and over the (R, q)
+    planes of a data rule in the order of their flattened points."""
     density = Km[0, 0] * gx * gx + 2.0 * Km[0, 1] * gx * gy + Km[1, 1] * gy * gy
     return float((weights * density).sum())
 
@@ -64,7 +66,8 @@ def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
     """One pass over the data blocks of order-k rules: the squared exact
     norm, then the squared energy error of each (system, u_dofs) in `solved`.
 
-    A projection's gradient is taken in the degree k-1 monomials of each
+    The data are evaluated on each rule's (R, q) coordinate planes.  A
+    projection's gradient is taken in the degree k-1 monomials of each
     cell and mapped to each rule row by the row's transfer, (R, n, 2), so
     the rule's one shared table serves every row and every solution."""
     Km = case.K.matrix
@@ -73,12 +76,12 @@ def _energy_sums(mesh: PolyMesh, k: int, solved, case: TestCase) -> list:
              / mesh.cell_diameters[:, None, None] for system, u_dofs in solved]
     sums = [0.0] * (len(solved) + 1)
     for rule in data_rules(mesh, k, case.y_wavelength):
-        ux, uy = case.grad_u(rule.points[:, 0], rule.points[:, 1])
+        ux, uy = case.grad_u(rule.x, rule.y)
         sums[0] += _energy(rule.weights, ux, uy, Km)
         for j, g in enumerate(grads, start=1):
             coeffs = np.swapaxes(rule.transfer, -1, -2) @ g[rule.row_cells]
-            gh = (rule.table @ coeffs).reshape(-1, 2)      # (R*q, 2)
-            sums[j] += _energy(rule.weights, ux - gh[:, 0], uy - gh[:, 1], Km)
+            gh = rule.table @ coeffs                        # (R, q, 2)
+            sums[j] += _energy(rule.weights, ux - gh[..., 0], uy - gh[..., 1], Km)
     return sums
 
 

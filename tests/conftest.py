@@ -59,7 +59,13 @@ def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
     for E's cell."""
     corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area,
                                max_y_extent=max_y_extent)
-    return QuadRule(*triangle_rule(*corners, degree))
+    return flat_rule(*triangle_rule(*corners, degree))
+
+
+def flat_rule(x, y, w) -> QuadRule:
+    """The (R, q) planes x, y, w of `triangle_rule` as one rule of R*q
+    points, row after row."""
+    return QuadRule(np.column_stack([x.ravel(), y.ravel()]), w.ravel())
 
 
 def monomial_grads(E, pts, degree: int) -> np.ndarray:

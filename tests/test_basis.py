@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule, lone_cell,
-                      monomial_grads, star_polygon)
+from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule, flat_rule,
+                      lone_cell, monomial_grads, star_polygon)
 from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly,
                            edge_lagrange, edge_rules, eval_monomials,
                            lagrange_matrix, monomial_derivatives, monomial_exponents,
@@ -141,9 +141,9 @@ def _ear_fan_reference(E, degree):
     v = E.verts[0]
     pts, wts = [], []
     for i in range(1, len(v) - 1):
-        p, w = triangle_rule(v[None, 0], v[None, i], v[None, i + 1], degree + 4)
-        pts.append(p)
-        wts.append(w)
+        q = flat_rule(*triangle_rule(v[None, 0], v[None, i], v[None, i + 1], degree + 4))
+        pts.append(q.points)
+        wts.append(q.weights)
     return np.vstack(pts), np.concatenate(wts)
 
 
@@ -199,10 +199,12 @@ def test_quadrature_takes_one_cell():
 
 def test_stacked_triangle_rule_concatenates_single_rules(rng):
     corners = rng.uniform(-1, 1, (3, 5, 2))
-    pts, wts = triangle_rule(*corners, 6)
+    planes = triangle_rule(*corners, 6)
     single = [triangle_rule(a[None], b[None], c[None], 6) for a, b, c in zip(*corners)]
-    assert np.array_equal(pts, np.vstack([p for p, _ in single]))
-    assert np.array_equal(wts, np.concatenate([w for _, w in single]))
+    # row t of each plane (x, y, w) is triangle t's rule
+    for plane, rows in zip(planes, zip(*single)):
+        assert plane.shape == (5, rows[0].shape[1])
+        assert np.array_equal(plane, np.vstack(rows))
 
 
 def _strips_one_by_one(tri, max_y_extent):
@@ -249,11 +251,11 @@ def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, 
     v = E.verts[0]
     fan = [(E.centroid[0], v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
     tris = [t for tri in fan for t in _strips_one_by_one(tri, max_y_extent)]
-    rules = [triangle_rule(a[None], b[None], c[None], 5) for a, b, c in tris]
+    rules = [flat_rule(*triangle_rule(a[None], b[None], c[None], 5)) for a, b, c in tris]
     q = fan_rule(E, 5, max_y_extent)
     assert len(tris) > len(fan)
-    assert np.array_equal(q.points, np.vstack([p for p, _ in rules]))
-    assert np.array_equal(q.weights, np.concatenate([w for _, w in rules]))
+    assert np.array_equal(q.points, np.vstack([r.points for r in rules]))
+    assert np.array_equal(q.weights, np.concatenate([r.weights for r in rules]))
 
 
 def _signed_areas(a, b, c):
@@ -415,9 +417,9 @@ def test_gram_is_exact_on_a_cell_that_is_not_star_shaped():
     with pytest.raises(QuadratureError, match="not star-shaped"):
         polygon_quadrature(dart, 2)
     d = 3
-    points, weights = triangle_rule([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.1, 0.1]],
-                                    [[0.1, 0.1], [0.0, 1.0]], 2 * d)
-    ref = _rule_gram(dart, points, weights, d)
+    q = flat_rule(*triangle_rule([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.1, 0.1]],
+                                 [[0.1, 0.1], [0.0, 1.0]], 2 * d))
+    ref = _rule_gram(dart, q.points, q.weights, d)
     assert np.abs(edge_gram(dart, d)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 

@@ -89,14 +89,15 @@ def test_rule_table_and_transfer_give_each_rows_scaled_monomials(k, mesh_name, c
     n = dim_poly(k - 1)
     rows = 0
     for rule in rules:
-        R, q = rule.shape
+        R, q = rule.x.shape
+        assert rule.y.shape == rule.weights.shape == (R, q)
         rows += R
         # one (q, n) table per rule, no per-point table
         assert rule.table.shape == (q, n)
         assert rule.transfer.shape == ((1, n, n) if mesh.congruent_cells else (R, n, n))
-        points = rule.points.reshape(R, q, 2)
-        rx, ry = ((points[..., i] - mesh.cell_centroids[rule.row_cells, i, None])
-                  / mesh.cell_diameters[rule.row_cells, None] for i in (0, 1))
+        rx, ry = ((plane - mesh.cell_centroids[rule.row_cells, i, None])
+                  / mesh.cell_diameters[rule.row_cells, None]
+                  for i, plane in enumerate((rule.x, rule.y)))
         got = rule.table @ np.swapaxes(rule.transfer, -1, -2)
         assert np.abs(got - scaled_monomials(rx, ry, k - 1)).max() <= 1e-13
     # a row is a cell, a fan triangle or a strip triangle
@@ -151,7 +152,7 @@ def test_congruent_passes_match_the_per_cell_passes(n, case_id, k):
                            y_wavelength=wavelength).max()
     # the triangles of each cell of the per-cell passes; every cell takes
     # cell 0's count in the congruent passes
-    triangles = np.concatenate([np.diff(rule.starts, append=rule.shape[0])
+    triangles = np.concatenate([np.diff(rule.starts, append=rule.row_cells.size)
                                 for rule in data_rules(per_cell, k, wavelength)])
     same = triangles == triangles[0]
     assert np.abs(moments - ref)[same].max() <= 1e-10 * scale

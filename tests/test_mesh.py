@@ -413,9 +413,11 @@ def test_lloyd_step_is_the_centroid_of_the_box_voronoi_regions():
 
 def test_triangulate_lists_each_dual_edge_once():
     points = np.random.default_rng(1).uniform(size=(60, 2))
-    simplices, centers, (t, i, u) = meshmod._triangulate(points)
+    simplices, centers, (t, i, u), ends = meshmod._triangulate(points)
     assert np.all(u > t)
-    shared = np.sort(simplices[t[:, None], (i[:, None] + [1, 2]) % 3], axis=1)
+    # the ends p -> q of each dual edge's Delaunay edge, corner i on the left
+    assert np.array_equal(ends.T, simplices[t[:, None], (i[:, None] + [1, 2]) % 3])
+    shared = np.sort(ends.T, axis=1)
     assert all(set(s) <= set(simplices[k]) and simplices[t[j], i[j]] not in simplices[k]
                for j, (s, k) in enumerate(zip(shared, u)))
     # 3 nt = 2 interior edges + hull edges, each hull edge on one triangle
@@ -443,7 +445,7 @@ def test_triangulate_accepts_the_delaunay_kite(monkeypatch):
     assert np.array_equal(np.sort(Delaunay(_KITE).simplices, axis=1),
                           np.sort(_KITE_DELAUNAY[0], axis=1))
     _fake_qhull(monkeypatch, *_KITE_DELAUNAY)
-    _, centers, (t, i, u) = meshmod._triangulate(_KITE)
+    _, centers, (t, i, u), _ = meshmod._triangulate(_KITE)
     assert (t.tolist(), i.tolist(), u.tolist()) == ([0], [0], [1])
     assert np.allclose(centers, [[0.625, 0.0], [1.375, 0.0]])
 

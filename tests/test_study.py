@@ -47,6 +47,20 @@ def test_energy_of_a_diagonal_tensor_is_the_three_term_sum_bitwise():
     assert abs(ref - study._energy(w, gx, gy, np.diag(np.diag(Kr)))) > 1e-3 * abs(ref)
 
 
+def test_energy_on_planes_is_the_energy_of_the_flat_points_bitwise():
+    # the data passes sum over (R, q) planes, on a congruent mesh with cell
+    # 0's weights broadcast; the paper artifacts are byte-identical only if
+    # that sums in the order of the flattened points
+    rng = np.random.default_rng(4)
+    R, q = 53, 677                          # more points than one pairwise block
+    gx, gy = rng.standard_normal((2, R, q))
+    w = rng.uniform(0.0, 1.0, q)
+    Km = np.array([[8.0e-3, 1.0e-3], [1.0e-3, 1.0]])
+    flat = study._energy(np.tile(w, R), gx.ravel(), gy.ravel(), Km)
+    assert study._energy(np.broadcast_to(w, (R, q)), gx, gy, Km) == flat
+    assert study._energy(np.tile(w, (R, 1)), gx, gy, Km) == flat
+
+
 def test_zero_solution_gives_unit_error():
     mesh = generate_cartesian(4)
     case = get_case("tc1")
@@ -107,8 +121,8 @@ def _count_data_rules(monkeypatch, covered):
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        assert self.table.shape == (self.shape[1], self.transfer.shape[-1])
-        covered.append((self.table.shape[1], self.cells, self.shape[1]))
+        assert self.table.shape == (self.x.shape[1], self.transfer.shape[-1])
+        covered.append((self.table.shape[1], self.cells, self.x.shape[1]))
 
     monkeypatch.setattr(local.DataRule, "__init__", counted)
 
@@ -128,9 +142,9 @@ def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
     triangle_rule = local.triangle_rule
 
     def counted_rule(*args):
-        points, weights = triangle_rule(*args)
-        ruled.append(weights.size)
-        return points, weights
+        x, y, w = triangle_rule(*args)
+        ruled.append(w.size)
+        return x, y, w
 
     monkeypatch.setattr(local, "triangle_rule", counted_rule)
     for n in (2, 8):
