@@ -5,9 +5,13 @@ ascending global vertex index, so adjacent cells agree), then the per-cell
 moment dofs blocked after everything else.  `build_dof_map` is the one place
 this numbering is made; it groups the cells by vertex count, each group's
 dofs one (cells, local dofs) table, and its `nodes` give the point of every
-vertex and edge dof.  The scatter and the source pass go by groups and by
-blocks of cells, not cell by cell; the scatter fills one preallocated int32
-COO triple per part of the stiffness matrix.  The consistency and
+vertex and edge dof.  It also fixes the elimination order of the solve:
+`free_dofs` lists the free dofs by a nested dissection of the cells, each
+cell's moments first and each interface between two halves after both, and
+the reduced matrix comes in that order, so SuperLU factors it as it is.
+The scatter and the source pass go by groups and by blocks of cells, not
+cell by cell; the scatter fills one preallocated int32 COO triple per part
+of the stiffness matrix.  The consistency and
 stabilization parts are the stored matrices, on one shared sparse pattern,
 so their norms can be compared after assembly; their sum, the matrix that
 is solved, is formed when it is read.  Only `assemble` knows the scheme: the
@@ -34,12 +38,15 @@ RESIDUAL_RTOL = 1e-10
 # vertex-count groups, while the quadrature tables of a stack stay at a few MB
 # (a 697-cell stack of stabilization-free order-2 hexagons peaked at 42 MB).
 STACK_CELLS = 256
-# Symmetric minimum-degree ordering on the pattern of A+A^T: the ordering
-# SuperLU pairs with symmetric mode and no off-diagonal pivoting.  On the
-# cartesian 128 k=3 system it leaves a third of COLAMD's L+U fill.
-ORDERING = "MMD_AT_PLUS_A"
+# SuperLU's column ordering: none, for the reduced matrix comes in the dof
+# map's nested-dissection order.  On cartesian 128 k=3 that order left 12.80M
+# nonzeros in L+U against 13.25M after SuperLU's symmetric minimum degree
+# (MMD_AT_PLUS_A), and factored in about a quarter less time: its separators
+# are whole element interfaces, so its supernodes are larger.
+ORDERING = "NATURAL"
 # SuperLU's panel width: its default of 20 columns is too wide for VEM's small
-# supernodes.  On cartesian 128 k=3, 6 cut `gstrf` by 7-8%, with equal fill.
+# supernodes.  On cartesian 128 k=3, 6 cut `gstrf` by 7-8%, with equal fill,
+# under minimum degree and by 7% under the nested-dissection order.
 PANEL_COLUMNS = 6
 
 
@@ -51,7 +58,7 @@ class GlobalDofMap:
     # ascending, and their global dofs (n_g, N) in local dof order)
     groups: list
     boundary_dofs: np.ndarray            # sorted vertex/edge dofs on the boundary
-    free_dofs: np.ndarray
+    free_dofs: np.ndarray                # the other dofs, in nested-dissection order
     nodes: np.ndarray                    # (n, 2) point of each of the n vertex/edge dofs
 
 
@@ -95,8 +102,60 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
                                edge_dofs[mesh.boundary_edge_flags].ravel()])
     mask = np.ones(n_total, dtype=bool)
     mask[boundary] = False
+    free = np.nonzero(mask)[0]
+
+    # a dof's node in the dissection tree is the lowest common ancestor of
+    # the leaves of its cells: the common prefix of their lowest and highest
+    # leaf codes, read off the bits below it (`below`), which are all set
+    leaf, depth = _dissection_leaves(mesh.cell_centroids)
+    low = np.full(nv + ne, (1 << depth) - 1, dtype=np.int64)
+    high = np.zeros(nv + ne, dtype=np.int64)
+    at, side_leaf = np.concatenate([ids, nv + edge_ids]), np.tile(np.repeat(leaf, n_verts), 2)
+    np.minimum.at(low, at, side_leaf)
+    np.maximum.at(high, at, side_leaf)
+    low, high = (np.concatenate([ends[:nv], np.repeat(ends[nv:], k - 1),
+                                 np.repeat(leaf, n_mom_per)]) for ends in (low, high))
+    below = low ^ high
+    shift = 1
+    while shift < depth:
+        below |= below >> shift
+        shift *= 2
+    # postorder: by the last leaf under the node, then deeper nodes first
+    key = ((low | below) + 1) << depth | below
     return GlobalDofMap(k=k, n_total=n_total, groups=groups, boundary_dofs=boundary,
-                        free_dofs=np.nonzero(mask)[0], nodes=nodes)
+                        free_dofs=free[np.argsort(key[free], kind="stable")], nodes=nodes)
+
+
+def _dissection_leaves(centroids):
+    """(leaf, depth): the leaf of every cell in a nested dissection of the
+    cells by their centroids, as the `depth` bits of its path from the root.
+
+    Each level splits every part of two or more cells at the median of its
+    centroids along the longer side of their bounding box (x on a tie), the
+    lower half (ties by cell index; one more cell if the part is odd) taking
+    bit 0 and the upper half bit 1; a cell alone in its part takes 0 bits
+    from then on.  So every part is a run of equal codes, and a node of
+    the tree is a common prefix of its cells' codes.
+    """
+    n = len(centroids)
+    depth = max(n - 1, 0).bit_length()
+    # each cell's integer rank along x and along y, ties by cell index
+    rank = np.empty((2, n), dtype=np.int64)
+    for axis in (0, 1):
+        rank[axis, np.lexsort((np.arange(n), centroids[:, axis]))] = np.arange(n)
+    leaf = np.zeros(n, dtype=np.int64)
+    order = np.arange(n)                  # the cells by part, parts by ascending code
+    for _ in range(depth):
+        part = leaf[order]
+        starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        size = np.diff(np.r_[starts, n])
+        x, y = centroids[order].T
+        tall = (np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts)
+                > np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts))
+        order = order[np.argsort(part << depth | rank[tall.repeat(size).astype(np.intp), order])]
+        place = np.arange(n) - starts.repeat(size)
+        leaf[order] = 2 * part + (2 * place >= size.repeat(size))
+    return leaf, depth
 
 
 @dataclass
@@ -225,17 +284,28 @@ class ReducedSystem:
 
 
 def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem:
-    """Eliminate boundary dofs symmetrically, moving known values to the rhs."""
+    """Eliminate boundary dofs symmetrically, moving known values to the rhs.
+
+    The rows and columns of `a_ff` and the entries of `b_f` follow
+    `free_dofs`, the dof map's elimination order; `a_ff` is symmetric with
+    sorted indices, so its CSR arrays are its CSC arrays."""
     dm = system.dof_map
     free, fixed = dm.free_dofs, dm.boundary_dofs
     vals = np.zeros(fixed.size) if boundary_values is None else np.asarray(boundary_values, float)
     if vals.shape != (fixed.size,):
         raise ValueError(f"expected {fixed.size} boundary values, got {vals.shape}")
-    a_free = system.a[free]
-    a_ff = a_free[:, free]
+    a_ff = system.a[free]
     b_f = system.b[free]
     if vals.size and np.any(vals):
-        b_f = b_f - a_free[:, fixed] @ vals
+        b_f = b_f - a_ff[:, fixed] @ vals
+    # the CSC conversion sorts each column's rows into free_dofs order, and
+    # picking whole columns keeps them sorted: these are the CSC arrays of
+    # a_ff, and as `a` is symmetric (the element matrices are symmetrized and
+    # summed in one order), its CSR arrays too.  One statement per copy, so
+    # that each step holds two of them at most.
+    a_ff = a_ff.tocsc()
+    a_ff = a_ff[:, free]
+    a_ff = sp.csr_matrix((a_ff.data, a_ff.indices, a_ff.indptr), shape=a_ff.shape)
     return ReducedSystem(a_ff=a_ff, b_f=b_f, free_dofs=free, fixed_dofs=fixed,
                          fixed_values=vals, n_total=dm.n_total)
 
@@ -246,7 +316,9 @@ class SolveReport:
     solver: str
     residual: float
     spd_ok: bool
-    ordering: str                        # SuperLU column ordering, "none" if trivial
+    # SuperLU's column ordering (ORDERING; the elimination order is the
+    # order of the reduced matrix's rows), "none" if trivial
+    ordering: str
     fill_nnz: int                        # nonzeros of L + U
 
 
@@ -265,11 +337,12 @@ def solve(reduced: ReducedSystem) -> SolveReport:
     them as they are, with no conversion or copy.  A non-symmetric `a_ff`
     would be solved as its transpose and fail the residual check, which is
     computed with `a_ff` itself.  The LU factorization runs in symmetric mode
-    without off-diagonal pivoting, after a symmetric minimum-degree ordering
-    (ORDERING), so for an SPD matrix all pivots are positive; that sign
-    pattern is the reported SPD check.  A failed factorization, a non-finite
-    solution or a residual above RESIDUAL_RTOL relative to the right-hand
-    side raises `SolverError`.
+    without off-diagonal pivoting and with no column ordering of its own
+    (ORDERING): it eliminates in the order of `a_ff`, which `apply_dirichlet`
+    gives in the dof map's nested-dissection order.  For an SPD matrix all
+    pivots are then positive; that sign pattern is the reported SPD check.
+    A failed factorization, a non-finite solution or a residual above
+    RESIDUAL_RTOL relative to the right-hand side raises `SolverError`.
     """
     if reduced.free_dofs.size == 0:
         return SolveReport(solution=_embed(reduced, np.zeros(0)), solver="trivial",

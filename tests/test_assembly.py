@@ -73,6 +73,49 @@ def test_dof_map_shared_edges_consistent():
         assert len(seen) == mesh.n_edges
 
 
+def _bisections(centroids, cells):
+    """Every bisection (lower, upper) of the recursive median split of the
+    list `cells` by centroid along the longer side of their box, x on a tie
+    and ties of coordinate by cell index, the lower half taking the odd cell."""
+    if len(cells) < 2:
+        return []
+    width, height = centroids[cells].max(axis=0) - centroids[cells].min(axis=0)
+    axis = 1 if height > width else 0
+    cells = sorted(cells, key=lambda c: (centroids[c, axis], c))
+    lower, upper = cells[:(len(cells) + 1) // 2], cells[(len(cells) + 1) // 2:]
+    return [(lower, upper)] + _bisections(centroids, lower) + _bisections(centroids, upper)
+
+
+@pytest.mark.parametrize("maker", [lambda: generate_cartesian(4),
+                                   lambda: generate_voronoi(64, rng_seed=0)],
+                         ids=["cartesian 4", "voronoi 64"])
+def test_free_dofs_follow_a_nested_dissection(maker):
+    # free_dofs is the free set in elimination order: every dof shared by
+    # both halves of a bisection comes after every dof held by one half alone
+    mesh = maker()
+    for k in (1, 2, 3):
+        dm = build_dof_map(mesh, k)
+        assert np.array_equal(np.sort(dm.free_dofs),
+                              np.setdiff1d(np.arange(dm.n_total), dm.boundary_dofs))
+        assert np.array_equal(build_dof_map(mesh, k).free_dofs, dm.free_dofs)
+        holders = [set() for _ in range(dm.n_total)]
+        for cells, rows in dm.groups:
+            for ci, dofs in zip(cells.tolist(), rows.tolist()):
+                for d in dofs:
+                    holders[d].add(ci)
+        free = dm.free_dofs.tolist()
+        position = {d: i for i, d in enumerate(free)}
+        separators = 0
+        for lower, upper in _bisections(mesh.cell_centroids, list(range(mesh.n_cells))):
+            lower, upper = set(lower), set(upper)
+            inside = [position[d] for d in free if holders[d] <= lower or holders[d] <= upper]
+            shared = [position[d] for d in free if holders[d] & lower and holders[d] & upper]
+            if shared:
+                separators += 1
+                assert max(inside, default=-1) < min(shared)
+        assert separators >= mesh.n_cells // 2
+
+
 def test_dof_map_rejects_nonconforming():
     verts = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1], [0, 1], [0.5, 0.5]]
     cells = [[0, 1, 4, 5], [1, 2, 3, 4, 6]]
@@ -504,7 +547,7 @@ def test_solve_rejects_a_nonsymmetric_matrix():
 
 
 @pytest.mark.parametrize("matrix", [
-    [[1.0, 1.0], [1.0, 1e-20]],         # unpivoted elimination: residual ~1
+    [[1e-20, 1.0], [1.0, 1.0]],         # unpivoted elimination: residual ~1
     [[1.0, 0.0], [0.0, 1e-310]],        # subnormal pivot: the solution overflows
     [[1.0, 0.0], [0.0, np.inf]],        # non-finite entry: the residual is NaN
 ])
@@ -517,20 +560,24 @@ def test_solve_rejects_unverified_solution(matrix):
 
 
 def test_solve_ordering_reduces_fill():
-    # the symmetric minimum-degree ordering leaves less L+U fill than SuperLU's
-    # default COLAMD on an order-3 system, with the same checks passing; the
+    # the dof map's nested-dissection order, factored in natural order, leaves
+    # less L+U fill than SuperLU's COLAMD and a thirtieth of the fill of the
+    # plain numbering on an order-3 system, with the same checks passing; the
     # panel width changes the speed of the factorization, not its fill
     case = get_case("tc1")
     mesh = generate_cartesian(16)
-    red = apply_dirichlet(assemble(mesh, 3, Method.STANDARD, case.K,
-                                   source_moments(mesh, 3, case.f)))
+    system = assemble(mesh, 3, Method.STANDARD, case.K, source_moments(mesh, 3, case.f))
+    red = apply_dirichlet(system)
     rep = solve(red)
-    colamd = splu(red.a_ff.tocsc(), permc_spec="COLAMD", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    default_panel = splu(red.a_ff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
-    assert rep.ordering == "MMD_AT_PLUS_A"
+    plain = np.sort(red.free_dofs)
+    a_plain = system.a[plain][:, plain].tocsc()
+    options = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    colamd = splu(a_plain, permc_spec="COLAMD", **options)
+    unordered = splu(a_plain, permc_spec="NATURAL", **options)
+    default_panel = splu(red.a_ff.tocsc(), permc_spec="NATURAL", **options)
+    assert rep.ordering == "NATURAL"
     assert 0 < rep.fill_nnz < colamd.nnz
+    assert 30 * rep.fill_nnz < unordered.nnz
     assert rep.fill_nnz == default_panel.nnz
     assert rep.spd_ok
     assert rep.residual <= RESIDUAL_RTOL * np.linalg.norm(red.b_f)

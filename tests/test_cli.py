@@ -60,7 +60,7 @@ def test_solve_command_json_payload(tmp_path):
     assert payload["e_star"] <= 1e-9
     assert payload["spd_ok"] is True
     assert payload["solver"] == "splu"
-    assert payload["ordering"] == "MMD_AT_PLUS_A"
+    assert payload["ordering"] == "NATURAL"
     assert payload["fill_nnz"] > 0
     assert len(payload["solution"]) == payload["n_dofs"]
 
