@@ -106,21 +106,22 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
 
     # a dof's node in the dissection tree is the lowest common ancestor of
     # the leaves of its cells: the common prefix of their lowest and highest
-    # leaf codes, read off the bits below it (`below`), which are all set
+    # leaf codes, below which `below` sets every bit
     leaf, depth = _dissection_leaves(mesh.cell_centroids)
     low = np.full(nv + ne, (1 << depth) - 1, dtype=np.int64)
     high = np.zeros(nv + ne, dtype=np.int64)
     at, side_leaf = np.concatenate([ids, nv + edge_ids]), np.tile(np.repeat(leaf, n_verts), 2)
     np.minimum.at(low, at, side_leaf)
     np.maximum.at(high, at, side_leaf)
-    low, high = (np.concatenate([ends[:nv], np.repeat(ends[nv:], k - 1),
-                                 np.repeat(leaf, n_mom_per)]) for ends in (low, high))
+    low, high = (np.concatenate([bound[:nv], np.repeat(bound[nv:], k - 1),
+                                 np.repeat(leaf, n_mom_per)]) for bound in (low, high))
     below = low ^ high
     shift = 1
     while shift < depth:
         below |= below >> shift
         shift *= 2
-    # postorder: by the last leaf under the node, then deeper nodes first
+    # postorder: by the last leaf under the node, then deeper nodes first,
+    # and the dofs of one node in numbering order
     key = ((low | below) + 1) << depth | below
     return GlobalDofMap(k=k, n_total=n_total, groups=groups, boundary_dofs=boundary,
                         free_dofs=free[np.argsort(key[free], kind="stable")], nodes=nodes)
