@@ -63,7 +63,8 @@ class GlobalDofMap:
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
-    """Global numbering for order k on a conforming mesh."""
+    """Global numbering for order k on a conforming mesh, with its free dofs
+    in nested-dissection elimination order."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     bad = next(edge_conformity_violations(mesh), None)

@@ -561,9 +561,9 @@ def test_solve_rejects_unverified_solution(matrix):
 
 def test_solve_ordering_reduces_fill():
     # the dof map's nested-dissection order, factored in natural order, leaves
-    # less L+U fill than SuperLU's COLAMD and a thirtieth of the fill of the
-    # plain numbering on an order-3 system, with the same checks passing; the
-    # panel width changes the speed of the factorization, not its fill
+    # less L+U fill than SuperLU's COLAMD and under a thirtieth of the fill of
+    # the plain numbering on an order-3 system, with the same checks passing;
+    # the panel width changes the speed of the factorization, not its fill
     case = get_case("tc1")
     mesh = generate_cartesian(16)
     system = assemble(mesh, 3, Method.STANDARD, case.K, source_moments(mesh, 3, case.f))
