@@ -293,21 +293,24 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
     return QuadRule(np.column_stack([x.ravel(), y.ravel()]), w.ravel())
 
 
-def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Mass matrix of the scaled monomials up to `degree` on each cell of the
-    stack E, (n, dim, dim).  G[a, b] is the moment of m_g, g = a + b,
-    homogeneous of degree |g| about x_E: mu_g = sum_e ((x - x_E) . n_e)
-    int_e m_g ds / (|g| + 2) (Chin, Lasserre & Sukumar, Comput. Mech. 56,
-    2015).  The edge integrals read `table` (n, m*nq, dim P_{2 degree}), the
-    scaled monomials of degree <= 2*degree at the points of a reference
-    edge rule with `weights` (nq,) summing to 1, mapped onto each of the m
-    edges in edge order, edge e from vertex e to vertex e+1; the moments are
-    exact when the rule is exact to degree 2*degree.
+def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray):
+    """Mass matrix M of the scaled monomials up to `degree` on each cell of
+    the stack E, (n, dim, dim), and its lower Cholesky factor L, M = L L^T.
+    M[a, b] is the moment of m_g, g = a + b, homogeneous of degree |g| about
+    x_E: mu_g = sum_e ((x - x_E) . n_e) int_e m_g ds / (|g| + 2) (Chin,
+    Lasserre & Sukumar, Comput. Mech. 56, 2015).  The edge integrals read
+    `table` (n, m*nq, dim P_{2 degree}), the scaled monomials of degree
+    <= 2*degree at the points of a reference edge rule with `weights` (nq,)
+    summing to 1, mapped onto each of the m edges in edge order, edge e from
+    vertex e to vertex e+1; the moments are exact when the rule is exact to
+    degree 2*degree.
 
-    SPD in exact arithmetic; a Cholesky factorization checks it in floating
-    point and raises `NumericalDegeneracyError` if it fails.  That check is
-    the SPD guarantee the L2 projections of `local` rely on: every leading
-    block they solve with is SPD too, and they check nothing themselves."""
+    SPD in exact arithmetic; the factorization checks it in floating point
+    and raises `NumericalDegeneracyError` if it fails.  It is the one
+    factorization of the Gram matrix: the leading block of L of any degree
+    is the Cholesky factor of M's leading block of that degree, so the L2
+    projections of `local` solve with blocks of L, and factor and check
+    nothing themselves."""
     tang = np.roll(E.verts, -1, axis=-2) - E.verts
     arm = E.verts - E.centroid[:, None, :]
     # |e| (x - x_E) . n_e, constant on edge e, times the rule's weights
@@ -317,11 +320,11 @@ def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray) -> np.
     exps = monomial_exponents(degree)
     M = mu[..., monomial_index(*np.moveaxis(exps[:, None] + exps, -1, 0))]
     try:
-        np.linalg.cholesky(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise NumericalDegeneracyError(
             f"monomial Gram matrix is not positive definite (degree {degree})") from None
-    return M
+    return M, L
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ scheme needs is assembled from those dofs:
   standard scheme, degree k+ell-1 for the stabilization-free one),
 * the consistency and stabilization parts of the local stiffness matrix;
   the consistency part is the gradient energy (K grad Pi v, grad Pi w)_E,
-  stated once in `_gradient_energy`, which with K = I is also the form
-  whose rank the stabilization-free scheme checks,
+  stated once in `_gradient_energy` from the gradient projection's
+  coefficients in the L2-orthonormal basis L^-1 m, which with K = I is also
+  the form whose rank the stabilization-free scheme checks,
 * the source moments of degree k-1, which every scheme shares and tests with
   its own `pi0_val`: `local_load` integrates them on a block of cells at
   once, with the block's `DataRule` (`data_rules` cuts a mesh into blocks).
@@ -26,13 +27,15 @@ Every step works on a stack of n >= 1 cells that share a vertex count (a
 the stack axis, matrix products are stacked `@`, and the solves and
 eigenvalues are batched LAPACK calls (`assembly.assemble` builds a mesh in
 stacks of up to `assembly.STACK_CELLS` cells of one vertex count).  The
-one dense solver is `np.linalg.solve`, for the energy projector and for both
-L2 projections, whose Gram blocks `monomial_gram`'s Cholesky check has
-already shown SPD.  `build_projection_pack` builds a stack's
-`ElementContext` (Gram matrix and edge data, from edge integrals alone) and
-every projector at one ell; `local_stiffness` takes the finished pack, and
-`element_matrices` is the one loop over ell, building the cells a pack
-leaves `short` again at ell + 1.
+one dense solver is `np.linalg.solve`, for the energy projector and for the
+triangular solves of both L2 projections.  Those read leading blocks of the
+Gram matrix's one Cholesky factor L, which `monomial_gram` computes as its
+SPD check and the context keeps: no Gram matrix is factored twice.
+`build_projection_pack` builds a stack's `ElementContext` (Gram matrix, its
+factor and edge data, from edge integrals alone) and every projector at one
+ell; `local_stiffness` takes the finished pack, and `element_matrices` is
+the one loop over ell, building the cells a pack leaves `short` again at
+ell + 1.
 
 The context holds the data of all m edges as (..., m, ...) arrays.  It is
 the one boundary pass of an element: it evaluates the monomials at all edge
@@ -171,16 +174,19 @@ def _add_edge_columns(target, edge_node_dofs, values):
 
 
 class ElementContext:
-    """Gram matrix and edge data at (k, ell) of a stack of n cells with one
-    vertex count (E from `PolyMesh.cell_geom`), every array leading with
-    the stack axis.
+    """Gram matrix, its Cholesky factor and edge data at (k, ell) of a stack
+    of n cells with one vertex count (E from `PolyMesh.cell_geom`), every
+    array leading with the stack axis.
 
     One Gauss-Legendre edge rule, exact to degree max(2(k+ell), 2k+ell+3),
     and one table of the scaled monomials of degree <= 2(k+ell) at its
-    points give the Gram matrix up to degree k+ell (`monomial_gram`) and
-    `boundary` (n, 2, dim P_{k+ell-1}, total) = int_dE phi_j n_c m_b, the
-    pairing of each dof basis function, normal component and monomial that
-    both projectors read; both are exact on any simple polygon.
+    points give the Gram matrix `gram` up to degree k+ell, with its lower
+    Cholesky factor `gram_factor` (`monomial_gram`), and `boundary` (n, 2,
+    dim P_{k+ell-1}, total) = int_dE phi_j n_c m_b, the pairing of each dof
+    basis function, normal component and monomial that both projectors
+    read; both are exact on any simple polygon.  The factor is the one
+    factorization of the Gram matrix: both L2 projections solve with its
+    leading blocks.
     `grad_degree` = k+ell-1 is the degree of the gradient projection (k-1
     for the standard scheme, whose ell is 0).  Edge e runs from vertex e to
     vertex e+1; over m edges, nq Gauss points and k+1 Lobatto nodes the edge
@@ -214,7 +220,7 @@ class ElementContext:
         n, m, nq = self.edge_points.shape[:3]
         # not kept: about 23 MB for 256 hexagons at k = 3, ell = 6
         table = eval_monomials(E, self.edge_points.reshape(n, -1, 2), 2 * (k + ell))
-        self.gram = monomial_gram(E, k + ell, table, gl_w)
+        self.gram, self.gram_factor = monomial_gram(E, k + ell, table, gl_w)
         nb = dim_poly(self.grad_degree)
         traced = self.edge_trace @ table[..., :nb].reshape(n, m, nq, nb)   # (n, m, k+1, nb)
         self.boundary = np.zeros((n, 2, nb, self.layout.total))
@@ -287,22 +293,39 @@ def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
     return M
 
 
+def _lower_solve(L, R):
+    """L^-1 R for a stack of lower triangular L.  Its rows and columns
+    reversed, L is upper triangular: `gesv`'s partial pivoting then swaps no
+    row, as the subdiagonal is exactly zero, and its solve is a back
+    substitution."""
+    return np.linalg.solve(L[..., ::-1, ::-1], R[..., ::-1, :])[..., ::-1, :]
+
+
 def build_pi0_val(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
-    """Coefficients of the L2 projection of values onto P_{k-1}."""
+    """Monomial coefficients of the L2 projection of values onto P_{k-1}:
+    L^-T (L^-1 moments), with L the degree-(k-1) block of the context's
+    Gram factor.  L^-1 comes from one triangular solve of the identity,
+    dim P_{k-1} columns (6 at k = 3), where two solves with the moments
+    would take `total` columns each; the value block, of the lowest degree,
+    is the best conditioned of the Gram's leading blocks."""
     n = dim_poly(ctx.k - 1)
-    return np.linalg.solve(ctx.gram[..., :n, :n], moments[..., :n, :])
+    inverse = _lower_solve(ctx.gram_factor[..., :n, :n], np.eye(n))
+    return _t(inverse) @ (inverse @ moments[..., :n, :])
 
 
 def build_pi0_grad(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
-    """Coefficients of the L2 projection of the gradient onto [P_d]^2, d =
-    `ctx.grad_degree`.
+    """The L2 projection of the gradient onto [P_d]^2, d = `ctx.grad_degree`,
+    as W = L^-1 R: its coefficients in the L2-orthonormal basis L^-1 m, with
+    L the degree-d block of the context's Gram factor and R the pairings
+    (grad v, m_a e_c)_E.  Its monomial coefficients would be L^-T W, which
+    no kernel needs.
 
-    For each vector monomial q the pairing (grad v, q)_E is integrated by
-    parts: the divergence term reads recovered moments (degree <= d-1)
-    through `monomial_derivatives` and the boundary term is the context's
-    `boundary`.  One solve with the degree-d Gram block takes the x and y
-    right-hand sides side by side.  Rows are the x-component block stacked
-    over the y-component block.
+    For each vector monomial the pairing is integrated by parts: the
+    divergence term reads recovered moments (degree <= d-1) through
+    `monomial_derivatives` and the boundary term is the context's
+    `boundary`.  One triangular solve takes the x and y right-hand sides
+    side by side.  Rows are the x-component block stacked over the
+    y-component block.
     """
     d = ctx.grad_degree
     nd, n_lower = dim_poly(d), dim_poly(d - 1)
@@ -311,7 +334,7 @@ def build_pi0_grad(ctx: ElementContext, moments: np.ndarray) -> np.ndarray:
     # the x block, then the y block: (n, 2, nd, total)
     R = ctx.boundary - (_t(monomial_derivatives(d)) / h) @ moments[:, None, :n_lower, :]
     rhs = np.concatenate([R[:, 0], R[:, 1]], axis=-1)        # (n, nd, 2 total)
-    coef = np.linalg.solve(ctx.gram[..., :nd, :nd], rhs)
+    coef = _lower_solve(ctx.gram_factor[..., :nd, :nd], rhs)
     return np.concatenate(np.split(coef, 2, axis=-1), axis=-2)
 
 
@@ -320,7 +343,11 @@ class ProjectionPack:
     """All element matrices one scheme needs on a stack of n cells, each
     array leading with the stack axis, built with one enlargement ell.
 
-    `short` (n,) marks the cells whose stabilization-free gradient
+    `pi0_val` holds the monomial coefficients of the value projection, which
+    the load reads.  `pi0_grad` holds the gradient projection as W = L^-1 R
+    (`build_pi0_grad`), its coefficients in the L2-orthonormal basis of the
+    Gram factor, which the gradient energy reads; no kernel forms its
+    monomial coefficients, as the error pass reads `pi_star`.  `short` (n,) marks the cells whose stabilization-free gradient
     projection is rank deficient at this ell, None when no cell is;
     `element_matrices` builds them again at ell + 1.
     """
@@ -330,8 +357,8 @@ class ProjectionPack:
     layout: DofLayout
     pi_star: np.ndarray  # n x dim P_k x total, monomial coefficients of the projection
     pi_dof: np.ndarray   # n x total x total, D @ pi_star
-    pi0_val: np.ndarray
-    pi0_grad: np.ndarray
+    pi0_val: np.ndarray   # n x dim P_{k-1} x total
+    pi0_grad: np.ndarray  # n x 2 dim P_{grad_degree} x total, W
     ctx: ElementContext
     short: np.ndarray | None = None
 
@@ -340,14 +367,16 @@ RANK_TOL = 1e-9
 MAX_ELL_BUMPS = 4
 
 
-def _gradient_energy(pi0_grad, ctx: ElementContext, Km) -> np.ndarray:
-    """(K grad Pi v, grad Pi w)_E for the gradient projection onto [P_d]^2,
-    d = `ctx.grad_degree`, with the constant tensor Km, per cell: the
-    symmetrized Z^T (K kron H) Z, with Z = `pi0_grad` (its x block over its
-    y block) and H the degree-d block of the context's Gram matrix.
+def _gradient_energy(W, Km) -> np.ndarray:
+    """(K grad Pi v, grad Pi w)_E for the gradient projection W =
+    `build_pi0_grad` (its x block W_0 over its y block W_1) with the
+    constant tensor Km, per cell: the symmetrized sum_cd K_cd W_c^T W_d.
+
+    In the monomials, with coefficients Z = L^-T W and Gram block H = L L^T,
+    this is Z^T (K kron H) Z; formed from W, its rounding error is relative
+    to the energy, where the monomial form's grows with H's condition number.
     """
-    nd = dim_poly(ctx.grad_degree)
-    A = _t(pi0_grad) @ (np.kron(Km, ctx.gram[..., :nd, :nd]) @ pi0_grad)
+    A = _t(W) @ (Km @ W.reshape(W.shape[0], 2, -1)).reshape(W.shape)
     return 0.5 * (A + _t(A))
 
 
@@ -397,7 +426,7 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     # the unweighted form (K = I) has the rank of any SPD tensor's and keeps
     # the threshold free of the tensor's anisotropy; full rank is N-1, as
     # the constants are its kernel
-    evals = np.linalg.eigvalsh(_gradient_energy(pi0_grad, ctx, np.eye(2)))
+    evals = np.linalg.eigvalsh(_gradient_energy(pi0_grad, np.eye(2)))
     rank = (evals > RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)).sum(axis=-1)
     short = rank < ctx.layout.total - 1
     if short.any():
@@ -424,7 +453,7 @@ def local_stiffness(pack: ProjectionPack, method: Method, K: DiffusionTensor):
     gradient projection, whose rank `build_projection_pack` has already
     checked.
     """
-    a_pi = _gradient_energy(pack.pi0_grad, pack.ctx, K.matrix)
+    a_pi = _gradient_energy(pack.pi0_grad, K.matrix)
     if method is Method.STANDARD:
         Mc = np.eye(pack.layout.total) - pack.pi_dof
         a_s = K.sup_norm() * (_t(Mc) @ Mc)

@@ -78,10 +78,10 @@ def monomial_grads(E, pts, degree: int) -> np.ndarray:
     return np.stack([lower @ D / h for D in monomial_derivatives(degree)], axis=-1)
 
 
-def edge_gram(E, degree: int) -> np.ndarray:
-    """`monomial_gram` of the stack E up to `degree`, its moments read from
-    the scaled monomials at the points of a Gauss-Legendre edge rule exact
-    to degree 2*degree."""
+def edge_gram(E, degree: int):
+    """`monomial_gram` of the stack E up to `degree`, the Gram matrix and its
+    Cholesky factor, its moments read from the scaled monomials at the
+    points of a Gauss-Legendre edge rule exact to degree 2*degree."""
     _, t, w = edge_rules(1, 2 * degree)
     tang = np.roll(E.verts, -1, axis=-2) - E.verts
     points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]

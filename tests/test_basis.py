@@ -349,12 +349,12 @@ def test_subdivided_quadrature_stays_exact():
 
 def test_gram_first_entry_is_area(rng):
     for E in (UNIT_SQUARE, PENTAGON, star_polygon(rng, 7)):
-        M = edge_gram(E, 2)[0]
+        M = edge_gram(E, 2)[0][0]
         assert M[0, 0] == pytest.approx(E.area[0], abs=1e-13)
 
 
 def test_gram_symmetry_exact():
-    M = edge_gram(PENTAGON, 3)[0]
+    M = edge_gram(PENTAGON, 3)[0][0]
     assert np.abs(M - M.T).max() == 0.0
 
 
@@ -370,7 +370,7 @@ def test_gram_rejects_a_clockwise_cell():
 
 def test_gram_unit_square_closed_form():
     # int ((x-1/2)/sqrt(2))^2 over the unit square = (1/2)*(1/12) = 1/24
-    M = edge_gram(UNIT_SQUARE, 1)[0]
+    M = edge_gram(UNIT_SQUARE, 1)[0][0]
     assert M[1, 1] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[2, 2] == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert M[1, 2] == pytest.approx(0.0, abs=1e-15)
@@ -381,8 +381,16 @@ def test_gram_unit_square_closed_form():
 def test_gram_positive_definite(seed, d):
     rng = np.random.default_rng(seed)
     E = star_polygon(rng, int(rng.integers(4, 9)))
-    M = edge_gram(E, d)
+    M, L = edge_gram(E, d)
     assert np.linalg.eigvalsh(M).min() > 0.0
+    # the one factor: lower triangular, positive diagonal, and each leading
+    # block of it a factor of the Gram matrix's leading block of that degree
+    assert np.array_equal(L, np.tril(L)) and (np.diagonal(L, axis1=-2, axis2=-1) > 0).all()
+    for degree in range(d + 1):
+        n = dim_poly(degree)
+        block = L[..., :n, :n]
+        assert np.abs(block @ np.swapaxes(block, -1, -2) - M[..., :n, :n]).max() \
+            <= 1e-14 * np.abs(M).max()
 
 
 def _rule_gram(E, points, weights, degree):
@@ -402,7 +410,7 @@ def voronoi_stacks():
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_gram_matches_the_fan_quadrature_gram(voronoi_stacks, degree):
     for E in voronoi_stacks:
-        G = edge_gram(E, degree)
+        G, _ = edge_gram(E, degree)
         for i in range(E.cells.size):
             cell = E.take([i])
             q = polygon_quadrature(cell, 2 * degree)
@@ -420,7 +428,7 @@ def test_gram_is_exact_on_a_cell_that_is_not_star_shaped():
     q = flat_rule(*triangle_rule([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.1, 0.1]],
                                  [[0.1, 0.1], [0.0, 1.0]], 2 * d))
     ref = _rule_gram(dart, q.points, q.weights, d)
-    assert np.abs(edge_gram(dart, d)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(edge_gram(dart, d)[0][0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_edge_rules_lobatto_nodes():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, fan_rule, lone_cell,
                       monomial_grads, star_polygon)
@@ -198,11 +198,21 @@ def test_triangle_k1_moments_match_linear_interpolant(rng):
 
 # -- gradient projection -----------------------------------------------------
 
+def _monomial_coefficients(ctx, W):
+    """Z = L^-T W block by block: the monomial coefficients of the gradient
+    projection W = `build_pi0_grad` of the context, L the Gram factor's
+    block of its degree."""
+    nd = dim_poly(ctx.grad_degree)
+    Lt = np.swapaxes(ctx.gram_factor[..., :nd, :nd], -1, -2)
+    return np.concatenate([np.linalg.solve(Lt, Wc) for Wc in np.split(W, 2, axis=-2)],
+                          axis=-2)
+
+
 def test_pi0_grad_constant_gradient(rng):
     E = star_polygon(rng, 5)
     pack = build_projection_pack(E, 1, Method.STANDARD)
     chi = interpolate_cell(E, 1, _monomial_func(E, 1, 1))   # m_(1,0)
-    coeff = pack.pi0_grad[0] @ chi
+    coeff = _monomial_coefficients(pack.ctx, pack.pi0_grad)[0] @ chi
     assert coeff[0] == pytest.approx(1.0 / E.diameter[0], abs=1e-12)
     assert abs(coeff[1]) < 1e-12    # constant projection: single coeff per part
 
@@ -217,7 +227,7 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
         for a in range(dim_poly(k)):
             f = _monomial_func(E, a, k)
             chi = interpolate_cell(E, k, f)
-            coeff = pack.pi0_grad[0] @ chi
+            coeff = _monomial_coefficients(pack.ctx, pack.pi0_grad)[0] @ chi
             # oracle: L2 projection of the exact gradient by quadrature
             quad = polygon_quadrature(E, 2 * d + 2)
             grads = monomial_grads(E, quad.points[None], k)[0, :, a, :]
@@ -281,7 +291,7 @@ def test_edge_terms_match_per_edge_loop(k, rng):
     moments = recover_moments(ctx, pi_star)
     R = _gradient_rhs_by_edges(ctx, moments)
     nd = dim_poly(ctx.grad_degree)
-    coef = np.linalg.solve(ctx.gram[0, :nd, :nd], np.hstack([R[0], R[1]]))
+    coef = local._lower_solve(ctx.gram_factor[0, :nd, :nd], np.hstack([R[0], R[1]]))
     assert np.array_equal(build_pi0_grad(ctx, moments)[0], np.vstack(np.hsplit(coef, 2)))
 
 
@@ -318,7 +328,7 @@ def test_pi0_grad_triangle_matches_fem_gradient(rng):
     vals = rng.uniform(-1, 1, 3)
     ctx = ElementContext(E, 1, 0)
     M = recover_moments(ctx, build_pi_nabla(ctx)[3])
-    C = build_pi0_grad(ctx, M)[0]
+    C = _monomial_coefficients(ctx, build_pi0_grad(ctx, M))[0]
     got = C @ vals
     v = E.verts[0]
     T = np.column_stack([v[1] - v[0], v[2] - v[0]])
@@ -541,9 +551,11 @@ def test_stack_cells_kept_at_three_enlargements(monkeypatch, stack_meshes):
                          ids=["anisotropic", "identity"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gradient_energy_matches_per_cell_sum(k, Km, stack_meshes):
-    """The stacked form equals sum_ij K_ij G_i^T H G_j cell by cell, G_0 and
-    G_1 the x and y blocks of the gradient projection, at both degrees; and
-    both L2 projections match a per-cell Cholesky solve with the Gram block."""
+    """The stacked form equals sum_ij K_ij W_i^T W_j cell by cell, W_0 and
+    W_1 the x and y blocks of the gradient projection, at both degrees; and
+    both L2 projections match a per-cell Cholesky solve with the Gram block:
+    the gradient projection's monomial coefficients L^-T W match it, and W
+    matches a triangular solve with the block's own factor."""
     Km = DiffusionTensor(matrix=Km).matrix
     mesh = stack_meshes["voronoi64"]
     n_verts = np.diff(mesh.flat_cells[1])
@@ -563,17 +575,20 @@ def test_gradient_energy_matches_per_cell_sum(k, Km, stack_meshes):
                 cho = cho_factor(ctx.gram[c, :nv, :nv])
                 assert_close(pi0_val[c], cho_solve(cho, moments[c, :nv]))
             pi0_grad = build_pi0_grad(ctx, moments)
-            got = local._gradient_energy(pi0_grad, ctx, Km)
+            got = local._gradient_energy(pi0_grad, Km)
+            coef = _monomial_coefficients(ctx, pi0_grad)
             nd = dim_poly(ctx.grad_degree)
             for c in range(got.shape[0]):
-                G = (pi0_grad[c, :nd], pi0_grad[c, nd:])
-                H = ctx.gram[c, :nd, :nd]
-                want = sum(Km[i, j] * G[i].T @ H @ G[j] for i in (0, 1) for j in (0, 1))
+                W = (pi0_grad[c, :nd], pi0_grad[c, nd:])
+                want = sum(Km[i, j] * W[i].T @ W[j] for i in (0, 1) for j in (0, 1))
                 assert np.abs(got[c] - want).max() <= 1e-13 * np.abs(want).max()
+                H = ctx.gram[c, :nd, :nd]
                 cho = cho_factor(H)
                 R = _gradient_rhs_by_edges(ctx, moments, c)
-                assert_close(pi0_grad[c], np.vstack([cho_solve(cho, R[0]),
-                                                     cho_solve(cho, R[1])]))
+                assert_close(coef[c], np.vstack([cho_solve(cho, R[0]), cho_solve(cho, R[1])]))
+                L = cholesky(H, lower=True)
+                assert_close(pi0_grad[c], np.vstack([solve_triangular(L, R[0], lower=True),
+                                                     solve_triangular(L, R[1], lower=True)]))
 
 
 # -- local load --------------------------------------------------------------

@@ -5,11 +5,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyvem import assembly, local, study
 from polyvem.assembly import assemble, build_dof_map
 from polyvem.cases import testcase as get_case
-from polyvem.errors import CellDegeneracyError, QuadratureError
+from polyvem.errors import CellDegeneracyError, PolyvemError, QuadratureError
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import (METHODS, StudyConfig, convergence_rate, energy_error, ladder_for,
@@ -76,6 +78,31 @@ def test_patch_energy_error_tiny(k):
     for method in (Method.STANDARD, Method.E2VEM):
         sol = solve_case(mesh, k, method, case)
         assert sol.e_star <= 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_cells=st.integers(3, 40), seed=st.integers(0, 10_000),
+       lloyd_iters=st.sampled_from([0, 1, 3]), k=st.integers(1, 3))
+@example(n_cells=40, seed=34, lloyd_iters=0, k=3)
+@example(n_cells=30, seed=9, lloyd_iters=1, k=3)
+def test_coarse_voronoi_patch_test_passes_or_names_a_cell(n_cells, seed, lloyd_iters, k):
+    """On coarse Voronoi meshes both schemes either pass criterion 1's patch
+    test (energy error <= 1e-9) or fail with an error that names a cell and
+    maps to exit 2 or 3: no scheme returns a wrong answer silently.  The two
+    examples are meshes whose stabilization-free solves went wrong silently
+    when the gradient energy was formed from monomial coefficients and the
+    Gram matrix, on cells whose Gram matrix is singular to working
+    precision."""
+    mesh = generate_voronoi(n_cells, rng_seed=seed, lloyd_iters=lloyd_iters)
+    try:
+        results = solve_cases(mesh, k, METHODS, get_case(f"patch:{k}"))
+    except PolyvemError as exc:
+        results = {None: exc}
+    for method, result in results.items():
+        if isinstance(result, PolyvemError):
+            assert result.cell is not None and result.exit_code in (2, 3), (method, result)
+        else:
+            assert result.e_star <= 1e-9, (method, result.e_star)
 
 
 def test_interpolant_energy_error_small():
