@@ -9,14 +9,17 @@ vertex and edge dof.  It also fixes the elimination order of the solve:
 `free_dofs` lists the free dofs by a nested dissection of the cells, each
 cell's moments first and each interface between two halves after both, and
 the reduced matrix comes in that order, so SuperLU factors it as it is.
-The scatter and the source pass go by groups and by blocks of cells, not
-cell by cell; the scatter fills one preallocated int32 COO triple per part
-of the stiffness matrix.  The consistency and
-stabilization parts are the stored matrices, on one shared sparse pattern,
-so their norms can be compared after assembly; their sum, the matrix that
-is solved, is formed when it is read.  Only `assemble` knows the scheme: the
-Dirichlet elimination and the solve know only the matrix.  An element
-failure leaves `assemble` naming the mesh's lowest failing cell.
+The source pass and the scatter go by groups and by blocks of cells, not
+cell by cell.  `assemble` builds no sparse matrix: it keeps each group's
+stacks of element stiffness parts beside its projectors, and the Dirichlet
+elimination is done at the scatter, which broadcasts each element's summed
+parts into one preallocated int32 COO triple at their elimination
+positions, whose free-free entries are converted once.  The consistency
+and stabilization parts of the full matrix are assembled only when they
+are read, on one shared sparse pattern, so that their norms can be
+compared.  Only `assemble` knows the scheme: the Dirichlet elimination and
+the solve know only the element matrices and the reduced matrix.  An
+element failure leaves `assemble` naming the mesh's lowest failing cell.
 """
 
 from __future__ import annotations
@@ -160,16 +163,68 @@ def _dissection_leaves(centroids):
     return leaf, depth
 
 
+def _scatter(dm: GlobalDofMap, at_dof, stiffness):
+    """(rows, cols, vals): one COO triple of the element matrices of every
+    group of the dof map, each group broadcast into its slice.  An entry's
+    row and column are `at_dof` of its two dofs, and `vals` has one row per
+    part in `stiffness` (per group, a tuple of (n_g, N, N) stacks, or one
+    (1, N, N) stack for every cell).  With int32 `at_dof`, scipy converts
+    the triple without copying its indices."""
+    ends = np.cumsum([dofs.size * dofs.shape[1] for _, dofs in dm.groups])
+    rows, cols = np.empty((2, ends[-1]), at_dof.dtype)
+    vals = np.empty((len(stiffness[0]), ends[-1]))
+    for (_, dofs), stacks, end in zip(dm.groups, stiffness, ends):
+        n_g, n = dofs.shape
+        at = slice(end - n_g * n * n, end)
+        table = at_dof[dofs]
+        rows[at].reshape(n_g, n, n)[...] = table[:, :, None]
+        cols[at].reshape(n_g, n, n)[...] = table[:, None, :]
+        for out, part in zip(vals, stacks):
+            out[at].reshape(n_g, n, n)[...] = part
+    return rows, cols, vals
+
+
+def _index_dtype(n):
+    """Index dtype of the COO triples of n dofs: int32 below 2**31."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 @dataclass
 class SparseSystem:
-    a_pi: sp.csr_matrix
-    a_s: sp.csr_matrix
+    """An assembled system: its load, dof map and per-group element stacks.
+
+    It holds no sparse matrix.  `apply_dirichlet` scatters the element
+    stiffness straight into the reduced matrix, and `parts` assembles the
+    full consistency and stabilization parts when they are read."""
     b: np.ndarray
     dof_map: GlobalDofMap
     # per group of dof_map.groups, the energy projector coefficients of its
     # cells, (n_g, dim P_k, N); (1, dim P_k, N) serves every cell of a
     # congruent mesh
     pi_stars: list
+    # per group, the stiffness parts of its cells as pi_stars stacks them,
+    # (a_pi, a_s) each (n_g, N, N); (a_pi,) for the stabilization-free scheme
+    stiffness: list
+
+    def parts(self) -> tuple:
+        """(a_pi, a_s), the consistency and stabilization parts of the full
+        stiffness matrix, assembled at each read from one COO triple and
+        sharing one read-only sparse pattern; `a_s` stores nothing for the
+        stabilization-free scheme."""
+        dm = self.dof_map
+        rows, cols, vals = _scatter(dm, np.arange(dm.n_total, dtype=_index_dtype(dm.n_total)),
+                                    self.stiffness)
+        shape = (dm.n_total, dm.n_total)
+        a_pi = sp.coo_matrix((vals[0], (rows, cols)), shape=shape).tocsr()
+        pattern = (a_pi.indices, a_pi.indptr)
+        for index in pattern:
+            index.setflags(write=False)
+        if len(vals) == 1:
+            return a_pi, sp.csr_matrix(shape)
+        # the parts share their entries (i, j), so the conversion sorts and
+        # sums the stabilization part onto the consistency part's pattern
+        a_s = sp.coo_matrix((vals[1], (rows, cols)), shape=shape).tocsr()
+        return a_pi, sp.csr_matrix((a_s.data, *pattern), shape=shape)
 
     def projections(self, u_dofs) -> np.ndarray:
         """(n_cells, dim P_k) monomial coefficients of the energy projection
@@ -179,15 +234,6 @@ class SparseSystem:
         for (cells, dofs), pi_star in zip(groups, self.pi_stars):
             out[cells] = (pi_star @ u_dofs[dofs][..., None])[..., 0]
         return out
-
-    @property
-    def a(self) -> sp.csr_matrix:
-        """a_pi + a_s, summed on their shared pattern at each read; `a_pi`
-        itself when `a_s` stores nothing (the stabilization-free scheme)."""
-        if not self.a_s.nnz:
-            return self.a_pi
-        return sp.csr_matrix((self.a_pi.data + self.a_s.data, self.a_pi.indices,
-                              self.a_pi.indptr), shape=self.a_pi.shape)
 
 
 def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarray:
@@ -201,7 +247,7 @@ def source_moments(mesh: PolyMesh, k: int, f, *, y_wavelength=None) -> np.ndarra
 
 def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
              source=None, dof_map: GlobalDofMap | None = None) -> SparseSystem:
-    """Scatter-add of the local stiffness matrices and loads over the mesh.
+    """The element matrices and the scatter-added load over the mesh.
 
     The elements of each group of the dof map, cells with one vertex count,
     are built in stacks of at most STACK_CELLS cells (`element_matrices`).
@@ -212,12 +258,11 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     `source_moments` of the mesh at order k; without `source` b is zero
     (enough for norm studies).  Element matrices are invariant under
     translation, so on a mesh of congruent cells the stack of cell 0 serves
-    every cell.  Each group is broadcast into its slice of COO arrays sized
-    once, whose int32 indices scipy converts to CSR without a copy.  The
-    parts share one read-only sparse pattern; the stabilization-free scheme
-    scatters no stabilization, so its `a_s` has no stored entries and its
-    `a` is `a_pi`.  `dof_map` is the mesh's `build_dof_map` at order k, built
-    here if not given; the schemes solved on one mesh and order share it.
+    every cell.  The system keeps each group's stiffness parts as stacks
+    (`SparseSystem.stiffness`) and assembles no sparse matrix; the
+    stabilization-free scheme keeps no stabilization, which is zero.
+    `dof_map` is the mesh's `build_dof_map` at order k, built here if not
+    given; the schemes solved on one mesh and order share it.
     """
     dm = build_dof_map(mesh, k) if dof_map is None else dof_map
 
@@ -242,33 +287,13 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
         raise failure
 
     b = np.zeros(dm.n_total)
-    ends = np.cumsum([dofs.size * dofs.shape[1] for _, dofs in dm.groups])
-    rows, cols = np.empty((2, ends[-1]), np.int32 if dm.n_total < 2**31 else np.int64)
-    vals = np.empty((2 if method is Method.STANDARD else 1, ends[-1]))
-    for (cells, dofs), (_, pi0_val, *parts), end in zip(dm.groups, elements, ends):
-        n_g, n = dofs.shape
-        at = slice(end - n_g * n * n, end)
-        rows[at].reshape(n_g, n, n)[...] = dofs[:, :, None]
-        cols[at].reshape(n_g, n, n)[...] = dofs[:, None, :]
-        for out, part in zip(vals, parts):
-            out[at].reshape(n_g, n, n)[...] = part
-        if source is not None:
+    if source is not None:
+        for (cells, dofs), (_, pi0_val, *_) in zip(dm.groups, elements):
             loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
             b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
-
-    shape = (dm.n_total, dm.n_total)
-    a_pi = sp.coo_matrix((vals[0], (rows, cols)), shape=shape).tocsr()
-    pattern = (a_pi.indices, a_pi.indptr)
-    for index in pattern:
-        index.setflags(write=False)
-    a_s = sp.csr_matrix(shape)
-    if method is Method.STANDARD:
-        # the parts share their entries (i, j), so the conversion sorts and
-        # sums the stabilization part onto the consistency part's pattern
-        a_s = sp.coo_matrix((vals[1], (rows, cols)), shape=shape).tocsr()
-        a_s = sp.csr_matrix((a_s.data, *pattern), shape=shape)
-    return SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm,
-                        pi_stars=[pi_star for pi_star, *_ in elements])
+    kept = 2 if method is Method.STANDARD else 1
+    return SparseSystem(b=b, dof_map=dm, pi_stars=[pi_star for pi_star, *_ in elements],
+                        stiffness=[tuple(parts[:kept]) for _, _, *parts in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +302,11 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
 
 @dataclass
 class ReducedSystem:
+    """The system on the free dofs, as `apply_dirichlet` returns it.
+
+    `a_ff` and `b_f` follow `free_dofs`, the elimination order; `a_ff` is
+    sorted and bitwise symmetric, so `solve` factors its CSR arrays as CSC
+    arrays.  `fixed_dofs` and `fixed_values` complete the solution."""
     a_ff: sp.csr_matrix
     b_f: np.ndarray
     free_dofs: np.ndarray
@@ -288,26 +318,37 @@ class ReducedSystem:
 def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem:
     """Eliminate boundary dofs symmetrically, moving known values to the rhs.
 
-    The rows and columns of `a_ff` and the entries of `b_f` follow
-    `free_dofs`, the dof map's elimination order; `a_ff` is symmetric with
-    sorted indices, so its CSR arrays are its CSC arrays."""
+    The elimination happens at the scatter: each dof goes to its position
+    in `free_dofs`, or to -1 - its index in `boundary_dofs`, and each
+    group's summed element matrices `a_pi + a_s` are broadcast into one
+    preallocated COO triple at those positions.  Only its free-free entries
+    are converted, once, to `a_ff`; its free-row/boundary-column entries
+    move the boundary values to `b_f` through one `bincount`.  The rows and
+    columns of `a_ff` and the entries of `b_f` follow `free_dofs`, the dof
+    map's elimination order.  `a_ff` is symmetric with sorted indices, so
+    its CSR arrays are its CSC arrays: the conversion sorts each row, and
+    the element matrices are symmetric, with at most two of them on any
+    off-diagonal entry, whose sum does not depend on their order."""
     dm = system.dof_map
     free, fixed = dm.free_dofs, dm.boundary_dofs
     vals = np.zeros(fixed.size) if boundary_values is None else np.asarray(boundary_values, float)
     if vals.shape != (fixed.size,):
         raise ValueError(f"expected {fixed.size} boundary values, got {vals.shape}")
-    a_ff = system.a[free]
+    position = np.empty(dm.n_total, _index_dtype(dm.n_total))
+    position[free] = np.arange(free.size)
+    position[fixed] = -1 - np.arange(fixed.size)
+    # each group's a_pi + a_s, or a_pi alone for the stabilization-free scheme
+    rows, cols, (entries,) = _scatter(dm, position, [(sum(stacks[1:], stacks[0]),)
+                                                     for stacks in system.stiffness])
     b_f = system.b[free]
-    if vals.size and np.any(vals):
-        b_f = b_f - a_ff[:, fixed] @ vals
-    # the CSC conversion sorts each column's rows into free_dofs order, and
-    # picking whole columns keeps them sorted: these are the CSC arrays of
-    # a_ff, and as `a` is symmetric (the element matrices are symmetrized and
-    # summed in one order), its CSR arrays too.  One statement per copy, so
-    # that each step holds two of them at most.
-    a_ff = a_ff.tocsc()
-    a_ff = a_ff[:, free]
-    a_ff = sp.csr_matrix((a_ff.data, a_ff.indices, a_ff.indptr), shape=a_ff.shape)
+    free_row = rows >= 0
+    if np.any(vals):
+        moved = free_row & (cols < 0)
+        b_f -= np.bincount(rows[moved], entries[moved] * vals[-1 - cols[moved]],
+                           minlength=free.size)
+    kept = free_row & (cols >= 0)
+    a_ff = sp.coo_matrix((entries[kept], (rows[kept], cols[kept])),
+                         shape=(free.size, free.size)).tocsr()
     return ReducedSystem(a_ff=a_ff, b_f=b_f, free_dofs=free, fixed_dofs=fixed,
                          fixed_values=vals, n_total=dm.n_total)
 

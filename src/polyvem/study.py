@@ -253,8 +253,8 @@ def study_ladders(case: TestCase, orders, ladders: dict) -> StudyResult:
                         row.n_dofs = sol.system.dof_map.n_total
                         row.e_star = sol.e_star
                         if method is Method.STANDARD:
-                            row.stab_ratio = stab_consistency_ratio(sol.system.a_s,
-                                                                    sol.system.a_pi)
+                            row.stab_ratio = stab_consistency_ratio(   # (a_s, a_pi)
+                                *reversed(sol.system.parts()))
                     result.rows.append(row)
                 del results, sol        # release this level's systems before the next
             ratios = [r.stab_ratio for r in result.series(family, order, Method.STANDARD)

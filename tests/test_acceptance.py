@@ -83,7 +83,8 @@ def _ratio_ladder(meshes, ladder, k, K):
     ratios = []
     for n in ladder:
         sys_ = assemble(meshes[n], k, Method.STANDARD, K)
-        ratios.append(stab_consistency_ratio(sys_.a_s, sys_.a_pi))
+        a_pi, a_s = sys_.parts()
+        ratios.append(stab_consistency_ratio(a_s, a_pi))
     return float(np.mean(ratios)), ratios
 
 

@@ -19,6 +19,15 @@ from polyvem.study import solve_case, solve_cases
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
 
+def _stiffness(system):
+    """a_pi + a_s of an assembled system, from its on-read parts, summed on
+    their shared pattern; a_pi itself when a_s stores nothing."""
+    a_pi, a_s = system.parts()
+    if not a_s.nnz:
+        return a_pi
+    return sp.csr_matrix((a_pi.data + a_s.data, a_pi.indices, a_pi.indptr), shape=a_pi.shape)
+
+
 # -- dof map -----------------------------------------------------------------
 
 def test_dof_map_counts_cartesian2_k1():
@@ -130,9 +139,9 @@ def test_dof_map_rejects_nonconforming():
 @pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
 def test_assembled_matrix_symmetric(method):
     mesh = generate_voronoi(10, rng_seed=2, lloyd_iters=20)
-    sys_ = assemble(mesh, 2, method, K_ANISO)
-    diff = (sys_.a - sys_.a.T).tocoo()
-    scale = np.abs(sys_.a.data).max()
+    a = _stiffness(assemble(mesh, 2, method, K_ANISO))
+    diff = (a - a.T).tocoo()
+    scale = np.abs(a.data).max()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12 * scale
 
 
@@ -141,36 +150,45 @@ def test_global_kernel_constants(k):
     mesh = generate_voronoi(10, rng_seed=2, lloyd_iters=20)
     sys_ = assemble(mesh, k, Method.STANDARD, K_ANISO)
     ones = interpolate_dofs(mesh, k, lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
-    assert np.abs(sys_.a @ ones).max() <= 1e-9
+    assert np.abs(_stiffness(sys_) @ ones).max() <= 1e-9
 
 
 def test_e2vem_stabilization_identically_zero():
     mesh = generate_cartesian(3)
     sys_ = assemble(mesh, 1, Method.E2VEM, K_ANISO)
-    assert sys_.a_s.nnz == 0 or np.abs(sys_.a_s.data).max() == 0.0
+    a_pi, a_s = sys_.parts()
+    assert a_pi.nnz > 0 and a_s.nnz == 0
 
 
 def test_assembly_splits_parts():
+    # each on-read part is the scatter of that part of the element matrices
     mesh = generate_cartesian(3)
     sys_ = assemble(mesh, 1, Method.STANDARD, K_ANISO)
-    diff = (sys_.a - (sys_.a_pi + sys_.a_s)).tocoo()
-    assert (np.abs(diff.data).max() if diff.nnz else 0.0) == 0.0
+    (cells, rows), = sys_.dof_map.groups
+    (stacks,) = sys_.stiffness
+    for got, stack in zip(sys_.parts(), stacks):
+        want = np.zeros((sys_.dof_map.n_total,) * 2)
+        for idx, element in zip(rows, np.broadcast_to(stack, (cells.size, *stack.shape[1:]))):
+            want[np.ix_(idx, idx)] += element
+        assert np.abs(stack).max() > 0.0
+        assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_parts_share_one_read_only_pattern():
     mesh = generate_voronoi(10, rng_seed=2, lloyd_iters=20)
     sys_ = assemble(mesh, 2, Method.STANDARD, K_ANISO)
+    a_pi, a_s = sys_.parts()
     for index in ("indices", "indptr"):
-        part_s, part_pi = getattr(sys_.a_s, index), getattr(sys_.a_pi, index)
+        part_s, part_pi = getattr(a_s, index), getattr(a_pi, index)
         assert np.shares_memory(part_s, part_pi)
         assert not part_s.flags.writeable and not part_pi.flags.writeable
-    a = sys_.a
-    assert np.array_equal(a.indices, sys_.a_pi.indices)
-    assert np.array_equal(a.indptr, sys_.a_pi.indptr)
-    assert np.array_equal(a.data, sys_.a_pi.data + sys_.a_s.data)
-    assert (a != sys_.a_pi + sys_.a_s).nnz == 0
+    # every read assembles the same parts
+    for got, want in zip(sys_.parts(), (a_pi, a_s)):
+        assert (got != want).nnz == 0
+    # the stabilization-free scheme keeps and stores no stabilization
     free = assemble(mesh, 2, Method.E2VEM, K_ANISO)
-    assert free.a is free.a_pi and free.a_s.nnz == 0
+    assert all(len(stacks) == 1 for stacks in free.stiffness)
+    assert free.parts()[1].nnz == 0
 
 
 def test_assembly_load_linearity():
@@ -202,7 +220,7 @@ def test_congruent_cache_matches_direct_assembly():
         a_pi, a_s = local_stiffness(pack, Method.STANDARD, case.K)
         A[np.ix_(idx, idx)] += (a_pi + a_s)[0]
         b[idx] += pack.pi0_val[0].T @ local_load(case.f, cell_data_rule(E, k))[0]
-    assert np.abs(sys_.a.toarray() - A).max() <= 1e-12
+    assert np.abs(_stiffness(sys_).toarray() - A).max() <= 1e-12
     assert np.abs(sys_.b - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
@@ -227,7 +245,7 @@ def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
     # element construction integrates along edges only, so it builds the dart;
     # the data pass checks the polygons and names it
     for method in (Method.STANDARD, Method.E2VEM):
-        assert np.isfinite(assemble(dented, 2, method, K_ANISO).a.data).all()
+        assert np.isfinite(_stiffness(assemble(dented, 2, method, K_ANISO)).data).all()
     case = get_case("tc1")
     with pytest.raises(QuadratureError, match=r"^cell 5: cell is not star-shaped"):
         source_moments(dented, 2, case.f)
@@ -256,9 +274,11 @@ def test_stack_size_leaves_the_system_unchanged(monkeypatch):
         monkeypatch.setattr(assembly, "STACK_CELLS", 3)
         split = assemble(mesh, 2, method, case.K, source)
         monkeypatch.undo()
-        for name in ("a", "a_pi", "a_s"):
-            diff = getattr(split, name) - getattr(whole, name)
-            assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-14 * abs(whole.a).max()
+        scale = abs(_stiffness(whole)).max()
+        for got, want in zip((_stiffness(split), *split.parts()),
+                             (_stiffness(whole), *whole.parts())):
+            diff = got - want
+            assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-14 * scale
         assert np.abs(split.b - whole.b).max() <= 1e-14 * np.abs(whole.b).max()
         for got, want in zip(split.pi_stars, whole.pi_stars):
             assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13
@@ -461,8 +481,11 @@ def test_reduced_matrix_is_its_own_csc(mesh_name, method, k, voronoi_256):
 
 
 def _reference_scatter(mesh, k, method, K, source, monkeypatch):
-    """`assemble`'s system, and its parts and load scattered from the same
-    element stacks by per-group index lists joined and converted by scipy."""
+    """`assemble`'s system, and from the same element stacks, by per-group
+    index lists joined and converted by scipy: its parts, its load, and its
+    reduced matrix.  The reduced matrix's lists hold each dof's position in
+    the elimination (-1 - its boundary index for a fixed dof) and the summed
+    element matrices; their free-free entries are converted once."""
     stacks = []
 
     def recording(E, *args):
@@ -473,16 +496,20 @@ def _reference_scatter(mesh, k, method, K, source, monkeypatch):
     system = assemble(mesh, k, method, K, source)
     monkeypatch.undo()
     dm = system.dof_map
+    position = np.empty(dm.n_total, int)
+    position[dm.free_dofs] = np.arange(dm.free_dofs.size)
+    position[dm.boundary_dofs] = -1 - np.arange(dm.boundary_dofs.size)
     b = np.zeros(dm.n_total)
-    rows, cols, vals_pi, vals_s = [], [], [], []
+    rows, cols, vals_pi, vals_s, vals = [], [], [], [], []
     for cells, dofs in dm.groups:
         _, pi0_val, a_pi, a_s = [np.concatenate(parts) for parts in zip(
             *(out for at, out in stacks if np.isin(at, cells).all()))]
         n = dofs.shape[1]
         rows.append(np.repeat(dofs, n, axis=1).ravel())
         cols.append(np.tile(dofs, n).ravel())
-        vals_pi.append(np.broadcast_to(a_pi.reshape(-1, n * n), (cells.size, n * n)).ravel())
-        vals_s.append(np.broadcast_to(a_s.reshape(-1, n * n), (cells.size, n * n)).ravel())
+        for out, part in ((vals_pi, a_pi), (vals_s, a_s),
+                          (vals, a_pi + a_s if method is Method.STANDARD else a_pi)):
+            out.append(np.broadcast_to(part.reshape(-1, n * n), (cells.size, n * n)).ravel())
         loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
         b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
     shape = (dm.n_total, dm.n_total)
@@ -490,7 +517,11 @@ def _reference_scatter(mesh, k, method, K, source, monkeypatch):
     a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
     a_s = (sp.coo_matrix((np.concatenate(vals_s), ij), shape=shape).tocsr()
            if method is Method.STANDARD else sp.csr_matrix(shape))
-    return system, assembly.SparseSystem(a_pi=a_pi, a_s=a_s, b=b, dof_map=dm, pi_stars=[])
+    i, j = position[ij[0]], position[ij[1]]
+    free = (i >= 0) & (j >= 0)
+    a_ff = sp.coo_matrix((np.concatenate(vals)[free], (i[free], j[free])),
+                         shape=(dm.free_dofs.size,) * 2).tocsr()
+    return system, a_pi, a_s, a_ff, b
 
 
 def _same_bits(got, want):
@@ -502,20 +533,48 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
 def test_scatter_is_bitwise_the_joined_index_lists(mesh_name, method, k, voronoi_256,
                                                    monkeypatch):
-    # the preallocated int32 COO arrays give the very matrices, load and
-    # reduced matrix that per-group repeat/tile lists, joined, gave
+    # the preallocated int32 COO arrays give the very parts, load and reduced
+    # matrix that per-group repeat/tile lists, joined, gave
     mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
     case = get_case("tc1")
-    system, ref = _reference_scatter(mesh, k, method, case.K, source_moments(mesh, k, case.f),
-                                     monkeypatch)
+    system, a_pi, a_s, a_ff, b = _reference_scatter(mesh, k, method, case.K,
+                                                    source_moments(mesh, k, case.f), monkeypatch)
     assert (len(system.dof_map.groups) > 1) == (mesh_name == "voronoi 256")
-    for got, want in ((system.a_pi, ref.a_pi), (system.a_s, ref.a_s),
-                      (apply_dirichlet(system).a_ff, apply_dirichlet(ref).a_ff)):
+    got_pi, got_s = system.parts()
+    for got, want in ((got_pi, a_pi), (got_s, a_s), (apply_dirichlet(system).a_ff, a_ff)):
         for name in ("data", "indices", "indptr"):
             assert _same_bits(getattr(got, name), getattr(want, name)), name
-    assert system.a_pi.indices.dtype == np.int32
-    assert (system.a_s.nnz > 0) == (method is Method.STANDARD)
-    assert _same_bits(system.b, ref.b)
+    assert got_pi.indices.dtype == np.int32
+    assert (got_s.nnz > 0) == (method is Method.STANDARD)
+    assert _same_bits(system.b, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
+@pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
+def test_reduced_system_is_the_free_block_of_the_parts(mesh_name, method, k, voronoi_256):
+    # the system holds element stacks only, and the elimination at the scatter
+    # gives the free block of the parts' sum and moves the boundary values
+    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
+    case = get_case("tc1")
+    system = assemble(mesh, k, method, K_ANISO, source_moments(mesh, k, case.f))
+    assert not any(sp.issparse(value) for value in vars(system).values())
+    assert all(isinstance(part, np.ndarray) for stacks in system.stiffness for part in stacks)
+    free, fixed = system.dof_map.free_dofs, system.dof_map.boundary_dofs
+    vals = 1.0 + np.random.default_rng(k).random(fixed.size)
+    red = apply_dirichlet(system, vals)
+    a = _stiffness(system)
+    want = a[free][:, free].tocsr()
+    want.sort_indices()
+    assert np.array_equal(red.a_ff.indptr, want.indptr)
+    assert np.array_equal(red.a_ff.indices, want.indices)
+    assert np.abs(red.a_ff.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+    transpose = red.a_ff.T.tocsr()
+    transpose.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(red.a_ff, name), getattr(transpose, name)), name
+    b_f = system.b[free] - a[free][:, fixed] @ vals
+    assert np.abs(red.b_f - b_f).max() <= 1e-13 * np.abs(b_f).max()
 
 
 def test_solve_factors_the_reduced_matrix_arrays(monkeypatch):
@@ -570,7 +629,7 @@ def test_solve_ordering_reduces_fill():
     red = apply_dirichlet(system)
     rep = solve(red)
     plain = np.sort(red.free_dofs)
-    a_plain = system.a[plain][:, plain].tocsc()
+    a_plain = _stiffness(system)[plain][:, plain].tocsc()
     options = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     colamd = splu(a_plain, permc_spec="COLAMD", **options)
     unordered = splu(a_plain, permc_spec="NATURAL", **options)
@@ -599,9 +658,9 @@ def test_e2vem_order1_spd(maker):
 
 def test_ratio_requires_stabilization():
     mesh = generate_cartesian(3)
-    sys_ = assemble(mesh, 1, Method.E2VEM, K_ANISO)
+    a_pi, a_s = assemble(mesh, 1, Method.E2VEM, K_ANISO).parts()
     with pytest.raises(ValueError):
-        stab_consistency_ratio(sys_.a_s, sys_.a_pi)
+        stab_consistency_ratio(a_s, a_pi)
 
 
 def test_ratio_of_equal_parts_is_one():
@@ -616,8 +675,8 @@ def test_infinity_norm_is_max_row_sum():
 
 def test_cartesian_k1_ratio_is_one():
     mesh = generate_cartesian(8)
-    sys_ = assemble(mesh, 1, Method.STANDARD, get_case("tc1").K)
-    assert stab_consistency_ratio(sys_.a_s, sys_.a_pi) == pytest.approx(1.0, abs=1e-2)
+    a_pi, a_s = assemble(mesh, 1, Method.STANDARD, get_case("tc1").K).parts()
+    assert stab_consistency_ratio(a_s, a_pi) == pytest.approx(1.0, abs=1e-2)
 
 
 # -- method agreement / determinism ------------------------------------------
