@@ -4,6 +4,11 @@ The basis on a cell E is m_a(p) = ((p - x_E) / h_E)^a, enumerated in graded
 lexicographic order with the x-exponent descending inside each degree block.
 Centering at the centroid and scaling by the diameter keeps the basis well
 conditioned on small or stretched cells.  All functions here are pure.
+
+The Gauss rules on the reference triangle and edge (Gauss-Jacobi, its
+Legendre case and the interior Lobatto nodes) come from `gauss_jacobi`,
+which builds them with numpy alone the Golub-Welsch way, so importing this
+module loads no `scipy.special`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import NumericalDegeneracyError, QuadratureError
 
@@ -99,6 +103,43 @@ class QuadRule:
     weights: np.ndarray
 
 
+def gauss_jacobi(m: int, a: float, b: float):
+    """Nodes (ascending) and weights of the m-point Gauss rule on [-1, 1]
+    for the weight (1 - x)^a (1 + x)^b, a, b >= 0; Gauss-Legendre is
+    a = b = 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the monic three-term recurrence p_{n+1} = (x - alpha_n) p_n -
+    beta_n p_{n-1}, polished by one Newton step on p_m.  The weights are
+    1 / ((1 - x^2) p_m'(x)^2), which holds up to a factor that depends only
+    on m, a and b, scaled to their exact sum, the weight's integral
+    2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).
+    """
+    # n = 0 has forms of its own (the general ones can read 0/0 there);
+    # beta_0 multiplies p_{-1} = 0
+    n = np.arange(1, m, dtype=float)
+    s = 2.0 * n + a + b
+    alpha = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    beta = np.concatenate(
+        [[0.0], 4.0 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1.0) * (s - 1.0))])
+
+    def p_m(x):
+        """p_m and p_m' at x, by the recurrence and its derivative."""
+        p0, p1, d0, d1 = 0.0, 1.0, 0.0, 0.0
+        for j in range(m):
+            p0, p1 = p1, (x - alpha[j]) * p1 - beta[j] * p0
+            d0, d1 = d1, p0 + (x - alpha[j]) * d1 - beta[j] * d0
+        return p1, d1
+
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1))
+    p, d = p_m(x)
+    x = x - p / d
+    d = p_m(x)[1]
+    w = 1.0 / ((1.0 - x * x) * d * d)
+    mass = 2.0 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+    return x, w * (mass / w.sum())
+
+
 @lru_cache(maxsize=None)
 def _reference_triangle_rule(degree: int):
     """Collapsed Gauss rule on the unit reference triangle, exact to `degree`.
@@ -107,8 +148,8 @@ def _reference_triangle_rule(degree: int):
     Gauss-Legendre; m = ceil((degree+1)/2) points per direction.
     """
     m = max(1, (degree + 2) // 2)
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
-    xl, wl = roots_legendre(m)
+    xj, wj = gauss_jacobi(m, 1.0, 0.0)
+    xl, wl = gauss_jacobi(m, 0.0, 0.0)
     s = 0.5 * (xj + 1.0)
     ws = 0.25 * wj
     t = 0.5 * (xl + 1.0)
@@ -346,10 +387,10 @@ def edge_rules(k: int, d_max: int):
         lob = np.array([0.0, 1.0])
     else:
         # interior Lobatto nodes are the roots of the (1,1)-Jacobi polynomial
-        xi, _ = roots_jacobi(k - 1, 1.0, 1.0)
-        lob = np.concatenate([[0.0], 0.5 * (np.sort(xi) + 1.0), [1.0]])
+        xi, _ = gauss_jacobi(k - 1, 1.0, 1.0)
+        lob = np.concatenate([[0.0], 0.5 * (xi + 1.0), [1.0]])
     m = max(1, (d_max + 2) // 2)
-    xl, wl = roots_legendre(m)
+    xl, wl = gauss_jacobi(m, 0.0, 0.0)
     out = (lob, 0.5 * (xl + 1.0), 0.5 * wl)
     for a in out:
         a.setflags(write=False)

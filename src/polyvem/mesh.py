@@ -7,6 +7,11 @@ Generators produce conforming meshes (every internal edge shared by exactly
 two cells, traversed in opposite directions) whose cell areas sum to one.  A
 lone polygon is a one-cell mesh: `PolyMesh(v, [range(len(v))]).cell_geom([0])`
 checks and measures it as the cells of any mesh are, a one-cell stack.
+
+Only Voronoi generation needs qhull and the KD-tree: `_triangulate` and
+`_stitch_regions` import `scipy.spatial` when called, so a cartesian run or
+one that reads its mesh from a file never loads it (nor `scipy.special`,
+which `scipy.spatial` imports).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshError
 
@@ -365,6 +369,8 @@ def _triangulate(points):
     listed once, with u > t; and their ends, (2, ne) rows p and q: the
     Delaunay edge p -> q that t and u share, with corner i of t on its left.
     """
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points, qhull_options="Qbb Qc Qz Q12 Q0 Po")
     simplices, neighbors = tri.simplices, tri.neighbors
     x, y = tri.points.T
@@ -552,6 +558,8 @@ def _stitch_regions(vor_vertices, regions):
     lowest such cell.  Each step is one pass over the regions concatenated in
     cell order.
     """
+    from scipy.spatial import cKDTree
+
     n = len(regions)
     lens = np.fromiter(map(len, regions), dtype=int, count=n)
     used, entry = np.unique(np.concatenate(regions), return_inverse=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule, flat_rule,
                       lone_cell, monomial_grads, star_polygon)
 from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly,
-                           edge_lagrange, edge_rules, eval_monomials,
+                           edge_lagrange, edge_rules, eval_monomials, gauss_jacobi,
                            lagrange_matrix, monomial_derivatives, monomial_exponents,
                            monomial_index, polygon_quadrature, triangle_rule)
 from polyvem.errors import NumericalDegeneracyError
@@ -449,13 +449,68 @@ def test_edge_rule_exactness():
 
 
 def test_edge_rules_cached_read_only():
-    first, second = edge_rules(3, 9), edge_rules(3, 9)
-    for a, b in zip(first + (edge_lagrange(3, 9),), second + (edge_lagrange(3, 9),)):
-        assert a is b
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.5
-    assert np.array_equal(edge_lagrange(3, 9), lagrange_matrix(first[0], first[1]))
+    for k in range(1, 6):
+        first, second = edge_rules(k, 2 * k + 3), edge_rules(k, 2 * k + 3)
+        lag = edge_lagrange(k, 2 * k + 3)
+        for a, b in zip(first + (lag,), second + (edge_lagrange(k, 2 * k + 3),)):
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+        assert np.array_equal(lag, lagrange_matrix(first[0], first[1]))
+
+
+def _gauss_jacobi_mp(mp, x0, a, b):
+    """The m-point Gauss-Jacobi rule at mpmath's working precision: each node
+    of x0 polished by Newton steps on the monic three-term recurrence, each
+    weight 1 / ((1 - x^2) p_m'(x)^2) scaled to the weight's exact integral.
+    (`mp.jacobi` does not converge at its own roots.)"""
+    m, a, b = len(x0), mp.mpf(a), mp.mpf(b)
+    alpha, beta = [(b - a) / (a + b + 2)], [mp.mpf(0)]
+    for n in range(1, m):
+        s = 2 * n + a + b
+        alpha.append((b * b - a * a) / (s * (s + 2)))
+        beta.append(4 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1) * (s - 1)))
+
+    def p_m(x):
+        p0, p1, d0, d1 = 0, 1, 0, 0
+        for j in range(m):
+            p0, p1 = p1, (x - alpha[j]) * p1 - beta[j] * p0
+            d0, d1 = d1, p0 + (x - alpha[j]) * d1 - beta[j] * d0
+        return p1, d1
+
+    xs = []
+    for x in map(mp.mpf, x0):
+        for _ in range(8):
+            p, d = p_m(x)
+            x -= p / d
+        xs.append(x)
+    ws = [1 / ((1 - x * x) * p_m(x)[1] ** 2) for x in xs]
+    mass = 2 ** (a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
+    total = mp.fsum(ws)
+    return xs, [w * mass / total for w in ws]
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (0, 0)])
+def test_gauss_jacobi_matches_a_40_digit_reference(a, b):
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    # (1 - x)^a (1 + x)^b as coefficients of x^0, x^1, ...
+    weight = np.polynomial.polynomial.polymul([1, -1] if a else [1], [1, 1] if b else [1])
+    for m in range(1, 21):
+        x, w = gauss_jacobi(m, a, b)
+        assert x.shape == w.shape == (m,) and (np.diff(x) > 0).all()
+        xs, ws = _gauss_jacobi_mp(mp, x, a, b)
+        # Newton converged to m distinct roots of p_m: all of them
+        assert all(xs[i + 1] - xs[i] > 1e-3 for i in range(m - 1))
+        assert np.abs(x - np.array(xs, dtype=float)).max() <= 2 * np.finfo(float).eps
+        ref = np.array(ws, dtype=float)
+        assert (np.abs(w - ref) / ref).max() <= 2e-14
+        # exact on x^j, j <= 2m - 1, against the weight (1 - x)^a (1 + x)^b
+        for j in range(2 * m):
+            exact = sum(c * (2.0 / (j + i + 1) if (j + i) % 2 == 0 else 0.0)
+                        for i, c in enumerate(weight))
+            assert w @ x ** j == pytest.approx(exact, abs=2e-15)
 
 
 def test_lagrange_matrix_cardinal():

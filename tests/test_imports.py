@@ -2,13 +2,18 @@
 function, class and method it defines is referenced by the package itself
 or by the benchmark in `perfbench`, in its code or by the name its tracer
 looks up (`tracer.TRACED`).  The tests do not count as readers, so the
-package holds only what a workload runs.
+package holds only what a workload runs.  A run that builds no Voronoi mesh
+loads neither `scipy.special` nor `scipy.spatial`.
 
 The package root is left out of the import check: it imports the error
 classes to re-export them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -111,3 +116,36 @@ def test_every_definition_is_referenced():
                for d in READERS for p in sorted((ROOT / d).rglob("*.py"))]
     assert "polygon_quadrature" in _traced_names()
     assert _dead_definitions(package, readers, _traced_names()) == []
+
+
+# a fresh interpreter: import the CLI, solve on a saved cartesian mesh, then
+# build a Voronoi mesh; print the heavy scipy modules loaded after each step
+_IMPORT_GUARD = """
+import json, sys
+from polyvem import cli
+from polyvem.mesh import generate_cartesian, generate_voronoi, save_mesh
+
+def loaded():
+    return [m for m in ("scipy.special", "scipy.spatial") if m in sys.modules]
+
+mesh_path, out_path = sys.argv[1:]
+save_mesh(generate_cartesian(4), mesh_path)
+rc = cli.main(["solve", "--mesh", mesh_path, "--method", "vem", "--order", "2",
+               "--case", "tc1", "-o", out_path])
+after_solve = loaded()
+generate_voronoi(16, 0, 1)
+print(json.dumps([rc, after_solve, loaded()]))
+"""
+
+
+def test_cartesian_solve_loads_no_scipy_special_or_spatial(tmp_path):
+    """The pytest process has imported scipy.spatial already, so the check
+    runs in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "cart4.mesh"),
+                          str(tmp_path / "solve.json")],
+                         env=env, check=True, capture_output=True, text=True)
+    rc, after_solve, after_voronoi = json.loads(run.stdout.splitlines()[-1])
+    assert rc == 0
+    assert after_solve == []
+    assert "scipy.spatial" in after_voronoi

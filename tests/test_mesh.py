@@ -438,7 +438,8 @@ _KITE_CLOCKWISE = ([[0, 2, 3]], [[-1, -1, -1]])           # one triangle, A C D
 def _fake_qhull(monkeypatch, simplices, neighbors):
     tri = SimpleNamespace(points=_KITE, simplices=np.array(simplices),
                           neighbors=np.array(neighbors))
-    monkeypatch.setattr(meshmod, "Delaunay", lambda points, qhull_options: tri)
+    # `_triangulate` imports Delaunay from scipy.spatial when called
+    monkeypatch.setattr("scipy.spatial.Delaunay", lambda points, qhull_options: tri)
 
 
 def test_triangulate_accepts_the_delaunay_kite(monkeypatch):
