@@ -202,8 +202,8 @@ class SparseSystem:
     # cells, (n_g, dim P_k, N); (1, dim P_k, N) serves every cell of a
     # congruent mesh
     pi_stars: list
-    # per group, the stiffness parts of its cells as pi_stars stacks them,
-    # (a_pi, a_s) each (n_g, N, N); (a_pi,) for the stabilization-free scheme
+    # per group, the `local_stiffness` parts of its cells as pi_stars stacks
+    # them, as built: (a_pi, a_s) each (n_g, N, N), or (a_pi,) for E2VEM
     stiffness: list
 
     def parts(self) -> tuple:
@@ -259,14 +259,14 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
     (enough for norm studies).  Element matrices are invariant under
     translation, so on a mesh of congruent cells the stack of cell 0 serves
     every cell.  The system keeps each group's stiffness parts as stacks
-    (`SparseSystem.stiffness`) and assembles no sparse matrix; the
-    stabilization-free scheme keeps no stabilization, which is zero.
+    (`SparseSystem.stiffness`), as `local_stiffness` gives them, and
+    assembles no sparse matrix.
     `dof_map` is the mesh's `build_dof_map` at order k, built here if not
     given; the schemes solved on one mesh and order share it.
     """
     dm = build_dof_map(mesh, k) if dof_map is None else dof_map
 
-    # per group, (pi_star, pi0_val, a_pi, a_s) of its cells in order, from runs
+    # per group, (pi_star, pi0_val, *parts) of its cells in order, from runs
     # of at most STACK_CELLS of them, or on congruent cells from cell 0 alone
     elements, failure = [], None
     for cells, _ in dm.groups:
@@ -291,9 +291,8 @@ def assemble(mesh: PolyMesh, k: int, method: Method, K: DiffusionTensor,
         for (cells, dofs), (_, pi0_val, *_) in zip(dm.groups, elements):
             loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
             b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
-    kept = 2 if method is Method.STANDARD else 1
     return SparseSystem(b=b, dof_map=dm, pi_stars=[pi_star for pi_star, *_ in elements],
-                        stiffness=[tuple(parts[:kept]) for _, _, *parts in elements])
+                        stiffness=[tuple(parts) for _, _, *parts in elements])
 
 
 # ---------------------------------------------------------------------------

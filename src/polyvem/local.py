@@ -6,11 +6,12 @@ scaled moments (1/|E|) int_E v m_a for |a| <= k-2 (graded-lex).  Everything a
 scheme needs is assembled from those dofs:
 
 * the energy projector onto P_k via integration by parts on each basis row,
-* moments against monomials beyond degree k-2, recovered from the projector
-  (this is what the enhancement constraint of the virtual space guarantees),
+* moments of degree k-1 up to the highest degree the L2 projections read,
+  recovered from the projector (the enhancement constraint makes them exact),
 * L2 projections of values (degree k-1) and gradients (degree k-1 for the
   standard scheme, degree k+ell-1 for the stabilization-free one),
-* the consistency and stabilization parts of the local stiffness matrix;
+* the parts of the local stiffness matrix: consistency and stabilization
+  for the standard scheme, consistency alone for the stabilization-free one;
   the consistency part is the gradient energy (K grad Pi v, grad Pi w)_E,
   stated once in `_gradient_energy` from the gradient projection's
   coefficients in the L2-orthonormal basis L^-1 m, which with K = I is also
@@ -277,14 +278,15 @@ def build_pi_nabla(ctx: ElementContext):
 
 
 def recover_moments(ctx: ElementContext, pi_star: np.ndarray) -> np.ndarray:
-    """Linear maps dof vector -> int_E v m_a for all |a| <= k + ell.
+    """Linear maps dof vector -> int_E v m_a for all |a| <= max(k-1, k+ell-2),
+    the highest degree that `build_pi0_val` and `build_pi0_grad` read.
 
     Moments up to degree k-2 are |E| times the stored moment dofs; the
     remaining ones equal the moments of the energy projection, which the
     enhancement constraint of the virtual space makes exact.
     """
     lay = ctx.layout
-    n_top = dim_poly(ctx.k + ctx.ell)
+    n_top = dim_poly(max(ctx.k - 1, ctx.grad_degree - 1))
     nk = dim_poly(ctx.k)
     M = np.zeros((ctx.E.cells.size, n_top, lay.total))
     M[..., :lay.n_moments, lay.first_moment:] = (ctx.E.area[:, None, None]
@@ -346,17 +348,18 @@ class ProjectionPack:
     `pi0_val` holds the monomial coefficients of the value projection, which
     the load reads.  `pi0_grad` holds the gradient projection as W = L^-1 R
     (`build_pi0_grad`), its coefficients in the L2-orthonormal basis of the
-    Gram factor, which the gradient energy reads; no kernel forms its
-    monomial coefficients, as the error pass reads `pi_star`.  `short` (n,) marks the cells whose stabilization-free gradient
-    projection is rank deficient at this ell, None when no cell is;
-    `element_matrices` builds them again at ell + 1.
+    Gram factor, which the gradient energy reads.  No kernel forms its
+    monomial coefficients, as the error pass reads `pi_star`.  `short` (n,)
+    marks the cells whose stabilization-free gradient projection is rank
+    deficient at this ell, None when no cell is; `element_matrices` builds
+    them again at ell + 1.
     """
 
     k: int
     ell: int
     layout: DofLayout
     pi_star: np.ndarray  # n x dim P_k x total, monomial coefficients of the projection
-    pi_dof: np.ndarray   # n x total x total, D @ pi_star
+    D: np.ndarray         # n x total x dim P_k, dofs of the monomials (D @ pi_star = Pi)
     pi0_val: np.ndarray   # n x dim P_{k-1} x total
     pi0_grad: np.ndarray  # n x 2 dim P_{grad_degree} x total, W
     ctx: ElementContext
@@ -417,8 +420,7 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     D, _, _, pi_star = build_pi_nabla(ctx)
     moments = recover_moments(ctx, pi_star)
     pi0_grad = build_pi0_grad(ctx, moments)
-    pack = ProjectionPack(k=k, ell=ell, layout=ctx.layout,
-                          pi_star=pi_star, pi_dof=D @ pi_star,
+    pack = ProjectionPack(k=k, ell=ell, layout=ctx.layout, pi_star=pi_star, D=D,
                           pi0_val=build_pi0_val(ctx, moments),
                           pi0_grad=pi0_grad, ctx=ctx)
     if method is Method.STANDARD:
@@ -441,31 +443,27 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def local_stiffness(pack: ProjectionPack, method: Method, K: DiffusionTensor):
-    """The consistency and stabilization parts (a_pi, a_s) of the local
-    stiffness matrix of the chosen scheme with diffusion tensor K, each
-    (n, total, total) over the pack's stack, at the pack's ell (its `short`
-    cells included: `element_matrices` replaces theirs).
+    """The parts of the local stiffness matrix of the scheme with diffusion
+    tensor K, each (n, total, total) over the pack's stack, at the pack's ell
+    (its `short` cells included: `element_matrices` replaces theirs).
 
-    Standard scheme: consistency (`_gradient_energy`) from the degree k-1
-    gradient projection plus the dofi-dofi stabilization
-    sup|K| * (I - Pi)^T (I - Pi) applied to the projection complement.
-    Stabilization-free scheme: consistency only, from the degree k+ell-1
-    gradient projection, whose rank `build_projection_pack` has already
-    checked.
+    Standard scheme: (a_pi, a_s), the consistency part (`_gradient_energy`)
+    from the degree k-1 gradient projection and the dofi-dofi stabilization
+    sup|K| * (I - Pi)^T (I - Pi), Pi = D @ pi_star.  Stabilization-free
+    scheme: (a_pi,), the consistency part alone, from the degree k+ell-1
+    gradient projection, whose rank `build_projection_pack` has checked.
     """
     a_pi = _gradient_energy(pack.pi0_grad, K.matrix)
-    if method is Method.STANDARD:
-        Mc = np.eye(pack.layout.total) - pack.pi_dof
-        a_s = K.sup_norm() * (_t(Mc) @ Mc)
-        a_s = 0.5 * (a_s + _t(a_s))
-    else:
-        a_s = np.zeros_like(a_pi)
-    return a_pi, a_s
+    if method is Method.E2VEM:
+        return (a_pi,)
+    Mc = np.eye(pack.layout.total) - pack.D @ pack.pi_star
+    return a_pi, K.sup_norm() * (_t(Mc) @ Mc)
 
 
 def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
-    """(pi_star, pi0_val, a_pi, a_s) of every cell of the stack E, each
-    stacked, each cell at the first enlargement that passes its rank check.
+    """(pi_star, pi0_val, *parts) of every cell of the stack E, `parts` the
+    scheme's `local_stiffness` parts, each stacked, each cell at the first
+    enlargement that passes its rank check.
 
     This is the one loop over ell: the cells a pack leaves `short` are built
     again at the next ell as a smaller stack, whose matrices are written

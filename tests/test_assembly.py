@@ -224,6 +224,28 @@ def test_congruent_cache_matches_direct_assembly():
     assert np.abs(sys_.b - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
+@pytest.mark.parametrize("shift,congruent", [(1e-7, False), (1e-11, True)])
+def test_congruence_tolerance_decides_the_element_branch(shift, congruent, monkeypatch):
+    """An interior vertex of cartesian 4 moved by 1e-7 h_E, a hundred times
+    CONGRUENCE_TOL, makes the cells no longer congruent, and the solve builds
+    every cell's element; moved by 1e-11 h_E the mesh stays congruent and
+    cell 0's element serves every cell."""
+    cart = generate_cartesian(4)
+    nudged = cart.vertices.copy()
+    nudged[6] += shift * cart.cell_diameters[0] * np.array([0.6, -0.8])
+    mesh = PolyMesh(nudged, cart.cells)
+    assert mesh.congruent_cells is congruent
+    built = []
+
+    def recording(E, *args):
+        built.extend(E.cells)
+        return local.element_matrices(E, *args)
+
+    monkeypatch.setattr(assembly, "element_matrices", recording)
+    solve_case(mesh, 2, Method.STANDARD, get_case("tc1"))
+    assert built == ([0] if congruent else list(range(mesh.n_cells)))
+
+
 # -- failures inside a stack -------------------------------------------------
 
 def _dented_cartesian4():
@@ -480,6 +502,19 @@ def test_reduced_matrix_is_its_own_csc(mesh_name, method, k, voronoi_256):
         assert np.array_equal(getattr(a_ff, name), getattr(csc, name))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_element_parts_are_bitwise_symmetric(k, voronoi_256):
+    # what the reduced matrix's CSR-as-CSC reading rests on: every part of
+    # every element stack, (I - Pi)^T (I - Pi) as formed included, equals its
+    # transpose bit for bit
+    system = assemble(voronoi_256, k, Method.STANDARD, K_ANISO)
+    assert len(system.stiffness) > 1
+    for stacks in system.stiffness:
+        assert len(stacks) == 2
+        for part in stacks:
+            assert np.array_equal(part, np.swapaxes(part, -1, -2))
+
+
 def _reference_scatter(mesh, k, method, K, source, monkeypatch):
     """`assemble`'s system, and from the same element stacks, by per-group
     index lists joined and converted by scipy: its parts, its load, and its
@@ -502,14 +537,17 @@ def _reference_scatter(mesh, k, method, K, source, monkeypatch):
     b = np.zeros(dm.n_total)
     rows, cols, vals_pi, vals_s, vals = [], [], [], [], []
     for cells, dofs in dm.groups:
-        _, pi0_val, a_pi, a_s = [np.concatenate(parts) for parts in zip(
+        # (a_pi, a_s) for the standard scheme, (a_pi,) for E2VEM
+        _, pi0_val, *parts = [np.concatenate(parts) for parts in zip(
             *(out for at, out in stacks if np.isin(at, cells).all()))]
+        assert len(parts) == (2 if method is Method.STANDARD else 1)
         n = dofs.shape[1]
         rows.append(np.repeat(dofs, n, axis=1).ravel())
         cols.append(np.tile(dofs, n).ravel())
-        for out, part in ((vals_pi, a_pi), (vals_s, a_s),
-                          (vals, a_pi + a_s if method is Method.STANDARD else a_pi)):
+        for out, part in zip((vals_pi, vals_s), parts):
             out.append(np.broadcast_to(part.reshape(-1, n * n), (cells.size, n * n)).ravel())
+        vals.append(np.broadcast_to(sum(parts[1:], parts[0]).reshape(-1, n * n),
+                                    (cells.size, n * n)).ravel())
         loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
         b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
     shape = (dm.n_total, dm.n_total)
@@ -609,6 +647,7 @@ def test_solve_rejects_a_nonsymmetric_matrix():
     [[1e-20, 1.0], [1.0, 1.0]],         # unpivoted elimination: residual ~1
     [[1.0, 0.0], [0.0, 1e-310]],        # subnormal pivot: the solution overflows
     [[1.0, 0.0], [0.0, np.inf]],        # non-finite entry: the residual is NaN
+    [[1e-9, 1.0], [1.0, 1.0]],          # small unpivoted pivot: residual 1.4e-7
 ])
 def test_solve_rejects_unverified_solution(matrix):
     red = ReducedSystem(a_ff=sp.csr_matrix(np.array(matrix)), b_f=np.array([1.0, 2.0]),
