@@ -23,3 +23,12 @@ def test_a_mutant_that_does_not_apply_is_refused(tmp_path):
     for old, new in (("x = 1", "x = 2"), ("y = 1", "y = 2"), ("x = 1\n", "x = 2\n")):
         with pytest.raises(ValueError):
             mutants.mutated_text(tmp_path, mutants.Mutant("m", "f.py", old, new))
+
+
+def test_only_a_failed_test_kills_a_mutant():
+    failed = "FAILED tests/test_x.py::test_y - AssertionError\n1 failed, 3 passed\n"
+    assert mutants.verdict(1, failed) == ("killed", "tests/test_x.py::test_y")
+    assert mutants.verdict(0, "4 passed\n") == ("survived", "4 passed")
+    assert mutants.verdict(1, "1 failed\n")[0] == "error"
+    for code in (2, 3, 4, 5):   # interrupted, internal error, usage error, nothing collected
+        assert mutants.verdict(code, failed)[0] == "error"

@@ -1,17 +1,19 @@
 """Run one-line mutants of polyvem against the tier-1 suite.
 
-    python3 tools/mutants.py            # every mutant of MUTANTS
-    python3 tools/mutants.py NAME ...   # the named mutants only
+    python3 tools/mutants.py
 
 Each mutant replaces a text that occurs exactly once in its file, within one
-line.  For each mutant the checkout (without .git and caches) is copied to a
-temporary directory, the replacement is made there, and tier-1 runs on the
-copy, stopped at the first failure.  A mutant is killed when a test fails and
-survives when the whole suite passes; the report names the killing test.  A
-surviving mutant is a missing test or code that nothing needs: add the test
-or remove the code, and never drop the mutant from the list to hide it.
-`tests/test_mutants.py` checks in tier-1 that every mutant applies, without
-running any.  The exit code is 1 if a mutant survived or did not apply.
+line.  For each mutant of MUTANTS the checkout (without .git and caches) is
+copied to a temporary directory, the replacement is made there, and tier-1
+runs on the copy, stopped at the first failure.  A mutant is killed when
+pytest reports a failed test (exit code 1 and a FAILED or ERROR line; the
+report names that test) and survives when the whole suite passes.  Any other
+outcome (pytest interrupted, an internal or usage error, no test collected,
+a copy that does not import its own polyvem) is reported as an error, not as
+a kill.  A surviving mutant is a missing test or code that nothing needs: add
+the test or remove the code, and never drop the mutant from the list to hide
+it.  `tests/test_mutants.py` checks in tier-1 that every mutant applies,
+without running any.  The exit code is 1 unless every mutant is killed.
 """
 
 import os
@@ -79,6 +81,19 @@ def mutated_text(root: Path, mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
+def verdict(returncode: int, stdout: str) -> tuple[str, str]:
+    """(verdict, detail) of one tier-1 run from pytest's exit code and output:
+    killed only on exit code 1 with a FAILED or ERROR line, whose test is the
+    detail; survived on 0; an error on anything else."""
+    summary = stdout.strip().splitlines()[-1] if stdout.strip() else ""
+    if returncode == 0:
+        return "survived", summary
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", stdout, re.MULTILINE)
+    if returncode == 1 and failed:
+        return "killed", failed[1]
+    return "error", f"pytest exit code {returncode}: {summary}"
+
+
 def run(mutant: Mutant) -> tuple[str, str, float]:
     """(verdict, detail, seconds) of tier-1 on a mutated copy of the checkout."""
     start = time.perf_counter()
@@ -88,39 +103,31 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
         (copy / mutant.path).write_text(mutated_text(ROOT, mutant), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         where = subprocess.run([sys.executable, "-c", "import polyvem; print(polyvem.__file__)"],
-                               cwd=copy, env=env, capture_output=True, text=True, check=True)
-        if not Path(where.stdout.strip()).is_relative_to(copy):
-            raise RuntimeError(f"the copy imports polyvem from {where.stdout.strip()}")
+                               cwd=copy, env=env, capture_output=True, text=True)
+        if where.returncode != 0 or not Path(where.stdout.strip()).is_relative_to(copy):
+            found = where.stdout.strip() or where.stderr.strip()[-200:]
+            seconds = time.perf_counter() - start
+            return "error", f"the copy does not import its own polyvem: {found}", seconds
         done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
-    seconds = time.perf_counter() - start
-    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
-    if done.returncode == 0:
-        return "survived", summary, seconds
-    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.MULTILINE)
-    return "killed", failed[1] if failed else summary, seconds
+    return *verdict(done.returncode, done.stdout), time.perf_counter() - start
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    verdicts = []
-    for mutant in chosen:
+def main() -> int:
+    outcomes = []
+    for mutant in MUTANTS:
         try:
-            verdict, detail, seconds = run(mutant)
+            outcome, detail, seconds = run(mutant)
         except ValueError as exc:
-            verdict, detail, seconds = "not applied", str(exc), 0.0
+            outcome, detail, seconds = "not applied", str(exc), 0.0
         except subprocess.TimeoutExpired:
-            verdict, detail, seconds = "timed out", f"tier-1 ran past {TIMEOUT_S} s", TIMEOUT_S
-        verdicts.append(verdict)
-        print(f"{verdict:<11} {seconds:6.1f} s  {mutant.name}: {detail}", flush=True)
-    killed = verdicts.count("killed")
-    print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
+            outcome, detail, seconds = "timed out", f"tier-1 ran past {TIMEOUT_S} s", TIMEOUT_S
+        outcomes.append(outcome)
+        print(f"{outcome:<11} {seconds:6.1f} s  {mutant.name}: {detail}", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
