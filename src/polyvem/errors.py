@@ -8,12 +8,14 @@ Element construction goes by stacks of cells with one vertex count, whose
 geometry carries the mesh index of each cell (`CellGeometry.cells`), so an
 array check that finds a failing cell (the rank test) names it itself.
 `local.element_matrices` names its stack's lowest failing cell, building
-the cells alone if a batched LAPACK call fails as a whole (naming no cell),
+the cells alone if a batched LAPACK call fails as a whole (naming no cell;
+numpy's `LinAlgError`, a `ValueError`, becomes a `CellDegeneracyError`),
 and `assembly.assemble` raises the lowest of its stacks'.  In the data
 passes, which go by blocks of cells (`local.data_rules`), the fan check
 names the cell that is not star-shaped; it is the one star-shape check a
 solve makes, as element construction integrates along edges only.  A
-`SolverError` names no scheme, as the solve knows only its matrix;
+`SolverError` names no scheme, as the solve knows only its matrix (a
+`MemoryError` of the solve becomes one, naming the matrix's size);
 `study.solve_cases` adds the order caveat of the stabilization-free scheme.
 """
 

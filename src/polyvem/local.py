@@ -471,7 +471,9 @@ def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
     E (whose cells ascend), or none if no cell fails alone: the rank error,
     raised at the last ell once every cell has passed every solve, names the
     first short cell, and a batched solve that fails as a whole has the
-    cells built alone, in order.
+    cells built alone, in order.  A `LinAlgError` of a batched LAPACK call
+    (the rank check's eigenvalues, a triangular solve) names no cell; it
+    becomes a `CellDegeneracyError` and is named the same way.
     """
     def matrices(pack):
         return (pack.pi_star, pack.pi0_val, *local_stiffness(pack, method, K))
@@ -484,13 +486,15 @@ def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
             pack = build_projection_pack(E.take(at), k, method, pack.ell + 1)
             for mine, theirs in zip(out, matrices(pack)):
                 mine[at] = theirs
-    except PolyvemError as exc:
+    except (PolyvemError, np.linalg.LinAlgError) as exc:
+        if not isinstance(exc, PolyvemError):
+            exc = CellDegeneracyError(f"element kernel failed ({exc}, k={k})")
         if exc.cell is None and E.cells.size == 1:
             exc.cell = E.cells.item()
         elif exc.cell is None:
             for i in range(E.cells.size):
                 element_matrices(E.take([i]), k, method, K)
-        raise
+        raise exc from None
     return out
 
 

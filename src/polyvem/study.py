@@ -127,7 +127,10 @@ def solve_cases(mesh: PolyMesh, k: int, methods, case: TestCase) -> dict:
             if isinstance(exc, SolverError) and method is Method.E2VEM and k > 1:
                 exc.args = (exc.args[0] + " (note: the stabilization-free scheme is only "
                             f"guaranteed well-posed at order 1; this run uses order {k})",)
-            # kept without its traceback, whose frames would hold `results` in a cycle
+            # kept without its traceback, whose frames would hold `results` in a
+            # cycle, or the error it replaced, whose frames hold the failed step's
+            # arrays (a failed factor after a MemoryError)
+            exc.__context__ = None
             results[method] = exc.with_traceback(None)
             continue
         results[method] = CaseSolution(math.nan, report, system)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_d
                               assemble, build_dof_map, infinity_norm, solve,
                               source_moments, stab_consistency_ratio)
 from polyvem.cases import testcase as get_case
-from polyvem.errors import NumericalDegeneracyError, QuadratureError
+from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, ElementContext, Method,
                            build_projection_pack, local_load, local_stiffness,
                            min_ell)
@@ -396,6 +398,29 @@ def test_a_failure_at_the_next_enlargement_names_its_cell(monkeypatch, stack_cel
     assert _builds_below_each_failure(calls) == 7
 
 
+@pytest.mark.parametrize("kernel", ["build_pi0_grad", "build_pi0_val"])
+def test_a_linalg_error_in_an_element_kernel_names_its_cell(monkeypatch, voronoi_groups,
+                                                            kernel):
+    """A `LinAlgError` of a batched triangular solve names no cell, and it is
+    a `ValueError`, the input-error class: it becomes a `CellDegeneracyError`
+    (exit code 3) naming the lowest cell that fails alone."""
+    mesh, groups = voronoi_groups
+    bad = np.array([groups[2][10], groups[1][12]])
+    real = getattr(local, kernel)
+
+    def failing(ctx, moments):
+        if np.isin(ctx.E.cells, bad).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(ctx, moments)
+
+    monkeypatch.setattr(local, kernel, failing)
+    for method in (Method.STANDARD, Method.E2VEM):
+        with pytest.raises(CellDegeneracyError) as info:
+            assemble(mesh, 2, method, K_ANISO)
+        assert str(info.value) == f"cell {bad.min()}: element kernel failed (Singular matrix, k=2)"
+        assert info.value.exit_code == 3
+
+
 # -- dirichlet elimination ---------------------------------------------------
 
 def test_homogeneous_elimination_counts():
@@ -631,6 +656,68 @@ def test_solve_factors_the_reduced_matrix_arrays(monkeypatch):
     assert A.format == "csc"
     assert np.shares_memory(A.data, red.a_ff.data)
     assert np.shares_memory(A.indices, red.a_ff.indices)
+
+
+class _ProbedFactor:
+    """A SuperLU factor that calls `probe` before its `U` is read."""
+
+    def __init__(self, lu, probe):
+        self._lu, self._probe = lu, probe
+        self.solve, self.nnz = lu.solve, lu.nnz
+
+    @property
+    def U(self):
+        self._probe()
+        return self._lu.U
+
+
+def test_solve_frees_the_reduced_matrix_before_the_spd_check(monkeypatch):
+    """The residual check is the last reader of `a_ff`: a reduced system that
+    no caller holds is freed before the SPD check copies L and U, and one
+    that the caller holds gives the same report bit for bit."""
+    system = assemble(generate_cartesian(4), 2, Method.STANDARD, K_ANISO)
+    red = apply_dirichlet(system)
+    held = solve(red)
+    holder = [apply_dirichlet(system)]
+    data = weakref.ref(holder[0].a_ff.data)
+    alive = []
+
+    def probed_splu(A, **kwargs):
+        return _ProbedFactor(splu(A, **kwargs), lambda: alive.append(data() is not None))
+
+    monkeypatch.setattr(assembly, "splu", probed_splu)
+    dropped = solve(holder.pop())
+    assert alive == [False]
+    assert red.a_ff.data.size > 0
+    assert _same_bits(dropped.solution, held.solution)
+    for name in ("solver", "residual", "spd_ok", "ordering", "fill_nnz"):
+        assert getattr(dropped, name) == getattr(held, name), name
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+def _factor_without_memory_for_u(A, **kwargs):
+    return _ProbedFactor(splu(A, **kwargs), _raise_memory_error)
+
+
+@pytest.mark.parametrize("fake_splu", [_raise_memory_error, _factor_without_memory_for_u],
+                         ids=["splu", "U"])
+def test_solve_maps_a_memory_error_to_a_solver_error(monkeypatch, fake_splu):
+    red = apply_dirichlet(assemble(generate_cartesian(4), 2, Method.STANDARD, K_ANISO))
+    size = f"{red.a_ff.shape[0]} unknowns, {red.a_ff.nnz} nonzeros in a_ff"
+    monkeypatch.setattr(assembly, "splu", fake_splu)
+    with pytest.raises(SolverError) as info:
+        solve(red)
+    assert str(info.value) == f"out of memory in the sparse solve ({size})"
+    assert info.value.exit_code == 3
+    # solve_cases keeps the error in the scheme's entry, without the frames
+    # of the error it replaced, which hold the failed factor
+    results = solve_cases(generate_cartesian(4), 2, (Method.STANDARD,), get_case("tc1"))
+    exc = results[Method.STANDARD]
+    assert isinstance(exc, SolverError) and str(exc).startswith("out of memory")
+    assert exc.__traceback__ is None and exc.__context__ is None
 
 
 def test_solve_rejects_a_nonsymmetric_matrix():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polyvem
@@ -266,6 +267,90 @@ def test_rank_failure_exit_3_names_cell(tmp_path, capsys, monkeypatch):
     assert rc == 3
     line = _one_line_error(capsys)
     assert "cell 0:" in line and "rank deficient" in line
+
+
+def test_solver_memory_error_exit_3(tmp_path, capsys, monkeypatch):
+    mesh_path = tmp_path / "m.txt"
+    main(["mesh", "--family", "cartesian", "--n", "2", "-o", str(mesh_path)])
+    capsys.readouterr()
+
+    def no_memory(A, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(assembly, "splu", no_memory)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 3
+    line = _one_line_error(capsys)
+    assert line == "error: out of memory in the sparse solve (1 unknowns, 1 nonzeros in a_ff)"
+
+
+def test_study_records_a_memory_error_and_continues(tmp_path, monkeypatch):
+    real, calls = assembly.splu, []
+
+    def no_memory_first(A, **kwargs):
+        calls.append(A.shape)
+        if len(calls) == 1:
+            raise MemoryError
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(assembly, "splu", no_memory_first)
+    out = tmp_path / "study"
+    rc = main(["study", "--case", "tc1", "--orders", "1", "--family",
+               "cartesian", "--levels", "2", "-o", str(out)])
+    assert rc == 3
+    rows = parse_rows_csv(out / "study_rows.csv")
+    assert [(r.level, r.method) for r in rows] == [
+        (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
+    assert rows[0].note == ("solver failure: out of memory in the sparse solve "
+                            "(49 unknowns, 361 nonzeros in a_ff)")
+    assert math.isnan(rows[0].e_star)
+    for r in rows[1:]:
+        assert r.note == "" and r.e_star > 0.0
+    assert (out / "summary.json").exists()
+
+
+def _linalg_error_on(monkeypatch, cell, k):
+    """Make the gradient projection's batched solve raise `LinAlgError` on
+    every order-k stack that holds `cell`, as LAPACK does for a stack."""
+    real = local.build_pi0_grad
+
+    def failing(ctx, moments):
+        if ctx.k == k and (ctx.E.cells == cell).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(ctx, moments)
+
+    monkeypatch.setattr(local, "build_pi0_grad", failing)
+
+
+def test_element_linalg_error_exit_3_names_cell(tmp_path, capsys, monkeypatch):
+    mesh_path = tmp_path / "m.txt"
+    main(["mesh", "--family", "voronoi", "--n", "64", "-o", str(mesh_path)])
+    capsys.readouterr()
+    _linalg_error_on(monkeypatch, 37, 2)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "e2vem",
+               "--order", "2", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 3
+    line = _one_line_error(capsys)
+    assert line == "error: cell 37: element kernel failed (Singular matrix, k=2)"
+
+
+def test_study_records_an_element_linalg_error_and_continues(tmp_path, monkeypatch):
+    _linalg_error_on(monkeypatch, 37, 2)
+    out = tmp_path / "study"
+    rc = main(["study", "--case", "tc1", "--orders", "1,2", "--family",
+               "voronoi", "--levels", "1", "-o", str(out)])
+    assert rc == 3
+    rows = parse_rows_csv(out / "study_rows.csv")
+    assert [(r.order, r.method) for r in rows] == [
+        (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
+    for r in rows:
+        if r.order == 2:
+            assert r.note == "solver failure: cell 37: element kernel failed (Singular matrix, k=2)"
+            assert math.isnan(r.e_star)
+        else:
+            assert r.note == "" and r.e_star > 0.0
+    assert (out / "summary.json").exists()
 
 
 def test_study_records_cell_failure_and_continues(tmp_path, monkeypatch):

@@ -66,6 +66,15 @@ MUTANTS = [
            "return a_pi, K.sup_norm() ** 0 * (_t(Mc) @ Mc)"),
     Mutant("boundary values added to the load", "src/polyvem/assembly.py",
            "b_f -= np.bincount(", "b_f += np.bincount("),
+    Mutant("a_ff kept alive through the SPD check", "src/polyvem/assembly.py",
+           "del reduced, A", "del reduced"),
+    Mutant("MemoryError of the solve not mapped", "src/polyvem/assembly.py",
+           "except MemoryError:", "except ():"),
+    Mutant("LinAlgError of the element kernels not mapped", "src/polyvem/local.py",
+           "except (PolyvemError, np.linalg.LinAlgError) as exc:",
+           "except PolyvemError as exc:"),
+    Mutant("a kept error holds the error it replaced", "src/polyvem/study.py",
+           "exc.__context__ = None", "pass"),
 ]
 
 
