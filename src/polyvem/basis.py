@@ -5,8 +5,8 @@ lexicographic order with the x-exponent descending inside each degree block.
 Centering at the centroid and scaling by the diameter keeps the basis well
 conditioned on small or stretched cells.  All functions here are pure.
 
-The Gauss rules on the reference triangle and edge (Gauss-Jacobi, its
-Legendre case and the interior Lobatto nodes) come from `gauss_jacobi`,
+The Gauss rules on the reference triangle, square and edge (Gauss-Jacobi,
+its Legendre case and the interior Lobatto nodes) come from `gauss_jacobi`,
 which builds them with numpy alone the Golub-Welsch way, so importing this
 module loads no `scipy.special`.
 """
@@ -141,35 +141,42 @@ def gauss_jacobi(m: int, a: float, b: float):
 
 
 @lru_cache(maxsize=None)
-def _reference_triangle_rule(degree: int):
-    """Collapsed Gauss rule on the unit reference triangle, exact to `degree`.
+def reference_rule(shape: str, m: int):
+    """Points (U, V) and weights W of the m x m-point Gauss rule on the
+    reference `shape`, each (m*m,), cached and read-only.
 
-    Tensorizes Gauss-Jacobi (weight 1-s, absorbing the collapse Jacobian) with
-    Gauss-Legendre; m = ceil((degree+1)/2) points per direction.
+    "triangle": the unit triangle U, V >= 0, U + V <= 1, with a collapsed
+    rule, Gauss-Jacobi (weight 1-s, absorbing the collapse Jacobian) in U
+    tensorized with Gauss-Legendre; exact to total degree 2m-1.
+    "square": the unit square, with the tensor Gauss-Legendre rule; exact to
+    degree 2m-1 in each variable.  The weights sum to the shape's area.
     """
-    m = max(1, (degree + 2) // 2)
-    xj, wj = gauss_jacobi(m, 1.0, 0.0)
     xl, wl = gauss_jacobi(m, 0.0, 0.0)
-    s = 0.5 * (xj + 1.0)
-    ws = 0.25 * wj
     t = 0.5 * (xl + 1.0)
     wt = 0.5 * wl
-    U = np.repeat(s, m)
-    V = np.tile(t, m) * (1.0 - U)
-    W = np.repeat(ws, m) * np.tile(wt, m)
+    if shape == "triangle":
+        xj, wj = gauss_jacobi(m, 1.0, 0.0)
+        U = np.repeat(0.5 * (xj + 1.0), m)
+        V = np.tile(t, m) * (1.0 - U)
+        W = np.repeat(0.25 * wj, m) * np.tile(wt, m)
+    elif shape == "square":
+        U, V, W = np.repeat(t, m), np.tile(t, m), np.repeat(wt, m) * np.tile(wt, m)
+    else:
+        raise ValueError(f"reference shape must be 'triangle' or 'square', got {shape!r}")
     U.setflags(write=False), V.setflags(write=False), W.setflags(write=False)
     return U, V, W
 
 
-def triangle_rule(p0, p1, p2, degree: int):
-    """Coordinate planes x, y and weights w, each (T, q), integrating
-    polynomials of total degree <= degree over each triangle (p0, p1, p2)
-    of stacked (T, 2) corners: row t is triangle t's rule.  Each row's
-    weights sum to its triangle's signed area, and its points are
-    p0 + U (p1 - p0) + V (p2 - p0) at the points (U, V) of the reference
-    rule.
+def affine_rule(p0, p1, p2, shape: str, m: int):
+    """Coordinate planes x, y and weights w, each (T, q), of the m x m-point
+    `reference_rule` of `shape` mapped onto T affine images of it, given by
+    stacked (T, 2) corners: row t takes the points p0 + U (p1 - p0) + V (p2 -
+    p0) and the weights W det, det the map's Jacobian.  A triangle
+    (p0, p1, p2) is the image of the reference triangle; a parallelogram
+    with p0 between its sides to p1 and p2 is the image of the unit square.
+    The weights of a row sum to its image's signed area.
     """
-    U, V, W = _reference_triangle_rule(degree)
+    U, V, W = reference_rule(shape, m)
     p0 = np.asarray(p0, dtype=float)
     e1 = np.asarray(p1, dtype=float) - p0
     e2 = np.asarray(p2, dtype=float) - p0
@@ -178,12 +185,20 @@ def triangle_rule(p0, p1, p2, degree: int):
     return x, y, W * det[:, None]
 
 
+def triangle_rule(p0, p1, p2, degree: int):
+    """The planes x, y, w, each (T, q), integrating polynomials of total
+    degree <= `degree` over each triangle (p0, p1, p2) of stacked (T, 2)
+    corners: the `affine_rule` of the reference triangle's rule with
+    ceil((degree+1)/2) points per direction."""
+    return affine_rule(p0, p1, p2, "triangle", max(1, (degree + 2) // 2))
+
+
 @lru_cache(maxsize=None)
-def reference_monomials(degree: int, d: int) -> np.ndarray:
+def reference_monomials(shape: str, m: int, d: int) -> np.ndarray:
     """(q, dim P_d) values U^i V^j, i + j <= d, graded-lex as in
-    `scaled_monomials`, at the q points (U, V) of the reference rule that
-    `triangle_rule` maps at `degree`.  Cached and read-only."""
-    U, V, _ = _reference_triangle_rule(degree)
+    `scaled_monomials`, at the q points (U, V) of `reference_rule(shape, m)`,
+    which `affine_rule` maps.  Cached and read-only."""
+    U, V, _ = reference_rule(shape, m)
     out = scaled_monomials(U, V, d)
     out.setflags(write=False)
     return out
@@ -205,13 +220,15 @@ def monomial_transfer(p0, p1, p2, centroids, diameters, d: int) -> np.ndarray:
     """(T, n, n), n = dim P_d: on each triangle (p0, p1, p2) of stacked (T, 2)
     corners, the coefficients of the scaled monomials of degree <= d, about
     the centroid (T, 2) and diameter (T,) of the triangle's cell, in the
-    monomials U^i V^j of the reference coordinates of `triangle_rule`.  So
-    triangle t's scaled monomials at the points of its rule are
-    `reference_monomials(degree, d) @ transfer[t].T`.
+    monomials U^i V^j of the reference coordinates of `affine_rule`.  So
+    on triangle t, or on the parallelogram that the same corners give, the
+    scaled monomials at the points of a reference rule are
+    `reference_monomials(shape, m, d) @ transfer[t].T`.
 
-    A point of the triangle is affine in (U, V), so a scaled monomial of
+    A point of the image is affine in (U, V), so a scaled monomial of
     degree <= d is a polynomial of degree <= d in (U, V); its coefficients
-    come from its values at the points of `_lattice(d)`."""
+    come from its values at the points of `_lattice(d)`, which map into the
+    triangle (p0, p1, p2) whichever the reference shape."""
     nodes, inverse = _lattice(d)
     e1, e2 = p1 - p0, p2 - p0
     rx, ry = ((p0[:, i, None] + nodes[:, 0] * e1[:, i, None] + nodes[:, 1] * e2[:, i, None]

@@ -60,9 +60,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (dim_poly, edge_lagrange, edge_rules, eval_monomials, fan_triangles,
-                    monomial_derivatives, monomial_gram, monomial_transfer,
-                    reference_monomials, scaled_monomials, triangle_rule)
+from .basis import (affine_rule, dim_poly, edge_lagrange, edge_rules, eval_monomials,
+                    fan_triangles, monomial_derivatives, monomial_gram, monomial_transfer,
+                    reference_monomials, scaled_monomials)
 from .errors import CellDegeneracyError, PolyvemError, StabilizationFreeRankError
 
 
@@ -503,8 +503,13 @@ def element_matrices(E, k: int, method: Method, K: DiffusionTensor):
 DATA_BLOCK_POINTS = 25_000
 
 
-def _data_degree(k: int) -> int:
-    return 2 * k + 6
+def _data_reference(k: int, rectangles: bool):
+    """(shape, points per direction) of the reference rule of the order-k
+    data rules, exact to degree 2k+6: on axis-aligned rectangles the tensor
+    rule with k+5 Gauss-Legendre points per direction, exact to degree 2k+9
+    in each variable; on fan triangles the collapsed rule with k+4, exact
+    to total degree 2k+7."""
+    return ("square", k + 5) if rectangles else ("triangle", k + 4)
 
 
 class DataRule:
@@ -512,25 +517,29 @@ class DataRule:
     cells, with the scaled monomials of its rows; `data_rules` cuts a mesh
     into blocks.
 
-    It is exact to degree 2k+6 on every cell of the block; for data
-    oscillating in y (a case with a `y_wavelength`) the fan triangles taller
-    than half the wavelength are cut into horizontal strips
-    (`basis.fan_triangles`).  `cells` is the block's range of cell indices.
+    It is exact to degree 2k+6 on every cell of the block.  Its rows are
+    the affine images of one reference rule (`basis.affine_rule`): on a
+    mesh of axis-aligned rectangles each cell is the image of the unit
+    square, otherwise each triangle of the cell's centroid fan is the image
+    of the reference triangle (`_data_reference`).  For data oscillating
+    in y (a case with a `y_wavelength`) a rectangle is cut into equal
+    horizontal strips, and a fan triangle taller than half the wavelength
+    into horizontal strips of triangles (`basis.fan_triangles`), each strip
+    a row.  `cells` is the block's range of cell indices.
     The rule has R rows of q points each, held as coordinate planes: `x`,
     `y` and `weights` are (R, q), `row_cells` (R,) is the cell of each row,
     and the rows of cell `cells[i]` start at `starts[i]`, so a per-cell
-    integral is a segment sum.  A row is one fan triangle, or on a mesh of
-    congruent cells one whole cell.
+    integral is a segment sum.  On a mesh of congruent cells a row is one
+    whole cell.
 
     The scaled monomials of degree <= k-1 of row r's cell at row r's points
     are `table @ transfer[r].T`: `table` (q, n) is shared by every row and
-    `transfer` (R, n, n) maps it to each row's cell.  On fan triangles the
-    table holds the monomials of the reference coordinates
-    (`basis.reference_monomials`) and `transfer` comes from each triangle's
-    corners (`basis.monomial_transfer`); on congruent cells the table is
-    cell 0's own scaled monomials, which every cell shares, `transfer` is
-    the (1, n, n) identity and `weights` is cell 0's row, broadcast
-    read-only.
+    `transfer` (R, n, n) maps it to each row's cell.  The table holds the
+    monomials of the reference coordinates (`basis.reference_monomials`)
+    and `transfer` comes from each row's corners (`basis.monomial_transfer`);
+    on congruent cells the table is cell 0's own scaled monomials, which
+    every cell shares, `transfer` is the (1, n, n) identity and `weights`
+    is cell 0's row, broadcast read-only.
     """
 
     def __init__(self, row_cells, x, y, weights, table, transfer):
@@ -554,35 +563,84 @@ def _blocks(points_before):
         first = stop
 
 
+def _rectangles(mesh):
+    """(lower-left corners, sides), each (n_cells, 2), if every cell of the
+    mesh is an axis-aligned rectangle, else None.  A cell is one when it
+    has 4 vertices, (x0, y0), (x1, y0), (x1, y1), (x0, y1) in this cyclic
+    order (CCW) from any of them, exactly, with x0 < x1 and y0 < y1."""
+    ids, starts = mesh.flat_cells
+    if not mesh.n_cells or np.any(np.diff(starts) != 4):
+        return None
+    verts = mesh.vertices[ids].reshape(-1, 4, 2)
+    lo, hi = verts.min(axis=1), verts.max(axis=1)
+    box = np.stack([lo, np.column_stack([hi[:, 0], lo[:, 1]]), hi,
+                    np.column_stack([lo[:, 0], hi[:, 1]])], axis=1)
+    ccw = np.any([(verts == np.roll(box, -r, axis=1)).all(axis=(1, 2)) for r in range(4)],
+                 axis=0)
+    if not (ccw.all() and (hi > lo).all()):
+        return None
+    return lo, hi - lo
+
+
+def _strips(lo, sides, max_y_extent):
+    """The rows of rectangles with lower-left corners `lo` and `sides`, each
+    (n, 2): their corners (p0, p1, p2), each (T, 2), p0 the lower-left one
+    and p1, p2 its neighbours along x and y, and the rectangle of each row,
+    non-decreasing.  With `max_y_extent` set, a rectangle of height s is cut
+    into ceil(s / max_y_extent) equal horizontal strips, bottom first;
+    otherwise it is one row."""
+    n = (np.ones(lo.shape[0], dtype=int) if max_y_extent is None
+         else np.ceil(sides[:, 1] / max_y_extent).astype(int))
+    owner = np.repeat(np.arange(n.size), n)
+    level = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    height = sides[owner, 1] / n[owner]
+    p0 = np.column_stack([lo[owner, 0], lo[owner, 1] + level * height])
+    p1 = np.column_stack([p0[:, 0] + sides[owner, 0], p0[:, 1]])
+    p2 = np.column_stack([p0[:, 0], p0[:, 1] + height])
+    return (p0, p1, p2), owner
+
+
 def data_rules(mesh, k: int, y_wavelength=None):
     """The order-k `DataRule`s of the mesh: consecutive blocks of whole cells
     in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
     cell that alone has more.
 
-    The fan triangles are formed, checked (the one star-shape check of a solve:
-    a cell that is not star-shaped raises `QuadratureError` naming that cell
-    before any block is built) and, with a `y_wavelength`, cut into strips
-    of at most half of it, once (`fan_triangles`).  On a mesh of
-    `congruent_cells` this is done for cell 0 alone, about its centroid, and
-    cell 0 stands for every cell, as it does for the elements of
-    `assembly.assemble`: the star-shape check runs on cell 0, every cell
-    takes cell 0's triangles (and strip count), weights and monomial table,
-    and a block's planes are its centroids plus cell 0's offsets, in one
-    broadcast.  Otherwise every cell's own triangles are formed, a cell's
-    triangles stay together and in cell order, and each block applies one
-    `triangle_rule` and one `monomial_transfer` to its triangles, whose
-    planes are the rule's: the scaled monomials are formed at n points of
-    each triangle, not at each of its q rule points.
+    The cell shapes decide the rows, formed once for the mesh: when every
+    cell is an axis-aligned rectangle (`_rectangles`), each cell, or with a
+    `y_wavelength` each of its ceil(height / (wavelength / 2)) equal
+    horizontal strips (`_strips`), is a row of the square's tensor rule.
+    Otherwise the rows are the triangles of each cell's centroid fan, formed,
+    checked (the one star-shape check of a solve: a cell that is not
+    star-shaped raises `QuadratureError` naming that cell before any block
+    is built) and, with a `y_wavelength`, cut into strips of at most half
+    of it (`fan_triangles`).  On a mesh of `congruent_cells` the rows are
+    formed for cell 0 alone, about its centroid, and cell 0 stands for
+    every cell, as it does for the elements of `assembly.assemble`: the
+    star-shape check runs on cell 0, every cell takes cell 0's rows (and
+    strip count), weights and monomial table, and a block's planes are its
+    centroids plus cell 0's offsets, in one broadcast.  Otherwise a cell's
+    rows stay together and in cell order, and each block applies one
+    `affine_rule` and one `monomial_transfer` to its rows, whose planes are
+    the rule's: the scaled monomials are formed at n points of each row,
+    not at each of its q rule points.
     """
     max_y = y_wavelength / 2.0 if y_wavelength else None
-    degree = _data_degree(k)
+    rectangles = _rectangles(mesh)
+    reference = _data_reference(k, rectangles is not None)
     ids, starts = mesh.flat_cells
+    # cell 0 alone, about its centroid, on congruent cells; else every cell
+    n, origin = ((1, mesh.cell_centroids[0]) if mesh.congruent_cells
+                 else (mesh.n_cells, np.zeros(2)))
+    if rectangles is not None:
+        lo, sides = rectangles
+        corners, owner = _strips(lo[:n] - origin, sides[:n], max_y)
+    else:
+        corners, owner = fan_triangles(mesh.vertices[ids[:starts[n]]] - origin, starts[:n + 1],
+                                       mesh.cell_centroids[:n] - origin, mesh.cell_areas[:n],
+                                       max_y_extent=max_y)
     if mesh.congruent_cells:
-        corners, _ = fan_triangles(mesh.vertices[ids[:starts[1]]] - mesh.cell_centroids[0],
-                                   starts[:2], np.zeros((1, 2)), mesh.cell_areas[:1],
-                                   max_y_extent=max_y)
         # cell 0's rule as one row: x and y offsets from its centroid, weights
-        offsets = np.stack(triangle_rule(*corners, degree)).reshape(3, 1, -1)
+        offsets = np.stack(affine_rule(*corners, *reference)).reshape(3, 1, -1)
         table = scaled_monomials(*(offsets[:2, 0] / mesh.cell_diameters[0]), k - 1)
         identity = np.eye(table.shape[1])[None]
         for first, stop in _blocks(offsets.shape[-1] * np.arange(mesh.n_cells + 1)):
@@ -590,17 +648,15 @@ def data_rules(mesh, k: int, y_wavelength=None):
             weights = np.broadcast_to(offsets[2], x.shape)
             yield DataRule(np.arange(first, stop), x, y, weights, table, identity)
         return
-    corners, triangle_cells = fan_triangles(mesh.vertices[ids], starts, mesh.cell_centroids,
-                                            mesh.cell_areas, max_y_extent=max_y)
-    table = reference_monomials(degree, k - 1)
-    first_triangle = np.searchsorted(triangle_cells, np.arange(mesh.n_cells + 1))
-    for first, stop in _blocks(first_triangle * table.shape[0]):
-        block = slice(first_triangle[first], first_triangle[stop])
-        owner = triangle_cells[block]
-        tri = [c[block] for c in corners]
-        transfer = monomial_transfer(*tri, mesh.cell_centroids[owner],
-                                     mesh.cell_diameters[owner], k - 1)
-        yield DataRule(owner, *triangle_rule(*tri, degree), table, transfer)
+    table = reference_monomials(*reference, k - 1)
+    first_row = np.searchsorted(owner, np.arange(mesh.n_cells + 1))
+    for first, stop in _blocks(first_row * table.shape[0]):
+        block = slice(first_row[first], first_row[stop])
+        rows = owner[block]
+        row_corners = [c[block] for c in corners]
+        transfer = monomial_transfer(*row_corners, mesh.cell_centroids[rows],
+                                     mesh.cell_diameters[rows], k - 1)
+        yield DataRule(rows, *affine_rule(*row_corners, *reference), table, transfer)
 
 
 def local_load(f, rule: DataRule) -> np.ndarray:

@@ -46,6 +46,17 @@ def star_polygon(rng: np.random.Generator, n: int, irregular: bool = True) -> Ce
         return E
 
 
+def tensor_mesh(xs, ys) -> PolyMesh:
+    """The mesh of the axis-aligned rectangles between ascending ticks xs
+    and ys, numbered row by row from the bottom left, each from its
+    bottom-left vertex: `generate_cartesian` on uneven ticks."""
+    X, Y = np.meshgrid(xs, ys)
+    nx, ny = len(xs) - 1, len(ys) - 1
+    bottom_left = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return PolyMesh(np.column_stack([X.ravel(), Y.ravel()]),
+                    bottom_left[:, None] + [0, 1, nx + 2, nx + 1])
+
+
 def cell_data_rule(E: CellGeometry, k: int):
     """The order-k data rule of the one-cell stack E: the only block of its
     one-cell mesh."""
@@ -60,6 +71,24 @@ def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
     corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area,
                                max_y_extent=max_y_extent)
     return flat_rule(*triangle_rule(*corners, degree))
+
+
+def rectangle_rule(E: CellGeometry, m: int, max_y_extent=None) -> QuadRule:
+    """The m x m-point tensor Gauss-Legendre rule (numpy's `leggauss`) on
+    the axis-aligned rectangle of the one-cell stack E, in ceil(height /
+    max_y_extent) equal horizontal strips, bottom first, when it is set:
+    the rule the data passes form for a cell of a mesh of rectangles."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    (x0, y0), (x1, y1) = E.verts[0].min(axis=0), E.verts[0].max(axis=0)
+    n = 1 if max_y_extent is None else math.ceil((y1 - y0) / max_y_extent)
+    points, weights = [], []
+    for j in range(n):
+        ya, yb = y0 + (y1 - y0) * j / n, y0 + (y1 - y0) * (j + 1) / n
+        X, Y = np.meshgrid(0.5 * (x0 + x1 + (x1 - x0) * t), 0.5 * (ya + yb + (yb - ya) * t),
+                           indexing="ij")
+        points.append(np.column_stack([X.ravel(), Y.ravel()]))
+        weights.append(np.outer(w, w).ravel() * (x1 - x0) * (yb - ya) / 4.0)
+    return QuadRule(np.concatenate(points), np.concatenate(weights))
 
 
 def flat_rule(x, y, w) -> QuadRule:

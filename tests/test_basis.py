@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule, flat_rule,
                       lone_cell, monomial_grads, star_polygon)
-from polyvem.basis import (QuadratureError, _subdivide_by_extent, dim_poly,
+from polyvem.basis import (QuadratureError, _subdivide_by_extent, affine_rule, dim_poly,
                            edge_lagrange, edge_rules, eval_monomials, gauss_jacobi,
                            lagrange_matrix, monomial_derivatives, monomial_exponents,
-                           monomial_index, polygon_quadrature, triangle_rule)
+                           monomial_index, polygon_quadrature, reference_rule,
+                           scaled_monomials, triangle_rule)
 from polyvem.errors import NumericalDegeneracyError
 from polyvem.mesh import CellGeometry, generate_voronoi
 
@@ -205,6 +206,28 @@ def test_stacked_triangle_rule_concatenates_single_rules(rng):
     for plane, rows in zip(planes, zip(*single)):
         assert plane.shape == (5, rows[0].shape[1])
         assert np.array_equal(plane, np.vstack(rows))
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_square_rule_on_parallelograms_matches_their_two_triangles(m, rng):
+    # the unit square's m x m rule mapped onto a parallelogram, p0 a corner
+    # and e1, e2 its sides from there, is exact to total degree 2m-1, as the
+    # triangle rule on its two halves is; both sum signed areas
+    p0, e1, e2 = rng.uniform(-0.5, 0.5, (3, 4, 2))
+    square = affine_rule(p0, p0 + e1, p0 + e2, "square", m)
+    halves = (triangle_rule(p0, p0 + e1, p0 + e1 + e2, 2 * m - 1),
+              triangle_rule(p0, p0 + e1 + e2, p0 + e2, 2 * m - 1))
+    assert square[0].shape == (4, m * m)
+    assert square[2].sum(axis=1) == pytest.approx(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0],
+                                                  rel=1e-14)
+
+    def integrals(x, y, w):
+        return np.einsum("tq,tqa->ta", w, scaled_monomials(x, y, 2 * m - 1))
+
+    assert integrals(*square) == pytest.approx(sum(integrals(*h) for h in halves),
+                                               rel=1e-12, abs=1e-13)
+    with pytest.raises(ValueError, match="must be 'triangle' or 'square', got 'disc'"):
+        reference_rule("disc", m)
 
 
 def _strips_one_by_one(tri, max_y_extent):

@@ -1,9 +1,12 @@
 """The block data passes against a per-cell reference built here.
 
 `source_moments`, `energy_error` and its denominator (conftest's
-`exact_energy_norm`) integrate over blocks of cells (`local.data_rules`).  The reference integrates every cell
-with its own fan rule (`conftest.fan_rule`) in plain loops, and takes each
-cell's energy projection from a pack built on that cell.  On a mesh of congruent
+`exact_energy_norm`) integrate over blocks of cells (`local.data_rules`).
+The reference integrates every cell in plain loops with its own rule, the
+fan rule (`conftest.fan_rule`) on a Voronoi mesh and the tensor
+Gauss-Legendre rule of numpy's `leggauss` (`conftest.rectangle_rule`) on a
+mesh of rectangles, and takes each cell's energy projection from a pack built on
+that cell.  On a mesh of congruent
 cells the passes read cell 0's rule for every cell; they are also compared
 with the passes over each cell's own triangles, on the same mesh with its
 `congruent_cells` flag forced off.  Each rule's shared monomial table and
@@ -24,26 +27,32 @@ from polyvem.errors import QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
 from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import METHODS, energy_error, solve_cases
-from conftest import exact_energy_norm, fan_rule, interpolate_dofs, monomial_grads
+from conftest import (exact_energy_norm, fan_rule, interpolate_dofs, monomial_grads,
+                      rectangle_rule, tensor_mesh)
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13
 MESHES = {"cartesian4": lambda: generate_cartesian(4),
+          # rectangles of uneven sides: the per-cell passes of the tensor rule
+          "tensor6": lambda: tensor_mesh([0.0, 0.13, 0.3, 0.52, 0.7, 0.86, 1.0],
+                                         [0.0, 0.1, 0.27, 0.5, 0.66, 0.9, 1.0]),
           "voronoi64": lambda: generate_voronoi(64, rng_seed=0, lloyd_iters=10)}
 
 
-def _cell_rule(E, k, case):
+def _cell_rule(E, k, case, rectangles):
+    """Cell E's order-k data rule: k+5 points per direction on a rectangle,
+    else the fan rule exact to 2k+6."""
     max_y = case.y_wavelength / 2.0 if case.y_wavelength else None
-    return fan_rule(E, 2 * k + 6, max_y)
+    return rectangle_rule(E, k + 5, max_y) if rectangles else fan_rule(E, 2 * k + 6, max_y)
 
 
-def _reference_moments(mesh, k, case):
+def _reference_moments(mesh, k, case, rectangles):
     """The moments, and the largest integral of |f| over a cell: their scale,
     since |m_a| <= 1 on the cell."""
     out, scale = [], 0.0
     for ci in range(mesh.n_cells):
         E = mesh.cell_geom([ci])
-        q = _cell_rule(E, k, case)
+        q = _cell_rule(E, k, case, rectangles)
         fw = q.weights * case.f(q.points[:, 0], q.points[:, 1])
         out.append(eval_monomials(E, q.points[None], k - 1)[0].T @ fw)
         scale = max(scale, float(np.abs(fw).sum()))
@@ -54,7 +63,7 @@ def _energy(weights, grads, K):
     return float(np.einsum("p,pi,ij,pj->", weights, grads, K, grads))
 
 
-def _reference_energy_sums(mesh, k, method, solved, case):
+def _reference_energy_sums(mesh, k, method, solved, case, rectangles):
     # every system of `solved` is assembled with `method`
     K = case.K.matrix
     sums = [0.0] * (len(solved) + 1)
@@ -62,7 +71,7 @@ def _reference_energy_sums(mesh, k, method, solved, case):
                   for ci, row in zip(cells, rows)} for system, _ in solved]
     for ci in range(mesh.n_cells):
         E = mesh.cell_geom([ci])
-        q = _cell_rule(E, k, case)
+        q = _cell_rule(E, k, case, rectangles)
         ge = np.column_stack(case.grad_u(q.points[:, 0], q.points[:, 1]))
         sums[0] += _energy(q.weights, ge, K)
         grads = monomial_grads(E, q.points[None], k)[0]
@@ -75,12 +84,13 @@ def _reference_energy_sums(mesh, k, method, solved, case):
 
 
 @pytest.mark.parametrize("mesh_name, case_id", [("voronoi64", "tc1"), ("voronoi64", "tc2"),
-                                               ("cartesian4", "tc1")])
+                                               ("cartesian4", "tc1"), ("tensor6", "tc1"),
+                                               ("tensor6", "tc2")])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rule_table_and_transfer_give_each_rows_scaled_monomials(k, mesh_name, case_id,
                                                                  monkeypatch):
-    # tc2 cuts the Voronoi fan into y-strips; cartesian 4 takes the
-    # congruent-cell rule
+    # tc2 cuts the Voronoi fan and the rectangles into y-strips; cartesian 4
+    # takes the congruent-cell rule
     monkeypatch.setattr(local, "DATA_BLOCK_POINTS", 500)
     mesh = MESHES[mesh_name]()
     wavelength = get_case(case_id).y_wavelength
@@ -100,12 +110,12 @@ def test_rule_table_and_transfer_give_each_rows_scaled_monomials(k, mesh_name, c
                   for i, plane in enumerate((rule.x, rule.y)))
         got = rule.table @ np.swapaxes(rule.transfer, -1, -2)
         assert np.abs(got - scaled_monomials(rx, ry, k - 1)).max() <= 1e-13
-    # a row is a cell, a fan triangle or a strip triangle
-    fan = sum(len(cell) for cell in mesh.cells)
+    # a row is a congruent cell, a rectangle, a fan triangle or a strip
     if mesh.congruent_cells:
         assert rows == mesh.n_cells
     else:
-        assert rows == fan if case_id == "tc1" else rows > fan
+        whole = mesh.n_cells if mesh_name == "tensor6" else sum(len(c) for c in mesh.cells)
+        assert rows == whole if case_id == "tc1" else rows > whole
 
 
 @pytest.mark.parametrize("case_id", ["tc1", "tc2"])
@@ -119,8 +129,9 @@ def test_block_passes_match_per_cell_reference(k, mesh_name, case_id, monkeypatc
     assert len(blocks) > 1
     assert [ci for cells in blocks for ci in cells] == list(range(mesh.n_cells))
 
+    rectangles = mesh_name != "voronoi64"
     moments = source_moments(mesh, k, case.f, y_wavelength=case.y_wavelength)
-    ref, scale = _reference_moments(mesh, k, case)
+    ref, scale = _reference_moments(mesh, k, case, rectangles)
     assert moments.shape == ref.shape
     assert np.abs(moments - ref).max() <= RTOL * scale
 
@@ -128,7 +139,7 @@ def test_block_passes_match_per_cell_reference(k, mesh_name, case_id, monkeypatc
     rng = np.random.default_rng(k)
     solved = [(system, interpolate_dofs(mesh, k, case.u)),
               (system, rng.standard_normal(system.dof_map.n_total))]
-    den, *num = _reference_energy_sums(mesh, k, Method.STANDARD, solved, case)
+    den, *num = _reference_energy_sums(mesh, k, Method.STANDARD, solved, case, rectangles)
     assert exact_energy_norm(mesh, case, k) == pytest.approx(math.sqrt(den), rel=RTOL)
     errors = energy_error(mesh, solved, case)
     assert errors == pytest.approx([math.sqrt(n / den) for n in num], rel=RTOL)
@@ -150,21 +161,22 @@ def test_congruent_passes_match_the_per_cell_passes(n, case_id, k):
     # the moments' scale: the largest integral of |f| over a cell
     scale = source_moments(per_cell, 1, lambda x, y: np.abs(case.f(x, y)),
                            y_wavelength=wavelength).max()
-    # the triangles of each cell of the per-cell passes; every cell takes
-    # cell 0's count in the congruent passes
-    triangles = np.concatenate([np.diff(rule.starts, append=rule.row_cells.size)
-                                for rule in data_rules(per_cell, k, wavelength)])
-    same = triangles == triangles[0]
+    # the rows (strips) of each cell of the per-cell passes; every cell
+    # takes cell 0's count in the congruent passes
+    rows = np.concatenate([np.diff(rule.starts, append=rule.row_cells.size)
+                           for rule in data_rules(per_cell, k, wavelength)])
+    same = rows == rows[0]
     assert np.abs(moments - ref)[same].max() <= 1e-10 * scale
-    # on cartesian 40, the tc2 strips of a cell's fan number from 6 to 16
-    # triangles, as ceil rounds the cell's exact height ratios either way;
-    # the cells cut otherwise than cell 0 are integrated at least as well
-    # as the per-cell rules integrate them
+    # on cartesian 40, a cell's height is the tc2 half wavelength, and the
+    # cell is cut into 2 or 3 strips, as ceil rounds the cell's exact height
+    # ratios either way; both cuts are converged, so against 32 strips per
+    # cell the congruent and the per-cell moments differ by rounding alone
+    # (at most 1.7e-13 of the scale at k = 1, 2)
     assert same.all() == ((n, case_id) != (40, "tc2"))
     if not same.all():
-        assert (triangles.min(), triangles.max()) == (6, 16)
+        assert (rows.min(), rows.max()) == (2, 3)
         fine = source_moments(per_cell, k, case.f, y_wavelength=wavelength / 16)
-        assert np.abs(moments - fine).max() <= np.abs(ref - fine).max()
+        assert max(np.abs(moments - fine).max(), np.abs(ref - fine).max()) <= 1e-12 * scale
 
     sols = solve_cases(mesh, k, METHODS, case)
     solved = [(sol.system, sol.report.solution) for sol in sols.values()]
@@ -182,3 +194,121 @@ def test_block_pass_names_a_nonstar_cell_inside_its_block():
         source_moments(mesh, 2, get_case("tc1").f)
     with pytest.raises(QuadratureError, match="^cell 1: cell is not star-shaped"):
         exact_energy_norm(mesh, get_case("tc1"), 2)
+
+
+def _points_per_row(mesh, k, wavelength=None):
+    """The q points of each row of the mesh's order-k data rules."""
+    return {rule.x.shape[1] for rule in data_rules(mesh, k, wavelength)}
+
+
+@pytest.mark.parametrize("wavelength", [None, 0.1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rectangle_rule_is_exact_to_degree_2k_plus_9_in_each_variable(k, wavelength, rng):
+    xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]])
+    ys = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 2)), [1.0]])
+    mesh = tensor_mesh(xs, ys)
+    assert not mesh.congruent_cells
+    rules = list(data_rules(mesh, k, wavelength))
+    assert _points_per_row(mesh, k, wavelength) == {(k + 5) ** 2}
+    # a cell of height s is ceil(s / (wavelength / 2)) equal strips, one row each
+    height = np.repeat(np.diff(ys), xs.size - 1)
+    strips = (np.ones(mesh.n_cells) if wavelength is None
+              else np.ceil(height / (wavelength / 2.0)))
+    rows = np.concatenate([np.diff(rule.starts, append=rule.row_cells.size) for rule in rules])
+    assert np.array_equal(rows, strips)
+    row_areas = np.concatenate([rule.weights.sum(axis=1) for rule in rules])
+    assert row_areas == pytest.approx(np.repeat(mesh.cell_areas / strips, strips.astype(int)),
+                                      rel=1e-14)
+    x0, y0 = (np.repeat(xs[:-1][None], ys.size - 1, axis=0).ravel(),
+              np.repeat(ys[:-1], xs.size - 1))
+    x1, y1 = (np.repeat(xs[1:][None], ys.size - 1, axis=0).ravel(),
+              np.repeat(ys[1:], xs.size - 1))
+    for a in range(2 * k + 10):
+        for b in range(2 * k + 10):
+            got = np.concatenate([local.local_load(lambda x, y: x ** a * y ** b, rule)[:, 0]
+                                  for rule in rules])
+            exact = ((x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1)
+                     * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1))
+            assert got == pytest.approx(exact, rel=1e-13, abs=0.0), (a, b)
+
+
+def _nudged_cartesian(n):
+    mesh = generate_cartesian(n)
+    vertices = mesh.vertices.copy()
+    vertices[n + 2] += 1e-7 / n      # an inner vertex
+    return PolyMesh(vertices, mesh.cells)
+
+
+def _mixed_mesh():
+    """Cartesian 2 with its first square cut into two triangles and its
+    last split on its top side: three rectangles, of which one has 5
+    vertices, and two triangles."""
+    mesh = generate_cartesian(2)
+    vertices = np.vstack([mesh.vertices, [[0.75, 1.0]]])
+    (a, b, c, d), second, third, (e, f, g, h) = mesh.cells
+    return PolyMesh(vertices, [[a, b, c], [a, c, d], second, third, [e, f, g, 9, h]])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_data_rules_take_the_tensor_rule_only_on_axis_aligned_rectangles(k):
+    # a quarter turn keeps the squares axis-aligned and starts each cell at
+    # another corner
+    quarter = generate_cartesian(4)
+    quarter = PolyMesh(quarter.vertices @ [[0.0, 1.0], [-1.0, 0.0]], quarter.cells)
+    assert quarter.congruent_cells
+    assert _points_per_row(quarter, k) == {(k + 5) ** 2}
+    # an eighth turn does not; a congruent cell is one row of its four triangles
+    turned = generate_cartesian(4)
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    turned = PolyMesh(turned.vertices @ [[c, s], [-s, c]], turned.cells)
+    assert turned.congruent_cells
+    assert _points_per_row(turned, k) == {4 * (k + 4) ** 2}
+    for mesh in (_nudged_cartesian(4), _mixed_mesh()):
+        assert not mesh.congruent_cells
+        assert _points_per_row(mesh, k) == {(k + 4) ** 2}
+        rows = sum(rule.row_cells.size for rule in data_rules(mesh, k))
+        assert rows == sum(len(cell) for cell in mesh.cells)
+
+
+@pytest.mark.parametrize("cell, order", [(0, [3, 2, 1, 0]), (4, [3, 2, 1, 0]),
+                                         (0, [0, 1, 1, 0]), (4, [0, 1, 1, 0])])
+def test_a_clockwise_or_flat_rectangle_raises_naming_its_cell(cell, order):
+    # a cell's vertex ids replaced in a checked mesh: reversed, a clockwise
+    # rectangle, or its bottom side there and back, a rectangle of zero
+    # height; the mesh stays congruent for cell 0 alone
+    mesh = generate_cartesian(3)
+    ids, starts = mesh.flat_cells
+    ids = ids.copy()
+    ids[starts[cell]:starts[cell + 1]] = ids[starts[cell] + np.array(order)]
+    mesh.flat_cells = (ids, starts)
+    mesh.congruent_cells = cell == 0
+    assert local._rectangles(mesh) is None
+    with pytest.raises(QuadratureError, match=f"^cell {cell}: cell is not star-shaped"):
+        source_moments(mesh, 2, get_case("tc1").f)
+
+
+# The largest relative error of each scheme's e_star, vem then e2vem,
+# against the error pass on a centroid fan exact to degree 2k+30, at the
+# data rules of the cartesian levels 8 and 16 (the fan exact to 2k+6 gave
+# 1.7e-6, 1.4e-7 and 1.2e-8 for vem on tc1 cartesian 8 at k = 1..3; tc2 is
+# at rounding)
+E_STAR_ERRORS = {
+    (8, "tc1", 1): (6.6e-7, 8.5e-7), (8, "tc1", 2): (4.5e-8, 6.7e-8),
+    (8, "tc1", 3): (3.2e-9, 3.8e-9),
+    (16, "tc1", 1): (1.4e-9, 1.6e-9), (16, "tc1", 2): (4.9e-11, 6.7e-11),
+    (16, "tc1", 3): (3.3e-12, 3.7e-12),
+    **{(n, "tc2", k): (1e-13, 1e-13) for n in (8, 16) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("n, case_id, k", sorted(E_STAR_ERRORS))
+def test_e_star_of_the_tensor_rule_against_a_fine_fan(n, case_id, k, monkeypatch):
+    mesh = generate_cartesian(n)
+    case = get_case(case_id)
+    sols = solve_cases(mesh, k, METHODS, case)
+    monkeypatch.setattr(local, "_rectangles", lambda mesh: None)
+    monkeypatch.setattr(local, "_data_reference", lambda k, rectangles: ("triangle", k + 16))
+    fine = energy_error(mesh, [(sol.system, sol.report.solution) for sol in sols.values()],
+                        case)
+    for sol, e, bound in zip(sols.values(), fine, E_STAR_ERRORS[n, case_id, k]):
+        assert abs(sol.e_star / e - 1.0) <= bound

@@ -166,14 +166,14 @@ def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
     covered = []
     _count_data_rules(monkeypatch, covered)
     ruled = []
-    triangle_rule = local.triangle_rule
+    affine_rule = local.affine_rule
 
     def counted_rule(*args):
-        x, y, w = triangle_rule(*args)
+        x, y, w = affine_rule(*args)
         ruled.append(w.size)
         return x, y, w
 
-    monkeypatch.setattr(local, "triangle_rule", counted_rule)
+    monkeypatch.setattr(local, "affine_rule", counted_rule)
     for n in (2, 8):
         built["ctx"] = 0
         covered.clear()
@@ -183,8 +183,8 @@ def test_congruent_mesh_builds_one_element_and_rule_per_loop(monkeypatch):
         # the error pass, each cover every cell once, in cell order
         assert built["ctx"] == 1
         assert [ci for _, cells, _ in covered for ci in cells] == list(range(n * n)) * 2
-        # each pass applies triangle_rule once, to cell 0's triangles: its
-        # points are one row, one cell, of every rule of the pass
+        # each pass applies affine_rule once, to cell 0's strips: its points
+        # are one row, one cell, of every rule of the pass
         assert len(ruled) == 2 and ruled[0] == ruled[1]
         assert {q for *_, q in covered} == {ruled[0]}
 

@@ -75,6 +75,10 @@ MUTANTS = [
            "except PolyvemError as exc:"),
     Mutant("a kept error holds the error it replaced", "src/polyvem/study.py",
            "exc.__context__ = None", "pass"),
+    Mutant("rectangle rule with k+4 points per direction", "src/polyvem/local.py",
+           '("square", k + 5)', '("square", k + 4)'),
+    Mutant("rectangle strip count rounded down", "src/polyvem/local.py",
+           "np.ceil(sides[:, 1] / max_y_extent)", "np.floor(sides[:, 1] / max_y_extent)"),
 ]
 
 
