@@ -14,7 +14,8 @@ and `assembly.assemble` raises the lowest of its stacks'.  In the data
 passes, which go by blocks of cells (`local.data_rules`), the fan check
 names the cell that is not star-shaped; it is the one star-shape check a
 solve makes, as element construction integrates along edges only, and a
-mesh of axis-aligned rectangles takes the tensor rule and no fan.  A
+mesh of axis-aligned rectangles, as the mesh constructor decides them
+(`PolyMesh.rectangles`), takes the tensor rule and no fan.  A
 `SolverError` names no scheme, as the solve knows only its matrix (a
 `MemoryError` of the solve becomes one, naming the matrix's size);
 `study.solve_cases` adds the order caveat of the stabilization-free scheme.

@@ -362,7 +362,6 @@ class ProjectionPack:
     D: np.ndarray         # n x total x dim P_k, dofs of the monomials (D @ pi_star = Pi)
     pi0_val: np.ndarray   # n x dim P_{k-1} x total
     pi0_grad: np.ndarray  # n x 2 dim P_{grad_degree} x total, W
-    ctx: ElementContext
     short: np.ndarray | None = None
 
 
@@ -422,7 +421,7 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     pi0_grad = build_pi0_grad(ctx, moments)
     pack = ProjectionPack(k=k, ell=ell, layout=ctx.layout, pi_star=pi_star, D=D,
                           pi0_val=build_pi0_val(ctx, moments),
-                          pi0_grad=pi0_grad, ctx=ctx)
+                          pi0_grad=pi0_grad)
     if method is Method.STANDARD:
         return pack
     # the unweighted form (K = I) has the rank of any SPD tensor's and keeps
@@ -505,10 +504,10 @@ DATA_BLOCK_POINTS = 25_000
 
 def _data_reference(k: int, rectangles: bool):
     """(shape, points per direction) of the reference rule of the order-k
-    data rules, exact to degree 2k+6: on axis-aligned rectangles the tensor
-    rule with k+5 Gauss-Legendre points per direction, exact to degree 2k+9
-    in each variable; on fan triangles the collapsed rule with k+4, exact
-    to total degree 2k+7."""
+    data rules, exact to degree 2k+6: on a mesh of axis-aligned rectangles
+    (`PolyMesh.rectangles` set) the tensor rule with k+5 Gauss-Legendre
+    points per direction, exact to degree 2k+9 in each variable; on fan
+    triangles the collapsed rule with k+4, exact to total degree 2k+7."""
     return ("square", k + 5) if rectangles else ("triangle", k + 4)
 
 
@@ -519,13 +518,13 @@ class DataRule:
 
     It is exact to degree 2k+6 on every cell of the block.  Its rows are
     the affine images of one reference rule (`basis.affine_rule`): on a
-    mesh of axis-aligned rectangles each cell is the image of the unit
-    square, otherwise each triangle of the cell's centroid fan is the image
-    of the reference triangle (`_data_reference`).  For data oscillating
-    in y (a case with a `y_wavelength`) a rectangle is cut into equal
-    horizontal strips, and a fan triangle taller than half the wavelength
-    into horizontal strips of triangles (`basis.fan_triangles`), each strip
-    a row.  `cells` is the block's range of cell indices.
+    mesh of rectangles (`PolyMesh.rectangles`) each cell is the image of
+    the unit square, otherwise each triangle of the cell's centroid fan
+    is the image of the reference triangle (`_data_reference`).  For data
+    oscillating in y (a case with a `y_wavelength`) a rectangle is cut into
+    equal horizontal strips, and a fan triangle taller than half the
+    wavelength into horizontal strips of triangles (`basis.fan_triangles`),
+    each strip a row.  `cells` is the block's range of cell indices.
     The rule has R rows of q points each, held as coordinate planes: `x`,
     `y` and `weights` are (R, q), `row_cells` (R,) is the cell of each row,
     and the rows of cell `cells[i]` start at `starts[i]`, so a per-cell
@@ -563,25 +562,6 @@ def _blocks(points_before):
         first = stop
 
 
-def _rectangles(mesh):
-    """(lower-left corners, sides), each (n_cells, 2), if every cell of the
-    mesh is an axis-aligned rectangle, else None.  A cell is one when it
-    has 4 vertices, (x0, y0), (x1, y0), (x1, y1), (x0, y1) in this cyclic
-    order (CCW) from any of them, exactly, with x0 < x1 and y0 < y1."""
-    ids, starts = mesh.flat_cells
-    if not mesh.n_cells or np.any(np.diff(starts) != 4):
-        return None
-    verts = mesh.vertices[ids].reshape(-1, 4, 2)
-    lo, hi = verts.min(axis=1), verts.max(axis=1)
-    box = np.stack([lo, np.column_stack([hi[:, 0], lo[:, 1]]), hi,
-                    np.column_stack([lo[:, 0], hi[:, 1]])], axis=1)
-    ccw = np.any([(verts == np.roll(box, -r, axis=1)).all(axis=(1, 2)) for r in range(4)],
-                 axis=0)
-    if not (ccw.all() and (hi > lo).all()):
-        return None
-    return lo, hi - lo
-
-
 def _strips(lo, sides, max_y_extent):
     """The rows of rectangles with lower-left corners `lo` and `sides`, each
     (n, 2): their corners (p0, p1, p2), each (T, 2), p0 the lower-left one
@@ -605,8 +585,8 @@ def data_rules(mesh, k: int, y_wavelength=None):
     in cell order, each of at most DATA_BLOCK_POINTS points unless it is one
     cell that alone has more.
 
-    The cell shapes decide the rows, formed once for the mesh: when every
-    cell is an axis-aligned rectangle (`_rectangles`), each cell, or with a
+    The cell shapes, as the mesh decided them, decide the rows, formed once
+    for the mesh: when `mesh.rectangles` is set, each cell, or with a
     `y_wavelength` each of its ceil(height / (wavelength / 2)) equal
     horizontal strips (`_strips`), is a row of the square's tensor rule.
     Otherwise the rows are the triangles of each cell's centroid fan, formed,
@@ -625,14 +605,13 @@ def data_rules(mesh, k: int, y_wavelength=None):
     not at each of its q rule points.
     """
     max_y = y_wavelength / 2.0 if y_wavelength else None
-    rectangles = _rectangles(mesh)
-    reference = _data_reference(k, rectangles is not None)
+    reference = _data_reference(k, mesh.rectangles is not None)
     ids, starts = mesh.flat_cells
     # cell 0 alone, about its centroid, on congruent cells; else every cell
     n, origin = ((1, mesh.cell_centroids[0]) if mesh.congruent_cells
                  else (mesh.n_cells, np.zeros(2)))
-    if rectangles is not None:
-        lo, sides = rectangles
+    if mesh.rectangles is not None:
+        lo, sides = mesh.rectangles
         corners, owner = _strips(lo[:n] - origin, sides[:n], max_y)
     else:
         corners, owner = fan_triangles(mesh.vertices[ids[:starts[n]]] - origin, starts[:n + 1],

@@ -161,8 +161,13 @@ class PolyMesh:
     in cell order, and the (n_cells + 1,) offsets of each cell's run in
     `ids`.  It checks and measures all cells and numbers the edges in array
     passes over them.
-    `congruent_cells` is true when every cell is a translate of cell 0,
-    vertex by vertex (the cartesian family, however it was built).
+    It derives the two cell-shape facts that the element and data passes
+    branch on from one gather of the cells' vertices: `congruent_cells` is
+    true when every cell is a translate of cell 0, vertex by vertex (the
+    cartesian family, however it was built), and `rectangles` is (lower-left
+    corners, sides), each (n_cells, 2), when every cell has 4 vertices whose
+    sides alternate exactly between horizontal and vertical (so, being CCW,
+    an axis-aligned rectangle), else None.
     """
 
     def __init__(self, vertices, cells):
@@ -177,7 +182,7 @@ class PolyMesh:
         self.cell_areas, self.cell_centroids, self.cell_diameters = _polygon_geometry(
             self.vertices, ids, starts)
         self.h_max = float(self.cell_diameters.max()) if self.n_cells else 0.0
-        self.congruent_cells = self._all_translates_of_first()
+        self.congruent_cells, self.rectangles = self._cell_shapes()
 
         self._build_edges()
         flags = np.zeros(self.vertices.shape[0], dtype=bool)
@@ -186,20 +191,32 @@ class PolyMesh:
         # the congruent-cell reuse and the data rules rely on a mesh never changing
         for array in (self.vertices, ids, starts, self.cell_areas, self.cell_centroids,
                       self.cell_diameters, self.edges, *self.cell_sides,
-                      self.boundary_edge_flags, flags):
+                      self.boundary_edge_flags, flags, *(self.rectangles or ())):
             array.setflags(write=False)
 
     # -- construction helpers -------------------------------------------------
 
-    def _all_translates_of_first(self):
+    def _cell_shapes(self):
+        """(`congruent_cells`, `rectangles`) from one gather of the cells' vertices."""
         ids, starts = self.flat_cells
         lens = np.diff(starts)
         if not self.n_cells or np.any(lens != lens[0]):
-            return False
-        offsets = (self.vertices[ids.reshape(self.n_cells, -1)]
-                   - self.cell_centroids[:, None, :])
+            return False, None
+        verts = self.vertices[ids.reshape(self.n_cells, -1)]
+        offsets = verts - self.cell_centroids[:, None, :]
         tol = CONGRUENCE_TOL * max(self.cell_diameters[0], 1e-300)
-        return bool(np.abs(offsets - offsets[0]).max() <= tol)
+        congruent = bool(np.abs(offsets - offsets[0]).max() <= tol)
+        if lens[0] != 4:
+            return congruent, None
+        # same[i, j, c]: side j of cell i keeps coordinate c; the even sides
+        # keep one coordinate and the odd sides the other
+        same = verts == np.roll(verts, -1, axis=1)
+        even, odd = same[:, 0] & same[:, 2], same[:, 1] & same[:, 3]
+        if not (even & odd[:, ::-1]).any(axis=1).all():
+            return congruent, None
+        # corners 0 and 2 of a rectangle are opposite
+        return congruent, (np.minimum(verts[:, 0], verts[:, 2]),
+                           np.abs(verts[:, 2] - verts[:, 0]))
 
     def _build_edges(self):
         """Number the edges in order of first appearance, walking the cells in

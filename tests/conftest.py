@@ -16,7 +16,7 @@ from polyvem.assembly import build_dof_map, source_moments
 from polyvem.basis import (QuadRule, dim_poly, edge_rules, eval_monomials, fan_triangles,
                            monomial_derivatives, monomial_gram, triangle_rule)
 from polyvem.local import data_rules
-from polyvem.mesh import CellGeometry, PolyMesh
+from polyvem.mesh import CellGeometry, PolyMesh, generate_cartesian
 from polyvem.study import StudyRow, _energy_sums
 
 
@@ -55,6 +55,24 @@ def tensor_mesh(xs, ys) -> PolyMesh:
     bottom_left = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     return PolyMesh(np.column_stack([X.ravel(), Y.ravel()]),
                     bottom_left[:, None] + [0, 1, nx + 2, nx + 1])
+
+
+def nudged_cartesian(n) -> PolyMesh:
+    """Cartesian n with one inner vertex moved by 1e-7 / n in x and y."""
+    mesh = generate_cartesian(n)
+    vertices = mesh.vertices.copy()
+    vertices[n + 2] += 1e-7 / n
+    return PolyMesh(vertices, mesh.cells)
+
+
+def mixed_mesh() -> PolyMesh:
+    """Cartesian 2 with its first square cut into two triangles and its
+    last split on its top side: three rectangles, of which one has 5
+    vertices, and two triangles."""
+    mesh = generate_cartesian(2)
+    vertices = np.vstack([mesh.vertices, [[0.75, 1.0]]])
+    (a, b, c, d), second, third, (e, f, g, h) = mesh.cells
+    return PolyMesh(vertices, [[a, b, c], [a, c, d], second, third, [e, f, g, 9, h]])
 
 
 def cell_data_rule(E: CellGeometry, k: int):

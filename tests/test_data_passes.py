@@ -23,12 +23,13 @@ from polyvem import local
 from polyvem.assembly import assemble, source_moments
 from polyvem.basis import dim_poly, eval_monomials, scaled_monomials
 from polyvem.cases import testcase as get_case
-from polyvem.errors import QuadratureError
+from polyvem.errors import MeshError, QuadratureError
 from polyvem.local import Method, build_projection_pack, data_rules
-from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
+from polyvem.mesh import (OrientationError, PolyMesh, generate_cartesian, generate_voronoi,
+                          read_mesh)
 from polyvem.study import METHODS, energy_error, solve_cases
-from conftest import (exact_energy_norm, fan_rule, interpolate_dofs, monomial_grads,
-                      rectangle_rule, tensor_mesh)
+from conftest import (exact_energy_norm, fan_rule, interpolate_dofs, mixed_mesh,
+                      monomial_grads, nudged_cartesian, rectangle_rule, tensor_mesh)
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13
@@ -232,23 +233,6 @@ def test_rectangle_rule_is_exact_to_degree_2k_plus_9_in_each_variable(k, wavelen
             assert got == pytest.approx(exact, rel=1e-13, abs=0.0), (a, b)
 
 
-def _nudged_cartesian(n):
-    mesh = generate_cartesian(n)
-    vertices = mesh.vertices.copy()
-    vertices[n + 2] += 1e-7 / n      # an inner vertex
-    return PolyMesh(vertices, mesh.cells)
-
-
-def _mixed_mesh():
-    """Cartesian 2 with its first square cut into two triangles and its
-    last split on its top side: three rectangles, of which one has 5
-    vertices, and two triangles."""
-    mesh = generate_cartesian(2)
-    vertices = np.vstack([mesh.vertices, [[0.75, 1.0]]])
-    (a, b, c, d), second, third, (e, f, g, h) = mesh.cells
-    return PolyMesh(vertices, [[a, b, c], [a, c, d], second, third, [e, f, g, 9, h]])
-
-
 @pytest.mark.parametrize("k", [1, 3])
 def test_data_rules_take_the_tensor_rule_only_on_axis_aligned_rectangles(k):
     # a quarter turn keeps the squares axis-aligned and starts each cell at
@@ -263,7 +247,7 @@ def test_data_rules_take_the_tensor_rule_only_on_axis_aligned_rectangles(k):
     turned = PolyMesh(turned.vertices @ [[c, s], [-s, c]], turned.cells)
     assert turned.congruent_cells
     assert _points_per_row(turned, k) == {4 * (k + 4) ** 2}
-    for mesh in (_nudged_cartesian(4), _mixed_mesh()):
+    for mesh in (nudged_cartesian(4), mixed_mesh()):
         assert not mesh.congruent_cells
         assert _points_per_row(mesh, k) == {(k + 4) ** 2}
         rows = sum(rule.row_cells.size for rule in data_rules(mesh, k))
@@ -273,18 +257,17 @@ def test_data_rules_take_the_tensor_rule_only_on_axis_aligned_rectangles(k):
 @pytest.mark.parametrize("cell, order", [(0, [3, 2, 1, 0]), (4, [3, 2, 1, 0]),
                                          (0, [0, 1, 1, 0]), (4, [0, 1, 1, 0])])
 def test_a_clockwise_or_flat_rectangle_raises_naming_its_cell(cell, order):
-    # a cell's vertex ids replaced in a checked mesh: reversed, a clockwise
-    # rectangle, or its bottom side there and back, a rectangle of zero
-    # height; the mesh stays congruent for cell 0 alone
+    # a cell's vertex ids replaced in the cell list of cartesian 3 before
+    # construction: reversed, a clockwise rectangle, or its bottom side
+    # there and back, a rectangle of zero height.  No mesh holds such a
+    # cell, so `PolyMesh.rectangles` checks no orientation or area
     mesh = generate_cartesian(3)
-    ids, starts = mesh.flat_cells
-    ids = ids.copy()
-    ids[starts[cell]:starts[cell + 1]] = ids[starts[cell] + np.array(order)]
-    mesh.flat_cells = (ids, starts)
-    mesh.congruent_cells = cell == 0
-    assert local._rectangles(mesh) is None
-    with pytest.raises(QuadratureError, match=f"^cell {cell}: cell is not star-shaped"):
-        source_moments(mesh, 2, get_case("tc1").f)
+    cells = mesh.cells
+    cells[cell] = cells[cell][order]
+    error, message = ((OrientationError, "polygon is not CCW") if order[0] == 3
+                      else (MeshError, "repeated consecutive vertex"))
+    with pytest.raises(error, match=f"^cell {cell}: {message}"):
+        PolyMesh(mesh.vertices, cells)
 
 
 # The largest relative error of each scheme's e_star, vem then e2vem,
@@ -306,9 +289,10 @@ def test_e_star_of_the_tensor_rule_against_a_fine_fan(n, case_id, k, monkeypatch
     mesh = generate_cartesian(n)
     case = get_case(case_id)
     sols = solve_cases(mesh, k, METHODS, case)
-    monkeypatch.setattr(local, "_rectangles", lambda mesh: None)
+    fan = PolyMesh(mesh.vertices, mesh.cells)
+    fan.rectangles = None
     monkeypatch.setattr(local, "_data_reference", lambda k, rectangles: ("triangle", k + 16))
-    fine = energy_error(mesh, [(sol.system, sol.report.solution) for sol in sols.values()],
+    fine = energy_error(fan, [(sol.system, sol.report.solution) for sol in sols.values()],
                         case)
     for sol, e, bound in zip(sols.values(), fine, E_STAR_ERRORS[n, case_id, k]):
         assert abs(sol.e_star / e - 1.0) <= bound

@@ -175,7 +175,7 @@ def test_recovered_moments_exact_on_polynomials(k, ell, rng):
 
 def test_moment_row_zero_is_scaled_moment_dof():
     pack = build_projection_pack(PENTAGON, 2, Method.STANDARD)
-    row = recover_moments(pack.ctx, pack.pi_star)[0, 0]
+    row = recover_moments(ElementContext(PENTAGON, 2, pack.ell), pack.pi_star)[0, 0]
     expected = np.zeros(pack.layout.total)
     expected[pack.layout.first_moment] = PENTAGON.area[0]
     assert np.abs(row - expected).max() < 1e-14
@@ -221,7 +221,7 @@ def test_pi0_grad_constant_gradient(rng):
     E = star_polygon(rng, 5)
     pack = build_projection_pack(E, 1, Method.STANDARD)
     chi = interpolate_cell(E, 1, _monomial_func(E, 1, 1))   # m_(1,0)
-    coeff = _monomial_coefficients(pack.ctx, pack.pi0_grad)[0] @ chi
+    coeff = _monomial_coefficients(ElementContext(E, 1, pack.ell), pack.pi0_grad)[0] @ chi
     assert coeff[0] == pytest.approx(1.0 / E.diameter[0], abs=1e-12)
     assert abs(coeff[1]) < 1e-12    # constant projection: single coeff per part
 
@@ -231,12 +231,13 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
     E = star_polygon(rng, 6)
     for method in (Method.STANDARD, Method.E2VEM):
         pack = build_projection_pack(E, k, method)
-        d = pack.ctx.grad_degree
+        ctx = ElementContext(E, k, pack.ell)
+        d = ctx.grad_degree
         nd = dim_poly(d)
         for a in range(dim_poly(k)):
             f = _monomial_func(E, a, k)
             chi = interpolate_cell(E, k, f)
-            coeff = _monomial_coefficients(pack.ctx, pack.pi0_grad)[0] @ chi
+            coeff = _monomial_coefficients(ctx, pack.pi0_grad)[0] @ chi
             # oracle: L2 projection of the exact gradient by quadrature
             quad = polygon_quadrature(E, 2 * d + 2)
             grads = monomial_grads(E, quad.points[None], k)[0, :, a, :]
@@ -383,12 +384,12 @@ def test_e2vem_triangle_equals_fem(rng):
         assert np.abs(a_pi[0] - fem_triangle_stiffness(E, K_ANISO)).max() <= 1e-12
 
 
-def chi_of_constant(pack):
+def chi_of_constant(E, pack):
     chi = np.ones(pack.layout.total)
     n_mom = pack.layout.n_moments
     if n_mom:
         chi[pack.layout.n_vertices * pack.k:] = \
-            pack.ctx.gram[0, :n_mom, 0] / pack.ctx.E.area[0]
+            ElementContext(E, pack.k, pack.ell).gram[0, :n_mom, 0] / E.area[0]
     return chi
 
 
@@ -398,7 +399,7 @@ def test_constants_in_kernel(k, method, rng):
     for E in (UNIT_SQUARE, star_polygon(rng, 6)):
         pack = build_projection_pack(E, k, method)
         A = sum(local_stiffness(pack, method, K_ANISO))[0]
-        chi = chi_of_constant(pack)
+        chi = chi_of_constant(E, pack)
         assert np.abs(A @ chi).max() <= 1e-10
 
 
@@ -614,7 +615,7 @@ def test_load_constant_source_integrates_area(k, rng):
     pack = build_projection_pack(E, k, Method.STANDARD)
     load = (pack.pi0_val[0].T
             @ local_load(lambda x, y: np.ones_like(x), cell_data_rule(E, k))[0])
-    chi = chi_of_constant(pack)
+    chi = chi_of_constant(E, pack)
     assert load @ chi == pytest.approx(E.area[0], abs=1e-10)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay, Voronoi
 
 import polyvem.mesh as meshmod
-from conftest import lone_cell
+from conftest import lone_cell, mixed_mesh, nudged_cartesian, tensor_mesh
 from polyvem.assembly import build_dof_map
 from polyvem.errors import MeshError
 from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
@@ -83,18 +83,19 @@ def test_cartesian_cells_are_read_only_views_of_the_flat_cells():
         assert np.shares_memory(cell, ids) and not cell.flags.writeable
 
 
-@pytest.mark.parametrize("make", [
-    lambda: generate_cartesian(3),
-    lambda: generate_voronoi(12, rng_seed=4, lloyd_iters=20),
-    lambda: _roundtrip(generate_voronoi(12, rng_seed=4, lloyd_iters=20)),
+@pytest.mark.parametrize("make, count", [
+    (lambda: generate_cartesian(3), 13),
+    (lambda: generate_voronoi(12, rng_seed=4, lloyd_iters=20), 11),
+    (lambda: _roundtrip(generate_voronoi(12, rng_seed=4, lloyd_iters=20)), 11),
 ], ids=["cartesian", "voronoi", "read_mesh"])
-def test_every_mesh_array_is_read_only(make):
-    # the congruent-cell reuse and the data rules rely on a mesh never changing
+def test_every_mesh_array_is_read_only(make, count):
+    # the congruent-cell reuse and the data rules rely on a mesh never
+    # changing; a mesh of rectangles holds their corners and sides too
     mesh = make()
     arrays = [(name, a) for name, value in vars(mesh).items()
               for a in (value if isinstance(value, tuple) else (value,))
               if isinstance(a, np.ndarray)]
-    assert len(arrays) == 11
+    assert len(arrays) == count
     for name, a in arrays:
         assert not a.flags.writeable, name
 
@@ -318,11 +319,17 @@ def test_delaunay_voronoi_matches_qhull_voronoi_oracle(seed):
     assert validate_mesh(mesh).ok
 
 
-def test_cocircular_seeds_share_one_vertex():
+def _cocircular_grid():
+    """The Voronoi mesh of a 3 x 3 grid of seeds, whose regions meet four
+    at a vertex."""
     ticks = np.array([1.0, 3.0, 5.0]) / 6.0
     seeds = np.column_stack([np.tile(ticks, 3), np.repeat(ticks, 3)])
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
-    mesh = meshmod._stitch_regions(verts, _split(flat, lens))
+    return meshmod._stitch_regions(verts, _split(flat, lens))
+
+
+def test_cocircular_seeds_share_one_vertex():
+    mesh = _cocircular_grid()
     assert mesh.n_cells == 9 and mesh.n_vertices == 16
     assert [len(c) for c in mesh.cells] == [4] * 9
     assert np.allclose(mesh.cell_areas, 1.0 / 9.0)
@@ -547,6 +554,69 @@ def test_congruence_derived_from_geometry():
     nudged = cart.vertices.copy()
     nudged[6] += [1e-3, -2e-3]            # an interior vertex of the 4x4 grid
     assert not PolyMesh(nudged, cart.cells).congruent_cells
+
+
+def _exact_boxes(mesh):
+    """The reference rectangle rule, cell by cell: (lower-left corners,
+    sides) if every cell has 4 vertices that are, exactly and in this
+    cyclic order from one of them, (x0, y0), (x1, y0), (x1, y1), (x0, y1)
+    with x0 < x1 and y0 < y1; else None."""
+    lo, sides = [], []
+    for cell in mesh.cells:
+        v = mesh.vertices[cell]
+        if len(cell) != 4:
+            return None
+        (x0, y0), (x1, y1) = v.min(axis=0), v.max(axis=0)
+        box = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+        if not (x0 < x1 and y0 < y1
+                and any(np.array_equal(v, np.roll(box, -r, axis=0)) for r in range(4))):
+            return None
+        lo.append([x0, y0])
+        sides.append([x1 - x0, y1 - y0])
+    return (np.array(lo), np.array(sides)) if lo else None
+
+
+def _turned(mesh, rotation):
+    return PolyMesh(mesh.vertices @ np.asarray(rotation), mesh.cells)
+
+
+def _rolled_tensor_mesh():
+    """An uneven tensor mesh whose cell i starts at its corner i mod 4, so
+    both side parities occur in one mesh."""
+    mesh = tensor_mesh([0.0, 0.2, 0.45, 1.0], [0.0, 0.3, 0.35, 1.0])
+    return PolyMesh(mesh.vertices, [np.roll(c, -i) for i, c in enumerate(mesh.cells)])
+
+
+EIGHTH = [[math.cos(math.pi / 4), math.sin(math.pi / 4)],
+          [-math.sin(math.pi / 4), math.cos(math.pi / 4)]]
+
+
+@pytest.mark.parametrize("make, rectangles", [
+    (lambda: generate_cartesian(1), True),
+    (lambda: generate_cartesian(2), True),
+    (lambda: generate_cartesian(8), True),
+    # a quarter turn starts each cell with a vertical side
+    (lambda: _turned(generate_cartesian(4), [[0.0, 1.0], [-1.0, 0.0]]), True),
+    (lambda: tensor_mesh([0.0, 0.13, 0.3, 0.52, 1.0], [0.0, 0.1, 0.27, 1.0]), True),
+    (_rolled_tensor_mesh, True),
+    (lambda: _turned(generate_cartesian(4), EIGHTH), False),
+    (lambda: nudged_cartesian(4), False),
+    (mixed_mesh, False),
+    (lambda: generate_voronoi(12, rng_seed=4, lloyd_iters=20), False),
+    (_cocircular_grid, False),
+    (lambda: _roundtrip(generate_cartesian(3)), True),
+], ids=["cartesian1", "cartesian2", "cartesian8", "quarter_turn", "tensor", "rolled_tensor",
+        "eighth_turn", "nudged", "mixed", "voronoi", "cocircular_grid", "read_mesh"])
+def test_rectangles_derived_from_geometry(make, rectangles):
+    mesh = make()
+    ref = _exact_boxes(mesh)
+    assert (ref is not None) == rectangles
+    if ref is None:
+        assert mesh.rectangles is None
+        return
+    for got, want in zip(mesh.rectangles, ref, strict=True):
+        assert got.shape == (mesh.n_cells, 2) and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_roundtrip_voronoi_full_precision():

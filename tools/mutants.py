@@ -79,6 +79,13 @@ MUTANTS = [
            '("square", k + 5)', '("square", k + 4)'),
     Mutant("rectangle strip count rounded down", "src/polyvem/local.py",
            "np.ceil(sides[:, 1] / max_y_extent)", "np.floor(sides[:, 1] / max_y_extent)"),
+    Mutant("rectangles of one side parity only", "src/polyvem/mesh.py",
+           "(even & odd[:, ::-1]).any(axis=1).all()", "(even & odd[:, ::-1])[:, 1].all()"),
+    Mutant("rectangle sides compared with a tolerance", "src/polyvem/mesh.py",
+           "same = verts == np.roll(verts, -1, axis=1)",
+           "same = np.isclose(verts, np.roll(verts, -1, axis=1))"),
+    Mutant("rectangle boxes left writable", "src/polyvem/mesh.py",
+           "flags, *(self.rectangles or ())):", "flags):"),
 ]
 
 
