@@ -98,9 +98,10 @@ def _polygon_geometry(vertices, ids, starts):
                                                  minlength=n) / (6.0 * areas) for i in (0, 1)])
             for m in np.unique(lens[lens >= 3]):
                 group = np.flatnonzero(lens == m)
-                v = p[starts[group][:, None] + np.arange(m)]
-                d2 = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=3)
-                diams[group] = np.sqrt(d2.max(axis=(1, 2)))
+                x, y = p[starts[group][:, None] + np.arange(m)].T
+                # the squares summed by hand: numpy reduces a length-2 axis slowly
+                dx, dy = x[:, None] - x[None], y[:, None] - y[None]
+                diams[group] = np.sqrt((dx * dx + dy * dy).reshape(m * m, -1).max(axis=0))
 
     checks = [
         (per_polygon((ids < 0) | (ids >= nv)), MeshError,

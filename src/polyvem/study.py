@@ -18,8 +18,12 @@ monomial table, so the points see only the data and one product.
 Artifacts are written with full-precision floats so repeated runs are
 byte-identical.
 
-The paper run (`run_paper`) builds each ladder mesh once, runs every study of
-the paper on it, and writes the ratio tables from the standard-scheme rows.
+A study is a list of units `(case_id, family, order, level)`, plain values.
+`run_unit` solves one unit on its mesh and returns its rows; no unit reads
+another's result.  One driver, `run_studies`, builds each ladder mesh once,
+maps `run_unit` over the units of every study and then attaches the rates and
+ratio averages; `run_study` is the driver on one study and `run_paper` on the
+paper's, followed by the ratio tables from the standard-scheme rows.
 """
 
 from __future__ import annotations
@@ -216,57 +220,64 @@ def ladder_for(family: str, levels: int = 0):
 
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Run the full sweep described by `cfg`; write artifacts when out_dir set."""
-    case = testcase(cfg.case_id)
-    ladders = _ladder_meshes(cfg.families, cfg.levels, cfg.rng_seed, cfg.lloyd_iters)
-    result = study_ladders(case, cfg.orders, ladders)
+    result = run_studies([(cfg.case_id, cfg.orders)], cfg.families, cfg.levels,
+                         cfg.rng_seed, cfg.lloyd_iters)[cfg.case_id]
     if cfg.out_dir:
         emit_plot_data(result, cfg.out_dir)
     return result
 
 
-def _ladder_meshes(families, levels: int, rng_seed: int, lloyd_iters: int) -> dict:
-    """{family: the meshes of its first `levels` ladder sizes}, each built once."""
-    return {family: [generate_mesh(family, n, rng_seed, lloyd_iters)
-                     for n in ladder_for(family, levels)]
-            for family in families}
+def run_unit(unit, mesh: PolyMesh) -> list:
+    """The rows of the unit `(case_id, family, order, level)`, one per scheme
+    of `METHODS`, solved on `mesh`, the family's level-th ladder mesh.  A
+    scheme's failure goes in its row, a shared pass's failure in both.  Only
+    scalars are returned, so the unit's systems are freed when it returns."""
+    case_id, family, order, level = unit
+    case = testcase(case_id)
+    try:
+        results = solve_cases(mesh, order, METHODS, case)
+    except PolyvemError as exc:
+        results = dict.fromkeys(METHODS, exc)
+    rows = []
+    for method, sol in results.items():
+        row = StudyRow(family=family, case=case.name, method=method.value,
+                       order=order, level=level, h_max=mesh.h_max)
+        if isinstance(sol, PolyvemError):
+            row.note = f"solver failure: {sol}"
+        else:
+            row.n_dofs = sol.system.dof_map.n_total
+            row.e_star = sol.e_star
+            if method is Method.STANDARD:
+                row.stab_ratio = stab_consistency_ratio(   # (a_s, a_pi)
+                    *reversed(sol.system.parts()))
+        rows.append(row)
+    return rows
 
 
-def study_ladders(case: TestCase, orders, ladders: dict) -> StudyResult:
-    """Solve `case` with both schemes at each order on every mesh of
-    `ladders` ({family: meshes, coarsest first}) and collect the study rows,
-    rates and ladder-averaged stabilization ratios.
-
-    A failure on one level is recorded in that level's rows; each level's
-    systems are released before the next is assembled.
-    """
-    result = StudyResult(case=case.name)
-    for family, meshes in ladders.items():
-        for order in orders:
-            for level, mesh in enumerate(meshes, start=1):
-                try:
-                    results = solve_cases(mesh, order, METHODS, case)
-                except PolyvemError as exc:
-                    results = dict.fromkeys(METHODS, exc)
-                for method, sol in results.items():
-                    row = StudyRow(family=family, case=case.name, method=method.value,
-                                   order=order, level=level, h_max=mesh.h_max)
-                    if isinstance(sol, PolyvemError):
-                        row.note = f"solver failure: {sol}"
-                    else:
-                        row.n_dofs = sol.system.dof_map.n_total
-                        row.e_star = sol.e_star
-                        if method is Method.STANDARD:
-                            row.stab_ratio = stab_consistency_ratio(   # (a_s, a_pi)
-                                *reversed(sol.system.parts()))
-                    result.rows.append(row)
-                del results, sol        # release this level's systems before the next
+def run_studies(studies, families, levels: int, rng_seed: int, lloyd_iters: int) -> dict:
+    """{case_id: StudyResult} of the studies `(case_id, orders)` on the first
+    `levels` meshes of each family's ladder, each mesh built once.  The units
+    `(case_id, family, order, level)` run in that order; then each (family,
+    order) of a study gets its rates and ladder-averaged stabilization ratio."""
+    results = {case_id: StudyResult(case=testcase(case_id).name) for case_id, _ in studies}
+    ladders = {family: [generate_mesh(family, n, rng_seed, lloyd_iters)
+                        for n in ladder_for(family, levels)]
+               for family in families}
+    units = [(case_id, family, order, level)
+             for case_id, orders in studies for family, meshes in ladders.items()
+             for order in orders for level in range(1, len(meshes) + 1)]
+    unit_meshes = [ladders[family][level - 1] for _, family, _, level in units]
+    for unit, rows in zip(units, map(run_unit, units, unit_meshes)):
+        results[unit[0]].rows += rows
+    for result in results.values():
+        for family, order in dict.fromkeys((r.family, r.order) for r in result.rows):
             ratios = [r.stab_ratio for r in result.series(family, order, Method.STANDARD)
                       if r.stab_ratio is not None]
             if ratios:
                 result.avg_stab_ratio[(family, order)] = sum(ratios) / len(ratios)
             for method in METHODS:
                 _attach_rates(result.series(family, order, method))
-    return result
+    return results
 
 
 # the paper's studies: each case with its orders, over every family
@@ -274,17 +285,12 @@ PAPER_STUDIES = (("tc1", (1, 3)), ("tc2", (1, 2)))
 
 
 def run_paper(out_dir: str, levels: int = 0, rng_seed: int = 0) -> dict:
-    """The paper's convergence studies and ratio tables in one run.
-
-    Each (family, n) ladder mesh is built once and serves every case and
-    order of `PAPER_STUDIES`.  Writes each case's study artifacts to
-    out_dir/<case>/, then out_dir/ratio_tables.csv.  Returns {case_id: StudyResult}.
-    """
-    ladders = _ladder_meshes(FAMILIES, levels, rng_seed, DEFAULT_LLOYD_ITERS)
-    results = {}
-    for case_id, orders in PAPER_STUDIES:
-        results[case_id] = study_ladders(testcase(case_id), orders, ladders)
-        emit_plot_data(results[case_id], os.path.join(out_dir, case_id))
+    """The paper's studies (`PAPER_STUDIES` over every family) in one run:
+    writes each case's study artifacts to out_dir/<case>/, then
+    out_dir/ratio_tables.csv.  Returns {case_id: StudyResult}."""
+    results = run_studies(PAPER_STUDIES, FAMILIES, levels, rng_seed, DEFAULT_LLOYD_ITERS)
+    for case_id, result in results.items():
+        emit_plot_data(result, os.path.join(out_dir, case_id))
     emit_ratio_tables(results, out_dir)
     return results
 
@@ -312,43 +318,37 @@ ROWS_HEADER = ["family", "case", "method", "order", "level", "h_max",
 def emit_plot_data(result: StudyResult, out_dir: str):
     """Write the study rows, per-figure series, rate summary and JSON digest."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
 
-    rows_path = os.path.join(out_dir, "study_rows.csv")
-    with open(rows_path, "w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "study_rows.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(ROWS_HEADER)
         for r in result.rows:
             w.writerow([r.family, r.case, r.method, r.order, r.level,
                         _fmt(r.h_max), r.n_dofs, _fmt(r.e_star),
                         _fmt(r.alpha), _fmt(r.stab_ratio), r.note])
-    paths.append(rows_path)
 
     combos = sorted({(r.family, r.order) for r in result.rows})
     safe_case = result.case.replace(":", "")
     for family, order in combos:
-        fig_path = os.path.join(out_dir, f"fig_{safe_case}_{family}_order{order}.csv")
-        with open(fig_path, "w", newline="", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, f"fig_{safe_case}_{family}_order{order}.csv"), "w",
+                  newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["h_max", "e_V", "e_W", "ratio_vw"])
-            # run_study writes one row per scheme and level, in level order
+            # run_unit writes one row per scheme, and the units run in level order
             for rv, rw in zip(result.series(family, order, Method.STANDARD),
                               result.series(family, order, Method.E2VEM)):
                 ev, ew = rv.e_star, rw.e_star
                 ratio = ev / ew if (math.isfinite(ev) and math.isfinite(ew)
                                     and ew > 0) else float("nan")
                 w.writerow([_fmt(rv.h_max), _fmt(ev), _fmt(ew), _fmt(ratio)])
-        paths.append(fig_path)
 
     final_alpha = {(family, order, method): result.series(family, order, method)[-1].alpha
                    for family, order in combos for method in METHODS}
-    rates_path = os.path.join(out_dir, "rates_summary.csv")
-    with open(rates_path, "w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "rates_summary.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["family", "case", "order", "method", "alpha_final"])
         for (family, order, method), alpha in final_alpha.items():
             w.writerow([family, result.case, order, method.value, _fmt(alpha)])
-    paths.append(rates_path)
 
     summary = {
         "case": result.case,
@@ -359,12 +359,9 @@ def emit_plot_data(result: StudyResult, out_dir: str):
         "final_alpha": {f"{family}:order{order}:{method.value}": alpha
                         for (family, order, method), alpha in final_alpha.items()},
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    paths.append(summary_path)
-    return paths
 
 
 def emit_ratio_tables(results: dict, out_dir: str):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from polyvem import assembly, local, study
 from polyvem.cli import main
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
-from polyvem.mesh import load_mesh
+from polyvem.mesh import generate_mesh, load_mesh
 from conftest import parse_rows_csv
 
 # a U-shaped cell whose centroid lies in the slot filled by the second cell
@@ -208,6 +209,31 @@ def test_paper_ratio_tables_match_the_reference(paper_two_levels):
         assert all(_agrees(a, b) for a, b in zip(mine[4:], theirs[4:6])), (mine, theirs)
 
 
+def test_study_writes_the_paper_runs_bytes(paper_two_levels, tmp_path):
+    # one driver serves both commands: tc1's study at the paper's orders is
+    # the paper run's tc1, file by file
+    _, out, _ = paper_two_levels
+    assert main(["study", "--case", "tc1", "--orders", "1,3", "--family", "both",
+                 "--levels", "2", "-o", str(tmp_path)]) == 0
+    names = sorted(p.name for p in (out / "tc1").iterdir())
+    assert {"study_rows.csv", "summary.json", "rates_summary.csv"} < set(names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (out / "tc1" / name).read_bytes(), name
+
+
+def test_a_unit_alone_gives_its_rows_of_the_paper_run(paper_two_levels):
+    _, out, _ = paper_two_levels
+    mesh = generate_mesh("voronoi", 256)
+    rows = study.run_unit(("tc2", "voronoi", 2, 2), mesh)
+    paper = [r for r in parse_rows_csv(out / "tc2" / "study_rows.csv")
+             if (r.family, r.order, r.level) == ("voronoi", 2, 2)]
+    assert [r.method for r in rows] == ["vem", "e2vem"]
+    assert all(r.alpha is None for r in rows)      # the driver attaches the rates
+    # floats written with repr read back bitwise; no field is NaN here
+    assert rows == [dataclasses.replace(r, alpha=None) for r in paper]
+
+
 def test_missing_mesh_file_exit_2(tmp_path):
     rc = main(["solve", "--mesh", str(tmp_path / "nope.txt"), "--method", "vem",
                "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
@@ -307,7 +333,9 @@ def test_study_records_a_memory_error_and_continues(tmp_path, monkeypatch):
     assert math.isnan(rows[0].e_star)
     for r in rows[1:]:
         assert r.note == "" and r.e_star > 0.0
-    assert (out / "summary.json").exists()
+    # the ladder average is over the levels that have a ratio
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["avg_stab_ratio"] == {"cartesian:order1": rows[2].stab_ratio}
 
 
 def _linalg_error_on(monkeypatch, cell, k):

@@ -42,6 +42,18 @@ def test_cell_geometry_regular_hexagon():
     assert E.diameter[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("make", [lambda: generate_cartesian(5),
+                                  lambda: generate_voronoi(40, rng_seed=3, lloyd_iters=5),
+                                  mixed_mesh], ids=["cartesian", "voronoi", "mixed"])
+def test_cell_diameters_are_those_of_the_difference_cube_bitwise(make):
+    # each cell's (m, m, 2) cube of vertex differences, squared and summed
+    # along its last axis; the Voronoi and mixed meshes mix vertex counts
+    mesh = make()
+    cube = [np.sqrt(((v[:, None] - v[None]) ** 2).sum(axis=2).max())
+            for v in (mesh.vertices[cell] for cell in mesh.cells)]
+    assert np.array_equal(mesh.cell_diameters, cube)
+
+
 @pytest.mark.parametrize("cells", [0, np.int64(2), np.array([], dtype=int), [],
                                    np.array([[0, 1]])],
                          ids=["int", "numpy-scalar", "empty", "empty-list", "2-d"])

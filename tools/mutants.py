@@ -86,6 +86,13 @@ MUTANTS = [
            "same = np.isclose(verts, np.roll(verts, -1, axis=1))"),
     Mutant("rectangle boxes left writable", "src/polyvem/mesh.py",
            "flags, *(self.rectangles or ())):", "flags):"),
+    Mutant("shared-pass failure recorded on the standard row only", "src/polyvem/study.py",
+           "results = dict.fromkeys(METHODS, exc)", "results = dict.fromkeys(METHODS[:1], exc)"),
+    Mutant("ratio average over every level, failed levels as zero", "src/polyvem/study.py",
+           "sum(ratios) / len(ratios)",
+           "sum(ratios) / len(result.series(family, order, Method.STANDARD))"),
+    Mutant("every unit solved on its ladder's finest mesh", "src/polyvem/study.py",
+           "ladders[family][level - 1]", "ladders[family][-1]"),
 ]
 
 
