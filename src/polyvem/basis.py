@@ -236,65 +236,73 @@ def monomial_transfer(p0, p1, p2, centroids, diameters, d: int) -> np.ndarray:
     return np.swapaxes(scaled_monomials(rx, ry, d), -1, -2) @ inverse.T
 
 
-def _subdivide_by_extent(a, b, c, owner, max_y_extent):
-    """Cut the triangles (a, b, c), stacked (T, 2) CCW corners, into
-    horizontal strips of vertical extent at most max_y_extent.
+def _next_in_run(starts):
+    """Position of the next vertex of each vertex of the polygon runs
+    starts[i]:starts[i+1] of a flat vertex list, wrapping to the run's first."""
+    nxt = np.arange(1, starts[-1] + 1)
+    nxt[starts[1:] - 1] = starts[:-1]
+    return nxt
 
-    A triangle of y-extent e is cut at n = ceil(e / max_y_extent) equal-height
-    levels.  With its corners lo, mid, hi sorted by y, a strip runs up the
-    long edge lo-hi from L0 to L1 and back down the short side lo-mid-hi
-    from S1 to S0, through mid if mid lies strictly inside it.  It is fanned
-    from L0 into the CCW triangles (L0, L1, S1), (L0, S1, mid), (L0, mid, S0)
-    that have positive area: 1 at a sharp bottom or top corner, 2 for a
-    trapezoid, 3 for the pentagon around mid.  Children replace their parent
-    in place, strip by strip from the bottom, and `owner` (T,) is carried
-    along, so it stays sorted.  A triangle with n = 1 is kept as it is."""
-    corners = np.stack([a, b, c], axis=1)                       # (T, 3, 2)
-    ys = corners[..., 1]
-    n = np.ceil((ys.max(axis=1) - ys.min(axis=1)) / max_y_extent)
-    is_split = n > 1
-    if not is_split.any():
-        return a, b, c, owner
-    order = np.argsort(ys[is_split], axis=1, kind="stable")
-    # (lo, hi, mid) is CCW when it is a rotation of the parent's corner order
-    ccw = (order[:, 2] - order[:, 0]) % 3 == 1
-    lo, mid, hi = np.take_along_axis(corners[is_split], order[..., None], axis=1).transpose(1, 0, 2)
-    n = n[is_split].astype(int)
-    # one row per strip: its parent (among the split triangles) and its lower level
-    parent = np.repeat(np.arange(n.size), n)
-    level = np.arange(parent.size) - np.repeat(np.cumsum(n) - n, n)
-    lo, mid, hi, n, ccw = lo[parent], mid[parent], hi[parent], n[parent], ccw[parent]
-    e = hi[:, 1] - lo[:, 1]
-    dm = mid[:, 1] - lo[:, 1]
 
-    def cut(j):
-        """Height above lo, long-edge point and short-side point of level j;
-        both points are hi at the top unless the top is flat."""
-        t = j / n
-        h = t * e
-        # the values of the sides a level does not cut are discarded below
-        with np.errstate(all="ignore"):
-            lower = lo + (h / dm)[:, None] * (mid - lo)
-            upper = mid + ((h - dm) / (e - dm))[:, None] * (hi - mid)
-        short = np.where((h < dm)[:, None], lower, np.where((h > dm)[:, None], upper, mid))
-        top = (j == n)[:, None]
-        return (h, np.where(top, hi, lo + t[:, None] * (hi - lo)),
-                np.where(top & (dm < e)[:, None], hi, short))
+def _band_pieces(verts, starts, max_y_extent):
+    """Cut each convex CCW polygon verts[starts[i]:starts[i+1]] into
+    n = ceil(extent / max_y_extent) equal horizontal bands of its own y-range
+    and fan each band piece from one of its vertices: ((p0, p1, p2),
+    polygon), stacked (T, 2) CCW corners of positive area and the polygon
+    (T,) of each triangle, non-decreasing; a polygon's pieces run from its
+    bottom band up.
 
-    h0, L0, S0 = cut(level)
-    h1, L1, S1 = cut(level + 1)
-    inside = (h0 < dm) & (dm < h1)
-    M = np.where(inside[:, None], mid, S1)
-    fans = np.stack([np.stack([L0, L1, S1], axis=1), np.stack([L0, S1, M], axis=1),
-                     np.stack([L0, M, S0], axis=1)], axis=1)    # (strips, 3, 3, 2)
-    fans[~ccw] = fans[~ccw][:, :, [0, 2, 1]]
-    # S1 is L1 at a sharp top and S0 is L0 at a sharp bottom: those collapse
-    keep = np.column_stack([(level + 1 < n) | (dm == e), inside, (level > 0) | (dm == 0)])
-    per_parent = np.ones(owner.size, dtype=int)
-    per_parent[is_split] = np.bincount(parent, weights=keep.sum(axis=1))
-    out = np.repeat(corners, per_parent, axis=0)
-    out[np.repeat(is_split, per_parent)] = fans[keep]
-    return out[:, 0], out[:, 1], out[:, 2], np.repeat(owner, per_parent)
+    Walking the polygon's sides in order, a piece takes each vertex within
+    its band, bounds included, and each point where the side crosses a bound
+    strictly between its ends, at exactly the bound's height: the piece's
+    vertices in CCW order, none repeated.  Its fan's apex is the first of
+    them, so one band of a triangle is that triangle, corners in order.
+    Triangles of zero area, at collinear corners, are dropped.
+    """
+    lens = np.diff(starts)
+    y = verts[:, 1]
+    lo, hi = np.minimum.reduceat(y, starts[:-1]), np.maximum.reduceat(y, starts[:-1])
+    n = np.ceil((hi - lo) / max_y_extent).astype(int)
+    # one piece per band, with the band's bounds: the top band's upper bound
+    # is the polygon's top itself, not lo + n * (hi - lo) / n
+    poly = np.repeat(np.arange(n.size), n)
+    band = np.arange(poly.size) - np.repeat(np.cumsum(n) - n, n)
+    n, lo, extent = n[poly], lo[poly], (hi - lo)[poly]
+    bottom = lo + band / n * extent
+    top = np.where(band + 1 == n, hi[poly], lo + (band + 1) / n * extent)
+    # one row per side of each piece's polygon, sides in polygon order
+    m = lens[poly]
+    piece = np.repeat(np.arange(poly.size), m)
+    side = starts[poly][piece] + np.arange(piece.size) - np.repeat(np.cumsum(m) - m, m)
+    a, b = verts[side], verts[_next_in_run(starts)[side]]
+    ya, yb, bottom, top = a[:, 1], b[:, 1], bottom[piece], top[piece]
+    rise = np.where(ya == yb, 1.0, yb - ya)     # a flat side crosses no bound
+
+    def crossing(level):
+        """Each side's point at height `level`, and whether the side crosses
+        it strictly between its ends (the points of the others, discarded,
+        may overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = a[:, 0] + (level - ya) / rise * (b[:, 0] - a[:, 0])
+        return (np.column_stack([x, level]),
+                ((ya < level) & (level < yb)) | ((yb < level) & (level < ya)))
+
+    # a rising side meets the lower bound first, a falling one the upper
+    up = yb > ya
+    (first, crosses_first), (second, crosses_second) = (crossing(np.where(up, bottom, top)),
+                                                        crossing(np.where(up, top, bottom)))
+    found = np.column_stack([(bottom <= ya) & (ya <= top), crosses_first, crosses_second])
+    points = np.stack([a, first, second], axis=1)[found]
+    owner = np.repeat(piece, found.sum(axis=1))
+    # each piece's fan (apex, w_j, w_j+1), 0 < j < last, apex its first point
+    count = np.bincount(owner, minlength=poly.size)
+    apex = np.cumsum(count) - count
+    j = np.arange(owner.size) - apex[owner]
+    j = np.flatnonzero((j > 0) & (j < count[owner] - 1))
+    p0, p1, p2 = points[apex[owner[j]]], points[j], points[j + 1]
+    keep = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+            - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])) > 0.0
+    return (p0[keep], p1[keep], p2[keep]), poly[owner[j[keep]]]
 
 
 def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
@@ -304,20 +312,26 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     centroid centroids[i] and area areas[i], and is fanned into the
     triangles (centroid, v_j, v_j+1), which are stacked (T, 2) corners in
     polygon order; owner (T,) is the polygon of each triangle, non-decreasing.
-    With `max_y_extent` set (positive and finite, else `ValueError`), a
-    triangle taller than it is cut into ceil(extent / max_y_extent)
-    horizontal strips of CCW triangles that take its place
-    (`_subdivide_by_extent`), resolving data that oscillate in y; a triangle
-    within it is kept as it is.  A polygon that is not star-shaped with
-    respect to its centroid raises `QuadratureError` with `cell` set to i.
+    A polygon that is not star-shaped with respect to its centroid raises
+    `QuadratureError` with `cell` set to i.
+
+    With `max_y_extent` set (positive and finite, else `ValueError`), the
+    triangles resolve data that oscillate in y.  A polygon of y-extent e >
+    max_y_extent whose corners all turn left (every corner's cross product
+    >= 0: convex, as the mesh's polygons are simple) is cut as a whole into
+    ceil(e / max_y_extent) equal horizontal bands, each band piece fanned
+    from one of its vertices (`_band_pieces`); another polygon that tall is
+    cut the same way by way of its fan triangles, which are convex, each in
+    bands of its own y-range.  A polygon within max_y_extent keeps its
+    centroid fan as it is.  The triangles stay in polygon order, and a
+    cut polygon's run from its bottom band up.
     """
     if max_y_extent is not None and not (math.isfinite(max_y_extent) and max_y_extent > 0):
         raise ValueError(f"max_y_extent must be positive and finite, got {max_y_extent}")
     starts = np.asarray(starts)
     owner = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     a = np.asarray(verts, dtype=float)
-    nxt = np.arange(1, owner.size + 1)
-    nxt[starts[1:] - 1] = starts[:-1]
+    nxt = _next_in_run(starts)
     b = a[nxt]
     c = np.asarray(centroids, dtype=float)[owner]
     signed = 0.5 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
@@ -329,9 +343,22 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
             "cell is not star-shaped with respect to its centroid "
             f"(fan triangle {t - starts[owner[t]]} has signed area {signed[t]:g}); "
             "run mesh validation", cell=int(owner[t]))
-    if max_y_extent is not None:
-        c, a, b, owner = _subdivide_by_extent(c, a, b, owner, max_y_extent)
-    return (c, a, b), owner
+    if max_y_extent is None:
+        return (c, a, b), owner
+    # the polygons to cut: a whole one by its vertices, any other by the
+    # corners (c, a, b) of each of its fan triangles
+    e1, e2 = b - a, b[nxt] - b
+    turns_left = np.logical_and.reduceat(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] >= 0.0,
+                                         starts[:-1])
+    y = a[:, 1]
+    tall = np.maximum.reduceat(y, starts[:-1]) - np.minimum.reduceat(y, starts[:-1]) > max_y_extent
+    whole = (turns_left & tall)[owner]
+    begins = ~whole | (np.arange(owner.size) == starts[:-1][owner])
+    sizes = np.where(whole, np.diff(starts)[owner], 3)[begins]
+    corners = np.stack([c, a, b], axis=1)[np.column_stack([~whole, np.ones_like(whole), ~whole])]
+    triangles, polygon = _band_pieces(corners, np.concatenate([[0], np.cumsum(sizes)]),
+                                      max_y_extent)
+    return triangles, owner[begins][polygon]
 
 
 def polygon_quadrature(E, degree: int) -> QuadRule:

@@ -10,12 +10,15 @@ array check that finds a failing cell (the rank test) names it itself.
 `local.element_matrices` names its stack's lowest failing cell, building
 the cells alone if a batched LAPACK call fails as a whole (naming no cell;
 numpy's `LinAlgError`, a `ValueError`, becomes a `CellDegeneracyError`),
-and `assembly.assemble` raises the lowest of its stacks'.  In the data
-passes, which go by blocks of cells (`local.data_rules`), the fan check
-names the cell that is not star-shaped; it is the one star-shape check a
-solve makes, as element construction integrates along edges only, and a
-mesh of axis-aligned rectangles, as the mesh constructor decides them
-(`PolyMesh.rectangles`), takes the tensor rule and no fan.  A
+and `assembly.assemble` raises the lowest of its stacks'.  The mesh
+constructor accepts simple polygons only: a cell two of whose non-adjacent
+sides meet is a `MeshError`.  In the data passes, which go by blocks of
+cells (`local.data_rules`), the check of every cell's centroid fan names
+the cell that is not star-shaped with respect to its centroid, before any
+cell is cut into bands for data that oscillate in y; it is the one
+star-shape check a solve makes, as element construction integrates along
+edges only, and a mesh of axis-aligned rectangles, as the mesh constructor
+decides them (`PolyMesh.rectangles`), takes the tensor rule and no fan.  A
 `SolverError` names no scheme, as the solve knows only its matrix (a
 `MemoryError` of the solve becomes one, naming the matrix's size);
 `study.solve_cases` adds the order caveat of the stabilization-free scheme.

@@ -522,9 +522,10 @@ class DataRule:
     the unit square, otherwise each triangle of the cell's centroid fan
     is the image of the reference triangle (`_data_reference`).  For data
     oscillating in y (a case with a `y_wavelength`) a rectangle is cut into
-    equal horizontal strips, and a fan triangle taller than half the
-    wavelength into horizontal strips of triangles (`basis.fan_triangles`),
-    each strip a row.  `cells` is the block's range of cell indices.
+    equal horizontal strips, each strip a row, and any other cell taller
+    than half the wavelength into equal horizontal bands, whose pieces are
+    fanned into triangles (`basis.fan_triangles`), each triangle a row.
+    `cells` is the block's range of cell indices.
     The rule has R rows of q points each, held as coordinate planes: `x`,
     `y` and `weights` are (R, q), `row_cells` (R,) is the cell of each row,
     and the rows of cell `cells[i]` start at `starts[i]`, so a per-cell
@@ -589,15 +590,18 @@ def data_rules(mesh, k: int, y_wavelength=None):
     for the mesh: when `mesh.rectangles` is set, each cell, or with a
     `y_wavelength` each of its ceil(height / (wavelength / 2)) equal
     horizontal strips (`_strips`), is a row of the square's tensor rule.
-    Otherwise the rows are the triangles of each cell's centroid fan, formed,
-    checked (the one star-shape check of a solve: a cell that is not
+    Otherwise the rows are triangles: each cell's centroid fan is formed
+    and checked (the one star-shape check of a solve: a cell that is not
     star-shaped raises `QuadratureError` naming that cell before any block
-    is built) and, with a `y_wavelength`, cut into strips of at most half
-    of it (`fan_triangles`).  On a mesh of `congruent_cells` the rows are
-    formed for cell 0 alone, about its centroid, and cell 0 stands for
+    is built), and with a `y_wavelength` a cell taller than half of it is
+    cut into equal horizontal bands of at most that height, as a whole when
+    it is convex, else by way of its fan triangles, and each band piece is
+    fanned from one of its vertices (`fan_triangles`); a cell within half
+    the wavelength keeps its fan.  On a mesh of `congruent_cells` the rows
+    are formed for cell 0 alone, about its centroid, and cell 0 stands for
     every cell, as it does for the elements of `assembly.assemble`: the
     star-shape check runs on cell 0, every cell takes cell 0's rows (and
-    strip count), weights and monomial table, and a block's planes are its
+    band count), weights and monomial table, and a block's planes are its
     centroids plus cell 0's offsets, in one broadcast.  Otherwise a cell's
     rows stay together and in cell order, and each block applies one
     `affine_rule` and one `monomial_transfer` to its rows, whose planes are

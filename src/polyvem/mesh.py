@@ -64,6 +64,33 @@ def _next_vertex(starts):
     return nxt
 
 
+def _meeting_sides(x, y):
+    """The first pair (i, j), i < j, of non-adjacent sides that intersect or
+    touch in each of g polygons of m vertices, x and y (m, g), side i
+    running from vertex i to vertex i+1; (-1, -1) for a simple polygon.
+
+    Two segments meet when neither lies strictly on one side of the other's
+    line and their bounding boxes overlap (which settles collinear ones)."""
+    m = x.shape[0]
+    i, j = np.triu_indices(m, 2)
+    i, j = i[j - i < m - 1], j[j - i < m - 1]        # side m-1 is adjacent to side 0
+    x1, y1 = np.roll(x, -1, axis=0), np.roll(y, -1, axis=0)
+
+    def orient(s, t):
+        """The side of side s's line, as a sign, on which vertex t lies."""
+        return np.sign((x1[s] - x[s]) * (y[t] - y[s]) - (y1[s] - y[s]) * (x[t] - x[s]))
+
+    def overlap(u, u1):
+        return ((np.minimum(u[i], u1[i]) <= np.maximum(u[j], u1[j]))
+                & (np.minimum(u[j], u1[j]) <= np.maximum(u[i], u1[i])))
+
+    j1 = (j + 1) % m
+    meet = ((orient(i, j) * orient(i, j1) <= 0) & (orient(j, i) * orient(j, i + 1) <= 0)
+            & overlap(x, x1) & overlap(y, y1))
+    first = meet.argmax(axis=0)
+    return np.where(meet.any(axis=0)[:, None], np.column_stack([i[first], j[first]]), -1)
+
+
 def _polygon_geometry(vertices, ids, starts):
     """Areas, centroids and diameters of the polygons `vertices[ids[starts[i]:
     starts[i+1]]]`, all at once, after checking each polygon.
@@ -72,8 +99,9 @@ def _polygon_geometry(vertices, ids, starts):
     diameters the largest vertex-to-vertex distances.  A polygon with an
     out-of-range or repeated consecutive vertex raises `MeshError`, one with
     fewer than 3 planar vertices, non-finite coordinates or a signed area that
-    is not positive `OrientationError`; the error names the first bad polygon
-    in `cell`, with the first check it fails.
+    is not positive `OrientationError`, and one that is not simple, two of
+    its non-adjacent sides meeting (`_meeting_sides`), `MeshError`; the error
+    names the first bad polygon in `cell`, with the first check it fails.
     """
     n, nv = starts.size - 1, vertices.shape[0]
     lens = np.diff(starts)
@@ -85,6 +113,8 @@ def _polygon_geometry(vertices, ids, starts):
 
     areas, cents, diams = np.zeros(n), np.zeros((n, 2)), np.zeros(n)
     non_finite = np.zeros(n, dtype=bool)
+    # the first two non-adjacent sides of each polygon that meet, else -1
+    meeting = np.full((n, 2), -1)
     planar = vertices.ndim == 2 and vertices.shape[1] == 2
     if planar:
         p = vertices[np.clip(ids, 0, max(nv - 1, 0))]
@@ -102,6 +132,8 @@ def _polygon_geometry(vertices, ids, starts):
                 # the squares summed by hand: numpy reduces a length-2 axis slowly
                 dx, dy = x[:, None] - x[None], y[:, None] - y[None]
                 diams[group] = np.sqrt((dx * dx + dy * dy).reshape(m * m, -1).max(axis=0))
+                if m > 3:       # a triangle has no non-adjacent sides
+                    meeting[group] = _meeting_sides(x, y)
 
     checks = [
         (per_polygon((ids < 0) | (ids >= nv)), MeshError,
@@ -114,6 +146,8 @@ def _polygon_geometry(vertices, ids, starts):
         (non_finite, OrientationError, lambda ci: "polygon has non-finite coordinates"),
         (~(areas > 0.0), OrientationError,
          lambda ci: f"polygon is not CCW (signed area {areas[ci]:g})"),
+        (meeting[:, 0] >= 0, MeshError,
+         lambda ci: "polygon is not simple: its sides {} and {} meet".format(*meeting[ci])),
     ]
     bad = np.flatnonzero(np.any([flags for flags, _, _ in checks], axis=0))
     if bad.size:
@@ -154,9 +188,10 @@ class PolyMesh:
     Instances come from the constructor, the generators or :func:`read_mesh`
     and are immutable afterwards, every array they hold read-only; they are
     safe to share across workers.  The constructor is where polygons are
-    checked: a cell with an out-of-range or repeated consecutive vertex, or
-    one that is not a CCW polygon of positive area, raises a `MeshError`
-    naming the cell.  Its `cells` are index sequences, one per cell (an
+    checked: a cell with an out-of-range or repeated consecutive vertex, one
+    that is not a CCW polygon of positive area, or one that is not simple
+    (two non-adjacent sides intersect or touch) raises a `MeshError` naming
+    the cell.  Its `cells` are index sequences, one per cell (an
     (n, m) array gives n cells of m vertices).  It stores them once, as
     `flat_cells` = (ids, starts): the vertex ids of every cell concatenated
     in cell order, and the (n_cells + 1,) offsets of each cell's run in
@@ -687,7 +722,7 @@ def read_mesh(stream) -> PolyMesh:
 
     Raises :class:`MeshFormatError` with a line number on malformed counts,
     trailing content, or a cell the :class:`PolyMesh` constructor rejects
-    (out-of-range indices, non-CCW cells).
+    (out-of-range indices, non-CCW or self-intersecting cells).
     """
     lines = []
     for lineno, raw in enumerate(stream, start=1):

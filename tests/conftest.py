@@ -83,9 +83,9 @@ def cell_data_rule(E: CellGeometry, k: int):
 
 
 def fan_rule(E: CellGeometry, degree: int, max_y_extent=None) -> QuadRule:
-    """The centroid-fan rule of the one-cell stack E, in horizontal strips
-    of at most `max_y_extent` when it is set: the rule the data passes form
-    for E's cell."""
+    """The centroid-fan rule of the one-cell stack E, cut into horizontal
+    bands of at most `max_y_extent` when it is set (`fan_triangles`): the
+    rule the data passes form for E's cell."""
     corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area,
                                max_y_extent=max_y_extent)
     return flat_rule(*triangle_rule(*corners, degree))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule, flat_rule,
                       lone_cell, monomial_grads, star_polygon)
-from polyvem.basis import (QuadratureError, _subdivide_by_extent, affine_rule, dim_poly,
-                           edge_lagrange, edge_rules, eval_monomials, gauss_jacobi,
-                           lagrange_matrix, monomial_derivatives, monomial_exponents,
-                           monomial_index, polygon_quadrature, reference_rule,
-                           scaled_monomials, triangle_rule)
+from polyvem.basis import (QuadratureError, _band_pieces, affine_rule, dim_poly,
+                           edge_lagrange, edge_rules, eval_monomials, fan_triangles,
+                           gauss_jacobi, lagrange_matrix, monomial_derivatives,
+                           monomial_exponents, monomial_index, polygon_quadrature,
+                           reference_rule, scaled_monomials, triangle_rule)
 from polyvem.errors import NumericalDegeneracyError
 from polyvem.mesh import CellGeometry, generate_voronoi
 
@@ -230,55 +230,65 @@ def test_square_rule_on_parallelograms_matches_their_two_triangles(m, rng):
         reference_rule("disc", m)
 
 
-def _strips_one_by_one(tri, max_y_extent):
-    """Reference strip cut: one triangle at a time, corners sorted by y, n
-    equal-height strips from the bottom, each fanned from its lower
-    long-edge point (L0, L1, S1, mid, S0 minus the repeated corners)."""
-    n = math.ceil((max(p[1] for p in tri) - min(p[1] for p in tri)) / max_y_extent)
-    if n <= 1:
-        return [tri]
-    order = sorted(range(3), key=lambda i: tri[i][1])
-    lo, mid, hi = (tri[i] for i in order)
-    ccw = (order[2] - order[0]) % 3 == 1
-    e, dm = hi[1] - lo[1], mid[1] - lo[1]
+def _bands_one_by_one(poly, max_y_extent):
+    """Reference band cut of one convex CCW polygon, a point at a time: n
+    equal bands of its y-range from the bottom, each piece walked side by
+    side (the vertices within the band, then the crossings of the band's
+    bounds strictly inside the side, in the side's direction) and fanned
+    from its first point, zero-area triangles dropped."""
+    lo, hi = min(p[1] for p in poly), max(p[1] for p in poly)
+    n = math.ceil((hi - lo) / max_y_extent)
+    tris = []
+    for band in range(n):
+        y0 = lo + band / n * (hi - lo)
+        y1 = hi if band + 1 == n else lo + (band + 1) / n * (hi - lo)
+        piece = []
+        for i, a in enumerate(poly):
+            b = poly[(i + 1) % len(poly)]
+            if y0 <= a[1] <= y1:
+                piece.append(a)
+            for level in ((y0, y1) if b[1] > a[1] else (y1, y0)):
+                if min(a[1], b[1]) < level < max(a[1], b[1]):
+                    x = a[0] + (level - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
+                    piece.append(np.array([x, level]))
+        for j in range(1, len(piece) - 1):
+            tri = (piece[0], piece[j], piece[j + 1])
+            if _signed_areas(*(np.asarray(p)[None] for p in tri))[0] > 0.0:
+                tris.append(tri)
+    return tris
 
-    def cut(j):
-        t = j / n
-        h = t * e
-        long_edge = hi if j == n else lo + t * (hi - lo)
-        if h < dm:
-            return h, long_edge, lo + (h / dm) * (mid - lo)
-        if h > dm:
-            return h, long_edge, mid + ((h - dm) / (e - dm)) * (hi - mid)
-        return h, long_edge, mid
 
-    children = []
-    for i in range(n):
-        (h0, L0, S0), (h1, L1, S1) = cut(i), cut(i + 1)
-        poly = [L0, L1]
-        if i + 1 < n or dm == e:
-            poly.append(S1)
-        if h0 < dm < h1:
-            poly.append(mid)
-        if i > 0 or dm == 0:
-            poly.append(S0)
-        for j in range(1, len(poly) - 1):
-            pair = (poly[j], poly[j + 1]) if ccw else (poly[j + 1], poly[j])
-            children.append((poly[0], *pair))
-    return children
+def _cut_one_by_one(E, max_y_extent):
+    """Reference cut of the one-cell stack E: its centroid fan within
+    max_y_extent, else its bands when its corners all turn left, else the
+    bands of each fan triangle."""
+    v = E.verts[0]
+    fan = [(E.centroid[0], v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    if np.ptp(v[:, 1]) <= max_y_extent:
+        return fan
+    sides = np.roll(v, -1, axis=0) - v
+    turns = sides[:, 0] * np.roll(sides, -1, axis=0)[:, 1] - sides[:, 1] * np.roll(sides, -1, axis=0)[:, 0]
+    if (turns >= 0.0).all():
+        return _bands_one_by_one(list(v), max_y_extent)
+    return [t for tri in fan for t in _bands_one_by_one(list(tri), max_y_extent)]
+
+
+# a non-convex cell, star-shaped with respect to its centroid: a dart
+DART = lone_cell([[0.0, 0.0], [0.5, 0.35], [1.0, 0.0], [0.5, 1.0]])
 
 
 @pytest.mark.parametrize("max_y_extent", [0.3, 0.07])
 def test_subdivided_quadrature_is_concatenation_of_triangle_rules(max_y_extent, rng):
-    E = star_polygon(rng, 6)
-    v = E.verts[0]
-    fan = [(E.centroid[0], v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-    tris = [t for tri in fan for t in _strips_one_by_one(tri, max_y_extent)]
-    rules = [flat_rule(*triangle_rule(a[None], b[None], c[None], 5)) for a, b, c in tris]
-    q = fan_rule(E, 5, max_y_extent)
-    assert len(tris) > len(fan)
-    assert np.array_equal(q.points, np.vstack([r.points for r in rules]))
-    assert np.array_equal(q.weights, np.concatenate([r.weights for r in rules]))
+    # the band cut, as fan_triangles forms it for all cells at once, against
+    # the reference cut of each cell alone: a convex cell, cut whole, and a
+    # non-convex one, cut by way of its fan triangles
+    for E in (star_polygon(rng, 6, irregular=False), DART):
+        tris = _cut_one_by_one(E, max_y_extent)
+        rules = [flat_rule(*triangle_rule(a[None], b[None], c[None], 5)) for a, b, c in tris]
+        q = fan_rule(E, 5, max_y_extent)
+        assert len(tris) > E.n_vertices
+        assert np.array_equal(q.points, np.vstack([r.points for r in rules]))
+        assert np.array_equal(q.weights, np.concatenate([r.weights for r in rules]))
 
 
 def _signed_areas(a, b, c):
@@ -286,19 +296,36 @@ def _signed_areas(a, b, c):
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def _check_strips(tris, max_y_extent):
-    """The strip cut of the CCW triangles `tris` (T, 3, 2), owner i for
-    triangle i: CCW children within the extent that tile their parent."""
-    tris = np.asarray(tris, dtype=float)
-    a, b, c, owner = _subdivide_by_extent(*tris.transpose(1, 0, 2),
-                                          np.arange(len(tris)), max_y_extent)
+def _shoelace(p):
+    return 0.5 * np.sum(p[:, 0] * np.roll(p[:, 1], -1) - np.roll(p[:, 0], -1) * p[:, 1])
+
+
+def _check_bands(polys, max_y_extent):
+    """The band cut of the convex CCW polygons `polys`, each (m, 2), owner i
+    for polygon i: CCW triangles of positive area that tile their polygon,
+    each within one of the ceil(extent / max_y_extent) equal bands of its
+    polygon's y-range, a polygon's triangles from its bottom band up."""
+    polys = [np.asarray(p, dtype=float) for p in polys]
+    starts = np.cumsum([0] + [len(p) for p in polys])
+    (a, b, c), owner = _band_pieces(np.vstack(polys), starts, max_y_extent)
     areas = _signed_areas(a, b, c)
     assert (areas > 0.0).all()
-    ys = np.stack([a[:, 1], b[:, 1], c[:, 1]])
-    assert (ys.max(axis=0) - ys.min(axis=0) <= max_y_extent * (1.0 + 1e-12)).all()
     assert (np.diff(owner) >= 0).all()
-    parent = _signed_areas(*tris.transpose(1, 0, 2))
-    per_owner = np.bincount(owner, weights=areas, minlength=len(tris))
+    ys = np.stack([a[:, 1], b[:, 1], c[:, 1]])
+    lo = np.array([p[:, 1].min() for p in polys])[owner]
+    extent = np.array([np.ptp(p[:, 1]) for p in polys])[owner]
+    n = np.ceil(extent / max_y_extent)
+    assert (extent / n <= max_y_extent * (1.0 + 1e-12)).all()
+    band = np.minimum(np.floor((ys.mean(axis=0) - lo) / extent * n), n - 1)
+    tol = 1e-14 * extent
+    assert (ys.min(axis=0) >= lo + band / n * extent - tol).all()
+    assert (ys.max(axis=0) <= lo + (band + 1) / n * extent + tol).all()
+    for i in range(len(polys)):
+        mine = band[owner == i]
+        assert (np.diff(mine) >= 0).all()
+        assert np.array_equal(np.unique(mine), np.arange(n[owner == i][0]))
+    parent = np.array([_shoelace(p) for p in polys])
+    per_owner = np.bincount(owner, weights=areas, minlength=len(polys))
     assert np.abs(per_owner - parent).max() <= 1e-13 * parent.min()
     return a, b, c, owner
 
@@ -306,47 +333,91 @@ def _check_strips(tris, max_y_extent):
 _corner = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
+@st.composite
+def _convex_polygons(draw):
+    """A CCW triangle of random corners, or the CCW polygon of 4 to 9 points
+    at sorted random angles on a random ellipse."""
+    if draw(st.booleans()):
+        tri = np.array(draw(st.tuples(_corner, _corner, _corner)))
+        area = _shoelace(tri)
+        assume(abs(area) > 0.05)
+        return tri if area > 0 else tri[::-1]
+    m = draw(st.integers(4, 9))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=m, max_size=m,
+                                   unique=True)))
+    assume(np.diff(angles, append=angles[0] + 2.0 * math.pi).min() > 0.05)
+    rx, ry, turn = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0)), draw(st.floats(0, 3.2))
+    x, y = rx * np.cos(angles), ry * np.sin(angles)
+    return np.column_stack([x * math.cos(turn) - y * math.sin(turn),
+                            x * math.sin(turn) + y * math.cos(turn)])
+
+
 @settings(max_examples=60, deadline=None)
-@given(tris=st.lists(st.tuples(_corner, _corner, _corner), min_size=1, max_size=4),
+@given(polys=st.lists(_convex_polygons(), min_size=1, max_size=4),
        max_y_extent=st.floats(0.02, 2.5))
-def test_strips_tile_their_triangles(tris, max_y_extent):
-    tris = np.array(tris)
-    parent = _signed_areas(*tris.transpose(1, 0, 2))
-    assume((np.abs(parent) > 0.05).all())
-    tris[parent < 0] = tris[parent < 0][:, [0, 2, 1]]       # make every one CCW
-    _check_strips(tris, max_y_extent)
+def test_strips_tile_their_triangles(polys, max_y_extent):
+    _check_bands(polys, max_y_extent)
 
 
 @pytest.mark.parametrize("tri, max_y_extent, n_children", [
     (((0.0, 0.0), (1.0, 0.0), (0.3, 1.0)), 0.3, 7),         # flat bottom: 3 trapezoids
     (((0.2, 0.0), (1.0, 1.0), (0.0, 1.0)), 0.3, 7),         # flat top
-    (((0.0, 0.0), (1.0, 0.5), (0.2, 1.0)), 0.25, 6),        # mid on the cut at 0.5
-    (((0.0, 0.0), (1.0, 0.6), (0.2, 1.0)), 0.25, 7),        # pentagon around mid
+    (((0.0, 0.0), (1.0, 0.5), (0.2, 1.0)), 0.25, 6),        # a vertex on the cut at 0.5
+    (((0.0, 0.0), (1.0, 0.6), (0.2, 1.0)), 0.25, 7),        # pentagon around a vertex
     (((0.0, 0.0), (1.0, 0.2), (0.5, 0.5)), 0.5, 1),         # extent exactly the maximum
+    # a square with a vertex on its right side, on the cut at 0.5: 4 rectangles
+    (((0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (0.0, 1.0)), 0.3, 8),
+    # flat bottom and top: 4 trapezoids
+    (((0.0, 0.0), (1.0, 0.0), (0.8, 1.0), (0.2, 1.0)), 0.3, 8),
+    # a diamond, sharp at bottom and top, its side corners on the cut at 0.5
+    (((0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)), 0.3, 6),
+    # a hexagon whose side corners lie inside a band
+    (((0.3, 0.0), (0.7, 0.0), (1.0, 0.4), (0.7, 1.0), (0.3, 1.0), (0.0, 0.4)), 0.3, 10),
 ])
 def test_strip_edge_cases(tri, max_y_extent, n_children):
-    for rot in range(3):                                    # each corner first in turn
+    for rot in range(len(tri)):                             # each corner first in turn
         t = np.roll(np.array(tri), rot, axis=0)
-        a, b, c, _ = _check_strips(t[None], max_y_extent)
+        a, b, c, _ = _check_bands([t], max_y_extent)
         assert a.shape[0] == n_children
         if n_children == 1:
             assert np.array_equal(np.stack([a[0], b[0], c[0]]), t)
 
 
 def test_strips_of_a_subnormal_middle_height_warn_nothing():
-    # h / dm overflows at every level when mid sits 1e-310 above lo
+    # (level - y) / rise overflows at every level on the side from (0, 0)
+    # to (1, 1e-310), which crosses none
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, b, c, owner = _check_strips([[[0.0, 0.0], [1.0, 1e-310], [0.3, 1.0]]], 0.3)
+        a, b, c, owner = _check_bands([[[0.0, 0.0], [1.0, 1e-310], [0.3, 1.0]]], 0.3)
     assert a.shape[0] > 1 and (owner == 0).all()
-    assert (_signed_areas(a, b, c) > 0.0).all()
+
+
+def test_a_cell_within_one_band_keeps_its_centroid_fan_bit_for_bit(rng):
+    E = star_polygon(rng, 7)
+    fan = fan_rule(E, 4)
+    for max_y_extent in (np.ptp(E.verts[0, :, 1]), 5.0):
+        q = fan_rule(E, 4, max_y_extent)
+        assert np.array_equal(q.points, fan.points) and np.array_equal(q.weights, fan.weights)
+
+
+def test_a_cell_with_a_straight_corner_is_cut_whole():
+    # corner 2 of this square lies on its right side, a cross product of 0:
+    # the square is cut whole, into 4 bands of 2 triangles, not by its fan
+    square = lone_cell([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [1.0, 1.0], [0.0, 1.0]])
+    corners, owner = fan_triangles(square.verts[0], [0, 5], square.centroid, square.area,
+                                   max_y_extent=0.3)
+    assert owner.size == 8
+    assert np.array_equal(np.stack(corners, axis=1),
+                          np.stack(_band_pieces(square.verts[0], np.array([0, 5]), 0.3)[0], axis=1))
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), degree=st.integers(1, 7),
        max_y_extent=st.floats(0.05, 0.8))
 def test_strip_quadrature_exact_for_monomials(seed, degree, max_y_extent):
-    for E in (PENTAGON, star_polygon(np.random.default_rng(seed), 7)):
+    # convex cells, cut whole, and non-convex star-shaped ones, by their fans
+    rng = np.random.default_rng(seed)
+    for E in (PENTAGON, star_polygon(rng, 6, irregular=False), star_polygon(rng, 7), DART):
         q = fan_rule(E, degree, max_y_extent)
         rp, rw = _ear_fan_reference(E, degree)
         for ax, ay in monomial_exponents(degree):

@@ -90,8 +90,8 @@ def _reference_energy_sums(mesh, k, method, solved, case, rectangles):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rule_table_and_transfer_give_each_rows_scaled_monomials(k, mesh_name, case_id,
                                                                  monkeypatch):
-    # tc2 cuts the Voronoi fan and the rectangles into y-strips; cartesian 4
-    # takes the congruent-cell rule
+    # tc2 cuts the Voronoi cells into y-bands and the rectangles into
+    # y-strips; cartesian 4 takes the congruent-cell rule
     monkeypatch.setattr(local, "DATA_BLOCK_POINTS", 500)
     mesh = MESHES[mesh_name]()
     wavelength = get_case(case_id).y_wavelength
@@ -111,7 +111,8 @@ def test_rule_table_and_transfer_give_each_rows_scaled_monomials(k, mesh_name, c
                   for i, plane in enumerate((rule.x, rule.y)))
         got = rule.table @ np.swapaxes(rule.transfer, -1, -2)
         assert np.abs(got - scaled_monomials(rx, ry, k - 1)).max() <= 1e-13
-    # a row is a congruent cell, a rectangle, a fan triangle or a strip
+    # a row is a congruent cell, a rectangle, a strip, a fan triangle or a
+    # triangle of a band piece
     if mesh.congruent_cells:
         assert rows == mesh.n_cells
     else:
@@ -295,4 +296,32 @@ def test_e_star_of_the_tensor_rule_against_a_fine_fan(n, case_id, k, monkeypatch
     fine = energy_error(fan, [(sol.system, sol.report.solution) for sol in sols.values()],
                         case)
     for sol, e, bound in zip(sols.values(), fine, E_STAR_ERRORS[n, case_id, k]):
+        assert abs(sol.e_star / e - 1.0) <= bound
+
+
+# The largest relative error of each scheme's e_star, vem then e2vem, on
+# tc2 against the error pass on triangles exact to degree 2k+31, on the
+# Voronoi levels 64 and 256 (seed 0, 100 Lloyd steps) of the band-cut rule
+# (`basis.fan_triangles`), exact to 2k+6; errors below 1e-14 are rounding
+# and take 1e-14
+VORONOI_TC2_E_STAR_ERRORS = {
+    (64, 1): (6.8e-12, 5.5e-12), (64, 2): (2.6e-14, 4.5e-13),
+    (256, 1): (2.8e-11, 4.5e-11), (256, 2): (1e-14, 4.4e-13),
+}
+
+
+@pytest.fixture(scope="module")
+def voronoi_ladder():
+    return {n: generate_voronoi(n, rng_seed=0, lloyd_iters=100) for n in (64, 256)}
+
+
+@pytest.mark.parametrize("n, k", sorted(VORONOI_TC2_E_STAR_ERRORS))
+def test_e_star_of_the_band_cut_against_a_fine_rule(n, k, voronoi_ladder, monkeypatch):
+    mesh = voronoi_ladder[n]
+    case = get_case("tc2")
+    sols = solve_cases(mesh, k, METHODS, case)
+    monkeypatch.setattr(local, "_data_reference", lambda k, rectangles: ("triangle", k + 16))
+    fine = energy_error(mesh, [(sol.system, sol.report.solution) for sol in sols.values()],
+                        case)
+    for sol, e, bound in zip(sols.values(), fine, VORONOI_TC2_E_STAR_ERRORS[n, k]):
         assert abs(sol.e_star / e - 1.0) <= bound

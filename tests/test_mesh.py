@@ -74,6 +74,43 @@ def test_cell_geometry_rejects_clockwise():
         lone_cell([[0, 0], [1, 0]])
 
 
+# the pentagram {5/2}, CCW: its shoelace area reads 1.47, the winding-weighted one
+PENTAGRAM = [[math.cos(math.pi * (0.5 + 0.8 * j)), math.sin(math.pi * (0.5 + 0.8 * j))]
+             for j in range(5)]
+
+
+@pytest.mark.parametrize("verts, sides", [
+    (PENTAGRAM, (0, 2)),
+    ([[0, 0], [2, 1], [2, 0], [0, 3]], (0, 2)),             # a figure-eight of area 2
+    ([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]], (0, 2)),     # vertex 3 on side 0
+], ids=["pentagram", "figure-eight", "vertex-on-a-side"])
+def test_a_cell_whose_sides_meet_is_rejected_naming_it(verts, sides):
+    square = [[5, 5], [6, 5], [6, 6], [5, 6]]
+    message = f"polygon is not simple: its sides {sides[0]} and {sides[1]} meet"
+    with pytest.raises(MeshError, match=f"^cell 1: {message}$") as info:
+        PolyMesh(square + verts, [range(4), range(4, 4 + len(verts))])
+    assert type(info.value) is MeshError and info.value.exit_code == 2
+    text = (f"polymesh 1\n{4 + len(verts)} 2\n"
+            + "".join(f"{x!r} {y!r}\n" for x, y in square + verts)
+            + "4 0 1 2 3\n" + f"{len(verts)} " + " ".join(map(str, range(4, 4 + len(verts))))
+            + "\n")
+    line = 2 + 4 + len(verts) + 2
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(io.StringIO(text))
+    assert info.value.line == line and str(info.value) == f"line {line}: cell 1: {message}"
+
+
+@pytest.mark.parametrize("verts", [
+    [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],       # an L
+    # a U, whose arms' tops are collinear sides that do not meet
+    [[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]],
+    [[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],               # a straight corner
+    [[0, 0], [2, 0], [2, 2], [1, 1e-12], [0, 2]],           # vertex 3 just above side 0
+])
+def test_a_simple_cell_that_is_not_convex_is_accepted(verts):
+    assert lone_cell(verts).area[0] > 0.0
+
+
 # -- cartesian family --------------------------------------------------------
 
 def test_cartesian_basic_counts():

@@ -240,8 +240,8 @@ def tc2_voronoi():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [64, 256])
 def test_exact_energy_norm_tc2_voronoi_strips(tc2_voronoi, n, k):
-    # the strip-subdivided data rule on the study's Voronoi levels: the
-    # worst relative error is about 1.2e-7 (Voronoi-64, k=1)
+    # the band-cut data rule on the study's Voronoi levels: the worst
+    # relative error is about 1.1e-7 (Voronoi-256, k=1)
     den = exact_energy_norm(tc2_voronoi[n], get_case("tc2"), k)
     assert den == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
 

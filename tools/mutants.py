@@ -93,6 +93,13 @@ MUTANTS = [
            "sum(ratios) / len(result.series(family, order, Method.STANDARD))"),
     Mutant("every unit solved on its ladder's finest mesh", "src/polyvem/study.py",
            "ladders[family][level - 1]", "ladders[family][-1]"),
+    Mutant("band cut refuses a cell with a straight corner", "src/polyvem/basis.py",
+           "e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] >= 0.0",
+           "e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0"),
+    Mutant("band count rounded down", "src/polyvem/basis.py",
+           "n = np.ceil((hi - lo) / max_y_extent)", "n = np.floor((hi - lo) / max_y_extent)"),
+    Mutant("non-adjacent sides that only touch pass", "src/polyvem/mesh.py",
+           "orient(i, j) * orient(i, j1) <= 0", "orient(i, j) * orient(i, j1) < 0"),
 ]
 
 
