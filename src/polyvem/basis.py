@@ -353,6 +353,8 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     y = a[:, 1]
     tall = np.maximum.reduceat(y, starts[:-1]) - np.minimum.reduceat(y, starts[:-1]) > max_y_extent
     whole = (turns_left & tall)[owner]
+    # a polygon begins at a cell cut whole's first vertex and at each fan
+    # triangle of any other cell
     begins = ~whole | (np.arange(owner.size) == starts[:-1][owner])
     sizes = np.where(whole, np.diff(starts)[owner], 3)[begins]
     corners = np.stack([c, a, b], axis=1)[np.column_stack([~whole, np.ones_like(whole), ~whole])]

@@ -75,18 +75,20 @@ def _meeting_sides(x, y):
     i, j = np.triu_indices(m, 2)
     i, j = i[j - i < m - 1], j[j - i < m - 1]        # side m-1 is adjacent to side 0
     x1, y1 = np.roll(x, -1, axis=0), np.roll(y, -1, axis=0)
+    # side i runs from a to b, side j from c to d
+    ax, ay, bx, by = x[i], y[i], x1[i], y1[i]
+    cx, cy, dx, dy = x[j], y[j], x1[j], y1[j]
 
-    def orient(s, t):
-        """The side of side s's line, as a sign, on which vertex t lies."""
-        return np.sign((x1[s] - x[s]) * (y[t] - y[s]) - (y1[s] - y[s]) * (x[t] - x[s]))
+    def turn(px, py, qx, qy, rx, ry):
+        """The sign of the turn p -> q -> r: on which side of line pq r lies."""
+        return np.sign((qx - px) * (ry - py) - (qy - py) * (rx - px))
 
-    def overlap(u, u1):
-        return ((np.minimum(u[i], u1[i]) <= np.maximum(u[j], u1[j]))
-                & (np.minimum(u[j], u1[j]) <= np.maximum(u[i], u1[i])))
-
-    j1 = (j + 1) % m
-    meet = ((orient(i, j) * orient(i, j1) <= 0) & (orient(j, i) * orient(j, i + 1) <= 0)
-            & overlap(x, x1) & overlap(y, y1))
+    meet = ((turn(ax, ay, bx, by, cx, cy) * turn(ax, ay, bx, by, dx, dy) <= 0)
+            & (turn(cx, cy, dx, dy, ax, ay) * turn(cx, cy, dx, dy, bx, by) <= 0)
+            & (np.minimum(ax, bx) <= np.maximum(cx, dx))
+            & (np.minimum(cx, dx) <= np.maximum(ax, bx))
+            & (np.minimum(ay, by) <= np.maximum(cy, dy))
+            & (np.minimum(cy, dy) <= np.maximum(ay, by)))
     first = meet.argmax(axis=0)
     return np.where(meet.any(axis=0)[:, None], np.column_stack([i[first], j[first]]), -1)
 

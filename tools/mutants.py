@@ -99,7 +99,8 @@ MUTANTS = [
     Mutant("band count rounded down", "src/polyvem/basis.py",
            "n = np.ceil((hi - lo) / max_y_extent)", "n = np.floor((hi - lo) / max_y_extent)"),
     Mutant("non-adjacent sides that only touch pass", "src/polyvem/mesh.py",
-           "orient(i, j) * orient(i, j1) <= 0", "orient(i, j) * orient(i, j1) < 0"),
+           "turn(ax, ay, bx, by, cx, cy) * turn(ax, ay, bx, by, dx, dy) <= 0",
+           "turn(ax, ay, bx, by, cx, cy) * turn(ax, ay, bx, by, dx, dy) < 0"),
 ]
 
 
