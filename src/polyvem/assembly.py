@@ -36,8 +36,8 @@ from scipy.sparse.linalg import splu
 
 from .basis import dim_poly, edge_rules
 from .errors import PolyvemError, SolverError
-from .local import DiffusionTensor, Method, data_rules, element_matrices, local_load
-from .mesh import NonConformingMeshError, PolyMesh, edge_conformity_violations
+from .local import DiffusionTensor, DofLayout, Method, data_rules, element_matrices, local_load
+from .mesh import NonConformingMeshError, PolyMesh, cross_cell_violations
 
 RESIDUAL_RTOL = 1e-10
 # Cells per element stack.  On Voronoi-1024 at orders 1-3, stacks of this
@@ -70,13 +70,14 @@ class GlobalDofMap:
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
-    """Global numbering for order k on a conforming mesh, with its free dofs
-    in nested-dissection elimination order."""
+    """Global numbering for order k, filled through `local.DofLayout`, with
+    its free dofs in nested-dissection elimination order; a mesh that fails
+    `cross_cell_violations` raises `NonConformingMeshError` naming the first."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
-    bad = next(edge_conformity_violations(mesh), None)
+    bad = next(cross_cell_violations(mesh), None)
     if bad is not None:
-        raise NonConformingMeshError(f"{bad.where} breaks conformity: {bad.detail}; "
+        raise NonConformingMeshError(f"{bad.where} breaks {bad.kind}: {bad.detail}; "
                                      "run validate_mesh for details")
 
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
@@ -90,15 +91,17 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     edge_ids, against = mesh.cell_sides
     n_verts = np.diff(starts)
     groups = []
-    for m in np.unique(n_verts):
-        cells = np.flatnonzero(n_verts == m)
+    for m in np.unique(n_verts).tolist():
+        cells, lay = np.flatnonzero(n_verts == m), DofLayout(k, m)
         sides = starts[cells][:, None] + np.arange(m)                 # (n_g, m)
         dofs = edge_dofs[edge_ids[sides]]
         # interior edge nodes are symmetric in the edge parameter, so the
         # reversed traversal is exactly the reversed index range
-        dofs = np.where(against[sides][..., None], dofs[..., ::-1], dofs)
-        groups.append((cells, np.hstack([ids[sides], dofs.reshape(cells.size, -1),
-                                         moment_dofs[cells]])))
+        dofs = np.where(against[sides, None], dofs[..., ::-1], dofs)
+        table = np.empty((cells.size, lay.total), dtype=int)
+        table[:, lay.edge_node_dofs[:, :-1]] = np.dstack([ids[sides], dofs])
+        table[:, lay.first_moment:] = moment_dofs[cells]
+        groups.append((cells, table))
 
     # edge dof j of edge (a, b), a < b, sits at interior Lobatto parameter j from a
     inner = edge_rules(k, 1)[0][1:-1]

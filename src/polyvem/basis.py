@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalDegeneracyError, QuadratureError
+from .mesh import _next_vertex
 
 
 def dim_poly(k: int) -> int:
@@ -236,14 +237,6 @@ def monomial_transfer(p0, p1, p2, centroids, diameters, d: int) -> np.ndarray:
     return np.swapaxes(scaled_monomials(rx, ry, d), -1, -2) @ inverse.T
 
 
-def _next_in_run(starts):
-    """Position of the next vertex of each vertex of the polygon runs
-    starts[i]:starts[i+1] of a flat vertex list, wrapping to the run's first."""
-    nxt = np.arange(1, starts[-1] + 1)
-    nxt[starts[1:] - 1] = starts[:-1]
-    return nxt
-
-
 def _band_pieces(verts, starts, max_y_extent):
     """Cut each convex CCW polygon verts[starts[i]:starts[i+1]] into
     n = ceil(extent / max_y_extent) equal horizontal bands of its own y-range
@@ -274,7 +267,7 @@ def _band_pieces(verts, starts, max_y_extent):
     m = lens[poly]
     piece = np.repeat(np.arange(poly.size), m)
     side = starts[poly][piece] + np.arange(piece.size) - np.repeat(np.cumsum(m) - m, m)
-    a, b = verts[side], verts[_next_in_run(starts)[side]]
+    a, b = verts[side], verts[_next_vertex(starts)[side]]
     ya, yb, bottom, top = a[:, 1], b[:, 1], bottom[piece], top[piece]
     rise = np.where(ya == yb, 1.0, yb - ya)     # a flat side crosses no bound
 
@@ -331,7 +324,7 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     starts = np.asarray(starts)
     owner = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     a = np.asarray(verts, dtype=float)
-    nxt = _next_in_run(starts)
+    nxt = _next_vertex(starts)
     b = a[nxt]
     c = np.asarray(centroids, dtype=float)[owner]
     signed = 0.5 * ((a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
@@ -380,17 +373,17 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
     return QuadRule(np.column_stack([x.ravel(), y.ravel()]), w.ravel())
 
 
-def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray):
+def monomial_gram(E, sides, degree: int, table: np.ndarray, weights: np.ndarray):
     """Mass matrix M of the scaled monomials up to `degree` on each cell of
     the stack E, (n, dim, dim), and its lower Cholesky factor L, M = L L^T.
     M[a, b] is the moment of m_g, g = a + b, homogeneous of degree |g| about
     x_E: mu_g = sum_e ((x - x_E) . n_e) int_e m_g ds / (|g| + 2) (Chin,
-    Lasserre & Sukumar, Comput. Mech. 56, 2015).  The edge integrals read
-    `table` (n, m*nq, dim P_{2 degree}), the scaled monomials of degree
-    <= 2*degree at the points of a reference edge rule with `weights` (nq,)
-    summing to 1, mapped onto each of the m edges in edge order, edge e from
-    vertex e to vertex e+1; the moments are exact when the rule is exact to
-    degree 2*degree.
+    Lasserre & Sukumar, Comput. Mech. 56, 2015).  Edge e runs from vertex e
+    along its side vector `sides[:, e]` (n, m, 2) to vertex e+1.  The edge
+    integrals read `table` (n, m*nq, dim P_{2 degree}), the scaled monomials
+    of degree <= 2*degree at the points of a reference edge rule with
+    `weights` (nq,) summing to 1, mapped onto each of the m edges in edge
+    order; the moments are exact when the rule is exact to degree 2*degree.
 
     SPD in exact arithmetic; the factorization checks it in floating point
     and raises `NumericalDegeneracyError` if it fails.  It is the one
@@ -398,10 +391,9 @@ def monomial_gram(E, degree: int, table: np.ndarray, weights: np.ndarray):
     is the Cholesky factor of M's leading block of that degree, so the L2
     projections of `local` solve with blocks of L, and factor and check
     nothing themselves."""
-    tang = np.roll(E.verts, -1, axis=-2) - E.verts
     arm = E.verts - E.centroid[:, None, :]
     # |e| (x - x_E) . n_e, constant on edge e, times the rule's weights
-    flux = (arm[..., 0] * tang[..., 1] - arm[..., 1] * tang[..., 0])[..., None] * weights
+    flux = (arm[..., 0] * sides[..., 1] - arm[..., 1] * sides[..., 0])[..., None] * weights
     mu = np.einsum("...q,...qg->...g", flux.reshape(table.shape[:-1]), table)
     mu /= monomial_exponents(2 * degree).sum(axis=1) + 2
     exps = monomial_exponents(degree)

@@ -39,11 +39,11 @@ the one loop over ell, building the cells a pack leaves `short` again at
 ell + 1.
 
 The context holds the data of all m edges as (..., m, ...) arrays.  It is
-the one boundary pass of an element: it evaluates the monomials at all edge
-points once, and from that table forms the Gram matrix and the boundary
-pairing that both projectors read, scattered through the one statement of
-the local edge order, the (m, k+1) table `DofLayout.edge_node_dofs`, with
-`np.add.at`, edge 0 first.
+the one boundary pass of an element: it gathers each side vector once,
+evaluates the monomials at all edge points once, and from that table forms
+the Gram matrix and the boundary pairing that both projectors read, added
+into the columns of `DofLayout.edge_node_dofs`, the one statement of the
+local order, which `assembly.build_dof_map` reads too.
 
 The stabilization-free variant enlarges the enhancement range by the smallest
 ell satisfying (k+ell)(k+ell+1) >= k*N_E + k(k+1) - 3, which makes the
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,11 +129,12 @@ def min_ell(k: int, n_vertices: int) -> int:
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Index bookkeeping for the local dof vector of one cell.
-
-    `edge_node_dofs[e, j]` is the dof of node j of edge e (vertex e, its k-1
-    interior nodes, vertex e+1); the moment dofs start at `first_moment`.
-    """
+    """The one statement of the local dof order, read by the element kernels
+    and `assembly.build_dof_map`.  `edge_node_dofs[e, j]` is the dof of node
+    j of edge e: vertex e, its k-1 interior nodes, vertex e+1 (the columns
+    but the last hold every vertex and edge dof once; the last is each
+    vertex's next).  The moment dofs start at `first_moment`.  Every layout
+    of one (k, n_vertices) shares the one read-only table."""
 
     k: int
     n_vertices: int
@@ -150,13 +151,15 @@ class DofLayout:
     def first_moment(self) -> int:
         return self.k * self.n_vertices
 
-    @cached_property
+    @property
+    @lru_cache(maxsize=None)      # keyed by the layout's (k, n_vertices)
     def edge_node_dofs(self) -> np.ndarray:
         """(n_vertices, k+1) dofs of each edge's Lobatto nodes, in edge direction."""
         n, k = self.n_vertices, self.k
-        vertex = np.arange(n)
         inner = n + np.arange(n * (k - 1)).reshape(n, k - 1)
-        return np.column_stack([vertex, inner, np.roll(vertex, -1)])
+        out = np.column_stack([np.arange(n), inner, (np.arange(n) + 1) % n])
+        out.setflags(write=False)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +171,13 @@ def _t(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _add_edge_columns(target, edge_node_dofs, values):
-    """target[..., :, edge_node_dofs[e, j]] += values[..., e, j, :], edge 0
-    first, so the column of a vertex dof takes its two edges in edge order."""
-    np.add.at(np.moveaxis(target, -1, 0), edge_node_dofs, np.moveaxis(values, (-3, -2), (0, 1)))
+def _add_edge_columns(target, layout, values):
+    """target[..., :, edge_node_dofs[e, j]] += values[..., e, j, :] into a
+    target zero in those columns: vertex e+1's column takes edge e's end plus
+    edge e+1's start value, bit for bit an unbuffered add's sum (a+b = b+a)."""
+    nodes, nxt = layout.edge_node_dofs, layout.edge_node_dofs[:, -1]
+    target[..., nodes[:, 1:-1]] += np.moveaxis(values[..., 1:-1, :], -1, -3)
+    target[..., nxt] += _t(values[..., -1, :] + values[..., nxt, 0, :])
 
 
 class ElementContext:
@@ -208,7 +214,7 @@ class ElementContext:
         d_max = max(2 * (k + ell), 2 * k + ell + 3)
         lob, gl_t, gl_w = edge_rules(k, d_max)
         start = E.verts
-        tang = np.roll(start, -1, axis=-2) - start
+        tang = start[:, self.layout.edge_node_dofs[:, -1]] - start
         self.edge_lengths = np.hypot(tang[..., 0], tang[..., 1])
         self.edge_normals = (np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
                              / self.edge_lengths[..., None])
@@ -221,12 +227,12 @@ class ElementContext:
         n, m, nq = self.edge_points.shape[:3]
         # not kept: about 23 MB for 256 hexagons at k = 3, ell = 6
         table = eval_monomials(E, self.edge_points.reshape(n, -1, 2), 2 * (k + ell))
-        self.gram, self.gram_factor = monomial_gram(E, k + ell, table, gl_w)
+        self.gram, self.gram_factor = monomial_gram(E, tang, k + ell, table, gl_w)
         nb = dim_poly(self.grad_degree)
         traced = self.edge_trace @ table[..., :nb].reshape(n, m, nq, nb)   # (n, m, k+1, nb)
         self.boundary = np.zeros((n, 2, nb, self.layout.total))
         for c in (0, 1):
-            _add_edge_columns(self.boundary[:, c], self.layout.edge_node_dofs,
+            _add_edge_columns(self.boundary[:, c], self.layout,
                               self.edge_normals[..., :, c, None, None] * traced)
 
 
@@ -252,8 +258,6 @@ def build_pi_nabla(ctx: ElementContext):
     area, h = E.area[:, None, None], E.diameter[:, None, None]
 
     D = np.empty((n, lay.total, nk))
-    # vertex e is node 0 of edge e: the nodes of each edge but its last are
-    # every vertex and edge-node dof once
     D[:, lay.edge_node_dofs[:, :-1]] = eval_monomials(
         E, ctx.edge_node_points[..., :-1, :].reshape(n, -1, 2), k).reshape(n, m, k, nk)
     D[..., lay.first_moment:, :] = ctx.gram[..., :lay.n_moments, :nk] / area
@@ -265,7 +269,7 @@ def build_pi_nabla(ctx: ElementContext):
     B[..., 0, :] = 0.0
     if k == 1:
         mean = ctx.edge_trace.sum(axis=-1) / ctx.perimeter[..., None, None]
-        _add_edge_columns(B[..., :1, :], lay.edge_node_dofs, mean[..., None])
+        _add_edge_columns(B[..., :1, :], lay, mean[..., None])
     else:
         B[..., 0, lay.first_moment] = 1.0
 

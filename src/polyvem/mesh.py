@@ -836,7 +836,7 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
     elen = np.hypot(edges[:, 0], edges[:, 1])
     rep.min_edge_ratio = float(np.min(elen / h, initial=rep.min_edge_ratio))
 
-    rep.violations.extend(edge_conformity_violations(mesh))
+    rep.violations.extend(cross_cell_violations(mesh))
 
     on_boundary = (
         (np.abs(mesh.vertices) <= BOUNDARY_SNAP_TOL)
@@ -849,18 +849,16 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
                       "boundary flag disagrees with position on the unit square"))
 
     rep.area_sum = float(mesh.cell_areas.sum())
-    if abs(rep.area_sum - 1.0) > AREA_SUM_TOL:
-        rep.violations.append(
-            Violation("partition", "mesh", f"cell areas sum to {rep.area_sum!r}, not 1"))
     return rep
 
 
-def edge_conformity_violations(mesh: PolyMesh):
-    """Yield a conformity violation for each edge that breaks the mesh contract.
+def cross_cell_violations(mesh: PolyMesh):
+    """Yield a conformity violation for each edge that breaks the mesh
+    contract, then a partition violation unless the cell areas sum to 1.
 
     An edge must be shared by at most two cells, traversed in opposite
     directions by two cells, and lie on a side of the unit square when only
-    one cell has it.
+    one cell has it; the cells then cover the square n >= 1 times, n = the area sum.
     """
     edge_ids, against = mesh.cell_sides
     n_cells = np.bincount(edge_ids, minlength=mesh.n_edges)
@@ -880,3 +878,6 @@ def edge_conformity_violations(mesh: PolyMesh):
             detail = "single-cell edge not on the square boundary"
         yield Violation("conformity", f"edge ({mesh.edges[eid, 0]},{mesh.edges[eid, 1]})",
                         detail)
+    area_sum = float(mesh.cell_areas.sum())
+    if abs(area_sum - 1.0) > AREA_SUM_TOL:
+        yield Violation("partition", "mesh", f"cell areas sum to {area_sum!r}, not 1")

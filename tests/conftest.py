@@ -75,6 +75,15 @@ def mixed_mesh() -> PolyMesh:
     return PolyMesh(vertices, [[a, b, c], [a, c, d], second, third, [e, f, g, 9, h]])
 
 
+def doubled_cartesian2() -> PolyMesh:
+    """Cartesian 2 and a copy of it on other vertex ids: every edge conforms,
+    and the 8 cell areas sum to 2."""
+    mesh = generate_cartesian(2)
+    n = mesh.n_vertices
+    return PolyMesh(np.vstack([mesh.vertices, mesh.vertices]),
+                    [*mesh.cells, *(cell + n for cell in mesh.cells)])
+
+
 def cell_data_rule(E: CellGeometry, k: int):
     """The order-k data rule of the one-cell stack E: the only block of its
     one-cell mesh."""
@@ -133,7 +142,7 @@ def edge_gram(E, degree: int):
     tang = np.roll(E.verts, -1, axis=-2) - E.verts
     points = E.verts[..., None, :] + t[:, None] * tang[..., None, :]
     table = eval_monomials(E, points.reshape(E.cells.size, -1, 2), 2 * degree)
-    return monomial_gram(E, degree, table, w)
+    return monomial_gram(E, tang, degree, table, w)
 
 
 def exact_energy_norm(mesh: PolyMesh, case, k: int = 1) -> float:

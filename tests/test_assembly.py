@@ -5,11 +5,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from conftest import cell_data_rule, interpolate_dofs
+from conftest import (cell_data_rule, doubled_cartesian2, interpolate_dofs, mixed_mesh,
+                      tensor_mesh)
 from polyvem import assembly, local, study
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, infinity_norm, solve,
                               source_moments, stab_consistency_ratio)
+from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
 from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, ElementContext, Method,
@@ -125,6 +127,51 @@ def test_free_dofs_follow_a_nested_dissection(maker):
                 separators += 1
                 assert max(inside, default=-1) < min(shared)
         assert separators >= mesh.n_cells // 2
+
+
+def _block_groups(mesh, k):
+    """The dof map's groups as the blocks of each cell's global dofs put side
+    by side: vertices, then each side's edge dofs (reversed on a side that
+    runs against its edge), then the cell's moments."""
+    nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
+    n_mom = dim_poly(k - 2)
+    edge_dofs = nv + np.arange(ne * (k - 1)).reshape(ne, k - 1)
+    moment_dofs = nv + ne * (k - 1) + np.arange(nc * n_mom).reshape(nc, n_mom)
+    ids, starts = mesh.flat_cells
+    edge_ids, against = mesh.cell_sides
+    n_verts = np.diff(starts)
+    for m in np.unique(n_verts):
+        cells = np.flatnonzero(n_verts == m)
+        sides = starts[cells][:, None] + np.arange(m)
+        dofs = edge_dofs[edge_ids[sides]]
+        dofs = np.where(against[sides][..., None], dofs[..., ::-1], dofs)
+        yield cells, np.hstack([ids[sides], dofs.reshape(cells.size, -1), moment_dofs[cells]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("maker", [lambda: generate_cartesian(3),
+                                   lambda: generate_voronoi(40, rng_seed=2, lloyd_iters=10),
+                                   mixed_mesh,
+                                   lambda: tensor_mesh([0.0, 0.2, 0.7, 1.0], [0.0, 0.45, 1.0])],
+                         ids=["cartesian3", "voronoi40", "mixed", "tensor"])
+def test_dof_map_groups_equal_the_blocks_side_by_side(maker, k):
+    """The group tables, filled through `DofLayout`, equal the vertex, edge
+    and moment blocks of each cell put side by side."""
+    mesh = maker()
+    groups = build_dof_map(mesh, k).groups
+    reference = list(_block_groups(mesh, k))
+    assert len(groups) == len(reference)
+    for (cells, table), (want_cells, want) in zip(groups, reference):
+        assert np.array_equal(cells, want_cells)
+        assert table.dtype == want.dtype and np.array_equal(table, want)
+
+
+def test_dof_map_rejects_a_double_cover():
+    """A mesh and its copy on other vertex ids conform edge by edge; only
+    their area sum, 2, tells the dof map that they cover the square twice."""
+    with pytest.raises(NonConformingMeshError,
+                       match=r"^mesh breaks partition: cell areas sum to 2\.0, not 1;"):
+        build_dof_map(doubled_cartesian2(), 1)
 
 
 def test_dof_map_rejects_nonconforming():
@@ -278,10 +325,10 @@ def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
     # a failure that names no cell, in whichever stack holds cell 5, names it
     gram = local.monomial_gram
 
-    def failing_gram(E, degree, table, weights):
+    def failing_gram(E, sides, degree, table, weights):
         if (E.cells == 5).any():
             raise NumericalDegeneracyError("Gram matrix failed")
-        return gram(E, degree, table, weights)
+        return gram(E, sides, degree, table, weights)
 
     monkeypatch.setattr(local, "monomial_gram", failing_gram)
     for method in (Method.STANDARD, Method.E2VEM):
@@ -320,12 +367,12 @@ def _failing_gram(monkeypatch, fails):
     fails(E.cells, d); return its calls, (cells, degree, raised) each."""
     gram, calls = local.monomial_gram, []
 
-    def failing_gram(E, degree, table, weights):
+    def failing_gram(E, sides, degree, table, weights):
         raised = bool(fails(E.cells, degree))
         calls.append((E.cells.copy(), degree, raised))
         if raised:
             raise NumericalDegeneracyError("Gram matrix failed")
-        return gram(E, degree, table, weights)
+        return gram(E, sides, degree, table, weights)
 
     monkeypatch.setattr(local, "monomial_gram", failing_gram)
     return calls

@@ -15,8 +15,8 @@ from polyvem import assembly, local, study
 from polyvem.cli import main
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
-from polyvem.mesh import generate_mesh, load_mesh
-from conftest import parse_rows_csv
+from polyvem.mesh import generate_mesh, load_mesh, save_mesh
+from conftest import doubled_cartesian2, parse_rows_csv
 
 # a U-shaped cell whose centroid lies in the slot filled by the second cell
 U_SHAPED_MESH = """polymesh 1
@@ -281,6 +281,16 @@ def test_non_star_shaped_cell_exit_2(tmp_path, capsys):
     assert rc == 2
     line = _one_line_error(capsys)
     assert "cell 0:" in line and "star-shaped" in line
+
+
+def test_double_cover_exit_2(tmp_path, capsys):
+    mesh_path = tmp_path / "double.txt"
+    save_mesh(doubled_cartesian2(), mesh_path)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "1", "--case", "tc2", "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "cell areas sum to 2.0, not 1" in _one_line_error(capsys)
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_rank_failure_exit_3_names_cell(tmp_path, capsys, monkeypatch):

@@ -61,6 +61,35 @@ def test_dof_layout_ordering():
     assert lay.first_moment == 15
 
 
+def test_layout_tables_are_read_only_and_shared(rng):
+    """The (k, m) table is built once: the layouts of two contexts of one
+    (k, m) share it, and neither it nor a slice of it can be written."""
+    a, b = ElementContext(PENTAGON, 2), ElementContext(star_polygon(rng, 5), 2)
+    table = a.layout.edge_node_dofs
+    assert table is b.layout.edge_node_dofs is DofLayout(2, 5).edge_node_dofs
+    assert table is not DofLayout(2, 6).edge_node_dofs
+    for view in (table, table[:, -1], table[:, 1:-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_edge_columns_equal_np_add_at(m, k, rng):
+    """Into zeroed targets, `_add_edge_columns` gives `np.add.at`'s sums in
+    edge order bit for bit, signed zeros included."""
+    lay = DofLayout(k, m)
+    values = rng.standard_normal((2, m, k + 1, 3))
+    values[0, rng.integers(m, size=4), rng.integers(k + 1, size=4)] = -0.0
+    values[1, :, 0] = -values[1, np.arange(m) - 1, -1]        # vertex columns cancel
+    want = np.zeros((2, 3, lay.total))
+    np.add.at(np.moveaxis(want, -1, 0), lay.edge_node_dofs,
+              np.moveaxis(values, (-3, -2), (0, 1)))
+    got = np.zeros_like(want)
+    local._add_edge_columns(got, lay, values)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- interpolation helper ----------------------------------------------------
 
 def interpolate_cell(E, k, func):
