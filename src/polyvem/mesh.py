@@ -332,50 +332,34 @@ def generate_cartesian(n: int) -> PolyMesh:
     return PolyMesh(vertices, bottom_left[:, None] + [0, 1, n + 2, n + 1])
 
 
-class SplitMix64:
-    """SplitMix64 pseudo-random generator.
+def _draw_seeds(seed: int, n: int) -> np.ndarray:
+    """n seed points strictly inside the unit square, drawn by SplitMix64.
 
-    State advances by the 64-bit odd constant 0x9E3779B97F4A7C15; each output
-    is the finalized state (xor-shift / multiply mixing with the published
-    constants).  Doubles are produced as (output >> 11) * 2**-53, uniform on
-    [0, 1).  The sequence is fully determined by the 64-bit seed, which makes
-    generated meshes reproducible anywhere this recurrence is implemented.
-    """
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & self._MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-
-def _draw_seeds(rng: SplitMix64, n: int) -> np.ndarray:
-    """n seed points strictly inside the unit square.
-
-    Coordinates closer than SEED_SIDE_GAP to a side are rejected and redrawn
-    so that every seed has a well-separated mirror image.  A seed and its
-    image form slivers whose circumcenters carry a roundoff that grows as
-    the seed nears the side: at 1e-9 from a side it exceeds
+    The draw is counter-based: output i >= 1 mixes seed + i * 0x9E3779B97F4A7C15
+    (mod 2**64) with the published SplitMix64 finalizer and gives the double
+    (output >> 11) * 2**-53, uniform on [0, 1).  So output i depends only on the
+    seed and i, and the stream is that of the sequential generator seeded
+    with `seed` (masked to 64 bits).  The outputs closer than SEED_SIDE_GAP
+    to a side are dropped and the rest, in stream order, fill the seeds'
+    coordinates row by row; more are drawn only when the first 2n leave
+    fewer than 2n.  The gap gives every seed a well-separated mirror image.
+    A seed and its image form slivers whose circumcenters carry a roundoff
+    that grows as the seed nears the side: at 1e-9 from a side it exceeds
     BOUNDARY_SNAP_TOL and `_seed_fans` refuses the first diagram; at
     SEED_SIDE_GAP it is below 1e-11.
     """
-    pts = np.empty((n, 2))
-    for i in range(n):
-        for d in range(2):
-            c = rng.next_float()
-            while c < SEED_SIDE_GAP or c > 1.0 - SEED_SIDE_GAP:
-                c = rng.next_float()
-            pts[i, d] = c
-    return pts
+    state = int(seed) & ((1 << 64) - 1)
+    coords, drawn = np.empty(0), 0
+    while coords.size < 2 * n:
+        i = np.arange(drawn + 1, drawn + 1 + 2 * n - coords.size, dtype=np.uint64)
+        drawn += i.size
+        # array arithmetic on uint64 wraps mod 2**64, without a warning
+        z = state + i * 0x9E3779B97F4A7C15
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        c = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+        coords = np.concatenate([coords, c[(c >= SEED_SIDE_GAP) & (c <= 1.0 - SEED_SIDE_GAP)]])
+    return coords.reshape(n, 2)
 
 
 def _mirror(points, band):
@@ -569,7 +553,8 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
     Parameters
     ----------
     n_cells : number of Voronoi cells (= number of seed points).
-    rng_seed : seed of the SplitMix64 generator that draws the initial seeds.
+    rng_seed : seed of the SplitMix64 stream that draws the initial seeds
+        (`_draw_seeds`).
     lloyd_iters : number of Lloyd iterations (each moves every seed to the
         centroid of its clipped Voronoi region).
 
@@ -589,35 +574,37 @@ def generate_voronoi(n_cells: int, rng_seed: int = 0,
         raise ValueError("n_cells must be >= 1")
     if lloyd_iters < 0:
         raise ValueError("lloyd_iters must be >= 0")
-    seeds = _draw_seeds(SplitMix64(rng_seed), n_cells)
+    seeds = _draw_seeds(rng_seed, n_cells)
     band = np.inf
     for _ in range(lloyd_iters):
         seeds, reach = _lloyd_step(seeds, band)
         band = 2.0 * reach
 
-    verts, flat, lens = _box_voronoi(seeds, band)
-    return _stitch_regions(verts, np.split(flat, np.cumsum(lens)[:-1]))
+    return _stitch_regions(*_box_voronoi(seeds, band))
 
 
-def _stitch_regions(vor_vertices, regions):
-    """The Voronoi PolyMesh whose cell i is region i (vertex indices into
-    `vor_vertices`).
+def _stitch_regions(vor_vertices, flat, lens):
+    """The Voronoi PolyMesh whose cell i is region i, given as `_box_voronoi`
+    returns the regions: `flat` the vertex indices into `vor_vertices` of
+    region 0, then of region 1, ..., and `lens[i]` the vertex count of
+    region i.
 
     Vertices within BOUNDARY_SNAP_TOL of a side are snapped onto it and
     vertices closer than VERTEX_DEDUP_TOL are merged, taking the coordinates
-    of their lowest (y, x) member.  Each cell is made CCW and starts at its
-    lowest (y, x) vertex, and the vertices are numbered by first appearance
-    walking the cells in order, so the mesh does not depend on the order in
-    which qhull lists its points and triangles.  A cell that merging
-    collapses or pinches, or that is not convex, raises MeshError naming the
-    lowest such cell.  Each step is one pass over the regions concatenated in
-    cell order.
+    of their lowest (y, x) member.  Each cell starts at its lowest (y, x)
+    vertex, and the vertices are numbered by first appearance walking the
+    cells in order, so the mesh does not depend on the order in which qhull
+    lists its points and triangles.  The regions arrive CCW, each sorted by
+    angle about a seed inside it, and are not reoriented: a clockwise one
+    fails the `PolyMesh` check, which raises OrientationError naming it.  A
+    cell that merging collapses or pinches, or that is not convex, raises
+    MeshError naming the lowest such cell.  Each step is one pass over the
+    regions concatenated in cell order.
     """
     from scipy.spatial import cKDTree
 
-    n = len(regions)
-    lens = np.fromiter(map(len, regions), dtype=int, count=n)
-    used, entry = np.unique(np.concatenate(regions), return_inverse=True)
+    n = len(lens)
+    used, entry = np.unique(flat, return_inverse=True)
     verts = vor_vertices[used]
 
     # boundary vertices land within roundoff of the sides; snap them exactly
@@ -652,15 +639,10 @@ def _stitch_regions(vor_vertices, regions):
         raise MeshError("Voronoi cell collapsed during vertex merging" if collapsed[ci]
                         else "Voronoi cell pinched during vertex merging", cell=ci)
 
-    # read each cell CCW from its lowest (y, x) vertex, at position `low` of
-    # its run: a clockwise cell is read backwards
+    # read each cell from its lowest (y, x) vertex, at position `low` of its run
     v = group_verts[ids]
-    w = v[_next_vertex(starts)]
-    cw = np.bincount(owner, weights=v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1], minlength=n) < 0
     low = np.lexsort((v[:, 0], v[:, 1], owner))[starts[:-1]] - starts[:-1]
-    m = lens[owner]
-    step = (np.arange(ids.size) - starts[owner] + np.where(cw, lens - 1 - low, low)[owner]) % m
-    flat = ids[starts[owner] + np.where(cw[owner], m - 1 - step, step)]
+    flat = ids[starts[owner] + (np.arange(ids.size) - starts[owner] + low[owner]) % lens[owner]]
 
     numbered = flat[np.sort(np.unique(flat, return_index=True)[1])]
     number = np.empty(len(group_verts), dtype=int)

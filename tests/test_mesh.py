@@ -14,7 +14,7 @@ from polyvem.assembly import build_dof_map
 from polyvem.errors import MeshError
 from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER,
                           MeshFormatError, NonConformingMeshError, OrientationError,
-                          PolyMesh, SplitMix64, generate_cartesian,
+                          PolyMesh, generate_cartesian,
                           generate_mesh, generate_voronoi, read_mesh,
                           validate_mesh, write_mesh)
 
@@ -227,13 +227,46 @@ def test_voronoi_conformity():
     assert np.all(backward[sides == 2] == 1)   # opposite traversal
 
 
+def _splitmix64(seed):
+    """The outputs of the sequential SplitMix64 generator (Steele, Lea &
+    Flood, OOPSLA 2014) seeded with `seed`, masked to 64 bits, one by one."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def _sequential_seeds(seed, n):
+    """`_draw_seeds` by the sequential generator: each coordinate in turn
+    takes the next double (output >> 11) * 2**-53 at least SEED_SIDE_GAP from
+    the sides.  Returns the seeds and the number of outputs drawn."""
+    gap = meshmod.SEED_SIDE_GAP
+    pts, drawn, stream = np.empty((n, 2)), 0, _splitmix64(seed)
+    for i in range(n):
+        for d in range(2):
+            c = -1.0
+            while c < gap or c > 1.0 - gap:
+                c = (next(stream) >> 11) * 2.0 ** -53
+                drawn += 1
+            pts[i, d] = c
+    return pts, drawn
+
+
 def test_splitmix64_reference_sequence():
     # seed 0 first outputs of the published SplitMix64 recurrence
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
-    r2 = SplitMix64(0)
-    assert 0.0 <= r2.next_float() < 1.0
+    stream = _splitmix64(0)
+    first = [next(stream), next(stream)]
+    assert first == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert meshmod._draw_seeds(0, 1).tolist() == [[(u >> 11) * 2.0 ** -53 for u in first]]
+
+
+@pytest.mark.parametrize("n", [1, 9, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, -1, -12345])
+def test_draw_seeds_matches_the_sequential_generator(n, seed):
+    assert np.array_equal(meshmod._draw_seeds(seed, n), _sequential_seeds(seed, n)[0])
 
 
 def test_voronoi_coincident_seeds_name_a_cell(monkeypatch):
@@ -241,8 +274,8 @@ def test_voronoi_coincident_seeds_name_a_cell(monkeypatch):
     region, and generate_voronoi raises MeshError naming the lower cell."""
     good = meshmod._draw_seeds
 
-    def coincident(rng, n):
-        seeds = good(rng, n)
+    def coincident(seed, n):
+        seeds = good(seed, n)
         seeds[3] = seeds[1]
         return seeds
 
@@ -255,6 +288,11 @@ def test_voronoi_coincident_seeds_name_a_cell(monkeypatch):
 
 def _split(flat, lens):
     return np.split(flat, np.cumsum(lens)[:-1])
+
+
+def _stitch(verts, regions):
+    """`_stitch_regions` of the regions given as lists of vertex indices."""
+    return meshmod._stitch_regions(verts, np.concatenate(regions), [len(r) for r in regions])
 
 
 def _region_centroids(vertices, flat, lens):
@@ -275,11 +313,11 @@ def _region_centroids(vertices, flat, lens):
 
 def _full_mirror_voronoi(n, seed, iters):
     """generate_voronoi's Lloyd loop with every seed reflected across every side."""
-    seeds = meshmod._draw_seeds(SplitMix64(seed), n)
+    seeds = meshmod._draw_seeds(seed, n)
     for _ in range(iters):
         seeds = meshmod._lloyd_step(seeds, np.inf)[0]
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
-    return meshmod._stitch_regions(verts, _split(flat, lens))
+    return meshmod._stitch_regions(verts, flat, lens)
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (9, 0)] + [(64, s) for s in range(30)])
@@ -293,7 +331,7 @@ def test_band_mirroring_matches_full_mirroring(n, seed):
 
 
 def test_box_voronoi_names_the_seed_whose_region_leaves_the_square():
-    seeds = meshmod._draw_seeds(SplitMix64(42), 16)
+    seeds = meshmod._draw_seeds(42, 16)
     meshmod._box_voronoi(seeds, np.inf)
     with pytest.raises(MeshError, match="Voronoi region leaves the unit square") as info:
         meshmod._box_voronoi(seeds, 0.0)   # no reflections: boundary regions are unbounded
@@ -306,7 +344,7 @@ def test_stitch_regions_names_the_collapsed_cell():
                       [0.5, 0.5], [0.5 + 1e-13, 0.5], [0.5, 0.5 + 1e-13]])
     with pytest.raises(MeshError,
                        match=r"^cell 1: Voronoi cell collapsed during vertex merging$"):
-        meshmod._stitch_regions(verts, [[0, 1, 2, 3], [4, 5, 6]])
+        _stitch(verts, [[0, 1, 2, 3], [4, 5, 6]])
 
 
 def test_stitch_regions_names_the_pinched_cell():
@@ -314,17 +352,17 @@ def test_stitch_regions_names_the_pinched_cell():
     verts = np.array([[0, 0], [1, 0], [1, 1], [0.5, 0.5], [0, 1], [0.5 + 1e-13, 0.5]])
     with pytest.raises(MeshError,
                        match=r"^cell 0: Voronoi cell pinched during vertex merging$"):
-        meshmod._stitch_regions(verts, [[0, 1, 3, 2, 4, 5]])
+        _stitch(verts, [[0, 1, 3, 2, 4, 5]])
 
 
 def test_stitch_regions_numbering_ignores_qhull_vertex_order():
-    seeds = meshmod._draw_seeds(SplitMix64(3), 16)
+    seeds = meshmod._draw_seeds(3, 16)
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
-    mesh = meshmod._stitch_regions(verts, _split(flat, lens))
+    mesh = meshmod._stitch_regions(verts, flat, lens)
     perm = np.random.default_rng(0).permutation(len(verts))
     where = np.argsort(perm)              # old vertex index -> its new position
-    shuffled = [np.roll(where[r], i)[::(-1) ** i] for i, r in enumerate(_split(flat, lens))]
-    other = meshmod._stitch_regions(verts[perm], shuffled)
+    rolled = [np.roll(where[r], i) for i, r in enumerate(_split(flat, lens))]
+    other = _stitch(verts[perm], rolled)
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, other.cells))
     assert np.array_equal(mesh.vertices, other.vertices)
     for cell in mesh.cells:                # each cell starts at its lowest (y, x) vertex
@@ -337,23 +375,29 @@ def test_stitch_regions_numbering_ignores_qhull_vertex_order():
 def _voronoi_oracle(n, seed, iters):
     """generate_voronoi with every diagram taken from qhull's Voronoi
     instead of the circumcenters of a Delaunay triangulation: the same
-    seeds, Lloyd loop, band rule and stitching."""
+    seeds, Lloyd loop, band rule and stitching.  qhull lists a region in
+    either orientation; the oracle turns the clockwise ones round, as
+    `_stitch_regions` takes CCW regions only."""
+    def ccw(region, verts):
+        x, y = verts[region].T
+        return region if x @ np.roll(y, -1) > np.roll(x, -1) @ y else region[::-1]
+
     def box(points, band):
         vor = Voronoi(meshmod._mirror(points, band))
-        regions = [vor.regions[r] for r in vor.point_region[:len(points)]]
+        regions = [ccw(vor.regions[r], vor.vertices) for r in vor.point_region[:len(points)]]
         flat = np.concatenate(regions)
         assert flat.min() >= 0
         assert np.all(np.abs(vor.vertices[flat] - 0.5) <= 0.5 + meshmod.BOUNDARY_SNAP_TOL)
         return vor.vertices, regions, flat, np.array([len(r) for r in regions])
 
-    seeds = meshmod._draw_seeds(SplitMix64(seed), n)
+    seeds = meshmod._draw_seeds(seed, n)
     band = np.inf
     for _ in range(iters):
         verts, _, flat, lens = box(seeds, band)
         band = 2.0 * np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
         seeds = _region_centroids(verts, flat, lens)
     verts, regions, _, _ = box(seeds, band)
-    return meshmod._stitch_regions(verts, regions)
+    return _stitch(verts, regions)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -374,7 +418,7 @@ def _cocircular_grid():
     ticks = np.array([1.0, 3.0, 5.0]) / 6.0
     seeds = np.column_stack([np.tile(ticks, 3), np.repeat(ticks, 3)])
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
-    return meshmod._stitch_regions(verts, _split(flat, lens))
+    return meshmod._stitch_regions(verts, flat, lens)
 
 
 def test_cocircular_seeds_share_one_vertex():
@@ -394,7 +438,7 @@ def test_box_voronoi_names_a_seed_with_an_open_fan():
 
 
 def test_box_voronoi_names_a_coincident_seed():
-    seeds = meshmod._draw_seeds(SplitMix64(5), 9)
+    seeds = meshmod._draw_seeds(5, 9)
     seeds[6] = seeds[2]
     with pytest.raises(MeshError,
                        match=r"degenerate Voronoi region \(coincident seeds\?\)") as info:
@@ -408,7 +452,17 @@ def test_stitch_regions_names_the_reflex_cell():
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
                       [2, 0], [4, 1], [2, 2], [2.5, 1]], dtype=float)
     with pytest.raises(MeshError, match=r"^cell 1: Voronoi cell is not convex$"):
-        meshmod._stitch_regions(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+        _stitch(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def test_stitch_regions_refuses_a_clockwise_region_naming_it():
+    # regions arrive CCW from `_box_voronoi`, and none is turned round
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                      [2, 0], [3, 0], [3, 1], [2, 1]], dtype=float)
+    _stitch(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    with pytest.raises(OrientationError, match=r"^cell 1: polygon is not CCW") as info:
+        _stitch(verts, [[0, 1, 2, 3], [7, 6, 5, 4]])
+    assert info.value.cell == 1
 
 
 def _merged_qhull_voronoi(n, seed, iters):
@@ -436,14 +490,14 @@ def _merged_qhull_voronoi(n, seed, iters):
         assert np.all(np.abs(centers[flat] - 0.5) <= 0.5 + meshmod.BOUNDARY_SNAP_TOL)
         return centers, flat, np.bincount(seed)
 
-    seeds = meshmod._draw_seeds(SplitMix64(seed), n)
+    seeds = meshmod._draw_seeds(seed, n)
     band = np.inf
     for _ in range(iters):
         verts, flat, lens = box(seeds, band)
         band = 2.0 * np.hypot(*(verts[flat] - np.repeat(seeds, lens, axis=0)).T).max()
         seeds = _region_centroids(verts, flat, lens)
     verts, flat, lens = box(seeds, band)
-    return meshmod._stitch_regions(verts, _split(flat, lens))
+    return meshmod._stitch_regions(verts, flat, lens)
 
 
 # the meshes on which `Q0` without `Po` raises qhull precision errors: there
@@ -459,7 +513,7 @@ def test_unmerged_lloyd_matches_merged_qhull_oracle(n, seed):
 
 
 def test_lloyd_step_is_the_centroid_of_the_box_voronoi_regions():
-    seeds = meshmod._draw_seeds(SplitMix64(4), 100)
+    seeds = meshmod._draw_seeds(4, 100)
     centroids, reach = meshmod._lloyd_step(seeds, np.inf)
     verts, flat, lens = meshmod._box_voronoi(seeds, np.inf)
     assert np.abs(centroids - _region_centroids(verts, flat, lens)).max() <= 1e-13
@@ -525,7 +579,7 @@ def test_triangulate_accepts_the_slivers_of_seeds_next_to_a_side():
     # a seed 1e-9 from a side and its image make slivers whose circumcenters
     # lose about 1e-9 to roundoff; the Delaunay check must allow for that
     for s in range(20):
-        seeds = meshmod._draw_seeds(SplitMix64(s), 64)
+        seeds = meshmod._draw_seeds(s, 64)
         seeds[:4, 0] = [1e-9, 1.0 - 1e-9, 3e-9, 1.0 - 2e-9]
         seeds[4:8, 1] = [1e-9, 1.0 - 1e-9, 3e-9, 1.0 - 2e-9]
         meshmod._triangulate(meshmod._mirror(seeds, np.inf))
@@ -537,30 +591,35 @@ def test_seeds_at_the_side_gap_give_a_closed_first_diagram():
     # more than BOUNDARY_SNAP_TOL; at the drawing gap they stay within it
     gap = meshmod.SEED_SIDE_GAP
     for s in range(40):
-        seeds = meshmod._draw_seeds(SplitMix64(s), 64)
+        seeds = meshmod._draw_seeds(s, 64)
         seeds[:4, 0] = [gap, 1.0 - gap, gap, 1.0 - gap]
         seeds[4:8, 1] = [gap, 1.0 - gap, gap, 1.0 - gap]
         meshmod._seed_fans(seeds, np.inf)
 
 
-def test_draw_seeds_redraws_coordinates_within_the_side_gap():
-    gap = meshmod.SEED_SIDE_GAP
-    draws = iter([0.5 * gap, 1.0 - 0.5 * gap, gap, 1.0 - 0.5 * gap, 1.0 - gap])
-    rng = SimpleNamespace(next_float=lambda: next(draws))
-    assert meshmod._draw_seeds(rng, 1).tolist() == [[gap, 1.0 - gap]]
+def test_draw_seeds_redraws_coordinates_within_the_side_gap(monkeypatch):
+    # a gap of 0.3 drops 60% of the draws, so the first 2n leave too few
+    # and the draw is extended, perhaps more than once
+    monkeypatch.setattr(meshmod, "SEED_SIDE_GAP", 0.3)
+    for seed in (0, 7, -3):
+        ref, drawn = _sequential_seeds(seed, 9)
+        assert drawn > 2 * 9
+        seeds = meshmod._draw_seeds(seed, 9)
+        assert np.array_equal(seeds, ref)
+        assert seeds.min() >= 0.3 and seeds.max() <= 0.7
 
 
 def _coincident_seeds():
-    seeds = meshmod._draw_seeds(SplitMix64(5), 9)
+    seeds = meshmod._draw_seeds(5, 9)
     seeds[6] = seeds[2]
     return seeds
 
 
 @pytest.mark.parametrize("seeds, band, message", [
-    (meshmod._draw_seeds(SplitMix64(42), 16), 0.0, "Voronoi region leaves the unit square"),
+    (meshmod._draw_seeds(42, 16), 0.0, "Voronoi region leaves the unit square"),
     (np.array([[0.5, 0.2], [0.3, 0.6], [0.7, 0.6]]), 0.0,      # no interior edge at all
      "Voronoi region leaves the unit square"),
-    (meshmod._draw_seeds(SplitMix64(7), 30), 0.05, "Voronoi region leaves the unit square"),
+    (meshmod._draw_seeds(7, 30), 0.05, "Voronoi region leaves the unit square"),
     (_coincident_seeds(), np.inf, "degenerate Voronoi region"),
 ])
 def test_lloyd_step_names_the_cell_that_box_voronoi_names(seeds, band, message):

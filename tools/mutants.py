@@ -133,6 +133,16 @@ MUTANTS = [
            "turn(ax, ay, bx, by, cx, cy) * turn(ax, ay, bx, by, dx, dy) <= 0",
            "turn(ax, ay, bx, by, cx, cy) * turn(ax, ay, bx, by, dx, dy) < 0",
            "tests/test_mesh.py::test_a_cell_whose_sides_meet_is_rejected_naming_it[vertex-on-a-side]"),
+    Mutant("seed draw's counter starting at 0", "src/polyvem/mesh.py",
+           "np.arange(drawn + 1, drawn + 1 + 2 * n - coords.size,",
+           "np.arange(drawn, drawn + 2 * n - coords.size,",
+           "tests/test_mesh.py::test_draw_seeds_matches_the_sequential_generator[1-1]"),
+    Mutant("seed draw not extended after rejections", "src/polyvem/mesh.py",
+           "while coords.size < 2 * n:", "if coords.size < 2 * n:",
+           "tests/test_mesh.py::test_draw_seeds_redraws_coordinates_within_the_side_gap"),
+    Mutant("Voronoi cells not started at their lowest (y, x) vertex", "src/polyvem/mesh.py",
+           "+ low[owner]) % lens[owner]", ") % lens[owner]",
+           "tests/test_mesh.py::test_stitch_regions_numbering_ignores_qhull_vertex_order"),
     Mutant("vertex column without its previous edge's end", "src/polyvem/local.py",
            "_t(values[..., -1, :] + values[..., nxt, 0, :])", "_t(values[..., nxt, 0, :])",
            "tests/test_local.py::test_edge_columns_equal_np_add_at[3-1]"),
