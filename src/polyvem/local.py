@@ -359,6 +359,7 @@ class ProjectionPack:
     them again at ell + 1.
     """
 
+    k: int
     ell: int
     layout: DofLayout
     pi_star: np.ndarray  # n x dim P_k x total, monomial coefficients of the projection
@@ -366,11 +367,6 @@ class ProjectionPack:
     pi0_val: np.ndarray   # n x dim P_{k-1} x total
     pi0_grad: np.ndarray  # n x 2 dim P_{grad_degree} x total, W
     short: np.ndarray | None = None
-
-    @property
-    def k(self):
-        """The order, `layout.k`; perfbench's tracer reads it as `k`."""
-        return self.layout.k
 
 
 RANK_TOL = 1e-9
@@ -427,7 +423,7 @@ def build_projection_pack(E, k: int, method: Method, ell: int | None = None) -> 
     D, _, _, pi_star = build_pi_nabla(ctx)
     moments = recover_moments(ctx, pi_star)
     pi0_grad = build_pi0_grad(ctx, moments)
-    pack = ProjectionPack(ell=ell, layout=ctx.layout, pi_star=pi_star, D=D,
+    pack = ProjectionPack(k=k, ell=ell, layout=ctx.layout, pi_star=pi_star, D=D,
                           pi0_val=build_pi0_val(ctx, moments),
                           pi0_grad=pi0_grad)
     if method is Method.STANDARD:

@@ -417,8 +417,8 @@ def chi_of_constant(E, pack):
     chi = np.ones(pack.layout.total)
     n_mom = pack.layout.n_moments
     if n_mom:
-        chi[pack.layout.n_vertices * pack.layout.k:] = \
-            ElementContext(E, pack.layout.k, pack.ell).gram[0, :n_mom, 0] / E.area[0]
+        chi[pack.layout.n_vertices * pack.k:] = \
+            ElementContext(E, pack.k, pack.ell).gram[0, :n_mom, 0] / E.area[0]
     return chi
 
 

@@ -609,6 +609,23 @@ def test_draw_seeds_redraws_coordinates_within_the_side_gap(monkeypatch):
         assert seeds.min() >= 0.3 and seeds.max() <= 0.7
 
 
+# the first two doubles of seed 0's stream, about 0.883 and 0.432
+_D0, _D1 = ((u >> 11) * 2.0 ** -53 for u in (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4))
+
+
+@pytest.mark.parametrize("gap, value, kept", [
+    (_D1, _D1, True),                           # _D0 > 1 - gap is dropped
+    (np.nextafter(_D1, 1.0), _D1, False),
+    (1.0 - _D0, _D0, True),                     # exact: 1 - (1 - _D0) == _D0
+    (1.0 - np.nextafter(_D0, 0.0), _D0, False),
+], ids=["at-gap", "inside-gap", "at-one-minus-gap", "beyond-one-minus-gap"])
+def test_draw_seeds_keeps_a_draw_exactly_at_the_side_gap(monkeypatch, gap, value, kept):
+    # the bounds are inclusive: a draw exactly at the gap or at 1 - gap is
+    # the first coordinate, one a ulp closer to the side is dropped
+    monkeypatch.setattr(meshmod, "SEED_SIDE_GAP", gap)
+    assert (meshmod._draw_seeds(0, 1)[0, 0] == value) == kept
+
+
 def _coincident_seeds():
     seeds = meshmod._draw_seeds(5, 9)
     seeds[6] = seeds[2]

@@ -140,6 +140,12 @@ MUTANTS = [
     Mutant("seed draw not extended after rejections", "src/polyvem/mesh.py",
            "while coords.size < 2 * n:", "if coords.size < 2 * n:",
            "tests/test_mesh.py::test_draw_seeds_redraws_coordinates_within_the_side_gap"),
+    Mutant("seed draw at exactly the side gap dropped", "src/polyvem/mesh.py",
+           "(c >= SEED_SIDE_GAP)", "(c > SEED_SIDE_GAP)",
+           "tests/test_mesh.py::test_draw_seeds_keeps_a_draw_exactly_at_the_side_gap[at-gap]"),
+    Mutant("seed draw at exactly one minus the side gap dropped", "src/polyvem/mesh.py",
+           "(c <= 1.0 - SEED_SIDE_GAP)", "(c < 1.0 - SEED_SIDE_GAP)",
+           "tests/test_mesh.py::test_draw_seeds_keeps_a_draw_exactly_at_the_side_gap[at-one-minus-gap]"),
     Mutant("Voronoi cells not started at their lowest (y, x) vertex", "src/polyvem/mesh.py",
            "+ low[owner]) % lens[owner]", ") % lens[owner]",
            "tests/test_mesh.py::test_stitch_regions_numbering_ignores_qhull_vertex_order"),
