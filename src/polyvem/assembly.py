@@ -14,10 +14,10 @@ cell by cell.  `assemble` builds no sparse matrix: it keeps each group's
 stacks of element stiffness parts beside its projectors, and the Dirichlet
 elimination is done at the scatter, which broadcasts each element's summed
 parts into one preallocated int32 COO triple at their elimination
-positions, whose free-free entries are converted once.  The consistency
-and stabilization parts of the full matrix are assembled only when they
-are read, on one shared sparse pattern, so that their norms can be
-compared.  Only `assemble` knows the scheme: the Dirichlet elimination and
+positions, whose free-free entries are converted once.  The full
+consistency and stabilization parts are formed only inside
+`stab_consistency_ratio`, one at a time, and no full matrix leaves it.
+Only `assemble` knows the scheme: the Dirichlet elimination and
 the solve know only the element matrices and the reduced matrix.  An
 element failure leaves `assemble` naming the mesh's lowest failing cell.
 The memory peak of a solve is the SPD check, when `lu.U` copies L and U
@@ -201,8 +201,8 @@ class SparseSystem:
     """An assembled system: its load, dof map and per-group element stacks.
 
     It holds no sparse matrix.  `apply_dirichlet` scatters the element
-    stiffness straight into the reduced matrix, and `parts` assembles the
-    full consistency and stabilization parts when they are read."""
+    stiffness straight into the reduced matrix, and `stab_consistency_ratio`
+    reads the norms of the full parts from the stacks."""
     b: np.ndarray
     dof_map: GlobalDofMap
     # per group of dof_map.groups, the energy projector coefficients of its
@@ -212,26 +212,6 @@ class SparseSystem:
     # per group, the `local_stiffness` parts of its cells as pi_stars stacks
     # them, as built: (a_pi, a_s) each (n_g, N, N), or (a_pi,) for E2VEM
     stiffness: list
-
-    def parts(self) -> tuple:
-        """(a_pi, a_s), the consistency and stabilization parts of the full
-        stiffness matrix, assembled at each read from one COO triple and
-        sharing one read-only sparse pattern; `a_s` stores nothing for the
-        stabilization-free scheme."""
-        dm = self.dof_map
-        rows, cols, vals = _scatter(dm, np.arange(dm.n_total, dtype=_index_dtype(dm.n_total)),
-                                    self.stiffness)
-        shape = (dm.n_total, dm.n_total)
-        a_pi = sp.coo_matrix((vals[0], (rows, cols)), shape=shape).tocsr()
-        pattern = (a_pi.indices, a_pi.indptr)
-        for index in pattern:
-            index.setflags(write=False)
-        if len(vals) == 1:
-            return a_pi, sp.csr_matrix(shape)
-        # the parts share their entries (i, j), so the conversion sorts and
-        # sums the stabilization part onto the consistency part's pattern
-        a_s = sp.coo_matrix((vals[1], (rows, cols)), shape=shape).tocsr()
-        return a_pi, sp.csr_matrix((a_s.data, *pattern), shape=shape)
 
     def projections(self, u_dofs) -> np.ndarray:
         """(n_cells, dim P_k) monomial coefficients of the energy projection
@@ -429,25 +409,28 @@ def solve(reduced: ReducedSystem) -> SolveReport:
         raise SolverError(f"out of memory in the sparse solve ({size})") from None
 
 
-def infinity_norm(A: sp.spmatrix) -> float:
-    """Maximum absolute row sum."""
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.abs(A).sum(axis=1).max())
+def stab_consistency_ratio(system: SparseSystem) -> float:
+    """Ratio of the infinity norms (largest absolute row sums) of the
+    stabilization and consistency parts of the full stiffness matrix.
 
-
-def stab_consistency_ratio(a_s: sp.spmatrix, a_pi: sp.spmatrix) -> float:
-    """Ratio of infinity norms of the stabilization and consistency parts.
-
-    Computed on the full assembled matrices before boundary elimination.
-    Raises for an identically zero stabilization part (stabilization-free
-    assembly) or a zero consistency norm.
+    The parts are those before boundary elimination: the element stacks
+    are scattered once into one COO triple, and each part is converted to
+    CSR in turn, so that one full matrix is alive at a time.  Raises before
+    the scatter for a system with no stabilization part (the
+    stabilization-free scheme), and for a zero stabilization or consistency
+    norm.
     """
-    ns = infinity_norm(a_s)
-    if ns == 0.0:
+    if len(system.stiffness[0]) == 1:
         raise ValueError("stabilization part is identically zero; "
                          "the ratio is only defined for the standard scheme")
-    np_ = infinity_norm(a_pi)
+    dm = system.dof_map
+    rows, cols, vals = _scatter(dm, np.arange(dm.n_total, dtype=_index_dtype(dm.n_total)),
+                                system.stiffness)
+    shape = (dm.n_total, dm.n_total)
+    ns, np_ = (float(np.abs(sp.coo_matrix((part, (rows, cols)), shape=shape).tocsr())
+                     .sum(axis=1).max()) for part in (vals[1], vals[0]))
+    if ns == 0.0:
+        raise ValueError("stabilization part has zero norm")
     if np_ == 0.0:
         raise ValueError("consistency part has zero norm")
     return ns / np_

@@ -197,11 +197,11 @@ class ElementContext:
     `grad_degree` = k+ell-1 is the degree of the gradient projection (k-1
     for the standard scheme, whose ell is 0).  Edge e runs from vertex e to
     vertex e+1; over m edges, nq Gauss points and k+1 Lobatto nodes the edge
-    data are `edge_points` (n, m, nq, 2), outward unit `edge_normals` (n, m,
-    2), `edge_lengths` (n, m), `edge_trace` (n, m, k+1, nq) = |e| w_q
+    data are `edge_lengths` (n, m), `edge_trace` (n, m, k+1, nq) = |e| w_q
     L_j(t_q) (so `edge_trace @ g` integrates each node's trace against g at
     the Gauss points) and `edge_node_points` (n, m, k+1, 2), whose dofs are
-    `layout.edge_node_dofs`.
+    `layout.edge_node_dofs`; the Gauss points and the outward unit normals
+    are not kept.
     """
 
     def __init__(self, E, k: int, ell: int = 0):
@@ -216,24 +216,23 @@ class ElementContext:
         start = E.verts
         tang = start[:, self.layout.edge_node_dofs[:, -1]] - start
         self.edge_lengths = np.hypot(tang[..., 0], tang[..., 1])
-        self.edge_normals = (np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
-                             / self.edge_lengths[..., None])
-        self.edge_points = start[..., None, :] + gl_t[:, None] * tang[..., None, :]
+        normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / self.edge_lengths[..., None]
+        points = start[..., None, :] + gl_t[:, None] * tang[..., None, :]
         self.edge_trace = (edge_lagrange(k, d_max)
                            * (self.edge_lengths[..., None] * gl_w)[..., None, :])
         self.edge_node_points = start[..., None, :] + lob[:, None] * tang[..., None, :]
         self.perimeter = self.edge_lengths.sum(axis=-1)
 
-        n, m, nq = self.edge_points.shape[:3]
+        n, m, nq = points.shape[:3]
         # not kept: about 23 MB for 256 hexagons at k = 3, ell = 6
-        table = eval_monomials(E, self.edge_points.reshape(n, -1, 2), 2 * (k + ell))
+        table = eval_monomials(E, points.reshape(n, -1, 2), 2 * (k + ell))
         self.gram, self.gram_factor = monomial_gram(E, tang, k + ell, table, gl_w)
         nb = dim_poly(self.grad_degree)
         traced = self.edge_trace @ table[..., :nb].reshape(n, m, nq, nb)   # (n, m, k+1, nb)
         self.boundary = np.zeros((n, 2, nb, self.layout.total))
         for c in (0, 1):
             _add_edge_columns(self.boundary[:, c], self.layout,
-                              self.edge_normals[..., :, c, None, None] * traced)
+                              normals[..., :, c, None, None] * traced)
 
 
 # ---------------------------------------------------------------------------

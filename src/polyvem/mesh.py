@@ -836,11 +836,13 @@ def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
 
 def cross_cell_violations(mesh: PolyMesh):
     """Yield a conformity violation for each edge that breaks the mesh
-    contract, then a partition violation unless the cell areas sum to 1.
+    contract and for each vertex that no cell uses, then a partition
+    violation unless the cell areas sum to 1.
 
     An edge must be shared by at most two cells, traversed in opposite
     directions by two cells, and lie on a side of the unit square when only
     one cell has it; the cells then cover the square n >= 1 times, n = the area sum.
+    An unused vertex would give its dof a zero row in the stiffness matrix.
     """
     edge_ids, against = mesh.cell_sides
     n_cells = np.bincount(edge_ids, minlength=mesh.n_edges)
@@ -860,6 +862,9 @@ def cross_cell_violations(mesh: PolyMesh):
             detail = "single-cell edge not on the square boundary"
         yield Violation("conformity", f"edge ({mesh.edges[eid, 0]},{mesh.edges[eid, 1]})",
                         detail)
+    used = np.bincount(mesh.flat_cells[0], minlength=mesh.n_vertices)
+    for vi in np.flatnonzero(used == 0).tolist():
+        yield Violation("conformity", f"vertex {vi}", "used by no cell")
     area_sum = float(mesh.cell_areas.sum())
     if abs(area_sum - 1.0) > AREA_SUM_TOL:
         yield Violation("partition", "mesh", f"cell areas sum to {area_sum!r}, not 1")

@@ -248,8 +248,7 @@ def run_unit(unit, mesh: PolyMesh) -> list:
             row.n_dofs = sol.system.dof_map.n_total
             row.e_star = sol.e_star
             if method is Method.STANDARD:
-                row.stab_ratio = stab_consistency_ratio(   # (a_s, a_pi)
-                    *reversed(sol.system.parts()))
+                row.stab_ratio = stab_consistency_ratio(sol.system)
         rows.append(row)
     return rows
 

@@ -83,11 +83,8 @@ def vor1024_k3_rank_failure(vor_meshes):
 
 
 def _ratio_ladder(meshes, ladder, k, K):
-    ratios = []
-    for n in ladder:
-        sys_ = assemble(meshes[n], k, Method.STANDARD, K)
-        a_pi, a_s = sys_.parts()
-        ratios.append(stab_consistency_ratio(a_s, a_pi))
+    ratios = [stab_consistency_ratio(assemble(meshes[n], k, Method.STANDARD, K))
+              for n in ladder]
     return float(np.mean(ratios)), ratios
 
 

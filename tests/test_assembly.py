@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -9,8 +10,8 @@ from conftest import (cell_data_rule, doubled_cartesian2, interpolate_dofs, mixe
                       tensor_mesh)
 from polyvem import assembly, local, study
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
-                              assemble, build_dof_map, infinity_norm, solve,
-                              source_moments, stab_consistency_ratio)
+                              assemble, build_dof_map, solve, source_moments,
+                              stab_consistency_ratio)
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
 from polyvem.errors import CellDegeneracyError, NumericalDegeneracyError, QuadratureError
@@ -23,13 +24,14 @@ from polyvem.study import solve_case, solve_cases
 K_ANISO = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
 
-def _stiffness(system):
-    """a_pi + a_s of an assembled system, from its on-read parts, summed on
-    their shared pattern; a_pi itself when a_s stores nothing."""
-    a_pi, a_s = system.parts()
-    if not a_s.nnz:
-        return a_pi
-    return sp.csr_matrix((a_pi.data + a_s.data, a_pi.indices, a_pi.indptr), shape=a_pi.shape)
+def _stiffness(system, part=None):
+    """The full stiffness matrix of an assembled system before boundary
+    elimination, or its part `part` (0 consistency, 1 stabilization), as
+    CSR: its element stacks scattered with the identity dof map."""
+    n = system.dof_map.n_total
+    rows, cols, vals = assembly._scatter(system.dof_map, np.arange(n), system.stiffness)
+    return sp.coo_matrix((vals.sum(axis=0) if part is None else vals[part], (rows, cols)),
+                         shape=(n, n)).tocsr()
 
 
 # -- dof map -----------------------------------------------------------------
@@ -203,41 +205,33 @@ def test_global_kernel_constants(k):
 
 
 def test_e2vem_stabilization_identically_zero():
-    mesh = generate_cartesian(3)
-    sys_ = assemble(mesh, 1, Method.E2VEM, K_ANISO)
-    a_pi, a_s = sys_.parts()
-    assert a_pi.nnz > 0 and a_s.nnz == 0
+    # the stabilization-free scheme keeps no stabilization stack, on one
+    # group of congruent cells and on several groups
+    for mesh, k in ((generate_cartesian(3), 1), (generate_voronoi(10, rng_seed=2,
+                                                                  lloyd_iters=20), 2)):
+        free = assemble(mesh, k, Method.E2VEM, K_ANISO)
+        standard = assemble(mesh, k, Method.STANDARD, K_ANISO)
+        assert all(len(stacks) == 1 for stacks in free.stiffness)
+        assert all(len(stacks) == 2 for stacks in standard.stiffness)
+        assert _stiffness(free).nnz > 0
 
 
 def test_assembly_splits_parts():
-    # each on-read part is the scatter of that part of the element matrices
+    # the system keeps each part of the element matrices as its own stack,
+    # and the ratio reads the scatter of each, the stacks of a congruent
+    # mesh serving every cell
     mesh = generate_cartesian(3)
     sys_ = assemble(mesh, 1, Method.STANDARD, K_ANISO)
     (cells, rows), = sys_.dof_map.groups
     (stacks,) = sys_.stiffness
-    for got, stack in zip(sys_.parts(), stacks):
+    norms = []
+    for stack in stacks:
         want = np.zeros((sys_.dof_map.n_total,) * 2)
         for idx, element in zip(rows, np.broadcast_to(stack, (cells.size, *stack.shape[1:]))):
             want[np.ix_(idx, idx)] += element
         assert np.abs(stack).max() > 0.0
-        assert np.abs(got.toarray() - want).max() <= 1e-15 * np.abs(want).max()
-
-
-def test_parts_share_one_read_only_pattern():
-    mesh = generate_voronoi(10, rng_seed=2, lloyd_iters=20)
-    sys_ = assemble(mesh, 2, Method.STANDARD, K_ANISO)
-    a_pi, a_s = sys_.parts()
-    for index in ("indices", "indptr"):
-        part_s, part_pi = getattr(a_s, index), getattr(a_pi, index)
-        assert np.shares_memory(part_s, part_pi)
-        assert not part_s.flags.writeable and not part_pi.flags.writeable
-    # every read assembles the same parts
-    for got, want in zip(sys_.parts(), (a_pi, a_s)):
-        assert (got != want).nnz == 0
-    # the stabilization-free scheme keeps and stores no stabilization
-    free = assemble(mesh, 2, Method.E2VEM, K_ANISO)
-    assert all(len(stacks) == 1 for stacks in free.stiffness)
-    assert free.parts()[1].nnz == 0
+        norms.append(np.abs(want).sum(axis=1).max())
+    assert stab_consistency_ratio(sys_) == pytest.approx(norms[1] / norms[0], rel=1e-14)
 
 
 def test_assembly_load_linearity():
@@ -346,9 +340,8 @@ def test_stack_size_leaves_the_system_unchanged(monkeypatch):
         split = assemble(mesh, 2, method, case.K, source)
         monkeypatch.undo()
         scale = abs(_stiffness(whole)).max()
-        for got, want in zip((_stiffness(split), *split.parts()),
-                             (_stiffness(whole), *whole.parts())):
-            diff = got - want
+        for part in (None, *range(len(whole.stiffness[0]))):
+            diff = _stiffness(split, part) - _stiffness(whole, part)
             assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-14 * scale
         assert np.abs(split.b - whole.b).max() <= 1e-14 * np.abs(whole.b).max()
         for got, want in zip(split.pi_stars, whole.pi_stars):
@@ -589,10 +582,11 @@ def test_element_parts_are_bitwise_symmetric(k, voronoi_256):
 
 def _reference_scatter(mesh, k, method, K, source, monkeypatch):
     """`assemble`'s system, and from the same element stacks, by per-group
-    index lists joined and converted by scipy: its parts, its load, and its
-    reduced matrix.  The reduced matrix's lists hold each dof's position in
-    the elimination (-1 - its boundary index for a fixed dof) and the summed
-    element matrices; their free-free entries are converted once."""
+    index lists joined and converted by scipy: its parts (a_pi, a_s), or
+    (a_pi,) for E2VEM, its load, and its reduced matrix.  The reduced
+    matrix's lists hold each dof's position in the elimination (-1 - its
+    boundary index for a fixed dof) and the summed element matrices; their
+    free-free entries are converted once."""
     stacks = []
 
     def recording(E, *args):
@@ -622,16 +616,14 @@ def _reference_scatter(mesh, k, method, K, source, monkeypatch):
                                     (cells.size, n * n)).ravel())
         loads = (source[cells][:, None, :] @ pi0_val)[:, 0]
         b += np.bincount(dofs.ravel(), loads.ravel(), minlength=dm.n_total)
-    shape = (dm.n_total, dm.n_total)
     ij = (np.concatenate(rows), np.concatenate(cols))
-    a_pi = sp.coo_matrix((np.concatenate(vals_pi), ij), shape=shape).tocsr()
-    a_s = (sp.coo_matrix((np.concatenate(vals_s), ij), shape=shape).tocsr()
-           if method is Method.STANDARD else sp.csr_matrix(shape))
+    full = tuple(sp.coo_matrix((np.concatenate(part), ij), shape=(dm.n_total,) * 2).tocsr()
+                 for part in (vals_pi, vals_s) if part)
     i, j = position[ij[0]], position[ij[1]]
     free = (i >= 0) & (j >= 0)
     a_ff = sp.coo_matrix((np.concatenate(vals)[free], (i[free], j[free])),
                          shape=(dm.free_dofs.size,) * 2).tocsr()
-    return system, a_pi, a_s, a_ff, b
+    return system, full, a_ff, b
 
 
 def _same_bits(got, want):
@@ -647,16 +639,31 @@ def test_scatter_is_bitwise_the_joined_index_lists(mesh_name, method, k, voronoi
     # matrix that per-group repeat/tile lists, joined, gave
     mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
     case = get_case("tc1")
-    system, a_pi, a_s, a_ff, b = _reference_scatter(mesh, k, method, case.K,
-                                                    source_moments(mesh, k, case.f), monkeypatch)
+    system, parts, a_ff, b = _reference_scatter(mesh, k, method, case.K,
+                                                source_moments(mesh, k, case.f), monkeypatch)
     assert (len(system.dof_map.groups) > 1) == (mesh_name == "voronoi 256")
-    got_pi, got_s = system.parts()
-    for got, want in ((got_pi, a_pi), (got_s, a_s), (apply_dirichlet(system).a_ff, a_ff)):
+    got_ff = apply_dirichlet(system).a_ff
+    for got, want in (*((_stiffness(system, i), part) for i, part in enumerate(parts)),
+                      (got_ff, a_ff)):
         for name in ("data", "indices", "indptr"):
             assert _same_bits(getattr(got, name), getattr(want, name)), name
-    assert got_pi.indices.dtype == np.int32
-    assert (got_s.nnz > 0) == (method is Method.STANDARD)
+    assert got_ff.indices.dtype == np.int32
     assert _same_bits(system.b, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["mixed", "voronoi 256"])
+def test_ratio_is_bitwise_the_norms_of_the_joined_index_lists(mesh_name, k, voronoi_256,
+                                                              monkeypatch):
+    # over several dof groups, the ratio is that of the largest absolute row
+    # sums of the parts that per-group repeat/tile lists, joined, give
+    mesh = mixed_mesh() if mesh_name == "mixed" else voronoi_256
+    case = get_case("tc1")
+    system, (a_pi, a_s), _, _ = _reference_scatter(mesh, k, Method.STANDARD, case.K,
+                                                   source_moments(mesh, k, case.f), monkeypatch)
+    assert len(system.dof_map.groups) > 1
+    norm_s, norm_pi = (float(np.abs(part).sum(axis=1).max()) for part in (a_s, a_pi))
+    assert stab_consistency_ratio(system) == norm_s / norm_pi
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -829,27 +836,51 @@ def test_e2vem_order1_spd(maker):
 
 # -- ratio -------------------------------------------------------------------
 
-def test_ratio_requires_stabilization():
-    mesh = generate_cartesian(3)
-    a_pi, a_s = assemble(mesh, 1, Method.E2VEM, K_ANISO).parts()
-    with pytest.raises(ValueError):
-        stab_consistency_ratio(a_s, a_pi)
+def test_ratio_requires_stabilization(monkeypatch):
+    # the stabilization-free system is refused before any scatter
+    system = assemble(generate_cartesian(3), 1, Method.E2VEM, K_ANISO)
+
+    def scatter(*args):
+        raise AssertionError("the ratio scattered a stabilization-free system")
+
+    monkeypatch.setattr(assembly, "_scatter", scatter)
+    with pytest.raises(ValueError, match="only defined for the standard scheme"):
+        stab_consistency_ratio(system)
+
+
+def _with_stacks(system, a_pi, a_s):
+    """The system with every cell's element parts set to the (N, N) a_pi, a_s."""
+    return dataclasses.replace(system, stiffness=[(a_pi[None], a_s[None])
+                                                  for _ in system.stiffness])
 
 
 def test_ratio_of_equal_parts_is_one():
-    A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    assert stab_consistency_ratio(A, A) == pytest.approx(1.0)
+    system = assemble(generate_voronoi(10, rng_seed=2, lloyd_iters=20), 1, Method.STANDARD,
+                      K_ANISO)
+    assert stab_consistency_ratio(dataclasses.replace(
+        system, stiffness=[(a_pi, a_pi) for a_pi, _ in system.stiffness])) == 1.0
+    zero = np.zeros((4, 4))
+    square = assemble(generate_cartesian(1), 1, Method.STANDARD, K_ANISO)
+    for a_pi, a_s, part in ((np.eye(4), zero, "stabilization"), (zero, np.eye(4), "consistency")):
+        with pytest.raises(ValueError, match=f"^{part} part has zero norm$"):
+            stab_consistency_ratio(_with_stacks(square, a_pi, a_s))
 
 
 def test_infinity_norm_is_max_row_sum():
-    A = sp.csr_matrix(np.array([[1.0, -2.0], [0.5, 0.25]]))
-    assert infinity_norm(A) == pytest.approx(3.0)
+    # on the one square of cartesian 1 the parts are its element matrices,
+    # whose largest absolute row sums 3 and 2 are in row 0, where the plain
+    # row sums are -1 and 0 (row 1 sums to 1 and 0.5)
+    square = assemble(generate_cartesian(1), 1, Method.STANDARD, K_ANISO)
+    a_pi, a_s = np.zeros((2, 4, 4))
+    a_pi[:2, :2] = [[1.0, -1.0], [0.25, 0.25]]
+    a_s[:2, :2] = [[1.0, -2.0], [0.5, 0.5]]
+    assert stab_consistency_ratio(_with_stacks(square, a_pi, a_s)) == 1.5
 
 
 def test_cartesian_k1_ratio_is_one():
     mesh = generate_cartesian(8)
-    a_pi, a_s = assemble(mesh, 1, Method.STANDARD, get_case("tc1").K).parts()
-    assert stab_consistency_ratio(a_s, a_pi) == pytest.approx(1.0, abs=1e-2)
+    system = assemble(mesh, 1, Method.STANDARD, get_case("tc1").K)
+    assert stab_consistency_ratio(system) == pytest.approx(1.0, abs=1e-2)
 
 
 # -- method agreement / determinism ------------------------------------------

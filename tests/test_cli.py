@@ -15,7 +15,7 @@ from polyvem import assembly, local, study
 from polyvem.cli import main
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import Method
-from polyvem.mesh import generate_mesh, load_mesh, save_mesh
+from polyvem.mesh import PolyMesh, generate_mesh, load_mesh, save_mesh
 from conftest import doubled_cartesian2, parse_rows_csv
 
 # a U-shaped cell whose centroid lies in the slot filled by the second cell
@@ -290,6 +290,20 @@ def test_double_cover_exit_2(tmp_path, capsys):
                "--order", "1", "--case", "tc2", "-o", str(tmp_path / "x.json")])
     assert rc == 2
     assert "cell areas sum to 2.0, not 1" in _one_line_error(capsys)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("point", [(0.5, 0.25), (0.0, 0.25)], ids=["interior", "boundary"])
+def test_unused_vertex_exit_2_names_it(tmp_path, capsys, point):
+    # its dof would be a zero row of the stiffness matrix: the dof map
+    # refuses the mesh before any solve
+    cart = generate_mesh("cartesian", 2)
+    mesh_path = tmp_path / "unused.txt"
+    save_mesh(PolyMesh(np.vstack([cart.vertices, [point]]), cart.cells), mesh_path)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "vertex 9 breaks conformity: used by no cell" in _one_line_error(capsys)
     assert not (tmp_path / "x.json").exists()
 
 

@@ -9,8 +9,8 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from conftest import (PENTAGON, TRIANGLE, UNIT_SQUARE, cell_data_rule, fan_rule, lone_cell,
                       monomial_grads, star_polygon)
 from polyvem import local
-from polyvem.basis import (dim_poly, eval_monomials, monomial_exponents, monomial_index,
-                           polygon_quadrature)
+from polyvem.basis import (dim_poly, edge_rules, eval_monomials, monomial_exponents,
+                           monomial_index, polygon_quadrature)
 from polyvem.errors import CellDegeneracyError, QuadratureError
 from polyvem.local import (DiffusionTensor, DofLayout, ElementContext, Method,
                            StabilizationFreeRankError, build_pi0_grad, build_pi0_val,
@@ -149,7 +149,6 @@ def _quadrature_pi_nabla_gram(E, k):
     grads = monomial_grads(E, quad.points[None], k)[0]
     G = np.einsum("q,qad,qbd->ab", quad.weights, grads, grads)
     if k == 1:
-        from polyvem.basis import edge_rules
         _, t, w = edge_rules(1, k + 1)
         row = np.zeros(nk)
         per = 0.0
@@ -279,18 +278,30 @@ def test_pi0_grad_exact_on_polynomials(k, rng):
         assert pack.pi0_grad[0].shape == (2 * nd, pack.layout.total)
 
 
+def _edge_points_normals(ctx, c=0):
+    """(points (m, nq, 2), normals (m, 2)) of cell c of the stack: the points
+    of the nq-point Gauss-Legendre rule of `ctx.edge_trace` on each edge, and
+    the outward unit normals, formed from `E.verts`."""
+    verts = ctx.E.verts[c]
+    tang = np.roll(verts, -1, axis=0) - verts
+    _, t, _ = edge_rules(ctx.k, 2 * ctx.edge_trace.shape[-1] - 1)
+    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / np.hypot(*tang.T)[:, None]
+    return verts[:, None, :] + t[:, None] * tang[:, None, :], normals
+
+
 def _boundary_by_edges(ctx, c=0):
     """(2, dim P_d, total), d = `ctx.grad_degree`: the boundary pairings
     int_dE phi_j n_i m_a of cell c of the stack, one edge at a time, edge 0
     first."""
     lay, E = ctx.layout, ctx.E.take([c])
+    points, normals = _edge_points_normals(ctx, c)
     out = np.zeros((2, dim_poly(ctx.grad_degree), lay.total))
     for e in range(lay.n_vertices):
         dofs = lay.edge_node_dofs[e]
-        contrib = (eval_monomials(E, ctx.edge_points[c:c + 1, e], ctx.grad_degree)[0].T
+        contrib = (eval_monomials(E, points[None, e], ctx.grad_degree)[0].T
                    @ ctx.edge_trace[c, e].T)
         for i in range(2):
-            out[i][:, dofs] += ctx.edge_normals[c, e, i] * contrib
+            out[i][:, dofs] += normals[e, i] * contrib
     return out
 
 
@@ -320,10 +331,10 @@ def test_edge_terms_match_per_edge_loop(k, rng):
     _, B, _, pi_star = build_pi_nabla(ctx)
     assert np.array_equal(ctx.boundary[0], _boundary_by_edges(ctx))
     ref_B = np.zeros_like(B[0])
+    points, normals = _edge_points_normals(ctx)
     for e in range(lay.n_vertices):
-        points, trace = ctx.edge_points[:, e], ctx.edge_trace[0, e]
-        gn = monomial_grads(E, points, k)[0] @ ctx.edge_normals[0, e]
-        ref_B[:, lay.edge_node_dofs[e]] += gn.T @ trace.T
+        gn = monomial_grads(E, points[None, e], k)[0] @ normals[e]
+        ref_B[:, lay.edge_node_dofs[e]] += gn.T @ ctx.edge_trace[0, e].T
     edge_cols = slice(0, lay.first_moment)
     assert (np.abs(B[0, 1:, edge_cols] - ref_B[1:, edge_cols]).max()
             <= 1e-13 * np.abs(ref_B[1:, edge_cols]).max())

@@ -847,6 +847,19 @@ def test_validate_flags_nonconforming_partial_edge():
     assert any(v.kind == "conformity" for v in rep.violations)
 
 
+def test_validate_flags_an_unused_vertex():
+    # vertex 9 lies inside a cell of cartesian 2, so no boundary flag is off
+    cart = generate_cartesian(2)
+    mesh = PolyMesh(np.vstack([cart.vertices, [[0.5, 0.25]]]), cart.cells)
+    rep = validate_mesh(mesh)
+    assert not rep.ok
+    assert [(v.kind, v.where, v.detail) for v in rep.violations] == [
+        ("conformity", "vertex 9", "used by no cell")]
+    with pytest.raises(NonConformingMeshError,
+                       match=r"^vertex 9 breaks conformity: used by no cell;"):
+        build_dof_map(mesh, 1)
+
+
 @pytest.mark.parametrize("n, detail", [
     (2, "traversed in the same direction by both cells"),
     (3, "shared by 3 cells"),

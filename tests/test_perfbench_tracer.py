@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import polyvem.cli  # noqa: F401  (the tracer wraps cli.main)
+import polyvem.cli  # the tracer wraps cli.main
 from polyvem import assembly, local
 from polyvem import mesh as pmesh
 from polyvem.cases import testcase as get_case
@@ -19,6 +19,7 @@ from polyvem.errors import StabilizationFreeRankError
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi
 from polyvem.study import solve_case
+from conftest import parse_rows_csv
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -92,3 +93,23 @@ def test_tracer_counts_a_generated_mesh_and_a_rank_failure(monkeypatch):
     assert counts["mesh.cells"] == 4
     assert counts["local.ell_bumps"] == 1
     assert counts["local.rank_failures"] == 1
+
+
+def test_tracer_times_the_ratio_of_each_standard_row(tmp_path):
+    """A traced CLI study: the tracer installs over `stab_consistency_ratio`,
+    which takes the system, and `study.ratio` runs once per row of the
+    standard scheme."""
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        rc = polyvem.cli.main(["study", "--case", "tc1", "--orders", "1", "--family",
+                               "cartesian", "--levels", "2", "-o", str(tmp_path)])
+        take = tr.take()
+    finally:
+        tr.uninstall()
+    assert rc == 0 and take["cli"]["calls"] == 1
+    standard = [row for row in parse_rows_csv(tmp_path / "study_rows.csv")
+                if row.method == Method.STANDARD.value]
+    assert len(standard) == 2 and all(row.stab_ratio > 0.0 for row in standard)
+    assert take["study.ratio"]["calls"] == len(standard)

@@ -160,6 +160,18 @@ MUTANTS = [
            "bad = next(cross_cell_violations(mesh), None)",
            'bad = next((v for v in cross_cell_violations(mesh) if v.kind != "partition"), None)',
            "tests/test_assembly.py::test_dof_map_rejects_a_double_cover"),
+    Mutant("unused-vertex check dropped", "src/polyvem/mesh.py",
+           "np.flatnonzero(used == 0)", "np.flatnonzero(used < 0)",
+           "tests/test_mesh.py::test_validate_flags_an_unused_vertex"),
+    Mutant("ratio of plain row sums", "src/polyvem/assembly.py",
+           "np.abs(sp.coo_matrix(", "(sp.coo_matrix(",
+           "tests/test_assembly.py::test_infinity_norm_is_max_row_sum"),
+    Mutant("ratio of the least row sums", "src/polyvem/assembly.py",
+           ".sum(axis=1).max())", ".sum(axis=1).min())",
+           "tests/test_assembly.py::test_ratio_is_bitwise_the_norms_of_the_joined_index_lists[mixed-1]"),
+    Mutant("ratio's norms swapped", "src/polyvem/assembly.py",
+           "for part in (vals[1], vals[0])", "for part in (vals[0], vals[1])",
+           "tests/test_assembly.py::test_ratio_is_bitwise_the_norms_of_the_joined_index_lists[voronoi 256-2]"),
 ]
 
 
