@@ -8,8 +8,7 @@ The functions live in its modules (`polyvem.mesh`, `polyvem.assembly`,
 `polyvem.study`, ...); the package root holds the error classes.
 """
 
-from .errors import (CellDegeneracyError, MeshError, NumericalDegeneracyError,
-                     PolyvemError, QuadratureError, SolverError,
+from .errors import (CellDegeneracyError, MeshError, PolyvemError, SolverError,
                      StabilizationFreeRankError)
 
 __version__ = "0.1.0"

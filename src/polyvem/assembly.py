@@ -35,9 +35,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import dim_poly, edge_rules
-from .errors import PolyvemError, SolverError
+from .errors import MeshError, PolyvemError, SolverError
 from .local import DiffusionTensor, DofLayout, Method, data_rules, element_matrices, local_load
-from .mesh import NonConformingMeshError, PolyMesh, cross_cell_violations
+from .mesh import PolyMesh, cross_cell_violations
 
 RESIDUAL_RTOL = 1e-10
 # Cells per element stack.  On Voronoi-1024 at orders 1-3, stacks of this
@@ -72,13 +72,13 @@ class GlobalDofMap:
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     """Global numbering for order k, filled through `local.DofLayout`, with
     its free dofs in nested-dissection elimination order; a mesh that fails
-    `cross_cell_violations` raises `NonConformingMeshError` naming the first."""
+    `cross_cell_violations` raises `MeshError` naming the first."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     bad = next(cross_cell_violations(mesh), None)
     if bad is not None:
-        raise NonConformingMeshError(f"{bad.where} breaks {bad.kind}: {bad.detail}; "
-                                     "run validate_mesh for details")
+        raise MeshError(f"{bad.where} breaks {bad.kind}: {bad.detail}; "
+                        "run validate_mesh for details")
 
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
     n_edge = ne * (k - 1)

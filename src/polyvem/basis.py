@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError, QuadratureError
+from .errors import CellDegeneracyError, MeshError
 from .mesh import _next_vertex
 
 
@@ -306,7 +306,7 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     triangles (centroid, v_j, v_j+1), which are stacked (T, 2) corners in
     polygon order; owner (T,) is the polygon of each triangle, non-decreasing.
     A polygon that is not star-shaped with respect to its centroid raises
-    `QuadratureError` with `cell` set to i.
+    `MeshError` with `cell` set to i.
 
     With `max_y_extent` set (positive and finite, else `ValueError`), the
     triangles resolve data that oscillate in y.  A polygon of y-extent e >
@@ -332,7 +332,7 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     bad = np.flatnonzero(signed <= 1e-14 * np.asarray(areas)[owner])
     if bad.size:
         t = bad[0]
-        raise QuadratureError(
+        raise MeshError(
             "cell is not star-shaped with respect to its centroid "
             f"(fan triangle {t - starts[owner[t]]} has signed area {signed[t]:g}); "
             "run mesh validation", cell=int(owner[t]))
@@ -360,13 +360,13 @@ def polygon_quadrature(E, degree: int) -> QuadRule:
     """Quadrature on the star-shaped polygon of the one-cell stack E, exact
     for degree <= `degree`: a collapsed Gauss rule on each triangle of the
     centroid fan, in fan order.  A stack of more cells raises `ValueError`;
-    a cell that is not star-shaped raises `QuadratureError` naming its mesh
+    a cell that is not star-shaped raises `MeshError` naming its mesh
     index."""
     if E.cells.size != 1:
         raise ValueError(f"polygon_quadrature takes one cell, got a stack of {E.cells.size}")
     try:
         corners, _ = fan_triangles(E.verts[0], [0, E.n_vertices], E.centroid, E.area)
-    except QuadratureError as exc:
+    except MeshError as exc:
         exc.cell = E.cells.item()
         raise
     x, y, w = triangle_rule(*corners, degree)
@@ -386,7 +386,7 @@ def monomial_gram(E, sides, degree: int, table: np.ndarray, weights: np.ndarray)
     order; the moments are exact when the rule is exact to degree 2*degree.
 
     SPD in exact arithmetic; the factorization checks it in floating point
-    and raises `NumericalDegeneracyError` if it fails.  It is the one
+    and raises `CellDegeneracyError` if it fails.  It is the one
     factorization of the Gram matrix: the leading block of L of any degree
     is the Cholesky factor of M's leading block of that degree, so the L2
     projections of `local` solve with blocks of L, and factor and check
@@ -401,7 +401,7 @@ def monomial_gram(E, sides, degree: int, table: np.ndarray, weights: np.ndarray)
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError(
+        raise CellDegeneracyError(
             f"monomial Gram matrix is not positive definite (degree {degree})") from None
     return M, L
 

@@ -595,7 +595,7 @@ def data_rules(mesh, k: int, y_wavelength=None):
     horizontal strips (`_strips`), is a row of the square's tensor rule.
     Otherwise the rows are triangles: each cell's centroid fan is formed
     and checked (the one star-shape check of a solve: a cell that is not
-    star-shaped raises `QuadratureError` naming that cell before any block
+    star-shaped raises `MeshError` naming that cell before any block
     is built), and with a `y_wavelength` a cell taller than half of it is
     cut into equal horizontal bands of at most that height, as a whole when
     it is convex, else by way of its fan triangles, and each band piece is

@@ -38,22 +38,6 @@ FAMILIES = {"cartesian": CARTESIAN_LADDER, "voronoi": VORONOI_LADDER}
 DEFAULT_LLOYD_ITERS = 100
 
 
-class OrientationError(MeshError):
-    """A polygon is degenerate or not counter-clockwise."""
-
-
-class MeshFormatError(MeshError):
-    """Malformed mesh text stream; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-class NonConformingMeshError(MeshError):
-    pass
-
-
 def _next_vertex(starts):
     """Position of the next vertex of each vertex of the polygon runs
     `starts[i]:starts[i+1]` of a flat vertex list, wrapping to the run's
@@ -99,11 +83,11 @@ def _polygon_geometry(vertices, ids, starts):
 
     Areas are shoelace sums, centroids the area-weighted polygon centroids and
     diameters the largest vertex-to-vertex distances.  A polygon with an
-    out-of-range or repeated consecutive vertex raises `MeshError`, one with
-    fewer than 3 planar vertices, non-finite coordinates or a signed area that
-    is not positive `OrientationError`, and one that is not simple, two of
-    its non-adjacent sides meeting (`_meeting_sides`), `MeshError`; the error
-    names the first bad polygon in `cell`, with the first check it fails.
+    out-of-range or repeated consecutive vertex, fewer than 3 planar vertices,
+    non-finite coordinates, a signed area that is not positive, or two
+    non-adjacent sides that meet (`_meeting_sides`: not simple) raises
+    `MeshError` naming the first bad polygon in `cell`, with the first check
+    it fails.
     """
     n, nv = starts.size - 1, vertices.shape[0]
     lens = np.diff(starts)
@@ -138,24 +122,21 @@ def _polygon_geometry(vertices, ids, starts):
                     meeting[group] = _meeting_sides(x, y)
 
     checks = [
-        (per_polygon((ids < 0) | (ids >= nv)), MeshError,
-         lambda ci: "vertex index out of range"),
-        (per_polygon(ids == ids[nxt]) & (lens >= 2), MeshError,
-         lambda ci: "repeated consecutive vertex"),
-        ((lens < 3) | (not planar), OrientationError,
+        (per_polygon((ids < 0) | (ids >= nv)), lambda ci: "vertex index out of range"),
+        (per_polygon(ids == ids[nxt]) & (lens >= 2), lambda ci: "repeated consecutive vertex"),
+        ((lens < 3) | (not planar),
          lambda ci: "polygon needs at least 3 planar vertices, got shape "
                     f"{(int(lens[ci]),) + vertices.shape[1:]}"),
-        (non_finite, OrientationError, lambda ci: "polygon has non-finite coordinates"),
-        (~(areas > 0.0), OrientationError,
-         lambda ci: f"polygon is not CCW (signed area {areas[ci]:g})"),
-        (meeting[:, 0] >= 0, MeshError,
+        (non_finite, lambda ci: "polygon has non-finite coordinates"),
+        (~(areas > 0.0), lambda ci: f"polygon is not CCW (signed area {areas[ci]:g})"),
+        (meeting[:, 0] >= 0,
          lambda ci: "polygon is not simple: its sides {} and {} meet".format(*meeting[ci])),
     ]
-    bad = np.flatnonzero(np.any([flags for flags, _, _ in checks], axis=0))
+    bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
     if bad.size:
         ci = int(bad[0])
-        _, error, message = next(check for check in checks if check[0][ci])
-        raise error(message(ci), cell=ci)
+        message = next(message for flags, message in checks if flags[ci])
+        raise MeshError(message(ci), cell=ci)
     return areas, cents, diams
 
 
@@ -596,7 +577,7 @@ def _stitch_regions(vor_vertices, flat, lens):
     cells in order, so the mesh does not depend on the order in which qhull
     lists its points and triangles.  The regions arrive CCW, each sorted by
     angle about a seed inside it, and are not reoriented: a clockwise one
-    fails the `PolyMesh` check, which raises OrientationError naming it.  A
+    fails the `PolyMesh` check, which raises MeshError naming it.  A
     cell that merging collapses or pinches, or that is not convex, raises
     MeshError naming the lowest such cell.  Each step is one pass over the
     regions concatenated in cell order.
@@ -704,9 +685,11 @@ def write_mesh(mesh: PolyMesh, stream) -> None:
 def read_mesh(stream) -> PolyMesh:
     """Parse the mesh text format; inverse of :func:`write_mesh`.
 
-    Raises :class:`MeshFormatError` with a line number on malformed counts,
-    trailing content, or a cell the :class:`PolyMesh` constructor rejects
-    (out-of-range indices, non-CCW or self-intersecting cells).
+    Raises `MeshError` on a missing header or counts, malformed lines,
+    counts that declare more lines than follow them (checked before any
+    array is allocated), trailing content, or a cell the :class:`PolyMesh`
+    constructor rejects (out-of-range indices, non-CCW or self-intersecting
+    cells); the message leads with the line it is about, `line N:`.
     """
     lines = []
     for lineno, raw in enumerate(stream, start=1):
@@ -714,59 +697,59 @@ def read_mesh(stream) -> PolyMesh:
         if not s or s.startswith("#"):
             continue
         lines.append((lineno, s))
-    it = iter(lines)
 
-    def next_line(what):
-        try:
-            return next(it)
-        except StopIteration:
-            raise MeshFormatError(f"unexpected end of stream, expected {what}") from None
+    def at(lineno, message):
+        return MeshError(f"line {lineno}: {message}")
 
-    lineno, header = next_line("header")
+    if not lines:
+        raise MeshError("unexpected end of stream, expected header")
+    lineno, header = lines[0]
     if header.split() != ["polymesh", "1"]:
-        raise MeshFormatError(f"bad header {header!r}, expected 'polymesh 1'", lineno)
-    lineno, counts = next_line("counts")
+        raise at(lineno, f"bad header {header!r}, expected 'polymesh 1'")
+    if len(lines) < 2:
+        raise MeshError("unexpected end of stream, expected counts")
+    lineno, counts = lines[1]
     parts = counts.split()
     if len(parts) != 2:
-        raise MeshFormatError("expected '<nv> <nc>'", lineno)
+        raise at(lineno, "expected '<nv> <nc>'")
     try:
         nv, nc = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MeshFormatError("vertex/cell counts must be integers", lineno) from None
+        raise at(lineno, "vertex/cell counts must be integers") from None
     if nv < 3 or nc < 1:
-        raise MeshFormatError(f"implausible counts nv={nv} nc={nc}", lineno)
+        raise at(lineno, f"implausible counts nv={nv} nc={nc}")
+    body = lines[2:]
+    if nv + nc > len(body):
+        raise at(lineno, f"counts nv={nv} nc={nc} need {nv + nc} vertex and cell lines, "
+                         f"only {len(body)} follow")
 
     verts = np.empty((nv, 2))
-    for i in range(nv):
-        lineno, s = next_line(f"vertex {i}")
+    for i, (lineno, s) in enumerate(body[:nv]):
         parts = s.split()
         if len(parts) != 2:
-            raise MeshFormatError(f"expected 'x y' for vertex {i}", lineno)
+            raise at(lineno, f"expected 'x y' for vertex {i}")
         try:
             verts[i] = float(parts[0]), float(parts[1])
         except ValueError:
-            raise MeshFormatError(f"bad coordinate for vertex {i}", lineno) from None
+            raise at(lineno, f"bad coordinate for vertex {i}") from None
 
     cells, cell_lines = [], []
-    for ci in range(nc):
-        lineno, s = next_line(f"cell {ci}")
-        parts = s.split()
+    for ci, (lineno, s) in enumerate(body[nv:nv + nc]):
         try:
-            ids = [int(p) for p in parts]
+            ids = [int(p) for p in s.split()]
         except ValueError:
-            raise MeshFormatError(f"bad index in cell {ci}", lineno) from None
-        if not ids or ids[0] != len(ids) - 1:
-            raise MeshFormatError(f"cell {ci}: count prefix does not match", lineno)
+            raise at(lineno, f"bad index in cell {ci}") from None
+        if ids[0] != len(ids) - 1:
+            raise at(lineno, f"cell {ci}: count prefix does not match")
         cells.append(ids[1:])
         cell_lines.append(lineno)
 
-    trailing = next(it, None)
-    if trailing is not None:
-        raise MeshFormatError("trailing content after last cell", trailing[0])
+    if len(body) > nv + nc:
+        raise at(body[nv + nc][0], "trailing content after last cell")
     try:
         return PolyMesh(verts, cells)
     except MeshError as exc:
-        raise MeshFormatError(str(exc), cell_lines[exc.cell]) from None
+        raise at(cell_lines[exc.cell], exc) from None
 
 
 def save_mesh(mesh: PolyMesh, path) -> None:

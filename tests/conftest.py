@@ -181,6 +181,14 @@ def parse_rows_csv(path) -> list:
     return rows
 
 
+# the star-shape check's message as a regex, given the fan triangle and
+# the regex of its signed area
+STAR_SHAPE = (r"cell is not star-shaped with respect to its centroid \(fan triangle {} has "
+              r"signed area {}\); run mesh validation$")
+
+# the vertex lines of the unit square in the mesh text format
+SQUARE_VERTICES = "0 0\n1 0\n1 1\n0 1\n"
+
 UNIT_SQUARE = lone_cell([[0, 0], [1, 0], [1, 1], [0, 1]])
 TRIANGLE = lone_cell([[0, 0], [1, 0], [0, 1]])
 PENTAGON = lone_cell(

@@ -13,10 +13,10 @@ import pytest
 import polyvem
 from polyvem import assembly, local, study
 from polyvem.cli import main
-from polyvem.errors import CellDegeneracyError, QuadratureError
+from polyvem.errors import CellDegeneracyError, MeshError
 from polyvem.local import Method
 from polyvem.mesh import PolyMesh, generate_mesh, load_mesh, save_mesh
-from conftest import doubled_cartesian2, parse_rows_csv
+from conftest import SQUARE_VERTICES, doubled_cartesian2, parse_rows_csv
 
 # a U-shaped cell whose centroid lies in the slot filled by the second cell
 U_SHAPED_MESH = """polymesh 1
@@ -279,8 +279,33 @@ def test_non_star_shaped_cell_exit_2(tmp_path, capsys):
     rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
                "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
     assert rc == 2
-    line = _one_line_error(capsys)
-    assert "cell 0:" in line and "star-shaped" in line
+    assert _one_line_error(capsys) == (
+        "error: cell 0: cell is not star-shaped with respect to its centroid "
+        "(fan triangle 3 has signed area -0.07); run mesh validation")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("polymesh 1\n4 1\n" + SQUARE_VERTICES + "4 0 3 2 1\n",
+     "line 7: cell 0: polygon is not CCW (signed area -1)"),
+    ("polymesh 1\n4 1\n0 0\n1 0\n1 y\n0 1\n4 0 1 2 3\n",
+     "line 5: bad coordinate for vertex 2"),
+    ("polymesh 1\n1000000000000 1\n" + SQUARE_VERTICES + "4 0 1 2 3\n",
+     "line 2: counts nv=1000000000000 nc=1 need 1000000000001 vertex and cell lines, "
+     "only 5 follow"),
+    ("polymesh 1\n4 100000000000\n" + SQUARE_VERTICES + "4 0 1 2 3\n",
+     "line 2: counts nv=4 nc=100000000000 need 100000000004 vertex and cell lines, "
+     "only 5 follow"),
+], ids=["clockwise-cell", "malformed-line", "vertex-count", "cell-count"])
+def test_bad_mesh_file_exit_2_names_its_line(tmp_path, capsys, text, message):
+    # the counts are checked before anything is allocated: 10**12 vertices
+    # would be a 16 TB array
+    mesh_path = tmp_path / "bad.txt"
+    mesh_path.write_text(text)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert _one_line_error(capsys) == f"error: {message}"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_double_cover_exit_2(tmp_path, capsys):
@@ -289,7 +314,8 @@ def test_double_cover_exit_2(tmp_path, capsys):
     rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
                "--order", "1", "--case", "tc2", "-o", str(tmp_path / "x.json")])
     assert rc == 2
-    assert "cell areas sum to 2.0, not 1" in _one_line_error(capsys)
+    assert _one_line_error(capsys) == ("error: mesh breaks partition: cell areas sum to 2.0, "
+                                       "not 1; run validate_mesh for details")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -303,7 +329,8 @@ def test_unused_vertex_exit_2_names_it(tmp_path, capsys, point):
     rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
                "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
     assert rc == 2
-    assert "vertex 9 breaks conformity: used by no cell" in _one_line_error(capsys)
+    assert _one_line_error(capsys) == ("error: vertex 9 breaks conformity: used by no cell; "
+                                       "run validate_mesh for details")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -387,6 +414,26 @@ def test_element_linalg_error_exit_3_names_cell(tmp_path, capsys, monkeypatch):
     assert line == "error: cell 37: element kernel failed (Singular matrix, k=2)"
 
 
+def test_gram_not_positive_definite_exit_3_names_cell(tmp_path, capsys, monkeypatch):
+    # the edge integrals of cell 37 taken with every side reversed: its
+    # Gram matrix is negative definite, and its Cholesky factorization fails
+    mesh_path = tmp_path / "m.txt"
+    main(["mesh", "--family", "voronoi", "--n", "64", "-o", str(mesh_path)])
+    capsys.readouterr()
+    real = local.monomial_gram
+
+    def reversed_on_37(E, sides, degree, table, weights):
+        return real(E, np.where((E.cells == 37)[:, None, None], -sides, sides),
+                    degree, table, weights)
+
+    monkeypatch.setattr(local, "monomial_gram", reversed_on_37)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "2", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 3
+    assert _one_line_error(capsys) == ("error: cell 37: monomial Gram matrix is not "
+                                       "positive definite (degree 2)")
+
+
 def test_study_records_an_element_linalg_error_and_continues(tmp_path, monkeypatch):
     _linalg_error_on(monkeypatch, 37, 2)
     out = tmp_path / "study"
@@ -438,7 +485,7 @@ def test_study_records_source_pass_failure_on_both_rows(tmp_path, monkeypatch):
     def failing_sixth_cell(f, rule):
         calls.append(rule)
         if len(calls) == 1:
-            exc = QuadratureError("source pass failed")
+            exc = MeshError("source pass failed")
             exc.cell = rule.cells[5]
             raise exc
         return real(f, rule)
@@ -466,7 +513,7 @@ def test_paper_exit_3_after_writing_every_artifact(tmp_path, monkeypatch):
     def failing_sixth_cell(f, rule):
         calls.append(rule)
         if len(calls) == 1:
-            exc = QuadratureError("source pass failed")
+            exc = MeshError("source pass failed")
             exc.cell = rule.cells[5]
             raise exc
         return real(f, rule)

@@ -23,12 +23,11 @@ from polyvem import local
 from polyvem.assembly import assemble, source_moments
 from polyvem.basis import dim_poly, eval_monomials, scaled_monomials
 from polyvem.cases import testcase as get_case
-from polyvem.errors import MeshError, QuadratureError
+from polyvem.errors import MeshError
 from polyvem.local import Method, build_projection_pack, data_rules
-from polyvem.mesh import (OrientationError, PolyMesh, generate_cartesian, generate_voronoi,
-                          read_mesh)
+from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import METHODS, energy_error, solve_cases
-from conftest import (exact_energy_norm, fan_rule, interpolate_dofs, mixed_mesh,
+from conftest import (STAR_SHAPE, exact_energy_norm, fan_rule, interpolate_dofs, mixed_mesh,
                       monomial_grads, nudged_cartesian, rectangle_rule, tensor_mesh)
 from test_cli import U_SHAPED_MESH
 
@@ -192,9 +191,10 @@ def test_block_pass_names_a_nonstar_cell_inside_its_block():
     u_mesh = read_mesh(io.StringIO(U_SHAPED_MESH))
     mesh = PolyMesh(u_mesh.vertices, u_mesh.cells[::-1])
     assert 12 * 36 <= local.DATA_BLOCK_POINTS
-    with pytest.raises(QuadratureError, match="^cell 1: cell is not star-shaped"):
+    u_cell = r"^cell 1: " + STAR_SHAPE.format(3, r"-0\.07")
+    with pytest.raises(MeshError, match=u_cell):
         source_moments(mesh, 2, get_case("tc1").f)
-    with pytest.raises(QuadratureError, match="^cell 1: cell is not star-shaped"):
+    with pytest.raises(MeshError, match=u_cell):
         exact_energy_norm(mesh, get_case("tc1"), 2)
 
 
@@ -265,9 +265,9 @@ def test_a_clockwise_or_flat_rectangle_raises_naming_its_cell(cell, order):
     mesh = generate_cartesian(3)
     cells = mesh.cells
     cells[cell] = cells[cell][order]
-    error, message = ((OrientationError, "polygon is not CCW") if order[0] == 3
-                      else (MeshError, "repeated consecutive vertex"))
-    with pytest.raises(error, match=f"^cell {cell}: {message}"):
+    message = (r"polygon is not CCW \(signed area -" if order[0] == 3
+               else "repeated consecutive vertex$")
+    with pytest.raises(MeshError, match=f"^cell {cell}: {message}"):
         PolyMesh(mesh.vertices, cells)
 
 

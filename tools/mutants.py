@@ -172,6 +172,15 @@ MUTANTS = [
     Mutant("ratio's norms swapped", "src/polyvem/assembly.py",
            "for part in (vals[1], vals[0])", "for part in (vals[0], vals[1])",
            "tests/test_assembly.py::test_ratio_is_bitwise_the_norms_of_the_joined_index_lists[voronoi 256-2]"),
+    Mutant("CellDegeneracyError exits 2", "src/polyvem/errors.py",
+           "exit_code = 3   # a cell's failure", "exit_code = 2   # a cell's failure",
+           "tests/test_cli.py::test_gram_not_positive_definite_exit_3_names_cell"),
+    Mutant("mesh file's counts not checked against its lines", "src/polyvem/mesh.py",
+           "if nv + nc > len(body):", "if False:",
+           "tests/test_mesh.py::test_read_checks_the_counts_before_allocating[1000000-1]"),
+    Mutant("mesh file's errors without their line", "src/polyvem/mesh.py",
+           'return MeshError(f"line {lineno}: {message}")', "return MeshError(message)",
+           "tests/test_mesh.py::test_read_rejects_malformed_text[non-integer-counts]"),
 ]
 
 
