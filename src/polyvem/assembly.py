@@ -35,9 +35,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import dim_poly, edge_rules
-from .errors import MeshError, PolyvemError, SolverError
+from .errors import PolyvemError, SolverError
 from .local import DiffusionTensor, DofLayout, Method, data_rules, element_matrices, local_load
-from .mesh import PolyMesh, cross_cell_violations
+from .mesh import PolyMesh, check_cross_cell
 
 RESIDUAL_RTOL = 1e-10
 # Cells per element stack.  On Voronoi-1024 at orders 1-3, stacks of this
@@ -72,13 +72,12 @@ class GlobalDofMap:
 def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     """Global numbering for order k, filled through `local.DofLayout`, with
     its free dofs in nested-dissection elimination order; a mesh that fails
-    `cross_cell_violations` raises `MeshError` naming the first."""
+    `check_cross_cell` raises its `MeshError`, naming the first break.  The
+    boundary vertices are the ends of the single-cell edges, which that
+    check puts on the sides of the square."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
-    bad = next(cross_cell_violations(mesh), None)
-    if bad is not None:
-        raise MeshError(f"{bad.where} breaks {bad.kind}: {bad.detail}; "
-                        "run validate_mesh for details")
+    check_cross_cell(mesh)
 
     nv, ne, nc = mesh.n_vertices, mesh.n_edges, mesh.n_cells
     n_edge = ne * (k - 1)
@@ -109,7 +108,7 @@ def build_dof_map(mesh: PolyMesh, k: int) -> GlobalDofMap:
     edge_nodes = tail[:, None, :] + inner[None, :, None] * (head - tail)[:, None, :]
     nodes = np.vstack([mesh.vertices, edge_nodes.reshape(-1, 2)])
 
-    boundary = np.concatenate([np.nonzero(mesh.boundary_vertex_flags)[0],
+    boundary = np.concatenate([np.unique(mesh.edges[mesh.boundary_edge_flags]),
                                edge_dofs[mesh.boundary_edge_flags].ravel()])
     mask = np.ones(n_total, dtype=bool)
     mask[boundary] = False

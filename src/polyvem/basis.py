@@ -334,8 +334,8 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
         t = bad[0]
         raise MeshError(
             "cell is not star-shaped with respect to its centroid "
-            f"(fan triangle {t - starts[owner[t]]} has signed area {signed[t]:g}); "
-            "run mesh validation", cell=int(owner[t]))
+            f"(fan triangle {t - starts[owner[t]]} has signed area {signed[t]:g})",
+            cell=int(owner[t]))
     if max_y_extent is None:
         return (c, a, b), owner
     # the polygons to cut: a whole one by its vertices, any other by the

@@ -2,9 +2,11 @@
 carrying the CLI exit code it maps to.
 
 `MeshError` (exit code 2) is bad input: a mesh that cannot be generated,
-read, built, validated or integrated on.  Exit code 3 marks a failed
-discretization or solve, in three classes that code tells apart:
-`SolverError`, to which `study.solve_cases` adds the order caveat of the
+read, built or integrated on, or that breaks the contract across cells
+(`mesh.check_cross_cell`, which the dof map and `polyvem mesh` run, names
+the first edge or vertex that breaks it, or the area sum).  Exit code 3
+marks a failed discretization or solve, in three classes that code tells
+apart: `SolverError`, to which `study.solve_cases` adds the order caveat of the
 stabilization-free scheme; `StabilizationFreeRankError`, the rank loss the
 paper's comparison turns on (the benchmark's tracer matches it by name);
 and `CellDegeneracyError`, a cell-local matrix that is singular or not
@@ -46,7 +48,8 @@ class PolyvemError(Exception):
 
 
 class MeshError(PolyvemError):
-    """A mesh cannot be generated, read, built, validated or integrated on."""
+    """A mesh cannot be generated, read, built or integrated on, or breaks
+    the contract across cells."""
 
 
 class SolverError(PolyvemError):

@@ -4,7 +4,9 @@ Vertices are rows of an (nv, 2) float array; a cell lists its vertex indices
 in counter-clockwise order.  A mesh stores its cells flat: the indices of
 every cell concatenated in cell order, with the offset of each cell's run.
 Generators produce conforming meshes (every internal edge shared by exactly
-two cells, traversed in opposite directions) whose cell areas sum to one.  A
+two cells, traversed in opposite directions) whose cell areas sum to one.
+`check_cross_cell` is the one check of that contract; the dof map runs it on
+every mesh it numbers, and `polyvem mesh` on the mesh it writes.  A
 lone polygon is a one-cell mesh: `PolyMesh(v, [range(len(v))]).cell_geom([0])`
 checks and measures it as the cells of any mesh are, a one-cell stack.
 
@@ -16,7 +18,7 @@ which `scipy.spatial` imports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -204,13 +206,10 @@ class PolyMesh:
         self.congruent_cells, self.rectangles = self._cell_shapes()
 
         self._build_edges()
-        flags = np.zeros(self.vertices.shape[0], dtype=bool)
-        flags[self.edges[self.boundary_edge_flags].ravel()] = True
-        self.boundary_vertex_flags = flags
         # the congruent-cell reuse and the data rules rely on a mesh never changing
         for array in (self.vertices, ids, starts, self.cell_areas, self.cell_centroids,
                       self.cell_diameters, self.edges, *self.cell_sides,
-                      self.boundary_edge_flags, flags, *(self.rectangles or ())):
+                      self.boundary_edge_flags, *(self.rectangles or ())):
             array.setflags(write=False)
 
     # -- construction helpers -------------------------------------------------
@@ -688,8 +687,9 @@ def read_mesh(stream) -> PolyMesh:
     Raises `MeshError` on a missing header or counts, malformed lines,
     counts that declare more lines than follow them (checked before any
     array is allocated), trailing content, or a cell the :class:`PolyMesh`
-    constructor rejects (out-of-range indices, non-CCW or self-intersecting
-    cells); the message leads with the line it is about, `line N:`.
+    constructor rejects (out-of-range indices, however large, non-CCW or
+    self-intersecting cells); the message leads with the line it is about,
+    `line N:`.  The contract across cells is left to `check_cross_cell`.
     """
     lines = []
     for lineno, raw in enumerate(stream, start=1):
@@ -741,7 +741,9 @@ def read_mesh(stream) -> PolyMesh:
             raise at(lineno, f"bad index in cell {ci}") from None
         if ids[0] != len(ids) - 1:
             raise at(lineno, f"cell {ci}: count prefix does not match")
-        cells.append(ids[1:])
+        # an id outside [0, nv) may not fit an int64: it becomes -1 while it
+        # is a Python int, for the constructor to name its cell
+        cells.append([i if 0 <= i < nv else -1 for i in ids[1:]])
         cell_lines.append(lineno)
 
     if len(body) > nv + nc:
@@ -763,69 +765,19 @@ def load_mesh(path) -> PolyMesh:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# the contract across cells
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Violation:
-    kind: str         # "conformity" | "boundary" | "partition"
-    where: str
-    detail: str
-
-
-@dataclass
-class MeshValidationReport:
-    violations: list = field(default_factory=list)
-    area_sum: float = 0.0
-    min_edge_ratio: float = float("inf")       # min over cells of min edge / h_E
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def validate_mesh(mesh: PolyMesh) -> MeshValidationReport:
-    """Regularity indicators and the checks across cells; collects violations, never raises.
-
-    Each cell's own polygon was already checked by the `PolyMesh` constructor.
-    """
-    rep = MeshValidationReport()
-
-    # one pass over the sides of all cells: dividing by h_E > 0 keeps their
-    # order, so each least quotient is the per-cell least measure over h_E
-    ids, starts = mesh.flat_cells
-    owner = np.repeat(np.arange(mesh.n_cells), np.diff(starts))
-    v = mesh.vertices[ids]
-    h = mesh.cell_diameters[owner]
-    edges = v[_next_vertex(starts)] - v
-    elen = np.hypot(edges[:, 0], edges[:, 1])
-    rep.min_edge_ratio = float(np.min(elen / h, initial=rep.min_edge_ratio))
-
-    rep.violations.extend(cross_cell_violations(mesh))
-
-    on_boundary = (
-        (np.abs(mesh.vertices) <= BOUNDARY_SNAP_TOL)
-        | (np.abs(mesh.vertices - 1.0) <= BOUNDARY_SNAP_TOL)
-    ).any(axis=1)
-    mismatched = np.nonzero(on_boundary != mesh.boundary_vertex_flags)[0]
-    for vi in mismatched:
-        rep.violations.append(
-            Violation("boundary", f"vertex {vi}",
-                      "boundary flag disagrees with position on the unit square"))
-
-    rep.area_sum = float(mesh.cell_areas.sum())
-    return rep
-
-
-def cross_cell_violations(mesh: PolyMesh):
-    """Yield a conformity violation for each edge that breaks the mesh
-    contract and for each vertex that no cell uses, then a partition
-    violation unless the cell areas sum to 1.
+def check_cross_cell(mesh: PolyMesh) -> None:
+    """Raise `MeshError` for the first break of the contract across cells:
+    an edge that breaks conformity (lowest edge id first), then a vertex that
+    no cell uses, then cell areas that do not sum to 1 within AREA_SUM_TOL.
 
     An edge must be shared by at most two cells, traversed in opposite
     directions by two cells, and lie on a side of the unit square when only
     one cell has it; the cells then cover the square n >= 1 times, n = the area sum.
     An unused vertex would give its dof a zero row in the stiffness matrix.
+    Each cell's own polygon was already checked by the `PolyMesh` constructor.
     """
     edge_ids, against = mesh.cell_sides
     n_cells = np.bincount(edge_ids, minlength=mesh.n_edges)
@@ -835,19 +787,22 @@ def cross_cell_violations(mesh: PolyMesh):
     for side in (0.0, 1.0):
         on_side |= ((np.abs(a - side) <= BOUNDARY_SNAP_TOL)
                     & (np.abs(b - side) <= BOUNDARY_SNAP_TOL)).any(axis=1)
-    bad = (n_cells > 2) | ((n_cells == 2) & (n_against != 1)) | ((n_cells == 1) & ~on_side)
-    for eid in np.flatnonzero(bad).tolist():
+    bad = np.flatnonzero((n_cells > 2) | ((n_cells == 2) & (n_against != 1))
+                         | ((n_cells == 1) & ~on_side))
+    if bad.size:
+        eid = bad[0]
         if n_cells[eid] > 2:
             detail = f"shared by {n_cells[eid]} cells"
         elif n_cells[eid] == 2:
             detail = "traversed in the same direction by both cells"
         else:
             detail = "single-cell edge not on the square boundary"
-        yield Violation("conformity", f"edge ({mesh.edges[eid, 0]},{mesh.edges[eid, 1]})",
-                        detail)
+        raise MeshError(f"edge ({mesh.edges[eid, 0]},{mesh.edges[eid, 1]}) breaks conformity: "
+                        f"{detail}")
     used = np.bincount(mesh.flat_cells[0], minlength=mesh.n_vertices)
-    for vi in np.flatnonzero(used == 0).tolist():
-        yield Violation("conformity", f"vertex {vi}", "used by no cell")
+    unused = np.flatnonzero(used == 0)
+    if unused.size:
+        raise MeshError(f"vertex {unused[0]} breaks conformity: used by no cell")
     area_sum = float(mesh.cell_areas.sum())
     if abs(area_sum - 1.0) > AREA_SUM_TOL:
-        yield Violation("partition", "mesh", f"cell areas sum to {area_sum!r}, not 1")
+        raise MeshError(f"mesh breaks partition: cell areas sum to {area_sum!r}, not 1")

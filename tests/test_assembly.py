@@ -172,8 +172,7 @@ def test_dof_map_rejects_a_double_cover():
     """A mesh and its copy on other vertex ids conform edge by edge; only
     their area sum, 2, tells the dof map that they cover the square twice."""
     with pytest.raises(MeshError,
-                       match=r"^mesh breaks partition: cell areas sum to 2\.0, not 1; "
-                             "run validate_mesh for details$"):
+                       match=r"^mesh breaks partition: cell areas sum to 2\.0, not 1$"):
         build_dof_map(doubled_cartesian2(), 1)
 
 
@@ -183,7 +182,7 @@ def test_dof_map_rejects_nonconforming():
     mesh = PolyMesh(verts, cells)
     with pytest.raises(MeshError,
                        match=r"^edge \(1,4\) breaks conformity: single-cell edge not on the "
-                             "square boundary; run validate_mesh for details$"):
+                             "square boundary$"):
         build_dof_map(mesh, 1)
 
 

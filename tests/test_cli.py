@@ -1,21 +1,28 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyvem
-from polyvem import assembly, local, study
+from polyvem import assembly, cli, local, study
 from polyvem.cli import main
 from polyvem.errors import CellDegeneracyError, MeshError
 from polyvem.local import Method
-from polyvem.mesh import PolyMesh, generate_mesh, load_mesh, save_mesh
+from polyvem.mesh import (PolyMesh, check_cross_cell, generate_mesh, load_mesh, read_mesh,
+                          save_mesh, write_mesh)
 from conftest import SQUARE_VERTICES, doubled_cartesian2, parse_rows_csv
 
 # a U-shaped cell whose centroid lies in the slot filled by the second cell
@@ -48,6 +55,18 @@ def test_mesh_command_cartesian(tmp_path):
     out = tmp_path / "cart.txt"
     assert main(["mesh", "--family", "cartesian", "--n", "3", "-o", str(out)]) == 0
     assert load_mesh(out).n_cells == 9
+
+
+def test_mesh_command_refuses_a_generated_mesh_that_breaks_the_contract(
+        tmp_path, capsys, monkeypatch):
+    """`polyvem mesh` runs the dof map's check across cells on the mesh it
+    generates, and prints the message a solve on that mesh would print."""
+    monkeypatch.setattr(cli, "generate_mesh", lambda *args: doubled_cartesian2())
+    out = tmp_path / "double.txt"
+    assert main(["mesh", "--family", "cartesian", "--n", "2", "-o", str(out)]) == 2
+    assert _one_line_error(capsys) == ("error: mesh breaks partition: cell areas sum to 2.0, "
+                                       "not 1")
+    assert not out.exists()
 
 
 def test_solve_command_json_payload(tmp_path):
@@ -281,7 +300,7 @@ def test_non_star_shaped_cell_exit_2(tmp_path, capsys):
     assert rc == 2
     assert _one_line_error(capsys) == (
         "error: cell 0: cell is not star-shaped with respect to its centroid "
-        "(fan triangle 3 has signed area -0.07); run mesh validation")
+        "(fan triangle 3 has signed area -0.07)")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -295,10 +314,15 @@ def test_non_star_shaped_cell_exit_2(tmp_path, capsys):
     ("polymesh 1\n4 100000000000\n" + SQUARE_VERTICES + "4 0 1 2 3\n",
      "line 2: counts nv=4 nc=100000000000 need 100000000004 vertex and cell lines, "
      "only 5 follow"),
-], ids=["clockwise-cell", "malformed-line", "vertex-count", "cell-count"])
+    ("polymesh 1\n4 1\n" + SQUARE_VERTICES + "4 0 1 2 100000000000000000000\n",
+     "line 7: cell 0: vertex index out of range"),
+    ("polymesh 1\n4 1\n" + SQUARE_VERTICES + "4 0 1 2 -100000000000000000000\n",
+     "line 7: cell 0: vertex index out of range"),
+], ids=["clockwise-cell", "malformed-line", "vertex-count", "cell-count", "id-beyond-int64",
+        "id-below-int64"])
 def test_bad_mesh_file_exit_2_names_its_line(tmp_path, capsys, text, message):
     # the counts are checked before anything is allocated: 10**12 vertices
-    # would be a 16 TB array
+    # would be a 16 TB array; an id of 10**20 fits no int64
     mesh_path = tmp_path / "bad.txt"
     mesh_path.write_text(text)
     rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
@@ -308,6 +332,71 @@ def test_bad_mesh_file_exit_2_names_its_line(tmp_path, capsys, text, message):
     assert not (tmp_path / "x.json").exists()
 
 
+# the tokens an edit of a mesh file writes
+EDIT_TOKENS = ["0", "-1", "1e308", "nan", "inf", "1e-320", str(2**31), str(2**32), str(10**23),
+               "", "x"]
+# a line of stderr that names where a mesh error is
+NAMED_ERROR = re.compile(r"error: (line \d+: |cell \d+: |vertex \d+ |edge \(\d+,\d+\) )")
+
+
+def _mesh_text(mesh):
+    stream = io.StringIO()
+    write_mesh(mesh, stream)
+    return stream.getvalue()
+
+
+VALID_TEXTS = [_mesh_text(generate_mesh("voronoi", 10)), _mesh_text(generate_mesh("cartesian", 3))]
+
+
+@st.composite
+def edited_mesh_texts(draw):
+    """A valid mesh file with 1-3 edits: a token replaced (drawn twice as
+    often as the others), dropped or added, or a line duplicated.  Lines and
+    tokens are drawn uniformly (`st.randoms`; integers drawn by hypothesis
+    favour the header), so about half the replaced tokens are cell ids."""
+    rnd = draw(st.randoms(use_true_random=False))
+    lines = [line.split() for line in rnd.choice(VALID_TEXTS).splitlines()]
+    for _ in range(rnd.randint(1, 3)):
+        edit = rnd.choice(["replace", "replace", "drop", "add", "duplicate"])
+        if edit == "duplicate":
+            lines.insert(rnd.randint(0, len(lines)), list(rnd.choice(lines)))
+            continue
+        # a token, or for an addition a place before or after one
+        i, j = rnd.choice([(i, j) for i, tokens in enumerate(lines)
+                           for j in range(len(tokens) + (edit == "add"))])
+        if edit == "add":
+            lines[i].insert(j, rnd.choice(EDIT_TOKENS))
+        elif edit == "drop":
+            del lines[i][j]
+        else:
+            lines[i][j] = rnd.choice(EDIT_TOKENS)
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=edited_mesh_texts())
+def test_an_edited_mesh_file_exits_0_2_or_3(text):
+    """Reading and checking an edited mesh file returns or raises
+    `MeshError`, nothing else; a solve on it exits 0, 2 or 3, and a 2
+    prints one line that names the line, cell, vertex or edge at fault."""
+    try:
+        check_cross_cell(read_mesh(io.StringIO(text)))
+    except MeshError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        mesh_path = os.path.join(tmp, "edited.txt")
+        with open(mesh_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["solve", "--mesh", mesh_path, "--method", "vem", "--order", "1",
+                       "--case", "tc1", "-o", os.path.join(tmp, "x.json")])
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and NAMED_ERROR.match(lines[0]), lines
+
+
 def test_double_cover_exit_2(tmp_path, capsys):
     mesh_path = tmp_path / "double.txt"
     save_mesh(doubled_cartesian2(), mesh_path)
@@ -315,7 +404,7 @@ def test_double_cover_exit_2(tmp_path, capsys):
                "--order", "1", "--case", "tc2", "-o", str(tmp_path / "x.json")])
     assert rc == 2
     assert _one_line_error(capsys) == ("error: mesh breaks partition: cell areas sum to 2.0, "
-                                       "not 1; run validate_mesh for details")
+                                       "not 1")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -329,8 +418,7 @@ def test_unused_vertex_exit_2_names_it(tmp_path, capsys, point):
     rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
                "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
     assert rc == 2
-    assert _one_line_error(capsys) == ("error: vertex 9 breaks conformity: used by no cell; "
-                                       "run validate_mesh for details")
+    assert _one_line_error(capsys) == "error: vertex 9 breaks conformity: used by no cell"
     assert not (tmp_path / "x.json").exists()
 
 

@@ -12,10 +12,13 @@ from scipy.spatial import Delaunay, Voronoi
 import polyvem.mesh as meshmod
 from conftest import SQUARE_VERTICES, lone_cell, mixed_mesh, nudged_cartesian, tensor_mesh
 from polyvem.assembly import build_dof_map
+from polyvem.cases import testcase as get_case
 from polyvem.errors import MeshError
+from polyvem.local import Method
 from polyvem.mesh import (CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER, PolyMesh,
-                          generate_cartesian, generate_mesh, generate_voronoi, read_mesh,
-                          validate_mesh, write_mesh)
+                          check_cross_cell, generate_cartesian, generate_mesh, generate_voronoi,
+                          read_mesh, write_mesh)
+from polyvem.study import solve_case
 
 
 # -- cell geometry -----------------------------------------------------------
@@ -132,9 +135,9 @@ def test_cartesian_cells_are_read_only_views_of_the_flat_cells():
 
 
 @pytest.mark.parametrize("make, count", [
-    (lambda: generate_cartesian(3), 13),
-    (lambda: generate_voronoi(12, rng_seed=4, lloyd_iters=20), 11),
-    (lambda: _roundtrip(generate_voronoi(12, rng_seed=4, lloyd_iters=20)), 11),
+    (lambda: generate_cartesian(3), 12),
+    (lambda: generate_voronoi(12, rng_seed=4, lloyd_iters=20), 10),
+    (lambda: _roundtrip(generate_voronoi(12, rng_seed=4, lloyd_iters=20)), 10),
 ], ids=["cartesian", "voronoi", "read_mesh"])
 def test_every_mesh_array_is_read_only(make, count):
     # the congruent-cell reuse and the data rules rely on a mesh never
@@ -195,7 +198,7 @@ def test_voronoi_16_partition():
     m = generate_voronoi(16, rng_seed=42, lloyd_iters=100)
     assert m.n_cells == 16
     assert abs(m.cell_areas.sum() - 1.0) <= 1e-10
-    assert validate_mesh(m).ok
+    check_cross_cell(m)
 
 
 def test_voronoi_cells_convex_ccw(rng):
@@ -326,7 +329,7 @@ def test_band_mirroring_matches_full_mirroring(n, seed):
     assert len(mesh.cells) == len(ref.cells)
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
     assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-10
-    assert validate_mesh(mesh).ok
+    check_cross_cell(mesh)
 
 
 def test_box_voronoi_names_the_seed_whose_region_leaves_the_square():
@@ -408,7 +411,7 @@ def test_delaunay_voronoi_matches_qhull_voronoi_oracle(seed):
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
     assert mesh.vertices.shape == ref.vertices.shape
     assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-10
-    assert validate_mesh(mesh).ok
+    check_cross_cell(mesh)
 
 
 def _cocircular_grid():
@@ -425,7 +428,7 @@ def test_cocircular_seeds_share_one_vertex():
     assert mesh.n_cells == 9 and mesh.n_vertices == 16
     assert [len(c) for c in mesh.cells] == [4] * 9
     assert np.allclose(mesh.cell_areas, 1.0 / 9.0)
-    assert validate_mesh(mesh).ok
+    check_cross_cell(mesh)
 
 
 def test_box_voronoi_names_a_seed_with_an_open_fan():
@@ -818,38 +821,17 @@ def test_roundtrip_property(n, seed):
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, back.cells))
 
 
-# -- validation --------------------------------------------------------------
+# -- the contract across cells -----------------------------------------------
 
 def test_validate_clean_mesh():
-    rep = validate_mesh(generate_cartesian(4))
-    assert rep.ok
-    assert rep.area_sum == pytest.approx(1.0, abs=1e-12)
-    assert rep.min_edge_ratio > 0.5
-
-
-def _edge_ratio_per_cell(mesh):
-    """validate_mesh's edge ratio, measured one cell at a time."""
-    edge_ratio = float("inf")
-    for ci, cell in enumerate(mesh.cells):
-        v = mesh.vertices[cell]
-        edges = np.roll(v, -1, axis=0) - v
-        elen = np.hypot(edges[:, 0], edges[:, 1])
-        edge_ratio = min(edge_ratio, float(elen.min() / mesh.cell_diameters[ci]))
-    return edge_ratio
-
-
-@pytest.mark.parametrize("family, n", [("cartesian", 8), ("voronoi", 256)])
-def test_validate_ratios_match_per_cell_loop(family, n):
-    mesh = generate_mesh(family, n)
-    rep = validate_mesh(mesh)
-    assert rep.min_edge_ratio == _edge_ratio_per_cell(mesh)
+    check_cross_cell(generate_cartesian(4))
 
 
 def test_validate_flags_clockwise_cell():
-    # a clockwise cell never reaches the validator: the constructor names it
+    # a clockwise cell never reaches the check across cells: the constructor names it
     verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
     cells = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 4, 3]]
-    assert validate_mesh(PolyMesh(verts, cells)).ok
+    check_cross_cell(PolyMesh(verts, cells))
     with pytest.raises(MeshError, match=r"^cell 0: polygon is not CCW \(signed area -0.25\)$"):
         PolyMesh(verts, [[0, 4, 1]] + cells[1:])
 
@@ -859,22 +841,18 @@ def test_validate_flags_nonconforming_partial_edge():
     verts = [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1], [0, 1], [0.5, 0.5]]
     cells = [[0, 1, 4, 5],          # left quad uses full edge (1,4)
              [1, 2, 3, 4, 6]]       # right pentagon passes through midpoint 6
-    mesh = PolyMesh(verts, cells)
-    rep = validate_mesh(mesh)
-    assert any(v.kind == "conformity" for v in rep.violations)
+    with pytest.raises(MeshError, match=r"^edge \(1,4\) breaks conformity: single-cell edge "
+                                        "not on the square boundary$"):
+        check_cross_cell(PolyMesh(verts, cells))
 
 
 def test_validate_flags_an_unused_vertex():
-    # vertex 9 lies inside a cell of cartesian 2, so no boundary flag is off
+    # vertex 9 lies inside a cell of cartesian 2
     cart = generate_cartesian(2)
     mesh = PolyMesh(np.vstack([cart.vertices, [[0.5, 0.25]]]), cart.cells)
-    rep = validate_mesh(mesh)
-    assert not rep.ok
-    assert [(v.kind, v.where, v.detail) for v in rep.violations] == [
-        ("conformity", "vertex 9", "used by no cell")]
-    with pytest.raises(MeshError, match=r"^vertex 9 breaks conformity: used by no cell; "
-                                        "run validate_mesh for details$"):
-        build_dof_map(mesh, 1)
+    for check in (check_cross_cell, lambda m: build_dof_map(m, 1)):
+        with pytest.raises(MeshError, match=r"^vertex 9 breaks conformity: used by no cell$"):
+            check(mesh)
 
 
 @pytest.mark.parametrize("n, detail", [
@@ -883,15 +861,23 @@ def test_validate_flags_an_unused_vertex():
 ])
 def test_validate_flags_stacked_copies_of_one_cell(n, detail):
     """n copies of the unit square: every side is shared by all n cells in
-    one direction, no side is a boundary edge, and the areas sum to n."""
+    one direction, no side is a boundary edge, and the areas sum to n; the
+    first edge is named."""
     mesh = PolyMesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]] * n)
-    rep = validate_mesh(mesh)
-    assert rep.area_sum == float(n)
-    assert [(v.kind, v.where, v.detail) for v in rep.violations] == (
-        [("conformity", f"edge {e}", detail) for e in ("(0,1)", "(1,2)", "(2,3)", "(0,3)")]
-        + [("partition", "mesh", f"cell areas sum to {float(n)!r}, not 1")]
-        + [("boundary", f"vertex {vi}",
-            "boundary flag disagrees with position on the unit square") for vi in range(4)])
-    with pytest.raises(MeshError, match=f"^edge \\(0,1\\) breaks conformity: {detail}; "
-                                        "run validate_mesh for details$"):
-        build_dof_map(mesh, 1)
+    assert mesh.cell_areas.sum() == float(n)
+    for check in (check_cross_cell, lambda m: build_dof_map(m, 1)):
+        with pytest.raises(MeshError, match=f"^edge \\(0,1\\) breaks conformity: {detail}$"):
+            check(mesh)
+
+
+def test_an_interior_vertex_near_a_side_passes_and_solves():
+    """Vertex 4 lies 1e-10 from x = 0, within BOUNDARY_SNAP_TOL of the side,
+    but a sliver cell lies between it and the side: it is an interior vertex
+    and its dof is free."""
+    mesh = PolyMesh([[0, 0], [1, 0], [1, 1], [0, 1], [1e-10, 0.5]],
+                    [[0, 4, 3], [0, 1, 2, 3, 4]])
+    check_cross_cell(mesh)
+    dof_map = build_dof_map(mesh, 1)
+    assert dof_map.boundary_dofs.tolist() == [0, 1, 2, 3]
+    assert dof_map.free_dofs.tolist() == [4]
+    assert solve_case(mesh, 1, Method.STANDARD, get_case("patch:1")).e_star <= 1e-9

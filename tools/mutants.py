@@ -156,10 +156,17 @@ MUTANTS = [
            "table[:, lay.first_moment:] = moment_dofs[cells]",
            "table[:, lay.first_moment:] = moment_dofs[cells] - 1",
            "tests/test_assembly.py::test_dof_map_groups_equal_the_blocks_side_by_side[cartesian3-2]"),
+    # the dof map's one call of the check; its killer's mesh conforms edge by
+    # edge, so only the area check refuses it
     Mutant("area check dropped from the dof map", "src/polyvem/assembly.py",
-           "bad = next(cross_cell_violations(mesh), None)",
-           'bad = next((v for v in cross_cell_violations(mesh) if v.kind != "partition"), None)',
+           "check_cross_cell(mesh)", "None",
            "tests/test_assembly.py::test_dof_map_rejects_a_double_cover"),
+    Mutant("area sum not checked across cells", "src/polyvem/mesh.py",
+           "if abs(area_sum - 1.0) > AREA_SUM_TOL:", "if False:",
+           "tests/test_assembly.py::test_dof_map_rejects_a_double_cover"),
+    Mutant("cross-cell check dropped from polyvem mesh", "src/polyvem/cli.py",
+           "check_cross_cell(mesh)", "None",
+           "tests/test_cli.py::test_mesh_command_refuses_a_generated_mesh_that_breaks_the_contract"),
     Mutant("unused-vertex check dropped", "src/polyvem/mesh.py",
            "np.flatnonzero(used == 0)", "np.flatnonzero(used < 0)",
            "tests/test_mesh.py::test_validate_flags_an_unused_vertex"),
@@ -181,6 +188,9 @@ MUTANTS = [
     Mutant("mesh file's errors without their line", "src/polyvem/mesh.py",
            'return MeshError(f"line {lineno}: {message}")', "return MeshError(message)",
            "tests/test_mesh.py::test_read_rejects_malformed_text[non-integer-counts]"),
+    Mutant("read_mesh's id range check dropped", "src/polyvem/mesh.py",
+           "[i if 0 <= i < nv else -1 for i in ids[1:]]", "ids[1:]",
+           "tests/test_cli.py::test_bad_mesh_file_exit_2_names_its_line[id-beyond-int64]"),
 ]
 
 
