@@ -1,8 +1,9 @@
 """Command-line interface: mesh generation, single solves, studies, the paper run.
 
 Exit codes: 0 success, 2 bad input (a mesh that breaks the contract across
-cells included), 3 solver failure; a `PolyvemError` exits with its own
-`exit_code` (see errors.py).
+cells included, and a mesh size or order that needs more memory than there
+is), 3 solver failure; a `PolyvemError` exits with its own `exit_code` (see
+errors.py).
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ def main(argv=None) -> int:
     except (PolyvemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, PolyvemError) else 2
+    except MemoryError as exc:
+        # an array sized by a mesh or order the user gave; the sparse solve's
+        # own MemoryError is a SolverError
+        print(f"error: out of memory ({exc or 'allocation refused'})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import csv
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ try:
 except ImportError:
     sys.path.insert(0, str(SRC))
 
+from polyvem import cli, study
 from polyvem.assembly import build_dof_map, source_moments
 from polyvem.basis import (QuadRule, dim_poly, edge_rules, eval_monomials, fan_triangles,
                            monomial_derivatives, monomial_gram, triangle_rule)
 from polyvem.local import data_rules
-from polyvem.mesh import CellGeometry, PolyMesh, generate_cartesian
+from polyvem.mesh import (DEFAULT_LLOYD_ITERS, CellGeometry, PolyMesh, generate_cartesian,
+                          generate_mesh)
 from polyvem.study import StudyRow, _energy_sums
 
 
@@ -198,3 +201,37 @@ PENTAGON = lone_cell(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+_MESHES = {}
+
+
+def shared_mesh(family: str, n: int, seed: int = 0,
+                lloyd_iters: int = DEFAULT_LLOYD_ITERS) -> PolyMesh:
+    """`generate_mesh(family, n, seed, lloyd_iters)`, built once per session
+    for each set of arguments; a mesh's arrays are read-only, so the tests
+    and the paper run share it."""
+    key = (family, n, seed, lloyd_iters)
+    if key not in _MESHES:
+        _MESHES[key] = generate_mesh(*key)
+    return _MESHES[key]
+
+
+@pytest.fixture(scope="session")
+def paper_run(tmp_path_factory):
+    """`polyvem paper -o DIR` on the full ladders, once per session, with
+    `study.generate_mesh` served by `shared_mesh`: (DIR, the (family, n) of
+    each mesh the run asked for, the run's seconds).  It exits 3, after
+    writing every artifact, on tc1's two order-3 Voronoi E2VEM failures."""
+    out = tmp_path_factory.mktemp("paper")
+    built = []
+
+    def memo(family, n, *args):
+        built.append((family, n))
+        return shared_mesh(family, n, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(study, "generate_mesh", memo)
+        start = time.perf_counter()
+        assert cli.main(["paper", "-o", str(out)]) == 3
+    return out, built, time.perf_counter() - start

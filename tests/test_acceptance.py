@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each criterion is one test; `pytest -v` yields the pass/fail line per
-criterion and the prints carry the measured numbers.  Expensive meshes and
-ladder sweeps are shared through module-scoped fixtures.
+criterion and the prints carry the measured numbers.  Criteria 3, 4 and 5
+read the session's full paper run (`conftest.paper_run`); every mesh comes
+from the session's mesh memo (`conftest.shared_mesh`), built once.
 """
 
 import csv
@@ -15,15 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import exact_energy_norm, lone_cell
-from polyvem.assembly import STACK_CELLS, assemble, stab_consistency_ratio
+from conftest import exact_energy_norm, lone_cell, parse_rows_csv, shared_mesh
+from polyvem.assembly import STACK_CELLS, assemble
 from polyvem.basis import dim_poly
 from polyvem.cases import testcase as get_case
 from polyvem.local import (MAX_ELL_BUMPS, RANK_TOL, DiffusionTensor, ElementContext,
                            Method, StabilizationFreeRankError, build_pi_nabla,
                            build_projection_pack, local_stiffness, min_ell)
-from polyvem.mesh import CARTESIAN_LADDER, VORONOI_LADDER, generate_cartesian, generate_voronoi
-from polyvem.study import METHODS, solve_case, solve_cases
+from polyvem.mesh import CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER
+from polyvem.study import solve_case
 
 K_PATCH = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -33,73 +34,35 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-# ---------------------------------------------------------------------------
-# shared meshes and sweeps
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def cart_meshes():
-    return {n: generate_cartesian(n) for n in CARTESIAN_LADDER}
+def paper_e_stars(out, case_id):
+    """{(family, order, n, method): e_star} of a case's rows in the paper run
+    written to `out`, n the ladder mesh of the row's level."""
+    return {(r.family, r.order, FAMILIES[r.family][r.level - 1], Method.parse(r.method)): r.e_star
+            for r in parse_rows_csv(out / case_id / "study_rows.csv")}
 
 
 @pytest.fixture(scope="module")
-def vor_meshes():
-    return {n: generate_voronoi(n, rng_seed=0, lloyd_iters=100)
-            for n in VORONOI_LADDER}
-
-
-@pytest.fixture(scope="module")
-def tc1_cart_sweep(cart_meshes):
-    """tc1 on the full cartesian ladder, orders 1 and 3, both methods."""
-    case = get_case("tc1")
-    t0 = time.time()
-    out = {}
-    for k in (1, 3):
-        for n in CARTESIAN_LADDER:
-            for method, sol in solve_cases(cart_meshes[n], k, METHODS, case).items():
-                out[(k, n, method)] = sol
-    return out, time.time() - t0
-
-
-@pytest.fixture(scope="module")
-def tc1_vor_order1(vor_meshes):
-    case = get_case("tc1")
-    t0 = time.time()
-    out = {}
-    for n in VORONOI_LADDER:
-        for method, sol in solve_cases(vor_meshes[n], 1, METHODS, case).items():
-            out[(n, method)] = sol
-    return out, time.time() - t0
-
-
-@pytest.fixture(scope="module")
-def vor1024_k3_rank_failure(vor_meshes):
+def vor1024_k3_rank_failure():
     """The error raised by the order-3 E2VEM assembly on Voronoi-1024, shared
     by criterion 7 and the two rank-failure tests; fails them if none is."""
     with pytest.raises(StabilizationFreeRankError) as info:
-        assemble(vor_meshes[1024], 3, Method.E2VEM, K_PATCH)
+        assemble(shared_mesh("voronoi", 1024), 3, Method.E2VEM, K_PATCH)
     # without its traceback, whose frames would keep the failed assembly alive
     return info.value.with_traceback(None)
-
-
-def _ratio_ladder(meshes, ladder, k, K):
-    ratios = [stab_consistency_ratio(assemble(meshes[n], k, Method.STANDARD, K))
-              for n in ladder]
-    return float(np.mean(ratios)), ratios
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_patch_exactness(cart_meshes, vor_meshes):
+def test_criterion_1_patch_exactness():
     """Patch test: k in {1,2,3}, both methods, cartesian n=8 and voronoi 64."""
     t0 = time.time()
     worst = 0.0
     for k in (1, 2, 3):
         case = get_case(f"patch:{k}")
         assert np.allclose(case.K.matrix, K_PATCH.matrix)
-        for mesh in (cart_meshes[8], vor_meshes[64]):
+        for mesh in (shared_mesh("cartesian", 8), shared_mesh("voronoi", 64)):
             for method in (Method.STANDARD, Method.E2VEM):
                 sol = solve_case(mesh, k, method, case)
                 worst = max(worst, sol.e_star)
@@ -109,11 +72,11 @@ def test_criterion_1_patch_exactness(cart_meshes, vor_meshes):
            f"max e_star={worst:.3e} (tol 1e-9), {elapsed:.1f}s (< 30s)")
 
 
-def test_criterion_2_projection_oracles(vor_meshes, rng):
+def test_criterion_2_projection_oracles(rng):
     """Projector identities on every cell of the 256-cell voronoi mesh plus
     the triangle equivalence with anisotropic linear finite elements."""
     t0 = time.time()
-    mesh = vor_meshes[256]
+    mesh = shared_mesh("voronoi", 256)
     worst_g = 0.0
     worst_fix = 0.0
     from test_local import _quadrature_pi_nabla_gram, fem_triangle_stiffness
@@ -148,31 +111,34 @@ def test_criterion_2_projection_oracles(vor_meshes, rng):
            f"(1e-11), triangle-FEM {worst_tri:.2e} (1e-12), {elapsed:.1f}s (< 30s)")
 
 
-def test_criterion_3_tc1_cartesian_convergence(tc1_cart_sweep):
+def test_criterion_3_tc1_cartesian_convergence(paper_run):
     """Final-pair rates at orders 1 and 3 and cross-method agreement."""
-    sweep, elapsed = tc1_cart_sweep
+    out, _, elapsed = paper_run
+    e_star = paper_e_stars(out, "tc1")
     details = []
     ok = elapsed < 600.0
     for k in (1, 3):
         for method in (Method.STANDARD, Method.E2VEM):
-            e_prev = sweep[(k, CARTESIAN_LADDER[-2], method)].e_star
-            e_last = sweep[(k, CARTESIAN_LADDER[-1], method)].e_star
+            e_prev = e_star[("cartesian", k, CARTESIAN_LADDER[-2], method)]
+            e_last = e_star[("cartesian", k, CARTESIAN_LADDER[-1], method)]
             alpha = math.log(e_prev / e_last) / math.log(2.0)
             details.append(f"alpha(k={k},{method.value})={alpha:.3f}")
             ok = ok and alpha >= k - 0.15
         for n in CARTESIAN_LADDER:
-            r = sweep[(k, n, Method.STANDARD)].e_star / sweep[(k, n, Method.E2VEM)].e_star
+            r = (e_star[("cartesian", k, n, Method.STANDARD)]
+                 / e_star[("cartesian", k, n, Method.E2VEM)])
             ok = ok and (1.0 / 1.1 <= r <= 1.1)
     report("criterion 3 (tc1 cartesian convergence)", ok,
            ", ".join(details) + f" (>= k-0.15); methods within 10%; "
            f"{elapsed:.0f}s (< 600s)")
 
 
-def test_criterion_4_tc1_method_ordering(tc1_vor_order1):
+def test_criterion_4_tc1_method_ordering(paper_run):
     """Stabilization-free scheme at least matches the standard one at order 1
     on the voronoi ladder and wins on the finest level."""
-    sweep, elapsed = tc1_vor_order1
-    ratios = [sweep[(n, Method.STANDARD)].e_star / sweep[(n, Method.E2VEM)].e_star
+    out, _, elapsed = paper_run
+    e_star = paper_e_stars(out, "tc1")
+    ratios = [e_star[("voronoi", 1, n, Method.STANDARD)] / e_star[("voronoi", 1, n, Method.E2VEM)]
               for n in VORONOI_LADDER]
     ok = all(r >= 0.95 for r in ratios) and ratios[-1] > 1.0 and elapsed < 600.0
     report("criterion 4 (tc1 voronoi ordering)", ok,
@@ -200,31 +166,34 @@ TABLE_TARGETS = {
 SOFT_KEYS = {("tc1", 1, "voronoi"), ("tc2", 1, "voronoi")}
 
 
-def test_criterion_5_ratio_tables(cart_meshes, vor_meshes):
-    t0 = time.time()
+def test_criterion_5_ratio_tables(paper_run):
+    """The ladder-averaged stabilization/consistency ratios of the paper
+    run's ratio tables against the paper's printed values."""
+    out, _, _ = paper_run
+    with open(out / "ratio_tables.csv", newline="") as f:
+        averages = {(case_id, int(order), family): float(avg)
+                    for case_id, family, order, avg, *_ in list(csv.reader(f))[1:]}
     hard_ok = True
     lines = []
-    for (case_id, order, family), (target, tol) in TABLE_TARGETS.items():
-        K = get_case(case_id).K
-        meshes, ladder = ((cart_meshes, CARTESIAN_LADDER) if family == "cartesian"
-                          else (vor_meshes, VORONOI_LADDER))
-        avg, _ = _ratio_ladder(meshes, ladder, order, K)
+    for key, (target, tol) in TABLE_TARGETS.items():
+        case_id, order, family = key
+        avg = averages[key]
         hit = abs(avg - target) <= tol
-        kind = "soft" if (case_id, order, family) in SOFT_KEYS else "hard"
+        kind = "soft" if key in SOFT_KEYS else "hard"
         lines.append(f"{case_id}/{family}/k={order}: {avg:.3f} vs {target}"
                      f"+/-{tol} {'ok' if hit else 'MISS'} [{kind}]")
         if kind == "hard":
             hard_ok = hard_ok and hit
-    print(f"[acceptance] ratio table details ({time.time()-t0:.0f}s):")
+    print("[acceptance] ratio table details:")
     for ln in lines:
         print("   ", ln)
     report("criterion 5 (ratio tables, soft for voronoi order 1)", hard_ok,
            "; ".join(lines))
 
 
-def test_criterion_6_tc2_energy_norm(cart_meshes):
+def test_criterion_6_tc2_energy_norm():
     t0 = time.time()
-    den = exact_energy_norm(cart_meshes[128], get_case("tc2"))
+    den = exact_energy_norm(shared_mesh("cartesian", 128), get_case("tc2"))
     target = math.pi * math.sqrt(2.0)
     rel = abs(den - target) / target
     elapsed = time.time() - t0
@@ -234,17 +203,12 @@ def test_criterion_6_tc2_energy_norm(cart_meshes):
            f"(<= 1e-3), {elapsed:.1f}s (< 60s)")
 
 
-def test_criterion_7_wellposedness_probe(tc1_cart_sweep, tc1_vor_order1,
-                                         cart_meshes, vor1024_k3_rank_failure):
+def test_criterion_7_wellposedness_probe(vor1024_k3_rank_failure):
     """Order-1 stabilization-free systems pass the SPD check on every test
     mesh; higher-order rank failures raise the documented diagnostic."""
-    sweep_c, _ = tc1_cart_sweep
-    sweep_v, _ = tc1_vor_order1
-    spd_flags = []
-    for n in CARTESIAN_LADDER:
-        spd_flags.append(sweep_c[(1, n, Method.E2VEM)].report.spd_ok)
-    for n in VORONOI_LADDER:
-        spd_flags.append(sweep_v[(n, Method.E2VEM)].report.spd_ok)
+    case = get_case("tc1")
+    spd_flags = [solve_case(shared_mesh(family, n), 1, Method.E2VEM, case).report.spd_ok
+                 for family, ladder in FAMILIES.items() for n in ladder]
     all_spd = all(f is True for f in spd_flags)
 
     # the documented diagnostic on a realistic mesh: at order 3 the Lloyd
@@ -265,10 +229,10 @@ def test_rank_failure_names_the_lowest_short_cell(vor1024_k3_rank_failure):
                     str(vor1024_k3_rank_failure))
 
 
-def test_rank_failure_reports_its_diagnosis(vor_meshes, vor1024_k3_rank_failure):
+def test_rank_failure_reports_its_diagnosis(vor1024_k3_rank_failure):
     """The criterion 7 failure on cell 126 reports lambda_2/lambda_max below
     RANK_TOL, the cell's shortest edge over its diameter, and the last ell."""
-    mesh = vor_meshes[1024]
+    mesh = shared_mesh("voronoi", 1024)
     error = vor1024_k3_rank_failure
     found = re.search(r"ell=(\d+) \(lambda_2/lambda_max = (\S+) <= RANK_TOL = \S+, "
                       r"shortest edge / h_E = (\S+)\)", str(error))
@@ -329,14 +293,14 @@ def _decision_record(mesh, k):
     return record
 
 
-def test_e2vem_decisions_on_the_paper_ladder(vor_meshes):
+def test_e2vem_decisions_on_the_paper_ladder():
     """Every decision of the stabilization-free scheme on Voronoi-1024 and
     -4096 at orders 1-3 matches `e2vem_decisions.json`: the ells, the cells
     that stay rank deficient with their numbers, and the failure notes of
     the paper reference's tc1 rows, byte for byte.  A change that moves a
     decision on purpose rewrites the file, as the paper reference is."""
     want = json.loads((DATA / "e2vem_decisions.json").read_text())
-    got = {str(n): {str(k): _decision_record(vor_meshes[n], k) for k in (1, 2, 3)}
+    got = {str(n): {str(k): _decision_record(shared_mesh("voronoi", n), k) for k in (1, 2, 3)}
            for n in (1024, 4096)}
     assert got == want, json.dumps(got, indent=1)
     with open(DATA / "paper" / "tc1" / "study_rows.csv", newline="") as f:

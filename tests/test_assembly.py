@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from conftest import (STAR_SHAPE, cell_data_rule, doubled_cartesian2, interpolate_dofs,
-                      mixed_mesh, tensor_mesh)
+                      mixed_mesh, shared_mesh, tensor_mesh)
 from polyvem import assembly, local, study
 from polyvem.assembly import (RESIDUAL_RTOL, ReducedSystem, SolverError, apply_dirichlet,
                               assemble, build_dof_map, solve, source_moments,
@@ -102,7 +102,7 @@ def _bisections(centroids, cells):
 
 
 @pytest.mark.parametrize("maker", [lambda: generate_cartesian(4),
-                                   lambda: generate_voronoi(64, rng_seed=0)],
+                                   lambda: shared_mesh("voronoi", 64)],
                          ids=["cartesian 4", "voronoi 64"])
 def test_free_dofs_follow_a_nested_dissection(maker):
     # free_dofs is the free set in elimination order: every dof shared by
@@ -333,7 +333,7 @@ def test_degenerate_cell_in_a_stack_is_named(monkeypatch, stack_cells):
 
 
 def test_stack_size_leaves_the_system_unchanged(monkeypatch):
-    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=100)
+    mesh = shared_mesh("voronoi", 64)
     case = get_case("tc1")
     source = source_moments(mesh, 2, case.f)
     for method in (Method.STANDARD, Method.E2VEM):
@@ -352,7 +352,7 @@ def test_stack_size_leaves_the_system_unchanged(monkeypatch):
 
 @pytest.fixture(scope="module")
 def voronoi_groups():
-    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=100)
+    mesh = shared_mesh("voronoi", 64)
     return mesh, [cells for cells, _ in build_dof_map(mesh, 1).groups]
 
 
@@ -550,18 +550,13 @@ def test_solver_error_cites_order_limitation(monkeypatch):
             assert str(exc) == "sparse factorization failed (singular)" + tail
 
 
-@pytest.fixture(scope="module")
-def voronoi_256():
-    return generate_voronoi(256, rng_seed=0)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
 @pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
-def test_reduced_matrix_is_its_own_csc(mesh_name, method, k, voronoi_256):
+def test_reduced_matrix_is_its_own_csc(mesh_name, method, k):
     # solve hands SuperLU the CSR arrays of a_ff as CSC arrays; that is a_ff
     # itself only when it is bitwise symmetric with sorted indices
-    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
+    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else shared_mesh("voronoi", 256)
     a_ff = apply_dirichlet(assemble(mesh, k, method, K_ANISO)).a_ff
     csc = a_ff.tocsc()
     assert a_ff.nnz > 0 and a_ff.has_sorted_indices
@@ -570,11 +565,11 @@ def test_reduced_matrix_is_its_own_csc(mesh_name, method, k, voronoi_256):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_element_parts_are_bitwise_symmetric(k, voronoi_256):
+def test_element_parts_are_bitwise_symmetric(k):
     # what the reduced matrix's CSR-as-CSC reading rests on: every part of
     # every element stack, (I - Pi)^T (I - Pi) as formed included, equals its
     # transpose bit for bit
-    system = assemble(voronoi_256, k, Method.STANDARD, K_ANISO)
+    system = assemble(shared_mesh("voronoi", 256), k, Method.STANDARD, K_ANISO)
     assert len(system.stiffness) > 1
     for stacks in system.stiffness:
         assert len(stacks) == 2
@@ -635,11 +630,10 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
 @pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
-def test_scatter_is_bitwise_the_joined_index_lists(mesh_name, method, k, voronoi_256,
-                                                   monkeypatch):
+def test_scatter_is_bitwise_the_joined_index_lists(mesh_name, method, k, monkeypatch):
     # the preallocated int32 COO arrays give the very parts, load and reduced
     # matrix that per-group repeat/tile lists, joined, gave
-    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
+    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else shared_mesh("voronoi", 256)
     case = get_case("tc1")
     system, parts, a_ff, b = _reference_scatter(mesh, k, method, case.K,
                                                 source_moments(mesh, k, case.f), monkeypatch)
@@ -655,11 +649,10 @@ def test_scatter_is_bitwise_the_joined_index_lists(mesh_name, method, k, voronoi
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("mesh_name", ["mixed", "voronoi 256"])
-def test_ratio_is_bitwise_the_norms_of_the_joined_index_lists(mesh_name, k, voronoi_256,
-                                                              monkeypatch):
+def test_ratio_is_bitwise_the_norms_of_the_joined_index_lists(mesh_name, k, monkeypatch):
     # over several dof groups, the ratio is that of the largest absolute row
     # sums of the parts that per-group repeat/tile lists, joined, give
-    mesh = mixed_mesh() if mesh_name == "mixed" else voronoi_256
+    mesh = mixed_mesh() if mesh_name == "mixed" else shared_mesh("voronoi", 256)
     case = get_case("tc1")
     system, (a_pi, a_s), _, _ = _reference_scatter(mesh, k, Method.STANDARD, case.K,
                                                    source_moments(mesh, k, case.f), monkeypatch)
@@ -671,10 +664,10 @@ def test_ratio_is_bitwise_the_norms_of_the_joined_index_lists(mesh_name, k, voro
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("method", [Method.STANDARD, Method.E2VEM])
 @pytest.mark.parametrize("mesh_name", ["cartesian 8", "voronoi 256"])
-def test_reduced_system_is_the_free_block_of_the_parts(mesh_name, method, k, voronoi_256):
+def test_reduced_system_is_the_free_block_of_the_parts(mesh_name, method, k):
     # the system holds element stacks only, and the elimination at the scatter
     # gives the free block of the parts' sum and moves the boundary values
-    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else voronoi_256
+    mesh = generate_cartesian(8) if mesh_name == "cartesian 8" else shared_mesh("voronoi", 256)
     case = get_case("tc1")
     system = assemble(mesh, k, method, K_ANISO, source_moments(mesh, k, case.f))
     assert not any(sp.issparse(value) for value in vars(system).values())

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (PENTAGON, STAR_SHAPE, TRIANGLE, UNIT_SQUARE, edge_gram, fan_rule,
-                      flat_rule, lone_cell, monomial_grads, star_polygon)
+                      flat_rule, lone_cell, monomial_grads, shared_mesh, star_polygon)
 from polyvem.basis import (_band_pieces, affine_rule, dim_poly, edge_lagrange, edge_rules,
                            eval_monomials, fan_triangles, gauss_jacobi, lagrange_matrix,
                            monomial_derivatives, monomial_exponents, monomial_index,
@@ -496,7 +496,7 @@ def _rule_gram(E, points, weights, degree):
 @pytest.fixture(scope="module")
 def voronoi_stacks():
     """The cells of a Voronoi-64 mesh as stacks, one per vertex count."""
-    mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=100)
+    mesh = shared_mesh("voronoi", 64)
     n_verts = np.diff(mesh.flat_cells[1])
     return [mesh.cell_geom(np.flatnonzero(n_verts == m)) for m in np.unique(n_verts)]
 

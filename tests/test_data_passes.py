@@ -28,7 +28,7 @@ from polyvem.local import Method, build_projection_pack, data_rules
 from polyvem.mesh import PolyMesh, generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import METHODS, energy_error, solve_cases
 from conftest import (STAR_SHAPE, exact_energy_norm, fan_rule, interpolate_dofs, mixed_mesh,
-                      monomial_grads, nudged_cartesian, rectangle_rule, tensor_mesh)
+                      monomial_grads, nudged_cartesian, rectangle_rule, shared_mesh, tensor_mesh)
 from test_cli import U_SHAPED_MESH
 
 RTOL = 1e-13
@@ -310,14 +310,9 @@ VORONOI_TC2_E_STAR_ERRORS = {
 }
 
 
-@pytest.fixture(scope="module")
-def voronoi_ladder():
-    return {n: generate_voronoi(n, rng_seed=0, lloyd_iters=100) for n in (64, 256)}
-
-
 @pytest.mark.parametrize("n, k", sorted(VORONOI_TC2_E_STAR_ERRORS))
-def test_e_star_of_the_band_cut_against_a_fine_rule(n, k, voronoi_ladder, monkeypatch):
-    mesh = voronoi_ladder[n]
+def test_e_star_of_the_band_cut_against_a_fine_rule(n, k, monkeypatch):
+    mesh = shared_mesh("voronoi", n)
     case = get_case("tc2")
     sols = solve_cases(mesh, k, METHODS, case)
     monkeypatch.setattr(local, "_data_reference", lambda k, rectangles: ("triangle", k + 16))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from conftest import (PENTAGON, STAR_SHAPE, TRIANGLE, UNIT_SQUARE, cell_data_rule, fan_rule,
-                      lone_cell, monomial_grads, star_polygon)
+                      lone_cell, monomial_grads, shared_mesh, star_polygon)
 from polyvem import local
 from polyvem.basis import (dim_poly, edge_rules, eval_monomials, monomial_exponents,
                            monomial_index, polygon_quadrature)
@@ -558,7 +558,7 @@ def _check_against_one_cell_stacks(mesh, cells, k, method):
 
 @pytest.fixture(scope="module")
 def stack_meshes():
-    return {"voronoi64": generate_voronoi(64, rng_seed=0, lloyd_iters=100),
+    return {"voronoi64": shared_mesh("voronoi", 64),
             "hexagons": _hexagon_mesh(np.random.default_rng(5))}
 
 

@@ -126,6 +126,12 @@ MUTANTS = [
            "e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] >= 0.0",
            "e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0",
            "tests/test_basis.py::test_a_cell_with_a_straight_corner_is_cut_whole"),
+    # it moves only tc2's Voronoi-4096 rows of the paper run, e_star by up to
+    # 7.4e-12 relative: the first three levels have no cell it recuts
+    Mutant("band cut whole only above twice the band height", "src/polyvem/basis.py",
+           "np.minimum.reduceat(y, starts[:-1]) > max_y_extent",
+           "np.minimum.reduceat(y, starts[:-1]) > 2.0 * max_y_extent",
+           "tests/test_cli.py::test_paper_rows_match_the_reference[tc2]"),
     Mutant("band count rounded down", "src/polyvem/basis.py",
            "n = np.ceil((hi - lo) / max_y_extent)", "n = np.floor((hi - lo) / max_y_extent)",
            "tests/test_basis.py::test_subdivided_quadrature_is_concatenation_of_triangle_rules[0.3]"),
@@ -164,6 +170,9 @@ MUTANTS = [
     Mutant("area sum not checked across cells", "src/polyvem/mesh.py",
            "if abs(area_sum - 1.0) > AREA_SUM_TOL:", "if False:",
            "tests/test_assembly.py::test_dof_map_rejects_a_double_cover"),
+    Mutant("MemoryError outside the solve not mapped", "src/polyvem/cli.py",
+           "except MemoryError as exc:", "except () as exc:",
+           "tests/test_cli.py::test_a_refused_allocation_exits_2[mesh]"),
     Mutant("cross-cell check dropped from polyvem mesh", "src/polyvem/cli.py",
            "check_cross_cell(mesh)", "None",
            "tests/test_cli.py::test_mesh_command_refuses_a_generated_mesh_that_breaks_the_contract"),
