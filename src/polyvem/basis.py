@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CellDegeneracyError, MeshError
-from .mesh import _next_vertex
+from .mesh import _lowest_first, _next_vertex
 
 
 def dim_poly(k: int) -> int:
@@ -312,8 +312,10 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     triangles resolve data that oscillate in y.  A polygon of y-extent e >
     max_y_extent whose corners all turn left (every corner's cross product
     >= 0: convex, as the mesh's polygons are simple) is cut as a whole into
-    ceil(e / max_y_extent) equal horizontal bands, each band piece fanned
-    from one of its vertices (`_band_pieces`); another polygon that tall is
+    ceil(e / max_y_extent) equal horizontal bands, walked from its lowest
+    (y, x) vertex, each band piece fanned from its first point
+    (`_band_pieces`), so the triangles do not depend on the vertex the
+    polygon starts at; another polygon that tall is
     cut the same way by way of its fan triangles, which are convex, each in
     bands of its own y-range.  A polygon within max_y_extent keeps its
     centroid fan as it is.  The triangles stay in polygon order, and a
@@ -350,6 +352,8 @@ def fan_triangles(verts, starts, centroids, areas, *, max_y_extent=None):
     # triangle of any other cell
     begins = ~whole | (np.arange(owner.size) == starts[:-1][owner])
     sizes = np.where(whole, np.diff(starts)[owner], 3)[begins]
+    # a cell cut whole is walked from its lowest (y, x) vertex
+    a = np.where(whole[:, None], a[_lowest_first(a, starts)], a)
     corners = np.stack([c, a, b], axis=1)[np.column_stack([~whole, np.ones_like(whole), ~whole])]
     triangles, polygon = _band_pieces(corners, np.concatenate([[0], np.cumsum(sizes)]),
                                       max_y_extent)

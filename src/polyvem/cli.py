@@ -18,7 +18,7 @@ from .errors import PolyvemError
 from .local import Method
 from .mesh import (DEFAULT_LLOYD_ITERS, FAMILIES, check_cross_cell, generate_mesh,
                    load_mesh, save_mesh)
-from .study import StudyConfig, run_paper, run_study, solve_case
+from .study import PAPER_STUDIES, emit_plot_data, emit_ratio_tables, run_study, solve_case
 
 
 def _build_parser():
@@ -115,17 +115,21 @@ def _report_study(name, result, out_dir) -> int:
 
 def _cmd_study(args):
     orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
-    cfg = StudyConfig(case_id=args.case, orders=orders,
-                      families=_families(args.family), levels=args.levels,
-                      rng_seed=args.seed, lloyd_iters=args.lloyd_iters,
-                      out_dir=args.output)
-    return 3 if _report_study(args.case, run_study(cfg), args.output) else 0
+    result = run_study([(args.case, orders)], _families(args.family), args.levels,
+                       args.seed, args.lloyd_iters)[args.case]
+    emit_plot_data(result, args.output)
+    return 3 if _report_study(args.case, result, args.output) else 0
 
 
 def _cmd_paper(args):
-    results = run_paper(args.output, levels=args.levels, rng_seed=args.seed)
-    failures = sum(_report_study(case_id, result, os.path.join(args.output, case_id))
-                   for case_id, result in results.items())
+    results = run_study(PAPER_STUDIES, tuple(FAMILIES), args.levels, args.seed,
+                        DEFAULT_LLOYD_ITERS)
+    failures = 0
+    for case_id, result in results.items():
+        out_dir = os.path.join(args.output, case_id)
+        emit_plot_data(result, out_dir)
+        failures += _report_study(case_id, result, out_dir)
+    emit_ratio_tables(results, args.output)
     print(f"wrote {os.path.join(args.output, 'ratio_tables.csv')}")
     return 3 if failures else 0
 

@@ -50,6 +50,16 @@ def _next_vertex(starts):
     return nxt
 
 
+def _lowest_first(v, starts):
+    """Positions that read each polygon run `starts[i]:starts[i+1]` (none
+    empty) of the flat vertex coordinates v from its lowest (y, x) vertex
+    on, in the run's order."""
+    lens = np.diff(starts)
+    owner = np.repeat(np.arange(lens.size), lens)
+    low = np.lexsort((v[:, 0], v[:, 1], owner))[starts[:-1]] - starts[:-1]
+    return starts[owner] + (np.arange(owner.size) - starts[owner] + low[owner]) % lens[owner]
+
+
 def _meeting_sides(x, y):
     """The first pair (i, j), i < j, of non-adjacent sides that intersect or
     touch in each of g polygons of m vertices, x and y (m, g), side i
@@ -619,10 +629,8 @@ def _stitch_regions(vor_vertices, flat, lens):
         raise MeshError("Voronoi cell collapsed during vertex merging" if collapsed[ci]
                         else "Voronoi cell pinched during vertex merging", cell=ci)
 
-    # read each cell from its lowest (y, x) vertex, at position `low` of its run
-    v = group_verts[ids]
-    low = np.lexsort((v[:, 0], v[:, 1], owner))[starts[:-1]] - starts[:-1]
-    flat = ids[starts[owner] + (np.arange(ids.size) - starts[owner] + low[owner]) % lens[owner]]
+    # read each cell from its lowest (y, x) vertex
+    flat = ids[_lowest_first(group_verts[ids], starts)]
 
     numbered = flat[np.sort(np.unique(flat, return_index=True)[1])]
     number = np.empty(len(group_verts), dtype=int)
@@ -774,8 +782,11 @@ def check_cross_cell(mesh: PolyMesh) -> None:
     no cell uses, then cell areas that do not sum to 1 within AREA_SUM_TOL.
 
     An edge must be shared by at most two cells, traversed in opposite
-    directions by two cells, and lie on a side of the unit square when only
-    one cell has it; the cells then cover the square n >= 1 times, n = the area sum.
+    directions by two cells, and lie on a side of the unit square, within
+    AREA_SUM_TOL, when only one cell has it; the cells then cover the square
+    n >= 1 times, n = the area sum.  A boundary vertex off its side by less
+    than AREA_SUM_TOL moves the area sum by less than that, so a vertex that
+    the area sum would refuse is named by its edge first.
     An unused vertex would give its dof a zero row in the stiffness matrix.
     Each cell's own polygon was already checked by the `PolyMesh` constructor.
     """
@@ -785,8 +796,7 @@ def check_cross_cell(mesh: PolyMesh) -> None:
     a, b = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
     on_side = np.zeros(mesh.n_edges, dtype=bool)
     for side in (0.0, 1.0):
-        on_side |= ((np.abs(a - side) <= BOUNDARY_SNAP_TOL)
-                    & (np.abs(b - side) <= BOUNDARY_SNAP_TOL)).any(axis=1)
+        on_side |= (np.maximum(np.abs(a - side), np.abs(b - side)) <= AREA_SUM_TOL).any(axis=1)
     bad = np.flatnonzero((n_cells > 2) | ((n_cells == 2) & (n_against != 1))
                          | ((n_cells == 1) & ~on_side))
     if bad.size:

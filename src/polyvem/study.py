@@ -20,10 +20,11 @@ byte-identical.
 
 A study is a list of units `(case_id, family, order, level)`, plain values.
 `run_unit` solves one unit on its mesh and returns its rows; no unit reads
-another's result.  One driver, `run_studies`, builds each ladder mesh once,
-maps `run_unit` over the units of every study and then attaches the rates and
-ratio averages; `run_study` is the driver on one study and `run_paper` on the
-paper's, followed by the ratio tables from the standard-scheme rows.
+another's result.  One driver, `run_study`, checks its inputs, builds each
+ladder mesh once, maps `run_unit` over the units of every study it is given
+and then attaches the rates and ratio averages.  `polyvem study` runs it on
+one study and `polyvem paper` on `PAPER_STUDIES`; the artifacts are written
+from its results (`emit_plot_data`, `emit_ratio_tables`).
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ from .basis import monomial_derivatives
 from .cases import TestCase, testcase
 from .errors import PolyvemError, SolverError
 from .local import Method, data_rules
-from .mesh import DEFAULT_LLOYD_ITERS, FAMILIES, PolyMesh, generate_mesh
+from .mesh import FAMILIES, PolyMesh, generate_mesh
 
 
-def convergence_rate(e_prev: float, e_last: float, h_prev: float, h_last: float) -> float:
-    """Observed order from the last two errors: log(e ratio) / log(h ratio)."""
-    if min(e_prev, e_last, h_prev, h_last) <= 0.0:
-        raise ValueError("errors and mesh sizes must be positive")
-    if h_prev <= h_last:
-        raise ValueError(f"mesh sizes must decrease, got {h_prev} -> {h_last}")
+def convergence_rate(e_prev: float, e_last: float, h_prev: float,
+                     h_last: float) -> Optional[float]:
+    """Observed order from the last two errors, log(e ratio) / log(h ratio);
+    None where it is undefined: an error that is not finite and positive,
+    or mesh sizes that do not decrease."""
+    if not (0.0 < e_prev < math.inf and 0.0 < e_last < math.inf and h_prev > h_last > 0.0):
+        return None
     return math.log(e_prev / e_last) / math.log(h_prev / h_last)
 
 
@@ -164,27 +166,6 @@ def solve_case(mesh: PolyMesh, k: int, method: Method, case: TestCase) -> CaseSo
 METHODS = (Method.STANDARD, Method.E2VEM)   # the schemes every study compares
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    case_id: str
-    orders: tuple = (1,)
-    families: tuple = ("cartesian",)       # subset of FAMILIES
-    levels: int = 0                        # 0 means the full default ladder
-    rng_seed: int = 0
-    lloyd_iters: int = DEFAULT_LLOYD_ITERS
-    out_dir: Optional[str] = None
-
-    def __post_init__(self):
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown family {fam!r}")
-        if any(k not in (1, 2, 3) for k in self.orders):
-            raise ValueError("study orders are limited to {1, 2, 3}")
-        for name, values in (("orders", self.orders), ("families", self.families)):
-            if not values or len(set(values)) != len(values):
-                raise ValueError(f"study {name} must be distinct and non-empty, got {values}")
-
-
 @dataclass
 class StudyRow:
     family: str
@@ -210,23 +191,6 @@ class StudyResult:
         tag = method.value
         return [r for r in self.rows
                 if r.family == family and r.order == order and r.method == tag]
-
-
-def ladder_for(family: str, levels: int = 0):
-    """The first `levels` meshes of the family's ladder; 0 means all of it."""
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    base = FAMILIES[family]
-    return base if levels == 0 else base[:levels]
-
-
-def run_study(cfg: StudyConfig) -> StudyResult:
-    """Run the full sweep described by `cfg`; write artifacts when out_dir set."""
-    result = run_studies([(cfg.case_id, cfg.orders)], cfg.families, cfg.levels,
-                         cfg.rng_seed, cfg.lloyd_iters)[cfg.case_id]
-    if cfg.out_dir:
-        emit_plot_data(result, cfg.out_dir)
-    return result
 
 
 def run_unit(unit, mesh: PolyMesh) -> list:
@@ -255,14 +219,28 @@ def run_unit(unit, mesh: PolyMesh) -> list:
     return rows
 
 
-def run_studies(studies, families, levels: int, rng_seed: int, lloyd_iters: int) -> dict:
+# the paper's studies: each case with its orders, over every family
+PAPER_STUDIES = (("tc1", (1, 3)), ("tc2", (1, 2)))
+
+
+def run_study(studies, families, levels: int, rng_seed: int, lloyd_iters: int) -> dict:
     """{case_id: StudyResult} of the studies `(case_id, orders)` on the first
-    `levels` meshes of each family's ladder, each mesh built once.  The units
-    `(case_id, family, order, level)` run in that order; then each (family,
-    order) of a study gets its rates and ladder-averaged stabilization ratio."""
+    `levels` meshes (0: all) of each family's ladder, each mesh built once.
+    The inputs are checked before any mesh is built.  The units `(case_id,
+    family, order, level)` run in that order; then each (family, order) of a
+    study gets its rates and ladder-averaged stabilization ratio."""
+    for name, values, allowed in [("families", families, tuple(FAMILIES)),
+                                  *(("orders", orders, (1, 2, 3)) for _, orders in studies)]:
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"study {name} must be distinct and non-empty, got {values}")
+        if not set(values) <= set(allowed):
+            raise ValueError(f"study {name} are limited to {', '.join(map(str, allowed))}, "
+                             f"got {values}")
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     results = {case_id: StudyResult(case=testcase(case_id).name) for case_id, _ in studies}
     ladders = {family: [generate_mesh(family, n, rng_seed, lloyd_iters)
-                        for n in ladder_for(family, levels)]
+                        for n in FAMILIES[family][:levels or None]]
                for family in families}
     units = [(case_id, family, order, level)
              for case_id, orders in studies for family, meshes in ladders.items()
@@ -281,27 +259,9 @@ def run_studies(studies, families, levels: int, rng_seed: int, lloyd_iters: int)
     return results
 
 
-# the paper's studies: each case with its orders, over every family
-PAPER_STUDIES = (("tc1", (1, 3)), ("tc2", (1, 2)))
-
-
-def run_paper(out_dir: str, levels: int = 0, rng_seed: int = 0) -> dict:
-    """The paper's studies (`PAPER_STUDIES` over every family) in one run:
-    writes each case's study artifacts to out_dir/<case>/, then
-    out_dir/ratio_tables.csv.  Returns {case_id: StudyResult}."""
-    results = run_studies(PAPER_STUDIES, FAMILIES, levels, rng_seed, DEFAULT_LLOYD_ITERS)
-    for case_id, result in results.items():
-        emit_plot_data(result, os.path.join(out_dir, case_id))
-    emit_ratio_tables(results, out_dir)
-    return results
-
-
 def _attach_rates(series):
     for prev, cur in zip(series, series[1:]):
-        if (math.isfinite(prev.e_star) and math.isfinite(cur.e_star)
-                and prev.e_star > 0 and cur.e_star > 0 and prev.h_max > cur.h_max):
-            cur.alpha = convergence_rate(prev.e_star, cur.e_star,
-                                         prev.h_max, cur.h_max)
+        cur.alpha = convergence_rate(prev.e_star, cur.e_star, prev.h_max, cur.h_max)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from polyvem.cases import testcase as get_case
 from polyvem.local import (MAX_ELL_BUMPS, RANK_TOL, DiffusionTensor, ElementContext,
                            Method, StabilizationFreeRankError, build_pi_nabla,
                            build_projection_pack, local_stiffness, min_ell)
-from polyvem.mesh import CARTESIAN_LADDER, FAMILIES, VORONOI_LADDER
-from polyvem.study import solve_case
+from polyvem.mesh import (CARTESIAN_LADDER, DEFAULT_LLOYD_ITERS, FAMILIES, VORONOI_LADDER,
+                          PolyMesh)
+from polyvem.study import run_unit, solve_case
 
 K_PATCH = DiffusionTensor.diagonal(8.0e-3, 1.0)
 
@@ -306,6 +307,57 @@ def test_e2vem_decisions_on_the_paper_ladder():
     with open(DATA / "paper" / "tc1" / "study_rows.csv", newline="") as f:
         notes = [row["note"] for row in csv.DictReader(f) if row["note"]]
     assert notes == [want[n]["3"]["failure_note"] for n in ("1024", "4096")]
+
+
+def _relabelled(mesh, seed):
+    """`mesh` under a fixed-seed random permutation of its vertices and of
+    its cells, each cell started at a random vertex of its own.  Returns
+    the mesh and `order`: its cell i is cell order[i] of `mesh`."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    order = rng.permutation(mesh.n_cells)
+    cells = mesh.cells
+    return PolyMesh(vertices, [np.roll(new_id[cells[c]], -rng.integers(len(cells[c])))
+                               for c in order]), order
+
+
+@pytest.mark.parametrize("family, n, seed, lloyd_iters, level", [
+    ("voronoi", 256, 0, DEFAULT_LLOYD_ITERS, 2),
+    ("cartesian", 16, 0, DEFAULT_LLOYD_ITERS, 2),
+    ("voronoi", 40, 34, 0, None),
+], ids=["voronoi 256", "cartesian 16", "census (40, 34, 0)"])
+def test_relabelling_moves_no_result(request, family, n, seed, lloyd_iters, level):
+    """Relabelling a mesh changes only the rounding: every e_star of tc1
+    k = 1, 3 and tc2 k = 2 and every stabilization/consistency ratio agree
+    to 1e-12 relative, and each cell keeps its E2VEM decisions under its new
+    label.  The originals of the ladder meshes are the paper run's rows; the
+    relabelled cartesian mesh is no longer `congruent_cells`, so its rows
+    also check the congruent-cell reuse against the per-cell path."""
+    mesh = shared_mesh(family, n, seed, lloyd_iters)
+    relabelled, order = _relabelled(mesh, seed=20240817)
+    assert not relabelled.congruent_cells
+    if level is not None:
+        out, _, _ = request.getfixturevalue("paper_run")
+        paper = {case_id: parse_rows_csv(out / case_id / "study_rows.csv")
+                 for case_id in ("tc1", "tc2")}
+    for case_id, k in (("tc1", 1), ("tc1", 3), ("tc2", 2)):
+        got = run_unit((case_id, family, k, level), relabelled)
+        want = (run_unit((case_id, family, k, level), mesh) if level is None else
+                [r for r in paper[case_id] if (r.family, r.order, r.level) == (family, k, level)])
+        assert [(r.method, r.n_dofs, r.note) for r in got] == [
+            (r.method, r.n_dofs, r.note) for r in want] == [("vem", got[0].n_dofs, ""),
+                                                             ("e2vem", got[0].n_dofs, "")]
+        for mine, theirs in zip(got, want):
+            assert mine.e_star == pytest.approx(theirs.e_star, rel=1e-12, abs=0.0)
+            assert mine.stab_ratio == (theirs.stab_ratio and pytest.approx(
+                theirs.stab_ratio, rel=1e-12, abs=0.0))
+    new_label = np.argsort(order)
+    for k in (1, 2, 3):
+        (ells, errors), (ells_r, errors_r) = (_e2vem_decisions(m, k) for m in (mesh, relabelled))
+        assert ells_r.tolist() == ells[order].tolist()
+        assert sorted(errors_r) == sorted(new_label[list(errors)].tolist())
 
 
 def test_criterion_8_study_determinism(tmp_path):

@@ -259,8 +259,8 @@ def _bands_one_by_one(poly, max_y_extent):
 
 def _cut_one_by_one(E, max_y_extent):
     """Reference cut of the one-cell stack E: its centroid fan within
-    max_y_extent, else its bands when its corners all turn left, else the
-    bands of each fan triangle."""
+    max_y_extent, else its bands, walked from its lowest (y, x) vertex,
+    when its corners all turn left, else the bands of each fan triangle."""
     v = E.verts[0]
     fan = [(E.centroid[0], v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
     if np.ptp(v[:, 1]) <= max_y_extent:
@@ -268,7 +268,8 @@ def _cut_one_by_one(E, max_y_extent):
     e1 = np.roll(v, -1, axis=0) - v
     e2 = np.roll(e1, -1, axis=0)
     if (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] >= 0.0).all():
-        return _bands_one_by_one(list(v), max_y_extent)
+        low = np.lexsort((v[:, 0], v[:, 1]))[0]
+        return _bands_one_by_one(list(np.roll(v, -low, axis=0)), max_y_extent)
     return [t for tri in fan for t in _bands_one_by_one(list(tri), max_y_extent)]
 
 

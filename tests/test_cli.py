@@ -393,10 +393,7 @@ def moved_vertex_texts(draw):
        case_id=st.sampled_from(["tc1", "tc2", "patch"]), method=st.sampled_from(["vem", "e2vem"]))
 def test_a_mesh_with_a_moved_vertex_solves_or_names_the_fault(text, k, case_id, method):
     """A solve at order k on a mesh with one moved vertex exits 0, 2 or 3.
-    A failure prints one line that names its line, cell, vertex or edge,
-    or the area sum that breaks the partition: a boundary vertex moved
-    off its side by less than BOUNDARY_SNAP_TOL but by more than the area
-    sum allows passes the side check, and that message names no vertex.
+    A failure prints one line that names its line, cell, vertex or edge.
     A patch test that solves is exact to 1e-9."""
     case_id = f"patch:{k}" if case_id == "patch" else case_id
     with tempfile.TemporaryDirectory() as tmp:
@@ -413,8 +410,23 @@ def test_a_mesh_with_a_moved_vertex_solves_or_names_the_fault(text, k, case_id, 
     assert rc in (0, 2, 3)
     if rc:
         lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and (NAMED_ERROR.match(lines[0]) or lines[0].startswith(
-            "error: mesh breaks partition: cell areas sum to ")), lines
+        assert len(lines) == 1 and NAMED_ERROR.match(lines[0]), lines
+
+
+def test_a_boundary_vertex_just_off_its_side_exit_2_names_its_edge(tmp_path, capsys):
+    # 5e-10 below y = 0: within the generators' snap band, and the area sum
+    # moves by 1.25e-10, but the side test names the edge first
+    cart = generate_mesh("cartesian", 4)
+    vertices = cart.vertices.copy()
+    vertices[1, 1] -= 5e-10
+    mesh_path = tmp_path / "off_side.txt"
+    save_mesh(PolyMesh(vertices, cart.cells), mesh_path)
+    rc = main(["solve", "--mesh", str(mesh_path), "--method", "vem",
+               "--order", "1", "--case", "tc1", "-o", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert _one_line_error(capsys) == ("error: edge (0,1) breaks conformity: single-cell "
+                                       "edge not on the square boundary")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_double_cover_exit_2(tmp_path, capsys):
@@ -669,22 +681,23 @@ def test_paper_exit_3_after_writing_every_artifact(tmp_path, monkeypatch):
     assert all(float(r[3]) > 0.0 for r in table[2:])
 
 
-def test_negative_levels_exit_2(tmp_path, capsys):
+def test_study_and_paper_refuse_the_same_bad_inputs(tmp_path, capsys):
+    # one driver checks the inputs of both commands before any mesh is built
+    errors = []
     for argv in (["study", "--case", "tc1", "--family", "cartesian", "--orders", "1"],
                  ["paper"]):
         out = tmp_path / argv[0]
-        rc = main([*argv, "--levels", "-1", "-o", str(out)])
-        assert rc == 2
-        assert "levels must be >= 0" in _one_line_error(capsys)
+        assert main([*argv, "--levels", "-1", "-o", str(out)]) == 2
+        errors.append(_one_line_error(capsys))
         assert not out.exists()
-
-
-def test_repeated_orders_exit_2(tmp_path, capsys):
-    rc = main(["study", "--case", "tc1", "--orders", "1,1", "--family", "cartesian",
-               "--levels", "2", "-o", str(tmp_path / "s")])
-    assert rc == 2
-    assert "study orders must be distinct and non-empty, got (1, 1)" in _one_line_error(capsys)
-    assert not (tmp_path / "s").exists()
+    assert errors == ["error: levels must be >= 0, got -1"] * 2
+    for orders, rule in (("4", "study orders are limited to 1, 2, 3, got (4,)"),
+                         ("1,1", "study orders must be distinct and non-empty, got (1, 1)")):
+        out = tmp_path / f"orders{orders}"
+        assert main(["study", "--case", "tc1", "--orders", orders, "--family", "cartesian",
+                     "--levels", "1", "-o", str(out)]) == 2
+        assert _one_line_error(capsys) == f"error: {rule}"
+        assert not out.exists()
 
 
 def test_order_below_one_exit_2_names_order(tmp_path, capsys):

@@ -871,7 +871,7 @@ def test_validate_flags_stacked_copies_of_one_cell(n, detail):
 
 
 def test_an_interior_vertex_near_a_side_passes_and_solves():
-    """Vertex 4 lies 1e-10 from x = 0, within BOUNDARY_SNAP_TOL of the side,
+    """Vertex 4 lies 1e-10 from x = 0, within the side test's AREA_SUM_TOL,
     but a sliver cell lies between it and the side: it is an interior vertex
     and its dof is free."""
     mesh = PolyMesh([[0, 0], [1, 0], [1, 1], [0, 1], [1e-10, 0.5]],

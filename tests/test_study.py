@@ -14,8 +14,8 @@ from polyvem.cases import testcase as get_case
 from polyvem.errors import CellDegeneracyError, MeshError, PolyvemError
 from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi, read_mesh
-from polyvem.study import (METHODS, StudyConfig, convergence_rate, energy_error, ladder_for,
-                           run_study, solve_case, solve_cases)
+from polyvem.study import (METHODS, convergence_rate, emit_plot_data, energy_error, run_study,
+                           solve_case, solve_cases)
 from conftest import STAR_SHAPE, exact_energy_norm, interpolate_dofs, parse_rows_csv
 from test_cli import U_SHAPED_MESH
 
@@ -27,10 +27,13 @@ def test_convergence_rate_examples():
 
 
 def test_convergence_rate_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        convergence_rate(0.1, 0.05, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        convergence_rate(0.0, 0.05, 0.2, 0.1)
+    # the rate is undefined, None, unless both errors are finite and
+    # positive and the mesh size decreases
+    assert convergence_rate(0.1, 0.05, 0.1, 0.2) is None
+    assert convergence_rate(0.1, 0.05, 0.2, 0.2) is None
+    assert convergence_rate(0.0, 0.05, 0.2, 0.1) is None
+    assert convergence_rate(0.1, math.nan, 0.2, 0.1) is None
+    assert convergence_rate(math.inf, 0.05, 0.2, 0.1) is None
 
 
 def test_energy_of_a_diagonal_tensor_is_the_three_term_sum_bitwise():
@@ -195,8 +198,7 @@ def test_study_level_builds_two_data_rules_per_cell(monkeypatch):
     covered = []
     _count_data_rules(monkeypatch, covered)
     mesh = generate_voronoi(64, rng_seed=0, lloyd_iters=10)  # the ladder's level 1
-    result = run_study(StudyConfig(case_id="tc2", orders=(1,), families=("voronoi",),
-                                   levels=1, lloyd_iters=10))
+    result = run_study([("tc2", (1,))], ("voronoi",), 1, 0, 10)["tc2"]
     assert [(r.method, r.n_dofs, r.note) for r in result.rows] == [
         ("vem", mesh.n_vertices, ""), ("e2vem", mesh.n_vertices, "")]
     assert {n for n, *_ in covered} == {1}
@@ -247,16 +249,20 @@ def test_exact_energy_norm_tc2_voronoi_strips(tc2_voronoi, n, k):
     assert den == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
 
 
-def test_ladder_prefixes():
-    assert ladder_for("cartesian", 0) == (8, 16, 32, 64, 128)
-    assert ladder_for("cartesian", 2) == (8, 16)
-    assert ladder_for("voronoi", 1) == (64,)
+def test_ladder_prefixes(monkeypatch):
+    built = []
+    monkeypatch.setattr(study, "generate_mesh", lambda family, n, *args: built.append(n))
+    monkeypatch.setattr(study, "run_unit", lambda unit, mesh: [])
+    for family, levels, sizes in (("cartesian", 0, [8, 16, 32, 64, 128]),
+                                  ("cartesian", 2, [8, 16]), ("voronoi", 1, [64])):
+        built.clear()
+        run_study([("tc1", (1,))], (family,), levels, 0, 10)
+        assert built == sizes
 
 
 def test_run_study_patch_rows(tmp_path):
-    cfg = StudyConfig(case_id="patch:1", orders=(1,), families=("cartesian",),
-                      levels=2, out_dir=str(tmp_path / "out"))
-    result = run_study(cfg)
+    result = run_study([("patch:1", (1,))], ("cartesian",), 2, 0, 10)["patch:1"]
+    emit_plot_data(result, str(tmp_path / "out"))
     assert len(result.rows) == 4          # 2 levels x 2 methods
     for row in result.rows:
         assert row.e_star <= 1e-9
@@ -286,8 +292,7 @@ def test_run_study_patch_rows(tmp_path):
 
 
 def test_run_study_alpha_attached():
-    cfg = StudyConfig(case_id="tc1", orders=(1,), families=("cartesian",), levels=3)
-    result = run_study(cfg)
+    result = run_study([("tc1", (1,))], ("cartesian",), 3, 0, 10)["tc1"]
     series = result.series("cartesian", 1, Method.STANDARD)
     assert series[0].alpha is None
     assert all(r.alpha is not None for r in series[1:])
@@ -302,30 +307,30 @@ def test_run_study_alpha_attached():
 def test_study_outputs_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        run_study(StudyConfig(case_id="tc1", orders=(1,), families=("voronoi",),
-                              levels=1, rng_seed=3, lloyd_iters=10,
-                              out_dir=str(out)))
+        emit_plot_data(run_study([("tc1", (1,))], ("voronoi",), 1, 3, 10)["tc1"], str(out))
     for name in ("study_rows.csv", "fig_tc1_voronoi_order1.csv",
                  "rates_summary.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_study_config_validation():
-    with pytest.raises(ValueError):
-        StudyConfig(case_id="tc1", families=("triangular",))
-    with pytest.raises(ValueError):
-        StudyConfig(case_id="tc1", orders=(0,))
-    with pytest.raises(ValueError):
-        StudyConfig(case_id="tc1", orders=(4,))
-    for orders, families in (((1, 2, 1), ("cartesian",)), ((), ("cartesian",)),
-                             ((1,), ("voronoi", "voronoi")), ((1,), ())):
-        with pytest.raises(ValueError, match="must be distinct and non-empty"):
-            StudyConfig(case_id="tc1", orders=orders, families=families)
+def test_study_config_validation(monkeypatch):
+    # run_study checks its inputs before it builds a mesh
+    monkeypatch.setattr(study, "generate_mesh", None)
+    for orders, families, levels, match in (
+            ((1,), ("triangular",), 0, "families are limited to cartesian, voronoi"),
+            ((0,), ("cartesian",), 0, "orders are limited to 1, 2, 3"),
+            ((4,), ("cartesian",), 0, "orders are limited to 1, 2, 3"),
+            ((1, 2, 1), ("cartesian",), 0, "must be distinct and non-empty"),
+            ((), ("cartesian",), 0, "must be distinct and non-empty"),
+            ((1,), ("voronoi", "voronoi"), 0, "must be distinct and non-empty"),
+            ((1,), (), 0, "must be distinct and non-empty"),
+            ((1,), ("cartesian",), -1, "levels must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=match):
+            run_study([("tc1", orders)], families, levels, 0, 10)
 
 
 def test_tc1_cartesian_errors_decrease():
-    cfg = StudyConfig(case_id="tc1", orders=(1,), families=("cartesian",), levels=3)
-    result = run_study(cfg)
+    result = run_study([("tc1", (1,))], ("cartesian",), 3, 0, 10)["tc1"]
     for method in (Method.STANDARD, Method.E2VEM):
         errs = [r.e_star for r in result.series("cartesian", 1, method)]
         assert all(a > b for a, b in zip(errs, errs[1:]))

@@ -200,6 +200,16 @@ MUTANTS = [
     Mutant("read_mesh's id range check dropped", "src/polyvem/mesh.py",
            "[i if 0 <= i < nv else -1 for i in ids[1:]]", "ids[1:]",
            "tests/test_cli.py::test_bad_mesh_file_exit_2_names_its_line[id-beyond-int64]"),
+    Mutant("side test at BOUNDARY_SNAP_TOL", "src/polyvem/mesh.py",
+           "<= AREA_SUM_TOL).any(axis=1)", "<= BOUNDARY_SNAP_TOL).any(axis=1)",
+           "tests/test_cli.py::test_a_boundary_vertex_just_off_its_side_exit_2_names_its_edge"),
+    Mutant("study orders range check dropped", "src/polyvem/study.py",
+           '("orders", orders, (1, 2, 3))', '("orders", orders, orders)',
+           "tests/test_cli.py::test_study_and_paper_refuse_the_same_bad_inputs"),
+    # no generated mesh sees it: their cells start at the lowest (y, x) vertex
+    Mutant("band pieces walked from the cell's start vertex", "src/polyvem/basis.py",
+           "a[_lowest_first(a, starts)], a)", "a, a)",
+           "tests/test_acceptance.py::test_relabelling_moves_no_result[census (40, 34, 0)]"),
 ]
 
 
