@@ -681,7 +681,7 @@ def test_paper_exit_3_after_writing_every_artifact(tmp_path, monkeypatch):
     assert all(float(r[3]) > 0.0 for r in table[2:])
 
 
-def test_study_and_paper_refuse_the_same_bad_inputs(tmp_path, capsys):
+def test_negative_levels_exit_2(tmp_path, capsys):
     # one driver checks the inputs of both commands before any mesh is built
     errors = []
     for argv in (["study", "--case", "tc1", "--family", "cartesian", "--orders", "1"],
@@ -691,13 +691,23 @@ def test_study_and_paper_refuse_the_same_bad_inputs(tmp_path, capsys):
         errors.append(_one_line_error(capsys))
         assert not out.exists()
     assert errors == ["error: levels must be >= 0, got -1"] * 2
-    for orders, rule in (("4", "study orders are limited to 1, 2, 3, got (4,)"),
-                         ("1,1", "study orders must be distinct and non-empty, got (1, 1)")):
-        out = tmp_path / f"orders{orders}"
-        assert main(["study", "--case", "tc1", "--orders", orders, "--family", "cartesian",
-                     "--levels", "1", "-o", str(out)]) == 2
-        assert _one_line_error(capsys) == f"error: {rule}"
-        assert not out.exists()
+
+
+def _study_orders_exit_2(tmp_path, capsys, orders, rule):
+    out = tmp_path / f"orders{orders}"
+    assert main(["study", "--case", "tc1", "--orders", orders, "--family", "cartesian",
+                 "--levels", "1", "-o", str(out)]) == 2
+    assert _one_line_error(capsys) == f"error: {rule}"
+    assert not out.exists()
+
+
+def test_repeated_orders_exit_2(tmp_path, capsys):
+    _study_orders_exit_2(tmp_path, capsys, "1,1",
+                         "study orders must be distinct and non-empty, got (1, 1)")
+
+
+def test_order_above_three_exit_2(tmp_path, capsys):
+    _study_orders_exit_2(tmp_path, capsys, "4", "study orders are limited to 1, 2, 3, got (4,)")
 
 
 def test_order_below_one_exit_2_names_order(tmp_path, capsys):

@@ -205,7 +205,7 @@ MUTANTS = [
            "tests/test_cli.py::test_a_boundary_vertex_just_off_its_side_exit_2_names_its_edge"),
     Mutant("study orders range check dropped", "src/polyvem/study.py",
            '("orders", orders, (1, 2, 3))', '("orders", orders, orders)',
-           "tests/test_cli.py::test_study_and_paper_refuse_the_same_bad_inputs"),
+           "tests/test_cli.py::test_order_above_three_exit_2"),
     # no generated mesh sees it: their cells start at the lowest (y, x) vertex
     Mutant("band pieces walked from the cell's start vertex", "src/polyvem/basis.py",
            "a[_lowest_first(a, starts)], a)", "a, a)",
