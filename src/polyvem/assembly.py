@@ -326,12 +326,9 @@ def apply_dirichlet(system: SparseSystem, boundary_values=None) -> ReducedSystem
     rows, cols, (entries,) = _scatter(dm, position, [(sum(stacks[1:], stacks[0]),)
                                                      for stacks in system.stiffness])
     b_f = system.b[free]
-    free_row = rows >= 0
-    if np.any(vals):
-        moved = free_row & (cols < 0)
-        b_f -= np.bincount(rows[moved], entries[moved] * vals[-1 - cols[moved]],
-                           minlength=free.size)
-    kept = free_row & (cols >= 0)
+    moved = (rows >= 0) & (cols < 0)
+    b_f -= np.bincount(rows[moved], entries[moved] * vals[-1 - cols[moved]], minlength=free.size)
+    kept = (rows >= 0) & (cols >= 0)
     a_ff = sp.coo_matrix((entries[kept], (rows[kept], cols[kept])),
                          shape=(free.size, free.size)).tocsr()
     return ReducedSystem(a_ff=a_ff, b_f=b_f, free_dofs=free, fixed_dofs=fixed,
@@ -345,7 +342,7 @@ class SolveReport:
     residual: float
     spd_ok: bool
     # SuperLU's column ordering (ORDERING; the elimination order is the
-    # order of the reduced matrix's rows), "none" if trivial
+    # order of the reduced matrix's rows)
     ordering: str
     fill_nnz: int                        # nonzeros of L + U
 
@@ -369,6 +366,8 @@ def solve(reduced: ReducedSystem) -> SolveReport:
     (ORDERING): it eliminates in the order of `a_ff`, which `apply_dirichlet`
     gives in the dof map's nested-dissection order.  For an SPD matrix all
     pivots are then positive; that sign pattern is the reported SPD check.
+    A system with no free dofs takes the same path: SuperLU factors the
+    0 x 0 matrix, and the residual check passes on its zero residual.
 
     The solve peaks when the SPD check reads `lu.U`, which copies L and U
     beside the factor.  The residual check is the last reader of `a_ff`, so
@@ -380,9 +379,6 @@ def solve(reduced: ReducedSystem) -> SolveReport:
     RESIDUAL_RTOL relative to the right-hand side, or a `MemoryError` in the
     factorization, the solve or the SPD check raises `SolverError`.
     """
-    if reduced.free_dofs.size == 0:
-        return SolveReport(solution=_embed(reduced, np.zeros(0)), solver="trivial",
-                           residual=0.0, spd_ok=True, ordering="none", fill_nnz=0)
     A = reduced.a_ff
     b = reduced.b_f
     size = f"{A.shape[0]} unknowns, {A.nnz} nonzeros in a_ff"

@@ -586,14 +586,14 @@ def _stitch_regions(vor_vertices, flat, lens):
     cells in order, so the mesh does not depend on the order in which qhull
     lists its points and triangles.  The regions arrive CCW, each sorted by
     angle about a seed inside it, and are not reoriented: a clockwise one
-    fails the `PolyMesh` check, which raises MeshError naming it.  A
-    cell that merging collapses or pinches, or that is not convex, raises
-    MeshError naming the lowest such cell.  Each step is one pass over the
-    regions concatenated in cell order.
+    fails the `PolyMesh` check, which raises MeshError naming it, as it does
+    a cell that merging collapses to fewer than 3 vertices or pinches (not
+    simple).  A cell that is not convex raises MeshError naming the lowest
+    such cell.  Each step is one pass over the regions concatenated in cell
+    order.
     """
     from scipy.spatial import cKDTree
 
-    n = len(lens)
     used, entry = np.unique(flat, return_inverse=True)
     verts = vor_vertices[used]
 
@@ -613,24 +613,13 @@ def _stitch_regions(vor_vertices, flat, lens):
     group = connected_components(links, directed=False)[1]
     group_verts = verts[np.unique(group, return_index=True)[1]]
 
-    # drop each vertex that equals its successor in its cell, cyclically
-    ids = group[entry]
-    keep = ids != ids[_next_vertex(np.concatenate([[0], np.cumsum(lens)]))]
-    ids = ids[keep]
-    owner = np.repeat(np.arange(n), lens)[keep]
-    lens = np.bincount(owner, minlength=n)
+    # read each region from its lowest (y, x) vertex, then drop each vertex
+    # that equals its successor in its cell, cyclically
     starts = np.concatenate([[0], np.cumsum(lens)])
-    collapsed = lens < 3
-    distinct = np.bincount(owner[np.unique(owner * len(group_verts) + ids, return_index=True)[1]],
-                           minlength=n)
-    bad = collapsed | (distinct != lens)
-    if bad.any():
-        ci = int(np.argmax(bad))
-        raise MeshError("Voronoi cell collapsed during vertex merging" if collapsed[ci]
-                        else "Voronoi cell pinched during vertex merging", cell=ci)
-
-    # read each cell from its lowest (y, x) vertex
-    flat = ids[_lowest_first(group_verts[ids], starts)]
+    ids = group[entry]
+    ids = ids[_lowest_first(group_verts[ids], starts)]
+    keep = ids != ids[_next_vertex(starts)]
+    flat, starts = ids[keep], np.concatenate([[0], np.cumsum(keep)])[starts]
 
     numbered = flat[np.sort(np.unique(flat, return_index=True)[1])]
     number = np.empty(len(group_verts), dtype=int)

@@ -196,14 +196,21 @@ class StudyResult:
 def run_unit(unit, mesh: PolyMesh) -> list:
     """The rows of the unit `(case_id, family, order, level)`, one per scheme
     of `METHODS`, solved on `mesh`, the family's level-th ladder mesh.  A
-    scheme's failure goes in its row, a shared pass's failure in both.  Only
-    scalars are returned, so the unit's systems are freed when it returns."""
+    scheme's failure goes in its row, a shared pass's failure in both, as
+    does a `MemoryError` outside the sparse solve, as "out of memory (...)".
+    Only scalars are returned, so the unit's systems are freed when it
+    returns."""
     case_id, family, order, level = unit
     case = testcase(case_id)
     try:
         results = solve_cases(mesh, order, METHODS, case)
     except PolyvemError as exc:
         results = dict.fromkeys(METHODS, exc)
+    except MemoryError as exc:
+        # a new error, without the traceback whose frames hold the failed
+        # pass's arrays
+        results = dict.fromkeys(METHODS, SolverError(
+            f"out of memory ({exc or 'allocation refused'})"))
     rows = []
     for method, sol in results.items():
         row = StudyRow(family=family, case=case.name, method=method.value,

@@ -482,7 +482,9 @@ def test_all_boundary_system_is_trivial():
     red = apply_dirichlet(sys_)
     rep = solve(red)
     assert red.free_dofs.size == 0
-    assert (rep.solver, rep.ordering, rep.fill_nnz) == ("trivial", "none", 0)
+    # the 0 x 0 reduced matrix goes through SuperLU like any other
+    assert (rep.solver, rep.ordering, rep.fill_nnz) == ("splu", "NATURAL", 0)
+    assert rep.spd_ok and rep.residual == 0.0
     assert np.all(rep.solution == 0.0)
 
 

@@ -535,6 +535,38 @@ def test_study_records_a_memory_error_and_continues(tmp_path, monkeypatch):
     assert summary["avg_stab_ratio"] == {"cartesian:order1": rows[2].stab_ratio}
 
 
+@pytest.mark.parametrize("stage", ["study.build_dof_map", "assembly.local_load",
+                                   "assembly._scatter", "study.data_rules"],
+                         ids=["dof map", "source pass", "Dirichlet scatter", "error pass"])
+def test_study_records_a_memory_error_outside_the_solve(tmp_path, monkeypatch, stage):
+    # the first call of each stage is in level 1's unit: its standard scheme's
+    # Dirichlet elimination for the scatter, its one error pass for the rules
+    module, name = stage.split(".")
+    owner = {"study": study, "assembly": assembly}[module]
+    real, calls = getattr(owner, name), []
+    message = "Unable to allocate 8.00 MiB for an array with shape (1048576,) and data type float64"
+
+    def no_memory_first(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 1:
+            raise MemoryError(message)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, no_memory_first)
+    out = tmp_path / "study"
+    rc = main(["study", "--case", "tc1", "--orders", "1", "--family",
+               "cartesian", "--levels", "2", "-o", str(out)])
+    assert rc == 3
+    rows = parse_rows_csv(out / "study_rows.csv")
+    assert [(r.level, r.method) for r in rows] == [
+        (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
+    for r in rows[:2]:
+        assert r.note == f"solver failure: out of memory ({message})"
+        assert math.isnan(r.e_star) and r.n_dofs == 0
+    for r in rows[2:]:
+        assert r.note == "" and r.e_star > 0.0
+
+
 def _linalg_error_on(monkeypatch, cell, k):
     """Make the gradient projection's batched solve raise `LinAlgError` on
     every order-k stack that holds `cell`, as LAPACK does for a stack."""

@@ -16,7 +16,8 @@ from polyvem.local import Method
 from polyvem.mesh import generate_cartesian, generate_voronoi, read_mesh
 from polyvem.study import (METHODS, convergence_rate, emit_plot_data, energy_error, run_study,
                            solve_case, solve_cases)
-from conftest import STAR_SHAPE, exact_energy_norm, interpolate_dofs, parse_rows_csv
+from conftest import (STAR_SHAPE, exact_energy_norm, interpolate_dofs, parse_rows_csv,
+                      shared_mesh)
 from test_cli import U_SHAPED_MESH
 
 
@@ -235,17 +236,12 @@ def test_exact_energy_norm_tc2_quadrature():
     assert den == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
 
 
-@pytest.fixture(scope="module")
-def tc2_voronoi():
-    return {n: generate_voronoi(n, rng_seed=0) for n in (64, 256)}
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [64, 256])
-def test_exact_energy_norm_tc2_voronoi_strips(tc2_voronoi, n, k):
+def test_exact_energy_norm_tc2_voronoi_strips(n, k):
     # the band-cut data rule on the study's Voronoi levels: the worst
     # relative error is about 1.1e-7 (Voronoi-256, k=1)
-    den = exact_energy_norm(tc2_voronoi[n], get_case("tc2"), k)
+    den = exact_energy_norm(shared_mesh("voronoi", n), get_case("tc2"), k)
     assert den == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-6)
 
 
@@ -302,15 +298,6 @@ def test_run_study_alpha_attached():
     assert all(r.stab_ratio is not None for r in series)
     e2 = result.series("cartesian", 1, Method.E2VEM)
     assert all(r.stab_ratio is None for r in e2)
-
-
-def test_study_outputs_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        emit_plot_data(run_study([("tc1", (1,))], ("voronoi",), 1, 3, 10)["tc1"], str(out))
-    for name in ("study_rows.csv", "fig_tc1_voronoi_order1.csv",
-                 "rates_summary.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_study_config_validation(monkeypatch):

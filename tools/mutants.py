@@ -206,6 +206,25 @@ MUTANTS = [
     Mutant("study orders range check dropped", "src/polyvem/study.py",
            '("orders", orders, (1, 2, 3))', '("orders", orders, orders)',
            "tests/test_cli.py::test_order_above_three_exit_2"),
+    Mutant("boundary dofs placed from 0 in the scatter", "src/polyvem/assembly.py",
+           "position[fixed] = -1 - np.arange(fixed.size)",
+           "position[fixed] = -np.arange(fixed.size)",
+           "tests/test_acceptance.py::test_criterion_1_patch_exactness"),
+    Mutant("free-free mask without column 0", "src/polyvem/assembly.py",
+           "kept = (rows >= 0) & (cols >= 0)", "kept = (rows >= 0) & (cols > 0)",
+           "tests/test_assembly.py::test_homogeneous_elimination_counts"),
+    Mutant("boundary values read in reverse", "src/polyvem/assembly.py",
+           "vals[-1 - cols[moved]]", "vals[cols[moved]]",
+           "tests/test_acceptance.py::test_criterion_1_patch_exactness"),
+    Mutant("stabilization-free rank target N-2", "src/polyvem/local.py",
+           "short = rank < ctx.layout.total - 1", "short = rank < ctx.layout.total - 2",
+           "tests/test_local.py::test_e2vem_enlargement_bumps_on_symmetric_cells"),
+    Mutant("rank threshold absolute", "src/polyvem/local.py",
+           "RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)", "RANK_TOL",
+           "tests/test_acceptance.py::test_criterion_3_tc1_cartesian_convergence"),
+    Mutant("MemoryError outside the solve not recorded in the study", "src/polyvem/study.py",
+           "except MemoryError as exc:", "except () as exc:",
+           "tests/test_cli.py::test_study_records_a_memory_error_outside_the_solve[dof map]"),
     # no generated mesh sees it: their cells start at the lowest (y, x) vertex
     Mutant("band pieces walked from the cell's start vertex", "src/polyvem/basis.py",
            "a[_lowest_first(a, starts)], a)", "a, a)",
