@@ -391,6 +391,7 @@ def _triangulate(points):
     a triangle with corner a and edge vectors b, c from it has a circumcenter
     exact to a few ulps of |a| + (|b|^2 |c| + |c|^2 |b|) / (2 |b x c|).  That
     bound grows for the slivers that a seed near a side forms with its image.
+    A failure of qhull itself raises MeshError with its report's first line.
 
     Returns the triangles (nt, 3) of indices into `points`, their
     circumcenters (nt, 2), the dual edges as the arrays (t, i, u): triangle
@@ -398,9 +399,13 @@ def _triangulate(points):
     listed once, with u > t; and their ends, (2, ne) rows p and q: the
     Delaunay edge p -> q that t and u share, with corner i of t on its left.
     """
-    from scipy.spatial import Delaunay
+    from scipy.spatial import Delaunay, QhullError
 
-    tri = Delaunay(points, qhull_options="Qbb Qc Qz Q12 Q0 Po")
+    try:
+        tri = Delaunay(points, qhull_options="Qbb Qc Qz Q12 Q0 Po")
+    except QhullError as exc:
+        report = str(exc).partition("\n")[0]
+        raise MeshError(f"qhull failed ({report})") from None
     simplices, neighbors = tri.simplices, tri.neighbors
     x, y = tri.points.T
     X, Y = x[simplices], y[simplices]
@@ -527,12 +532,7 @@ def _box_voronoi(points, band):
     seed = corner[mine]
     around = np.flatnonzero(mine) // 3
     rel = centers[around] - points[seed]
-    # sort by (seed, angle) through one exact integer key built from the
-    # angle's rank; np.lexsort with the float angle is several times slower
-    angle = np.arctan2(rel[:, 1], rel[:, 0])
-    rank = np.empty(angle.size, dtype=int)
-    rank[np.argsort(angle)] = np.arange(angle.size)
-    order = np.argsort(seed * angle.size + rank)
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
     return centers, around[order], np.bincount(seed, minlength=n)
 
 

@@ -193,35 +193,42 @@ class StudyResult:
                 if r.family == family and r.order == order and r.method == tag]
 
 
+def _failure(exc) -> PolyvemError:
+    """The error a unit records for the `PolyvemError` or `MemoryError` `exc`,
+    without the traceback whose frames hold the failed step's arrays; a
+    `MemoryError` becomes a new `SolverError`, "out of memory (...)"."""
+    if isinstance(exc, MemoryError):
+        return SolverError(f"out of memory ({exc or 'allocation refused'})")
+    return exc.with_traceback(None)
+
+
 def run_unit(unit, mesh: PolyMesh) -> list:
     """The rows of the unit `(case_id, family, order, level)`, one per scheme
     of `METHODS`, solved on `mesh`, the family's level-th ladder mesh.  A
-    scheme's failure goes in its row, a shared pass's failure in both, as
-    does a `MemoryError` outside the sparse solve, as "out of memory (...)".
-    Only scalars are returned, so the unit's systems are freed when it
-    returns."""
+    scheme's failure goes in its row, a shared pass's failure in both, and a
+    failure of the stabilization/consistency ratio in the standard row; a
+    `MemoryError` in any of them reads "out of memory (...)".  Only scalars
+    are returned, so the unit's systems are freed when it returns."""
     case_id, family, order, level = unit
     case = testcase(case_id)
     try:
         results = solve_cases(mesh, order, METHODS, case)
-    except PolyvemError as exc:
-        results = dict.fromkeys(METHODS, exc)
-    except MemoryError as exc:
-        # a new error, without the traceback whose frames hold the failed
-        # pass's arrays
-        results = dict.fromkeys(METHODS, SolverError(
-            f"out of memory ({exc or 'allocation refused'})"))
+    except (PolyvemError, MemoryError) as exc:
+        results = dict.fromkeys(METHODS, _failure(exc))
     rows = []
     for method, sol in results.items():
         row = StudyRow(family=family, case=case.name, method=method.value,
                        order=order, level=level, h_max=mesh.h_max)
+        if method is Method.STANDARD and isinstance(sol, CaseSolution):
+            try:
+                row.stab_ratio = stab_consistency_ratio(sol.system)
+            except (PolyvemError, MemoryError) as exc:
+                sol = _failure(exc)
         if isinstance(sol, PolyvemError):
             row.note = f"solver failure: {sol}"
         else:
             row.n_dofs = sol.system.dof_map.n_total
             row.e_star = sol.e_star
-            if method is Method.STANDARD:
-                row.stab_ratio = stab_consistency_ratio(sol.system)
         rows.append(row)
     return rows
 

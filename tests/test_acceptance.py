@@ -360,6 +360,42 @@ def test_relabelling_moves_no_result(request, family, n, seed, lloyd_iters, leve
         assert sorted(errors_r) == sorted(new_label[list(errors)].tolist())
 
 
+def _reflected(mesh, axis):
+    """`mesh` mirrored in the line x = 1/2 (axis 0) or y = 1/2 (axis 1), each
+    cell reversed to stay CCW."""
+    vertices = mesh.vertices.copy()
+    vertices[:, axis] = 1.0 - vertices[:, axis]
+    return PolyMesh(vertices, [cell[::-1] for cell in mesh.cells])
+
+
+@pytest.mark.parametrize("family, n, rtol", [
+    ("cartesian", 16, 1e-12),
+    # a reversed fan triangle swaps the two non-apex corners of the collapsed
+    # Gauss rule, which is not symmetric in them: the points move, and e_star
+    # moved by up to 2.2e-10 (tc1 k = 1 under y -> 1 - y)
+    ("voronoi", 256, 1e-9),
+], ids=["cartesian 16", "voronoi 256"])
+def test_reflections_move_no_result(paper_run, family, n, rtol):
+    """tc2 is odd under x -> 1 - x and under y -> 1 - y, and tc1 is even under
+    y -> 1 - y, so solving a case on its mirrored level-2 mesh gives the
+    paper run's rows again: the same dofs and no note, every e_star to `rtol`
+    relative and every stabilization/consistency ratio to 1e-12."""
+    out, _, _ = paper_run
+    mesh = shared_mesh(family, n)
+    for case_id, orders, axes in (("tc2", (1, 2), (0, 1)), ("tc1", (1, 3), (1,))):
+        paper = parse_rows_csv(out / case_id / "study_rows.csv")
+        for k, axis in ((k, axis) for k in orders for axis in axes):
+            got = run_unit((case_id, family, k, 2), _reflected(mesh, axis))
+            want = [r for r in paper if (r.family, r.order, r.level) == (family, k, 2)]
+            assert [(r.method, r.n_dofs, r.note) for r in got] == [
+                (r.method, r.n_dofs, r.note) for r in want] == [("vem", got[0].n_dofs, ""),
+                                                                ("e2vem", got[0].n_dofs, "")]
+            for mine, theirs in zip(got, want):
+                assert mine.e_star == pytest.approx(theirs.e_star, rel=rtol, abs=0.0)
+                assert mine.stab_ratio == (theirs.stab_ratio and pytest.approx(
+                    theirs.stab_ratio, rel=1e-12, abs=0.0))
+
+
 def test_criterion_8_study_determinism(tmp_path):
     from polyvem.cli import main
     args = ["study", "--case", "tc1", "--orders", "1", "--family", "both",

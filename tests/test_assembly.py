@@ -499,6 +499,19 @@ def test_inhomogeneous_elimination_moves_values():
     assert np.abs(rep.solution - exact).max() <= 1e-12
 
 
+def test_apply_dirichlet_refuses_a_wrong_boundary_value_count():
+    mesh = generate_cartesian(2)
+    case = get_case("tc1")
+    sys_ = assemble(mesh, 1, Method.STANDARD, case.K, source_moments(mesh, 1, case.f))
+    with pytest.raises(ValueError, match=r"^expected 8 boundary values, got \(7,\)$"):
+        apply_dirichlet(sys_, np.zeros(7))
+
+
+def test_source_moments_refuse_order_zero():
+    with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+        source_moments(generate_cartesian(2), 0, get_case("tc1").f)
+
+
 # -- solve -------------------------------------------------------------------
 
 def test_solve_single_free_dof_exact():
@@ -778,6 +791,16 @@ def test_solve_rejects_a_nonsymmetric_matrix():
     red = ReducedSystem(a_ff=A, b_f=np.array([1.0, 2.0]), free_dofs=np.arange(2),
                         fixed_dofs=np.empty(0, int), fixed_values=np.empty(0), n_total=2)
     with pytest.raises(SolverError, match=r"^residual 7\.071e-01 exceeds"):
+        solve(red)
+
+
+def test_solve_maps_a_singular_factor_to_a_solver_error():
+    # SuperLU raises RuntimeError on an exactly zero pivot
+    red = ReducedSystem(a_ff=sp.csr_matrix(np.ones((2, 2))), b_f=np.ones(2),
+                        free_dofs=np.arange(2), fixed_dofs=np.empty(0, int),
+                        fixed_values=np.empty(0), n_total=2)
+    with pytest.raises(SolverError, match=r"^sparse factorization failed "
+                                          r"\(Factor is exactly singular\)$"):
         solve(red)
 
 

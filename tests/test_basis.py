@@ -47,6 +47,8 @@ def test_monomial_enumeration_bijection():
         assert monomial_index(ax, ay) == i
     # graded-lex: degree blocks in order, x-power descending inside a block
     assert exps[:6].tolist() == [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
+    with pytest.raises(ValueError, match="^exponents must be non-negative$"):
+        monomial_index(np.array([1, 0]), np.array([0, -1]))
 
 
 def test_scaled_monomial_values():
@@ -553,6 +555,11 @@ def test_edge_rules_cached_read_only():
             with pytest.raises(ValueError):
                 a[0] = 0.5
         assert np.array_equal(lag, lagrange_matrix(first[0], first[1]))
+
+
+def test_edge_rules_reject_order_zero():
+    with pytest.raises(ValueError, match="^order k must be >= 1$"):
+        edge_rules(0, 3)
 
 
 def _gauss_jacobi_mp(mp, x0, a, b):

@@ -124,6 +124,10 @@ def test_unknown_case_rejected():
         get_case("patch:x")
     with pytest.raises(ValueError):
         get_case("patch:0")
+    assert get_case("patch:4").name == "patch:4"
+    with pytest.raises(ValueError,
+                       match="^no stored patch coefficients beyond degree 4, got 5$"):
+        get_case("patch:5")
 
 
 def test_diffusion_tensor_validation():

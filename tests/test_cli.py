@@ -508,16 +508,18 @@ def test_a_refused_allocation_exits_2(tmp_path, capsys, monkeypatch, argv, refus
     assert not out.exists()
 
 
-def test_study_records_a_memory_error_and_continues(tmp_path, monkeypatch):
+def _study_with_first_factor_raising(tmp_path, monkeypatch, error):
+    """The rows and summary of a two-level cartesian tc1 study whose first
+    `splu` call, level 1's standard scheme, raises `error`; it exits 3."""
     real, calls = assembly.splu, []
 
-    def no_memory_first(A, **kwargs):
+    def failing_first(A, **kwargs):
         calls.append(A.shape)
         if len(calls) == 1:
-            raise MemoryError
+            raise error
         return real(A, **kwargs)
 
-    monkeypatch.setattr(assembly, "splu", no_memory_first)
+    monkeypatch.setattr(assembly, "splu", failing_first)
     out = tmp_path / "study"
     rc = main(["study", "--case", "tc1", "--orders", "1", "--family",
                "cartesian", "--levels", "2", "-o", str(out)])
@@ -525,22 +527,36 @@ def test_study_records_a_memory_error_and_continues(tmp_path, monkeypatch):
     rows = parse_rows_csv(out / "study_rows.csv")
     assert [(r.level, r.method) for r in rows] == [
         (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
-    assert rows[0].note == ("solver failure: out of memory in the sparse solve "
-                            "(49 unknowns, 361 nonzeros in a_ff)")
     assert math.isnan(rows[0].e_star)
     for r in rows[1:]:
         assert r.note == "" and r.e_star > 0.0
+    return rows, json.loads((out / "summary.json").read_text())
+
+
+def test_study_records_a_memory_error_and_continues(tmp_path, monkeypatch):
+    rows, summary = _study_with_first_factor_raising(tmp_path, monkeypatch, MemoryError)
+    assert rows[0].note == ("solver failure: out of memory in the sparse solve "
+                            "(49 unknowns, 361 nonzeros in a_ff)")
     # the ladder average is over the levels that have a ratio
-    summary = json.loads((out / "summary.json").read_text())
     assert summary["avg_stab_ratio"] == {"cartesian:order1": rows[2].stab_ratio}
 
 
+def test_study_records_a_failed_factorization_and_continues(tmp_path, monkeypatch):
+    rows, _ = _study_with_first_factor_raising(
+        tmp_path, monkeypatch, RuntimeError("Factor is exactly singular"))
+    assert rows[0].note == ("solver failure: sparse factorization failed "
+                            "(Factor is exactly singular)")
+
+
 @pytest.mark.parametrize("stage", ["study.build_dof_map", "assembly.local_load",
-                                   "assembly._scatter", "study.data_rules"],
-                         ids=["dof map", "source pass", "Dirichlet scatter", "error pass"])
+                                   "assembly._scatter", "study.data_rules",
+                                   "study.stab_consistency_ratio"],
+                         ids=["dof map", "source pass", "Dirichlet scatter", "error pass",
+                              "ratio"])
 def test_study_records_a_memory_error_outside_the_solve(tmp_path, monkeypatch, stage):
     # the first call of each stage is in level 1's unit: its standard scheme's
-    # Dirichlet elimination for the scatter, its one error pass for the rules
+    # Dirichlet elimination for the scatter, its one error pass for the rules,
+    # its standard row for the ratio, which fails that row alone
     module, name = stage.split(".")
     owner = {"study": study, "assembly": assembly}[module]
     real, calls = getattr(owner, name), []
@@ -560,11 +576,34 @@ def test_study_records_a_memory_error_outside_the_solve(tmp_path, monkeypatch, s
     rows = parse_rows_csv(out / "study_rows.csv")
     assert [(r.level, r.method) for r in rows] == [
         (1, "vem"), (1, "e2vem"), (2, "vem"), (2, "e2vem")]
-    for r in rows[:2]:
+    failed = 1 if name == "stab_consistency_ratio" else 2
+    for r in rows[:failed]:
         assert r.note == f"solver failure: out of memory ({message})"
-        assert math.isnan(r.e_star) and r.n_dofs == 0
-    for r in rows[2:]:
+        assert math.isnan(r.e_star) and r.n_dofs == 0 and r.stab_ratio is None
+    for r in rows[failed:]:
         assert r.note == "" and r.e_star > 0.0
+    assert rows[2].stab_ratio > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--family", "voronoi", "--n", "9", "--lloyd-iters", "2"],
+    ["study", "--case", "tc1", "--orders", "1", "--family", "voronoi", "--levels", "1"],
+], ids=["mesh", "study"])
+def test_a_qhull_failure_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """qhull's own failure exits 2 with the first line of its report.  A
+    study builds its ladder before any unit, so it writes no rows."""
+    import scipy.spatial
+
+    def failing(*args, **kwargs):
+        raise scipy.spatial.QhullError("QH6154 Qhull precision error: Initial simplex is "
+                                       "flat\n\nWhile executing:  | qhull d Qbb Qc Qz Q12 Q0 Po")
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", failing)
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert _one_line_error(capsys) == ("error: qhull failed (QH6154 Qhull precision error: "
+                                       "Initial simplex is flat)")
+    assert not out.exists()
 
 
 def _linalg_error_on(monkeypatch, cell, k):

@@ -45,11 +45,20 @@ def test_min_ell_examples():
     assert min_ell(1, 4) == 1
     assert min_ell(2, 6) == 2
     assert min_ell(3, 4) == 2
+    for k, n in ((0, 4), (1, 2)):
+        with pytest.raises(ValueError, match="^need k >= 1 and at least 3 vertices$"):
+            min_ell(k, n)
 
 
 @given(k=st.integers(1, 6), n=st.integers(3, 24))
 def test_min_ell_matches_exhaustive_search(k, n):
     assert min_ell(k, n) == _min_ell_bruteforce(k, n)
+
+
+def test_method_parse_names_the_two_schemes():
+    assert [Method.parse(name) for name in ("vem", "e2vem")] == [Method.STANDARD, Method.E2VEM]
+    with pytest.raises(ValueError, match="^unknown method 'evem', expected 'vem' or 'e2vem'$"):
+        Method.parse("evem")
 
 
 def test_dof_layout_ordering():

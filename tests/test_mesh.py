@@ -68,6 +68,12 @@ def test_cell_geom_takes_a_nonempty_1d_index_array(cells):
     assert E.cells.tolist() == [1, 3] and E.verts.shape == (2, 4, 2)
 
 
+def test_cell_geom_refuses_a_stack_of_mixed_vertex_counts():
+    # cell 0 of the mixed mesh is a triangle, cell 2 a square
+    with pytest.raises(ValueError, match="^a stack of cells must share one vertex count$"):
+        mixed_mesh().cell_geom(np.array([0, 2]))
+
+
 def test_cell_geometry_rejects_clockwise():
     with pytest.raises(MeshError, match=r"^cell 0: polygon is not CCW \(signed area -1\)$"):
         lone_cell([[0, 0], [0, 1], [1, 1], [1, 0]])
@@ -192,6 +198,11 @@ def test_voronoi_single_cell_is_unit_square():
 def test_voronoi_rejects_negative_lloyd_iters():
     with pytest.raises(ValueError, match="lloyd_iters"):
         generate_voronoi(9, 0, -5)
+
+
+def test_voronoi_rejects_no_cells():
+    with pytest.raises(ValueError, match="^n_cells must be >= 1$"):
+        generate_voronoi(0)
 
 
 def test_voronoi_16_partition():

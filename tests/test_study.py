@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import math
@@ -73,6 +74,15 @@ def test_zero_solution_gives_unit_error():
     system = assemble(mesh, 1, Method.STANDARD, case.K)
     [e] = energy_error(mesh, [(system, np.zeros(system.dof_map.n_total))], case)
     assert e == pytest.approx(1.0, abs=1e-10)
+
+
+def test_energy_error_refuses_a_zero_exact_norm():
+    mesh = generate_cartesian(2)
+    case = get_case("tc1")
+    system = assemble(mesh, 1, Method.STANDARD, case.K)
+    flat = dataclasses.replace(case, grad_u=lambda x, y: (0.0 * x, 0.0 * y))
+    with pytest.raises(ValueError, match="^exact solution has zero energy norm$"):
+        energy_error(mesh, [(system, np.zeros(system.dof_map.n_total))], flat)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

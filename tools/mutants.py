@@ -113,7 +113,8 @@ MUTANTS = [
            "flags, *(self.rectangles or ())):", "flags):",
            "tests/test_mesh.py::test_every_mesh_array_is_read_only[cartesian]"),
     Mutant("shared-pass failure recorded on the standard row only", "src/polyvem/study.py",
-           "results = dict.fromkeys(METHODS, exc)", "results = dict.fromkeys(METHODS[:1], exc)",
+           "results = dict.fromkeys(METHODS, _failure(exc))",
+           "results = dict.fromkeys(METHODS[:1], _failure(exc))",
            "tests/test_cli.py::test_study_records_source_pass_failure_on_both_rows"),
     Mutant("ratio average over every level, failed levels as zero", "src/polyvem/study.py",
            "sum(ratios) / len(ratios)",
@@ -223,8 +224,21 @@ MUTANTS = [
            "RANK_TOL * np.abs(evals).max(axis=-1, keepdims=True)", "RANK_TOL",
            "tests/test_acceptance.py::test_criterion_3_tc1_cartesian_convergence"),
     Mutant("MemoryError outside the solve not recorded in the study", "src/polyvem/study.py",
-           "except MemoryError as exc:", "except () as exc:",
+           "results = dict.fromkeys(METHODS, _failure(exc))", "raise",
            "tests/test_cli.py::test_study_records_a_memory_error_outside_the_solve[dof map]"),
+    Mutant("a unit's MemoryError kept as it is", "src/polyvem/study.py",
+           "if isinstance(exc, MemoryError):", "if False:",
+           "tests/test_cli.py::test_study_records_a_memory_error_outside_the_solve[dof map]"),
+    Mutant("stabilization ratio's failure not recorded in the study", "src/polyvem/study.py",
+           "sol = _failure(exc)", "raise",
+           "tests/test_cli.py::test_study_records_a_memory_error_outside_the_solve[ratio]"),
+    Mutant("Voronoi region sort keys swapped", "src/polyvem/mesh.py",
+           "np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))",
+           "np.lexsort((seed, np.arctan2(rel[:, 1], rel[:, 0])))",
+           "tests/test_mesh.py::test_voronoi_16_partition"),
+    Mutant("qhull failure not mapped to MeshError", "src/polyvem/mesh.py",
+           "except QhullError as exc:", "except () as exc:",
+           "tests/test_cli.py::test_a_qhull_failure_exits_2[mesh]"),
     # no generated mesh sees it: their cells start at the lowest (y, x) vertex
     Mutant("band pieces walked from the cell's start vertex", "src/polyvem/basis.py",
            "a[_lowest_first(a, starts)], a)", "a, a)",
